@@ -10,7 +10,9 @@ Every command runs as a fresh ``python -m flattori.cli`` process, started one
 at a time from this process: a closed loop with a single client.  Inputs
 are generated from the seed by ``gen.py``; every outcome is checked by
 ``oracle.py``.  A run repeats whole passes over the workload's rows until
-``--seconds`` have elapsed (at least one pass).
+``--seconds`` have elapsed (at least one pass).  Times are reported in
+seconds at a fixed reference CPU speed, sampled on the CPU the commands run
+on (see ``HostClock``); the raw times are printed beside them.
 
 ``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` additionally
 makes two passes through ``traced_cli.py``, which records spans around the
@@ -25,6 +27,7 @@ environment, the outcome of every command, and the metrics as a table.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import os
 import platform
@@ -38,6 +41,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
@@ -64,6 +68,23 @@ SETUP_REPS = 3
 # the 49 seeds tried (often past node 30000 of its 3^36 - 1 window).
 D3_BUDGET = 20000
 OPEN_BUDGET = 50
+
+# Host-speed reference.  This host's CPUs change speed by up to 1.7x over
+# seconds and minutes, each CPU on its own, in CPU time as much as in wall
+# time, so raw times of the same code spread past any useful bound from one
+# run to the next.  The benchmark therefore pins itself and its commands to
+# one CPU, and a thread of its own (HostClock) times a fixed exact-arithmetic
+# task on that CPU every SAMPLE_EVERY_S, in thread CPU time so that waiting
+# for the command or the GIL does not count.  Each command's wall and CPU
+# time are scaled by REF_NOMINAL_S over the mean sample taken while it ran
+# (padded by SPEED_PAD_S): the times reported are seconds at a fixed
+# reference speed, REF_NOMINAL_S being the task's time on a quiet 2-core
+# x86-64 VM under CPython 3.11.7.  The task is the benchmark's own code, so
+# the program cannot move it.  The sampler takes about a tenth of the CPU
+# while a command runs: wall_s includes that share, cpu_s does not.
+SAMPLE_EVERY_S = 0.02
+SPEED_PAD_S = 0.1
+REF_NOMINAL_S = 0.0018
 
 SEARCH_COMMAND = {"iso": "check-iso", "mirror": "check-mirror", "derived_eq": "check-derived-eq"}
 
@@ -93,6 +114,66 @@ class Result:
     span_file: str | None
     outcome: str = ""
     reason: str = ""
+    start: float = 0.0
+    speed: float = 1.0
+
+    @property
+    def nwall(self):
+        """Wall seconds at the reference host speed."""
+        return self.wall * self.speed
+
+    @property
+    def ncpu(self):
+        """CPU seconds at the reference host speed."""
+        return self.cpu * self.speed
+
+
+_REF_N = 6
+_REF_A = gen.matmul(
+    [[Fraction(1 if i == j else ((i * 5 + j * 3) % 7 - 3 if i > j else 0))
+      for j in range(_REF_N)] for i in range(_REF_N)],
+    [[Fraction(i + 2 if i == j else ((i * 3 + j * 5) % 5 - 2 if j > i else 0), 1 + (i + j) % 3)
+      for j in range(_REF_N)] for i in range(_REF_N)])
+_REF_I = gen.identity(_REF_N)
+
+
+class HostClock:
+    """Samples the speed of this process's CPU from a thread of its own.
+
+    Each sample is the thread CPU time of one Fraction inverse and product
+    of a fixed 6x6 matrix, stamped with the perf_counter at its middle.
+    """
+
+    def __init__(self):
+        self.stamps = []
+        self.seconds = []
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._sample, name="host-clock", daemon=True)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        self._thread.join()
+
+    def _sample(self):
+        while not self._stop.wait(SAMPLE_EVERY_S):
+            wall = time.perf_counter()
+            start = time.thread_time()
+            product = gen.matmul(_REF_A, gen.inverse(_REF_A))
+            seconds = time.thread_time() - start
+            assert product == _REF_I
+            self.stamps.append((wall + time.perf_counter()) / 2)
+            self.seconds.append(seconds)
+
+    def speed(self, start, end):
+        """REF_NOMINAL_S over the mean sample within SPEED_PAD_S of [start, end]."""
+        lo = bisect.bisect_left(self.stamps, start - SPEED_PAD_S)
+        hi = bisect.bisect_right(self.stamps, end + SPEED_PAD_S)
+        window = self.seconds[lo:hi]
+        return REF_NOMINAL_S / statistics.fmean(window) if window else 1.0
 
 
 class Runner:
@@ -136,7 +217,8 @@ class Runner:
         with open(err_path) as fh:
             stderr = fh.read()
         return Result(label, argv, proc.returncode, stdout, stderr, wall,
-                      usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024, span_file)
+                      usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024, span_file,
+                      start=start)
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +457,13 @@ def layer_metrics(total, lanes):
 # ---------------------------------------------------------------------------
 
 END_TO_END_UNITS = {"setup_s": "s", "wall_s": "s", "cpu_s": "s", "cmd_p50_s": "s",
-                    "peak_rss_mb": "MiB", "correct_frac": "ratio", "decided_frac": "ratio"}
-# cmd_p50_s is printed but left out of the result line: the ~0.2 s commands
-# it lands on switch between two host speed modes (about 0.11 s and 0.16 s
-# for `validate`, a few seconds each), so its median flips between modes and
-# spread 7-30% across ten seeds, past the widest bound allowed.
-REPORTED = ("setup_s", "wall_s", "cpu_s", "peak_rss_mb", "correct_frac", "decided_frac")
+                    "peak_rss_mb": "MiB", "correct_frac": "ratio", "decided_frac": "ratio",
+                    "raw_wall_s": "s", "raw_setup_s": "s", "host_speed_p50": "ratio"}
+# raw_wall_s, raw_setup_s and host_speed_p50 are printed but left out of the
+# result line: raw times of the same code spread 15-30% across ten seeds on
+# this host, past the widest bound allowed (see HostClock).
+REPORTED = ("setup_s", "wall_s", "cpu_s", "cmd_p50_s", "peak_rss_mb", "correct_frac",
+            "decided_frac")
 
 
 def unit_of(name):
@@ -424,8 +507,11 @@ def main(argv=None):
 
     os.makedirs(TMP_ROOT, exist_ok=True)
     scratch = tempfile.mkdtemp(prefix="run-", dir=TMP_ROOT)
+    cpu = min(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
     try:
-        return measure(args, scratch)
+        with HostClock() as clock:
+            return measure(args, scratch, clock, cpu)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
         try:
@@ -434,7 +520,13 @@ def main(argv=None):
             pass
 
 
-def measure(args, scratch):
+def settle(clock, results):
+    """Set each result's speed from the host samples taken while it ran."""
+    for r in results:
+        r.speed = clock.speed(r.start, r.start + r.wall)
+
+
+def measure(args, scratch, clock, cpu):
     inputs = os.path.join(scratch, "inputs")
     os.makedirs(inputs)
     tori, branes = gen.generate(args.seed, inputs)
@@ -464,6 +556,7 @@ def measure(args, scratch):
     start = time.perf_counter()
     while not passes or time.perf_counter() - start < args.seconds:
         passes.append(workload(setup_then, tori, ctx))
+    settle(clock, setup + [r for p in passes for r in p])
 
     traced = []
     per_layer = {}
@@ -472,6 +565,7 @@ def measure(args, scratch):
         for _ in range(2):
             results = workload(trun, tori, ctx)
             traced.append((results, *pass_layers(results)))
+        settle(clock, [r for t in traced for r in t[0]])
         if args.workload == "refute":
             source = "kernels.run_filter called directly on the exhaustive basis of " \
                      "check-derived-eq square1 stretched1"
@@ -490,15 +584,18 @@ def measure(args, scratch):
     every = setup + rows
     attempted = len(every)
     failed = sum(r.outcome == FAIL for r in every)
-    walls = [r.wall for r in untraced]
+    walls = [r.nwall for r in untraced]
     e2e = {
-        "setup_s": statistics.median(r.wall for r in setup),
-        "wall_s": median_pass(passes, "wall"),
-        "cpu_s": median_pass(passes, "cpu"),
+        "setup_s": statistics.median(r.nwall for r in setup),
+        "wall_s": median_pass(passes, "nwall"),
+        "cpu_s": median_pass(passes, "ncpu"),
         "cmd_p50_s": statistics.median(walls),
         "peak_rss_mb": max(r.rss_mib for r in setup + untraced),
         "correct_frac": (attempted - failed) / attempted,
         "decided_frac": sum(r.outcome in (FOUND, REFUTED) for r in rows) / len(rows),
+        "raw_wall_s": median_pass(passes, "wall"),
+        "raw_setup_s": statistics.median(r.wall for r in setup),
+        "host_speed_p50": statistics.median(r.speed for r in setup + untraced),
     }
 
     env = {"python": platform.python_version(), "implementation": platform.python_implementation(),
@@ -507,13 +604,15 @@ def measure(args, scratch):
            "search_lane": lanes[-1] if lanes else "none",
            "loadavg_before": load_before, "loadavg_after": load_after,
            "workload": args.workload, "seed": args.seed, "passes": len(passes),
+           "pinned_cpu": cpu, "host_samples": len(clock.seconds),
            "traced_passes": len(traced), "loop": "closed, 1 client, 1 process at a time"}
     if traced:
         env["search_lane_traced"] = {k.split(".")[2]: v for k, v in traced[0][1].items()
                                      if k.startswith("kernels.lane.") and k.endswith(".calls")}
     print("env " + json.dumps(env, sort_keys=True))
     for res in setup[:1] + [r for p in passes[:1] for r in p]:
-        print(f"cmd {res.outcome:8s} {res.wall:8.3f}s rc={res.rc} {res.label}: {res.reason}")
+        print(f"cmd {res.outcome:8s} {res.wall:8.3f}s (x{res.speed:.3f}) rc={res.rc} "
+              f"{res.label}: {res.reason}")
     for res in every:
         if res.outcome == FAIL:
             print(f"FAIL {res.label} (flattori {' '.join(res.argv)}): {res.reason}")
@@ -538,8 +637,8 @@ def traced_metrics(workload, traced, passes, lane_table, env, inputs):
     for key, value in m.items():
         if unit_of(key) == "s":
             m[key] = (value + m_b[key]) / 2
-    untraced = median_pass(passes, "wall")
-    traced_wall = statistics.mean(sum(r.wall for r in res) for res in (results_a, results_b))
+    untraced = median_pass(passes, "nwall")
+    traced_wall = statistics.mean(sum(r.nwall for r in res) for res in (results_a, results_b))
     m["trace.overhead_frac"] = traced_wall / untraced - 1
 
     repeat = 0
