@@ -66,9 +66,10 @@ def _load_config(path):
             raise SchemaError("config must be an object", path)
         for key in DEFAULTS:
             if key in data:
-                if not isinstance(data[key], int) or data[key] < 0:
+                value = data[key]
+                if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                     raise SchemaError(f"config {key} must be a nonnegative integer", key)
-                cfg[key] = data[key]
+                cfg[key] = value
     return cfg
 
 
@@ -123,6 +124,8 @@ def _cmd_doubled(args, cfg):
 def _cmd_spectrum(args, cfg):
     t = jsonio.load_torus(args.torus)
     height = args.height if args.height is not None else cfg["fingerprint_height"]
+    if height < 0:
+        raise SchemaError(f"height must be nonnegative, got {height}")
     fp = equivalence.spectrum_fingerprint(t, height)
     result = {"height": height,
               "triples": [[rat_str(x) for x in triple] for triple in fp]}
@@ -134,19 +137,22 @@ def _search_command(command, kind, args, cfg):
     t2 = jsonio.load_torus(args.target)
     bound = _setting(args, cfg, "bound")
     budget = _setting(args, cfg, "budget")
+    if bound < 1:
+        raise SchemaError(f"bound must be at least 1, got {bound}")
     inputs = {"source": jsonio.torus_to_json(t1), "target": jsonio.torus_to_json(t2),
               "bound": bound}
-    fingerprints_match = None
-    fp_height = cfg["fingerprint_height"]
-    if (2 * fp_height + 1) ** (4 * t1.d) <= 10000:
-        fingerprints_match = (equivalence.spectrum_fingerprint(t1, fp_height)
-                              == equivalence.spectrum_fingerprint(t2, fp_height))
     outcome = equivalence.search_relation(t1, t2, kind, bound, node_budget=budget)
     if outcome.found:
         result = {"found": True,
                   "certificate": jsonio.certificate_to_json(outcome.certificate),
                   "nodes": outcome.nodes_used}
         return _emit(command, inputs, result, 0)
+    # only the none-within-bound report cites the fingerprint
+    fingerprints_match = None
+    fp_height = cfg["fingerprint_height"]
+    if (2 * fp_height + 1) ** (4 * t1.d) <= 10000:
+        fingerprints_match = (equivalence.spectrum_fingerprint(t1, fp_height)
+                              == equivalence.spectrum_fingerprint(t2, fp_height))
     result = {"found": False, "verdict": "none within bound",
               "nodes": outcome.nodes_used,
               "fingerprint_height": fp_height,

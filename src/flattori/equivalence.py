@@ -21,14 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import lcm
 
 from . import kernels
 from ._intlat import integral_coordinate_lattice, pair_reduce
 from .errors import BudgetExceededError, DimensionError, ValidationError
 from .exactlinear import QZERO, RatMatrix
-from .torus import (ChargeVector, TorusData, doubled, q_matrix, q_value,
-                    require_valid, zero_mode_momenta)
+from .torus import ChargeVector, TorusData, doubled, q_matrix, q_value, require_valid
 
 KINDS = ("iso", "mirror", "derived_eq")
 
@@ -151,25 +150,21 @@ def _integral_basis(rational_basis, n):
     """Lattice basis of all integral matrices in the span, size-reduced."""
     if not rational_basis:
         return []
-    k = len(rational_basis)
     # echelon structure: coordinates w.r.t. the kernel basis are exactly the
     # free-position entries, so an element is integral iff its coordinate
     # vector t is integral and the pivot coordinates of sum t_j b_j are too.
-    denom = 1
-    for v in rational_basis:
-        for x in v:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for v in rational_basis for x in v))
     coord_rows = []
     for pos in range(n * n):
         row = [int(v[pos] * denom) for v in rational_basis]
         coord_rows.append(row)
     lattice = integral_coordinate_lattice(coord_rows, denom)
+    # entry pos of sum t_j b_j is (coord_rows[pos] . t) / denom, in integers
     mats = []
     for tvec in lattice:
-        flat = [sum(Fraction(tj) * v[pos] for tj, v in zip(tvec, rational_basis))
-                for pos in range(n * n)]
-        assert all(x.denominator == 1 for x in flat)
-        mats.append([int(x) for x in flat])
+        scaled = [sum(tj * c for tj, c in zip(tvec, row)) for row in coord_rows]
+        assert all(x % denom == 0 for x in scaled)
+        mats.append([x // denom for x in scaled])
     return pair_reduce(mats)
 
 
@@ -247,24 +242,49 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
 # ---------------------------------------------------------------------------
 
 
+def _half_norm_forms(t: TorusData):
+    """Integer forms ``A_p, A_pbar`` and a denominator D for the momentum half-norms.
+
+    ``p2_half = gamma^t A_p gamma / D`` with ``A_p / D = M^t G^-1 M / 2`` for
+    ``M = [-(B+G) | 1]``, and likewise ``pbar2_half`` with ``M = [G-B | 1]``;
+    gamma is the charge in winding-then-momentum order.
+    """
+    ident = RatMatrix.identity(t.rank)
+    ginv = t.G.inverse()
+    forms = [m.transpose() * ginv * m
+             for m in (RatMatrix.from_blocks([[-(t.B + t.G), ident]]),
+                       RatMatrix.from_blocks([[t.G - t.B, ident]]))]
+    den = lcm(*(x.denominator for form in forms for row in form.entries for x in row))
+    p_form, pbar_form = ([[int(x * den) for x in row] for row in form.entries]
+                         for form in forms)
+    return p_form, pbar_form, 2 * den
+
+
+def _quadratic(form, x):
+    return sum(xi * sum(a * xj for a, xj in zip(row, x)) for xi, row in zip(x, form) if xi)
+
+
 def spectrum_fingerprint(t: TorusData, height: int):
     """Sorted multiset of ``(q(gamma,gamma), p^2/2, pbar^2/2)`` triples.
 
     Enumerates all charge vectors of max-norm at most ``height``; any
     isomorphism certificate must map triples to equal triples, so unequal
     fingerprints refute isomorphism as far as the enumerated window goes.
+    The torus is validated and ``G`` inverted once; each charge then costs
+    integer arithmetic only (the triples equal those built from
+    :func:`~flattori.torus.zero_mode_momenta` charge by charge).
     """
     if height < 0:
         raise ValueError("height must be nonnegative")
     require_valid(t)
-    n = 2 * t.rank
+    half = t.rank
+    p_form, pbar_form, den = _half_norm_forms(t)
     triples = []
     rng = range(-height, height + 1)
-    half = t.rank
-    for coords in product(rng, repeat=n):
+    for coords in product(rng, repeat=2 * half):
         c = ChargeVector(coords[:half], coords[half:])
-        z = zero_mode_momenta(t, c)
-        triples.append((q_value(c), z.p2_half, z.pbar2_half))
+        triples.append((q_value(c), Fraction(_quadratic(p_form, coords), den),
+                        Fraction(_quadratic(pbar_form, coords), den)))
     triples.sort()
     return tuple(triples)
 

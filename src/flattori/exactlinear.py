@@ -289,7 +289,12 @@ class RatMatrix:
     # -- elimination-based computations ----------------------------------
 
     def rref(self):
-        """Reduced row echelon form; returns ``(matrix, pivot_columns)``."""
+        """Reduced row echelon form; returns ``(matrix, pivot_columns)``.
+
+        Row updates touch only the nonzero positions of the pivot row, which
+        keeps sparse systems (such as Kronecker-form constraints) cheap; the
+        reduced form is unique, so this changes no result.
+        """
         m = [list(row) for row in self.entries]
         nrows, ncols = self.rows, self.cols
         pivots = []
@@ -300,11 +305,14 @@ class RatMatrix:
                 continue
             m[r], m[pr] = m[pr], m[r]
             inv = m[r][c]
-            m[r] = [e / inv for e in m[r]]
+            prow = m[r] = [e / inv for e in m[r]]
+            support = [(j, b) for j, b in enumerate(prow) if b]
             for i in range(nrows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                row = m[i]
+                if i != r and row[c]:
+                    f = row[c]
+                    for j, b in support:
+                        row[j] = row[j] - f * b
             pivots.append(c)
             r += 1
             if r == nrows:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from flattori import equivalence
 from flattori.cli import main
 from flattori.exactlinear import RatMatrix
 from flattori.torus import TorusData, square_torus
@@ -68,6 +69,12 @@ class TestValidateAndStructures:
         assert code == 0
         assert len(report(out)["result"]["triples"]) == 81
 
+    def test_spectrum_negative_height_is_input_error(self, capsys, square_file):
+        code, out, err = run(capsys, "spectrum", square_file, "--height", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:") and err.count("\n") == 1
+
 
 class TestSearchCommands:
     def test_check_mirror_self(self, capsys, square_file):
@@ -99,6 +106,47 @@ class TestSearchCommands:
                            "check-iso", square_file, square_file)
         assert code == 0
         assert report(out)["inputs"]["bound"] == 1
+
+    @pytest.mark.parametrize("command", ["check-iso", "check-mirror", "check-derived-eq"])
+    def test_bound_zero_is_input_error(self, capsys, square_file, command):
+        code, out, err = run(capsys, command, square_file, square_file, "--bound", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:") and err.count("\n") == 1
+
+    def test_config_rejects_boolean(self, capsys, tmp_path, square_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bound": True}))
+        code, out, err = run(capsys, "--config", str(cfg),
+                             "check-iso", square_file, square_file)
+        assert code == 2
+        assert out == ""
+        assert "config bound must be a nonnegative integer" in err
+
+    def test_found_certificate_skips_fingerprint(self, capsys, monkeypatch, square_file):
+        def refuse(*args):
+            raise AssertionError("fingerprint computed for a found certificate")
+        monkeypatch.setattr(equivalence, "spectrum_fingerprint", refuse)
+        for command in ("check-iso", "check-mirror", "check-derived-eq"):
+            code, out, _ = run(capsys, command, square_file, square_file, "--bound", "1")
+            assert code == 0
+            assert report(out)["result"]["found"]
+
+    def test_none_within_bound_still_cites_fingerprint(self, capsys, monkeypatch,
+                                                       square_file, stretched_file):
+        calls = []
+        real = equivalence.spectrum_fingerprint
+
+        def counted(t, height):
+            calls.append(height)
+            return real(t, height)
+        monkeypatch.setattr(equivalence, "spectrum_fingerprint", counted)
+        code, out, _ = run(capsys, "check-iso", square_file, stretched_file, "--bound", "1")
+        assert code == 1
+        result = report(out)["result"]
+        assert result["fingerprints_match"] is False
+        assert result["refuted_by"] == "zero-mode spectrum mismatch"
+        assert calls == [1, 1]
 
 
 class TestVerifyMapCommand:
@@ -243,7 +291,52 @@ class TestBraneAndFock:
         assert report(out)["result"]["fail"] == 0
 
 
+def sheared(d, shears):
+    """The square torus in the basis S = product of row shears (i, j, c): row_i += c row_j."""
+    n = 2 * d
+    s = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in shears:
+        s[i] = [x + c * y for x, y in zip(s[i], s[j])]
+    S = RatMatrix(s)
+    t = square_torus(d)
+    return TorusData(d, S.inverse() * t.I * S, S.transpose() * t.G * S,
+                     S.transpose() * t.B * S, f"sheared{d}")
+
+
+# Frozen certificates: under the determinism contract the search must keep
+# returning exactly these.
+GOLDEN_CERTIFICATES = [
+    ("check-iso", 2, [(0, 2, 1), (3, 1, -1)],
+     [[0, 0, 0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, -1, 0, 0],
+      [0, 0, 0, 0, 1, 0, 0, 1], [0, 0, 1, 0, 0, 0, 0, 0], [-1, 0, 0, 1, 0, 0, 0, 0],
+      [0, -1, 1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]]),
+    ("check-iso", 3, [(0, 3, 1), (4, 1, -1), (2, 5, 1)],
+     [[0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+      [0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0],
+      [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0],
+      [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+      [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+      [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [-1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]]),
+    ("check-mirror", 3, [],
+     [[0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+      [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+      [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+      [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
+      [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0],
+      [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]]),
+]
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("command, d, shears, g", GOLDEN_CERTIFICATES,
+                             ids=["iso-sheared2", "iso-sheared3", "mirror-square3"])
+    def test_golden_certificates(self, capsys, torus_file, command, d, shears, g):
+        source = torus_file(square_torus(d, f"square{d}"), "source.json")
+        target = torus_file(sheared(d, shears), "target.json")
+        code, out, _ = run(capsys, command, source, target, "--bound", "1")
+        assert code == 0
+        assert report(out)["result"]["certificate"]["g"] == g
+
     def test_reports_are_byte_stable(self, capsys, square_file):
         outputs = []
         for _ in range(2):

@@ -1,13 +1,21 @@
 """Relation certificates: verification, intertwiner spaces, bounded search."""
 
-import pytest
+import random
+from fractions import Fraction
+from itertools import product
 
-from flattori.equivalence import (LatticeMap, chiral_transports,
-                                  intertwiner_space, search_relation,
-                                  spectrum_fingerprint, verify_map)
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from flattori.equivalence import (LatticeMap, _half_norm_forms, _quadratic,
+                                  chiral_transports, intertwiner_space,
+                                  search_relation, spectrum_fingerprint,
+                                  verify_map)
 from flattori.errors import ValidationError
 from flattori.exactlinear import Q, RatMatrix
-from flattori.torus import TorusData, square_torus
+from flattori.torus import (ChargeVector, TorusData, q_value, random_valid_torus,
+                            square_torus, zero_mode_momenta)
 
 E1_SWAP = RatMatrix([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
 
@@ -207,6 +215,44 @@ class TestSpectrumFingerprint:
                 z2 = zero_mode_momenta(t2, ci)
                 assert (q_value(c), z1.p2_half, z1.pbar2_half) == \
                        (q_value(ci), z2.p2_half, z2.pbar2_half)
+
+
+def _random_torus_with_b(seed, d):
+    t = random_valid_torus(random.Random(seed), d, b_bound=3)
+    assume(any(x for row in t.B.entries for x in row))
+    return t
+
+
+def _reference_fingerprint(t, height):
+    """The fingerprint built charge by charge from the public per-charge API."""
+    triples = []
+    for coords in product(range(-height, height + 1), repeat=2 * t.rank):
+        c = ChargeVector(coords[:t.rank], coords[t.rank:])
+        z = zero_mode_momenta(t, c)
+        triples.append((q_value(c), z.p2_half, z.pbar2_half))
+    return tuple(sorted(triples))
+
+
+class TestHoistedFingerprint:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from([(1, 0), (1, 1), (2, 0)]))
+    def test_matches_per_charge_reference(self, seed, window):
+        d, height = window
+        t = _random_torus_with_b(seed, d)
+        fp = spectrum_fingerprint(t, height)
+        assert fp == _reference_fingerprint(t, height)
+        assert all(type(x) is Fraction for triple in fp for x in triple)
+
+    # The whole d=2 height-1 window (6561 charges) is too slow for the
+    # per-charge reference, so its charges are checked one at a time.
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.lists(st.integers(-1, 1), min_size=8, max_size=8))
+    def test_d2_height_one_charges_match_zero_modes(self, seed, coords):
+        t = _random_torus_with_b(seed, 2)
+        p_form, pbar_form, den = _half_norm_forms(t)
+        z = zero_mode_momenta(t, ChargeVector(tuple(coords[:4]), tuple(coords[4:])))
+        assert Fraction(_quadratic(p_form, coords), den) == z.p2_half
+        assert Fraction(_quadratic(pbar_form, coords), den) == z.pbar2_half
 
 
 class TestChiralTransports:

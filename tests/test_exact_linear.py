@@ -65,6 +65,85 @@ class TestMatrix:
         assert RatMatrix([[1, 1], [1, 1]]).solve((0, 1)) is None
 
 
+def _dense_rref(rows):
+    """Reference Gauss-Jordan elimination that updates every entry of a row."""
+    m = [list(r) for r in rows]
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(nrows):
+            if i != r:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# about two entries in three are zero
+sparse_entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_fraction)
+
+
+@st.composite
+def sparse_matrices(draw, square=False):
+    """Sparse rational matrices; square ones get a nonzero diagonal, so most invert."""
+    rows = draw(st.integers(1, 6))
+    cols = rows if square else draw(st.integers(1, 7))
+    m = [draw(st.lists(sparse_entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if square:
+        for i in range(rows):
+            m[i][i] = draw(small_fraction.filter(bool))
+    return m
+
+
+class TestEliminationAgainstDenseReference:
+    @settings(max_examples=30, deadline=None)
+    @given(sparse_matrices())
+    def test_rref(self, rows):
+        red, pivots = RatMatrix(rows).rref()
+        ref, ref_pivots = _dense_rref(rows)
+        assert red == RatMatrix(ref)
+        assert list(pivots) == ref_pivots
+
+    @settings(max_examples=30, deadline=None)
+    @given(sparse_matrices())
+    def test_kernel_basis(self, rows):
+        ref, pivots = _dense_rref(rows)
+        expected = []
+        for fc in (c for c in range(len(rows[0])) if c not in pivots):
+            v = [Fraction(0)] * len(rows[0])
+            v[fc] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                v[pc] = -ref[r][fc]
+            expected.append(tuple(v))
+        m = RatMatrix(rows)
+        assert m.kernel_basis() == expected
+        assert all(not any(m.apply(v)) for v in expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(sparse_matrices(square=True))
+    def test_inverse(self, rows):
+        n = len(rows)
+        aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+        ref, pivots = _dense_rref(aug)
+        m = RatMatrix(rows)
+        if pivots[:n] != list(range(n)):
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()
+            return
+        inv = m.inverse()
+        assert inv == RatMatrix([row[n:] for row in ref])
+        assert m * inv == RatMatrix.identity(n)
+
+
 class TestWedge:
     def test_basis_case(self):
         assert wedge(e(2, 0), e(2, 1)) == e(2, 0, 1)
