@@ -78,6 +78,12 @@ def _setting(args, cfg, name):
     return cfg[name] if value is None else value
 
 
+def _at_least_one(name, value):
+    if value < 1:
+        raise SchemaError(f"{name} must be at least 1, got {value}")
+    return value
+
+
 def parse_splitting(text, n):
     """Parse ``"1,0;0,1|0,1;1,0"``-style A|B vector lists."""
     try:
@@ -135,10 +141,8 @@ def _cmd_spectrum(args, cfg):
 def _search_command(command, kind, args, cfg):
     t1 = jsonio.load_torus(args.source)
     t2 = jsonio.load_torus(args.target)
-    bound = _setting(args, cfg, "bound")
-    budget = _setting(args, cfg, "budget")
-    if bound < 1:
-        raise SchemaError(f"bound must be at least 1, got {bound}")
+    bound = _at_least_one("bound", _setting(args, cfg, "bound"))
+    budget = _at_least_one("budget", _setting(args, cfg, "budget"))
     inputs = {"source": jsonio.torus_to_json(t1), "target": jsonio.torus_to_json(t2),
               "bound": bound}
     outcome = equivalence.search_relation(t1, t2, kind, bound, node_budget=budget)
@@ -190,7 +194,7 @@ def _cmd_mirror(args, cfg):
     if args.split:
         s = parse_splitting(args.split, t.rank)
     else:
-        bound = args.split_bound if args.split_bound is not None else cfg["split_bound"]
+        bound = _at_least_one("split bound", _setting(args, cfg, "split_bound"))
         s = tduality.find_lagrangian_splitting(t, bound)
         if s is None:
             return _emit("mirror", {"torus": jsonio.torus_to_json(t)},
@@ -323,8 +327,11 @@ def _cmd_fock_verify(args, cfg):
         d = args.d
         if d is None:
             raise SchemaError("need --d or --torus", "--d")
-        g = RatMatrix.identity(2 * d)
-    cap = Fraction(args.cap)
+        g = RatMatrix.identity(2 * _at_least_one("d", d))
+    try:
+        cap = Fraction(args.cap)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"cap must be a rational number, got {args.cap!r}", "--cap")
     space = fock.TruncatedFock(d, cap, g)
     rows = fock.ccr_car_sweep(space)
     fails = sum(1 for r in rows if r["status"] == "fail")

@@ -73,19 +73,21 @@ def _bidegree_projector(dual_i: RatMatrix, k: int, p: int):
 def hodge_diamond(t: TorusData) -> HodgeDiamond:
     """Bigraded ranks computed from the complex structure, cross-checked.
 
-    Each ``h^{p,q}`` is the exact rank of the bidegree projector; for a flat
-    torus this must agree with ``C(d,p) C(d,q)``, and a disagreement raises
-    (it would mean corrupted input or a bug, not new mathematics).
+    Each ``h^{p,q}`` is the exact dimension of the ``i(p-q)``-eigenspace of
+    the derivation D on grade p+q over Q(i); for a flat torus this must agree
+    with ``C(d,p) C(d,q)``, and a disagreement raises (it would mean corrupted
+    input or a bug, not new mathematics).
     """
     require_valid(t)
     d = t.d
     dual_i = _dual_action(t)
     grid = [[0] * (d + 1) for _ in range(d + 1)]
     for k in range(0, 2 * d + 1):
+        dmat = derivation_map(dual_i, k).to_gauss()
+        ident = RatMatrix.identity(dmat.rows).to_gauss()
         for p in range(max(0, k - d), min(d, k) + 1):
             q = k - p
-            proj = _bidegree_projector(dual_i, k, p)
-            rank = proj.rank()
+            rank = dmat.rows - (dmat - ident.scale(GAUSS_I * (p - q))).rank()
             if rank != comb(d, p) * comb(d, q):
                 raise ValidationError(
                     f"h^{{{p},{q}}} computed as {rank}, expected {comb(d, p) * comb(d, q)}")

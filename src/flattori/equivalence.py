@@ -98,8 +98,6 @@ def verify_map(m: LatticeMap) -> Certificate:
     Non-unimodular maps cannot be constructed in the first place, so a
     precondition violation surfaces before any check runs.
     """
-    require_valid(m.source)
-    require_valid(m.target)
     d1 = doubled(m.source)
     d2 = doubled(m.target)
     q1 = q_matrix(m.source.d)
@@ -179,8 +177,6 @@ def intertwiner_space(t1: TorusData, t2: TorusData, kind: str):
         raise ValueError(f"kind must be one of {KINDS}")
     if t1.d != t2.d:
         raise DimensionError("tori must have the same dimension")
-    require_valid(t1)
-    require_valid(t2)
     n = 4 * t1.d
     basis = _solution_space(t1, t2, kind)
     flat = _integral_basis(basis, n)
@@ -202,7 +198,7 @@ class SearchOutcome:
 
 
 def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
-                    node_budget: int = DEFAULT_NODE_BUDGET, lane: str = "auto") -> SearchOutcome:
+                    node_budget: int = DEFAULT_NODE_BUDGET) -> SearchOutcome:
     """Bounded deterministic search for a relation certificate.
 
     Enumerates integer coordinate vectors of max-norm at most ``coeff_bound``
@@ -218,8 +214,7 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
     basis = intertwiner_space(t1, t2, kind)
     n = 4 * t1.d
     flat = [[int(m.entries[i][j]) for i in range(n) for j in range(n)] for m in basis]
-    hits, nodes, exhausted = kernels.run_filter(flat, n, coeff_bound, node_budget,
-                                                max_hits=1, lane=lane)
+    hits, nodes, exhausted = kernels.run_filter(flat, n, coeff_bound, node_budget, max_hits=1)
     if not hits:
         if not exhausted:
             raise BudgetExceededError(

@@ -1,50 +1,21 @@
-"""Lane selection for the search inner loop.
+"""Entry point of the search filter; the implementation is ``kernels_py``.
 
-The compiled extension is used when importable and when the int64 overflow
-pre-check passes; otherwise the pure-Python twin runs.  Both lanes produce
-identical output for identical input, which the test suite verifies.
+There is one implementation, in Python integers.  ``available_lanes`` and the
+``lane`` argument of ``run_filter`` remain only for the benchmark harness,
+which names them; ``"python"`` is the only lane.
 """
 
 from __future__ import annotations
 
 from . import kernels_py
 
-try:
-    from . import _filterkern as _compiled
-except ImportError:  # extension not built; pure lane only
-    _compiled = None
-
-COMPILED_AVAILABLE = _compiled is not None
-
-_INT64_SAFE = 2 ** 62
-
 
 def available_lanes():
-    return ("python", "compiled") if COMPILED_AVAILABLE else ("python",)
+    return ("python",)
 
 
-def _fits_int64(basis_flat, n, bound):
-    if not basis_flat:
-        return True
-    col_sum = [0] * len(basis_flat[0])
-    for row in basis_flat:
-        for j, v in enumerate(row):
-            col_sum[j] += abs(v)
-    max_entry = bound * max(max(col_sum), 1)
-    # congruence accumulates n products of two entries
-    return n * max_entry * max_entry < _INT64_SAFE
-
-
-def run_filter(basis_flat, n, bound, budget, max_hits=1, lane="auto"):
-    """Dispatch to the requested lane; see ``kernels_py.run_filter``."""
-    if lane not in ("auto", "python", "compiled"):
+def run_filter(basis_flat, n, bound, budget, max_hits=1, lane="python"):
+    """See ``kernels_py.run_filter``; any ``lane`` but ``"python"`` is a ValueError."""
+    if lane != "python":
         raise ValueError(f"unknown lane {lane!r}")
-    if lane == "compiled" and not COMPILED_AVAILABLE:
-        raise RuntimeError("compiled kernel is not available")
-    use_compiled = COMPILED_AVAILABLE and lane in ("auto", "compiled")
-    if use_compiled and not _fits_int64(basis_flat, n, bound):
-        if lane == "compiled":
-            raise OverflowError("basis entries too large for the int64 lane")
-        use_compiled = False
-    impl = _compiled if use_compiled else kernels_py
-    return impl.run_filter(basis_flat, n, bound, budget, max_hits)
+    return kernels_py.run_filter(basis_flat, n, bound, budget, max_hits)

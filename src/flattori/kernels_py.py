@@ -1,8 +1,7 @@
-"""Pure-Python lane of the certificate-search inner loop.
+"""The certificate-search inner loop, in Python integers.
 
 Candidates are integer coordinate vectors over a basis of integral
-intertwiner matrices.  The canonical enumeration order, shared bit-for-bit
-with the compiled lane, is:
+intertwiner matrices.  The canonical enumeration order is:
 
     for height h = 1..bound            (exact max-norm shells)
       for support size s = 1..K
@@ -12,8 +11,8 @@ with the compiled lane, is:
 
 Each enumerated candidate ``g = sum c_i M_i`` is checked for the exact
 congruence ``g^t q g = q`` with the split pairing q (which forces
-``det g = +-1``); survivors are returned in order.  Arithmetic here is
-Python integers, so there is no overflow concern in this lane.
+``det g = +-1``); survivors are returned in order.  Arithmetic is in
+Python integers, so large basis entries cannot overflow.
 """
 
 from __future__ import annotations

@@ -37,6 +37,26 @@ def stretched_file(stretched1, torus_file):
     return torus_file(stretched1, "stretched.json")
 
 
+class TestNumericInputErrors:
+    @pytest.mark.parametrize("config, argv, message", [
+        (None, ["check-iso", "T", "T", "--budget", "-1"], "budget must be at least 1, got -1"),
+        ({"budget": 0}, ["check-mirror", "T", "T"], "budget must be at least 1, got 0"),
+        (None, ["mirror", "--torus", "T", "--split-bound", "-1"],
+         "split bound must be at least 1, got -1"),
+        ({"split_bound": 0}, ["mirror", "--torus", "T"], "split bound must be at least 1, got 0"),
+        (None, ["fock-verify", "--d", "0"], "d must be at least 1, got 0"),
+        (None, ["fock-verify", "--d", "1", "--cap", "abc"],
+         "cap must be a rational number, got 'abc' (at --cap)"),
+    ])
+    def test_one_line_exit_two(self, capsys, tmp_path, square_file, config, argv, message):
+        prefix = []
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            prefix = ["--config", str(tmp_path / "cfg.json")]
+        argv = [square_file if a == "T" else a for a in argv]
+        assert run(capsys, *prefix, *argv) == (2, "", f"input error: {message}\n")
+
+
 class TestValidateAndStructures:
     def test_validate_pass(self, capsys, square_file):
         code, out, _ = run(capsys, "validate", square_file)

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from flattori.cohomology import (CohClass, beta_torsion, fm_transform,
+from flattori.cohomology import (CohClass, _bidegree_projector, beta_torsion, fm_transform,
                                  hodge_diamond, inverse_bivector,
                                  lefschetz_kernel_dim, mirror_class_condition,
                                  rational_pp_classes)
@@ -30,6 +30,13 @@ class TestHodgeDiamond:
 
     def test_metric_independent(self, stretched1):
         assert hodge_diamond(stretched1).h == ((1, 1), (1, 1))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_eigenspace_ranks_match_projector_ranks(self, d, rng):
+        t = random_valid_torus(rng, d)
+        hd = hodge_diamond(t)
+        for p, q in product(range(d + 1), repeat=2):
+            assert _bidegree_projector(t.I.transpose(), p + q, p).rank() == hd.entry(p, q)
 
 
 class TestPpClasses:

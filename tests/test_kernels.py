@@ -1,14 +1,16 @@
-"""Lane parity: the compiled filter must replay the pure-Python lane exactly."""
+"""The search filter: candidate order, budget cut, exact arithmetic, harness interface."""
 
-import random
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from flattori import kernels, kernels_py
 
-
-def random_instance(rng, n, k, spread=2):
-    return [[rng.randint(-spread, spread) for _ in range(n * n)] for _ in range(k)]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def identity_instance(n):
@@ -16,50 +18,6 @@ def identity_instance(n):
     for i in range(n):
         flat[i * n + i] = 1
     return flat
-
-
-needs_compiled = pytest.mark.skipif(not kernels.COMPILED_AVAILABLE,
-                                    reason="compiled kernel not built")
-
-
-@needs_compiled
-def test_parity_on_random_instances():
-    rng = random.Random(7)
-    for trial in range(12):
-        n = rng.choice((4, 8))
-        k = rng.randint(1, 6)
-        basis = random_instance(rng, n, k)
-        bound = rng.choice((1, 2))
-        budget = rng.choice((100, 10 ** 5))
-        hits = rng.choice((1, 4))
-        a = kernels_py.run_filter(basis, n, bound, budget, hits)
-        b = kernels.run_filter(basis, n, bound, budget, hits, lane="compiled")
-        assert a == b
-
-
-@needs_compiled
-def test_parity_with_certificates_present():
-    rng = random.Random(11)
-    n = 4
-    for trial in range(8):
-        basis = [identity_instance(n)] + random_instance(rng, n, 3)
-        a = kernels_py.run_filter(basis, n, 2, 10 ** 5, 8)
-        b = kernels.run_filter(basis, n, 2, 10 ** 5, 8, lane="compiled")
-        assert a == b
-        assert a[0], "identity in the span must produce at least one hit"
-        assert a[0][0] == (1, 0, 0, 0)
-
-
-@needs_compiled
-def test_parity_at_realistic_width_with_budget_cut():
-    # 12-16 basis matrices on an 8x8 doubled space, stopped mid-scan: the
-    # surviving prefix and node count must agree exactly between lanes
-    rng = random.Random(3)
-    for k in (12, 16):
-        basis = [[rng.randint(-1, 1) for _ in range(64)] for _ in range(k)]
-        a = kernels_py.run_filter(basis, 8, 2, 20000, 16)
-        b = kernels.run_filter(basis, 8, 2, 20000, 16, lane="compiled")
-        assert a == b
 
 
 def test_budget_stops_enumeration():
@@ -79,12 +37,28 @@ def test_candidate_order_is_height_then_support():
     assert hits == [(1,), (-1,)]
 
 
-def test_overflow_guard_falls_back():
-    big = 2 ** 33
-    basis = [[big] * 16]
-    # auto lane must not attempt int64 arithmetic on entries this large
-    hits, nodes, exhausted = kernels.run_filter(basis, 4, 2, 100, 4, lane="auto")
-    assert exhausted is True
-    if kernels.COMPILED_AVAILABLE:
-        with pytest.raises(OverflowError):
-            kernels.run_filter(basis, 4, 2, 100, 4, lane="compiled")
+def test_big_entries_stay_exact():
+    # entries past the int64 range of any fixed-width arithmetic
+    basis = [[2 ** 33] * 16]
+    hits, nodes, exhausted = kernels.run_filter(basis, 4, 2, 100, 4)
+    assert (hits, nodes, exhausted) == ([], 4, True)
+
+
+def test_python_is_the_only_lane():
+    assert kernels.available_lanes() == ("python",)
+    with pytest.raises(ValueError):
+        kernels.run_filter([identity_instance(4)], 4, 1, 100, lane="auto")
+
+
+def test_benchmark_probe_counts_the_d1_derived_window(square1, stretched1, torus_file):
+    # perfbench/probe.py calls available_lanes() and run_filter(..., lane=...)
+    # by name; the d=1 derived_eq basis has 8 matrices, so bound 1 covers 3^8 - 1
+    a = torus_file(square1, "square1.json")
+    b = torus_file(stretched1, "stretched1.json")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "probe.py"),
+                           a, b, "derived_eq", "1"],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    out = json.loads(proc.stdout)
+    assert out["available_lanes"] == ["python"]
+    assert out["lanes"]["python"]["candidates"] == 6560
