@@ -8,6 +8,25 @@ small, sparse coordinates.
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import gcd
+
+from .exactlinear import RatMatrix
+
+
+def spans_direct_summand(columns, n):
+    """True iff the integer columns span a direct summand of ``Z^n``.
+
+    That is, the gcd of their maximal minors is 1 (a primitive sublattice).
+    """
+    k = len(columns)
+    g = 0
+    for rows in combinations(range(n), k):
+        minor = RatMatrix([[columns[j][i] for j in range(k)] for i in rows]).det()
+        g = gcd(g, int(minor))
+        if g == 1:
+            return True
+    return False
 
 
 def integer_kernel(rows):
@@ -22,9 +41,6 @@ def integer_kernel(rows):
     n = len(rows[0])
     work = [list(r) for r in rows]
     trans = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # columns of U
-
-    def col(j):
-        return [work[i][j] for i in range(len(work))]
 
     def addmul_col(dst, src, f):
         for i in range(len(work)):

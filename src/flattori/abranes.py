@@ -20,9 +20,8 @@ all distributions and forms are constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import gcd
 
+from ._intlat import spans_direct_summand
 from .errors import DimensionError, InconsistencyError, ValidationError
 from .exactlinear import (GAUSS_I, GaussRational, ExtElement, RatMatrix,
                           apply_linear, wedge)
@@ -69,17 +68,9 @@ class AffineBrane:
 
 def _require_structural(b: AffineBrane):
     require_valid(b.torus)
-    y = b.direction_matrix()
-    if y.rank() != b.r:
+    if b.direction_matrix().rank() != b.r:
         raise ValidationError("brane directions are linearly dependent")
-    g = 0
-    cols = list(range(b.r))
-    for rows in combinations(range(b.torus.rank), b.r):
-        minor = RatMatrix([[y.entries[i][j] for j in cols] for i in rows]).det()
-        g = gcd(g, int(minor))
-        if g == 1:
-            return
-    if g != 1:
+    if not spans_direct_summand(b.y_basis, b.torus.rank):
         raise ValidationError("brane directions do not span a primitive sublattice")
 
 
@@ -122,14 +113,18 @@ def characteristic_foliation(b: AffineBrane, prefer_last_complement: bool = Fals
     subtorus the kernel distribution is constant, hence integrable.
     """
     _require_structural(b)
-    w = omega(b.torus)
-    y = b.direction_matrix()
-    w_v = y.transpose() * w * y
     witness = coisotropy_witness(b)
     if witness is not None:
         raise ValidationError(
             f"subtorus is not coisotropic; witness vector {witness} is "
             "skew-orthogonal to it but lies outside")
+    return _foliation(b, prefer_last_complement)
+
+
+def _foliation(b: AffineBrane, prefer_last_complement: bool) -> FoliationData:
+    """The foliation data of a structurally valid, coisotropic brane."""
+    y = b.direction_matrix()
+    w_v = y.transpose() * omega(b.torus) * y
     l_basis = tuple(w_v.kernel_basis())
     comp = _complement_indices(l_basis, b.r, prefer_last_complement)
     sigma = _restricted_form(w_v, comp) if comp else None
@@ -190,7 +185,7 @@ def check_abrane(b: AffineBrane, prefer_last_complement: bool = False) -> Abrane
     k = (r - d) // 2
     conditions.append(ConditionResult("dimension_law", True, f"k = {k}"))
 
-    fol = characteristic_foliation(b, prefer_last_complement)
+    fol = _foliation(b, prefer_last_complement)
     bad = [l for l in fol.l_basis
            if any(x != 0 for x in b.curvature.apply(l))]
     if bad:

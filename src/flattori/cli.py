@@ -332,6 +332,8 @@ def _cmd_fock_verify(args, cfg):
         cap = Fraction(args.cap)
     except (ValueError, ZeroDivisionError):
         raise SchemaError(f"cap must be a rational number, got {args.cap!r}", "--cap")
+    if cap < fock.HALF:
+        raise SchemaError(f"cap must be at least 1/2, got {cap}", "--cap")
     space = fock.TruncatedFock(d, cap, g)
     rows = fock.ccr_car_sweep(space)
     fails = sum(1 for r in rows if r["status"] == "fail")
@@ -424,15 +426,12 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         return args.handler(args, cfg)
-    except SchemaError as exc:
+    except (SchemaError, ValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc} ({exc.nodes_used}/{exc.budget} nodes)",
               file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except FlatToriError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -126,7 +126,6 @@ def lefschetz_kernel_dim(t: TorusData) -> int:
     Poincare duals of Lagrangian subtori live in this kernel; its dimension
     is metric-independent and equals ``C(2d,d) - C(2d,d+2)``.
     """
-    require_valid(t)
     n = t.rank
     d = t.d
     w_form = ExtElement.two_form(omega(t))

@@ -27,7 +27,7 @@ from . import kernels
 from ._intlat import integral_coordinate_lattice, pair_reduce
 from .errors import BudgetExceededError, DimensionError, ValidationError
 from .exactlinear import QZERO, RatMatrix
-from .torus import ChargeVector, TorusData, doubled, q_matrix, q_value, require_valid
+from .torus import ChargeVector, TorusData, doubled, q_value
 
 KINDS = ("iso", "mirror", "derived_eq")
 
@@ -55,9 +55,6 @@ class LatticeMap:
             raise ValidationError("lattice map must have integer entries")
         if abs(self.g.det()) != 1:
             raise ValidationError("lattice map is not unimodular")
-
-    def det(self):
-        return self.g.det()
 
 
 @dataclass(frozen=True)
@@ -100,9 +97,7 @@ def verify_map(m: LatticeMap) -> Certificate:
     """
     d1 = doubled(m.source)
     d2 = doubled(m.target)
-    q1 = q_matrix(m.source.d)
-    q2 = q_matrix(m.target.d)
-    checks = [MapCheck("preserves_q", m.g.transpose() * q2 * m.g == q1)]
+    checks = [MapCheck("preserves_q", m.g.transpose() * d2.q * m.g == d1.q)]
     for name, src_attr, tgt_attr in _check_plan(m.kind):
         lhs = m.g * getattr(d1, src_attr)
         rhs = getattr(d2, tgt_attr) * m.g
@@ -240,19 +235,14 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
 def _half_norm_forms(t: TorusData):
     """Integer forms ``A_p, A_pbar`` and a denominator D for the momentum half-norms.
 
-    ``p2_half = gamma^t A_p gamma / D`` with ``A_p / D = M^t G^-1 M / 2`` for
-    ``M = [-(B+G) | 1]``, and likewise ``pbar2_half`` with ``M = [G-B | 1]``;
-    gamma is the charge in winding-then-momentum order.
+    ``p2_half = gamma^t A_p gamma / D``, and likewise ``pbar2_half``: the
+    torus's half-norm forms over one common denominator.
     """
-    ident = RatMatrix.identity(t.rank)
-    ginv = t.G.inverse()
-    forms = [m.transpose() * ginv * m
-             for m in (RatMatrix.from_blocks([[-(t.B + t.G), ident]]),
-                       RatMatrix.from_blocks([[t.G - t.B, ident]]))]
+    forms = t.half_norm_forms
     den = lcm(*(x.denominator for form in forms for row in form.entries for x in row))
     p_form, pbar_form = ([[int(x * den) for x in row] for row in form.entries]
                          for form in forms)
-    return p_form, pbar_form, 2 * den
+    return p_form, pbar_form, den
 
 
 def _quadratic(form, x):
@@ -265,13 +255,12 @@ def spectrum_fingerprint(t: TorusData, height: int):
     Enumerates all charge vectors of max-norm at most ``height``; any
     isomorphism certificate must map triples to equal triples, so unequal
     fingerprints refute isomorphism as far as the enumerated window goes.
-    The torus is validated and ``G`` inverted once; each charge then costs
-    integer arithmetic only (the triples equal those built from
+    The torus's half-norm forms are cleared of denominators once; each charge
+    then costs integer arithmetic only (the triples equal those built from
     :func:`~flattori.torus.zero_mode_momenta` charge by charge).
     """
     if height < 0:
         raise ValueError("height must be nonnegative")
-    require_valid(t)
     half = t.rank
     p_form, pbar_form, den = _half_norm_forms(t)
     triples = []
@@ -303,10 +292,6 @@ def chiral_transports(m: LatticeMap):
     """
     t1, t2 = m.source, m.target
     n = t1.rank
-    p1 = RatMatrix.from_blocks([[-(t1.B + t1.G), RatMatrix.identity(n)]])
-    p2 = RatMatrix.from_blocks([[-(t2.B + t2.G), RatMatrix.identity(n)]])
-    pb1 = RatMatrix.from_blocks([[t1.G - t1.B, RatMatrix.identity(n)]])
-    pb2 = RatMatrix.from_blocks([[t2.G - t2.B, RatMatrix.identity(n)]])
 
     def solve(row1, row2):
         prod = row2 * m.g
@@ -315,7 +300,5 @@ def chiral_transports(m: LatticeMap):
             raise ValidationError("map does not transport chiral momenta linearly")
         return o
 
-    o_l = solve(p1, p2)
-    o_r = solve(pb1, pb2)
-    g2inv = t2.G.inverse()
-    return g2inv * o_l * t1.G, g2inv * o_r * t1.G
+    o_l, o_r = (solve(row1, row2) for row1, row2 in zip(t1.momentum_maps, t2.momentum_maps))
+    return t2.ginv * o_l * t1.G, t2.ginv * o_r * t1.G

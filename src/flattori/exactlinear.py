@@ -183,21 +183,8 @@ class RatMatrix:
 
     # -- basic accessors -------------------------------------------------
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
-
-    def col(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
     def block(self, r0, r1, c0, c1) -> "RatMatrix":
         return RatMatrix([row[c0:c1] for row in self.entries[r0:r1]])
-
-    def tolists(self):
-        return [list(row) for row in self.entries]
 
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
@@ -458,12 +445,6 @@ class ExtElement:
         return ExtElement(n, {(i, j): mat.entries[i][j] for i in range(n) for j in range(i + 1, n)})
 
     # -- structure -------------------------------------------------------
-
-    def grades(self):
-        return sorted({len(idx) for idx in self.terms})
-
-    def component(self, k: int) -> "ExtElement":
-        return ExtElement(self.base_rank, {i: c for i, c in self.terms.items() if len(i) == k})
 
     def is_homogeneous(self, k: int) -> bool:
         return all(len(i) == k for i in self.terms)

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import TruncationError, ValidationError
 from .exactlinear import GaussRational, Q, QZERO, RatMatrix
-from .torus import TorusData, omega, require_valid
+from .torus import TorusData, omega, require_valid, zero_mode_momenta
 
 HALF = Fraction(1, 2)
 
@@ -167,11 +168,12 @@ class TruncatedFock:
     def rank(self) -> int:
         return 2 * self.d
 
+    @cached_property
+    def ginv(self) -> RatMatrix:
+        return self.G.inverse()
+
     def vacuum(self):
         return ((), ())
-
-    def levels(self):
-        return [_monomial_level(m) for m in self.basis]
 
 
 def _creator_action(mono, var, cap):
@@ -238,13 +240,6 @@ class OscillatorOp:
             got = self._cols[col] = self._column_fn(self.space.basis[col])
         return got
 
-    def matrix_columns(self):
-        """Materialize every column (the full exact matrix, sparsely)."""
-        return tuple(self.column(c) for c in range(len(self.space.basis)))
-
-    def apply_index(self, col: int):
-        return self.column(col)
-
     def apply_monomial(self, mono):
         return self.column(self.space.index[mono])
 
@@ -287,7 +282,7 @@ def build_oscillator(space: TruncatedFock, kind: str, i: int, s) -> OscillatorOp
     if cache_key in cache:
         return cache[cache_key]
     fam = _KIND_FAMILY[kind]
-    ginv = space.G.inverse()
+    ginv = space.ginv
     if s < 0:
         var = (fam, -s, i)
 
@@ -377,8 +372,7 @@ def verify_ccr(space: TruncatedFock, i: int, j: int, s, p) -> CheckOutcome:
     """
     s = Fraction(s)
     p = Fraction(p)
-    ginv = space.G.inverse()
-    expected = s * ginv.entries[i][j] if s == -p else QZERO
+    expected = s * space.ginv.entries[i][j] if s == -p else QZERO
     return _verify_pairs(space, i, j, s, p, ("alpha", "alphabar"), -1, expected)
 
 
@@ -386,8 +380,7 @@ def verify_car(space: TruncatedFock, i: int, j: int, s, p) -> CheckOutcome:
     """Anticommutators of the fermionic oscillators on the guarded subspace."""
     s = Fraction(s)
     p = Fraction(p)
-    ginv = space.G.inverse()
-    expected = ginv.entries[i][j] if s == -p else QZERO
+    expected = space.ginv.entries[i][j] if s == -p else QZERO
     return _verify_pairs(space, i, j, s, p, ("psi", "psibar"), +1, expected)
 
 
@@ -525,11 +518,9 @@ class ZeroModeDescriptor:
     rescaled_by_sqrt2: bool = True
 
     def apply_charge(self, charge):
-        from .torus import zero_mode_momenta
         z = zero_mode_momenta(self.torus, charge)
         vec = z.p if self.chirality == "left" else z.pbar
-        ginv = self.torus.G.inverse()
-        return sum(ginv.entries[self.index][k] * vec[k] for k in range(self.torus.rank))
+        return sum(a * b for a, b in zip(self.torus.ginv.entries[self.index], vec))
 
 
 _FIELD_TABLE = {
@@ -571,7 +562,7 @@ def monomial_pairing(space: TruncatedFock, m1, m2):
     even2, odd2 = m2
     if len(even1) != len(even2) or len(odd1) != len(odd2):
         return QZERO
-    ginv = space.G.inverse()
+    ginv = space.ginv
 
     def single_even(g1, g2):
         if g1[0] != g2[0] or g1[1] != g2[1]:

@@ -14,13 +14,13 @@ wrong inversion branch cannot survive silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import gcd
+from itertools import product
 
+from ._intlat import spans_direct_summand
 from .equivalence import Certificate, LatticeMap, verify_map
 from .errors import BudgetExceededError, RecoveryError, ValidationError
 from .exactlinear import QZERO, RatMatrix
-from .torus import TorusData, doubled, omega, require_valid, validate
+from .torus import TorusData, doubled, omega, require_valid
 
 
 @dataclass(frozen=True)
@@ -58,15 +58,16 @@ def splitting_report(t: TorusData, s: LagrangianSplitting):
     checks.append(("unimodular", abs(det) == 1))
 
     def isotropic(vectors):
-        return all(
-            sum(vectors[i][a] * w.entries[a][b] * vectors[j][b]
-                for a in range(n) for b in range(n)) == 0
-            for i in range(len(vectors)) for j in range(i + 1, len(vectors))
-        )
+        return all(_pairing(w, u, v) == 0 for i, u in enumerate(vectors) for v in vectors[i + 1:])
 
     checks.append(("A_isotropic", isotropic(s.a_basis)))
     checks.append(("B_isotropic", isotropic(s.b_basis)))
     return checks
+
+
+def _pairing(w: RatMatrix, u, v):
+    """The form ``w`` on two integer vectors: ``u^t w v``."""
+    return sum(x * y for x, y in zip(u, w.apply(v)))
 
 
 def require_splitting(t: TorusData, s: LagrangianSplitting):
@@ -101,18 +102,6 @@ def _candidate_vectors(n, bound):
     return vecs
 
 
-def _extendable_to_unimodular(columns, n):
-    """True iff the integer columns span a direct summand of Z^n (gcd of maximal minors is 1)."""
-    k = len(columns)
-    g = 0
-    for rows in combinations(range(n), k):
-        minor = RatMatrix([[columns[j][i] for j in range(k)] for i in rows]).det()
-        g = gcd(g, int(minor))
-        if g == 1:
-            return True
-    return g == 1
-
-
 def find_lagrangian_splitting(t: TorusData, bound: int = 1,
                               node_budget: int = 10 ** 6) -> LagrangianSplitting | None:
     """Deterministic search for an isotropic-halves splitting.
@@ -122,15 +111,11 @@ def find_lagrangian_splitting(t: TorusData, bound: int = 1,
     non-summand partial choices; returns the first splitting whose full
     change of basis is unimodular, or None within the bound.
     """
-    require_valid(t)
     n = t.rank
     d = t.d
     w = omega(t)
     vecs = _candidate_vectors(n, bound)
     nodes = 0
-
-    def pairing(u, v):
-        return sum(u[a] * w.entries[a][b] * v[b] for a in range(n) for b in range(n))
 
     def extend(chosen, start):
         nonlocal nodes
@@ -149,10 +134,10 @@ def find_lagrangian_splitting(t: TorusData, bound: int = 1,
             if nodes > node_budget:
                 raise BudgetExceededError("splitting search budget exhausted",
                                           nodes, node_budget)
-            if any(pairing(u, v) != 0 for u in half):
+            if any(_pairing(w, u, v) != 0 for u in half):
                 continue
             cand = chosen + [v]
-            if not _extendable_to_unimodular(cand, n):
+            if not spans_direct_summand(cand, n):
                 continue
             got = extend(cand, idx + 1)
             if got is not None:
@@ -240,7 +225,7 @@ def mirror_via_tduality(t: TorusData, s: LagrangianSplitting) -> MirrorResult:
     check("B_skew", b_new.is_skew())
     mirror = TorusData(d=d, I=i_new, G=g_new, B=b_new,
                        label=f"{t.label}|mirror" if t.label else "mirror")
-    check("mirror_validates", validate(mirror).ok)
+    check("mirror_validates", mirror.validation.ok)
     ds_mirror = doubled(mirror)
     check("calI_resubstitutes", ds_mirror.calI == cal_i_new)
     check("calJ_resubstitutes", ds_mirror.calJ == cal_j_new)

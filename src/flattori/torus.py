@@ -22,11 +22,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DimensionError, ValidationError
-from .exactlinear import Q, QZERO, RatMatrix, rat
+from .exactlinear import Q, QZERO, RatMatrix
 
 BLOCK_CONVENTION = "winding-then-momentum"
+
+HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,64 @@ class TorusData:
     @property
     def rank(self) -> int:
         return 2 * self.d
+
+    # Derived data: each is computed on first use and cached on the instance
+    # (cached_property writes the instance dict, which a frozen dataclass
+    # allows), so a torus is validated, has G inverted and has its doubled
+    # structures built at most once.  Everything past ``validation`` requires
+    # valid data and raises the ValidationError of :func:`require_valid`.
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        return validate(self)
+
+    @cached_property
+    def ginv(self) -> RatMatrix:
+        require_valid(self)
+        return self.G.inverse()
+
+    @cached_property
+    def momentum_maps(self):
+        """``(M_p, M_pbar) = ([-(B+G) | 1], [G-B | 1])``.
+
+        ``p = M_p gamma`` and ``pbar = M_pbar gamma`` for a charge gamma in
+        winding-then-momentum order.
+        """
+        require_valid(self)
+        ident = RatMatrix.identity(self.rank)
+        return (RatMatrix.from_blocks([[-(self.B + self.G), ident]]),
+                RatMatrix.from_blocks([[self.G - self.B, ident]]))
+
+    @cached_property
+    def half_norm_forms(self):
+        """``M^t G^-1 M / 2`` for each momentum map: ``p^2/2``, ``pbar^2/2`` as forms on charges."""
+        return tuple((m.transpose() * self.ginv * m).scale(HALF) for m in self.momentum_maps)
+
+    @cached_property
+    def _omega(self) -> RatMatrix:
+        require_valid(self)
+        return self.G * self.I
+
+    @cached_property
+    def _narain(self) -> RatMatrix:
+        p_form, pbar_form = self.half_norm_forms
+        return p_form + pbar_form
+
+    @cached_property
+    def _doubled(self) -> DoubledStructure:
+        require_valid(self)
+        n = self.rank
+        I, G, B = self.I, self.G, self.B
+        It = I.transpose()
+        z = RatMatrix.zero(n, n)
+        cal_i = RatMatrix.from_blocks([[I, z], [B * I + It * B, -It]])
+        ig = I * self.ginv
+        cal_j = RatMatrix.from_blocks([[-(ig * B), ig], [G * I - B * ig * B, B * ig]])
+        cal_it = RatMatrix.from_blocks([[I, z], [z, -It]])
+        minus_id = -RatMatrix.identity(2 * n)
+        if cal_i * cal_i != minus_id or cal_j * cal_j != minus_id:
+            raise ValidationError("doubled structures fail to square to -id (internal error)")
+        return DoubledStructure(q_matrix(self.d), cal_i, cal_j, cal_it)
 
 
 @dataclass(frozen=True)
@@ -84,15 +145,14 @@ def validate(t: TorusData) -> ValidationReport:
 
 
 def require_valid(t: TorusData) -> None:
-    report = validate(t)
+    report = t.validation
     if not report.ok:
         raise ValidationError(f"invalid torus {t.label!r}: {', '.join(report.failures())}")
 
 
 def omega(t: TorusData) -> RatMatrix:
     """The Kaehler form ``G I``; skew and invertible for valid data."""
-    require_valid(t)
-    return t.G * t.I
+    return t._omega
 
 
 def q_matrix(d: int) -> RatMatrix:
@@ -113,7 +173,7 @@ class DoubledStructure:
 
 
 def doubled(t: TorusData) -> DoubledStructure:
-    """Assemble q, calI, calJ, calItilde for a valid torus.
+    """Assemble q, calI, calJ, calItilde for a valid torus (built once per torus).
 
     Block formulas (winding block first):
 
@@ -121,22 +181,10 @@ def doubled(t: TorusData) -> DoubledStructure:
     * ``calJ = [[-I G^-1 B, I G^-1], [G I - B I G^-1 B, B I G^-1]]``
     * ``calItilde = [[I, 0], [0, -I^t]]``
 
-    The squares are re-checked here; a failure would be a bug, not bad input.
+    The squares are re-checked on the build; a failure would be a bug, not
+    bad input.
     """
-    require_valid(t)
-    n = t.rank
-    I, G, B = t.I, t.G, t.B
-    It = I.transpose()
-    Ginv = G.inverse()
-    z = RatMatrix.zero(n, n)
-    cal_i = RatMatrix.from_blocks([[I, z], [B * I + It * B, -It]])
-    ig = I * Ginv
-    cal_j = RatMatrix.from_blocks([[-(ig * B), ig], [G * I - B * ig * B, B * ig]])
-    cal_it = RatMatrix.from_blocks([[I, z], [z, -It]])
-    minus_id = -RatMatrix.identity(2 * n)
-    if cal_i * cal_i != minus_id or cal_j * cal_j != minus_id:
-        raise ValidationError("doubled structures fail to square to -id (internal error)")
-    return DoubledStructure(q_matrix(t.d), cal_i, cal_j, cal_it)
+    return t._doubled
 
 
 @dataclass(frozen=True)
@@ -176,19 +224,11 @@ def zero_mode_momenta(t: TorusData, c: ChargeVector) -> ZeroModes:
     require_valid(t)
     if len(c.w) != t.rank:
         raise DimensionError("charge vector length does not match torus rank")
-    G, B = t.G, t.B
-    w = c.w
-    m = [rat(x) for x in c.m]
-    bg = B + G
-    gb = G - B
-    p = tuple(m[k] - sum(bg.entries[k][j] * w[j] for j in range(t.rank)) for k in range(t.rank))
-    pbar = tuple(m[k] + sum(gb.entries[k][j] * w[j] for j in range(t.rank)) for k in range(t.rank))
-    ginv = G.inverse()
-
-    def half_norm(v):
-        return sum(v[i] * ginv.entries[i][j] * v[j] for i in range(t.rank) for j in range(t.rank)) / 2
-
-    return ZeroModes(p, pbar, half_norm(p), half_norm(pbar))
+    gamma = c.coords()
+    p, pbar = (m.apply(gamma) for m in t.momentum_maps)
+    p2_half, pbar2_half = (sum(x * y for x, y in zip(gamma, form.apply(gamma)))
+                           for form in t.half_norm_forms)
+    return ZeroModes(p, pbar, p2_half, pbar2_half)
 
 
 def q_value(c: ChargeVector) -> Fraction:
@@ -198,16 +238,10 @@ def q_value(c: ChargeVector) -> Fraction:
 def narain_form(t: TorusData) -> RatMatrix:
     """The positive form with ``gamma^t N gamma = p^2/2 + pbar^2/2``.
 
-    Assembled from the zero-mode formulas:
+    The sum of the two half-norm forms; in blocks,
     ``[[G - B G^-1 B, B G^-1], [-G^-1 B, G^-1]]``.
     """
-    require_valid(t)
-    G, B = t.G, t.B
-    ginv = G.inverse()
-    return RatMatrix.from_blocks([
-        [G - B * ginv * B, B * ginv],
-        [-(ginv * B), ginv],
-    ])
+    return t._narain
 
 
 def standard_complex_structure(d: int) -> RatMatrix:

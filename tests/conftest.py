@@ -1,5 +1,6 @@
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -43,3 +44,29 @@ def torus_file(tmp_path):
         return str(path)
 
     return write
+
+
+@pytest.fixture
+def torus_work(monkeypatch):
+    """Record the work each torus costs: validations (by label), doubled builds
+    and matrix inversions (the inverted matrices)."""
+    from flattori import torus
+    work = SimpleNamespace(validated=[], built=0, inverted=[])
+    validate, structure, inverse = torus.validate, torus.DoubledStructure, RatMatrix.inverse
+
+    def counted_validate(t):
+        work.validated.append(t.label)
+        return validate(t)
+
+    def counted_structure(*args):
+        work.built += 1
+        return structure(*args)
+
+    def counted_inverse(m):
+        work.inverted.append(m)
+        return inverse(m)
+
+    monkeypatch.setattr(torus, "validate", counted_validate)
+    monkeypatch.setattr(torus, "DoubledStructure", counted_structure)
+    monkeypatch.setattr(RatMatrix, "inverse", counted_inverse)
+    return work

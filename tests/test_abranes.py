@@ -197,6 +197,14 @@ class TestRandomizedComparison:
 
 
 class TestAnomaly:
+    def test_abrane_check_flow_validates_the_torus_once(self, torus_work, space_filling):
+        # the abrane-check command runs these three on one brane
+        assert check_abrane(space_filling).accepted
+        anomaly_check_affine(space_filling)
+        wedge_characterization(space_filling)
+        assert torus_work.validated == ["T4"]
+        assert torus_work.built == 0
+
     def test_space_filling_top_coefficient(self, space_filling):
         rep = anomaly_check_affine(space_filling)
         assert rep.h_constant and rep.bockstein_class_zero

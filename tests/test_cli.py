@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: every subcommand, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -47,6 +48,12 @@ class TestNumericInputErrors:
         (None, ["fock-verify", "--d", "0"], "d must be at least 1, got 0"),
         (None, ["fock-verify", "--d", "1", "--cap", "abc"],
          "cap must be a rational number, got 'abc' (at --cap)"),
+        (None, ["fock-verify", "--d", "1", "--cap", "0"],
+         "cap must be at least 1/2, got 0 (at --cap)"),
+        (None, ["fock-verify", "--d", "1", "--cap", "-1"],
+         "cap must be at least 1/2, got -1 (at --cap)"),
+        (None, ["fock-verify", "--d", "1", "--cap", "1/4"],
+         "cap must be at least 1/2, got 1/4 (at --cap)"),
     ])
     def test_one_line_exit_two(self, capsys, tmp_path, square_file, config, argv, message):
         prefix = []
@@ -347,7 +354,35 @@ GOLDEN_CERTIFICATES = [
 ]
 
 
+# A d=2 torus with B != 0 and non-integral G and B, and the sha256 of the
+# stdout of `doubled` and `spectrum --height 1` on it, frozen from the block
+# formula for the Narain form and the per-torus G^-1 of the older code.
+GOLDEN_TORUS = {
+    "d": 2,
+    "I": [["2", "-1", "2", "0"], ["5", "-2", "4", "-2"], ["0", "0", "0", "-1"],
+          ["0", "0", "1", "0"]],
+    "G": [["5/2", "-1", "2", "0"], ["-1", "1/2", "-1", "0"], ["2", "-1", "7/2", "0"],
+          ["0", "0", "0", "3/2"]],
+    "B": [["0", "-1", "1/2", "0"], ["1", "0", "-1/2", "-1"], ["-1/2", "1/2", "0", "1/2"],
+          ["0", "1", "-1/2", "0"]],
+    "label": "golden2",
+}
+GOLDEN_STDOUT_SHA256 = {
+    "doubled": "af2d7dba6ddd8aad0ef0f25587b627e2dcf5a47c479bf925a905b2f2729771ed",
+    "spectrum": "512604bfa7a450882a65bfc982fcf9c5063750a03bcf731a9cca49325aaa37c8",
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("command, extra", [("doubled", []), ("spectrum", ["--height", "1"])],
+                             ids=["doubled", "spectrum-height1"])
+    def test_golden_reports_with_b_field(self, capsys, tmp_path, command, extra):
+        path = tmp_path / "golden2.json"
+        path.write_text(json.dumps(GOLDEN_TORUS))
+        code, out, err = run(capsys, command, str(path), *extra)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[command]
+
     @pytest.mark.parametrize("command, d, shears, g", GOLDEN_CERTIFICATES,
                              ids=["iso-sheared2", "iso-sheared3", "mirror-square3"])
     def test_golden_certificates(self, capsys, torus_file, command, d, shears, g):

@@ -18,6 +18,7 @@ from flattori.torus import (ChargeVector, TorusData, q_value, random_valid_torus
                             square_torus, zero_mode_momenta)
 
 E1_SWAP = RatMatrix([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
+E1_SHEAR = RatMatrix([[1, 1], [0, 1]])
 
 
 class TestVerifyMap:
@@ -158,19 +159,24 @@ class TestSearchRelation:
         assert out.found
         assert verify_map(out.certificate.map).valid
 
-    def test_found_search_validates_each_torus_twice(self, monkeypatch, square1):
-        # intertwiner_space and verify_map validate only through doubled()
-        from flattori import torus
-        seen = []
-        original = torus.validate
-        monkeypatch.setattr(torus, "validate", lambda t: seen.append(t.label) or original(t))
-        assert search_relation(square1, square1, "mirror", 2).found
-        assert seen == ["square"] * 4
+    def test_found_search_validates_and_builds_each_torus_once(self, torus_work, square1):
+        # the validation report, G^-1 and the doubled structures are cached on the torus
+        rebased = TorusData(1, E1_SHEAR.inverse() * square1.I * E1_SHEAR,
+                            E1_SHEAR.transpose() * square1.G * E1_SHEAR,
+                            E1_SHEAR.transpose() * square1.B * E1_SHEAR, "rebased")
+        torus_work.inverted.clear()
+        assert search_relation(square1, rebased, "iso", 2).found
+        assert search_relation(square1, rebased, "mirror", 2).found
+        assert torus_work.validated == ["square", "rebased"]
+        assert torus_work.built == 2
+        assert torus_work.inverted == [square1.G, rebased.G]
         bad = TorusData(1, RatMatrix.identity(2), RatMatrix.identity(2),
                         RatMatrix.zero(2, 2), "bad")
         for t1, t2 in ((bad, square1), (square1, bad)):
-            with pytest.raises(ValidationError, match="invalid torus 'bad'"):
-                intertwiner_space(t1, t2, "iso")
+            for _ in range(2):
+                with pytest.raises(ValidationError, match="invalid torus 'bad'"):
+                    search_relation(t1, t2, "iso", 2)
+        assert torus_work.validated == ["square", "rebased", "bad"]
 
     def test_budget_exceeded_carries_progress(self, square1, stretched1):
         from flattori.errors import BudgetExceededError

@@ -1,5 +1,7 @@
 """The search filter: candidate order, budget cut, exact arithmetic, harness interface."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -62,3 +64,18 @@ def test_benchmark_probe_counts_the_d1_derived_window(square1, stretched1, torus
     out = json.loads(proc.stdout)
     assert out["available_lanes"] == ["python"]
     assert out["lanes"]["python"]["candidates"] == 6560
+
+
+def test_benchmark_trace_plan_resolves():
+    # perfbench/traced_cli.py wraps the layer functions by (module, attribute);
+    # a name it cannot find would stop a traced benchmark run
+    path = ROOT / "perfbench" / "traced_cli.py"
+    spec = importlib.util.spec_from_file_location("traced_cli", path)
+    traced_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced_cli)
+    assert traced_cli.PLAN
+    for span, modname, attr in traced_cli.PLAN:
+        target = importlib.import_module(modname)
+        for part in attr.split("."):
+            target = getattr(target, part)
+        assert callable(target), (span, modname, attr)
