@@ -3,8 +3,9 @@
 Reports are deterministic (sorted keys, no timestamps) and always carry the
 fields ``command``, ``inputs``, ``result``, and ``paper_ref`` (a stable
 identifier of the mathematical claim the command decides).  Exit codes:
-0 for success/true/found, 1 for refuted/false/none-within-bound, 2 for
-input errors.  Diagnostics go to stderr.
+0 for success/true/found, 1 for refuted/false/none-within-bound/undecided
+(a search that spent its node budget), 2 for input errors.  Diagnostics go
+to stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import abranes, cohomology, equivalence, fock, jsonio, tduality
 from .errors import (BudgetExceededError, FlatToriError, RecoveryError,
                      SchemaError, ValidationError)
 from .exactlinear import rat_str
-from .torus import doubled, narain_form, omega, validate
+from .torus import doubled, narain_form, omega, require_valid, validate
 
 CLAIM_IDS = {
     "validate": "flat-torus-data-invariants",
@@ -145,7 +146,14 @@ def _search_command(command, kind, args, cfg):
     budget = _at_least_one("budget", _setting(args, cfg, "budget"))
     inputs = {"source": jsonio.torus_to_json(t1), "target": jsonio.torus_to_json(t2),
               "bound": bound}
-    outcome = equivalence.search_relation(t1, t2, kind, bound, node_budget=budget)
+    try:
+        outcome = equivalence.search_relation(t1, t2, kind, bound, node_budget=budget)
+    except BudgetExceededError as exc:
+        # a spent budget decides nothing, so this report cites no fingerprint
+        _report_budget(exc)
+        result = {"found": False, "verdict": "undecided", "nodes": exc.nodes_used,
+                  "budget": exc.budget, "last_complete_height": exc.last_complete_height}
+        return _emit(command, inputs, result, 1)
     if outcome.found:
         result = {"found": True,
                   "certificate": jsonio.certificate_to_json(outcome.certificate),
@@ -164,6 +172,10 @@ def _search_command(command, kind, args, cfg):
     if fingerprints_match is False and kind == "iso":
         result["refuted_by"] = "zero-mode spectrum mismatch"
     return _emit(command, inputs, result, 1)
+
+
+def _report_budget(exc):
+    print(f"budget exceeded: {exc} ({exc.nodes_used}/{exc.budget} nodes)", file=sys.stderr)
 
 
 def _cmd_check_iso(args, cfg):
@@ -319,8 +331,11 @@ def _cmd_abrane_check(args, cfg):
 
 def _cmd_fock_verify(args, cfg):
     from .exactlinear import RatMatrix
+    inputs = {}
     if args.torus:
         t = jsonio.load_torus(args.torus)
+        require_valid(t)
+        inputs["torus"] = jsonio.torus_to_json(t)
         g = t.G
         d = t.d
     else:
@@ -342,7 +357,8 @@ def _cmd_fock_verify(args, cfg):
     result = {"d": d, "cap": str(cap), "basis_dimension": len(space.basis),
               "pass": passes, "fail": fails, "inconclusive": inconclusive,
               "checks": rows}
-    return _emit("fock-verify", {"d": d, "cap": str(cap)}, result, 0 if fails == 0 else 1)
+    inputs.update(d=d, cap=str(cap))
+    return _emit("fock-verify", inputs, result, 0 if fails == 0 else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +446,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc} ({exc.nodes_used}/{exc.budget} nodes)",
-              file=sys.stderr)
+        _report_budget(exc)
         return 2
     except FlatToriError as exc:
         print(f"error: {exc}", file=sys.stderr)

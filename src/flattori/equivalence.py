@@ -27,6 +27,7 @@ from . import kernels
 from ._intlat import integral_coordinate_lattice, pair_reduce
 from .errors import BudgetExceededError, DimensionError, ValidationError
 from .exactlinear import QZERO, RatMatrix
+from .kernels_py import completed_height
 from .torus import ChargeVector, TorusData, doubled, q_value
 
 KINDS = ("iso", "mirror", "derived_eq")
@@ -201,8 +202,16 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
     (height shell, then support size, then positions, then digits); the
     first q-congruent candidate is returned as a verified certificate.
 
+    The q-congruence of all ``n(n+1)/2`` entries is tested at once, as one
+    exact integer quadratic form in the coordinates (Kronecker substitution
+    with a base W larger than twice any entry the window allows; see
+    :mod:`flattori.kernels_py`), evaluated incrementally along the canonical
+    order at O(1) amortised cost per candidate.  Every hit is re-checked
+    entry by entry with ``congruence_ok`` and then by :func:`verify_map`.
+
     A ``found=False`` outcome means only "none within bound".  Exceeding the
-    node budget raises :class:`BudgetExceededError` with partial progress.
+    node budget raises :class:`BudgetExceededError` with partial progress,
+    including the last height shell the search covered completely.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
@@ -214,7 +223,8 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
         if not exhausted:
             raise BudgetExceededError(
                 f"search exhausted its node budget ({node_budget}) before covering "
-                f"height {coeff_bound}", nodes, node_budget)
+                f"height {coeff_bound}", nodes, node_budget,
+                completed_height(len(flat), nodes))
         return SearchOutcome(None, nodes, coeff_bound, True)
     coords = hits[0]
     g = None

@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from flattori import equivalence
+from flattori import equivalence, jsonio
 from flattori.cli import main
-from flattori.exactlinear import RatMatrix
+from flattori.exactlinear import Q, RatMatrix
 from flattori.torus import TorusData, square_torus
 
 
@@ -175,6 +175,22 @@ class TestSearchCommands:
         assert result["refuted_by"] == "zero-mode spectrum mismatch"
         assert calls == [1, 1]
 
+    def test_spent_budget_is_undecided(self, capsys, monkeypatch, square2_file, torus_file):
+        def refuse(*args):
+            raise AssertionError("fingerprint computed for an undecided search")
+        monkeypatch.setattr(equivalence, "spectrum_fingerprint", refuse)
+        stretched2 = TorusData(
+            2, RatMatrix([[0, -2, 0, 0], [Q(1, 2), 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]),
+            RatMatrix.diag([1, 4, 1, 1]), RatMatrix.zero(4, 4), "stretched2")
+        code, out, err = run(capsys, "check-iso", square2_file,
+                             torus_file(stretched2, "stretched2.json"),
+                             "--bound", "1", "--budget", "50")
+        assert code == 1
+        assert report(out)["result"] == {"found": False, "verdict": "undecided", "nodes": 50,
+                                         "budget": 50, "last_complete_height": 0}
+        assert err == ("budget exceeded: search exhausted its node budget (50) before "
+                       "covering height 1 (50/50 nodes)\n")
+
 
 class TestVerifyMapCommand:
     def test_valid_map(self, capsys, tmp_path, square_file):
@@ -305,17 +321,29 @@ class TestBraneAndFock:
     def test_fock_verify(self, capsys):
         code, out, _ = run(capsys, "fock-verify", "--d", "1", "--cap", "2")
         assert code == 0
+        assert report(out)["inputs"] == {"cap": "2", "d": 1}
         result = report(out)["result"]
         assert result["fail"] == 0
         assert result["pass"] > 0
         statuses = {row["status"] for row in result["checks"]}
         assert statuses <= {"pass", "inconclusive"}
 
-    def test_fock_verify_with_torus_metric(self, capsys, stretched_file):
+    def test_fock_verify_with_torus_metric(self, capsys, stretched1, stretched_file):
         code, out, _ = run(capsys, "fock-verify", "--torus", stretched_file,
                            "--cap", "3/2")
         assert code == 0
-        assert report(out)["result"]["fail"] == 0
+        data = report(out)
+        assert data["result"]["fail"] == 0
+        assert data["inputs"] == {"cap": "3/2", "d": 1,
+                                  "torus": jsonio.torus_to_json(stretched1)}
+
+    def test_fock_verify_rejects_an_invalid_torus(self, capsys, torus_file):
+        bad = TorusData(1, RatMatrix.identity(2), RatMatrix.identity(2),
+                        RatMatrix.zero(2, 2), "bad")
+        code, out, err = run(capsys, "fock-verify", "--torus", torus_file(bad, "bad.json"),
+                             "--cap", "1")
+        assert (code, out) == (2, "")
+        assert err == "input error: invalid torus 'bad': I_squares_to_minus_id\n"
 
 
 def sheared(d, shears):

@@ -184,6 +184,8 @@ class TestSearchRelation:
             search_relation(square1, stretched1, "iso", 3, node_budget=100)
         assert err.value.nodes_used == 100
         assert err.value.budget == 100
+        # the iso basis has 4 matrices: shell 1 holds 3^4 - 1 = 80 candidates
+        assert err.value.last_complete_height == 1
 
 
 class TestSpectrumFingerprint:

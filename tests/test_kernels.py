@@ -1,4 +1,5 @@
-"""The search filter: candidate order, budget cut, exact arithmetic, harness interface."""
+"""The search filter: candidate order, budget cut, exact arithmetic, parity with a
+brute-force scan, harness interface."""
 
 import importlib
 import importlib.util
@@ -6,13 +7,56 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flattori import kernels, kernels_py
+from flattori.equivalence import intertwiner_space
+from flattori.errors import InconsistencyError
+from flattori.exactlinear import RatMatrix
+from flattori.torus import TorusData
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def preserves_q(g, n):
+    """``g^t q g == q`` for the split pairing, from the matrix product."""
+    half = n // 2
+    rows = [g[r * n:(r + 1) * n] for r in range(n)]
+    qg = rows[half:] + rows[:half]
+    return all(sum(rows[r][a] * qg[r][b] for r in range(n)) == (abs(a - b) == half)
+               for a in range(n) for b in range(n))
+
+
+def brute_force_filter(basis_flat, n, bound, budget, max_hits=1):
+    """The reference scan: every candidate in canonical order, g built entry by entry."""
+    k = len(basis_flat)
+    nodes = 0
+    hits = []
+    for h in range(1, bound + 1):
+        digits = [x for a in range(1, h + 1) for x in (a, -a)]
+        for s in range(1, k + 1):
+            for pos in combinations(range(k), s):
+                for dig in product(digits, repeat=s):
+                    if max(abs(x) for x in dig) != h:
+                        continue
+                    if nodes >= budget:
+                        return hits, nodes, False
+                    nodes += 1
+                    g = [sum(c * basis_flat[p][t] for p, c in zip(pos, dig))
+                         for t in range(n * n)]
+                    if preserves_q(g, n):
+                        coords = [0] * k
+                        for p, c in zip(pos, dig):
+                            coords[p] = c
+                        hits.append(tuple(coords))
+                        if len(hits) >= max_hits:
+                            return hits, nodes, False
+    return hits, nodes, True
 
 
 def identity_instance(n):
@@ -44,6 +88,74 @@ def test_big_entries_stay_exact():
     basis = [[2 ** 33] * 16]
     hits, nodes, exhausted = kernels.run_filter(basis, 4, 2, 100, 4)
     assert (hits, nodes, exhausted) == ([], 4, True)
+
+
+def basis_matrix(n):
+    """One basis matrix: zero, q-preserving (+-identity, +-q), huge, or small random."""
+    identity = identity_instance(n)
+    half = n // 2
+    swap = [int(abs(t // n - t % n) == half) for t in range(n * n)]
+    return st.one_of(
+        st.just([0] * (n * n)),
+        st.sampled_from([identity, swap]).flatmap(
+            lambda m: st.sampled_from([m, [-x for x in m]])),
+        st.lists(st.sampled_from([0, 0, 2 ** 33, -(2 ** 35) - 1]), min_size=n * n,
+                 max_size=n * n),
+        st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n),
+    )
+
+
+@st.composite
+def filter_instances(draw):
+    n = draw(st.sampled_from([4, 8]))
+    k = draw(st.integers(1, 4 if n == 4 else 3))
+    basis = draw(st.lists(basis_matrix(n), min_size=k, max_size=k))
+    bound = draw(st.integers(1, 2))
+    window = (2 * bound + 1) ** k - 1
+    budget = draw(st.integers(-1, window + 1))
+    max_hits = draw(st.integers(1, 5))
+    return basis, n, bound, budget, max_hits
+
+
+# +-identity and a zero matrix: hits at several supports and digits
+HIT_RICH = [identity_instance(4), [0] * 16, [-x for x in identity_instance(4)]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(filter_instances())
+@example((HIT_RICH, 4, 2, 17, 3))
+@example((HIT_RICH, 4, 2, 124, 99))
+@example((HIT_RICH, 4, 2, 125, 99))
+def test_filter_matches_brute_force(instance):
+    # same hits, node count and exhausted flag as the candidate-by-candidate
+    # scan, including budgets that cut inside a leaf block and hit caps > 1
+    assert kernels.run_filter(*instance) == brute_force_filter(*instance)
+
+
+def test_completed_height_counts_whole_shells():
+    # shells 1..h of K coordinates hold (2h+1)^K - 1 candidates
+    assert [kernels_py.completed_height(2, nodes) for nodes in (0, 7, 8, 23, 24, 48)] == \
+        [0, 0, 1, 1, 2, 3]
+
+
+def test_hit_disagreeing_with_congruence_ok_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(kernels_py, "congruence_ok", lambda g, n: False)
+    with pytest.raises(InconsistencyError):
+        kernels_py.run_filter([identity_instance(4)], 4, 1, 100)
+
+
+@pytest.mark.parametrize("shear", [False, True], ids=["square1", "sheared1"])
+def test_d1_derived_refute_windows_are_exhausted(square1, stretched1, shear):
+    # check-derived-eq square1|sheared1 stretched1 at the default bound 2:
+    # the 8-matrix basis gives 5^8 - 1 candidates and none preserves q
+    source = square1
+    if shear:
+        s = RatMatrix([[1, 1], [0, 1]])
+        source = TorusData(1, s.inverse() * square1.I * s, s.transpose() * square1.G * s,
+                           s.transpose() * square1.B * s, "sheared1")
+    basis = intertwiner_space(source, stretched1, "derived_eq")
+    flat = [[int(x) for row in m.entries for x in row] for m in basis]
+    assert kernels.run_filter(flat, 4, 2, 10 ** 7) == ([], 390624, True)
 
 
 def test_python_is_the_only_lane():
