@@ -43,7 +43,6 @@ CLAIM_IDS = {
 DEFAULTS = {
     "bound": 2,
     "budget": equivalence.DEFAULT_NODE_BUDGET,
-    "fingerprint_height": 1,
     "split_bound": 1,
 }
 
@@ -65,12 +64,12 @@ def _load_config(path):
         data = jsonio.load_json(path)
         if not isinstance(data, dict):
             raise SchemaError("config must be an object", path)
-        for key in DEFAULTS:
-            if key in data:
-                value = data[key]
-                if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                    raise SchemaError(f"config {key} must be a nonnegative integer", key)
-                cfg[key] = value
+        for key, value in data.items():
+            if key not in DEFAULTS:
+                raise SchemaError(f"unknown config key {key!r}", key)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise SchemaError(f"config {key} must be a nonnegative integer", key)
+            cfg[key] = value
     return cfg
 
 
@@ -130,11 +129,10 @@ def _cmd_doubled(args, cfg):
 
 def _cmd_spectrum(args, cfg):
     t = jsonio.load_torus(args.torus)
-    height = args.height if args.height is not None else cfg["fingerprint_height"]
-    if height < 0:
-        raise SchemaError(f"height must be nonnegative, got {height}")
-    fp = equivalence.spectrum_fingerprint(t, height)
-    result = {"height": height,
+    if args.height < 0:
+        raise SchemaError(f"height must be nonnegative, got {args.height}")
+    fp = equivalence.spectrum_fingerprint(t, args.height)
+    result = {"height": args.height,
               "triples": [[rat_str(x) for x in triple] for triple in fp]}
     return _emit("spectrum", {"torus": jsonio.torus_to_json(t)}, result, 0)
 
@@ -149,7 +147,6 @@ def _search_command(command, kind, args, cfg):
     try:
         outcome = equivalence.search_relation(t1, t2, kind, bound, node_budget=budget)
     except BudgetExceededError as exc:
-        # a spent budget decides nothing, so this report cites no fingerprint
         _report_budget(exc)
         result = {"found": False, "verdict": "undecided", "nodes": exc.nodes_used,
                   "budget": exc.budget, "last_complete_height": exc.last_complete_height}
@@ -159,18 +156,10 @@ def _search_command(command, kind, args, cfg):
                   "certificate": jsonio.certificate_to_json(outcome.certificate),
                   "nodes": outcome.nodes_used}
         return _emit(command, inputs, result, 0)
-    # only the none-within-bound report cites the fingerprint
-    fingerprints_match = None
-    fp_height = cfg["fingerprint_height"]
-    if (2 * fp_height + 1) ** (4 * t1.d) <= 10000:
-        fingerprints_match = (equivalence.spectrum_fingerprint(t1, fp_height)
-                              == equivalence.spectrum_fingerprint(t2, fp_height))
-    result = {"found": False, "verdict": "none within bound",
-              "nodes": outcome.nodes_used,
-              "fingerprint_height": fp_height,
-              "fingerprints_match": fingerprints_match}
-    if fingerprints_match is False and kind == "iso":
-        result["refuted_by"] = "zero-mode spectrum mismatch"
+    result = {"found": False, "verdict": "none within bound", "nodes": outcome.nodes_used}
+    if outcome.complete:
+        result.update(verdict="refuted",
+                      refuted_by="window contains every g with tr(N1^-1 g^t N2 g) = 4d")
     return _emit(command, inputs, result, 1)
 
 
@@ -381,7 +370,7 @@ def build_parser():
 
     def spectrum_args(p):
         p.add_argument("torus")
-        p.add_argument("--height", type=int, default=None)
+        p.add_argument("--height", type=int, default=1)
     add("spectrum", _cmd_spectrum, spectrum_args)
 
     def search_args(p):

@@ -12,8 +12,11 @@ Existence search: the intertwining constraints are linear, so we first
 compute the rational solution space, saturate it to the lattice of all
 integral solutions, and then enumerate small integer coordinate vectors
 over a size-reduced basis, keeping the first candidate that satisfies the
-quadratic q-congruence.  A negative answer is only "none within bound": the
-full group is infinite and bounded search proves nothing about existence.
+quadratic q-congruence.  An ``iso`` or ``mirror`` certificate also
+preserves the Narain form N, so an exhausted window holding the whole
+ellipsoid ``tr(N_1^-1 g^t N_2 g) = 4d`` refutes the relation; otherwise (and
+always for ``derived_eq``, whose group is infinite) a search without a hit
+means only "none within bound".
 """
 
 from __future__ import annotations
@@ -22,15 +25,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import mul
 
 from . import kernels
 from ._intlat import integral_coordinate_lattice, pair_reduce
 from .errors import BudgetExceededError, DimensionError, ValidationError
 from .exactlinear import QZERO, RatMatrix
 from .kernels_py import completed_height
-from .torus import ChargeVector, TorusData, doubled, q_value
+from .torus import ChargeVector, TorusData, doubled, narain_form, q_value
 
-KINDS = ("iso", "mirror", "derived_eq")
+# kind -> the structure equalities ``g S_1 = T_2 g`` of a certificate, in
+# check order, as (check name, source structure S, target structure T).
+RELATIONS = {
+    "iso": (("intertwines_calI", "calI", "calI"), ("intertwines_calJ", "calJ", "calJ")),
+    "mirror": (("swaps_calI_to_calJ", "calI", "calJ"), ("swaps_calJ_to_calI", "calJ", "calI")),
+    "derived_eq": (("intertwines_calItilde", "calItilde", "calItilde"),),
+}
+
+KINDS = tuple(RELATIONS)
 
 DEFAULT_NODE_BUDGET = 10 ** 7
 
@@ -80,14 +92,6 @@ class Certificate:
         return next((c.name for c in self.checks if not c.ok), None)
 
 
-def _check_plan(kind: str):
-    if kind == "iso":
-        return (("intertwines_calI", "calI", "calI"), ("intertwines_calJ", "calJ", "calJ"))
-    if kind == "mirror":
-        return (("swaps_calI_to_calJ", "calI", "calJ"), ("swaps_calJ_to_calI", "calJ", "calI"))
-    return (("intertwines_calItilde", "calItilde", "calItilde"),)
-
-
 def verify_map(m: LatticeMap) -> Certificate:
     """Check every defining equality of the declared kind, exactly.
 
@@ -99,7 +103,7 @@ def verify_map(m: LatticeMap) -> Certificate:
     d1 = doubled(m.source)
     d2 = doubled(m.target)
     checks = [MapCheck("preserves_q", m.g.transpose() * d2.q * m.g == d1.q)]
-    for name, src_attr, tgt_attr in _check_plan(m.kind):
+    for name, src_attr, tgt_attr in RELATIONS[m.kind]:
         lhs = m.g * getattr(d1, src_attr)
         rhs = getattr(d2, tgt_attr) * m.g
         checks.append(MapCheck(name, lhs == rhs))
@@ -111,16 +115,6 @@ def verify_map(m: LatticeMap) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _constraint_pairs(t1: TorusData, t2: TorusData, kind: str):
-    d1 = doubled(t1)
-    d2 = doubled(t2)
-    if kind == "iso":
-        return ((d1.calI, d2.calI), (d1.calJ, d2.calJ))
-    if kind == "mirror":
-        return ((d1.calI, d2.calJ), (d1.calJ, d2.calI))
-    return ((d1.calItilde, d2.calItilde),)
-
-
 def _solution_space(t1, t2, kind):
     """RREF kernel basis of the linear intertwining constraints ``g A = B g``.
 
@@ -128,8 +122,10 @@ def _solution_space(t1, t2, kind):
     the rows of ``A^t (x) id - id (x) B`` in Kronecker form.
     """
     n = 4 * t1.d
+    d1, d2 = doubled(t1), doubled(t2)
     rows = []
-    for a_mat, b_mat in _constraint_pairs(t1, t2, kind):
+    for _, src_attr, tgt_attr in RELATIONS[kind]:
+        a_mat, b_mat = getattr(d1, src_attr), getattr(d2, tgt_attr)
         for i in range(n):
             for j in range(n):
                 row = [QZERO] * (n * n)
@@ -181,16 +177,32 @@ def intertwiner_space(t1: TorusData, t2: TorusData, kind: str):
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Result of a bounded search: a certificate, or none-within-bound."""
+    """A certificate, a refutation (``complete``), or none-within-bound."""
 
     certificate: Certificate | None
     nodes_used: int
     bound: int
     exhausted: bool
+    complete: bool = False
 
     @property
     def found(self) -> bool:
         return self.certificate is not None
+
+
+def _ellipsoid_radii(t1: TorusData, t2: TorusData, basis):
+    """``4d (A^-1)_ii``, A the Gram matrix of ``Q(g) = tr(N_1^-1 g^t N_2 g)`` on the basis.
+
+    ``A_ij = <M_i, N_2 M_j N_1^-1>`` (Frobenius) with ``N_1^-1 = q N_1 q``,
+    as ``N q N = q``.  On ``Q <= 4d``, ``c_i^2 <= 4d (A^-1)_ii``: the first
+    step of Fincke-Pohst (Math. Comp. 44, 1985).
+    """
+    q = doubled(t1).q
+    n1_inv, n2 = q * narain_form(t1) * q, narain_form(t2)
+    flat = [[x for row in m.entries for x in row] for m in basis]
+    images = [[x for row in (n2 * m * n1_inv).entries for x in row] for m in basis]
+    a_inv = RatMatrix([[sum(map(mul, mi, mj)) for mj in images] for mi in flat]).inverse()
+    return [4 * t1.d * a_inv.entries[i][i] for i in range(len(basis))]
 
 
 def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
@@ -209,9 +221,15 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
     order at O(1) amortised cost per candidate.  Every hit is re-checked
     entry by entry with ``congruence_ok`` and then by :func:`verify_map`.
 
-    A ``found=False`` outcome means only "none within bound".  Exceeding the
-    node budget raises :class:`BudgetExceededError` with partial progress,
-    including the last height shell the search covered completely.
+    An ``iso`` or ``mirror`` certificate preserves N as well as q, so it has
+    ``tr(N_1^-1 g^t N_2 g) = 4d``; an exhausted window without a hit is
+    ``complete`` (a refutation) when it holds all of that ellipsoid, i.e.
+    ``4d (A^-1)_ii < (coeff_bound + 1)^2`` (see :func:`_ellipsoid_radii`).
+    ``derived_eq`` maps need not preserve N, so their search is never
+    complete.  Any other ``found=False`` outcome means only "none within
+    bound".  Exceeding the node budget raises :class:`BudgetExceededError`
+    with partial progress, including the last height shell the search
+    covered completely.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
@@ -225,7 +243,9 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
                 f"search exhausted its node budget ({node_budget}) before covering "
                 f"height {coeff_bound}", nodes, node_budget,
                 completed_height(len(flat), nodes))
-        return SearchOutcome(None, nodes, coeff_bound, True)
+        complete = kind != "derived_eq" and all(
+            r < (coeff_bound + 1) ** 2 for r in _ellipsoid_radii(t1, t2, basis))
+        return SearchOutcome(None, nodes, coeff_bound, True, complete)
     coords = hits[0]
     g = None
     for c, m in zip(coords, basis):
@@ -238,21 +258,8 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
 
 
 # ---------------------------------------------------------------------------
-# spectrum fingerprint (necessary-condition oracle)
+# spectrum fingerprint (zero-mode spectrum of a charge window)
 # ---------------------------------------------------------------------------
-
-
-def _half_norm_forms(t: TorusData):
-    """Integer forms ``A_p, A_pbar`` and a denominator D for the momentum half-norms.
-
-    ``p2_half = gamma^t A_p gamma / D``, and likewise ``pbar2_half``: the
-    torus's half-norm forms over one common denominator.
-    """
-    forms = t.half_norm_forms
-    den = lcm(*(x.denominator for form in forms for row in form.entries for x in row))
-    p_form, pbar_form = ([[int(x * den) for x in row] for row in form.entries]
-                         for form in forms)
-    return p_form, pbar_form, den
 
 
 def _quadratic(form, x):
@@ -262,23 +269,24 @@ def _quadratic(form, x):
 def spectrum_fingerprint(t: TorusData, height: int):
     """Sorted multiset of ``(q(gamma,gamma), p^2/2, pbar^2/2)`` triples.
 
-    Enumerates all charge vectors of max-norm at most ``height``; any
-    isomorphism certificate must map triples to equal triples, so unequal
-    fingerprints refute isomorphism as far as the enumerated window goes.
-    The torus's half-norm forms are cleared of denominators once; each charge
-    then costs integer arithmetic only (the triples equal those built from
-    :func:`~flattori.torus.zero_mode_momenta` charge by charge).
+    Enumerates all charge vectors of max-norm at most ``height``.  The window
+    is a box in the lattice basis, so the multiset depends on the basis and
+    decides no relation between tori.  ``p^2/2 = (gamma^t N gamma - q)/2``
+    and ``pbar^2/2 = (gamma^t N gamma + q)/2`` with N the Narain form, cleared
+    of denominators once: one integer form per charge.
     """
     if height < 0:
         raise ValueError("height must be nonnegative")
     half = t.rank
-    p_form, pbar_form, den = _half_norm_forms(t)
+    form = narain_form(t)
+    den = lcm(*(x.denominator for row in form.entries for x in row))
+    n_form = [[int(x * den) for x in row] for row in form.entries]
     triples = []
     rng = range(-height, height + 1)
     for coords in product(rng, repeat=2 * half):
-        c = ChargeVector(coords[:half], coords[half:])
-        triples.append((q_value(c), Fraction(_quadratic(p_form, coords), den),
-                        Fraction(_quadratic(pbar_form, coords), den)))
+        q = q_value(ChargeVector(coords[:half], coords[half:]))
+        norm = _quadratic(n_form, coords)
+        triples.append((q, Fraction(norm - den * q, 2 * den), Fraction(norm + den * q, 2 * den)))
     triples.sort()
     return tuple(triples)
 

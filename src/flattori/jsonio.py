@@ -14,7 +14,7 @@ import os
 from fractions import Fraction
 
 from .abranes import AffineBrane
-from .equivalence import Certificate, LatticeMap
+from .equivalence import KINDS, Certificate, LatticeMap
 from .errors import SchemaError
 from .exactlinear import ExtElement, GaussRational, RatMatrix, rat, rat_str
 from .torus import TorusData
@@ -162,7 +162,7 @@ def map_from_json(data, base_dir=".", pointer="map") -> LatticeMap:
     if not isinstance(data, dict):
         raise SchemaError("expected an object", pointer)
     kind = data.get("kind")
-    if kind not in ("iso", "mirror", "derived_eq"):
+    if kind not in KINDS:
         raise SchemaError("kind must be iso, mirror, or derived_eq", f"{pointer}.kind")
 
     def torus_arg(key):

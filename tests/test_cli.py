@@ -11,6 +11,9 @@ from flattori.exactlinear import Q, RatMatrix
 from flattori.torus import TorusData, square_torus
 
 
+REFUTED_BY = "window contains every g with tr(N1^-1 g^t N2 g) = 4d"
+
+
 def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
@@ -54,6 +57,8 @@ class TestNumericInputErrors:
          "cap must be at least 1/2, got -1 (at --cap)"),
         (None, ["fock-verify", "--d", "1", "--cap", "1/4"],
          "cap must be at least 1/2, got 1/4 (at --cap)"),
+        ({"fingerprint_height": 1}, ["check-iso", "T", "T"],
+         "unknown config key 'fingerprint_height' (at fingerprint_height)"),
     ])
     def test_one_line_exit_two(self, capsys, tmp_path, square_file, config, argv, message):
         prefix = []
@@ -112,14 +117,43 @@ class TestSearchCommands:
         assert cert["g"] in ([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
                              [[0, 0, -1, 0], [0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1]])
 
-    def test_check_iso_none_within_bound(self, capsys, square_file, stretched_file):
+    def test_check_iso_refuted(self, capsys, square_file, stretched_file):
         code, out, _ = run(capsys, "check-iso", square_file, stretched_file,
                            "--bound", "3")
         assert code == 1
+        assert report(out)["result"] == {
+            "found": False, "verdict": "refuted", "nodes": 7 ** 4 - 1,
+            "refuted_by": REFUTED_BY}
+
+    def test_check_mirror_refuted(self, capsys, square_file, stretched_file):
+        code, out, _ = run(capsys, "check-mirror", square_file, stretched_file)
+        assert code == 1
+        assert report(out)["result"] == {
+            "found": False, "verdict": "refuted", "nodes": 5 ** 4 - 1, "refuted_by": REFUTED_BY}
+
+    def test_check_derived_eq_is_never_refuted(self, capsys, square_file, stretched_file):
+        # derived_eq maps need not preserve the Narain form
+        code, out, _ = run(capsys, "check-derived-eq", square_file, stretched_file)
+        assert code == 1
+        assert report(out)["result"] == {
+            "found": False, "verdict": "none within bound", "nodes": 5 ** 8 - 1}
+
+    @pytest.mark.parametrize("bound, verdict", [(1, "none within bound"), (2, "refuted")])
+    def test_refuted_once_the_window_holds_the_ellipsoid(self, capsys, torus_file,
+                                                         bound, verdict):
+        # the mirror ellipsoid of this pair reaches c_i^2 = 65/8 (4d (A^-1)_ii):
+        # past the height-1 window, inside the height-2 one
+        source = TorusData(1, RatMatrix([[2, -1], [5, -2]]), RatMatrix([[10, -4], [-4, 2]]),
+                           RatMatrix([[0, Q(1, 2)], [Q(-1, 2), 0]]), "source")
+        target = TorusData(1, RatMatrix([[-1, -2], [1, 1]]),
+                           RatMatrix([[Q(1, 2), Q(1, 2)], [Q(1, 2), 1]]),
+                           RatMatrix([[0, Q(-1, 2)], [Q(1, 2), 0]]), "target")
+        code, out, _ = run(capsys, "check-mirror", torus_file(source, "source.json"),
+                           torus_file(target, "target.json"), "--bound", str(bound))
+        assert code == 1
         result = report(out)["result"]
-        assert result["verdict"] == "none within bound"
-        assert result["fingerprints_match"] is False
-        assert result["refuted_by"] == "zero-mode spectrum mismatch"
+        assert (result["found"], result["verdict"], result["nodes"]) == \
+            (False, verdict, (2 * bound + 1) ** 4 - 1)
 
     def test_check_derived_eq_self(self, capsys, square_file):
         code, out, _ = run(capsys, "check-derived-eq", square_file, square_file,
@@ -159,21 +193,17 @@ class TestSearchCommands:
             assert code == 0
             assert report(out)["result"]["found"]
 
-    def test_none_within_bound_still_cites_fingerprint(self, capsys, monkeypatch,
-                                                       square_file, stretched_file):
-        calls = []
-        real = equivalence.spectrum_fingerprint
-
-        def counted(t, height):
-            calls.append(height)
-            return real(t, height)
-        monkeypatch.setattr(equivalence, "spectrum_fingerprint", counted)
-        code, out, _ = run(capsys, "check-iso", square_file, stretched_file, "--bound", "1")
-        assert code == 1
-        result = report(out)["result"]
-        assert result["fingerprints_match"] is False
-        assert result["refuted_by"] == "zero-mode spectrum mismatch"
-        assert calls == [1, 1]
+    def test_refutation_skips_fingerprint(self, capsys, monkeypatch,
+                                          square_file, stretched_file):
+        def refuse(*args):
+            raise AssertionError("fingerprint computed for a search without a hit")
+        monkeypatch.setattr(equivalence, "spectrum_fingerprint", refuse)
+        verdicts = []
+        for command in ("check-iso", "check-mirror", "check-derived-eq"):
+            code, out, _ = run(capsys, command, square_file, stretched_file, "--bound", "1")
+            assert code == 1
+            verdicts.append(report(out)["result"]["verdict"])
+        assert verdicts == ["refuted", "refuted", "none within bound"]
 
     def test_spent_budget_is_undecided(self, capsys, monkeypatch, square2_file, torus_file):
         def refuse(*args):

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flattori.equivalence import (LatticeMap, _half_norm_forms, _quadratic,
-                                  chiral_transports, intertwiner_space,
-                                  search_relation, spectrum_fingerprint,
-                                  verify_map)
-from flattori.errors import ValidationError
+from flattori.equivalence import (LatticeMap, _ellipsoid_radii, chiral_transports,
+                                  intertwiner_space, search_relation,
+                                  spectrum_fingerprint, verify_map)
+from flattori.errors import BudgetExceededError, ValidationError
 from flattori.exactlinear import Q, RatMatrix
-from flattori.torus import (ChargeVector, TorusData, q_value, random_valid_torus,
-                            square_torus, zero_mode_momenta)
+from flattori.torus import (ChargeVector, TorusData, narain_form, q_value,
+                            random_valid_torus, square_torus, zero_mode_momenta)
 
 E1_SWAP = RatMatrix([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
 E1_SHEAR = RatMatrix([[1, 1], [0, 1]])
@@ -256,11 +255,77 @@ class TestHoistedFingerprint:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32), st.lists(st.integers(-1, 1), min_size=8, max_size=8))
     def test_d2_height_one_charges_match_zero_modes(self, seed, coords):
+        # the fingerprint reads both half-norms off the one Narain form:
+        # p^2/2 = (gamma^t N gamma - q)/2 and pbar^2/2 = (gamma^t N gamma + q)/2
         t = _random_torus_with_b(seed, 2)
-        p_form, pbar_form, den = _half_norm_forms(t)
-        z = zero_mode_momenta(t, ChargeVector(tuple(coords[:4]), tuple(coords[4:])))
-        assert Fraction(_quadratic(p_form, coords), den) == z.p2_half
-        assert Fraction(_quadratic(pbar_form, coords), den) == z.pbar2_half
+        c = ChargeVector(tuple(coords[:4]), tuple(coords[4:]))
+        norm = sum(x * y for x, y in zip(coords, narain_form(t).apply(coords)))
+        z = zero_mode_momenta(t, c)
+        assert z.p2_half == (norm - q_value(c)) / 2
+        assert z.pbar2_half == (norm + q_value(c)) / 2
+
+
+def _in_basis(t, u):
+    return TorusData(t.d, u.inverse() * t.I * u, u.transpose() * t.G * u,
+                     u.transpose() * t.B * u, "rebased")
+
+
+def _rebased(t, rng, steps=3):
+    """``t`` written in a random lattice basis: a product of elementary shears."""
+    n = t.rank
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        for k in range(n):
+            u[i][k] += c * u[j][k]
+    return _in_basis(t, RatMatrix(u))
+
+
+class TestNarainWindow:
+    @pytest.mark.parametrize("shear", [False, True], ids=["square1", "sheared1"])
+    def test_d1_windows_refute_iso_and_mirror(self, square1, stretched1, shear):
+        source = _in_basis(square1, E1_SHEAR) if shear else square1
+        for kind in ("iso", "mirror"):
+            # 4d (A^-1)_ii < 1: no nonzero lattice vector has Q <= 4d
+            basis = intertwiner_space(source, stretched1, kind)
+            assert max(_ellipsoid_radii(source, stretched1, basis)) < 1
+            out = search_relation(source, stretched1, kind, 1)
+            assert (out.found, out.exhausted, out.complete) == (False, True, True)
+        out = search_relation(source, stretched1, "derived_eq", 1)
+        assert (out.found, out.exhausted, out.complete) == (False, True, False)
+
+    def test_narain_form_inverse_is_conjugate_by_q(self, rng):
+        # N q N = q, so N^-1 = q N q and the Gram matrix needs no inversion of N
+        from flattori.torus import doubled
+        for _ in range(6):
+            t = random_valid_torus(rng, rng.choice((1, 2)), b_bound=3)
+            q, big_n = doubled(t).q, narain_form(t)
+            assert big_n * q * big_n == q
+
+    # Random basis changes of square tori and of random tori with B != 0:
+    # the rebased copy is related, so the search must never refute, and a
+    # certificate it finds has coordinates inside the ellipsoid's box.
+    @settings(max_examples=16, deadline=None)
+    @given(st.integers(0, 2 ** 32),
+           st.sampled_from([("square", 1, "iso"), ("square", 1, "mirror"),
+                            ("square", 2, "iso"), ("square", 2, "mirror"),
+                            ("random", 1, "iso"), ("random", 2, "iso")]))
+    def test_rebased_copies_are_never_refuted(self, seed, case):
+        family, d, kind = case
+        rng = random.Random(seed)
+        t1 = square_torus(d) if family == "square" else random_valid_torus(rng, d, b_bound=3)
+        t2 = _rebased(t1, rng)
+        try:
+            out = search_relation(t1, t2, kind, 3 - d, node_budget=20000)
+        except BudgetExceededError:
+            return
+        assert not out.complete
+        if out.found:
+            basis = intertwiner_space(t1, t2, kind)
+            coords = _coordinates_of(out.certificate.map.g, basis)
+            radii = _ellipsoid_radii(t1, t2, basis)
+            assert all(c * c <= r for c, r in zip(coords, radii))
 
 
 class TestChiralTransports:

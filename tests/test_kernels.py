@@ -191,3 +191,32 @@ def test_benchmark_trace_plan_resolves():
         for part in attr.split("."):
             target = getattr(target, part)
         assert callable(target), (span, modname, attr)
+
+
+def test_benchmark_oracle_reads_search_verdicts(capsys, monkeypatch, square1, stretched1,
+                                                torus_file):
+    # perfbench/oracle.py sorts check-* reports into found/refuted/open/fail;
+    # the benchmark's decided_frac counts its REFUTED and FOUND outcomes
+    from types import SimpleNamespace
+
+    from flattori import jsonio
+    from flattori.cli import main
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("oracle", ROOT / "perfbench" / "oracle.py")
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    a = torus_file(square1, "square1.json")
+    b = torus_file(stretched1, "stretched1.json")
+    source, target = (oracle.torus_from_json(jsonio.torus_to_json(t))
+                      for t in (square1, stretched1))
+
+    def outcome(command, kind, related):
+        rc = main([command, a, b])
+        captured = capsys.readouterr()
+        res = SimpleNamespace(rc=rc, stdout=captured.out, stderr=captured.err)
+        return oracle.search_outcome(res, kind, source, target, related)[0]
+
+    assert outcome("check-iso", "iso", related=False) == oracle.REFUTED
+    assert outcome("check-mirror", "mirror", related=False) == oracle.REFUTED
+    assert outcome("check-iso", "iso", related=True) == oracle.FAIL
+    assert outcome("check-derived-eq", "derived_eq", related=False) == oracle.OPEN
