@@ -144,27 +144,24 @@ def _search_command(command, kind, args, cfg):
     budget = _at_least_one("budget", _setting(args, cfg, "budget"))
     inputs = {"source": jsonio.torus_to_json(t1), "target": jsonio.torus_to_json(t2),
               "bound": bound}
-    try:
-        outcome = equivalence.search_relation(t1, t2, kind, bound, node_budget=budget)
-    except BudgetExceededError as exc:
-        _report_budget(exc)
-        result = {"found": False, "verdict": "undecided", "nodes": exc.nodes_used,
-                  "budget": exc.budget, "last_complete_height": exc.last_complete_height}
-        return _emit(command, inputs, result, 1)
+    outcome = equivalence.search_relation(t1, t2, kind, bound, node_budget=budget)
     if outcome.found:
         result = {"found": True,
                   "certificate": jsonio.certificate_to_json(outcome.certificate),
                   "nodes": outcome.nodes_used}
         return _emit(command, inputs, result, 0)
-    result = {"found": False, "verdict": "none within bound", "nodes": outcome.nodes_used}
-    if outcome.complete:
-        result.update(verdict="refuted",
-                      refuted_by="window contains every g with tr(N1^-1 g^t N2 g) = 4d")
+    result = {"found": False, "verdict": outcome.verdict, "nodes": outcome.nodes_used}
+    if outcome.verdict == "refuted":
+        result["refuted_by"] = "window contains every g with tr(N1^-1 g^t N2 g) = 4d"
+    elif outcome.verdict == "undecided":
+        _report_budget(f"search exhausted its node budget ({budget}) before covering "
+                       f"height {bound}", outcome.nodes_used, budget)
+        result.update(budget=budget, last_complete_height=outcome.last_complete_height)
     return _emit(command, inputs, result, 1)
 
 
-def _report_budget(exc):
-    print(f"budget exceeded: {exc} ({exc.nodes_used}/{exc.budget} nodes)", file=sys.stderr)
+def _report_budget(message, nodes_used, budget):
+    print(f"budget exceeded: {message} ({nodes_used}/{budget} nodes)", file=sys.stderr)
 
 
 def _cmd_check_iso(args, cfg):
@@ -196,7 +193,13 @@ def _cmd_mirror(args, cfg):
         s = parse_splitting(args.split, t.rank)
     else:
         bound = _at_least_one("split bound", _setting(args, cfg, "split_bound"))
-        s = tduality.find_lagrangian_splitting(t, bound)
+        try:
+            s = tduality.find_lagrangian_splitting(t, bound)
+        except BudgetExceededError as exc:
+            _report_budget(exc, exc.nodes_used, exc.budget)
+            return _emit("mirror", {"torus": jsonio.torus_to_json(t)},
+                         {"found": False, "verdict": "undecided", "nodes": exc.nodes_used,
+                          "budget": exc.budget}, 1)
         if s is None:
             return _emit("mirror", {"torus": jsonio.torus_to_json(t)},
                          {"found": False,
@@ -433,9 +436,6 @@ def main(argv=None) -> int:
         return args.handler(args, cfg)
     except (SchemaError, ValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
-        _report_budget(exc)
         return 2
     except FlatToriError as exc:
         print(f"error: {exc}", file=sys.stderr)

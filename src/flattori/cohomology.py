@@ -246,17 +246,13 @@ def beta_torsion(t: TorusData) -> BetaReport:
     basis = list(combinations(range(n), 2))
     bvec = [t.B.entries[i][j] for (i, j) in basis]
     bproj = proj02.apply([GaussRational.coerce(x) for x in bvec])
-    cols = []
-    for k in range(len(basis)):
-        unit = [GaussRational(1) if a == k else GaussRational(0) for a in range(len(basis))]
-        cols.append(proj02.apply(unit))
     rows = []
     rhs = []
-    for i in range(len(basis)):
-        rows.append([cols[k][i].re for k in range(len(basis))])
-        rhs.append(bproj[i].re)
-        rows.append([cols[k][i].im for k in range(len(basis))])
-        rhs.append(bproj[i].im)
+    for prow, x in zip(proj02.entries, bproj):
+        rows.append([e.re for e in prow])
+        rhs.append(x.re)
+        rows.append([e.im for e in prow])
+        rhs.append(x.im)
     sol = RatMatrix(rows).solve(rhs)
     return BetaReport(
         torsion=sol is not None,

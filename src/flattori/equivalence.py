@@ -16,7 +16,8 @@ quadratic q-congruence.  An ``iso`` or ``mirror`` certificate also
 preserves the Narain form N, so an exhausted window holding the whole
 ellipsoid ``tr(N_1^-1 g^t N_2 g) = 4d`` refutes the relation; otherwise (and
 always for ``derived_eq``, whose group is infinite) a search without a hit
-means only "none within bound".
+means only "none within bound", and one that spends its node budget first is
+"undecided".
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from operator import mul
 
 from . import kernels
 from ._intlat import integral_coordinate_lattice, pair_reduce
-from .errors import BudgetExceededError, DimensionError, ValidationError
+from .errors import DimensionError, ValidationError
 from .exactlinear import QZERO, RatMatrix
 from .kernels_py import completed_height
 from .torus import ChargeVector, TorusData, doubled, narain_form, q_value
@@ -177,17 +178,18 @@ def intertwiner_space(t1: TorusData, t2: TorusData, kind: str):
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """A certificate, a refutation (``complete``), or none-within-bound."""
+    """The verdict of a search: ``"found"`` (with its certificate), ``"refuted"``,
+    ``"none within bound"`` or ``"undecided"`` (the node budget ran out after
+    covering every height shell up to ``last_complete_height``)."""
 
-    certificate: Certificate | None
+    verdict: str
     nodes_used: int
-    bound: int
-    exhausted: bool
-    complete: bool = False
+    certificate: Certificate | None = None
+    last_complete_height: int | None = None
 
     @property
     def found(self) -> bool:
-        return self.certificate is not None
+        return self.verdict == "found"
 
 
 def _ellipsoid_radii(t1: TorusData, t2: TorusData, basis):
@@ -211,25 +213,18 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
 
     Enumerates integer coordinate vectors of max-norm at most ``coeff_bound``
     over the integral intertwiner basis, in the canonical candidate order
-    (height shell, then support size, then positions, then digits); the
-    first q-congruent candidate is returned as a verified certificate.
-
-    The q-congruence of all ``n(n+1)/2`` entries is tested at once, as one
-    exact integer quadratic form in the coordinates (Kronecker substitution
-    with a base W larger than twice any entry the window allows; see
-    :mod:`flattori.kernels_py`), evaluated incrementally along the canonical
-    order at O(1) amortised cost per candidate.  Every hit is re-checked
-    entry by entry with ``congruence_ok`` and then by :func:`verify_map`.
+    (height shell, then support size, then positions, then digits), with the
+    exact filter of :mod:`flattori.kernels_py`; the first q-congruent
+    candidate is returned as a verified certificate (verdict ``"found"``).
 
     An ``iso`` or ``mirror`` certificate preserves N as well as q, so it has
     ``tr(N_1^-1 g^t N_2 g) = 4d``; an exhausted window without a hit is
-    ``complete`` (a refutation) when it holds all of that ellipsoid, i.e.
+    ``"refuted"`` when it holds all of that ellipsoid, i.e.
     ``4d (A^-1)_ii < (coeff_bound + 1)^2`` (see :func:`_ellipsoid_radii`).
     ``derived_eq`` maps need not preserve N, so their search is never
-    complete.  Any other ``found=False`` outcome means only "none within
-    bound".  Exceeding the node budget raises :class:`BudgetExceededError`
-    with partial progress, including the last height shell the search
-    covered completely.
+    refuted.  Any other exhausted window is ``"none within bound"``.  A search
+    that spends ``node_budget`` first is ``"undecided"`` and records the last
+    height shell it covered completely.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
@@ -237,24 +232,19 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
     n = 4 * t1.d
     flat = [[int(m.entries[i][j]) for i in range(n) for j in range(n)] for m in basis]
     hits, nodes, exhausted = kernels.run_filter(flat, n, coeff_bound, node_budget, max_hits=1)
-    if not hits:
-        if not exhausted:
-            raise BudgetExceededError(
-                f"search exhausted its node budget ({node_budget}) before covering "
-                f"height {coeff_bound}", nodes, node_budget,
-                completed_height(len(flat), nodes))
-        complete = kind != "derived_eq" and all(
-            r < (coeff_bound + 1) ** 2 for r in _ellipsoid_radii(t1, t2, basis))
-        return SearchOutcome(None, nodes, coeff_bound, True, complete)
-    coords = hits[0]
-    g = None
-    for c, m in zip(coords, basis):
-        term = m.scale(c)
-        g = term if g is None else g + term
-    cert = verify_map(LatticeMap(g=g, source=t1, target=t2, kind=kind))
-    if not cert.valid:
-        raise AssertionError("search produced a non-verifying candidate (internal error)")
-    return SearchOutcome(cert, nodes, coeff_bound, False)
+    if hits:
+        g = sum((m.scale(c) for c, m in zip(hits[0], basis) if c), RatMatrix.zero(n, n))
+        cert = verify_map(LatticeMap(g=g, source=t1, target=t2, kind=kind))
+        if not cert.valid:
+            raise AssertionError("search produced a non-verifying candidate (internal error)")
+        return SearchOutcome("found", nodes, cert)
+    if not exhausted:
+        return SearchOutcome("undecided", nodes,
+                             last_complete_height=completed_height(len(flat), nodes))
+    if kind != "derived_eq" and all(
+            r < (coeff_bound + 1) ** 2 for r in _ellipsoid_radii(t1, t2, basis)):
+        return SearchOutcome("refuted", nodes)
+    return SearchOutcome("none within bound", nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -40,19 +40,16 @@ class RecoveryError(FlatToriError):
 
 
 class BudgetExceededError(FlatToriError):
-    """A bounded enumeration ran out of its node budget.
+    """The Lagrangian splitting search ran out of its node budget.
 
-    Carries partial progress so callers can report how far the search got:
-    the nodes used, the budget and, for an enumeration by height shells, the
-    last height whose shell was covered completely (0 if none; None when the
-    enumeration has no shells).
+    Carries the nodes used and the budget, so the caller can report how far
+    the search got.
     """
 
-    def __init__(self, message, nodes_used, budget, last_complete_height=None):
+    def __init__(self, message, nodes_used, budget):
         super().__init__(message)
         self.nodes_used = nodes_used
         self.budget = budget
-        self.last_complete_height = last_complete_height
 
 
 class TruncationError(FlatToriError):

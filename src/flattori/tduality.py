@@ -109,7 +109,8 @@ def find_lagrangian_splitting(t: TorusData, bound: int = 1,
     Depth-first over candidate columns in canonical order (A columns first,
     then B columns, both index-increasing), pruning non-isotropic and
     non-summand partial choices; returns the first splitting whose full
-    change of basis is unimodular, or None within the bound.
+    change of basis is unimodular, or None within the bound.  Running out of
+    ``node_budget`` raises :class:`BudgetExceededError`.
     """
     n = t.rank
     d = t.d
@@ -121,10 +122,8 @@ def find_lagrangian_splitting(t: TorusData, bound: int = 1,
         nonlocal nodes
         depth = len(chosen)
         if depth == 2 * d:
-            mat = RatMatrix([[col[i] for col in chosen] for i in range(n)])
-            if abs(mat.det()) == 1:
-                return list(chosen)
-            return None
+            # the last summand test saw the one maximal minor: |det| = 1
+            return list(chosen)
         in_b = depth >= d
         half = chosen[d:] if in_b else chosen[:d]
         lo = start if (depth != d) else 0  # B half restarts the index scan

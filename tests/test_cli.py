@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from flattori import equivalence, jsonio
+from flattori import cli, equivalence, jsonio
 from flattori.cli import main
 from flattori.exactlinear import Q, RatMatrix
 from flattori.torus import TorusData, square_torus
@@ -271,6 +271,18 @@ class TestMirrorCommand:
                              "--split", "1,0,0,0;0,1,0,0|0,0,1,0;0,0,0,1")
         assert code == 2  # halves are not isotropic -> validation error
 
+    def test_spent_splitting_budget_is_undecided(self, capsys, monkeypatch, square2_file):
+        search = cli.tduality.find_lagrangian_splitting
+        monkeypatch.setattr(cli.tduality, "find_lagrangian_splitting",
+                            lambda t, bound: search(t, bound, node_budget=3))
+        code, out, err = run(capsys, "mirror", "--torus", square2_file)
+        assert code == 1
+        data = report(out)
+        assert set(data["inputs"]) == {"torus"}
+        assert data["result"] == {"found": False, "verdict": "undecided", "nodes": 4,
+                                  "budget": 3}
+        assert err == "budget exceeded: splitting search budget exhausted (4/3 nodes)\n"
+
 
 class TestCohomologyCommands:
     def test_hodge(self, capsys, square2_file):
@@ -431,7 +443,24 @@ GOLDEN_STDOUT_SHA256 = {
 }
 
 
+# The sha256 of the stdout of a refuted and a none-within-bound report on
+# square1 vs stretched1, frozen from the code that signalled a spent budget by
+# an exception.
+GOLDEN_VERDICT_REPORTS = [
+    ("check-iso", "2", "bc3c4ac1adbdedb7fd7cd124bdd8c524463ed0e442c2603c7debd081c7dae871"),
+    ("check-derived-eq", "1", "9b342b6fc3feb629cf4a126221bc02eafc384e79949dd4ec17d4c988c7f9bf7a"),
+]
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("command, bound, sha256", GOLDEN_VERDICT_REPORTS,
+                             ids=["iso-refuted", "derived-none-within-bound"])
+    def test_golden_verdict_reports(self, capsys, square_file, stretched_file,
+                                    command, bound, sha256):
+        code, out, err = run(capsys, command, square_file, stretched_file, "--bound", bound)
+        assert (code, err) == (1, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
     @pytest.mark.parametrize("command, extra", [("doubled", []), ("spectrum", ["--height", "1"])],
                              ids=["doubled", "spectrum-height1"])
     def test_golden_reports_with_b_field(self, capsys, tmp_path, command, extra):
