@@ -1,91 +1,91 @@
-"""Integer-lattice helpers: integer kernels, saturation, and LLL size reduction.
+"""Integer-lattice helpers: integer kernels, saturation, and pairwise size
+reduction.
 
 These support the certificate search: the rational solution space of the
 intertwining constraints is turned into a basis of the full lattice of
 *integral* solutions, then reduced so that natural certificates tend to have
-small, sparse coordinates.
+small, sparse coordinates.  Everything here is pure integer arithmetic; one
+column reduction (:func:`column_pivots`) answers every rank, kernel and
+primitivity question.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import gcd
 
-from .exactlinear import RatMatrix
+def column_pivots(work, trans=()):
+    """Column-reduce the integer rows of ``work`` in place; return the pivots.
 
-
-def spans_direct_summand(columns, n):
-    """True iff the integer columns span a direct summand of ``Z^n``.
-
-    That is, the gcd of their maximal minors is 1 (a primitive sublattice).
+    Row by row, unimodular column operations gcd-reduce the entries from the
+    next pivot column on into it (HNF-style): pivot j lands in column j with
+    zeros to its right, and every column past the last pivot ends up zero,
+    so the number of pivots is the rank.  Each operation is mirrored on the
+    rows of ``trans`` (an identity matrix there accumulates the transform).
     """
-    k = len(columns)
-    g = 0
-    for rows in combinations(range(n), k):
-        minor = RatMatrix([[columns[j][i] for j in range(k)] for i in rows]).det()
-        g = gcd(g, int(minor))
-        if g == 1:
-            return True
-    return False
+    rows = [*work, *trans]
+    n = len(work[0]) if work else 0
+
+    def addmul_col(dst, src, f):
+        for row in rows:
+            row[dst] += f * row[src]
+
+    def swap_col(a, b):
+        for row in rows:
+            row[a], row[b] = row[b], row[a]
+
+    pivots = []
+    for row in work:
+        c = len(pivots)
+        if c == n:
+            break
+        # find a column with a nonzero entry in this row at position >= c
+        nz = [j for j in range(c, n) if row[j] != 0]
+        if not nz:
+            continue
+        # gcd-reduce the nonzero entries of the row into column c
+        j0 = min(nz, key=lambda j: abs(row[j]))
+        swap_col(c, j0)
+        while True:
+            nz = [j for j in range(c + 1, n) if row[j] != 0]
+            if not nz:
+                break
+            for j in nz:
+                q = row[j] // row[c]
+                addmul_col(j, c, -q)
+            nz = [j for j in range(c + 1, n) if row[j] != 0]
+            if nz:
+                j0 = min(nz, key=lambda j: abs(row[j]))
+                swap_col(c, j0)
+        pivots.append(row[c])
+    return pivots
+
+
+def spans_direct_summand(vectors):
+    """True iff the k integer vectors span a direct summand of ``Z^n``.
+
+    That is, the gcd of the maximal minors of the matrix with these rows is
+    1.  Column operations keep that gcd, and when the vectors are independent
+    :func:`column_pivots` leaves ``[L | 0]`` with L lower triangular, whose
+    one nonzero maximal minor is the product of the pivots.  So the test is:
+    one pivot per vector, and every pivot is +-1.
+    """
+    pivots = column_pivots([list(v) for v in vectors])
+    return len(pivots) == len(vectors) and all(abs(p) == 1 for p in pivots)
 
 
 def integer_kernel(rows):
     """Basis of ``{x in Z^n : A x = 0}`` for an integer matrix given by rows.
 
     Column-reduction (HNF-style) on an identity-augmented matrix; the
-    returned basis generates the full (saturated) integer kernel.
+    columns of the transform past the pivots generate the full (saturated)
+    integer kernel.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
-        raise ValueError("need at least one row to fix the ambient dimension")
-    n = len(rows[0])
     work = [list(r) for r in rows]
+    if not work:
+        raise ValueError("need at least one row to fix the ambient dimension")
+    n = len(work[0])
     trans = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # columns of U
-
-    def addmul_col(dst, src, f):
-        for i in range(len(work)):
-            work[i][dst] += f * work[i][src]
-        for i in range(n):
-            trans[i][dst] += f * trans[i][src]
-
-    def swap_col(a, b):
-        for i in range(len(work)):
-            work[i][a], work[i][b] = work[i][b], work[i][a]
-        for i in range(n):
-            trans[i][a], trans[i][b] = trans[i][b], trans[i][a]
-
-    r = 0  # next pivot row
-    c = 0  # next pivot column
-    m = len(work)
-    while r < m and c < n:
-        # find a column with a nonzero entry in row r at position >= c
-        nz = [j for j in range(c, n) if work[r][j] != 0]
-        if not nz:
-            r += 1
-            continue
-        # gcd-reduce the nonzero entries of row r into column c
-        j0 = min(nz, key=lambda j: abs(work[r][j]))
-        swap_col(c, j0)
-        while True:
-            nz = [j for j in range(c + 1, n) if work[r][j] != 0]
-            if not nz:
-                break
-            for j in nz:
-                q = work[r][j] // work[r][c]
-                addmul_col(j, c, -q)
-            nz = [j for j in range(c + 1, n) if work[r][j] != 0]
-            if nz:
-                j0 = min(nz, key=lambda j: abs(work[r][j]))
-                swap_col(c, j0)
-        r += 1
-        c += 1
-    kernel = []
-    for j in range(c, n):
-        column = [trans[i][j] for i in range(n)]
-        if any(work[i][j] for i in range(m)):
-            continue
-        kernel.append(column)
-    return kernel
+    rank = len(column_pivots(work, trans))
+    return [[row[j] for row in trans] for j in range(rank, n)]
 
 
 def integral_coordinate_lattice(coord_rows, denominator):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._intlat import spans_direct_summand
+from ._intlat import column_pivots
 from .errors import DimensionError, InconsistencyError, ValidationError
 from .exactlinear import (GAUSS_I, GaussRational, ExtElement, RatMatrix,
                           apply_linear, wedge)
@@ -68,9 +68,10 @@ class AffineBrane:
 
 def _require_structural(b: AffineBrane):
     require_valid(b.torus)
-    if b.direction_matrix().rank() != b.r:
+    pivots = column_pivots([list(v) for v in b.y_basis])
+    if len(pivots) != b.r:
         raise ValidationError("brane directions are linearly dependent")
-    if not spans_direct_summand(b.y_basis, b.torus.rank):
+    if any(abs(p) != 1 for p in pivots):
         raise ValidationError("brane directions do not span a primitive sublattice")
 
 

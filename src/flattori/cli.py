@@ -14,31 +14,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
+from math import comb
 
 from . import abranes, cohomology, equivalence, fock, jsonio, tduality
 from .errors import (BudgetExceededError, FlatToriError, RecoveryError,
                      SchemaError, ValidationError)
 from .exactlinear import rat_str
 from .torus import doubled, narain_form, omega, require_valid, validate
-
-CLAIM_IDS = {
-    "validate": "flat-torus-data-invariants",
-    "doubled": "doubled-lattice-structures",
-    "spectrum": "zero-mode-spectrum-invariants",
-    "check-iso": "scft-isomorphism-lattice-criterion",
-    "check-mirror": "mirror-symmetry-lattice-criterion",
-    "check-derived-eq": "derived-equivalence-lattice-criterion",
-    "verify-map": "lattice-map-verification",
-    "mirror": "tduality-mirror-construction",
-    "hodge": "hodge-diamond-ranks",
-    "pp-classes": "rational-pp-classes",
-    "lefschetz": "middle-degree-lefschetz-kernel",
-    "fm": "duality-cohomology-transport",
-    "check-mirror-class": "mirror-class-condition",
-    "beta": "bfield-brauer-torsion",
-    "abrane-check": "coisotropic-brane-conditions",
-    "fock-verify": "oscillator-algebra-relations",
-}
 
 DEFAULTS = {
     "bound": 2,
@@ -47,12 +30,12 @@ DEFAULTS = {
 }
 
 
-def _emit(command, inputs, result, code):
+def _emit(args, inputs, result, code):
     report = {
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
         "result": result,
-        "paper_ref": CLAIM_IDS[command],
+        "paper_ref": args.claim,
     }
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return code
@@ -108,8 +91,7 @@ def _cmd_validate(args, cfg):
     report = validate(t)
     result = {"ok": report.ok,
               "checks": [{"name": c.name, "ok": c.ok} for c in report.checks]}
-    return _emit("validate", {"torus": jsonio.torus_to_json(t)}, result,
-                 0 if report.ok else 1)
+    return _emit(args, {"torus": jsonio.torus_to_json(t)}, result, 0 if report.ok else 1)
 
 
 def _cmd_doubled(args, cfg):
@@ -124,7 +106,7 @@ def _cmd_doubled(args, cfg):
         "omega": jsonio.matrix_to_json(omega(t)),
         "narain_form": jsonio.matrix_to_json(narain_form(t)),
     }
-    return _emit("doubled", {"torus": jsonio.torus_to_json(t)}, result, 0)
+    return _emit(args, {"torus": jsonio.torus_to_json(t)}, result, 0)
 
 
 def _cmd_spectrum(args, cfg):
@@ -134,10 +116,10 @@ def _cmd_spectrum(args, cfg):
     fp = equivalence.spectrum_fingerprint(t, args.height)
     result = {"height": args.height,
               "triples": [[rat_str(x) for x in triple] for triple in fp]}
-    return _emit("spectrum", {"torus": jsonio.torus_to_json(t)}, result, 0)
+    return _emit(args, {"torus": jsonio.torus_to_json(t)}, result, 0)
 
 
-def _search_command(command, kind, args, cfg):
+def _search_command(kind, args, cfg):
     t1 = jsonio.load_torus(args.source)
     t2 = jsonio.load_torus(args.target)
     bound = _at_least_one("bound", _setting(args, cfg, "bound"))
@@ -149,7 +131,7 @@ def _search_command(command, kind, args, cfg):
         result = {"found": True,
                   "certificate": jsonio.certificate_to_json(outcome.certificate),
                   "nodes": outcome.nodes_used}
-        return _emit(command, inputs, result, 0)
+        return _emit(args, inputs, result, 0)
     result = {"found": False, "verdict": outcome.verdict, "nodes": outcome.nodes_used}
     if outcome.verdict == "refuted":
         result["refuted_by"] = "window contains every g with tr(N1^-1 g^t N2 g) = 4d"
@@ -157,23 +139,11 @@ def _search_command(command, kind, args, cfg):
         _report_budget(f"search exhausted its node budget ({budget}) before covering "
                        f"height {bound}", outcome.nodes_used, budget)
         result.update(budget=budget, last_complete_height=outcome.last_complete_height)
-    return _emit(command, inputs, result, 1)
+    return _emit(args, inputs, result, 1)
 
 
 def _report_budget(message, nodes_used, budget):
     print(f"budget exceeded: {message} ({nodes_used}/{budget} nodes)", file=sys.stderr)
-
-
-def _cmd_check_iso(args, cfg):
-    return _search_command("check-iso", "iso", args, cfg)
-
-
-def _cmd_check_mirror(args, cfg):
-    return _search_command("check-mirror", "mirror", args, cfg)
-
-
-def _cmd_check_derived(args, cfg):
-    return _search_command("check-derived-eq", "derived_eq", args, cfg)
 
 
 def _cmd_verify_map(args, cfg):
@@ -183,12 +153,12 @@ def _cmd_verify_map(args, cfg):
               "certificate": jsonio.certificate_to_json(cert)}
     if not cert.valid:
         result["refuting_check"] = cert.first_failure
-    return _emit("verify-map", {"map": args.map, "kind": m.kind}, result,
-                 0 if cert.valid else 1)
+    return _emit(args, {"map": args.map, "kind": m.kind}, result, 0 if cert.valid else 1)
 
 
 def _cmd_mirror(args, cfg):
     t = jsonio.load_torus(args.torus)
+    inputs = {"torus": jsonio.torus_to_json(t)}
     if args.split:
         s = parse_splitting(args.split, t.rank)
     else:
@@ -197,20 +167,16 @@ def _cmd_mirror(args, cfg):
             s = tduality.find_lagrangian_splitting(t, bound)
         except BudgetExceededError as exc:
             _report_budget(exc, exc.nodes_used, exc.budget)
-            return _emit("mirror", {"torus": jsonio.torus_to_json(t)},
-                         {"found": False, "verdict": "undecided", "nodes": exc.nodes_used,
-                          "budget": exc.budget}, 1)
+            return _emit(args, inputs, {"found": False, "verdict": "undecided",
+                                        "nodes": exc.nodes_used, "budget": exc.budget}, 1)
         if s is None:
-            return _emit("mirror", {"torus": jsonio.torus_to_json(t)},
-                         {"found": False,
-                          "verdict": f"no Lagrangian splitting within height {bound}"}, 1)
-    inputs = {"torus": jsonio.torus_to_json(t),
-              "split": {"A": [list(v) for v in s.a_basis],
-                        "B": [list(v) for v in s.b_basis]}}
+            return _emit(args, inputs, {
+                "found": False, "verdict": f"no Lagrangian splitting within height {bound}"}, 1)
+    inputs["split"] = {"A": [list(v) for v in s.a_basis], "B": [list(v) for v in s.b_basis]}
     try:
         mr = tduality.mirror_via_tduality(t, s)
     except RecoveryError as exc:
-        return _emit("mirror", inputs,
+        return _emit(args, inputs,
                      {"found": False, "verdict": "recovery failed", "block": exc.block}, 1)
     result = {
         "found": True,
@@ -227,14 +193,14 @@ def _cmd_mirror(args, cfg):
             json.dump(jsonio.certificate_to_json(mr.duality_certificate), fh,
                       sort_keys=True, indent=2)
             fh.write("\n")
-    return _emit("mirror", inputs, result, 0)
+    return _emit(args, inputs, result, 0)
 
 
 def _cmd_hodge(args, cfg):
     t = jsonio.load_torus(args.torus)
     hd = cohomology.hodge_diamond(t)
     result = {"d": hd.d, "h": [list(row) for row in hd.h]}
-    return _emit("hodge", {"torus": jsonio.torus_to_json(t)}, result, 0)
+    return _emit(args, {"torus": jsonio.torus_to_json(t)}, result, 0)
 
 
 def _cmd_pp_classes(args, cfg):
@@ -242,16 +208,15 @@ def _cmd_pp_classes(args, cfg):
     classes = cohomology.rational_pp_classes(t, args.p)
     result = {"p": args.p, "dimension": len(classes),
               "basis": [jsonio.class_to_json(c.element) for c in classes]}
-    return _emit("pp-classes", {"torus": jsonio.torus_to_json(t)}, result, 0)
+    return _emit(args, {"torus": jsonio.torus_to_json(t)}, result, 0)
 
 
 def _cmd_lefschetz(args, cfg):
     t = jsonio.load_torus(args.torus)
     dim = cohomology.lefschetz_kernel_dim(t)
-    from math import comb
     result = {"kernel_dimension": dim,
-              "expected": comb(2 * t.d, t.d) - (comb(2 * t.d, t.d + 2) if t.d >= 1 else 0)}
-    return _emit("lefschetz", {"torus": jsonio.torus_to_json(t)}, result, 0)
+              "expected": comb(2 * t.d, t.d) - comb(2 * t.d, t.d + 2)}
+    return _emit(args, {"torus": jsonio.torus_to_json(t)}, result, 0)
 
 
 def _cmd_fm(args, cfg):
@@ -265,7 +230,7 @@ def _cmd_fm(args, cfg):
               "mirror": jsonio.torus_to_json(image.torus)}
     inputs = {"torus": jsonio.torus_to_json(t), "class": jsonio.class_to_json(element),
               "split": args.split}
-    return _emit("fm", inputs, result, 0)
+    return _emit(args, inputs, result, 0)
 
 
 def _cmd_check_mirror_class(args, cfg):
@@ -274,7 +239,7 @@ def _cmd_check_mirror_class(args, cfg):
     alpha = cohomology.CohClass(t, element)
     ok = cohomology.mirror_class_condition(t, alpha)
     inputs = {"torus": jsonio.torus_to_json(t), "class": jsonio.class_to_json(element)}
-    return _emit("check-mirror-class", inputs, {"satisfied": ok}, 0 if ok else 1)
+    return _emit(args, inputs, {"satisfied": ok}, 0 if ok else 1)
 
 
 def _cmd_beta(args, cfg):
@@ -286,8 +251,7 @@ def _cmd_beta(args, cfg):
         "projection_02": [jsonio.gauss_to_json(x) for x in rep.projection],
         "membership_solution": [rat_str(x) for x in rep.membership_solution],
     }
-    return _emit("beta", {"torus": jsonio.torus_to_json(t)}, result,
-                 0 if rep.torsion else 1)
+    return _emit(args, {"torus": jsonio.torus_to_json(t)}, result, 0 if rep.torsion else 1)
 
 
 def _cmd_abrane_check(args, cfg):
@@ -317,8 +281,7 @@ def _cmd_abrane_check(args, cfg):
         }
     else:
         result["rejection"] = rep.rejection
-    return _emit("abrane-check", {"brane": args.brane}, result,
-                 0 if rep.accepted else 1)
+    return _emit(args, {"brane": args.brane}, result, 0 if rep.accepted else 1)
 
 
 def _cmd_fock_verify(args, cfg):
@@ -350,7 +313,7 @@ def _cmd_fock_verify(args, cfg):
               "pass": passes, "fail": fails, "inconclusive": inconclusive,
               "checks": rows}
     inputs.update(d=d, cap=str(cap))
-    return _emit("fock-verify", inputs, result, 0 if fails == 0 else 1)
+    return _emit(args, inputs, result, 0 if fails == 0 else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -363,29 +326,31 @@ def build_parser():
     top.add_argument("--config", help="JSON sidecar with bound/budget defaults")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, configure):
+    def add(name, claim, handler, configure):
         p = sub.add_parser(name)
         configure(p)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, claim=claim)
 
-    add("validate", _cmd_validate, lambda p: p.add_argument("torus"))
-    add("doubled", _cmd_doubled, lambda p: p.add_argument("torus"))
+    add("validate", "flat-torus-data-invariants", _cmd_validate, lambda p: p.add_argument("torus"))
+    add("doubled", "doubled-lattice-structures", _cmd_doubled, lambda p: p.add_argument("torus"))
 
     def spectrum_args(p):
         p.add_argument("torus")
         p.add_argument("--height", type=int, default=1)
-    add("spectrum", _cmd_spectrum, spectrum_args)
+    add("spectrum", "zero-mode-spectrum-invariants", _cmd_spectrum, spectrum_args)
 
     def search_args(p):
         p.add_argument("source")
         p.add_argument("target")
         p.add_argument("--bound", type=int, default=None)
         p.add_argument("--budget", type=int, default=None)
-    add("check-iso", _cmd_check_iso, search_args)
-    add("check-mirror", _cmd_check_mirror, search_args)
-    add("check-derived-eq", _cmd_check_derived, search_args)
+    for name, kind, claim in (
+            ("check-iso", "iso", "scft-isomorphism-lattice-criterion"),
+            ("check-mirror", "mirror", "mirror-symmetry-lattice-criterion"),
+            ("check-derived-eq", "derived_eq", "derived-equivalence-lattice-criterion")):
+        add(name, claim, partial(_search_command, kind), search_args)
 
-    add("verify-map", _cmd_verify_map, lambda p: p.add_argument("map"))
+    add("verify-map", "lattice-map-verification", _cmd_verify_map, lambda p: p.add_argument("map"))
 
     def mirror_args(p):
         p.add_argument("--torus", required=True)
@@ -393,37 +358,38 @@ def build_parser():
         p.add_argument("--split-bound", type=int, default=None)
         p.add_argument("--out-torus", default=None)
         p.add_argument("--out-cert", default=None)
-    add("mirror", _cmd_mirror, mirror_args)
+    add("mirror", "tduality-mirror-construction", _cmd_mirror, mirror_args)
 
-    add("hodge", _cmd_hodge, lambda p: p.add_argument("torus"))
+    add("hodge", "hodge-diamond-ranks", _cmd_hodge, lambda p: p.add_argument("torus"))
 
     def pp_args(p):
         p.add_argument("torus")
         p.add_argument("--p", type=int, required=True)
-    add("pp-classes", _cmd_pp_classes, pp_args)
+    add("pp-classes", "rational-pp-classes", _cmd_pp_classes, pp_args)
 
-    add("lefschetz", _cmd_lefschetz, lambda p: p.add_argument("torus"))
+    add("lefschetz", "middle-degree-lefschetz-kernel", _cmd_lefschetz,
+        lambda p: p.add_argument("torus"))
 
     def fm_args(p):
         p.add_argument("--torus", required=True)
         p.add_argument("--split", required=True)
         p.add_argument("--class", dest="cls", required=True)
-    add("fm", _cmd_fm, fm_args)
+    add("fm", "duality-cohomology-transport", _cmd_fm, fm_args)
 
     def cmc_args(p):
         p.add_argument("--torus", required=True)
         p.add_argument("--class", dest="cls", required=True)
-    add("check-mirror-class", _cmd_check_mirror_class, cmc_args)
+    add("check-mirror-class", "mirror-class-condition", _cmd_check_mirror_class, cmc_args)
 
-    add("beta", _cmd_beta, lambda p: p.add_argument("torus"))
-    add("abrane-check", _cmd_abrane_check,
+    add("beta", "bfield-brauer-torsion", _cmd_beta, lambda p: p.add_argument("torus"))
+    add("abrane-check", "coisotropic-brane-conditions", _cmd_abrane_check,
         lambda p: p.add_argument("--brane", required=True))
 
     def fock_args(p):
         p.add_argument("--d", type=int, default=None)
         p.add_argument("--cap", default="2")
         p.add_argument("--torus", default=None)
-    add("fock-verify", _cmd_fock_verify, fock_args)
+    add("fock-verify", "oscillator-algebra-relations", _cmd_fock_verify, fock_args)
 
     return top
 

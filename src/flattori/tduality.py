@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import lcm
 
 from ._intlat import spans_direct_summand
 from .equivalence import Certificate, LatticeMap, verify_map
@@ -53,21 +54,36 @@ def splitting_report(t: TorusData, s: LagrangianSplitting):
     checks.append(("shape", shape_ok))
     if not shape_ok:
         return checks
-    w = omega(t)
-    det = s.change_of_basis.det()
-    checks.append(("unimodular", abs(det) == 1))
+    checks.append(("unimodular", spans_direct_summand(s.a_basis + s.b_basis)))
+    w = _integral_omega(t)
 
     def isotropic(vectors):
-        return all(_pairing(w, u, v) == 0 for i, u in enumerate(vectors) for v in vectors[i + 1:])
+        return all(_dot(u, _image(w, v)) == 0
+                   for i, u in enumerate(vectors) for v in vectors[i + 1:])
 
     checks.append(("A_isotropic", isotropic(s.a_basis)))
     checks.append(("B_isotropic", isotropic(s.b_basis)))
     return checks
 
 
-def _pairing(w: RatMatrix, u, v):
-    """The form ``w`` on two integer vectors: ``u^t w v``."""
-    return sum(x * y for x, y in zip(u, w.apply(v)))
+def _integral_omega(t: TorusData):
+    """The rows of omega times the lcm of its denominators.
+
+    Scaling keeps every isotropy question, and turns each pairing
+    ``u^t omega v`` of integer vectors into an integer dot product.
+    """
+    rows = omega(t).entries
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * den) for x in row] for row in rows]
+
+
+def _image(w, v):
+    """``w v`` for integer rows ``w`` and an integer vector ``v``."""
+    return tuple(_dot(row, v) for row in w)
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
 
 
 def require_splitting(t: TorusData, s: LagrangianSplitting):
@@ -109,13 +125,15 @@ def find_lagrangian_splitting(t: TorusData, bound: int = 1,
     Depth-first over candidate columns in canonical order (A columns first,
     then B columns, both index-increasing), pruning non-isotropic and
     non-summand partial choices; returns the first splitting whose full
-    change of basis is unimodular, or None within the bound.  Running out of
-    ``node_budget`` raises :class:`BudgetExceededError`.
+    change of basis is unimodular, or None within the bound.  Each candidate
+    is paired with the integral omega through its image, computed once.
+    Running out of ``node_budget`` raises :class:`BudgetExceededError` with
+    ``nodes_used == node_budget``.
     """
-    n = t.rank
     d = t.d
-    w = omega(t)
-    vecs = _candidate_vectors(n, bound)
+    w = _integral_omega(t)
+    vecs = _candidate_vectors(t.rank, bound)
+    images = [_image(w, v) for v in vecs]
     nodes = 0
 
     def extend(chosen, start):
@@ -128,15 +146,15 @@ def find_lagrangian_splitting(t: TorusData, bound: int = 1,
         half = chosen[d:] if in_b else chosen[:d]
         lo = start if (depth != d) else 0  # B half restarts the index scan
         for idx in range(lo, len(vecs)):
-            v = vecs[idx]
-            nodes += 1
-            if nodes > node_budget:
+            if nodes == node_budget:
                 raise BudgetExceededError("splitting search budget exhausted",
                                           nodes, node_budget)
-            if any(_pairing(w, u, v) != 0 for u in half):
+            nodes += 1
+            wv = images[idx]
+            if any(_dot(u, wv) for u in half):
                 continue
-            cand = chosen + [v]
-            if not spans_direct_summand(cand, n):
+            cand = chosen + [vecs[idx]]
+            if not spans_direct_summand(cand):
                 continue
             got = extend(cand, idx + 1)
             if got is not None:

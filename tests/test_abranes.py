@@ -133,9 +133,16 @@ class TestCheckAbrane:
             assert first.rejection == second.rejection
 
     def test_imprimitive_basis_rejected(self, t4):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="do not span a primitive sublattice"):
             check_abrane(AffineBrane(t4, ((2, 0, 0, 0), (0, 1, 0, 0)),
                                      RatMatrix.zero(2, 2)))
+
+    @pytest.mark.parametrize("y", [((1, 0, 0, 0), (2, 0, 0, 0)),
+                                   ((1, 1, 0, 0), (0, 1, 1, 0), (1, 2, 1, 0))])
+    def test_dependent_basis_rejected(self, t4, y):
+        # dependence is reported first, though these also span no primitive sublattice
+        with pytest.raises(ValidationError, match="linearly dependent"):
+            check_abrane(AffineBrane(t4, y, RatMatrix.zero(len(y), len(y))))
 
 
 class TestWedgeCharacterization:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: every subcommand, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 
@@ -279,9 +280,9 @@ class TestMirrorCommand:
         assert code == 1
         data = report(out)
         assert set(data["inputs"]) == {"torus"}
-        assert data["result"] == {"found": False, "verdict": "undecided", "nodes": 4,
+        assert data["result"] == {"found": False, "verdict": "undecided", "nodes": 3,
                                   "budget": 3}
-        assert err == "budget exceeded: splitting search budget exhausted (4/3 nodes)\n"
+        assert err == "budget exceeded: splitting search budget exhausted (3/3 nodes)\n"
 
 
 class TestCohomologyCommands:
@@ -452,7 +453,42 @@ GOLDEN_VERDICT_REPORTS = [
 ]
 
 
+# Each command's minimal argv and the paper_ref its reports carry, frozen
+# from the table the parser used to look claims up in.
+PAPER_REFS = {
+    "validate": (["T"], "flat-torus-data-invariants"),
+    "doubled": (["T"], "doubled-lattice-structures"),
+    "spectrum": (["T"], "zero-mode-spectrum-invariants"),
+    "check-iso": (["S", "T"], "scft-isomorphism-lattice-criterion"),
+    "check-mirror": (["S", "T"], "mirror-symmetry-lattice-criterion"),
+    "check-derived-eq": (["S", "T"], "derived-equivalence-lattice-criterion"),
+    "verify-map": (["M"], "lattice-map-verification"),
+    "mirror": (["--torus", "T"], "tduality-mirror-construction"),
+    "hodge": (["T"], "hodge-diamond-ranks"),
+    "pp-classes": (["T", "--p", "1"], "rational-pp-classes"),
+    "lefschetz": (["T"], "middle-degree-lefschetz-kernel"),
+    "fm": (["--torus", "T", "--split", "S", "--class", "C"], "duality-cohomology-transport"),
+    "check-mirror-class": (["--torus", "T", "--class", "C"], "mirror-class-condition"),
+    "beta": (["T"], "bfield-brauer-torsion"),
+    "abrane-check": (["--brane", "B"], "coisotropic-brane-conditions"),
+    "fock-verify": ([], "oscillator-algebra-relations"),
+}
+
+
 class TestDeterminism:
+    def test_every_command_is_registered_with_its_claim(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(PAPER_REFS)
+
+    @pytest.mark.parametrize("command", sorted(PAPER_REFS))
+    def test_reports_cite_the_paper_claim(self, capsys, command):
+        argv, claim = PAPER_REFS[command]
+        args = cli.build_parser().parse_args([command, *argv])
+        assert cli._emit(args, {}, {}, 0) == 0
+        data = report(capsys.readouterr().out)
+        assert (data["command"], data["paper_ref"]) == (command, claim)
+
     @pytest.mark.parametrize("command, bound, sha256", GOLDEN_VERDICT_REPORTS,
                              ids=["iso-refuted", "derived-none-within-bound"])
     def test_golden_verdict_reports(self, capsys, square_file, stretched_file,

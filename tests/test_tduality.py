@@ -1,14 +1,27 @@
 """T-duality: splittings, the mirror construction, and round trips."""
 
+import random
+
 import pytest
 
 from flattori.equivalence import search_relation, verify_map
-from flattori.errors import ValidationError
+from flattori.errors import BudgetExceededError, ValidationError
 from flattori.exactlinear import Q, RatMatrix
 from flattori.tduality import (LagrangianSplitting, dual_splitting,
                                find_lagrangian_splitting, mirror_via_tduality,
                                splitting_report)
-from flattori.torus import TorusData, omega, square_torus, validate
+from flattori.torus import TorusData, omega, random_valid_torus, square_torus, validate
+
+# (d, seed) -> the splitting found at bound 1 on
+# random_valid_torus(random.Random(seed), d, steps=10, scale_bound=5), frozen
+# from the search that paired candidates through rational omega.
+FROZEN_SPLITTINGS = {
+    (2, 1): (((0, 1, 0, 0), (0, 0, 1, -1)), ((0, 1, 0, 1), (1, -1, 0, 1))),
+    (3, 6): (((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, -1, 1), (0, 1, -1, 0, 1, 0)),
+             ((0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0))),
+    (3, 7): (((0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0)),
+             ((0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 1, 0), (1, 0, 0, -1, -1, 0))),
+}
 
 
 class TestFindSplitting:
@@ -27,6 +40,30 @@ class TestFindSplitting:
                       RatMatrix.zero(2, 2))
         s = find_lagrangian_splitting(t, 1)
         assert s is not None
+
+    @pytest.mark.parametrize("d, seed", sorted(FROZEN_SPLITTINGS))
+    def test_search_order_is_frozen(self, d, seed):
+        t = random_valid_torus(random.Random(seed), d, steps=10, scale_bound=5)
+        s = find_lagrangian_splitting(t, 1)
+        assert (s.a_basis, s.b_basis) == FROZEN_SPLITTINGS[d, seed]
+        assert all(ok for _, ok in splitting_report(t, s))
+
+    def test_spent_budget_counts_only_examined_nodes(self):
+        # a d=3 torus with no splitting among the first 10^6 nodes
+        rng = random.Random(3)
+        rng.choice([2, 3])
+        random_valid_torus(rng, 2, steps=10, scale_bound=5)
+        rng.choice([2, 3])
+        t = random_valid_torus(rng, 3, steps=10, scale_bound=5)
+        with pytest.raises(BudgetExceededError) as exc:
+            find_lagrangian_splitting(t, 1, node_budget=2000)
+        assert (exc.value.nodes_used, exc.value.budget) == (2000, 2000)
+
+    @pytest.mark.parametrize("a, b", [([(1, 1)], [(1, -1)]), ([(1, 0)], [(0, 2)])])
+    def test_reports_non_unimodular_splitting(self, square1, a, b):
+        names = dict(splitting_report(square1, LagrangianSplitting.from_vectors(a, b)))
+        assert names == {"shape": True, "unimodular": False,
+                         "A_isotropic": True, "B_isotropic": True}
 
     def test_reports_check_isotropy(self, square2):
         bad = LagrangianSplitting.from_vectors(
