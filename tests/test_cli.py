@@ -453,6 +453,24 @@ GOLDEN_VERDICT_REPORTS = [
 ]
 
 
+# The sha256 of the stdout of `mirror --torus` on the square tori and the T4
+# of the brane example, frozen from the depth-first splitting search that
+# the symplectic-basis construction replaced.
+GOLDEN_MIRROR_SHA256 = {
+    "square1": "418c4c88726047a9e9fc7ffa4ad573e6863222236535280df5160deb8f5e40ce",
+    "square2": "a0b64d1cdf896211e12c6102ad62d895d4b4e354f7a8038890a7b3aa96888c9a",
+    "square3": "ccca4cd00be13e45d7721369bf479623ec1ac4b75d1842d923edde550c6a41cb",
+    "T4": "e5b165b2340c6ec85b0f63b1621561c43c224526bcc1ef0b98a407a97d5a56e2",
+}
+
+
+def golden_mirror_torus(name):
+    if name == "T4":
+        i = RatMatrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+        return TorusData(2, i, RatMatrix.identity(4), RatMatrix.zero(4, 4), "T4")
+    return square_torus(int(name[-1]), name)
+
+
 # Each command's minimal argv and the paper_ref its reports carry, frozen
 # from the table the parser used to look claims up in.
 PAPER_REFS = {
@@ -514,6 +532,13 @@ class TestDeterminism:
         code, out, _ = run(capsys, command, source, target, "--bound", "1")
         assert code == 0
         assert report(out)["result"]["certificate"]["g"] == g
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_MIRROR_SHA256))
+    def test_golden_mirror_reports(self, capsys, torus_file, name):
+        path = torus_file(golden_mirror_torus(name), f"{name}.json")
+        code, out, err = run(capsys, "mirror", "--torus", path)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_MIRROR_SHA256[name]
 
     def test_reports_are_byte_stable(self, capsys, square_file):
         outputs = []
