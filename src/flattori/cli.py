@@ -18,16 +18,11 @@ from functools import partial
 from math import comb
 
 from . import abranes, cohomology, equivalence, fock, jsonio, tduality
-from .errors import (BudgetExceededError, FlatToriError, RecoveryError,
-                     SchemaError, ValidationError)
+from .errors import FlatToriError, RecoveryError, SchemaError, ValidationError
 from .exactlinear import rat_str
 from .torus import doubled, narain_form, omega, require_valid, validate
 
-DEFAULTS = {
-    "bound": 2,
-    "budget": equivalence.DEFAULT_NODE_BUDGET,
-    "split_bound": 1,
-}
+DEFAULTS = {"bound": 2, "budget": equivalence.DEFAULT_NODE_BUDGET}
 
 
 def _emit(args, inputs, result, code):
@@ -136,14 +131,11 @@ def _search_command(kind, args, cfg):
     if outcome.verdict == "refuted":
         result["refuted_by"] = "window contains every g with tr(N1^-1 g^t N2 g) = 4d"
     elif outcome.verdict == "undecided":
-        _report_budget(f"search exhausted its node budget ({budget}) before covering "
-                       f"height {bound}", outcome.nodes_used, budget)
+        print(f"budget exceeded: search exhausted its node budget ({budget}) before "
+              f"covering height {bound} ({outcome.nodes_used}/{budget} nodes)",
+              file=sys.stderr)
         result.update(budget=budget, last_complete_height=outcome.last_complete_height)
     return _emit(args, inputs, result, 1)
-
-
-def _report_budget(message, nodes_used, budget):
-    print(f"budget exceeded: {message} ({nodes_used}/{budget} nodes)", file=sys.stderr)
 
 
 def _cmd_verify_map(args, cfg):
@@ -162,16 +154,7 @@ def _cmd_mirror(args, cfg):
     if args.split:
         s = parse_splitting(args.split, t.rank)
     else:
-        bound = _at_least_one("split bound", _setting(args, cfg, "split_bound"))
-        try:
-            s = tduality.find_lagrangian_splitting(t, bound)
-        except BudgetExceededError as exc:
-            _report_budget(exc, exc.nodes_used, exc.budget)
-            return _emit(args, inputs, {"found": False, "verdict": "undecided",
-                                        "nodes": exc.nodes_used, "budget": exc.budget}, 1)
-        if s is None:
-            return _emit(args, inputs, {
-                "found": False, "verdict": f"no Lagrangian splitting within height {bound}"}, 1)
+        s = tduality.find_lagrangian_splitting(t)
     inputs["split"] = {"A": [list(v) for v in s.a_basis], "B": [list(v) for v in s.b_basis]}
     try:
         mr = tduality.mirror_via_tduality(t, s)
@@ -185,15 +168,19 @@ def _cmd_mirror(args, cfg):
         "recovery_report": [{"name": n, "ok": ok} for n, ok in mr.recovery_report],
     }
     if args.out_torus:
-        with open(args.out_torus, "w") as fh:
-            json.dump(jsonio.torus_to_json(mr.mirror), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(args.out_torus, result["mirror"], "--out-torus")
     if args.out_cert:
-        with open(args.out_cert, "w") as fh:
-            json.dump(jsonio.certificate_to_json(mr.duality_certificate), fh,
-                      sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(args.out_cert, result["certificate"], "--out-cert")
     return _emit(args, inputs, result, 0)
+
+
+def _write_json(path, data, flag):
+    try:
+        with open(path, "w") as fh:
+            json.dump(data, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc.strerror}", flag)
 
 
 def _cmd_hodge(args, cfg):
@@ -355,7 +342,6 @@ def build_parser():
     def mirror_args(p):
         p.add_argument("--torus", required=True)
         p.add_argument("--split", default=None)
-        p.add_argument("--split-bound", type=int, default=None)
         p.add_argument("--out-torus", default=None)
         p.add_argument("--out-cert", default=None)
     add("mirror", "tduality-mirror-construction", _cmd_mirror, mirror_args)

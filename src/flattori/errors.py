@@ -39,19 +39,6 @@ class RecoveryError(FlatToriError):
         self.block = block
 
 
-class BudgetExceededError(FlatToriError):
-    """The Lagrangian splitting search ran out of its node budget.
-
-    Carries the nodes used and the budget, so the caller can report how far
-    the search got.
-    """
-
-    def __init__(self, message, nodes_used, budget):
-        super().__init__(message)
-        self.nodes_used = nodes_used
-        self.budget = budget
-
-
 class TruncationError(FlatToriError):
     """A requested mode or state does not fit in the truncated Fock space."""
 

@@ -20,7 +20,14 @@ from .exactlinear import ExtElement, GaussRational, RatMatrix, rat, rat_str
 from .torus import TorusData
 
 
+def _is_int(value):
+    """JSON integers; ``true`` and ``false`` are not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _rat_from(value, pointer):
+    if isinstance(value, bool):
+        raise SchemaError(f"expected a rational number, got {value!r}", pointer)
     try:
         return rat(value)
     except (TypeError, ValueError, ZeroDivisionError):
@@ -60,7 +67,7 @@ def torus_to_json(t: TorusData):
 def torus_from_json(data, pointer="torus") -> TorusData:
     if not isinstance(data, dict):
         raise SchemaError("expected an object", pointer)
-    if "d" not in data or not isinstance(data["d"], int) or data["d"] < 1:
+    if "d" not in data or not _is_int(data["d"]) or data["d"] < 1:
         raise SchemaError("missing or invalid dimension", f"{pointer}.d")
     d = data["d"]
     n = 2 * d
@@ -109,7 +116,7 @@ def class_from_json(data, base_rank, pointer="class") -> ExtElement:
         if not isinstance(item, dict) or "indices" not in item or "coeff" not in item:
             raise SchemaError("expected an object with indices and coeff", where)
         idx = item["indices"]
-        if (not isinstance(idx, list) or any(not isinstance(i, int) for i in idx)
+        if (not isinstance(idx, list) or any(not _is_int(i) for i in idx)
                 or any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1))
                 or (idx and (idx[0] < 0 or idx[-1] >= base_rank))):
             raise SchemaError("indices must be a strictly increasing list within range",
@@ -133,7 +140,7 @@ def brane_from_json(data, base_dir=".", pointer="brane"):
         raise SchemaError("need torus or torus_ref", pointer)
     yb = data.get("Y_basis")
     if (not isinstance(yb, list) or not yb
-            or any(not isinstance(v, list) or any(not isinstance(x, int) for x in v) for v in yb)):
+            or any(not isinstance(v, list) or any(not _is_int(x) for x in v) for v in yb)):
         raise SchemaError("Y_basis must be a list of integer vectors", f"{pointer}.Y_basis")
     f = data.get("F")
     fmat = matrix_from_json(f, f"{pointer}.F", rows=len(yb)) if f is not None \

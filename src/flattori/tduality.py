@@ -14,12 +14,11 @@ wrong inversion branch cannot survive silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from ._intlat import spans_direct_summand
 from .equivalence import Certificate, LatticeMap, verify_map
-from .errors import BudgetExceededError, RecoveryError, ValidationError
+from .errors import RecoveryError, ValidationError
 from .exactlinear import QZERO, RatMatrix
 from .torus import TorusData, doubled, omega, require_valid
 
@@ -55,7 +54,7 @@ def splitting_report(t: TorusData, s: LagrangianSplitting):
     if not shape_ok:
         return checks
     checks.append(("unimodular", spans_direct_summand(s.a_basis + s.b_basis)))
-    w = _integral_omega(t)
+    w = _integral(omega(t))
 
     def isotropic(vectors):
         return all(_dot(u, _image(w, v)) == 0
@@ -66,15 +65,14 @@ def splitting_report(t: TorusData, s: LagrangianSplitting):
     return checks
 
 
-def _integral_omega(t: TorusData):
-    """The rows of omega times the lcm of its denominators.
+def _integral(m: RatMatrix):
+    """The rows of ``m`` times the lcm of its denominators.
 
     Scaling keeps every isotropy question, and turns each pairing
-    ``u^t omega v`` of integer vectors into an integer dot product.
+    ``u^t m v`` of integer vectors into an integer dot product.
     """
-    rows = omega(t).entries
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return [[int(x * den) for x in row] for row in rows]
+    den = lcm(*(x.denominator for row in m.entries for x in row))
+    return [[int(x * den) for x in row] for row in m.entries]
 
 
 def _image(w, v):
@@ -93,78 +91,83 @@ def require_splitting(t: TorusData, s: LagrangianSplitting):
 
 
 # ---------------------------------------------------------------------------
-# splitting search
+# splitting construction
 # ---------------------------------------------------------------------------
 
 
-def _candidate_vectors(n, bound):
-    """All nonzero integer vectors of max-norm <= bound, in canonical order.
+def _symplectic_blocks(w):
+    """Pairs ``(e, f)`` with ``e^t w f != 0`` that are w-orthogonal pair to
+    pair and together form a basis of ``Z^n``, in which the nondegenerate
+    integral skew form ``w`` is block diagonal with 2x2 blocks.
 
-    Order: height, then support size, then position of the first nonzero,
-    then digitwise rank with 0 < 1 < -1 < 2 < -2 < ...; this makes the
-    standard basis vectors e_1, e_2, ... come first.
+    Take the pair of working vectors with the smallest nonzero ``|w|`` (first
+    in index order on ties), reduce every other working vector against it by
+    one Euclid step, and repeat until the others are w-orthogonal to the pair;
+    then set the pair aside and go on with the rest.  Each round that does
+    not close a pair leaves a remainder smaller than its ``|w|``, so the loop
+    ends, and every step is unimodular.
     """
-    rank = {0: 0}
-    for a in range(1, bound + 1):
-        rank[a] = 2 * a - 1
-        rank[-a] = 2 * a
-    vecs = [v for v in product(range(-bound, bound + 1), repeat=n) if any(v)]
+    n = len(w)
+    work = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    blocks = []
+    while work:
+        images = [_image(w, v) for v in work]
+        _, i, j = min((abs(_dot(u, images[b])), a, b) for a, u in enumerate(work)
+                      for b in range(a + 1, len(work)) if _dot(u, images[b]))
+        e, f = work[i], work[j]
+        m = _dot(e, images[j])
+        closed = True
+        for k, v in enumerate(work):
+            if k in (i, j):
+                continue
+            # v - a f + b e pairs with e to r and with f to s
+            a, r = divmod(_dot(e, images[k]), m)
+            b, s = divmod(_dot(f, images[k]), m)
+            work[k] = tuple(x - a * y + b * z for x, y, z in zip(v, f, e))
+            closed = closed and r == s == 0
+        if closed:
+            blocks.append((e, f))
+            work = [v for k, v in enumerate(work) if k not in (i, j)]
+    return blocks
 
-    def key(v):
-        nz = [i for i, x in enumerate(v) if x]
-        return (max(abs(x) for x in v), len(nz), nz[0], tuple(rank[x] for x in v))
 
-    vecs.sort(key=key)
-    return vecs
+def _ext_gcd(a, b):
+    """``(s, u)`` with ``s a + u b = gcd(a, b) >= 0``."""
+    if b == 0:
+        return (1, 0) if a >= 0 else (-1, 0)
+    s, u = _ext_gcd(b, a % b)
+    return u, s - (a // b) * u
 
 
-def find_lagrangian_splitting(t: TorusData, bound: int = 1,
-                              node_budget: int = 10 ** 6) -> LagrangianSplitting | None:
-    """Deterministic search for an isotropic-halves splitting.
+def find_lagrangian_splitting(t: TorusData) -> LagrangianSplitting:
+    """A splitting into omega-isotropic halves, built from a symplectic basis.
 
-    Depth-first over candidate columns in canonical order (A columns first,
-    then B columns, both index-increasing), pruning non-isotropic and
-    non-summand partial choices; returns the first splitting whose full
-    change of basis is unimodular, or None within the bound.  Each candidate
-    is paired with the integral omega through its image, computed once.
-    Running out of ``node_budget`` raises :class:`BudgetExceededError` with
-    ``nodes_used == node_budget``.
+    Every nondegenerate integral skew form has a basis of blocks ``(e_i,
+    f_i)``, w-orthogonal to one another (:func:`_symplectic_blocks`, applied
+    to omega scaled to integers).  One primitive vector ``x_i = alpha e_i +
+    beta f_i`` per block spans A and its completion ``y_i = gamma e_i +
+    delta f_i`` (``alpha delta - beta gamma = 1``) spans B, so both halves
+    are omega-isotropic and together unimodular.  The mirror recovery needs
+    A to be B-isotropic too: ``x_i`` is the primitive solution of
+    ``B(x_j, x_i) = 0`` for every earlier ``x_j`` when those conditions are
+    proportional (always so in the first two blocks, and when B is a
+    multiple of omega), and ``e_i`` otherwise.
     """
-    d = t.d
-    w = _integral_omega(t)
-    vecs = _candidate_vectors(t.rank, bound)
-    images = [_image(w, v) for v in vecs]
-    nodes = 0
-
-    def extend(chosen, start):
-        nonlocal nodes
-        depth = len(chosen)
-        if depth == 2 * d:
-            # the last summand test saw the one maximal minor: |det| = 1
-            return list(chosen)
-        in_b = depth >= d
-        half = chosen[d:] if in_b else chosen[:d]
-        lo = start if (depth != d) else 0  # B half restarts the index scan
-        for idx in range(lo, len(vecs)):
-            if nodes == node_budget:
-                raise BudgetExceededError("splitting search budget exhausted",
-                                          nodes, node_budget)
-            nodes += 1
-            wv = images[idx]
-            if any(_dot(u, wv) for u in half):
-                continue
-            cand = chosen + [vecs[idx]]
-            if not spans_direct_summand(cand):
-                continue
-            got = extend(cand, idx + 1)
-            if got is not None:
-                return got
-        return None
-
-    cols = extend([], 0)
-    if cols is None:
-        return None
-    return LagrangianSplitting.from_vectors(cols[:d], cols[d:])
+    b_form = _integral(t.B)
+    a_vectors, b_vectors = [], []
+    for e, f in _symplectic_blocks(_integral(omega(t))):
+        be, bf = _image(b_form, e), _image(b_form, f)
+        rows = [(_dot(x, be), _dot(x, bf)) for x in a_vectors]
+        rows = [r for r in rows if r != (0, 0)]
+        alpha, beta = 1, 0
+        if rows and all(p * rows[0][1] == q * rows[0][0] for p, q in rows):
+            p, q = rows[0]
+            g = gcd(p, q)
+            alpha, beta = q // g, -p // g
+        delta, minus_gamma = _ext_gcd(alpha, beta)
+        a_vectors.append(tuple(alpha * u + beta * v for u, v in zip(e, f)))
+        b_vectors.append(tuple(delta * v - minus_gamma * u for u, v in zip(e, f)))
+    return LagrangianSplitting.from_vectors(a_vectors, b_vectors)
 
 
 # ---------------------------------------------------------------------------

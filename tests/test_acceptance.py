@@ -52,7 +52,7 @@ def test_criterion_02_tduality_round_trip():
     ok = True
     for d in (1, 2):
         t = square_torus(d)
-        mr = mirror_via_tduality(t, find_lagrangian_splitting(t, 1))
+        mr = mirror_via_tduality(t, find_lagrangian_splitting(t))
         back = mirror_via_tduality(mr.mirror, dual_splitting(mr.mirror))
         out = search_relation(t, back.mirror, "iso", 2)
         ok = ok and out.found and verify_map(out.certificate.map).valid
@@ -104,7 +104,7 @@ def test_criterion_05_counting_gap():
 
 def test_criterion_06_mirror_class_condition():
     t = square_torus(2)
-    s = find_lagrangian_splitting(t, 1)
+    s = find_lagrangian_splitting(t)
     mr = mirror_via_tduality(t, s)
     all_pass = True
     for p in range(3):
@@ -207,11 +207,11 @@ def test_criterion_11_hodge_rotation():
     pairs = []
     for d in (1, 2, 3):
         t = square_torus(d)
-        pairs.append((t, mirror_via_tduality(t, find_lagrangian_splitting(t, 1)).mirror))
+        pairs.append((t, mirror_via_tduality(t, find_lagrangian_splitting(t)).mirror))
     scaled = TorusData(1, square_torus(1).I, RatMatrix.diag([4, 4]),
                        RatMatrix.zero(2, 2), "R4")
     pairs.append((scaled, mirror_via_tduality(
-        scaled, find_lagrangian_splitting(scaled, 1)).mirror))
+        scaled, find_lagrangian_splitting(scaled)).mirror))
     for t, mirror in pairs:
         d = t.d
         h1 = hodge_diamond(t)

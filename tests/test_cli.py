@@ -46,9 +46,10 @@ class TestNumericInputErrors:
     @pytest.mark.parametrize("config, argv, message", [
         (None, ["check-iso", "T", "T", "--budget", "-1"], "budget must be at least 1, got -1"),
         ({"budget": 0}, ["check-mirror", "T", "T"], "budget must be at least 1, got 0"),
-        (None, ["mirror", "--torus", "T", "--split-bound", "-1"],
-         "split bound must be at least 1, got -1"),
-        ({"split_bound": 0}, ["mirror", "--torus", "T"], "split bound must be at least 1, got 0"),
+        (None, ["mirror", "--torus", "T", "--out-torus", "M"],
+         "cannot write {M}: No such file or directory (at --out-torus)"),
+        ({"split_bound": 1}, ["mirror", "--torus", "T"],
+         "unknown config key 'split_bound' (at split_bound)"),
         (None, ["fock-verify", "--d", "0"], "d must be at least 1, got 0"),
         (None, ["fock-verify", "--d", "1", "--cap", "abc"],
          "cap must be a rational number, got 'abc' (at --cap)"),
@@ -60,14 +61,52 @@ class TestNumericInputErrors:
          "cap must be at least 1/2, got 1/4 (at --cap)"),
         ({"fingerprint_height": 1}, ["check-iso", "T", "T"],
          "unknown config key 'fingerprint_height' (at fingerprint_height)"),
+        (None, ["mirror", "--torus", "T", "--out-cert", "M"],
+         "cannot write {M}: No such file or directory (at --out-cert)"),
     ])
     def test_one_line_exit_two(self, capsys, tmp_path, square_file, config, argv, message):
+        # T is a valid torus file, M a path in a directory that does not exist
+        paths = {"T": square_file, "M": str(tmp_path / "missing" / "out.json")}
         prefix = []
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
             prefix = ["--config", str(tmp_path / "cfg.json")]
-        argv = [square_file if a == "T" else a for a in argv]
-        assert run(capsys, *prefix, *argv) == (2, "", f"input error: {message}\n")
+        argv = [paths.get(a, a) for a in argv]
+        assert run(capsys, *prefix, *argv) == (2, "", f"input error: {message.format(**paths)}\n")
+
+
+# One payload per field that reads JSON numbers, each with a boolean where a
+# number belongs: (command argv, the bad file's content, the message).  S is
+# the square torus file, X the bad file, whose name is x.json.
+SQUARE1_JSON = {"d": 1, "I": [["0", "-1"], ["1", "0"]], "G": [["1", "0"], ["0", "1"]],
+                "B": [["0", "0"], ["0", "0"]]}
+BOOLEAN_PAYLOADS = {
+    "torus-d": (["validate", "X"], {**SQUARE1_JSON, "d": True},
+                "missing or invalid dimension (at x.json.d)"),
+    "torus-G": (["validate", "X"], {**SQUARE1_JSON, "G": [[True, "0"], ["0", True]]},
+                "expected a rational number, got True (at x.json.G[0][0])"),
+    "class-indices": (["check-mirror-class", "--torus", "S", "--class", "X"],
+                      {"grade_terms": [{"indices": [False, True], "coeff": "1"}]},
+                      "indices must be a strictly increasing list within range "
+                      "(at class.grade_terms[0].indices)"),
+    "brane-Y_basis": (["abrane-check", "--brane", "X"],
+                      {"torus_ref": "square.json", "Y_basis": [[True, False]]},
+                      "Y_basis must be a list of integer vectors (at x.json.Y_basis)"),
+    "map-g": (["verify-map", "X"],
+              {"kind": "iso", "source": "square.json", "target": "square.json",
+               "g": [[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+              "expected a rational number, got True (at x.json.g[0][0])"),
+}
+
+
+class TestBooleansAreNotNumbers:
+    @pytest.mark.parametrize("field", sorted(BOOLEAN_PAYLOADS))
+    def test_boolean_is_input_error(self, capsys, tmp_path, square_file, field):
+        argv, payload, message = BOOLEAN_PAYLOADS[field]
+        bad = tmp_path / "x.json"
+        bad.write_text(json.dumps(payload))
+        argv = [{"S": square_file, "X": str(bad)}.get(a, a) for a in argv]
+        assert run(capsys, *argv) == (2, "", f"input error: {message}\n")
 
 
 class TestValidateAndStructures:
@@ -271,18 +310,6 @@ class TestMirrorCommand:
         code, out, err = run(capsys, "mirror", "--torus", square2_file,
                              "--split", "1,0,0,0;0,1,0,0|0,0,1,0;0,0,0,1")
         assert code == 2  # halves are not isotropic -> validation error
-
-    def test_spent_splitting_budget_is_undecided(self, capsys, monkeypatch, square2_file):
-        search = cli.tduality.find_lagrangian_splitting
-        monkeypatch.setattr(cli.tduality, "find_lagrangian_splitting",
-                            lambda t, bound: search(t, bound, node_budget=3))
-        code, out, err = run(capsys, "mirror", "--torus", square2_file)
-        assert code == 1
-        data = report(out)
-        assert set(data["inputs"]) == {"torus"}
-        assert data["result"] == {"found": False, "verdict": "undecided", "nodes": 3,
-                                  "budget": 3}
-        assert err == "budget exceeded: splitting search budget exhausted (3/3 nodes)\n"
 
 
 class TestCohomologyCommands:

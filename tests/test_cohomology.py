@@ -93,7 +93,7 @@ class TestLagrangianDualsInKernel:
         # the dual class of each splitting factor is a wedge of the
         # covectors vanishing on it; wedging with omega must kill it
         t = square_torus(d)
-        s = find_lagrangian_splitting(t, 1)
+        s = find_lagrangian_splitting(t)
         w_form = ExtElement.two_form(omega(t))
         p_inv = s.change_of_basis.inverse()
         for half in (range(d), range(d, 2 * d)):
@@ -110,17 +110,17 @@ class TestLagrangianDualsInKernel:
 
 class TestFmTransform:
     def test_d1_scalar_to_fiber_class(self, square1):
-        s = find_lagrangian_splitting(square1, 1)
+        s = find_lagrangian_splitting(square1)
         img = fm_transform(s, CohClass(square1, ExtElement.scalar(2, 1)))
         assert img.element == ExtElement.generator(2, 0)
 
     def test_d1_base_class_to_scalar(self, square1):
-        s = find_lagrangian_splitting(square1, 1)
+        s = find_lagrangian_splitting(square1)
         img = fm_transform(s, CohClass(square1, ExtElement.generator(2, 0)))
         assert img.element == ExtElement.scalar(2, 1)
 
     def test_volume_maps_to_b_factor_volume(self, square2):
-        s = find_lagrangian_splitting(square2, 1)
+        s = find_lagrangian_splitting(square2)
         img = fm_transform(s, CohClass(square2, ExtElement.monomial(4, (0, 1, 2, 3))))
         assert img.element in (ExtElement.monomial(4, (2, 3)),
                                ExtElement.monomial(4, (2, 3), -1))
@@ -128,7 +128,7 @@ class TestFmTransform:
     @pytest.mark.parametrize("d", [1, 2])
     def test_linear_isomorphism_of_total_cohomology(self, d):
         t = square_torus(d)
-        s = find_lagrangian_splitting(t, 1)
+        s = find_lagrangian_splitting(t)
         mr = mirror_via_tduality(t, s)
         n = 2 * d
         monos = [idx for k in range(n + 1) for idx in combinations(range(n), k)]
@@ -143,7 +143,7 @@ class TestFmTransform:
         # frozen from the expansion oracle: the double dual acts on every
         # split-basis monomial by the recorded global sign
         t = square_torus(d)
-        s = find_lagrangian_splitting(t, 1)
+        s = find_lagrangian_splitting(t)
         mr = mirror_via_tduality(t, s)
         s2 = dual_splitting(mr.mirror)
         mr2 = mirror_via_tduality(mr.mirror, s2)
@@ -164,7 +164,7 @@ class TestMirrorClassCondition:
         assert result == ExtElement.scalar(4, 2)
 
     def test_lagrangian_dual_classes_pass(self, square2):
-        s = find_lagrangian_splitting(square2, 1)
+        s = find_lagrangian_splitting(square2)
         mr = mirror_via_tduality(square2, s)
         # B-factor volume is dual to the dualized-fiber Lagrangian
         alpha = CohClass(mr.mirror, ExtElement.monomial(4, (2, 3)))
@@ -173,7 +173,7 @@ class TestMirrorClassCondition:
     @pytest.mark.parametrize("d", [1, 2])
     def test_pp_images_pass_exhaustively(self, d):
         t = square_torus(d)
-        s = find_lagrangian_splitting(t, 1)
+        s = find_lagrangian_splitting(t)
         mr = mirror_via_tduality(t, s)
         for p in range(d + 1):
             for c in rational_pp_classes(t, p):
@@ -181,13 +181,13 @@ class TestMirrorClassCondition:
                 assert mirror_class_condition(mr.mirror, img)
 
     def test_non_pp_image_fails(self, square2):
-        s = find_lagrangian_splitting(square2, 1)
+        s = find_lagrangian_splitting(square2)
         mr = mirror_via_tduality(square2, s)
         bad = fm_transform(s, CohClass(square2, ExtElement.generator(4, 0)), mr)
         assert not mirror_class_condition(mr.mirror, bad)
 
     def test_exponential_solutions_exist(self, square2):
-        s = find_lagrangian_splitting(square2, 1)
+        s = find_lagrangian_splitting(square2)
         mr = mirror_via_tduality(square2, s)
         pairs = list(combinations(range(4), 2))
         found = []
@@ -200,7 +200,7 @@ class TestMirrorClassCondition:
         assert found
 
     def test_single_covector_fails(self, square2):
-        s = find_lagrangian_splitting(square2, 1)
+        s = find_lagrangian_splitting(square2)
         mr = mirror_via_tduality(square2, s)
         alpha = CohClass(mr.mirror, ExtElement.generator(4, 0))
         assert not mirror_class_condition(mr.mirror, alpha)

@@ -334,7 +334,7 @@ class TestChiralTransports:
         from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
         for d in (1, 2):
             t = square_torus(d)
-            mr = mirror_via_tduality(t, find_lagrangian_splitting(t, 1))
+            mr = mirror_via_tduality(t, find_lagrangian_splitting(t))
             o_l, o_r = chiral_transports(mr.duality_map)
             g1, g2 = t.G, mr.mirror.G
             assert o_l.transpose() * g2 * o_l == g1

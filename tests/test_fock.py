@@ -180,7 +180,7 @@ class TestSuperconformalStates:
         with_b = TorusData(1, square1.I, square1.G,
                            RatMatrix([[0, Q(1, 2)], [Q(-1, 2), 0]]), "with-B")
         for t in (square1, square_torus(2), with_b):
-            mr = mirror_via_tduality(t, find_lagrangian_splitting(t, 1))
+            mr = mirror_via_tduality(t, find_lagrangian_splitting(t))
             o_l, o_r = chiral_transports(mr.duality_map)
             w1 = omega(t)
             w2 = omega(mr.mirror)
