@@ -1,15 +1,17 @@
 """Integer-lattice helpers: integer kernels, saturation, and pairwise size
 reduction.
 
-These support the certificate search: the rational solution space of the
-intertwining constraints is turned into a basis of the full lattice of
-*integral* solutions, then reduced so that natural certificates tend to have
-small, sparse coordinates.  Everything here is pure integer arithmetic; one
-column reduction (:func:`column_pivots`) answers every rank, kernel and
-primitivity question.
+These support the certificate search: the lattice of *integral* solutions of
+the intertwining constraints is the integer kernel of the constraint rows,
+each scaled to integers, and is then size-reduced so that natural
+certificates tend to have small, sparse coordinates.  Everything here is
+integer arithmetic; one column reduction (:func:`column_pivots`) answers every
+rank, kernel and primitivity question.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 
 def column_pivots(work, trans=()):
@@ -88,56 +90,22 @@ def integer_kernel(rows):
     return [[row[j] for row in trans] for j in range(rank, n)]
 
 
-def integral_coordinate_lattice(coord_rows, denominator):
-    """Basis of ``{t in Z^k : M t = 0 mod D}``.
+def integral_coordinate_lattice(rows):
+    """Basis of ``{x in Z^n : A x = 0}`` for a matrix A given by rational rows.
 
-    ``coord_rows`` is an integer matrix with k columns, ``denominator`` the
-    positive modulus D.  Computed as the projection of the integer kernel of
-    ``[M | D*I]`` onto the first k coordinates, these generate the full
-    preimage lattice.
+    Scaling a row by the lcm of its denominators keeps its solutions, so this
+    is :func:`integer_kernel` of the scaled rows.  All-zero and repeated rows
+    are skipped: once its first copy is reduced, a repeated row is zero past
+    that copy's pivot, so the reduction would pass over it anyway.
     """
-    m = len(coord_rows)
-    k = len(coord_rows[0]) if m else 0
-    if m == 0 or denominator == 1:
-        return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    aug = [list(coord_rows[i]) + [denominator if j == i else 0 for j in range(m)] for i in range(m)]
-    ker = integer_kernel(aug)
-    projected = [v[:k] for v in ker]
-    return lattice_basis(projected, k)
-
-
-def lattice_basis(generators, n):
-    """Extract an independent basis (column-HNF style) from integer generators."""
-    work = [list(g) for g in generators if any(g)]
-    basis = []
-    # row-style reduction over Z: bring to echelon with gcd pivots
-    rows = work
-    col = 0
-    while rows and col < n:
-        rows = [r for r in rows if any(r)]
-        cand = [r for r in rows if r[col] != 0]
-        if not cand:
-            col += 1
-            continue
-        while True:
-            cand = [r for r in rows if r[col] != 0]
-            if len(cand) <= 1:
-                break
-            cand.sort(key=lambda r: abs(r[col]))
-            piv = cand[0]
-            for r in cand[1:]:
-                q = r[col] // piv[col]
-                for j in range(n):
-                    r[j] -= q * piv[j]
-        piv = next(r for r in rows if r[col] != 0)
-        basis.append(list(piv))
-        rows = [r for r in rows if r is not piv and any(r)]
-        for r in rows:
-            if r[col] != 0:
-                # cannot happen: loop above cleared them
-                raise AssertionError("echelon reduction incomplete")
-        col += 1
-    return basis
+    n = len(rows[0])
+    scaled = {}
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        ints = tuple(x.numerator * (den // x.denominator) for x in row)
+        if any(ints):
+            scaled.setdefault(ints, None)
+    return integer_kernel(list(scaled) or [[0] * n])
 
 
 def pair_reduce(basis, max_sweeps=8):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import partial
@@ -167,20 +168,38 @@ def _cmd_mirror(args, cfg):
         "certificate": jsonio.certificate_to_json(mr.duality_certificate),
         "recovery_report": [{"name": n, "ok": ok} for n, ok in mr.recovery_report],
     }
-    if args.out_torus:
-        _write_json(args.out_torus, result["mirror"], "--out-torus")
-    if args.out_cert:
-        _write_json(args.out_cert, result["certificate"], "--out-cert")
+    _write_json_files([(path, data, flag) for path, data, flag in (
+        (args.out_torus, result["mirror"], "--out-torus"),
+        (args.out_cert, result["certificate"], "--out-cert")) if path])
     return _emit(args, inputs, result, 0)
 
 
-def _write_json(path, data, flag):
+def _write_json_files(outputs):
+    """Write each ``(path, data, flag)``, opening every path before writing any.
+
+    An unwritable path is an input error that leaves no output behind: the
+    files opened so far are removed if this call created them, and a file
+    that existed is truncated only once every path is open.
+    """
+    opened = []
     try:
-        with open(path, "w") as fh:
+        for path, _, flag in outputs:
+            existed = os.path.exists(path)
+            try:
+                opened.append((open(path, "a"), existed))
+            except OSError as exc:
+                raise SchemaError(f"cannot write {path}: {exc.strerror}", flag)
+    except SchemaError:
+        for (fh, existed), (path, _, _) in zip(opened, outputs):
+            fh.close()
+            if not existed:
+                os.remove(path)
+        raise
+    for (fh, _), (_, data, _) in zip(opened, outputs):
+        with fh:
+            fh.truncate(0)
             json.dump(data, fh, sort_keys=True, indent=2)
             fh.write("\n")
-    except OSError as exc:
-        raise SchemaError(f"cannot write {path}: {exc.strerror}", flag)
 
 
 def _cmd_hodge(args, cfg):

@@ -8,10 +8,10 @@ structures in the pattern belonging to the relation kind:
 * ``mirror``:     g calI_1 = calJ_2 g   and   g calJ_1 = calI_2 g
 * ``derived_eq``: g calItilde_1 = calItilde_2 g
 
-Existence search: the intertwining constraints are linear, so we first
-compute the rational solution space, saturate it to the lattice of all
-integral solutions, and then enumerate small integer coordinate vectors
-over a size-reduced basis, keeping the first candidate that satisfies the
+Existence search: the intertwining constraints are linear, so the lattice of
+all integral solutions is the integer kernel of the constraint rows (each
+scaled to integers); we then enumerate small integer coordinate vectors over
+a size-reduced basis of it, keeping the first candidate that satisfies the
 quadratic q-congruence.  An ``iso`` or ``mirror`` certificate also
 preserves the Narain form N, so an exhausted window holding the whole
 ellipsoid ``tr(N_1^-1 g^t N_2 g) = 4d`` refutes the relation; otherwise (and
@@ -116,8 +116,8 @@ def verify_map(m: LatticeMap) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _solution_space(t1, t2, kind):
-    """RREF kernel basis of the linear intertwining constraints ``g A = B g``.
+def _constraint_rows(t1, t2, kind):
+    """The linear intertwining constraints ``g A = B g`` as rows on vec(g).
 
     Unknown is vec(g), row-major; constraint ``g A - B g = 0`` contributes
     the rows of ``A^t (x) id - id (x) B`` in Kronecker form.
@@ -134,29 +134,7 @@ def _solution_space(t1, t2, kind):
                     row[i * n + k] += a_mat.entries[k][j]
                     row[k * n + j] -= b_mat.entries[i][k]
                 rows.append(row)
-    return RatMatrix(rows).kernel_basis()
-
-
-def _integral_basis(rational_basis, n):
-    """Lattice basis of all integral matrices in the span, size-reduced."""
-    if not rational_basis:
-        return []
-    # echelon structure: coordinates w.r.t. the kernel basis are exactly the
-    # free-position entries, so an element is integral iff its coordinate
-    # vector t is integral and the pivot coordinates of sum t_j b_j are too.
-    denom = lcm(*(x.denominator for v in rational_basis for x in v))
-    coord_rows = []
-    for pos in range(n * n):
-        row = [int(v[pos] * denom) for v in rational_basis]
-        coord_rows.append(row)
-    lattice = integral_coordinate_lattice(coord_rows, denom)
-    # entry pos of sum t_j b_j is (coord_rows[pos] . t) / denom, in integers
-    mats = []
-    for tvec in lattice:
-        scaled = [sum(tj * c for tj, c in zip(tvec, row)) for row in coord_rows]
-        assert all(x % denom == 0 for x in scaled)
-        mats.append([x // denom for x in scaled])
-    return pair_reduce(mats)
+    return rows
 
 
 def intertwiner_space(t1: TorusData, t2: TorusData, kind: str):
@@ -171,8 +149,7 @@ def intertwiner_space(t1: TorusData, t2: TorusData, kind: str):
     if t1.d != t2.d:
         raise DimensionError("tori must have the same dimension")
     n = 4 * t1.d
-    basis = _solution_space(t1, t2, kind)
-    flat = _integral_basis(basis, n)
+    flat = pair_reduce(integral_coordinate_lattice(_constraint_rows(t1, t2, kind)))
     return [RatMatrix([row[i * n:(i + 1) * n] for i in range(n)]) for row in flat]
 
 

@@ -92,7 +92,9 @@ def load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"file not found: {path}", path)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror}", path)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"malformed JSON: {exc}", path)
 
 
@@ -110,6 +112,8 @@ def class_from_json(data, base_rank, pointer="class") -> ExtElement:
     if declared != base_rank:
         raise SchemaError(f"class base_rank {declared} does not match the torus rank {base_rank}",
                           f"{pointer}.base_rank")
+    if not isinstance(data["grade_terms"], list):
+        raise SchemaError("grade_terms must be a list", f"{pointer}.grade_terms")
     terms = {}
     for k, item in enumerate(data["grade_terms"]):
         where = f"{pointer}.grade_terms[{k}]"
@@ -145,8 +149,10 @@ def brane_from_json(data, base_dir=".", pointer="brane"):
     f = data.get("F")
     fmat = matrix_from_json(f, f"{pointer}.F", rows=len(yb)) if f is not None \
         else RatMatrix.zero(len(yb), len(yb))
-    translation = tuple(_rat_from(x, f"{pointer}.translation[{i}]")
-                        for i, x in enumerate(data.get("translation", [])))
+    shift = data.get("translation", [])
+    if not isinstance(shift, list):
+        raise SchemaError("translation must be a list", f"{pointer}.translation")
+    translation = tuple(_rat_from(x, f"{pointer}.translation[{i}]") for i, x in enumerate(shift))
     return AffineBrane(torus=t, y_basis=tuple(tuple(v) for v in yb),
                        curvature=fmat, translation=translation)
 

@@ -63,16 +63,27 @@ class TestNumericInputErrors:
          "unknown config key 'fingerprint_height' (at fingerprint_height)"),
         (None, ["mirror", "--torus", "T", "--out-cert", "M"],
          "cannot write {M}: No such file or directory (at --out-cert)"),
+        (None, ["mirror", "--torus", "T", "--out-torus", "O", "--out-cert", "M"],
+         "cannot write {M}: No such file or directory (at --out-cert)"),
+        (None, ["validate", "D"], "cannot read {D}: Is a directory (at {D})"),
+        (None, ["validate", "U"], "malformed JSON: 'utf-8' codec can't decode byte 0xff "
+         "in position 0: invalid start byte (at {U})"),
     ])
     def test_one_line_exit_two(self, capsys, tmp_path, square_file, config, argv, message):
-        # T is a valid torus file, M a path in a directory that does not exist
-        paths = {"T": square_file, "M": str(tmp_path / "missing" / "out.json")}
+        # T is a valid torus file, M a path in a directory that does not exist,
+        # O a writable path, D a directory and U a file that is not UTF-8
+        paths = {"T": square_file, "M": str(tmp_path / "missing" / "out.json"),
+                 "O": str(tmp_path / "m.json"), "D": str(tmp_path),
+                 "U": str(tmp_path / "binary.json")}
+        (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
         prefix = []
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
             prefix = ["--config", str(tmp_path / "cfg.json")]
         argv = [paths.get(a, a) for a in argv]
         assert run(capsys, *prefix, *argv) == (2, "", f"input error: {message.format(**paths)}\n")
+        # an input error leaves no output file behind
+        assert not (tmp_path / "m.json").exists()
 
 
 # One payload per field that reads JSON numbers, each with a boolean where a
@@ -99,14 +110,37 @@ BOOLEAN_PAYLOADS = {
 }
 
 
+# One payload per field that reads a JSON list, each with a scalar there.
+NON_LIST_PAYLOADS = {
+    "class-grade_terms": (["check-mirror-class", "--torus", "S", "--class", "X"],
+                          {"grade_terms": 5}, "grade_terms must be a list (at class.grade_terms)"),
+    "brane-translation": (["abrane-check", "--brane", "X"],
+                          {"torus_ref": "square.json", "Y_basis": [[1, 0, 0, 0], [0, 0, 1, 0]],
+                           "translation": "0000"},
+                          "translation must be a list (at x.json.translation)"),
+}
+
+
+def run_payload(capsys, tmp_path, square_file, argv, payload):
+    bad = tmp_path / "x.json"
+    bad.write_text(json.dumps(payload))
+    return run(capsys, *[{"S": square_file, "X": str(bad)}.get(a, a) for a in argv])
+
+
 class TestBooleansAreNotNumbers:
     @pytest.mark.parametrize("field", sorted(BOOLEAN_PAYLOADS))
     def test_boolean_is_input_error(self, capsys, tmp_path, square_file, field):
         argv, payload, message = BOOLEAN_PAYLOADS[field]
-        bad = tmp_path / "x.json"
-        bad.write_text(json.dumps(payload))
-        argv = [{"S": square_file, "X": str(bad)}.get(a, a) for a in argv]
-        assert run(capsys, *argv) == (2, "", f"input error: {message}\n")
+        assert run_payload(capsys, tmp_path, square_file, argv, payload) == \
+            (2, "", f"input error: {message}\n")
+
+
+class TestScalarsAreNotLists:
+    @pytest.mark.parametrize("field", sorted(NON_LIST_PAYLOADS))
+    def test_scalar_is_input_error(self, capsys, tmp_path, square_file, field):
+        argv, payload, message = NON_LIST_PAYLOADS[field]
+        assert run_payload(capsys, tmp_path, square_file, argv, payload) == \
+            (2, "", f"input error: {message}\n")
 
 
 class TestValidateAndStructures:
@@ -178,22 +212,36 @@ class TestSearchCommands:
         assert report(out)["result"] == {
             "found": False, "verdict": "none within bound", "nodes": 5 ** 8 - 1}
 
+    @staticmethod
+    def mirror_search(capsys, torus_file, source, target, bound):
+        code, out, _ = run(capsys, "check-mirror", torus_file(source, "source.json"),
+                           torus_file(target, "target.json"), "--bound", str(bound))
+        assert code == 1
+        result = report(out)["result"]
+        return result["found"], result["verdict"], result["nodes"]
+
     @pytest.mark.parametrize("bound, verdict", [(1, "none within bound"), (2, "refuted")])
     def test_refuted_once_the_window_holds_the_ellipsoid(self, capsys, torus_file,
                                                          bound, verdict):
-        # the mirror ellipsoid of this pair reaches c_i^2 = 65/8 (4d (A^-1)_ii):
+        # the mirror ellipsoid of this pair reaches c_i^2 = 5 (4d (A^-1)_ii):
         # past the height-1 window, inside the height-2 one
+        source = TorusData(1, RatMatrix([[1, -1], [2, -1]]), RatMatrix([[2, -1], [-1, 1]]),
+                           RatMatrix([[0, 2], [-2, 0]]), "source")
+        target = TorusData(1, RatMatrix([[-34, -13], [89, 34]]),
+                           RatMatrix([[178, 68], [68, 26]]),
+                           RatMatrix([[0, -2], [2, 0]]), "target")
+        assert self.mirror_search(capsys, torus_file, source, target, bound) == \
+            (False, verdict, (2 * bound + 1) ** 4 - 1)
+
+    def test_small_ellipsoid_is_refuted_at_height_one(self, capsys, torus_file):
+        # on the saturated intertwiner basis this pair's radii are at most 1/4
         source = TorusData(1, RatMatrix([[2, -1], [5, -2]]), RatMatrix([[10, -4], [-4, 2]]),
                            RatMatrix([[0, Q(1, 2)], [Q(-1, 2), 0]]), "source")
         target = TorusData(1, RatMatrix([[-1, -2], [1, 1]]),
                            RatMatrix([[Q(1, 2), Q(1, 2)], [Q(1, 2), 1]]),
                            RatMatrix([[0, Q(-1, 2)], [Q(1, 2), 0]]), "target")
-        code, out, _ = run(capsys, "check-mirror", torus_file(source, "source.json"),
-                           torus_file(target, "target.json"), "--bound", str(bound))
-        assert code == 1
-        result = report(out)["result"]
-        assert (result["found"], result["verdict"], result["nodes"]) == \
-            (False, verdict, (2 * bound + 1) ** 4 - 1)
+        assert self.mirror_search(capsys, torus_file, source, target, 1) == \
+            (False, "refuted", 3 ** 4 - 1)
 
     def test_check_derived_eq_self(self, capsys, square_file):
         code, out, _ = run(capsys, "check-derived-eq", square_file, square_file,

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flattori.equivalence import (LatticeMap, _ellipsoid_radii, chiral_transports,
-                                  intertwiner_space, search_relation,
-                                  spectrum_fingerprint, verify_map)
+from flattori._intlat import spans_direct_summand
+from flattori.equivalence import (KINDS, RELATIONS, LatticeMap, _constraint_rows,
+                                  _ellipsoid_radii, chiral_transports, intertwiner_space,
+                                  search_relation, spectrum_fingerprint, verify_map)
 from flattori.errors import ValidationError
 from flattori.exactlinear import Q, RatMatrix
-from flattori.torus import (ChargeVector, TorusData, narain_form, q_value,
+from flattori.torus import (ChargeVector, TorusData, doubled, narain_form, q_value,
                             random_valid_torus, square_torus, zero_mode_momenta)
 
 E1_SWAP = RatMatrix([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
@@ -92,6 +93,28 @@ class TestIntertwinerSpace:
     def test_basis_elements_are_integral(self, square1):
         for m in intertwiner_space(square1, square1, "mirror"):
             assert m.is_integral()
+
+    # The basis spans every integral solution: its elements are integral
+    # solutions, as many as the solution space has dimensions, and together
+    # they span a direct summand of Z^(n^2), so no integral solution lies
+    # outside their integer span.
+    @settings(max_examples=24, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from([1, 2]), st.sampled_from(KINDS),
+           st.booleans())
+    def test_basis_is_the_full_integer_lattice(self, seed, d, kind, rebase):
+        rng = random.Random(seed)
+        t1 = random_valid_torus(rng, d, b_bound=3)
+        t2 = _rebased(t1, rng) if rebase else random_valid_torus(rng, d, b_bound=3)
+        basis = intertwiner_space(t1, t2, kind)
+        d1, d2 = doubled(t1), doubled(t2)
+        for m in basis:
+            assert m.is_integral()
+            for _, src, tgt in RELATIONS[kind]:
+                assert m * getattr(d1, src) == getattr(d2, tgt) * m
+        n = 4 * d
+        flat = [[int(x) for row in m.entries for x in row] for m in basis]
+        assert spans_direct_summand(flat)
+        assert len(flat) == n * n - RatMatrix(_constraint_rows(t1, t2, kind)).rank()
 
 
 def _coordinates_of(mat, basis):

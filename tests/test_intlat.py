@@ -1,12 +1,14 @@
 """Integer-lattice helpers: the column reduction against minor-based references."""
 
+from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flattori._intlat import column_pivots, integer_kernel, spans_direct_summand
+from flattori._intlat import (column_pivots, integer_kernel, integral_coordinate_lattice,
+                              spans_direct_summand)
 
 BIG = 2 ** 40
 
@@ -75,3 +77,43 @@ class TestColumnReduction:
         assert all(sum(x * y for x, y in zip(v, k)) == 0 for v in vectors for k in kernel)
         # the kernel is saturated: a direct summand of Z^n
         assert not kernel or spans_direct_summand(kernel)
+
+
+@st.composite
+def rational_rows(draw):
+    """Rational rows with zero rows and exact repeats mixed in."""
+    n = draw(st.integers(1, 6))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=5))
+    extra = draw(st.lists(st.integers(0, len(rows)), max_size=4))
+    for i in extra:
+        rows.insert(draw(st.integers(0, len(rows))),
+                    list(rows[i]) if i < len(rows) else [Fraction(0)] * n)
+    return rows
+
+
+def scaled(row):
+    den = lcm(*(x.denominator for x in row))
+    return [int(x * den) for x in row]
+
+
+class TestIntegralCoordinateLattice:
+    def test_fractions_zero_and_repeated_rows(self):
+        half = [Fraction(1, 2), Fraction(-1, 3), 0, Fraction(1, 6)]
+        quarter = [0, Fraction(1, 4), Fraction(1, 4), 0]
+        basis = integral_coordinate_lattice([half, [0] * 4, half, quarter, half])
+        assert basis == integer_kernel([[3, -2, 0, 1], [0, 1, 1, 0]])
+        assert len(basis) == 2 and spans_direct_summand(basis)
+        for row in (half, quarter):
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for v in basis)
+
+    def test_zero_rows_leave_every_vector(self):
+        assert integral_coordinate_lattice([[0, 0, 0], [0, 0, 0]]) == \
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+    # Skipping zero and repeated rows leaves the column reduction unchanged:
+    # the basis equals the integer kernel of every scaled row.
+    @settings(max_examples=200, deadline=None)
+    @given(rational_rows())
+    def test_skipped_rows_change_nothing(self, rows):
+        assert integral_coordinate_lattice(rows) == integer_kernel([scaled(r) for r in rows])
