@@ -539,6 +539,15 @@ GOLDEN_MIRROR_SHA256 = {
 }
 
 
+# The sha256 of the stdout of `fock-verify` on the identity metric at d = 2
+# and on stretched1 (G^-1 = diag(1, 1/4)), frozen from the sweep that
+# bracketed the oscillators in Fraction arithmetic.
+GOLDEN_FOCK_SHA256 = {
+    "d2-cap3": "e478404f2fb4f22b0863909fd5b9acd669e80e00ae29cc504cf3cfaf07ee0e65",
+    "stretched1-cap5/2": "b42e9a256407ddbc89741c9b9bdd4d1824b5ccb6b2d4ce4772346c24968772c6",
+}
+
+
 def golden_mirror_torus(name):
     if name == "T4":
         i = RatMatrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
@@ -614,6 +623,16 @@ class TestDeterminism:
         code, out, err = run(capsys, "mirror", "--torus", path)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_MIRROR_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FOCK_SHA256))
+    def test_golden_fock_reports(self, capsys, stretched_file, name):
+        if name == "d2-cap3":
+            argv = ["--d", "2", "--cap", "3"]
+        else:
+            argv = ["--torus", stretched_file, "--cap", "5/2"]
+        code, out, err = run(capsys, "fock-verify", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FOCK_SHA256[name]
 
     def test_reports_are_byte_stable(self, capsys, square_file):
         outputs = []
