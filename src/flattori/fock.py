@@ -7,6 +7,9 @@ most a cap.  Annihilators act by the metric-contracted derivative rule, so
 the canonical (anti)commutation relations hold exactly on every subspace
 whose level keeps both operator orders inside the truncation; the verifiers
 report "inconclusive" outside that guarded subspace rather than pretending.
+Operator columns hold integers: annihilator entries are scaled by the lcm D
+of the denominators of G^-1, and each bracket is compared with its expected
+value scaled the same way.
 
 Scalars for the superconformal vectors live in Q(i) extended by a formal
 sqrt(2) tag, keeping the supercharge normalization exact.
@@ -14,6 +17,8 @@ sqrt(2) tag, keeping the supercharge normalization exact.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -105,9 +110,23 @@ def _monomial_parity(mono):
     return len(mono[1]) % 2
 
 
+def _sorted_vars(families, twice_levels, n):
+    """Creator variables in tuple order, and the twice-level of each as an int."""
+    keyed = sorted(((fam, Fraction(t, 2), i), t)
+                   for fam in families for t in twice_levels for i in range(n))
+    return [var for var, _ in keyed], [t for _, t in keyed]
+
+
 @dataclass(frozen=True)
 class TruncatedFock:
-    """Deterministic monomial basis of the truncated oscillator space."""
+    """Deterministic monomial basis of the truncated oscillator space.
+
+    Levels are counted in halves, as ints: a monomial fits when twice its
+    level is at most ``floor(2 cap)``.  Besides its variable tuples, each
+    basis monomial is kept as its key: the tuples of the ranks of its even
+    and of its odd variables, each family of variables taken in sorted
+    order.  The oscillator columns are built on these keys.
+    """
 
     d: int
     level_cap: Fraction
@@ -123,45 +142,37 @@ class TruncatedFock:
             raise ValidationError("metric must be symmetric positive definite")
         cap = Fraction(self.level_cap)
         object.__setattr__(self, "level_cap", cap)
-        even_vars = [(fam, Fraction(s), i)
-                     for fam in EVEN_FAMILIES
-                     for s in range(1, int(cap) + 1)
-                     for i in range(n)]
-        odd_vars = []
-        for fam in ODD_FAMILIES:
-            s = HALF
-            while s <= cap:
-                odd_vars.extend((fam, s, i) for i in range(n))
-                s += 1
-        even_vars.sort()
-        odd_vars.sort()
-        monos = []
+        cap2 = math.floor(2 * cap)
+        even_vars, even_twice = _sorted_vars(EVEN_FAMILIES, range(2, cap2 + 1, 2), n)
+        odd_vars, odd_twice = _sorted_vars(ODD_FAMILIES, range(1, cap2 + 1, 2), n)
+        found = []
 
-        def extend_odd(pos, chosen, level):
-            monos.append((tuple(chosen[0]), tuple(chosen[1])))
-            for t in range(pos, len(odd_vars)):
-                var = odd_vars[t]
-                if level + var[1] > cap:
-                    continue
-                chosen[1].append(var)
-                extend_odd(t + 1, chosen, level + var[1])
-                chosen[1].pop()
+        def extend_odd(pos, even, odd, twice):
+            found.append((twice, even, odd))
+            for r in range(pos, len(odd_vars)):
+                if twice + odd_twice[r] <= cap2:
+                    extend_odd(r + 1, even, odd + (r,), twice + odd_twice[r])
 
-        def extend_even(pos, chosen, level):
-            extend_odd(0, chosen, level)
-            for t in range(pos, len(even_vars)):
-                var = even_vars[t]
-                if level + var[1] > cap:
-                    continue
-                chosen[0].append(var)
-                extend_even(t, chosen, level + var[1])  # repetition allowed
-                chosen[0].pop()
+        def extend_even(pos, even, twice):
+            extend_odd(0, even, (), twice)
+            for r in range(pos, len(even_vars)):
+                if twice + even_twice[r] <= cap2:
+                    extend_even(r, even + (r,), twice + even_twice[r])  # repetition allowed
 
-        extend_even(0, [[], []], Fraction(0))
-        monos.sort(key=lambda m: (_monomial_level(m), m))
-        object.__setattr__(self, "basis", tuple(monos))
-        object.__setattr__(self, "index", {m: i for i, m in enumerate(monos)})
-        object.__setattr__(self, "_levels", tuple(_monomial_level(m) for m in monos))
+        extend_even(0, (), 0)
+        # ranks order like the variable tuples, so this is the (level, monomial) order
+        found.sort()
+        keys = tuple((even, odd) for _, even, odd in found)
+        basis = tuple((tuple(even_vars[r] for r in even), tuple(odd_vars[r] for r in odd))
+                      for even, odd in keys)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "index", {m: i for i, m in enumerate(basis)})
+        object.__setattr__(self, "_levels", tuple(twice for twice, _, _ in found))
+        object.__setattr__(self, "_cap2", cap2)
+        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_key_index", {k: i for i, k in enumerate(keys)})
+        object.__setattr__(self, "_var_rank", {v: r for family in (even_vars, odd_vars)
+                                               for r, v in enumerate(family)})
         object.__setattr__(self, "_op_cache", {})
 
     @property
@@ -172,45 +183,15 @@ class TruncatedFock:
     def ginv(self) -> RatMatrix:
         return self.G.inverse()
 
+    @cached_property
+    def _scaled_ginv(self):
+        """``(D, D G^-1)``: D is the lcm of the denominators of G^-1, the rows are ints."""
+        entries = self.ginv.entries
+        scale = math.lcm(*(x.denominator for row in entries for x in row))
+        return scale, tuple(tuple(int(x * scale) for x in row) for row in entries)
+
     def vacuum(self):
         return ((), ())
-
-
-def _creator_action(mono, var, cap):
-    """Left multiplication by a creator variable; None when truncated away."""
-    even, odd = mono
-    fam, s, i = var
-    if _monomial_level(mono) + s > cap:
-        return None
-    if fam in EVEN_FAMILIES:
-        new_even = tuple(sorted(even + (var,)))
-        return (new_even, odd), Q(1)
-    if var in odd:
-        return None
-    pos = sum(1 for g in odd if g < var)
-    new_odd = tuple(sorted(odd + (var,)))
-    return (even, new_odd), (Q(-1) if pos % 2 else Q(1))
-
-
-def _derivative_terms(mono, fam, s, n):
-    """All ways to remove one factor of family/level; yields (var_index, new_mono, sign_or_mult)."""
-    even, odd = mono
-    if fam in EVEN_FAMILIES:
-        seen = set()
-        for t, g in enumerate(even):
-            if g[0] != fam or g[1] != s or g in seen:
-                continue
-            seen.add(g)
-            mult = even.count(g)
-            new_even = list(even)
-            new_even.remove(g)
-            yield g[2], (tuple(new_even), odd), Q(mult)
-    else:
-        for t, g in enumerate(odd):
-            if g[0] != fam or g[1] != s:
-                continue
-            new_odd = odd[:t] + odd[t + 1:]
-            yield g[2], (even, new_odd), (Q(-1) if t % 2 else Q(1))
 
 
 _KIND_FAMILY = {"alpha": "a", "alphabar": "abar", "psi": "th", "psibar": "thbar"}
@@ -220,25 +201,31 @@ _KIND_FAMILY = {"alpha": "a", "alphabar": "abar", "psi": "th", "psibar": "thbar"
 class OscillatorOp:
     """Exact sparse matrix of one oscillator on the truncated basis.
 
-    Columns list ``(row_index, coefficient)`` pairs and are computed on
-    demand (the verifiers only ever touch low-level columns).  Creator
-    images that exceed the level cap are silently dropped (the
-    corestriction to the truncated space), which is why verifications
-    guard their subspaces.
+    Columns are computed on demand (the verifiers only ever touch low-level
+    columns) as ``(row_index, a)`` pairs with integer ``a``; the matrix
+    entry is ``a / scale``.  Creators have scale 1, annihilators the lcm D
+    of the denominators of G^-1.  Creator images that exceed the level cap
+    are silently dropped (the corestriction to the truncated space), which
+    is why verifications guard their subspaces.
     """
 
     space: TruncatedFock
     kind: str
     index: int
     mode: Fraction
+    scale: int
     _column_fn: object = field(compare=False, repr=False)
     _cols: dict = field(compare=False, repr=False, default_factory=dict)
 
-    def column(self, col: int):
+    def int_column(self, col: int):
         got = self._cols.get(col)
         if got is None:
-            got = self._cols[col] = self._column_fn(self.space.basis[col])
+            got = self._cols[col] = self._column_fn(col)
         return got
+
+    def column(self, col: int):
+        """The exact entries ``(row_index, Fraction)`` of one column."""
+        return tuple((row, Fraction(a, self.scale)) for row, a in self.int_column(col))
 
     def apply_monomial(self, mono):
         return self.column(self.space.index[mono])
@@ -281,29 +268,60 @@ def build_oscillator(space: TruncatedFock, kind: str, i: int, s) -> OscillatorOp
     cache = space._op_cache
     if cache_key in cache:
         return cache[cache_key]
-    fam = _KIND_FAMILY[kind]
-    ginv = space.ginv
+    keys, key_index = space._keys, space._key_index
+    # the variables (family, |s|, j) for j = 0..n-1 hold consecutive ranks
+    first = space._var_rank[(_KIND_FAMILY[kind], abs(s), 0)]
     if s < 0:
-        var = (fam, -s, i)
-
-        def column_fn(mono):
-            got = _creator_action(mono, var, space.level_cap)
-            if got is None:
-                return ()
-            new_mono, sign = got
-            return ((space.index[new_mono], sign),)
+        scale = 1
+        r = first + i
+        levels, room = space._levels, space._cap2 - int(-2 * s)
+        if bosonic:
+            def column_fn(col):
+                if levels[col] > room:
+                    return ()
+                even, odd = keys[col]
+                pos = bisect_right(even, r)
+                return ((key_index[(even[:pos] + (r,) + even[pos:], odd)], 1),)
+        else:
+            def column_fn(col):
+                if levels[col] > room:
+                    return ()
+                even, odd = keys[col]
+                pos = bisect_left(odd, r)
+                if odd[pos:pos + 1] == (r,):  # an odd variable squares to zero
+                    return ()
+                # moving the new variable past pos odd ones gives (-1)^pos
+                return ((key_index[(even, odd[:pos] + (r,) + odd[pos:])], -1 if pos % 2 else 1),)
     else:
-        prefactor = (s if bosonic else Q(1))
+        scale, scaled = space._scaled_ginv
+        if bosonic:
+            coeffs = tuple(int(s) * c for c in scaled[i])  # D s G^-1_ij
 
-        def column_fn(mono):
-            entries = []
-            for j, new_mono, factor in _derivative_terms(mono, fam, s, n):
-                c = prefactor * ginv.entries[i][j] * factor
-                if c:
-                    entries.append((space.index[new_mono], c))
-            return tuple(entries)
+            def column_fn(col):
+                even, odd = keys[col]
+                entries = []
+                for t, r in enumerate(even):
+                    j = r - first
+                    if 0 <= j < n and coeffs[j] and (t == 0 or even[t - 1] != r):
+                        mult = even.count(r)
+                        entries.append((key_index[(even[:t] + even[t + 1:], odd)],
+                                        coeffs[j] * mult))
+                return tuple(entries)
+        else:
+            coeffs = scaled[i]  # D G^-1_ij
 
-    op = OscillatorOp(space=space, kind=kind, index=i, mode=s, _column_fn=column_fn)
+            def column_fn(col):
+                even, odd = keys[col]
+                entries = []
+                for t, r in enumerate(odd):
+                    j = r - first
+                    if 0 <= j < n and coeffs[j]:
+                        c = -coeffs[j] if t % 2 else coeffs[j]
+                        entries.append((key_index[(even, odd[:t] + odd[t + 1:])], c))
+                return tuple(entries)
+
+    op = OscillatorOp(space=space, kind=kind, index=i, mode=s, scale=scale,
+                      _column_fn=column_fn)
     cache[cache_key] = op
     return op
 
@@ -323,28 +341,35 @@ class CheckOutcome:
         return self.status == "pass"
 
 
-def _bracket_on_subspace(space, op1, op2, sign, testable):
-    """Evaluate op1 op2 + sign*op2 op1 on the given basis columns, as dicts."""
-    results = []
+def _bracket_is(op1, op2, sign, testable, expected):
+    """Whether ``op1 op2 + sign op2 op1`` is ``expected`` times the identity.
+
+    Only the testable columns are checked.  Both products have integer entries at scale ``op1.scale * op2.scale``,
+    so they are compared with ``expected`` at that scale: multiplying by a
+    nonzero integer is injective on Q, and a target that is not an integer
+    cannot be met.
+    """
+    target = expected * op1.scale * op2.scale
+    if target.denominator != 1:
+        return False
+    target = target.numerator
     for col in testable:
         acc = {}
-
-        def add_terms(first, second, factor):
-            for mid, c1 in first.column(col):
-                for row, c2 in second.column(mid):
-                    acc[row] = acc.get(row, QZERO) + factor * c1 * c2
-
-        add_terms(op2, op1, Q(1))       # op1 after op2
-        add_terms(op1, op2, Q(sign))    # sign * op2 after op1
-        results.append({r: c for r, c in acc.items() if c})
-    return results
+        for mid, c1 in op2.int_column(col):       # op1 after op2
+            for row, c2 in op1.int_column(mid):
+                acc[row] = acc.get(row, 0) + c1 * c2
+        for mid, c1 in op1.int_column(col):       # sign * op2 after op1
+            for row, c2 in op2.int_column(mid):
+                acc[row] = acc.get(row, 0) + sign * c1 * c2
+        if acc.pop(col, 0) != target or any(acc.values()):
+            return False
+    return True
 
 
 def _verify_pairs(space, i, j, s, p, flavors, sign, expected_same_flavor):
-    from bisect import bisect_right
-    cap = space.level_cap
     # basis is level-sorted, so the guarded subspace is a prefix
-    testable = range(bisect_right(space._levels, cap - abs(s) - abs(p)))
+    room = space._cap2 - int(2 * abs(s)) - int(2 * abs(p))
+    testable = range(bisect_right(space._levels, room))
     if not testable:
         return CheckOutcome("inconclusive", 0, expected_same_flavor)
     left, right = flavors
@@ -356,11 +381,8 @@ def _verify_pairs(space, i, j, s, p, flavors, sign, expected_same_flavor):
     for kind1, kind2, expected in checks:
         op1 = build_oscillator(space, kind1, i, s)
         op2 = build_oscillator(space, kind2, j, p)
-        got = _bracket_on_subspace(space, op1, op2, sign, testable)
-        for col, result in zip(testable, got):
-            want = {col: expected} if expected else {}
-            if result != want:
-                return CheckOutcome("fail", len(testable), expected_same_flavor)
+        if not _bracket_is(op1, op2, sign, testable, expected):
+            return CheckOutcome("fail", len(testable), expected_same_flavor)
     return CheckOutcome("pass", len(testable), expected_same_flavor)
 
 

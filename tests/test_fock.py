@@ -7,13 +7,17 @@ import pytest
 from flattori.equivalence import chiral_transports
 from flattori.errors import TruncationError, ValidationError
 from flattori.exactlinear import GaussRational, Q, RatMatrix
-from flattori.fock import (RootTwoScalar, TruncatedFock, build_oscillator,
-                           ccr_car_sweep, field_modes, monomial_pairing,
-                           state_level, state_parity, superconformal_states,
-                           verify_car, verify_ccr)
+from flattori.fock import (RootTwoScalar, TruncatedFock, _bracket_is, _verify_pairs,
+                           build_oscillator, ccr_car_sweep, field_modes,
+                           monomial_pairing, state_level, state_parity,
+                           superconformal_states, verify_car, verify_ccr)
 from flattori.torus import ChargeVector, omega, square_torus
 
 HALF = Fraction(1, 2)
+
+# metrics whose inverse has denominators: D = 3 at d = 1, D = 5 at d = 2
+PAIRED = RatMatrix([[2, 1], [1, 2]])
+TRIDIAGONAL = RatMatrix([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]])
 
 
 @pytest.fixture
@@ -69,24 +73,33 @@ class TestOscillators:
             build_oscillator(space1, "alpha", 0, -4)
 
     def test_adjointness_against_wick_pairing(self):
-        g = RatMatrix([[2, 1], [1, 1]])
-        space = TruncatedFock(1, Fraction(2), g)
-        flavors = (("alpha", (1, 2)), ("psi", (HALF, Fraction(3, 2))),
-                   ("alphabar", (1,)), ("psibar", (HALF,)))
-        for kind, modes in flavors:
-            for i in range(2):
-                for s in modes:
-                    cre = build_oscillator(space, kind, i, -s)
-                    ann = build_oscillator(space, kind, i, s)
-                    for m1 in space.basis:
-                        lift = {space.basis[r]: c for r, c in cre.apply_monomial(m1)}
-                        for m2 in space.basis:
-                            lhs = sum((c * monomial_pairing(space, mono, m2)
-                                       for mono, c in lift.items()), Q(0))
-                            drop = {space.basis[r]: c for r, c in ann.apply_monomial(m2)}
-                            rhs = sum((c * monomial_pairing(space, m1, mono)
-                                       for mono, c in drop.items()), Q(0))
-                            assert lhs == rhs
+        assert_adjoint_to_creators(TruncatedFock(1, Fraction(2), RatMatrix([[2, 1], [1, 1]])))
+
+    def test_scaled_annihilators_are_adjoint(self):
+        # G^-1 = [[2, -1], [-1, 2]] / 3, so the annihilator columns carry scale 3
+        space = TruncatedFock(1, Fraction(2), PAIRED)
+        assert build_oscillator(space, "alpha", 0, 1).scale == 3
+        assert_adjoint_to_creators(space)
+
+
+def assert_adjoint_to_creators(space):
+    """Each annihilator is the Wick-pairing adjoint of its creator."""
+    flavors = (("alpha", (1, 2)), ("psi", (HALF, Fraction(3, 2))),
+               ("alphabar", (1,)), ("psibar", (HALF,)))
+    for kind, modes in flavors:
+        for i in range(2):
+            for s in modes:
+                cre = build_oscillator(space, kind, i, -s)
+                ann = build_oscillator(space, kind, i, s)
+                for m1 in space.basis:
+                    lift = {space.basis[r]: c for r, c in cre.apply_monomial(m1)}
+                    for m2 in space.basis:
+                        lhs = sum((c * monomial_pairing(space, mono, m2)
+                                   for mono, c in lift.items()), Q(0))
+                        drop = {space.basis[r]: c for r, c in ann.apply_monomial(m2)}
+                        rhs = sum((c * monomial_pairing(space, m1, mono)
+                                   for mono, c in drop.items()), Q(0))
+                        assert lhs == rhs
 
 
 class TestCcrCar:
@@ -115,16 +128,52 @@ class TestCcrCar:
         assert out.status == "pass" and out.expected == 0
 
     def test_inconclusive_outside_guard(self, space1):
-        assert verify_ccr(space1, 0, 0, 3, -3).status == "inconclusive" or \
-            verify_ccr(space1, 0, 0, 3, -3).tested_dimension == 1
+        # at cap 3 the guard 3 - |s| - |p| is negative: no column is tested
+        out = verify_ccr(space1, 0, 0, 3, -3)
+        assert (out.status, out.tested_dimension) == ("inconclusive", 0)
         assert verify_ccr(space1, 0, 0, 3, 3).status == "inconclusive"
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_sweep_has_no_failures(self, d):
-        space = TruncatedFock(d, Fraction(2), RatMatrix.identity(2 * d))
+    @pytest.mark.parametrize("d, g", [(1, None), (2, None), (1, PAIRED), (2, TRIDIAGONAL)],
+                             ids=["1", "2", "1-D3", "2-D5"])
+    def test_sweep_has_no_failures(self, d, g):
+        space = TruncatedFock(d, Fraction(2), g or RatMatrix.identity(2 * d))
         rows = ccr_car_sweep(space)
         assert all(r["status"] != "fail" for r in rows)
         assert any(r["status"] == "pass" for r in rows)
+
+    @pytest.mark.parametrize("d, g, scale", [(1, PAIRED, 3), (2, TRIDIAGONAL, 5)],
+                             ids=["1-D3", "2-D5"])
+    def test_scaled_bracket_rejects_a_wrong_value(self, d, g, scale):
+        space = TruncatedFock(d, Fraction(3), g)
+        assert space.ginv.entries[0][1].denominator == scale
+        ccr = (("alpha", "alphabar"), -1)
+        car = (("psi", "psibar"), +1)
+        cases = (
+            (ccr, 1, -1, verify_ccr(space, 0, 1, 1, -1).expected),       # annihilator, creator
+            (car, HALF, -HALF, verify_car(space, 0, 1, HALF, -HALF).expected),
+            (ccr, 1, -2, Q(0)),                                           # mismatched modes
+            (ccr, -1, -1, Q(0)),                                          # two creators, scale 1
+        )
+        for (flavors, sign), s, p, right in cases:
+            assert _verify_pairs(space, 0, 1, s, p, flavors, sign, right).status == "pass"
+            wrong = right + Fraction(1, scale)
+            assert _verify_pairs(space, 0, 1, s, p, flavors, sign, wrong).status == "fail"
+
+    def test_bracket_sees_entries_off_the_diagonal(self, space1):
+        # a boson and a fermion creator commute, so their anticommutator is
+        # 2 a psi: zero on the diagonal, nonzero below it
+        a = build_oscillator(space1, "alpha", 0, -1)
+        psi = build_oscillator(space1, "psi", 0, -HALF)
+        assert _bracket_is(a, psi, -1, range(1), Q(0))
+        assert not _bracket_is(a, psi, +1, range(1), Q(0))
+
+    def test_cap_between_half_integers_rounds_down(self):
+        # 2 * 7/3 rounds down to 4, so cap 7/3 truncates exactly like cap 2,
+        # and so does every guard 7/3 - |s| - |p|
+        at_two = TruncatedFock(1, Fraction(2), RatMatrix.identity(2))
+        at_seven_thirds = TruncatedFock(1, Fraction(7, 3), RatMatrix.identity(2))
+        assert at_seven_thirds.basis == at_two.basis
+        assert ccr_car_sweep(at_seven_thirds) == ccr_car_sweep(at_two)
 
 
 class TestSuperconformalStates:
