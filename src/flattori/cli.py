@@ -72,6 +72,8 @@ def parse_splitting(text, n):
     except ValueError:
         raise SchemaError("splitting must look like 'a1;a2|b1;b2' with comma-separated "
                           "integer entries", "--split")
+    if not a_vecs or not b_vecs:
+        raise SchemaError("each half of a splitting needs at least one vector", "--split")
     if any(len(v) != n for v in a_vecs + b_vecs):
         raise SchemaError(f"splitting vectors must have length {n}", "--split")
     return tduality.LagrangianSplitting.from_vectors(a_vecs, b_vecs)
@@ -152,12 +154,10 @@ def _cmd_verify_map(args, cfg):
 def _cmd_mirror(args, cfg):
     t = jsonio.load_torus(args.torus)
     inputs = {"torus": jsonio.torus_to_json(t)}
-    if args.split:
-        s = parse_splitting(args.split, t.rank)
-    else:
-        s = tduality.find_lagrangian_splitting(t)
-    inputs["split"] = {"A": [list(v) for v in s.a_basis], "B": [list(v) for v in s.b_basis]}
     try:
+        s = (parse_splitting(args.split, t.rank) if args.split
+             else tduality.find_lagrangian_splitting(t))
+        inputs["split"] = {"A": [list(v) for v in s.a_basis], "B": [list(v) for v in s.b_basis]}
         mr = tduality.mirror_via_tduality(t, s)
     except RecoveryError as exc:
         return _emit(args, inputs,

@@ -132,7 +132,6 @@ class TruncatedFock:
     level_cap: Fraction
     G: RatMatrix
     basis: tuple = field(default=None, compare=False, repr=False)
-    index: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = 2 * self.d
@@ -166,7 +165,6 @@ class TruncatedFock:
         basis = tuple((tuple(even_vars[r] for r in even), tuple(odd_vars[r] for r in odd))
                       for even, odd in keys)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "index", {m: i for i, m in enumerate(basis)})
         object.__setattr__(self, "_levels", tuple(twice for twice, _, _ in found))
         object.__setattr__(self, "_cap2", cap2)
         object.__setattr__(self, "_keys", keys)
@@ -178,6 +176,11 @@ class TruncatedFock:
     @property
     def rank(self) -> int:
         return 2 * self.d
+
+    @cached_property
+    def index(self) -> dict:
+        """Each basis monomial's position; only ``OscillatorOp.apply_*`` read it."""
+        return {m: i for i, m in enumerate(self.basis)}
 
     @cached_property
     def ginv(self) -> RatMatrix:

@@ -14,9 +14,10 @@ wrong inversion branch cannot survive silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from itertools import combinations
+from math import lcm
 
-from ._intlat import spans_direct_summand
+from ._intlat import column_pivots, integer_kernel, spans_direct_summand
 from .equivalence import Certificate, LatticeMap, verify_map
 from .errors import RecoveryError, ValidationError
 from .exactlinear import QZERO, RatMatrix
@@ -95,79 +96,73 @@ def require_splitting(t: TorusData, s: LagrangianSplitting):
 # ---------------------------------------------------------------------------
 
 
-def _symplectic_blocks(w):
-    """Pairs ``(e, f)`` with ``e^t w f != 0`` that are w-orthogonal pair to
-    pair and together form a basis of ``Z^n``, in which the nondegenerate
-    integral skew form ``w`` is block diagonal with 2x2 blocks.
+def _rank(vectors):
+    return len(column_pivots([list(v) for v in vectors]))
 
-    Take the pair of working vectors with the smallest nonzero ``|w|`` (first
-    in index order on ties), reduce every other working vector against it by
-    one Euclid step, and repeat until the others are w-orthogonal to the pair;
-    then set the pair aside and go on with the rest.  Each round that does
-    not close a pair leaves a remainder smaller than its ``|w|``, so the loop
-    ends, and every step is unimodular.
+
+def _krylov_lagrangian(w, s, v):
+    """A Lagrangian subspace of ``w`` through v on which B vanishes too, for
+    ``s`` a positive multiple of ``S = omega^-1 B``.
+
+    ``B(x, y) = omega(Sx, y)`` and S is omega-self-adjoint, so each Krylov
+    space ``Q[S]v`` is isotropic for both forms.  For such an S-invariant A,
+    ``A^perp`` is S-invariant, so ``A + Q[S]x`` is one too for x in
+    ``A^perp``: add the first integer-kernel x outside A, then its S-images.
     """
-    n = len(w)
-    work = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    blocks = []
-    while work:
-        images = [_image(w, v) for v in work]
-        _, i, j = min((abs(_dot(u, images[b])), a, b) for a, u in enumerate(work)
-                      for b in range(a + 1, len(work)) if _dot(u, images[b]))
-        e, f = work[i], work[j]
-        m = _dot(e, images[j])
-        closed = True
-        for k, v in enumerate(work):
-            if k in (i, j):
-                continue
-            # v - a f + b e pairs with e to r and with f to s
-            a, r = divmod(_dot(e, images[k]), m)
-            b, s = divmod(_dot(f, images[k]), m)
-            work[k] = tuple(x - a * y + b * z for x, y, z in zip(v, f, e))
-            closed = closed and r == s == 0
-        if closed:
-            blocks.append((e, f))
-            work = [v for k, v in enumerate(work) if k not in (i, j)]
-    return blocks
+    a = []
+    while True:
+        while _rank(a + [v]) > len(a):
+            a.append(v)
+            v = _image(s, v)
+        if 2 * len(a) == len(w):
+            return a
+        v = next(x for x in integer_kernel([_image(w, u) for u in a])
+                 if _rank(a + [x]) > len(a))
 
 
-def _ext_gcd(a, b):
-    """``(s, u)`` with ``s a + u b = gcd(a, b) >= 0``."""
-    if b == 0:
-        return (1, 0) if a >= 0 else (-1, 0)
-    s, u = _ext_gcd(b, a % b)
-    return u, s - (a // b) * u
+def _isotropic_complement(w, a):
+    """A w-isotropic completion of the primitive Lagrangian ``a`` to a basis
+    of ``Z^n``, or None if there is none.
+
+    For the transform U of a column reduction of ``a``, the last d rows of
+    ``U^-1`` complete it, and so does each ``c_i + sum_k phi_ik a_k``.  Those
+    are isotropic when phi solves linear equations; the integer kernel of
+    the equations, constants as the last column, holds an integral phi iff
+    its last coordinates have gcd 1, and one more reduction combines them.
+    """
+    n, d = len(w), len(a)
+    trans = [[int(i == j) for j in range(n)] for i in range(n)]
+    column_pivots([list(v) for v in a], trans)
+    c = [[int(x) for x in row] for row in RatMatrix(trans).inverse().entries[d:]]
+    pair = [[_dot(u, _image(w, v)) for v in a + c] for u in c]
+    rows = [[pair[i][k] * (r == j) - pair[j][k] * (r == i) for r in range(d) for k in range(d)]
+            + [pair[i][d + j]] for i, j in combinations(range(d), 2)]
+    *phi, last = map(list, zip(*integer_kernel(rows or [[0] * (d * d + 1)])))
+    pivots = column_pivots([last], phi)
+    if pivots not in ([1], [-1]):
+        return None
+    return [tuple(x + pivots[0] * sum(phi[i * d + k][0] * v[m] for k, v in enumerate(a))
+                  for m, x in enumerate(c[i])) for i in range(d)]
 
 
 def find_lagrangian_splitting(t: TorusData) -> LagrangianSplitting:
-    """A splitting into omega-isotropic halves, built from a symplectic basis.
+    """A splitting into omega-isotropic halves, the first one B-isotropic too.
 
-    Every nondegenerate integral skew form has a basis of blocks ``(e_i,
-    f_i)``, w-orthogonal to one another (:func:`_symplectic_blocks`, applied
-    to omega scaled to integers).  One primitive vector ``x_i = alpha e_i +
-    beta f_i`` per block spans A and its completion ``y_i = gamma e_i +
-    delta f_i`` (``alpha delta - beta gamma = 1``) spans B, so both halves
-    are omega-isotropic and together unimodular.  The mirror recovery needs
-    A to be B-isotropic too: ``x_i`` is the primitive solution of
-    ``B(x_j, x_i) = 0`` for every earlier ``x_j`` when those conditions are
-    proportional (always so in the first two blocks, and when B is a
-    multiple of omega), and ``e_i`` otherwise.
+    The dualized half A is the saturation (integer kernel of the integer
+    kernel) of :func:`_krylov_lagrangian` from the first unit vector whose A
+    :func:`_isotropic_complement` completes; both halves in descending order.
     """
-    b_form = _integral(t.B)
-    a_vectors, b_vectors = [], []
-    for e, f in _symplectic_blocks(_integral(omega(t))):
-        be, bf = _image(b_form, e), _image(b_form, f)
-        rows = [(_dot(x, be), _dot(x, bf)) for x in a_vectors]
-        rows = [r for r in rows if r != (0, 0)]
-        alpha, beta = 1, 0
-        if rows and all(p * rows[0][1] == q * rows[0][0] for p, q in rows):
-            p, q = rows[0]
-            g = gcd(p, q)
-            alpha, beta = q // g, -p // g
-        delta, minus_gamma = _ext_gcd(alpha, beta)
-        a_vectors.append(tuple(alpha * u + beta * v for u, v in zip(e, f)))
-        b_vectors.append(tuple(delta * v - minus_gamma * u for u, v in zip(e, f)))
-    return LagrangianSplitting.from_vectors(a_vectors, b_vectors)
+    w = _integral(omega(t))
+    s = _integral(omega(t).inverse() * t.B)
+    for k in range(t.rank):
+        start = tuple(int(i == k) for i in range(t.rank))
+        a = integer_kernel(integer_kernel(_krylov_lagrangian(w, s, start)))
+        a = sorted(map(tuple, a), reverse=True)
+        c = _isotropic_complement(w, a)
+        if c is not None:
+            return LagrangianSplitting.from_vectors(a, sorted(c, reverse=True))
+    raise RecoveryError("no unit start vector gives an omega-isotropic complement",
+                        block="lagrangian_splitting")
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@
 import argparse
 import hashlib
 import json
+import random
 
 import pytest
 
-from flattori import cli, equivalence, jsonio
+from flattori import cli, equivalence, jsonio, tduality
 from flattori.cli import main
 from flattori.exactlinear import Q, RatMatrix
-from flattori.torus import TorusData, square_torus
+from flattori.torus import TorusData, random_valid_torus, square_torus
 
 
 REFUTED_BY = "window contains every g with tr(N1^-1 g^t N2 g) = 4d"
@@ -68,6 +69,10 @@ class TestNumericInputErrors:
         (None, ["validate", "D"], "cannot read {D}: Is a directory (at {D})"),
         (None, ["validate", "U"], "malformed JSON: 'utf-8' codec can't decode byte 0xff "
          "in position 0: invalid start byte (at {U})"),
+        (None, ["mirror", "--torus", "T", "--split", "|"],
+         "each half of a splitting needs at least one vector (at --split)"),
+        (None, ["fm", "--torus", "T", "--class", "T", "--split", "|"],
+         "each half of a splitting needs at least one vector (at --split)"),
     ])
     def test_one_line_exit_two(self, capsys, tmp_path, square_file, config, argv, message):
         # T is a valid torus file, M a path in a directory that does not exist,
@@ -353,6 +358,31 @@ class TestMirrorCommand:
         code, out, _ = run(capsys, "mirror", "--torus", square2_file,
                            "--split", "1,0,0,0;0,0,1,0|0,1,0,0;0,0,0,1")
         assert code == 0
+
+    def test_generic_b_field_at_d3_mirrors(self, capsys, tmp_path, torus_file):
+        # B is not a multiple of omega; the certificate must re-verify from files
+        t = random_valid_torus(random.Random(0), 3, steps=10, scale_bound=5)
+        source = torus_file(t, "d3.json")
+        code, out, err = run(capsys, "mirror", "--torus", source,
+                             "--out-torus", str(tmp_path / "mirror.json"),
+                             "--out-cert", str(tmp_path / "cert.json"))
+        assert (code, err) == (0, "")
+        assert all(row["ok"] for row in report(out)["result"]["recovery_report"])
+        cert = json.loads((tmp_path / "cert.json").read_text())
+        (tmp_path / "map.json").write_text(json.dumps({
+            "kind": cert["kind"], "g": cert["g"],
+            "source": "d3.json", "target": "mirror.json"}))
+        code, out, _ = run(capsys, "verify-map", str(tmp_path / "map.json"))
+        assert code == 0
+        assert report(out)["result"]["valid"]
+
+    def test_splitting_without_isotropic_complement_is_reported(self, capsys, monkeypatch,
+                                                                  square_file):
+        monkeypatch.setattr(tduality, "_isotropic_complement", lambda w, a: None)
+        code, out, err = run(capsys, "mirror", "--torus", square_file)
+        assert (code, err) == (1, "")
+        assert report(out)["result"] == {"found": False, "verdict": "recovery failed",
+                                         "block": "lagrangian_splitting"}
 
     def test_bad_split_is_input_error(self, capsys, square2_file):
         code, out, err = run(capsys, "mirror", "--torus", square2_file,

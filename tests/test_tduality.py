@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flattori.equivalence import search_relation, verify_map
+from flattori.equivalence import LatticeMap, search_relation, verify_map
 from flattori.errors import ValidationError
 from flattori.exactlinear import Q, RatMatrix
-from flattori.tduality import (LagrangianSplitting, dual_splitting,
+from flattori.tduality import (LagrangianSplitting, _isotropic_complement, dual_splitting,
                                find_lagrangian_splitting, mirror_via_tduality,
                                splitting_report)
 from flattori.torus import TorusData, omega, random_valid_torus, square_torus, validate
@@ -42,10 +42,21 @@ class TestFindSplitting:
         t = TorusData(d, t.I, t.G, b[b_kind], "drawn")
         s = find_lagrangian_splitting(t)
         assert all(ok for _, ok in splitting_report(t, s))
-        if d <= 2 or b_kind != "generic":
-            mr = mirror_via_tduality(t, s)
-            assert all(ok for _, ok in mr.recovery_report)
-            assert verify_map(mr.duality_map).valid
+        mr = mirror_via_tduality(t, s)
+        assert all(ok for _, ok in mr.recovery_report)
+        assert verify_map(mr.duality_map).valid
+
+    def test_complement_may_need_a_non_integral_shift(self):
+        # omega pairs A = (e0, e1) with (e2, e3) through 2 id and has
+        # omega(e2, e3) = 1: shifting e2, e3 along A changes that pairing by
+        # even numbers only, so no shift makes the complement isotropic
+        w = [[0, 0, -2, 0], [0, 0, 0, -2], [2, 0, 0, 1], [0, 2, -1, 0]]
+        a = [(1, 0, 0, 0), (0, 1, 0, 0)]
+        assert _isotropic_complement(w, a) is None
+        w[2][3], w[3][2] = 2, -2
+        c = _isotropic_complement(w, a)
+        assert [x[2:] for x in c] == [(1, 0), (0, 1)]
+        assert sum(c[0][i] * w[i][j] * c[1][j] for i in range(4) for j in range(4)) == 0
 
     @pytest.mark.parametrize("a, b", [([(1, 1)], [(1, -1)]), ([(1, 0)], [(0, 2)])])
     def test_reports_non_unimodular_splitting(self, square1, a, b):
@@ -121,6 +132,32 @@ class TestMirrorConstruction:
         assert validate(mr.mirror).ok
         assert all(ok for _, ok in mr.recovery_report)
         assert verify_map(mr.duality_map).valid
+
+
+class TestRebasing:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 2),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                              st.sampled_from([-2, -1, 1, 2])), max_size=6))
+    def test_duality_map_composes_with_rebasing(self, seed, d, shears):
+        # T' is T in the lattice basis u; diag(u, u^-t) is an iso T' -> T, so
+        # following it by the duality map of T is a mirror map T' -> mirror(T)
+        t = random_valid_torus(random.Random(seed), d, steps=6, scale_bound=5)
+        n = 2 * d
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i, j, c in shears:
+            if i % n != j % n:
+                rows[i % n] = [x + c * y for x, y in zip(rows[i % n], rows[j % n])]
+        u = RatMatrix(rows)
+        rebased = TorusData(d, u.inverse() * t.I * u, u.transpose() * t.G * u,
+                            u.transpose() * t.B * u, "rebased")
+        z = RatMatrix.zero(n, n)
+        iso = LatticeMap(RatMatrix.from_blocks([[u, z], [z, u.inverse().transpose()]]),
+                         rebased, t, "iso")
+        assert verify_map(iso).valid
+        mr = mirror_via_tduality(t, find_lagrangian_splitting(t))
+        composed = LatticeMap(mr.duality_map.g * iso.g, rebased, mr.mirror, "mirror")
+        assert verify_map(composed).valid
 
 
 class TestRoundTrip:
