@@ -578,6 +578,24 @@ GOLDEN_FOCK_SHA256 = {
 }
 
 
+# The sha256 of the stdout of `abrane-check` on the accepted space-filling
+# brane of the T4 and on a Lagrangian whose curvature is rejected at
+# condition (ii), and of `fm` on square2 with the Kaehler (1,1) class, frozen
+# from the code that ran the acceptance conditions once per reader and built
+# the mirror through a rewritten split torus.  The reports echo `--brane`,
+# so the branes are read from a fixed relative path.
+GOLDEN_BRANES = {
+    "space-filling": ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                      [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]]),
+    "curved-lagrangian": ([[1, 0, 0, 0], [0, 0, 1, 0]], [[0, 1], [-1, 0]]),
+}
+GOLDEN_BRANE_SHA256 = {
+    "space-filling": "b5aceae258af2dc36271ebcc7ea51c5d7e1ed46f33c96cdc23d9e2293cbca70d",
+    "curved-lagrangian": "f4a051b5de457f454174c1a26b8234c835314662e4fda3eda9fb3d1a9e747347",
+}
+GOLDEN_FM_SHA256 = "840f01a20dbe3645d67653ebeb98bde937ecf67ffcc14bf61b80e50df1f2189a"
+
+
 def golden_mirror_torus(name):
     if name == "T4":
         i = RatMatrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
@@ -663,6 +681,26 @@ class TestDeterminism:
         code, out, err = run(capsys, "fock-verify", *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FOCK_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_BRANES))
+    def test_golden_abrane_reports(self, capsys, monkeypatch, tmp_path, torus_file, name):
+        torus_file(golden_mirror_torus("T4"), "t4.json")
+        y_basis, f = GOLDEN_BRANES[name]
+        (tmp_path / "brane.json").write_text(json.dumps(
+            {"torus_ref": "t4.json", "Y_basis": y_basis, "F": f}))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "abrane-check", "--brane", "brane.json")
+        assert (code, err) == (0 if name == "space-filling" else 1, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_BRANE_SHA256[name]
+
+    def test_golden_fm_report(self, capsys, tmp_path, square2_file):
+        cls = tmp_path / "kaehler.json"
+        cls.write_text(json.dumps({"grade_terms": [{"indices": [0, 1], "coeff": "1"},
+                                                   {"indices": [2, 3], "coeff": "1"}]}))
+        code, out, err = run(capsys, "fm", "--torus", square2_file, "--class", str(cls),
+                             "--split", "1,0,0,0;0,0,1,0|0,1,0,0;0,0,0,1")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FM_SHA256
 
     def test_reports_are_byte_stable(self, capsys, square_file):
         outputs = []
