@@ -108,7 +108,10 @@ def integral_coordinate_lattice(rows):
     return integer_kernel(list(scaled) or [[0] * n])
 
 
-def pair_reduce(basis, max_sweeps=8):
+MAX_SWEEPS = 8  # pair_reduce stops after this many sweeps, even if the last changed a vector
+
+
+def pair_reduce(basis):
     """Deterministic pairwise size reduction of integer lattice vectors.
 
     Repeatedly replaces ``b_i`` by ``b_i - round(<b_i,b_j>/<b_j,b_j>) b_j``
@@ -125,7 +128,7 @@ def pair_reduce(basis, max_sweeps=8):
         return (max(abs(x) for x in v), sum(abs(x) for x in v),
                 sum(1 for x in v if x < 0), list(v))
 
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         b.sort(key=sortkey)
         changed = False
         for i in range(len(b)):

@@ -20,6 +20,7 @@ all distributions and forms are constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ._intlat import column_pivots
 from .errors import DimensionError, InconsistencyError, ValidationError
@@ -65,6 +66,11 @@ class AffineBrane:
         n = self.torus.rank
         return RatMatrix([[self.y_basis[j][i] for j in range(self.r)] for i in range(n)])
 
+    @cached_property
+    def acceptance(self) -> AbraneReport:
+        """The :func:`check_abrane` report, computed once and shared by every reader."""
+        return check_abrane(self)
+
 
 def _require_structural(b: AffineBrane):
     require_valid(b.torus)
@@ -92,21 +98,18 @@ class FoliationData:
     f: RatMatrix | None
 
 
-def _complement_indices(l_rows, r, prefer_last=False):
+def _complement_indices(l_rows, r):
     if not l_rows:
         return tuple(range(r))
-    order = list(range(r))[::-1] if prefer_last else list(range(r))
-    mat = RatMatrix([[row[j] for j in order] for row in l_rows])
-    _, pivots = mat.rref()
-    piv = {order[c] for c in pivots}
-    return tuple(j for j in range(r) if j not in piv)
+    _, pivots = RatMatrix(l_rows).rref()
+    return tuple(j for j in range(r) if j not in pivots)
 
 
 def _restricted_form(mat: RatMatrix, indices):
     return RatMatrix([[mat.entries[i][j] for j in indices] for i in indices])
 
 
-def characteristic_foliation(b: AffineBrane, prefer_last_complement: bool = False) -> FoliationData:
+def characteristic_foliation(b: AffineBrane) -> FoliationData:
     """Compute the foliation data; raises with a witness if not coisotropic.
 
     Coisotropy is checked through the equivalent finite condition that the
@@ -119,15 +122,15 @@ def characteristic_foliation(b: AffineBrane, prefer_last_complement: bool = Fals
         raise ValidationError(
             f"subtorus is not coisotropic; witness vector {witness} is "
             "skew-orthogonal to it but lies outside")
-    return _foliation(b, prefer_last_complement)
+    return _foliation(b)
 
 
-def _foliation(b: AffineBrane, prefer_last_complement: bool) -> FoliationData:
+def _foliation(b: AffineBrane) -> FoliationData:
     """The foliation data of a structurally valid, coisotropic brane."""
     y = b.direction_matrix()
     w_v = y.transpose() * omega(b.torus) * y
     l_basis = tuple(w_v.kernel_basis())
-    comp = _complement_indices(l_basis, b.r, prefer_last_complement)
+    comp = _complement_indices(l_basis, b.r)
     sigma = _restricted_form(w_v, comp) if comp else None
     f = _restricted_form(b.curvature, comp) if comp else None
     return FoliationData(l_basis=l_basis, n_rank=len(comp), complement=comp,
@@ -165,7 +168,7 @@ class AbraneReport:
         return next((c.name for c in self.conditions if not c.ok), None)
 
 
-def check_abrane(b: AffineBrane, prefer_last_complement: bool = False) -> AbraneReport:
+def check_abrane(b: AffineBrane) -> AbraneReport:
     """Run the acceptance conditions in order; stop at the first failure."""
     _require_structural(b)
     conditions = []
@@ -186,7 +189,7 @@ def check_abrane(b: AffineBrane, prefer_last_complement: bool = False) -> Abrane
     k = (r - d) // 2
     conditions.append(ConditionResult("dimension_law", True, f"k = {k}"))
 
-    fol = _foliation(b, prefer_last_complement)
+    fol = _foliation(b)
     bad = [l for l in fol.l_basis
            if any(x != 0 for x in b.curvature.apply(l))]
     if bad:
@@ -234,7 +237,7 @@ def wedge_characterization(b: AffineBrane) -> WedgePowerReport:
     records agreement or disagreement with condition (iii) instead of
     asserting either indexing; see the package notes.
     """
-    report = check_abrane(b)
+    report = b.acceptance
     passed = {c.name for c in report.conditions if c.ok}
     if not {"coisotropic", "dimension_law", "curvature_annihilates_foliation"} <= passed:
         raise ValidationError("wedge characterization needs conditions (i)-(ii) to hold")
@@ -297,7 +300,7 @@ def anomaly_check_affine(b: AffineBrane) -> AnomalyReport:
     nonzero (a zero would contradict acceptance and raises).  Since the
     ratio h is a nonzero constant, its Bockstein image vanishes.
     """
-    report = check_abrane(b)
+    report = b.acceptance
     if not report.accepted:
         raise ValidationError("anomaly check requires an accepted brane")
     k = report.k

@@ -262,7 +262,7 @@ def _cmd_beta(args, cfg):
 
 def _cmd_abrane_check(args, cfg):
     b = jsonio.load_brane(args.brane)
-    rep = abranes.check_abrane(b)
+    rep = b.acceptance
     result = {
         "accepted": rep.accepted,
         "k": rep.k,

@@ -131,7 +131,6 @@ class TruncatedFock:
     d: int
     level_cap: Fraction
     G: RatMatrix
-    basis: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = 2 * self.d

@@ -42,15 +42,14 @@ def matrix_to_json(m: RatMatrix):
     return [[rat_str(e) for e in row] for row in m.entries]
 
 
-def matrix_from_json(data, pointer, rows=None, cols=None) -> RatMatrix:
+def matrix_from_json(data, pointer, size) -> RatMatrix:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise SchemaError("expected a non-empty list of rows", pointer)
     entries = [[_rat_from(e, f"{pointer}[{i}][{j}]") for j, e in enumerate(row)]
                for i, row in enumerate(data)]
     m = RatMatrix(entries)
-    if rows is not None and (m.rows != rows or m.cols != (cols if cols is not None else rows)):
-        raise SchemaError(f"expected a {rows}x{cols or rows} matrix, got {m.rows}x{m.cols}",
-                          pointer)
+    if m.rows != size or m.cols != size:
+        raise SchemaError(f"expected a {size}x{size} matrix, got {m.rows}x{m.cols}", pointer)
     return m
 
 
@@ -75,7 +74,7 @@ def torus_from_json(data, pointer="torus") -> TorusData:
     for name in ("I", "G", "B"):
         if name not in data:
             raise SchemaError(f"missing matrix {name}", f"{pointer}.{name}")
-        mats[name] = matrix_from_json(data[name], f"{pointer}.{name}", rows=n)
+        mats[name] = matrix_from_json(data[name], f"{pointer}.{name}", n)
     label = data.get("label", "")
     if not isinstance(label, str):
         raise SchemaError("label must be a string", f"{pointer}.label")
@@ -147,12 +146,17 @@ def brane_from_json(data, base_dir=".", pointer="brane"):
             or any(not isinstance(v, list) or any(not _is_int(x) for x in v) for v in yb)):
         raise SchemaError("Y_basis must be a list of integer vectors", f"{pointer}.Y_basis")
     f = data.get("F")
-    fmat = matrix_from_json(f, f"{pointer}.F", rows=len(yb)) if f is not None \
+    fmat = matrix_from_json(f, f"{pointer}.F", len(yb)) if f is not None \
         else RatMatrix.zero(len(yb), len(yb))
     shift = data.get("translation", [])
     if not isinstance(shift, list):
         raise SchemaError("translation must be a list", f"{pointer}.translation")
     translation = tuple(_rat_from(x, f"{pointer}.translation[{i}]") for i, x in enumerate(shift))
+    k = next((k for k, v in enumerate(yb) if len(v) != t.rank), None)
+    if k is not None:
+        raise SchemaError(f"brane directions must have length {t.rank}", f"{pointer}.Y_basis[{k}]")
+    if shift and len(shift) != t.rank:
+        raise SchemaError(f"translation must have length {t.rank}", f"{pointer}.translation")
     return AffineBrane(torus=t, y_basis=tuple(tuple(v) for v in yb),
                        curvature=fmat, translation=translation)
 
@@ -188,7 +192,7 @@ def map_from_json(data, base_dir=".", pointer="map") -> LatticeMap:
 
     source = torus_arg("source")
     target = torus_arg("target")
-    g = matrix_from_json(data.get("g"), f"{pointer}.g", rows=4 * source.d)
+    g = matrix_from_json(data.get("g"), f"{pointer}.g", 4 * source.d)
     if not g.is_integral():
         raise SchemaError("g must be integral", f"{pointer}.g")
     return LatticeMap(g=g, source=source, target=target, kind=kind)

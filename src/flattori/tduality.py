@@ -2,9 +2,9 @@
 
 Given a splitting ``T = A x B`` into omega-isotropic halves, the doubled
 lattice admits the obvious pairing-preserving isomorphism that exchanges
-the A-windings with the A-momenta.  Transporting calJ to the calI slot and
-calI to the calJ slot along this map and then solving the block formulas
-backwards yields the mirror data ``(I', G', B')``.
+the A-windings with the A-momenta.  Transporting the torus's own calJ to the
+calI slot and calI to the calJ slot along this map and then solving the
+block formulas backwards yields the mirror data ``(I', G', B')``.
 
 Every recovered matrix is re-substituted into the forward block formulas;
 any mismatch raises :class:`RecoveryError` naming the offending block, so a
@@ -197,24 +197,21 @@ def mirror_via_tduality(t: TorusData, s: LagrangianSplitting) -> MirrorResult:
 
     The mirror is presented in the splitting-adapted basis: the first d
     coordinates are the duals of the A vectors, the last d are the B
-    vectors.
+    vectors.  Its calI and calJ are the torus's own calJ and calI carried
+    along the duality map, so no intermediate torus is built.
     """
     require_valid(t)
     require_splitting(t, s)
     d, n = t.d, t.rank
     p = s.change_of_basis
     p_inv = p.inverse()
-    t_split = TorusData(
-        d=d,
-        I=p_inv * t.I * p,
-        G=p.transpose() * t.G * p,
-        B=p.transpose() * t.B * p,
-        label=f"{t.label}#split" if t.label else "split",
-    )
-    ds = doubled(t_split)
+    z = RatMatrix.zero(n, n)
     sw = _swap_matrix(d)
-    cal_i_new = sw * ds.calJ * sw
-    cal_j_new = sw * ds.calI * sw
+    g = sw * RatMatrix.from_blocks([[p_inv, z], [z, p.transpose()]])
+    g_inv = RatMatrix.from_blocks([[p, z], [z, p_inv.transpose()]]) * sw
+    ds = doubled(t)
+    cal_i_new = g * ds.calJ * g_inv
+    cal_j_new = g * ds.calI * g_inv
 
     report = []
 
@@ -223,7 +220,6 @@ def mirror_via_tduality(t: TorusData, s: LagrangianSplitting) -> MirrorResult:
         if not ok:
             raise RecoveryError(f"mirror recovery failed at {name}", block=name)
 
-    z = RatMatrix.zero(n, n)
     i_new = cal_i_new.block(0, n, 0, n)
     check("calI_upper_right_vanishes", cal_i_new.block(0, n, n, 2 * n) == z)
     check("I_squares_to_minus_id", i_new * i_new == -RatMatrix.identity(n))
@@ -245,13 +241,7 @@ def mirror_via_tduality(t: TorusData, s: LagrangianSplitting) -> MirrorResult:
     check("calI_resubstitutes", ds_mirror.calI == cal_i_new)
     check("calJ_resubstitutes", ds_mirror.calJ == cal_j_new)
 
-    # duality map: original coordinates -> split coordinates -> swap
-    basis_change = RatMatrix.from_blocks([
-        [p_inv, RatMatrix.zero(n, n)],
-        [RatMatrix.zero(n, n), p.transpose()],
-    ])
-    g_total = sw * basis_change
-    dmap = LatticeMap(g=g_total, source=t, target=mirror, kind="mirror")
+    dmap = LatticeMap(g=g, source=t, target=mirror, kind="mirror")
     cert = verify_map(dmap)
     check("duality_map_verifies", cert.valid)
     return MirrorResult(mirror=mirror, duality_map=dmap,

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from flattori import abranes
 from flattori.abranes import (AffineBrane, anomaly_check_affine, check_abrane,
                               characteristic_foliation, coisotropy_witness,
                               holomorphic_volume, wedge_characterization)
@@ -126,8 +127,11 @@ class TestCheckAbrane:
                               RatMatrix.zero(3, 3)),
                   AffineBrane(t4, (unit(4, 0), unit(4, 2)), RatMatrix.zero(2, 2))]
         for b in branes:
-            first = check_abrane(b, prefer_last_complement=False)
-            second = check_abrane(b, prefer_last_complement=True)
+            # the twin lists Y backwards, so its complement indices stand for
+            # the last free directions of b rather than the first
+            f = [row[::-1] for row in b.curvature.entries[::-1]]
+            twin = AffineBrane(t4, b.y_basis[::-1], RatMatrix(f))
+            first, second = check_abrane(b), check_abrane(twin)
             assert first.accepted == second.accepted
             assert first.k == second.k
             assert first.rejection == second.rejection
@@ -204,11 +208,18 @@ class TestRandomizedComparison:
 
 
 class TestAnomaly:
-    def test_abrane_check_flow_validates_the_torus_once(self, torus_work, space_filling):
-        # the abrane-check command runs these three on one brane
-        assert check_abrane(space_filling).accepted
+    def test_abrane_check_flow_validates_the_torus_once(self, monkeypatch, torus_work,
+                                                        space_filling):
+        # the abrane-check command reads these three on one brane; the
+        # acceptance conditions run once, for the brane's cached report
+        witnesses = []
+        witness = abranes.coisotropy_witness
+        monkeypatch.setattr(abranes, "coisotropy_witness",
+                            lambda b: witnesses.append(b) or witness(b))
+        assert space_filling.acceptance.accepted
         anomaly_check_affine(space_filling)
         wedge_characterization(space_filling)
+        assert witnesses == [space_filling]
         assert torus_work.validated == ["T4"]
         assert torus_work.built == 0
 

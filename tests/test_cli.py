@@ -126,6 +126,19 @@ NON_LIST_PAYLOADS = {
 }
 
 
+# One payload per brane field whose vectors have a length, each with a vector
+# of the wrong length for the square torus (rank 2).
+WRONG_LENGTH_PAYLOADS = {
+    "brane-Y_basis": (["abrane-check", "--brane", "X"],
+                      {"torus_ref": "square.json", "Y_basis": [[1, 0], [0, 1, 0]]},
+                      "brane directions must have length 2 (at x.json.Y_basis[1])"),
+    "brane-translation": (["abrane-check", "--brane", "X"],
+                          {"torus_ref": "square.json", "Y_basis": [[1, 0], [0, 1]],
+                           "translation": ["0", "0", "0"]},
+                          "translation must have length 2 (at x.json.translation)"),
+}
+
+
 def run_payload(capsys, tmp_path, square_file, argv, payload):
     bad = tmp_path / "x.json"
     bad.write_text(json.dumps(payload))
@@ -144,6 +157,14 @@ class TestScalarsAreNotLists:
     @pytest.mark.parametrize("field", sorted(NON_LIST_PAYLOADS))
     def test_scalar_is_input_error(self, capsys, tmp_path, square_file, field):
         argv, payload, message = NON_LIST_PAYLOADS[field]
+        assert run_payload(capsys, tmp_path, square_file, argv, payload) == \
+            (2, "", f"input error: {message}\n")
+
+
+class TestWrongLengthsAreInputErrors:
+    @pytest.mark.parametrize("field", sorted(WRONG_LENGTH_PAYLOADS))
+    def test_wrong_length_is_input_error(self, capsys, tmp_path, square_file, field):
+        argv, payload, message = WRONG_LENGTH_PAYLOADS[field]
         assert run_payload(capsys, tmp_path, square_file, argv, payload) == \
             (2, "", f"input error: {message}\n")
 

@@ -73,13 +73,13 @@ class TestFindSplitting:
 
 class TestMirrorConstruction:
     def test_validates_and_builds_each_torus_once(self, torus_work):
-        # the torus, its split rewrite and the mirror: one validation and
-        # one doubled build each, however often the construction reads them
+        # the torus and the mirror: one validation and one doubled build
+        # each, however often the construction reads them
         t = square_torus(2, "square2")
         mr = mirror_via_tduality(t, find_lagrangian_splitting(t))
         assert mr.duality_certificate.valid
-        assert torus_work.validated == ["square2", "square2#split", "square2|mirror"]
-        assert torus_work.built == 3
+        assert torus_work.validated == ["square2", "square2|mirror"]
+        assert torus_work.built == 2
 
     def test_square_is_self_mirror(self, square1):
         s = find_lagrangian_splitting(square1)
