@@ -1,5 +1,7 @@
 """Relation certificates: verification, intertwiner spaces, bounded search."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -115,6 +117,22 @@ class TestIntertwinerSpace:
         flat = [[int(x) for row in m.entries for x in row] for m in basis]
         assert spans_direct_summand(flat)
         assert len(flat) == n * n - RatMatrix(_constraint_rows(t1, t2, kind)).rank()
+
+    # The sha256 of the flattened basis of two d = 3 intertwiner spaces, both
+    # between the two draws of random_valid_torus(Random(1), 3, steps=2): the
+    # iso reduction still changes a vector in its last allowed sweep
+    # (MAX_SWEEPS), and the derived_eq space has rank k = 72.
+    @pytest.mark.parametrize("kind, k, sha256", [
+        ("iso", 36, "8827504c412466920c3937a927533d3b30d771e1aa3ac0e698711265a5662236"),
+        ("derived_eq", 72, "906ee10efdbcb163259d64580860be64e97fac6119fad702cd83450ad532dfa0"),
+    ])
+    def test_d3_bases_are_frozen(self, kind, k, sha256):
+        rng = random.Random(1)
+        t1, t2 = (random_valid_torus(rng, 3, steps=2) for _ in range(2))
+        flat = [[int(x) for row in m.entries for x in row]
+                for m in intertwiner_space(t1, t2, kind)]
+        assert len(flat) == k
+        assert hashlib.sha256(json.dumps(flat).encode()).hexdigest() == sha256
 
 
 def _coordinates_of(mat, basis):
