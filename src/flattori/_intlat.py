@@ -6,12 +6,15 @@ the intertwining constraints is the integer kernel of the constraint rows,
 each scaled to integers, and is then size-reduced so that natural
 certificates tend to have small, sparse coordinates.  Everything here is
 integer arithmetic; one column reduction (:func:`column_pivots`) answers every
-rank, kernel and primitivity question.
+rank, kernel and primitivity question, and the size reduction
+(:func:`pair_reduce`) keeps the Gram matrix of its basis, so a reduction step
+reads its inner products instead of recomputing them.
 """
 
 from __future__ import annotations
 
 from math import lcm
+from operator import mul
 
 
 def column_pivots(work, trans=()):
@@ -111,39 +114,57 @@ def integral_coordinate_lattice(rows):
 MAX_SWEEPS = 8  # pair_reduce stops after this many sweeps, even if the last changed a vector
 
 
+def _sortkey(v):
+    return (max(map(abs, v)), sum(map(abs, v)), sum(1 for x in v if x < 0), v)
+
+
 def pair_reduce(basis):
     """Deterministic pairwise size reduction of integer lattice vectors.
 
-    Repeatedly replaces ``b_i`` by ``b_i - round(<b_i,b_j>/<b_j,b_j>) b_j``
-    (a unimodular operation) until a sweep makes no change, then normalizes
-    signs and sorts.  Cheaper than LLL and adequate here: the echelon kernel
-    bases this is applied to are already close to elementary vectors.
+    Each sweep sorts the vectors by size, then tries for every ordered pair
+    ``i != j`` the unimodular step ``b_i -> b_i - round(<b_i,b_j>/<b_j,b_j>) b_j``
+    and keeps it when it makes ``b_i`` smaller in that order.  The sweeps
+    stop when one changes nothing, or after ``MAX_SWEEPS`` sweeps; then signs
+    are normalized and the vectors sorted.  Cheaper than LLL and adequate
+    here: the echelon kernel bases this is applied to are already close to
+    elementary vectors.
+
+    The Gram matrix of the basis is kept, so a step reads both inner
+    products from it and an accepted step updates one row and one column;
+    a candidate vector (and its size key) is built only when the rounded
+    quotient is nonzero.
     """
     b = [list(v) for v in basis]
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    def sortkey(v):
-        return (max(abs(x) for x in v), sum(abs(x) for x in v),
-                sum(1 for x in v if x < 0), list(v))
-
+    keys = [_sortkey(v) for v in b]
+    k = len(b)
+    gram = [[0] * k for _ in range(k)]
+    for i, u in enumerate(b):
+        for j in range(i, k):
+            gram[i][j] = gram[j][i] = sum(map(mul, u, b[j]))
     for _ in range(MAX_SWEEPS):
-        b.sort(key=sortkey)
+        order = sorted(range(k), key=keys.__getitem__)  # stable, as a sort of b would be
+        b, keys = [b[p] for p in order], [keys[p] for p in order]
+        gram = [[gram[p][t] for t in order] for p in order]
         changed = False
-        for i in range(len(b)):
-            for j in range(len(b)):
-                if i == j:
+        for i in range(k):
+            row = gram[i]
+            for j in range(k):
+                den = gram[j][j]
+                if i == j or den == 0:
                     continue
-                den = dot(b[j], b[j])
-                if den == 0:
-                    continue
-                num = dot(b[i], b[j])
-                q = (2 * num + den) // (2 * den)  # round(num/den) toward -inf ties
+                q = (2 * row[j] + den) // (2 * den)  # round(num/den), halves up (toward +inf)
                 if q != 0:
                     cand = [x - q * y for x, y in zip(b[i], b[j])]
-                    if sortkey(cand) < sortkey(b[i]):
-                        b[i] = cand
+                    key = _sortkey(cand)
+                    if key < keys[i]:
+                        b[i], keys[i] = cand, key
+                        # <b_i - q b_j, b_t> = G_it - q G_jt, then the t = i entry
+                        # picks up the second -q from b_i's own change
+                        row = [x - q * y for x, y in zip(row, gram[j])]
+                        row[i] -= q * row[j]
+                        gram[i] = row
+                        for t in range(k):
+                            gram[t][i] = row[t]
                         changed = True
         if not changed:
             break
@@ -153,5 +174,5 @@ def pair_reduce(basis):
         if first < 0:
             for t in range(len(v)):
                 v[t] = -v[t]
-    b.sort(key=sortkey)
+    b.sort(key=_sortkey)
     return b

@@ -9,15 +9,16 @@ structures in the pattern belonging to the relation kind:
 * ``derived_eq``: g calItilde_1 = calItilde_2 g
 
 Existence search: the intertwining constraints are linear, so the lattice of
-all integral solutions is the integer kernel of the constraint rows (each
-scaled to integers); we then enumerate small integer coordinate vectors over
-a size-reduced basis of it, keeping the first candidate that satisfies the
-quadratic q-congruence.  An ``iso`` or ``mirror`` certificate also
-preserves the Narain form N, so an exhausted window holding the whole
-ellipsoid ``tr(N_1^-1 g^t N_2 g) = 4d`` refutes the relation; otherwise (and
-always for ``derived_eq``, whose group is infinite) a search without a hit
-means only "none within bound", and one that spends its node budget first is
-"undecided".
+all integral solutions is the integer kernel of the constraint rows (built in
+integers from the structures scaled by the lcm D of their denominators, each
+row divided by the gcd of D and its entries); we then enumerate small integer
+coordinate vectors over a size-reduced basis of it, keeping the first
+candidate that satisfies the quadratic q-congruence.  An ``iso`` or
+``mirror`` certificate also preserves the Narain form N, so an exhausted
+window holding the whole ellipsoid ``tr(N_1^-1 g^t N_2 g) = 4d`` refutes the
+relation; otherwise (and always for ``derived_eq``, whose group is infinite)
+a search without a hit means only "none within bound", and one that spends
+its node budget first is "undecided".
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from . import kernels
 from ._intlat import integral_coordinate_lattice, pair_reduce
 from .errors import DimensionError, ValidationError
-from .exactlinear import QZERO, RatMatrix
+from .exactlinear import RatMatrix
 from .kernels_py import completed_height
 from .torus import ChargeVector, TorusData, doubled, narain_form, q_value
 
@@ -117,23 +118,30 @@ def verify_map(m: LatticeMap) -> Certificate:
 
 
 def _constraint_rows(t1, t2, kind):
-    """The linear intertwining constraints ``g A = B g`` as rows on vec(g).
+    """The linear intertwining constraints ``g A = B g`` as integer rows on vec(g).
 
     Unknown is vec(g), row-major; constraint ``g A - B g = 0`` contributes
-    the rows of ``A^t (x) id - id (x) B`` in Kronecker form.
+    the rows of ``A^t (x) id - id (x) B`` in Kronecker form, built from
+    ``D A`` and ``D B`` (D the lcm of their denominators) and each divided by
+    the gcd of D and its entries: exactly the Fraction row scaled by the lcm
+    of its own denominators.
     """
     n = 4 * t1.d
     d1, d2 = doubled(t1), doubled(t2)
     rows = []
     for _, src_attr, tgt_attr in RELATIONS[kind]:
-        a_mat, b_mat = getattr(d1, src_attr), getattr(d2, tgt_attr)
+        a_mat, b_mat = getattr(d1, src_attr).entries, getattr(d2, tgt_attr).entries
+        den = lcm(*(x.denominator for m in (a_mat, b_mat) for r in m for x in r))
+        a, b = ([[x.numerator * (den // x.denominator) for x in r] for r in m]
+                for m in (a_mat, b_mat))
         for i in range(n):
             for j in range(n):
-                row = [QZERO] * (n * n)
+                row = [0] * (n * n)
                 for k in range(n):
-                    row[i * n + k] += a_mat.entries[k][j]
-                    row[k * n + j] -= b_mat.entries[i][k]
-                rows.append(row)
+                    row[i * n + k] += a[k][j]
+                    row[k * n + j] -= b[i][k]
+                g = gcd(den, *row)
+                rows.append([x // g for x in row])
     return rows
 
 

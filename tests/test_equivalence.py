@@ -5,9 +5,10 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flattori._intlat import spans_direct_summand
@@ -319,6 +320,71 @@ def _rebased(t, rng, steps=3):
         for k in range(n):
             u[i][k] += c * u[j][k]
     return _in_basis(t, RatMatrix(u))
+
+
+# Tori whose doubled structures have non-integral entries: a d = 2 torus
+# with B != 0 and non-integral G and B (for calI and calJ), and a d = 1 torus
+# with non-integral I (for calItilde, which is integral when I is).
+FRACTIONAL_TORI = (
+    TorusData(
+        d=2,
+        I=RatMatrix([[2, -1, 2, 0], [5, -2, 4, -2], [0, 0, 0, -1], [0, 0, 1, 0]]),
+        G=RatMatrix([[Q(5, 2), -1, 2, 0], [-1, Q(1, 2), -1, 0], [2, -1, Q(7, 2), 0],
+                     [0, 0, 0, Q(3, 2)]]),
+        B=RatMatrix([[0, -1, Q(1, 2), 0], [1, 0, Q(-1, 2), -1],
+                     [Q(-1, 2), Q(1, 2), 0, Q(1, 2)], [0, 1, Q(-1, 2), 0]]),
+        label="fractional2",
+    ),
+    TorusData(d=1, I=RatMatrix([[0, -2], [Q(1, 2), 0]]), G=RatMatrix.diag([1, 4]),
+              B=RatMatrix([[0, Q(1, 3)], [Q(-1, 3), 0]]), label="stretched_b1"),
+)
+
+
+def _fraction_rows(t1, t2, kind):
+    """The Kronecker rows of ``g A - B g = 0`` in Fractions, unscaled."""
+    n = 4 * t1.d
+    d1, d2 = doubled(t1), doubled(t2)
+    rows = []
+    for _, src, tgt in RELATIONS[kind]:
+        a, b = getattr(d1, src).entries, getattr(d2, tgt).entries
+        for i in range(n):
+            for j in range(n):
+                row = [Fraction(0)] * (n * n)
+                for k in range(n):
+                    row[i * n + k] += a[k][j]
+                    row[k * n + j] -= b[i][k]
+                rows.append(row)
+    return rows
+
+
+def _lcm_scaled(row):
+    den = lcm(*(x.denominator for x in row))
+    return [int(x * den) for x in row]
+
+
+class TestConstraintRows:
+    # The integer rows are the Fraction rows, each scaled by the lcm of its
+    # own denominators.
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(KINDS), st.booleans())
+    @example(0, "derived_eq", False)
+    def test_integer_rows_are_lcm_scaled_fraction_rows(self, seed, kind, rebase):
+        rng = random.Random(seed)
+        t1 = FRACTIONAL_TORI[seed % 3] if seed % 3 < 2 else random_valid_torus(
+            rng, rng.choice((1, 2)), b_bound=3, scale_bound=5)
+        t2 = _rebased(t1, rng) if rebase else random_valid_torus(
+            rng, t1.d, b_bound=3, scale_bound=5)
+        assert _constraint_rows(t1, t2, kind) == \
+            [_lcm_scaled(r) for r in _fraction_rows(t1, t2, kind)]
+
+    @pytest.mark.parametrize("kind, t1", [("iso", FRACTIONAL_TORI[0]),
+                                          ("mirror", FRACTIONAL_TORI[0]),
+                                          ("derived_eq", FRACTIONAL_TORI[1])])
+    def test_fractional_rows_each_get_their_own_scale(self, kind, t1):
+        t2 = _rebased(t1, random.Random(0))
+        fraction_rows = _fraction_rows(t1, t2, kind)
+        assert len({lcm(*(x.denominator for x in r)) for r in fraction_rows}) > 1
+        assert _constraint_rows(t1, t2, kind) == [_lcm_scaled(r) for r in fraction_rows]
 
 
 class TestNarainWindow:

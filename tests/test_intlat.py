@@ -7,8 +7,8 @@ from math import gcd, lcm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flattori._intlat import (column_pivots, integer_kernel, integral_coordinate_lattice,
-                              spans_direct_summand)
+from flattori._intlat import (MAX_SWEEPS, column_pivots, integer_kernel,
+                              integral_coordinate_lattice, pair_reduce, spans_direct_summand)
 
 BIG = 2 ** 40
 
@@ -117,3 +117,85 @@ class TestIntegralCoordinateLattice:
     @given(rational_rows())
     def test_skipped_rows_change_nothing(self, rows):
         assert integral_coordinate_lattice(rows) == integer_kernel([scaled(r) for r in rows])
+
+
+def reference_pair_reduce(basis, max_sweeps=MAX_SWEEPS):
+    """pair_reduce as it was before it kept the Gram matrix: every step
+    recomputes both dot products from the vectors."""
+    b = [list(v) for v in basis]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def sortkey(v):
+        return (max(abs(x) for x in v), sum(abs(x) for x in v),
+                sum(1 for x in v if x < 0), list(v))
+
+    for _ in range(max_sweeps):
+        b.sort(key=sortkey)
+        changed = False
+        for i in range(len(b)):
+            for j in range(len(b)):
+                if i == j:
+                    continue
+                den = dot(b[j], b[j])
+                if den == 0:
+                    continue
+                num = dot(b[i], b[j])
+                q = (2 * num + den) // (2 * den)
+                if q != 0:
+                    cand = [x - q * y for x, y in zip(b[i], b[j])]
+                    if sortkey(cand) < sortkey(b[i]):
+                        b[i] = cand
+                        changed = True
+        if not changed:
+            break
+    for v in b:
+        first = next((x for x in v if x != 0), 0)
+        if first < 0:
+            for t in range(len(v)):
+                v[t] = -v[t]
+    b.sort(key=sortkey)
+    return b
+
+
+@st.composite
+def reducible_bases(draw):
+    """Up to 10 integer vectors, with zero vectors, exact and negated repeats,
+    and entries up to 2^40."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-50, 50), st.integers(-BIG, BIG),
+                      st.sampled_from([BIG, -BIG, BIG - 1]))
+    vecs = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=10))
+    for _ in range(draw(st.integers(0, 10 - len(vecs)))):
+        if vecs and draw(st.booleans()):
+            sign = draw(st.sampled_from([1, -1]))
+            vecs.insert(draw(st.integers(0, len(vecs))),
+                        [sign * x for x in vecs[draw(st.integers(0, len(vecs) - 1))]])
+        else:
+            vecs.insert(draw(st.integers(0, len(vecs))), [0] * n)
+    return vecs
+
+
+# Three dependent vectors in Z^2 whose reduction still changes a vector in
+# its last allowed sweep.
+SWEEP_CAP_CASE = [[-50, 41], [9, 43], [23, -9]]
+
+
+class TestPairReduce:
+    @settings(max_examples=300, deadline=None)
+    @given(reducible_bases())
+    @example([[0, 0], [0, 0]])
+    @example([[BIG, 1], [BIG, 1], [-BIG, -1]])
+    def test_matches_dot_product_reference(self, basis):
+        assert pair_reduce(basis) == reference_pair_reduce(basis)
+
+    def test_sweep_cap_case_reaches_the_cap(self):
+        capped = reference_pair_reduce(SWEEP_CAP_CASE)
+        assert reference_pair_reduce(SWEEP_CAP_CASE, MAX_SWEEPS + 1) != capped
+        assert pair_reduce(SWEEP_CAP_CASE) == capped
+
+    def test_leaves_the_input_unchanged(self):
+        basis = [[3, -1], [-5, 2]]
+        pair_reduce(basis)
+        assert basis == [[3, -1], [-5, 2]]
