@@ -2,8 +2,8 @@
 reduction.
 
 These support the certificate search: the lattice of *integral* solutions of
-the intertwining constraints is the integer kernel of the constraint rows,
-each scaled to integers, and is then size-reduced so that natural
+the intertwining constraints is the integer kernel of the constraint rows, as
+the caller built them, and is then size-reduced so that natural
 certificates tend to have small, sparse coordinates.  Everything here is
 integer arithmetic; one column reduction (:func:`column_pivots`) answers every
 rank, kernel and primitivity question, and the size reduction
@@ -13,7 +13,6 @@ reads its inner products instead of recomputing them.
 
 from __future__ import annotations
 
-from math import lcm
 from operator import mul
 
 
@@ -94,21 +93,16 @@ def integer_kernel(rows):
 
 
 def integral_coordinate_lattice(rows):
-    """Basis of ``{x in Z^n : A x = 0}`` for a matrix A given by rational rows.
+    """Basis of ``{x in Z^n : A x = 0}`` for a matrix A given by rows.
 
-    Scaling a row by the lcm of its denominators keeps its solutions, so this
-    is :func:`integer_kernel` of the scaled rows.  All-zero and repeated rows
-    are skipped: once its first copy is reduced, a repeated row is zero past
-    that copy's pivot, so the reduction would pass over it anyway.
+    This is :func:`integer_kernel` itself, kept under its own name because the
+    benchmark's trace plan (``perfbench/traced_cli.py``) times the lattice
+    step by this name.  The rows may be rational: :func:`column_pivots` takes
+    the same steps on a row scaled by any positive factor (the pivot choice
+    and every floor quotient are unchanged), and a row in the span of earlier
+    rows is zero from the next pivot column on, so it is passed over.
     """
-    n = len(rows[0])
-    scaled = {}
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        ints = tuple(x.numerator * (den // x.denominator) for x in row)
-        if any(ints):
-            scaled.setdefault(ints, None)
-    return integer_kernel(list(scaled) or [[0] * n])
+    return integer_kernel(rows)
 
 
 MAX_SWEEPS = 8  # pair_reduce stops after this many sweeps, even if the last changed a vector

@@ -21,7 +21,7 @@ from math import comb
 from . import abranes, cohomology, equivalence, fock, jsonio, tduality
 from .errors import FlatToriError, RecoveryError, SchemaError, ValidationError
 from .exactlinear import rat_str
-from .torus import doubled, narain_form, omega, require_valid, validate
+from .torus import BLOCK_CONVENTION, doubled, narain_form, omega, require_valid, validate
 
 DEFAULTS = {"bound": 2, "budget": equivalence.DEFAULT_NODE_BUDGET}
 
@@ -100,7 +100,7 @@ def _cmd_doubled(args, cfg):
         "calI": jsonio.matrix_to_json(ds.calI),
         "calJ": jsonio.matrix_to_json(ds.calJ),
         "calItilde": jsonio.matrix_to_json(ds.calItilde),
-        "block_convention": ds.block_convention,
+        "block_convention": BLOCK_CONVENTION,
         "omega": jsonio.matrix_to_json(omega(t)),
         "narain_form": jsonio.matrix_to_json(narain_form(t)),
     }
@@ -120,6 +120,9 @@ def _cmd_spectrum(args, cfg):
 def _search_command(kind, args, cfg):
     t1 = jsonio.load_torus(args.source)
     t2 = jsonio.load_torus(args.target)
+    if t2.d != t1.d:
+        raise SchemaError(f"tori must have the same dimension, got {t1.d} and {t2.d}",
+                          f"{os.path.basename(args.target)}.d")
     bound = _at_least_one("bound", _setting(args, cfg, "bound"))
     budget = _at_least_one("budget", _setting(args, cfg, "budget"))
     inputs = {"source": jsonio.torus_to_json(t1), "target": jsonio.torus_to_json(t2),
@@ -211,6 +214,8 @@ def _cmd_hodge(args, cfg):
 
 def _cmd_pp_classes(args, cfg):
     t = jsonio.load_torus(args.torus)
+    if not 0 <= args.p <= t.d:
+        raise SchemaError(f"p must lie in 0..{t.d}, got {args.p}", "--p")
     classes = cohomology.rational_pp_classes(t, args.p)
     result = {"p": args.p, "dimension": len(classes),
               "basis": [jsonio.class_to_json(c.element) for c in classes]}

@@ -10,8 +10,8 @@ structures in the pattern belonging to the relation kind:
 
 Existence search: the intertwining constraints are linear, so the lattice of
 all integral solutions is the integer kernel of the constraint rows (built in
-integers from the structures scaled by the lcm D of their denominators, each
-row divided by the gcd of D and its entries); we then enumerate small integer
+integers from the structures scaled by the lcm D of their denominators, see
+:func:`~flattori.exactlinear.cleared`); we then enumerate small integer
 coordinate vectors over a size-reduced basis of it, keeping the first
 candidate that satisfies the quadratic q-congruence.  An ``iso`` or
 ``mirror`` certificate also preserves the Narain form N, so an exhausted
@@ -26,13 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
 from operator import mul
 
 from . import kernels
 from ._intlat import integral_coordinate_lattice, pair_reduce
 from .errors import DimensionError, ValidationError
-from .exactlinear import RatMatrix
+from .exactlinear import RatMatrix, cleared
 from .kernels_py import completed_height
 from .torus import ChargeVector, TorusData, doubled, narain_form, q_value
 
@@ -122,26 +121,21 @@ def _constraint_rows(t1, t2, kind):
 
     Unknown is vec(g), row-major; constraint ``g A - B g = 0`` contributes
     the rows of ``A^t (x) id - id (x) B`` in Kronecker form, built from
-    ``D A`` and ``D B`` (D the lcm of their denominators) and each divided by
-    the gcd of D and its entries: exactly the Fraction row scaled by the lcm
-    of its own denominators.
+    ``D A`` and ``D B`` (D the lcm of their denominators): D times the
+    Fraction rows.
     """
     n = 4 * t1.d
     d1, d2 = doubled(t1), doubled(t2)
     rows = []
     for _, src_attr, tgt_attr in RELATIONS[kind]:
-        a_mat, b_mat = getattr(d1, src_attr).entries, getattr(d2, tgt_attr).entries
-        den = lcm(*(x.denominator for m in (a_mat, b_mat) for r in m for x in r))
-        a, b = ([[x.numerator * (den // x.denominator) for x in r] for r in m]
-                for m in (a_mat, b_mat))
+        _, a, b = cleared(getattr(d1, src_attr), getattr(d2, tgt_attr))
         for i in range(n):
             for j in range(n):
                 row = [0] * (n * n)
                 for k in range(n):
                     row[i * n + k] += a[k][j]
                     row[k * n + j] -= b[i][k]
-                g = gcd(den, *row)
-                rows.append([x // g for x in row])
+                rows.append(row)
     return rows
 
 
@@ -253,9 +247,7 @@ def spectrum_fingerprint(t: TorusData, height: int):
     if height < 0:
         raise ValueError("height must be nonnegative")
     half = t.rank
-    form = narain_form(t)
-    den = lcm(*(x.denominator for row in form.entries for x in row))
-    n_form = [[int(x * den) for x in row] for row in form.entries]
+    den, n_form = cleared(narain_form(t))
     triples = []
     rng = range(-height, height + 1)
     for coords in product(rng, repeat=2 * half):

@@ -379,6 +379,18 @@ class RatMatrix:
         return self.map_entries(GaussRational.coerce)
 
 
+def cleared(*matrices):
+    """``(D, D m_1, D m_2, ...)`` for rational matrices ``m_i``.
+
+    D is the lcm of every denominator in the given matrices, and each
+    ``D m_i`` is a list of int rows: the one place the package clears
+    denominators.
+    """
+    den = math.lcm(*(x.denominator for m in matrices for row in m.entries for x in row))
+    return (den, *([[x.numerator * (den // x.denominator) for x in row] for row in m.entries]
+                   for m in matrices))
+
+
 def _dot(row, col):
     acc = None
     for a, b in zip(row, col):

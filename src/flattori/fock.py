@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import TruncationError, ValidationError
-from .exactlinear import GaussRational, Q, QZERO, RatMatrix
+from .exactlinear import GaussRational, Q, QZERO, RatMatrix, cleared
 from .torus import TorusData, omega, require_valid, zero_mode_momenta
 
 HALF = Fraction(1, 2)
@@ -188,9 +188,7 @@ class TruncatedFock:
     @cached_property
     def _scaled_ginv(self):
         """``(D, D G^-1)``: D is the lcm of the denominators of G^-1, the rows are ints."""
-        entries = self.ginv.entries
-        scale = math.lcm(*(x.denominator for row in entries for x in row))
-        return scale, tuple(tuple(int(x * scale) for x in row) for row in entries)
+        return cleared(self.ginv)
 
     def vacuum(self):
         return ((), ())
@@ -539,7 +537,6 @@ class ZeroModeDescriptor:
     torus: TorusData
     index: int
     chirality: str  # "left" or "right"
-    rescaled_by_sqrt2: bool = True
 
     def apply_charge(self, charge):
         z = zero_mode_momenta(self.torus, charge)

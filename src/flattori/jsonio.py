@@ -192,6 +192,9 @@ def map_from_json(data, base_dir=".", pointer="map") -> LatticeMap:
 
     source = torus_arg("source")
     target = torus_arg("target")
+    if target.d != source.d:
+        raise SchemaError(f"target dimension {target.d} differs from source dimension "
+                          f"{source.d}", f"{pointer}.target")
     g = matrix_from_json(data.get("g"), f"{pointer}.g", 4 * source.d)
     if not g.is_integral():
         raise SchemaError("g must be integral", f"{pointer}.g")

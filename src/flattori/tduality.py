@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
 
 from ._intlat import column_pivots, integer_kernel, spans_direct_summand
 from .equivalence import Certificate, LatticeMap, verify_map
 from .errors import RecoveryError, ValidationError
-from .exactlinear import QZERO, RatMatrix
+from .exactlinear import QZERO, RatMatrix, cleared
 from .torus import TorusData, doubled, omega, require_valid
 
 
@@ -55,7 +54,7 @@ def splitting_report(t: TorusData, s: LagrangianSplitting):
     if not shape_ok:
         return checks
     checks.append(("unimodular", spans_direct_summand(s.a_basis + s.b_basis)))
-    w = _integral(omega(t))
+    _, w = cleared(omega(t))  # a positive multiple keeps every isotropy question
 
     def isotropic(vectors):
         return all(_dot(u, _image(w, v)) == 0
@@ -64,16 +63,6 @@ def splitting_report(t: TorusData, s: LagrangianSplitting):
     checks.append(("A_isotropic", isotropic(s.a_basis)))
     checks.append(("B_isotropic", isotropic(s.b_basis)))
     return checks
-
-
-def _integral(m: RatMatrix):
-    """The rows of ``m`` times the lcm of its denominators.
-
-    Scaling keeps every isotropy question, and turns each pairing
-    ``u^t m v`` of integer vectors into an integer dot product.
-    """
-    den = lcm(*(x.denominator for row in m.entries for x in row))
-    return [[int(x * den) for x in row] for row in m.entries]
 
 
 def _image(w, v):
@@ -152,8 +141,8 @@ def find_lagrangian_splitting(t: TorusData) -> LagrangianSplitting:
     kernel) of :func:`_krylov_lagrangian` from the first unit vector whose A
     :func:`_isotropic_complement` completes; both halves in descending order.
     """
-    w = _integral(omega(t))
-    s = _integral(omega(t).inverse() * t.B)
+    _, w = cleared(omega(t))
+    _, s = cleared(omega(t).inverse() * t.B)
     for k in range(t.rank):
         start = tuple(int(i == k) for i in range(t.rank))
         a = integer_kernel(integer_kernel(_krylov_lagrangian(w, s, start)))

@@ -169,7 +169,6 @@ class DoubledStructure:
     calI: RatMatrix
     calJ: RatMatrix
     calItilde: RatMatrix
-    block_convention: str = BLOCK_CONVENTION
 
 
 def doubled(t: TorusData) -> DoubledStructure:
@@ -217,7 +216,6 @@ class ZeroModes:
     pbar: tuple
     p2_half: Fraction
     pbar2_half: Fraction
-    rescaled_by_sqrt2: bool = True
 
 
 def zero_mode_momenta(t: TorusData, c: ChargeVector) -> ZeroModes:

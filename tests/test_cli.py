@@ -73,14 +73,25 @@ class TestNumericInputErrors:
          "each half of a splitting needs at least one vector (at --split)"),
         (None, ["fm", "--torus", "T", "--class", "T", "--split", "|"],
          "each half of a splitting needs at least one vector (at --split)"),
+        (None, ["check-iso", "T", "W"],
+         "tori must have the same dimension, got 1 and 2 (at square2.json.d)"),
+        (None, ["verify-map", "V"],
+         "target dimension 2 differs from source dimension 1 (at dims.json.target)"),
+        (None, ["pp-classes", "W", "--p", "5"], "p must lie in 0..2, got 5 (at --p)"),
     ])
-    def test_one_line_exit_two(self, capsys, tmp_path, square_file, config, argv, message):
-        # T is a valid torus file, M a path in a directory that does not exist,
-        # O a writable path, D a directory and U a file that is not UTF-8
-        paths = {"T": square_file, "M": str(tmp_path / "missing" / "out.json"),
+    def test_one_line_exit_two(self, capsys, tmp_path, square_file, square2_file, config,
+                               argv, message):
+        # T is a valid torus file and W one of another dimension, V a map from
+        # T to W, M a path in a directory that does not exist, O a writable
+        # path, D a directory and U a file that is not UTF-8
+        paths = {"T": square_file, "W": square2_file, "V": str(tmp_path / "dims.json"),
+                 "M": str(tmp_path / "missing" / "out.json"),
                  "O": str(tmp_path / "m.json"), "D": str(tmp_path),
                  "U": str(tmp_path / "binary.json")}
         (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
+        (tmp_path / "dims.json").write_text(json.dumps(
+            {"kind": "iso", "source": "square.json", "target": "square2.json",
+             "g": [[str(int(i == j)) for j in range(4)] for i in range(4)]}))
         prefix = []
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))

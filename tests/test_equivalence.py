@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flattori._intlat import spans_direct_summand
+from flattori._intlat import (integer_kernel, integral_coordinate_lattice,
+                              spans_direct_summand)
 from flattori.equivalence import (KINDS, RELATIONS, LatticeMap, _constraint_rows,
                                   _ellipsoid_radii, chiral_transports, intertwiner_space,
                                   search_relation, spectrum_fingerprint, verify_map)
@@ -362,29 +363,51 @@ def _lcm_scaled(row):
     return [int(x * den) for x in row]
 
 
+def _pair_scaled(t1, t2, kind):
+    """The Fraction rows, each block of one structure pair ``(A, B)`` times
+    the lcm of the denominators of A and B."""
+    n = 4 * t1.d
+    d1, d2 = doubled(t1), doubled(t2)
+    rows = _fraction_rows(t1, t2, kind)
+    scaled = []
+    for p, (_, src, tgt) in enumerate(RELATIONS[kind]):
+        den = lcm(*(x.denominator for m in (getattr(d1, src), getattr(d2, tgt))
+                    for r in m.entries for x in r))
+        scaled += [[int(x * den) for x in r] for r in rows[p * n * n:(p + 1) * n * n]]
+    return scaled
+
+
 class TestConstraintRows:
-    # The integer rows are the Fraction rows, each scaled by the lcm of its
-    # own denominators.
+    # The integer rows are the Fraction rows times one scale per structure
+    # pair, and their lattice is the integer kernel of the Fraction rows each
+    # scaled by the lcm of its own denominators.
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32), st.sampled_from(KINDS), st.booleans())
     @example(0, "derived_eq", False)
-    def test_integer_rows_are_lcm_scaled_fraction_rows(self, seed, kind, rebase):
+    def test_integer_rows_are_cleared_fraction_rows(self, seed, kind, rebase):
         rng = random.Random(seed)
         t1 = FRACTIONAL_TORI[seed % 3] if seed % 3 < 2 else random_valid_torus(
             rng, rng.choice((1, 2)), b_bound=3, scale_bound=5)
         t2 = _rebased(t1, rng) if rebase else random_valid_torus(
             rng, t1.d, b_bound=3, scale_bound=5)
-        assert _constraint_rows(t1, t2, kind) == \
-            [_lcm_scaled(r) for r in _fraction_rows(t1, t2, kind)]
+        rows = _constraint_rows(t1, t2, kind)
+        assert rows == _pair_scaled(t1, t2, kind)
+        assert integral_coordinate_lattice(rows) == \
+            integer_kernel([_lcm_scaled(r) for r in _fraction_rows(t1, t2, kind)])
 
     @pytest.mark.parametrize("kind, t1", [("iso", FRACTIONAL_TORI[0]),
                                           ("mirror", FRACTIONAL_TORI[0]),
                                           ("derived_eq", FRACTIONAL_TORI[1])])
-    def test_fractional_rows_each_get_their_own_scale(self, kind, t1):
+    def test_fractional_rows_share_the_pair_scale(self, kind, t1):
         t2 = _rebased(t1, random.Random(0))
         fraction_rows = _fraction_rows(t1, t2, kind)
+        # the rows have different scales of their own, so the two lattices
+        # below come from different integer rows
         assert len({lcm(*(x.denominator for x in r)) for r in fraction_rows}) > 1
-        assert _constraint_rows(t1, t2, kind) == [_lcm_scaled(r) for r in fraction_rows]
+        rows = _constraint_rows(t1, t2, kind)
+        assert rows == _pair_scaled(t1, t2, kind)
+        assert integral_coordinate_lattice(rows) == \
+            integer_kernel([_lcm_scaled(r) for r in fraction_rows])
 
 
 class TestNarainWindow:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from flattori.errors import DimensionError, GradeError
 from flattori.exactlinear import (GaussRational, ExtElement, Q, RatMatrix,
-                                  apply_linear, derivation_map, exp_grade2,
+                                  apply_linear, cleared, derivation_map, exp_grade2,
                                   induced_map, interior, rat, rat_str, wedge)
 
 
@@ -305,3 +306,45 @@ class TestApplyLinear:
         m = RatMatrix([[1, 0, 2]])  # rank-3 generators restricted to a line
         a = e(3, 0) + e(3, 2)
         assert apply_linear(a, m) == ExtElement.monomial(1, (0,), 3)
+
+
+@st.composite
+def rational_matrices(draw):
+    """One to three rational matrices of their own shapes."""
+    entry = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        mats.append(RatMatrix(draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                            min_size=rows, max_size=rows))))
+    return mats
+
+
+def prime_factors(n):
+    p, out = 2, set()
+    while p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    return out | ({n} if n > 1 else set())
+
+
+class TestCleared:
+    # D is the lcm of every denominator, so no proper divisor of D clears all
+    # the matrices, and each D m holds the exact ints D x
+    @settings(max_examples=200, deadline=None)
+    @given(rational_matrices())
+    def test_one_least_scale_clears_every_matrix(self, mats):
+        den, *scaled = cleared(*mats)
+        assert den == lcm(*(x.denominator for m in mats for row in m.entries for x in row))
+        assert all(any((den // p * x).denominator != 1
+                       for m in mats for row in m.entries for x in row)
+                   for p in prime_factors(den))
+        assert len(scaled) == len(mats)
+        for m, rows in zip(mats, scaled):
+            assert all(type(v) is int for row in rows for v in row)
+            assert rows == [[den * x for x in row] for row in m.entries]
+
+    def test_integer_matrices_keep_their_entries(self):
+        assert cleared(RatMatrix([[2, -3]]), RatMatrix([[0]])) == (1, [[2, -3]], [[0]])

@@ -119,6 +119,36 @@ class TestIntegralCoordinateLattice:
         assert integral_coordinate_lattice(rows) == integer_kernel([scaled(r) for r in rows])
 
 
+@st.composite
+def scaled_rows_with_combinations(draw):
+    """Integer rows, and the same rows each times a positive int with integer
+    combinations of the rows before them inserted."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                         min_size=1, max_size=5))
+    padded = []
+    for row in rows + [None]:
+        for _ in range(draw(st.integers(0, 2))):
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(padded),
+                                   max_size=len(padded)))
+            padded.append([sum(c * r[j] for c, r in zip(coeffs, padded)) for j in range(n)])
+        if row is not None:
+            scale = draw(st.integers(1, 7))
+            padded.append([scale * x for x in row])
+    return rows, padded
+
+
+class TestIntegerKernel:
+    # The column reduction takes the same steps on a positively scaled row,
+    # and passes over a row in the span of earlier rows, so neither changes
+    # the basis.
+    @settings(max_examples=300, deadline=None)
+    @given(scaled_rows_with_combinations())
+    def test_row_scale_and_dependent_rows_change_nothing(self, case):
+        rows, padded = case
+        assert integer_kernel(padded) == integer_kernel(rows)
+
+
 def reference_pair_reduce(basis, max_sweeps=MAX_SWEEPS):
     """pair_reduce as it was before it kept the Gram matrix: every step
     recomputes both dot products from the vectors."""
