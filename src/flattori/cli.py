@@ -6,6 +6,12 @@ identifier of the mathematical claim the command decides).  Exit codes:
 0 for success/true/found, 1 for refuted/false/none-within-bound/undecided
 (a search that spent its node budget), 2 for input errors.  Diagnostics go
 to stderr.
+
+Each command imports only the layers it runs: the handlers import
+``equivalence``, ``tduality``, ``cohomology``, ``abranes`` and ``fock`` when
+they are called.  Start-up is most of a typical command's time, and where
+``PYTHONDONTWRITEBYTECODE`` is set every imported line is compiled again on
+every start.
 """
 
 from __future__ import annotations
@@ -18,12 +24,14 @@ from fractions import Fraction
 from functools import partial
 from math import comb
 
-from . import abranes, cohomology, equivalence, fock, jsonio, tduality
+from . import jsonio
 from .errors import FlatToriError, RecoveryError, SchemaError, ValidationError
 from .exactlinear import rat_str
 from .torus import BLOCK_CONVENTION, doubled, narain_form, omega, require_valid, validate
 
-DEFAULTS = {"bound": 2, "budget": equivalence.DEFAULT_NODE_BUDGET}
+# budget is equivalence.DEFAULT_NODE_BUDGET, written out so that loading the
+# defaults does not import the search layer.
+DEFAULTS = {"bound": 2, "budget": 10 ** 7}
 
 
 def _emit(args, inputs, result, code):
@@ -65,6 +73,7 @@ def _at_least_one(name, value):
 
 def parse_splitting(text, n):
     """Parse ``"1,0;0,1|0,1;1,0"``-style A|B vector lists."""
+    from . import tduality
     try:
         a_part, b_part = text.split("|")
         a_vecs = [[int(x) for x in v.split(",")] for v in a_part.split(";") if v]
@@ -108,6 +117,7 @@ def _cmd_doubled(args, cfg):
 
 
 def _cmd_spectrum(args, cfg):
+    from . import equivalence
     t = jsonio.load_torus(args.torus)
     if args.height < 0:
         raise SchemaError(f"height must be nonnegative, got {args.height}")
@@ -118,6 +128,7 @@ def _cmd_spectrum(args, cfg):
 
 
 def _search_command(kind, args, cfg):
+    from . import equivalence
     t1 = jsonio.load_torus(args.source)
     t2 = jsonio.load_torus(args.target)
     if t2.d != t1.d:
@@ -145,6 +156,7 @@ def _search_command(kind, args, cfg):
 
 
 def _cmd_verify_map(args, cfg):
+    from . import equivalence
     m = jsonio.load_map(args.map)
     cert = equivalence.verify_map(m)
     result = {"valid": cert.valid,
@@ -155,6 +167,7 @@ def _cmd_verify_map(args, cfg):
 
 
 def _cmd_mirror(args, cfg):
+    from . import tduality
     t = jsonio.load_torus(args.torus)
     inputs = {"torus": jsonio.torus_to_json(t)}
     try:
@@ -206,6 +219,7 @@ def _write_json_files(outputs):
 
 
 def _cmd_hodge(args, cfg):
+    from . import cohomology
     t = jsonio.load_torus(args.torus)
     hd = cohomology.hodge_diamond(t)
     result = {"d": hd.d, "h": [list(row) for row in hd.h]}
@@ -213,6 +227,7 @@ def _cmd_hodge(args, cfg):
 
 
 def _cmd_pp_classes(args, cfg):
+    from . import cohomology
     t = jsonio.load_torus(args.torus)
     if not 0 <= args.p <= t.d:
         raise SchemaError(f"p must lie in 0..{t.d}, got {args.p}", "--p")
@@ -223,6 +238,7 @@ def _cmd_pp_classes(args, cfg):
 
 
 def _cmd_lefschetz(args, cfg):
+    from . import cohomology
     t = jsonio.load_torus(args.torus)
     dim = cohomology.lefschetz_kernel_dim(t)
     result = {"kernel_dimension": dim,
@@ -231,6 +247,7 @@ def _cmd_lefschetz(args, cfg):
 
 
 def _cmd_fm(args, cfg):
+    from . import cohomology
     t = jsonio.load_torus(args.torus)
     s = parse_splitting(args.split, t.rank)
     data = jsonio.load_json(args.cls)
@@ -245,6 +262,7 @@ def _cmd_fm(args, cfg):
 
 
 def _cmd_check_mirror_class(args, cfg):
+    from . import cohomology
     t = jsonio.load_torus(args.torus)
     element = jsonio.class_from_json(jsonio.load_json(args.cls), t.rank)
     alpha = cohomology.CohClass(t, element)
@@ -254,6 +272,7 @@ def _cmd_check_mirror_class(args, cfg):
 
 
 def _cmd_beta(args, cfg):
+    from . import cohomology
     t = jsonio.load_torus(args.torus)
     rep = cohomology.beta_torsion(t)
     result = {
@@ -266,6 +285,7 @@ def _cmd_beta(args, cfg):
 
 
 def _cmd_abrane_check(args, cfg):
+    from . import abranes
     b = jsonio.load_brane(args.brane)
     rep = b.acceptance
     result = {
@@ -296,9 +316,12 @@ def _cmd_abrane_check(args, cfg):
 
 
 def _cmd_fock_verify(args, cfg):
+    from . import fock
     from .exactlinear import RatMatrix
     inputs = {}
     if args.torus:
+        if args.d is not None:
+            raise SchemaError("give --d or --torus, not both", "--d")
         t = jsonio.load_torus(args.torus)
         require_valid(t)
         inputs["torus"] = jsonio.torus_to_json(t)

@@ -22,7 +22,6 @@ from math import comb
 from .errors import DimensionError, GradeError, ValidationError
 from .exactlinear import (GAUSS_I, GaussRational, ExtElement, QZERO, RatMatrix,
                           apply_linear, derivation_map, exp_grade2, interior, wedge)
-from .tduality import LagrangianSplitting, MirrorResult, mirror_via_tduality, require_splitting
 from .torus import TorusData, omega, require_valid
 
 
@@ -159,6 +158,7 @@ def fm_transform(s: LagrangianSplitting, alpha: CohClass,
     A-volume form from the left.  The result lives on the mirror produced
     by :func:`flattori.tduality.mirror_via_tduality` for the same splitting.
     """
+    from .tduality import mirror_via_tduality, require_splitting
     t = alpha.torus
     require_splitting(t, s)
     d, n = t.d, t.rank

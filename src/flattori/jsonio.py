@@ -13,8 +13,6 @@ import json
 import os
 from fractions import Fraction
 
-from .abranes import AffineBrane
-from .equivalence import KINDS, Certificate, LatticeMap
 from .errors import SchemaError
 from .exactlinear import ExtElement, GaussRational, RatMatrix, rat, rat_str
 from .torus import TorusData
@@ -130,6 +128,7 @@ def class_from_json(data, base_rank, pointer="class") -> ExtElement:
 
 
 def brane_from_json(data, base_dir=".", pointer="brane"):
+    from .abranes import AffineBrane
     if not isinstance(data, dict):
         raise SchemaError("expected an object", pointer)
     if "torus" in data:
@@ -176,6 +175,7 @@ def certificate_to_json(cert: Certificate):
 
 
 def map_from_json(data, base_dir=".", pointer="map") -> LatticeMap:
+    from .equivalence import KINDS, LatticeMap
     if not isinstance(data, dict):
         raise SchemaError("expected an object", pointer)
     kind = data.get("kind")

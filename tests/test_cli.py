@@ -3,10 +3,14 @@
 import argparse
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import flattori
 from flattori import cli, equivalence, jsonio, tduality
 from flattori.cli import main
 from flattori.exactlinear import Q, RatMatrix
@@ -78,6 +82,8 @@ class TestNumericInputErrors:
         (None, ["verify-map", "V"],
          "target dimension 2 differs from source dimension 1 (at dims.json.target)"),
         (None, ["pp-classes", "W", "--p", "5"], "p must lie in 0..2, got 5 (at --p)"),
+        (None, ["fock-verify", "--d", "3", "--torus", "T"],
+         "give --d or --torus, not both (at --d)"),
     ])
     def test_one_line_exit_two(self, capsys, tmp_path, square_file, square2_file, config,
                                argv, message):
@@ -217,6 +223,42 @@ class TestValidateAndStructures:
         assert code == 2
         assert out == ""
         assert err.startswith("input error:") and err.count("\n") == 1
+
+
+# Runs main(argv) in a fresh interpreter and prints, after the report, the
+# flattori modules it loaded.
+LOADED_MODULES = """\
+import json, sys
+from flattori.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("flattori"))), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+class TestImportIsolation:
+    """Each command imports only the layers it runs."""
+
+    @pytest.mark.parametrize("argv, unloaded", [
+        (["validate", "T"], {"fock", "cohomology", "abranes", "tduality", "equivalence"}),
+        (["check-iso", "T", "T"], {"fock", "cohomology", "abranes", "tduality"}),
+        (["hodge", "T"], {"tduality", "equivalence", "abranes", "fock"}),
+        (["mirror", "--torus", "T"], {"fock", "cohomology", "abranes"}),
+    ])
+    def test_command_leaves_other_layers_unloaded(self, square_file, argv, unloaded):
+        src = os.path.dirname(os.path.dirname(flattori.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [square_file if a == "T" else a for a in argv]
+        proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert report(proc.stdout)["command"] == argv[0]
+        loaded = {m.removeprefix("flattori.") for m in json.loads(proc.stderr.splitlines()[-1])}
+        assert loaded & unloaded == set()
+
+    def test_budget_default_is_the_search_default(self):
+        assert cli.DEFAULTS["budget"] == equivalence.DEFAULT_NODE_BUDGET
 
 
 class TestSearchCommands:

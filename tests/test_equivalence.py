@@ -18,6 +18,7 @@ from flattori.equivalence import (KINDS, RELATIONS, LatticeMap, _constraint_rows
                                   search_relation, spectrum_fingerprint, verify_map)
 from flattori.errors import ValidationError
 from flattori.exactlinear import Q, RatMatrix
+from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
 from flattori.torus import (ChargeVector, TorusData, doubled, narain_form, q_value,
                             random_valid_torus, square_torus, zero_mode_momenta)
 
@@ -57,6 +58,24 @@ class TestVerifyMap:
         cert = verify_map(LatticeMap(RatMatrix.identity(4), square1, square1,
                                      "derived_eq"))
         assert cert.valid
+
+
+def _mirror(t):
+    return mirror_via_tduality(t, find_lagrangian_splitting(t))
+
+
+class TestCertificateAlgebra:
+    """Duality certificates compose and invert: mirror twice is iso, and the
+    inverse of a mirror certificate is a mirror certificate back."""
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_mirror_certificates_compose_and_invert(self, seed):
+        t = random_valid_torus(random.Random(seed), 1 + seed % 2, b_bound=3)
+        m1 = _mirror(t)
+        m2 = _mirror(m1.mirror)
+        g1, g2 = m1.duality_map.g, m2.duality_map.g
+        assert verify_map(LatticeMap(g2 * g1, t, m2.mirror, "iso")).valid
+        assert verify_map(LatticeMap(g1.inverse(), m1.mirror, t, "mirror")).valid
 
 
 class TestIntertwinerSpace:
