@@ -282,7 +282,7 @@ def holomorphic_volume(t: TorusData) -> ExtElement:
     require_valid(t)
     n = t.rank
     it = t.I.transpose().to_gauss()
-    shifted = it - RatMatrix.identity(n).to_gauss().scale(GAUSS_I)
+    shifted = it.minus_scalar(GAUSS_I)
     kernel = shifted.kernel_basis()
     if len(kernel) != t.d:
         raise InconsistencyError("eigenspace of the complex structure has wrong dimension")

@@ -64,7 +64,7 @@ def _bidegree_projector(dual_i: RatMatrix, k: int, p: int):
     for pp, lam in values:
         if pp == p:
             continue
-        proj = proj * (dmat - ident.scale(lam))
+        proj = proj * dmat.minus_scalar(lam)
         proj = proj.scale(GaussRational(1) / (target - lam))
     return proj
 
@@ -83,10 +83,9 @@ def hodge_diamond(t: TorusData) -> HodgeDiamond:
     grid = [[0] * (d + 1) for _ in range(d + 1)]
     for k in range(0, 2 * d + 1):
         dmat = derivation_map(dual_i, k).to_gauss()
-        ident = RatMatrix.identity(dmat.rows).to_gauss()
         for p in range(max(0, k - d), min(d, k) + 1):
             q = k - p
-            rank = dmat.rows - (dmat - ident.scale(GAUSS_I * (p - q))).rank()
+            rank = dmat.rows - dmat.minus_scalar(GAUSS_I * (p - q)).rank()
             if rank != comb(d, p) * comb(d, q):
                 raise ValidationError(
                     f"h^{{{p},{q}}} computed as {rank}, expected {comb(d, p) * comb(d, q)}")

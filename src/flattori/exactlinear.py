@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .errors import DimensionError, GradeError
 
@@ -84,7 +85,8 @@ class GaussRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to its real part when im == 0, so it must hash like it
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __add__(self, other):
         other = GaussRational.coerce(other)
@@ -215,15 +217,34 @@ class RatMatrix:
     def __neg__(self):
         return RatMatrix([[-a for a in row] for row in self.entries])
 
+    def minus_scalar(self, c) -> "RatMatrix":
+        """``self - c 1`` for a square matrix, subtracting c on the diagonal only."""
+        if not self.is_square():
+            raise DimensionError("scalar shift of a non-square matrix")
+        return RatMatrix([row[:i] + (row[i] - c,) + row[i + 1:] for i, row in enumerate(self.entries)])
+
     def __mul__(self, other):
-        if isinstance(other, RatMatrix):
-            if self.cols != other.rows:
-                raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        """Matrix product, or the scaling ``self.scale(other)`` by a scalar.
+
+        Two rational factors are multiplied in Python ints: each is cleared
+        of its denominators once by :func:`cleared` (``A = a / D_a``,
+        ``B = b / D_b`` with int rows a, b), the int dot products of a and b
+        are taken, and each entry is built once as ``Fraction(n, D_a D_b)``.
+        A factor with any Gaussian-rational entry keeps the entrywise
+        field-operation product.
+        """
+        if not isinstance(other, RatMatrix):
+            return self.scale(other)
+        if self.cols != other.rows:
+            raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        if self._is_gaussian() or other._is_gaussian():
             bt = list(zip(*other.entries))
-            return RatMatrix([
-                [_dot(row, col) for col in bt] for row in self.entries
-            ])
-        return self.scale(other)
+            return RatMatrix([[_dot(row, col) for col in bt] for row in self.entries])
+        da, a = cleared(self)
+        db, b = cleared(other)
+        den = da * db
+        bt = list(zip(*b))
+        return RatMatrix([[Fraction(sum(map(mul, row, col)), den) for col in bt] for row in a])
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -240,6 +261,9 @@ class RatMatrix:
         if len(vec) != self.cols:
             raise DimensionError("vector length does not match column count")
         return tuple(_dot(row, vec) for row in self.entries)
+
+    def _is_gaussian(self) -> bool:
+        return any(isinstance(e, GaussRational) for row in self.entries for e in row)
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:

@@ -39,6 +39,13 @@ class TestRationals:
         assert z - 1 == GaussRational(0, 1)
         assert 1 - z == GaussRational(0, -1)
 
+    def test_real_gauss_hashes_like_its_fraction(self):
+        # equal values must hash equal, or sets and dicts keep both
+        for x in (Q(1), Q(0), Q(-3, 4), Q(7, 2)):
+            assert GaussRational(x) == x and hash(GaussRational(x)) == hash(x)
+        assert len({RatMatrix([[1]]), RatMatrix([[1]]).to_gauss()}) == 1
+        assert len({GaussRational(1, 2), GaussRational(1, -2), GaussRational(1)}) == 3
+
 
 class TestMatrix:
     def test_inverse_exact(self):
@@ -59,6 +66,13 @@ class TestMatrix:
     def test_positive_definite(self):
         assert RatMatrix([[2, 1], [1, 1]]).is_positive_definite()
         assert not RatMatrix.diag([1, -1]).is_positive_definite()
+
+    def test_minus_scalar_shifts_the_diagonal(self):
+        m = RatMatrix([[1, Q(1, 2)], [0, -3]])
+        for c in (Q(2, 3), GaussRational(0, 2)):
+            assert m.minus_scalar(c) == m - RatMatrix.identity(2).scale(c)
+        with pytest.raises(DimensionError):
+            RatMatrix([[1, 2]]).minus_scalar(1)
 
     def test_solve(self):
         m = RatMatrix([[1, 1], [0, 1]])
@@ -348,3 +362,58 @@ class TestCleared:
 
     def test_integer_matrices_keep_their_entries(self):
         assert cleared(RatMatrix([[2, -3]]), RatMatrix([[0]])) == (1, [[2, -3]], [[0]])
+
+
+product_entry = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9,
+                                                             max_denominator=15))
+
+
+@st.composite
+def product_pairs(draw, gaussian=False):
+    """Factors of shapes n x k and k x m; with gaussian, some entries get an i part."""
+    n, k, m = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    factors = []
+    for rows, cols in ((n, k), (k, m)):
+        entries = [draw(st.lists(product_entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+        if gaussian:
+            entries = [[GaussRational(x, draw(product_entry)) if draw(st.booleans()) else x
+                        for x in row] for row in entries]
+        factors.append(RatMatrix(entries))
+    return factors
+
+
+def reference_product(a, b):
+    """The entrywise field-operation product."""
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b.entries)]
+            for row in a.entries]
+
+
+class TestProduct:
+    # rational factors are multiplied on cleared ints and rescaled once; the
+    # result must be the exact product, entry by entry, as Fractions
+    @settings(max_examples=300, deadline=None)
+    @given(product_pairs())
+    def test_rational_product_is_the_exact_product(self, pair):
+        a, b = pair
+        prod = a * b
+        assert (prod.rows, prod.cols) == (a.rows, b.cols)
+        assert prod.entries == tuple(map(tuple, reference_product(a, b)))
+        assert all(type(x) is Fraction for row in prod.entries for x in row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(product_pairs(gaussian=True), st.booleans())
+    def test_gaussian_or_mixed_factor_multiplies_entrywise(self, pair, gauss_left):
+        a, b = pair
+        if gauss_left:
+            a = a.to_gauss()
+        assert a * b == RatMatrix(reference_product(a, b))
+
+    @settings(max_examples=50, deadline=None)
+    @given(product_pairs(), st.integers(1, 5))
+    def test_mismatched_shapes_raise(self, pair, extra):
+        a, b = pair
+        c = RatMatrix([[1] * b.cols] * (a.cols + extra))
+        with pytest.raises(DimensionError):
+            a * c
+        with pytest.raises(DimensionError):
+            a.to_gauss() * c
