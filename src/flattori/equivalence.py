@@ -256,34 +256,3 @@ def spectrum_fingerprint(t: TorusData, height: int):
         triples.append((q, Fraction(norm - den * q, 2 * den), Fraction(norm + den * q, 2 * den)))
     triples.sort()
     return tuple(triples)
-
-
-# ---------------------------------------------------------------------------
-# chiral transports of a certificate (left/right oscillator identifications)
-# ---------------------------------------------------------------------------
-
-
-def chiral_transports(m: LatticeMap):
-    """The induced maps on left/right moving zero-mode labels.
-
-    For a map ``g`` intertwining the structures, the rescaled momenta
-    transform linearly: ``p_2(g gamma) = O_L p_1(gamma)`` and likewise
-    ``O_R`` for pbar.  Both are solved from the momentum block and verified
-    on the winding block; a mismatch raises (the map is then not chiral).
-
-    Returned as vector-index maps (conjugated by the metrics), so they act
-    on oscillator labels directly: ``(OL_vec, OR_vec)`` with
-    ``OL_vec = G_2^-1 O_L G_1``.
-    """
-    t1, t2 = m.source, m.target
-    n = t1.rank
-
-    def solve(row1, row2):
-        prod = row2 * m.g
-        o = prod.block(0, n, n, 2 * n)  # momentum block of row1 is the identity
-        if o * row1 != prod:
-            raise ValidationError("map does not transport chiral momenta linearly")
-        return o
-
-    o_l, o_r = (solve(row1, row2) for row1, row2 in zip(t1.momentum_maps, t2.momentum_maps))
-    return t2.ginv * o_l * t1.G, t2.ginv * o_r * t1.G

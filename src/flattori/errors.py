@@ -40,7 +40,7 @@ class RecoveryError(FlatToriError):
 
 
 class TruncationError(FlatToriError):
-    """A requested mode or state does not fit in the truncated Fock space."""
+    """A requested mode does not fit in the truncated Fock space."""
 
 
 class InconsistencyError(FlatToriError):

@@ -68,12 +68,6 @@ class GaussRational:
             return x
         return GaussRational(rat(x))
 
-    def conj(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
-
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 

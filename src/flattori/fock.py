@@ -1,4 +1,4 @@
-"""Level-truncated oscillator algebras and the superconformal state vectors.
+"""Level-truncated oscillator algebras and their (anti)commutation sweeps.
 
 The truncated space is spanned by monomials in even creator variables (one
 per lattice index and positive integer level, separately for left and right
@@ -10,9 +10,6 @@ report "inconclusive" outside that guarded subspace rather than pretending.
 Operator columns hold integers: annihilator entries are scaled by the lcm D
 of the denominators of G^-1, and each bracket is compared with its expected
 value scaled the same way.
-
-Scalars for the superconformal vectors live in Q(i) extended by a formal
-sqrt(2) tag, keeping the supercharge normalization exact.
 """
 
 from __future__ import annotations
@@ -24,8 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import TruncationError, ValidationError
-from .exactlinear import GaussRational, Q, QZERO, RatMatrix, cleared
-from .torus import TorusData, omega, require_valid, zero_mode_momenta
+from .exactlinear import QZERO, RatMatrix, cleared
 
 HALF = Fraction(1, 2)
 
@@ -33,81 +29,6 @@ EVEN_FAMILIES = ("a", "abar")
 ODD_FAMILIES = ("th", "thbar")
 
 # a generator is (family, level, index); monomials sort these tuples
-
-
-class RootTwoScalar:
-    """Exact scalar ``value = coeff * sqrt(2)^tag`` with tag in {0, 1}."""
-
-    __slots__ = ("coeff", "tag")
-
-    def __init__(self, coeff, tag=0):
-        coeff = GaussRational.coerce(coeff)
-        tag = int(tag) % 2
-        if not coeff:
-            tag = 0
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "tag", tag)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RootTwoScalar is immutable")
-
-    def __bool__(self):
-        return bool(self.coeff)
-
-    def __eq__(self, other):
-        if not isinstance(other, RootTwoScalar):
-            other = RootTwoScalar(other)
-        return self.coeff == other.coeff and self.tag == other.tag
-
-    def __hash__(self):
-        return hash((self.coeff, self.tag))
-
-    def __add__(self, other):
-        if not isinstance(other, RootTwoScalar):
-            other = RootTwoScalar(other)
-        if not self:
-            return other
-        if not other:
-            return self
-        if self.tag != other.tag:
-            raise ValueError("cannot add scalars of different sqrt(2) parity")
-        return RootTwoScalar(self.coeff + other.coeff, self.tag)
-
-    def __neg__(self):
-        return RootTwoScalar(-self.coeff, self.tag)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, RootTwoScalar) else RootTwoScalar(-other))
-
-    def __mul__(self, other):
-        if not isinstance(other, RootTwoScalar):
-            other = RootTwoScalar(other)
-        t = self.tag + other.tag
-        c = self.coeff * other.coeff
-        if t == 2:
-            c = c * 2
-            t = 0
-        return RootTwoScalar(c, t)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        if self.tag:
-            return f"({self.coeff})*sqrt2"
-        return f"{self.coeff}"
-
-
-SQRT2 = RootTwoScalar(1, 1)
-INV_SQRT2 = RootTwoScalar(Fraction(1, 2), 1)  # sqrt2 / 2
-
-
-def _monomial_level(mono):
-    even, odd = mono
-    return sum(g[1] for g in even) + sum(g[1] for g in odd)
-
-
-def _monomial_parity(mono):
-    return len(mono[1]) % 2
 
 
 def _sorted_vars(families, twice_levels, n):
@@ -177,11 +98,6 @@ class TruncatedFock:
         return 2 * self.d
 
     @cached_property
-    def index(self) -> dict:
-        """Each basis monomial's position; only ``OscillatorOp.apply_*`` read it."""
-        return {m: i for i, m in enumerate(self.basis)}
-
-    @cached_property
     def ginv(self) -> RatMatrix:
         return self.G.inverse()
 
@@ -189,9 +105,6 @@ class TruncatedFock:
     def _scaled_ginv(self):
         """``(D, D G^-1)``: D is the lcm of the denominators of G^-1, the rows are ints."""
         return cleared(self.ginv)
-
-    def vacuum(self):
-        return ((), ())
 
 
 _KIND_FAMILY = {"alpha": "a", "alphabar": "abar", "psi": "th", "psibar": "thbar"}
@@ -223,24 +136,6 @@ class OscillatorOp:
             got = self._cols[col] = self._column_fn(col)
         return got
 
-    def column(self, col: int):
-        """The exact entries ``(row_index, Fraction)`` of one column."""
-        return tuple((row, Fraction(a, self.scale)) for row, a in self.int_column(col))
-
-    def apply_monomial(self, mono):
-        return self.column(self.space.index[mono])
-
-    def apply_state(self, state):
-        """Apply to a dict monomial -> scalar (any scalar supporting + and *)."""
-        out = {}
-        for mono, c in state.items():
-            for row, a in self.column(self.space.index[mono]):
-                key = self.space.basis[row]
-                acc = out.get(key)
-                term = c * a
-                out[key] = term if acc is None else acc + term
-        return {m: c for m, c in out.items() if c}
-
 
 def build_oscillator(space: TruncatedFock, kind: str, i: int, s) -> OscillatorOp:
     """The oscillator with the given flavor, lattice index, and mode.
@@ -253,7 +148,7 @@ def build_oscillator(space: TruncatedFock, kind: str, i: int, s) -> OscillatorOp
         raise ValueError(f"unknown oscillator kind {kind!r}")
     s = Fraction(s)
     if s == 0:
-        raise ValueError("zero modes are not oscillators; see field_modes")
+        raise ValueError("zero modes are not oscillators")
     n = space.rank
     if not 0 <= i < n:
         raise ValueError(f"index must lie in 0..{n - 1}")
@@ -336,9 +231,6 @@ class CheckOutcome:
     status: str  # "pass", "fail", or "inconclusive"
     tested_dimension: int
     expected: Fraction
-
-    def __bool__(self):
-        return self.status == "pass"
 
 
 def _bracket_is(op1, op2, sign, testable, expected):
@@ -431,208 +323,3 @@ def ccr_car_sweep(space: TruncatedFock):
                             "tested_dimension": out.tested_dimension,
                         })
     return rows
-
-
-# ---------------------------------------------------------------------------
-# superconformal vectors
-# ---------------------------------------------------------------------------
-
-
-def _state_add(target, mono, scalar):
-    if not scalar:
-        return
-    acc = target.get(mono)
-    target[mono] = scalar if acc is None else acc + scalar
-    if not target[mono]:
-        del target[mono]
-
-
-def superconformal_states(space: TruncatedFock, t: TorusData):
-    """The eight generator states, as exact tagged-scalar vectors.
-
-    Left movers:
-
-    * ``L = G(a_-1, a_-1)/2 - G(theta_-1/2, theta_-3/2)/2``
-    * ``Qpm = (-i/(4 sqrt 2)) (G -+ i omega)(theta_-1/2, a_-1)``
-    * ``J = (-i/2) omega(theta_-1/2, theta_-1/2)``
-
-    and the right movers with the barred variables.  The bilinear forms are
-    expanded literally over all index pairs; no symmetrization beyond what
-    the variables themselves impose is applied.
-    """
-    require_valid(t)
-    if space.rank != t.rank:
-        raise ValidationError("space and torus dimensions differ")
-    if space.level_cap < 2:
-        raise TruncationError("superconformal vectors need level cap >= 2")
-    G = t.G
-    w = omega(t)
-    n = space.rank
-    minus_i_over_8 = GaussRational(0, Fraction(-1, 8))
-    states = {}
-    for side, afam, thfam in (("", "a", "th"), ("bar", "abar", "thbar")):
-        L = {}
-        for a in range(n):
-            for b in range(n):
-                g = G.entries[a][b]
-                if not g:
-                    continue
-                mono = (tuple(sorted(((afam, Q(1), a), (afam, Q(1), b)))), ())
-                _state_add(L, mono, RootTwoScalar(Fraction(g, 2)))
-                mono_f = ((), ((thfam, HALF, a), (thfam, Fraction(3, 2), b)))
-                _state_add(L, mono_f, RootTwoScalar(Fraction(-g, 2)))
-        states["L" + side] = L
-        for name, sgn in (("Qplus", -1), ("Qminus", 1)):
-            state = {}
-            for a in range(n):
-                for b in range(n):
-                    coeff = GaussRational(G.entries[a][b], sgn * w.entries[a][b])
-                    if not coeff:
-                        continue
-                    mono = (((afam, Q(1), b),), ((thfam, HALF, a),))
-                    _state_add(state, mono, RootTwoScalar(minus_i_over_8 * coeff, 1))
-            states[name + side] = state
-        J = {}
-        for a in range(n):
-            for b in range(a + 1, n):
-                wc = w.entries[a][b]
-                if not wc:
-                    continue
-                mono = ((), ((thfam, HALF, a), (thfam, HALF, b)))
-                _state_add(J, mono, RootTwoScalar(GaussRational(0, -wc)))
-            # omega(theta, theta) doubles the strictly-upper coefficients;
-            # with the -i/2 prefactor this leaves -i * w_ab per monomial
-        states["J" + side] = J
-    return states
-
-
-def state_level(state):
-    levels = {_monomial_level(m) for m in state}
-    if len(levels) != 1:
-        raise ValueError("state is not level-homogeneous")
-    return levels.pop()
-
-
-def state_parity(state):
-    parities = {_monomial_parity(m) for m in state}
-    if len(parities) != 1:
-        raise ValueError("state is not parity-homogeneous")
-    return parities.pop()
-
-
-# ---------------------------------------------------------------------------
-# field modes and the monomial pairing oracle
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ZeroModeDescriptor:
-    """The s = 0 mode of a bosonic current: diagonal on charge sectors.
-
-    Acts on the sector ``(w, m)`` by the number ``(G^-1 p)_j`` (left) or
-    ``(G^-1 pbar)_j`` (right), in the sqrt(2)-rescaled normalization used
-    for all zero-mode quantities.
-    """
-
-    torus: TorusData
-    index: int
-    chirality: str  # "left" or "right"
-
-    def apply_charge(self, charge):
-        z = zero_mode_momenta(self.torus, charge)
-        vec = z.p if self.chirality == "left" else z.pbar
-        return sum(a * b for a, b in zip(self.torus.ginv.entries[self.index], vec))
-
-
-_FIELD_TABLE = {
-    "dX": ("alpha", "left"),
-    "dXbar": ("alphabar", "right"),
-    "psi": ("psi", None),
-    "psibar": ("psibar", None),
-}
-
-
-def field_modes(space: TruncatedFock, t: TorusData, fld: str, j: int, s):
-    """Mode content of the basic currents.
-
-    For nonzero modes this is the corresponding oscillator; the bosonic
-    zero mode is a :class:`ZeroModeDescriptor` delegating to the charge
-    sector data (the currents themselves have no zero-mode oscillator).
-    """
-    if fld not in _FIELD_TABLE:
-        raise ValueError(f"unknown field {fld!r}; expected one of {sorted(_FIELD_TABLE)}")
-    kind, chirality = _FIELD_TABLE[fld]
-    s = Fraction(s)
-    if s == 0:
-        if chirality is None:
-            raise ValidationError("fermionic currents have no zero mode")
-        return ZeroModeDescriptor(torus=t, index=j, chirality=chirality)
-    return build_oscillator(space, kind, j, s)
-
-
-def monomial_pairing(space: TruncatedFock, m1, m2):
-    """Wick pairing of two basis monomials (the creator-adjointness oracle).
-
-    Independent of the operator implementation: a permanent over bosonic
-    contractions times a determinant over fermionic contractions, each
-    single contraction pairing equal levels and families through
-    ``level * G^-1`` (bosons) or ``G^-1`` (fermions).
-    """
-    from itertools import permutations
-    even1, odd1 = m1
-    even2, odd2 = m2
-    if len(even1) != len(even2) or len(odd1) != len(odd2):
-        return QZERO
-    ginv = space.ginv
-
-    def single_even(g1, g2):
-        if g1[0] != g2[0] or g1[1] != g2[1]:
-            return QZERO
-        return g1[1] * ginv.entries[g1[2]][g2[2]]
-
-    def single_odd(g1, g2):
-        if g1[0] != g2[0] or g1[1] != g2[1]:
-            return QZERO
-        return ginv.entries[g1[2]][g2[2]]
-
-    even_total = QZERO
-    if even1:
-        for perm in permutations(range(len(even2))):
-            term = Q(1)
-            for a, b in enumerate(perm):
-                term *= single_even(even1[a], even2[b])
-                if not term:
-                    break
-            even_total += term
-    else:
-        even_total = Q(1)
-    odd_total = QZERO
-    if odd1:
-        for perm in permutations(range(len(odd2))):
-            sign = _perm_sign(perm)
-            term = Q(sign)
-            for a, b in enumerate(perm):
-                term *= single_odd(odd1[a], odd2[b])
-                if not term:
-                    break
-            odd_total += term
-    else:
-        odd_total = Q(1)
-    return even_total * odd_total
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            t = perm[t]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign

@@ -244,6 +244,8 @@ class TestImportIsolation:
         (["check-iso", "T", "T"], {"fock", "cohomology", "abranes", "tduality"}),
         (["hodge", "T"], {"tduality", "equivalence", "abranes", "fock"}),
         (["mirror", "--torus", "T"], {"fock", "cohomology", "abranes"}),
+        (["fock-verify", "--d", "1", "--cap", "1"],
+         {"equivalence", "tduality", "cohomology", "abranes"}),
     ])
     def test_command_leaves_other_layers_unloaded(self, square_file, argv, unloaded):
         src = os.path.dirname(os.path.dirname(flattori.__file__))

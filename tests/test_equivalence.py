@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from flattori._intlat import (integer_kernel, integral_coordinate_lattice,
                               spans_direct_summand)
 from flattori.equivalence import (KINDS, RELATIONS, LatticeMap, _constraint_rows,
-                                  _ellipsoid_radii, chiral_transports, intertwiner_space,
+                                  _ellipsoid_radii, intertwiner_space,
                                   search_relation, spectrum_fingerprint, verify_map)
 from flattori.errors import ValidationError
 from flattori.exactlinear import Q, RatMatrix
@@ -64,9 +64,18 @@ def _mirror(t):
     return mirror_via_tduality(t, find_lagrangian_splitting(t))
 
 
+def _basis_change_iso(t, u):
+    """The iso from ``t`` to ``t`` in the lattice basis ``u``: windings move by
+    u^-1 and momenta by u^t."""
+    z = RatMatrix.zero(t.rank, t.rank)
+    g = RatMatrix.from_blocks([[u.inverse(), z], [z, u.transpose()]])
+    return LatticeMap(g, t, _in_basis(t, u), "iso")
+
+
 class TestCertificateAlgebra:
-    """Duality certificates compose and invert: mirror twice is iso, and the
-    inverse of a mirror certificate is a mirror certificate back."""
+    """Certificates compose and invert: mirror twice is iso, iso and mirror in
+    either order is mirror, and the inverse of a certificate is a certificate
+    of the same kind back."""
 
     @pytest.mark.parametrize("seed", range(50))
     def test_mirror_certificates_compose_and_invert(self, seed):
@@ -76,6 +85,21 @@ class TestCertificateAlgebra:
         g1, g2 = m1.duality_map.g, m2.duality_map.g
         assert verify_map(LatticeMap(g2 * g1, t, m2.mirror, "iso")).valid
         assert verify_map(LatticeMap(g1.inverse(), m1.mirror, t, "mirror")).valid
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_isos_compose_with_mirrors_and_invert(self, seed):
+        rng = random.Random(seed)
+        t = random_valid_torus(rng, 1 + seed % 2, b_bound=3)
+        iso = _basis_change_iso(t, _unimodular(t.rank, rng))
+        assert verify_map(iso).valid
+        assert verify_map(LatticeMap(iso.g.inverse(), iso.target, t, "iso")).valid
+        # mirror after iso: t -> t rebased -> its mirror
+        dual = _mirror(iso.target).duality_map
+        assert verify_map(LatticeMap(dual.g * iso.g, t, dual.target, "mirror")).valid
+        # iso after mirror: t -> its mirror -> the mirror rebased
+        dual = _mirror(t).duality_map
+        iso = _basis_change_iso(dual.target, _unimodular(t.rank, rng))
+        assert verify_map(LatticeMap(iso.g * dual.g, t, iso.target, "mirror")).valid
 
 
 class TestIntertwinerSpace:
@@ -330,16 +354,20 @@ def _in_basis(t, u):
                      u.transpose() * t.B * u, "rebased")
 
 
-def _rebased(t, rng, steps=3):
-    """``t`` written in a random lattice basis: a product of elementary shears."""
-    n = t.rank
+def _unimodular(n, rng, steps=3):
+    """A random n x n unimodular matrix: a product of elementary shears."""
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(steps):
         i, j = rng.sample(range(n), 2)
         c = rng.choice([-2, -1, 1, 2])
         for k in range(n):
             u[i][k] += c * u[j][k]
-    return _in_basis(t, RatMatrix(u))
+    return RatMatrix(u)
+
+
+def _rebased(t, rng, steps=3):
+    """``t`` written in a random lattice basis."""
+    return _in_basis(t, _unimodular(t.rank, rng, steps))
 
 
 # Tori whose doubled structures have non-integral entries: a d = 2 torus
@@ -470,21 +498,3 @@ class TestNarainWindow:
             coords = _coordinates_of(out.certificate.map.g, basis)
             radii = _ellipsoid_radii(t1, t2, basis)
             assert all(c * c <= r for c, r in zip(coords, radii))
-
-
-class TestChiralTransports:
-    def test_square_swap_transports(self, square1):
-        m = LatticeMap(E1_SWAP, square1, square1, "mirror")
-        o_l, o_r = chiral_transports(m)
-        assert o_l == RatMatrix.diag([-1, 1])
-        assert o_r == RatMatrix.identity(2)
-
-    def test_transports_are_isometries(self, rng):
-        from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
-        for d in (1, 2):
-            t = square_torus(d)
-            mr = mirror_via_tduality(t, find_lagrangian_splitting(t))
-            o_l, o_r = chiral_transports(mr.duality_map)
-            g1, g2 = t.G, mr.mirror.G
-            assert o_l.transpose() * g2 * o_l == g1
-            assert o_r.transpose() * g2 * o_r == g1

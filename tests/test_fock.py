@@ -1,17 +1,14 @@
-"""Truncated oscillator algebras and the superconformal vectors."""
+"""Truncated oscillator algebras and their (anti)commutation sweeps."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from flattori.equivalence import chiral_transports
 from flattori.errors import TruncationError, ValidationError
-from flattori.exactlinear import GaussRational, Q, RatMatrix
-from flattori.fock import (RootTwoScalar, TruncatedFock, _bracket_is, _verify_pairs,
-                           build_oscillator, ccr_car_sweep, field_modes,
-                           monomial_pairing, state_level, state_parity,
-                           superconformal_states, verify_car, verify_ccr)
-from flattori.torus import ChargeVector, omega, square_torus
+from flattori.exactlinear import Q, RatMatrix
+from flattori.fock import (TruncatedFock, _bracket_is, _verify_pairs, build_oscillator,
+                           ccr_car_sweep, verify_car, verify_ccr)
 
 HALF = Fraction(1, 2)
 
@@ -45,22 +42,28 @@ class TestSpace:
             TruncatedFock(1, Fraction(2), RatMatrix.diag([1, -1]))
 
 
+def column(op, col):
+    """The exact entries ``(row, Fraction)`` of one column of ``op``."""
+    return [(row, Fraction(a, op.scale)) for row, a in op.int_column(col)]
+
+
 class TestOscillators:
+    # the vacuum is the first basis monomial, at position 0
     def test_creator_on_vacuum(self, space1):
         op = build_oscillator(space1, "alpha", 0, -1)
-        [(row, coeff)] = op.apply_monomial(space1.vacuum())
+        [(row, coeff)] = column(op, 0)
         assert space1.basis[row] == ((("a", Q(1), 0),), ())
         assert coeff == 1
 
     def test_annihilator_kills_vacuum(self, space1):
-        assert build_oscillator(space1, "alpha", 0, 1).apply_monomial(space1.vacuum()) == ()
-        assert build_oscillator(space1, "psi", 0, HALF).apply_monomial(space1.vacuum()) == ()
+        assert build_oscillator(space1, "alpha", 0, 1).int_column(0) == ()
+        assert build_oscillator(space1, "psi", 0, HALF).int_column(0) == ()
 
     def test_fermionic_derivative_rule(self, space1):
         cre = build_oscillator(space1, "psi", 0, -HALF)
         ann = build_oscillator(space1, "psi", 0, HALF)
-        state = {space1.basis[r]: c for r, c in cre.apply_monomial(space1.vacuum())}
-        assert ann.apply_state(state) == {space1.vacuum(): Q(1)}
+        [(row, c)] = column(cre, 0)
+        assert [(r, c * a) for r, a in column(ann, row)] == [(0, 1)]
 
     def test_mode_parity_enforced(self, space1):
         with pytest.raises(ValidationError):
@@ -86,20 +89,85 @@ def assert_adjoint_to_creators(space):
     """Each annihilator is the Wick-pairing adjoint of its creator."""
     flavors = (("alpha", (1, 2)), ("psi", (HALF, Fraction(3, 2))),
                ("alphabar", (1,)), ("psibar", (HALF,)))
+    basis = space.basis
     for kind, modes in flavors:
         for i in range(2):
             for s in modes:
                 cre = build_oscillator(space, kind, i, -s)
                 ann = build_oscillator(space, kind, i, s)
-                for m1 in space.basis:
-                    lift = {space.basis[r]: c for r, c in cre.apply_monomial(m1)}
-                    for m2 in space.basis:
-                        lhs = sum((c * monomial_pairing(space, mono, m2)
-                                   for mono, c in lift.items()), Q(0))
-                        drop = {space.basis[r]: c for r, c in ann.apply_monomial(m2)}
-                        rhs = sum((c * monomial_pairing(space, m1, mono)
-                                   for mono, c in drop.items()), Q(0))
+                for c1, m1 in enumerate(basis):
+                    lift = column(cre, c1)
+                    for c2, m2 in enumerate(basis):
+                        lhs = sum(c * monomial_pairing(space, basis[r], m2) for r, c in lift)
+                        rhs = sum(c * monomial_pairing(space, m1, basis[r])
+                                  for r, c in column(ann, c2))
                         assert lhs == rhs
+
+
+def monomial_pairing(space, m1, m2):
+    """Wick pairing of two basis monomials (the creator-adjointness oracle).
+
+    Independent of the operator implementation: a permanent over bosonic
+    contractions times a determinant over fermionic contractions, each
+    single contraction pairing equal levels and families through
+    ``level * G^-1`` (bosons) or ``G^-1`` (fermions).
+    """
+    even1, odd1 = m1
+    even2, odd2 = m2
+    if len(even1) != len(even2) or len(odd1) != len(odd2):
+        return Fraction(0)
+    ginv = space.ginv
+
+    def single_even(g1, g2):
+        if g1[0] != g2[0] or g1[1] != g2[1]:
+            return Fraction(0)
+        return g1[1] * ginv.entries[g1[2]][g2[2]]
+
+    def single_odd(g1, g2):
+        if g1[0] != g2[0] or g1[1] != g2[1]:
+            return Fraction(0)
+        return ginv.entries[g1[2]][g2[2]]
+
+    even_total = Fraction(0)
+    if even1:
+        for perm in permutations(range(len(even2))):
+            term = Fraction(1)
+            for a, b in enumerate(perm):
+                term *= single_even(even1[a], even2[b])
+                if not term:
+                    break
+            even_total += term
+    else:
+        even_total = Fraction(1)
+    odd_total = Fraction(0)
+    if odd1:
+        for perm in permutations(range(len(odd2))):
+            term = Fraction(_perm_sign(perm))
+            for a, b in enumerate(perm):
+                term *= single_odd(odd1[a], odd2[b])
+                if not term:
+                    break
+            odd_total += term
+    else:
+        odd_total = Fraction(1)
+    return even_total * odd_total
+
+
+def _perm_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        t = start
+        while not seen[t]:
+            seen[t] = True
+            t = perm[t]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 class TestCcrCar:
@@ -174,90 +242,3 @@ class TestCcrCar:
         at_seven_thirds = TruncatedFock(1, Fraction(7, 3), RatMatrix.identity(2))
         assert at_seven_thirds.basis == at_two.basis
         assert ccr_car_sweep(at_seven_thirds) == ccr_car_sweep(at_two)
-
-
-class TestSuperconformalStates:
-    def test_levels_and_parities(self, square1):
-        space = TruncatedFock(1, Fraction(2), square1.G)
-        states = superconformal_states(space, square1)
-        assert state_level(states["L"]) == 2 and state_parity(states["L"]) == 0
-        assert state_level(states["J"]) == 1 and state_parity(states["J"]) == 0
-        for name in ("Qplus", "Qminus", "Qplusbar", "Qminusbar"):
-            assert state_level(states[name]) == Fraction(3, 2)
-            assert state_parity(states[name]) == 1
-        for name in ("L", "Qplus", "Qminus", "J",
-                     "Lbar", "Qplusbar", "Qminusbar", "Jbar"):
-            assert states[name]
-
-    def test_j_expansion_square_torus(self, square1):
-        space = TruncatedFock(1, Fraction(2), square1.G)
-        states = superconformal_states(space, square1)
-        mono = ((), (("th", HALF, 0), ("th", HALF, 1)))
-        # omega_{01} = -1, so the single coefficient is -i * omega_{01} = +i
-        assert states["J"] == {mono: RootTwoScalar(GaussRational(0, 1))}
-
-    def test_supercurrent_combination_is_metric_bilinear(self, square1):
-        # the Kaehler-form parts of Qplus and Qminus cancel exactly,
-        # leaving the metric pairing with the universal -i/(2 sqrt2) factor
-        space = TruncatedFock(1, Fraction(2), square1.G)
-        states = superconformal_states(space, square1)
-        total = dict(states["Qplus"])
-        for mono, c in states["Qminus"].items():
-            total[mono] = total.get(mono, RootTwoScalar(0)) + c
-        expected = {}
-        for a in range(2):
-            for b in range(2):
-                g = square1.G.entries[a][b]
-                if g:
-                    mono = ((("a", Q(1), b),), (("th", HALF, a),))
-                    expected[mono] = RootTwoScalar(GaussRational(0, Q(-g, 4)), 1)
-        assert {m: c for m, c in total.items() if c} == expected
-
-    def test_truncation_guard(self, square1):
-        space = TruncatedFock(1, Fraction(1), square1.G)
-        with pytest.raises(TruncationError):
-            superconformal_states(space, square1)
-
-    def test_mirror_flips_left_kaehler_pairing(self, square1):
-        # under the duality certificate the left-mover labels transform by
-        # O_L and the right-mover labels by O_R; the J coefficient matrix
-        # (the Kaehler form) must pull back to -omega on the left and
-        # +omega on the right
-        from flattori.exactlinear import RatMatrix
-        from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
-        from flattori.torus import TorusData
-        with_b = TorusData(1, square1.I, square1.G,
-                           RatMatrix([[0, Q(1, 2)], [Q(-1, 2), 0]]), "with-B")
-        for t in (square1, square_torus(2), with_b):
-            mr = mirror_via_tduality(t, find_lagrangian_splitting(t))
-            o_l, o_r = chiral_transports(mr.duality_map)
-            w1 = omega(t)
-            w2 = omega(mr.mirror)
-            assert o_l.transpose() * w2 * o_l == -w1
-            assert o_r.transpose() * w2 * o_r == w1
-            assert o_l.transpose() * mr.mirror.G * o_l == t.G
-            assert o_r.transpose() * mr.mirror.G * o_r == t.G
-
-
-class TestFieldModes:
-    def test_nonzero_mode_is_oscillator(self, square1):
-        space = TruncatedFock(1, Fraction(2), square1.G)
-        op = field_modes(space, square1, "dX", 0, 1)
-        assert op.kind == "alpha" and op.mode == 1
-
-    def test_fermionic_half_mode(self, square1):
-        space = TruncatedFock(1, Fraction(2), square1.G)
-        op = field_modes(space, square1, "psi", 0, HALF)
-        assert op.kind == "psi" and op.mode == HALF
-
-    def test_zero_mode_descriptor(self, square1):
-        space = TruncatedFock(1, Fraction(2), square1.G)
-        zm = field_modes(space, square1, "dX", 0, 0)
-        assert zm.apply_charge(ChargeVector((1, 0), (0, 0))) == -1
-        zbar = field_modes(space, square1, "dXbar", 0, 0)
-        assert zbar.apply_charge(ChargeVector((1, 0), (0, 0))) == 1
-
-    def test_unknown_field_rejected(self, square1):
-        space = TruncatedFock(1, Fraction(2), square1.G)
-        with pytest.raises(ValueError):
-            field_modes(space, square1, "X", 0, 1)
