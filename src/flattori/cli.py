@@ -146,7 +146,7 @@ def _search_command(kind, args, cfg):
         return _emit(args, inputs, result, 0)
     result = {"found": False, "verdict": outcome.verdict, "nodes": outcome.nodes_used}
     if outcome.verdict == "refuted":
-        result["refuted_by"] = "window contains every g with tr(N1^-1 g^t N2 g) = 4d"
+        result["refuted_by"] = outcome.refuted_by
     elif outcome.verdict == "undecided":
         print(f"budget exceeded: search exhausted its node budget ({budget}) before "
               f"covering height {bound} ({outcome.nodes_used}/{budget} nodes)",

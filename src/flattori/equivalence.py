@@ -16,9 +16,11 @@ coordinate vectors over a size-reduced basis of it, keeping the first
 candidate that satisfies the quadratic q-congruence.  An ``iso`` or
 ``mirror`` certificate also preserves the Narain form N, so an exhausted
 window holding the whole ellipsoid ``tr(N_1^-1 g^t N_2 g) = 4d`` refutes the
-relation; otherwise (and always for ``derived_eq``, whose group is infinite)
-a search without a hit means only "none within bound", and one that spends
-its node budget first is "undecided".
+relation.  A ``derived_eq`` certificate's coordinates reduce mod 2 to a
+residue solving the congruence mod 2, so when no residue does (a walk over
+all ``2^k`` of them, run when they fit in the node budget) the relation is
+refuted.  Otherwise a search without a hit means only "none within bound",
+and one that spends its node budget first is "undecided".
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from . import kernels
 from ._intlat import integral_coordinate_lattice, pair_reduce
 from .errors import DimensionError, ValidationError
 from .exactlinear import RatMatrix, cleared
-from .kernels_py import completed_height
+from .kernels_py import completed_height, mod2_residue
 from .torus import ChargeVector, TorusData, doubled, narain_form, q_value
 
 # kind -> the structure equalities ``g S_1 = T_2 g`` of a certificate, in
@@ -139,32 +141,48 @@ def _constraint_rows(t1, t2, kind):
     return rows
 
 
-def intertwiner_space(t1: TorusData, t2: TorusData, kind: str):
-    """Basis (over Q) of maps satisfying the linear intertwining constraints.
+def intertwiner_rows(t1: TorusData, t2: TorusData, kind: str):
+    """A size-reduced basis of the lattice of integral intertwiners, as int rows.
 
-    The returned matrices are a size-reduced basis of the lattice of all
-    *integral* solutions, which is also a Q-basis of the solution space.
-    The quadratic q-condition is not imposed here.
+    Each row is a map ``g`` flattened row-major (length ``(4d)^2``) that
+    satisfies the linear intertwining constraints; together they span every
+    integral solution over Z and the solution space over Q.  The quadratic
+    q-condition is not imposed here.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     if t1.d != t2.d:
         raise DimensionError("tori must have the same dimension")
+    return pair_reduce(integral_coordinate_lattice(_constraint_rows(t1, t2, kind)))
+
+
+def _as_matrix(flat, n):
+    return RatMatrix([flat[i * n:(i + 1) * n] for i in range(n)])
+
+
+def intertwiner_space(t1: TorusData, t2: TorusData, kind: str):
+    """:func:`intertwiner_rows` as ``4d x 4d`` matrices."""
     n = 4 * t1.d
-    flat = pair_reduce(integral_coordinate_lattice(_constraint_rows(t1, t2, kind)))
-    return [RatMatrix([row[i * n:(i + 1) * n] for i in range(n)]) for row in flat]
+    return [_as_matrix(row, n) for row in intertwiner_rows(t1, t2, kind)]
+
+
+NARAIN_WINDOW = "window contains every g with tr(N1^-1 g^t N2 g) = 4d"
+MOD2_OBSTRUCTION = "no residue of g mod 2 solves g^t q g = q (entries mod 2, diagonal halved)"
 
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """The verdict of a search: ``"found"`` (with its certificate), ``"refuted"``,
-    ``"none within bound"`` or ``"undecided"`` (the node budget ran out after
-    covering every height shell up to ``last_complete_height``)."""
+    """The verdict of a search: ``"found"`` (with its certificate), ``"refuted"``
+    (``refuted_by`` names the proof: :data:`NARAIN_WINDOW` or
+    :data:`MOD2_OBSTRUCTION`), ``"none within bound"`` or ``"undecided"`` (the
+    node budget ran out after covering every height shell up to
+    ``last_complete_height``)."""
 
     verdict: str
     nodes_used: int
     certificate: Certificate | None = None
     last_complete_height: int | None = None
+    refuted_by: str | None = None
 
     @property
     def found(self) -> bool:
@@ -190,30 +208,41 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
                     node_budget: int = DEFAULT_NODE_BUDGET) -> SearchOutcome:
     """Bounded deterministic search for a relation certificate.
 
-    Enumerates integer coordinate vectors of max-norm at most ``coeff_bound``
-    over the integral intertwiner basis, in the canonical candidate order
-    (height shell, then support size, then positions, then digits), with the
-    exact filter of :mod:`flattori.kernels_py`; the first q-congruent
-    candidate is returned as a verified certificate (verdict ``"found"``).
+    For ``derived_eq``, when the ``2^k - 1`` nonzero residues of the k
+    integral coordinates fit in ``node_budget``, the walk of
+    :func:`~flattori.kernels_py.mod2_residue` runs first: if no residue
+    solves the congruence mod 2, no certificate exists, and the outcome is
+    ``"refuted"`` with ``2^k - 1`` nodes.  At d = 1 (k = 8) it always runs;
+    at d >= 2 (k = 32, 72) it needs a budget of at least ``2^k - 1``.  A residue
+    that solves it proves nothing, and the scan below runs as if the walk
+    had not.
+
+    The scan enumerates integer coordinate vectors of max-norm at most
+    ``coeff_bound`` over the integral intertwiner basis, in the canonical
+    candidate order (height shell, then support size, then positions, then
+    digits), with the exact filter of :mod:`flattori.kernels_py`; the first
+    q-congruent candidate is returned as a verified certificate (verdict
+    ``"found"``).
 
     An ``iso`` or ``mirror`` certificate preserves N as well as q, so it has
     ``tr(N_1^-1 g^t N_2 g) = 4d``; an exhausted window without a hit is
     ``"refuted"`` when it holds all of that ellipsoid, i.e.
     ``4d (A^-1)_ii < (coeff_bound + 1)^2`` (see :func:`_ellipsoid_radii`).
-    ``derived_eq`` maps need not preserve N, so their search is never
-    refuted.  Any other exhausted window is ``"none within bound"``.  A search
-    that spends ``node_budget`` first is ``"undecided"`` and records the last
-    height shell it covered completely.
+    ``derived_eq`` maps need not preserve N.  Any other exhausted window is
+    ``"none within bound"``.  A search that spends ``node_budget`` first is
+    ``"undecided"`` and records the last height shell it covered completely.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
-    basis = intertwiner_space(t1, t2, kind)
+    flat = intertwiner_rows(t1, t2, kind)
     n = 4 * t1.d
-    flat = [[int(m.entries[i][j]) for i in range(n) for j in range(n)] for m in basis]
+    residues = 2 ** len(flat) - 1
+    if kind == "derived_eq" and residues <= node_budget and mod2_residue(flat, n) is None:
+        return SearchOutcome("refuted", residues, refuted_by=MOD2_OBSTRUCTION)
     hits, nodes, exhausted = kernels.run_filter(flat, n, coeff_bound, node_budget, max_hits=1)
     if hits:
-        g = sum((m.scale(c) for c, m in zip(hits[0], basis) if c), RatMatrix.zero(n, n))
-        cert = verify_map(LatticeMap(g=g, source=t1, target=t2, kind=kind))
+        g = [sum(c * m[t] for c, m in zip(hits[0], flat) if c) for t in range(n * n)]
+        cert = verify_map(LatticeMap(g=_as_matrix(g, n), source=t1, target=t2, kind=kind))
         if not cert.valid:
             raise AssertionError("search produced a non-verifying candidate (internal error)")
         return SearchOutcome("found", nodes, cert)
@@ -221,8 +250,9 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
         return SearchOutcome("undecided", nodes,
                              last_complete_height=completed_height(len(flat), nodes))
     if kind != "derived_eq" and all(
-            r < (coeff_bound + 1) ** 2 for r in _ellipsoid_radii(t1, t2, basis)):
-        return SearchOutcome("refuted", nodes)
+            r < (coeff_bound + 1) ** 2
+            for r in _ellipsoid_radii(t1, t2, [_as_matrix(m, n) for m in flat])):
+        return SearchOutcome("refuted", nodes, refuted_by=NARAIN_WINDOW)
     return SearchOutcome("none within bound", nodes)
 
 

@@ -18,6 +18,7 @@ from flattori.torus import TorusData, random_valid_torus, square_torus
 
 
 REFUTED_BY = "window contains every g with tr(N1^-1 g^t N2 g) = 4d"
+MOD2_REFUTED_BY = "no residue of g mod 2 solves g^t q g = q (entries mod 2, diagonal halved)"
 
 
 def run(capsys, *args):
@@ -286,12 +287,35 @@ class TestSearchCommands:
         assert report(out)["result"] == {
             "found": False, "verdict": "refuted", "nodes": 5 ** 4 - 1, "refuted_by": REFUTED_BY}
 
-    def test_check_derived_eq_is_never_refuted(self, capsys, square_file, stretched_file):
-        # derived_eq maps need not preserve the Narain form
+    def test_check_derived_eq_refuted_mod_2(self, capsys, square_file, stretched_file):
+        # no residue mod 2 of the 8 intertwiner coordinates solves the
+        # congruence, so the walk refutes before the scan starts
         code, out, _ = run(capsys, "check-derived-eq", square_file, stretched_file)
         assert code == 1
         assert report(out)["result"] == {
+            "found": False, "verdict": "refuted", "nodes": 2 ** 8 - 1,
+            "refuted_by": MOD2_REFUTED_BY}
+
+    def test_check_derived_eq_odd_index_stays_open(self, capsys, square_file, torus_file):
+        # tau = 3i is not isomorphic to tau = i, but the pair is not obstructed
+        # mod 2: the walk finds a residue and the scan ends without a hit
+        code, out, _ = run(capsys, "check-derived-eq", square_file,
+                           torus_file(STRETCHED3, "stretched3.json"))
+        assert code == 1
+        assert report(out)["result"] == {
             "found": False, "verdict": "none within bound", "nodes": 5 ** 8 - 1}
+
+    def test_small_budget_skips_the_walk(self, capsys, square_file, stretched_file):
+        # 100 nodes hold fewer than the 255 nonzero residues: the scan runs
+        # as before the walk existed and spends its budget
+        code, out, err = run(capsys, "check-derived-eq", square_file, stretched_file,
+                             "--budget", "100")
+        assert code == 1
+        assert report(out)["result"] == {"found": False, "verdict": "undecided", "nodes": 100,
+                                         "budget": 100, "last_complete_height": 0}
+        assert hashlib.sha256(out.encode()).hexdigest() == UNDECIDED_BUDGET100_SHA256
+        assert err == ("budget exceeded: search exhausted its node budget (100) before "
+                       "covering height 2 (100/100 nodes)\n")
 
     @staticmethod
     def mirror_search(capsys, torus_file, source, target, bound):
@@ -372,7 +396,7 @@ class TestSearchCommands:
             code, out, _ = run(capsys, command, square_file, stretched_file, "--bound", "1")
             assert code == 1
             verdicts.append(report(out)["result"]["verdict"])
-        assert verdicts == ["refuted", "refuted", "none within bound"]
+        assert verdicts == ["refuted", "refuted", "refuted"]
 
     def test_spent_budget_is_undecided(self, capsys, monkeypatch, square2_file, torus_file):
         def refuse(*args):
@@ -625,13 +649,24 @@ GOLDEN_STDOUT_SHA256 = {
 }
 
 
-# The sha256 of the stdout of a refuted and a none-within-bound report on
-# square1 vs stretched1, frozen from the code that signalled a spent budget by
-# an exception.
+# tau = 3i: G = diag(1, 9), a sublattice of index 3 in the square torus's.
+STRETCHED3 = TorusData(1, RatMatrix([[0, -3], [Q(1, 3), 0]]), RatMatrix.diag([1, 9]),
+                       RatMatrix.zero(2, 2), "stretched3")
+
+# The sha256 of the stdout of a refuted report on square1 vs stretched1, frozen
+# from the code that signalled a spent budget by an exception, and of a
+# none-within-bound report on square1 vs stretched3, frozen from the code
+# without the mod-2 walk.
 GOLDEN_VERDICT_REPORTS = [
-    ("check-iso", "2", "bc3c4ac1adbdedb7fd7cd124bdd8c524463ed0e442c2603c7debd081c7dae871"),
-    ("check-derived-eq", "1", "9b342b6fc3feb629cf4a126221bc02eafc384e79949dd4ec17d4c988c7f9bf7a"),
+    ("check-iso", "stretched", "2",
+     "bc3c4ac1adbdedb7fd7cd124bdd8c524463ed0e442c2603c7debd081c7dae871"),
+    ("check-derived-eq", "stretched3", "1",
+     "2fa4e160d717da422a7c05451071d18c3344ba7ae7433dbed07e6ded643f6bda"),
 ]
+
+# The sha256 of the stdout of check-derived-eq square1 stretched1 --budget 100,
+# frozen from the code without the mod-2 walk.
+UNDECIDED_BUDGET100_SHA256 = "57ed18e4d643ca66e32ec25516bb6462b67aac862ccd6c475a5aa87d78774cd4"
 
 
 # The sha256 of the stdout of `mirror --torus` on the square tori and the T4
@@ -715,10 +750,12 @@ class TestDeterminism:
         data = report(capsys.readouterr().out)
         assert (data["command"], data["paper_ref"]) == (command, claim)
 
-    @pytest.mark.parametrize("command, bound, sha256", GOLDEN_VERDICT_REPORTS,
+    @pytest.mark.parametrize("command, target, bound, sha256", GOLDEN_VERDICT_REPORTS,
                              ids=["iso-refuted", "derived-none-within-bound"])
-    def test_golden_verdict_reports(self, capsys, square_file, stretched_file,
-                                    command, bound, sha256):
+    def test_golden_verdict_reports(self, capsys, square_file, stretched_file, torus_file,
+                                    command, target, bound, sha256):
+        if target == "stretched3":
+            stretched_file = torus_file(STRETCHED3, "stretched3.json")
         code, out, err = run(capsys, command, square_file, stretched_file, "--bound", bound)
         assert (code, err) == (1, "")
         assert hashlib.sha256(out.encode()).hexdigest() == sha256

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from flattori._intlat import (integer_kernel, integral_coordinate_lattice,
                               spans_direct_summand)
-from flattori.equivalence import (KINDS, RELATIONS, LatticeMap, _constraint_rows,
-                                  _ellipsoid_radii, intertwiner_space,
-                                  search_relation, spectrum_fingerprint, verify_map)
+from flattori.equivalence import (KINDS, MOD2_OBSTRUCTION, RELATIONS, LatticeMap,
+                                  _constraint_rows, _ellipsoid_radii, intertwiner_rows,
+                                  intertwiner_space, search_relation, spectrum_fingerprint,
+                                  verify_map)
 from flattori.errors import ValidationError
 from flattori.exactlinear import Q, RatMatrix
+from flattori.kernels_py import _mod2_form, mod2_residue
 from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
 from flattori.torus import (ChargeVector, TorusData, doubled, narain_form, q_value,
                             random_valid_torus, square_torus, zero_mode_momenta)
@@ -467,8 +469,10 @@ class TestNarainWindow:
             assert max(_ellipsoid_radii(source, stretched1, basis)) < 1
             out = search_relation(source, stretched1, kind, 1)
             assert (out.found, out.verdict) == (False, "refuted")
+        # no residue mod 2 of the 8 derived_eq coordinates solves the congruence
         out = search_relation(source, stretched1, "derived_eq", 1)
-        assert (out.found, out.verdict) == (False, "none within bound")
+        assert (out.found, out.verdict, out.nodes_used, out.refuted_by) == \
+            (False, "refuted", 2 ** 8 - 1, MOD2_OBSTRUCTION)
 
     def test_narain_form_inverse_is_conjugate_by_q(self, rng):
         # N q N = q, so N^-1 = q N q and the Gram matrix needs no inversion of N
@@ -498,3 +502,83 @@ class TestNarainWindow:
             coords = _coordinates_of(out.certificate.map.g, basis)
             radii = _ellipsoid_radii(t1, t2, basis)
             assert all(c * c <= r for c, r in zip(coords, radii))
+
+
+def _cm_torus(s):
+    """The d = 1 torus whose lattice is ``s Z^2`` in the square one's plane:
+    ``I = s^-1 I_0 s``, ``G = s^t s``, B = 0 (tau runs over Q(i) as s varies)."""
+    s = RatMatrix(s)
+    return TorusData(1, s.inverse() * square_torus(1).I * s, s.transpose() * s,
+                     RatMatrix.zero(2, 2), "cm")
+
+
+# 2 x 2 integer matrices of nonzero determinant: their tori include tau = m i
+# (s = diag(1, m)) and the points of Q(i) of every small index.
+_LATTICE_BASES = st.lists(st.integers(-3, 3), min_size=4, max_size=4).map(
+    lambda e: [e[:2], e[2:]]).filter(lambda s: s[0][0] * s[1][1] != s[0][1] * s[1][0])
+
+
+def _mod2_value(basis, residue, n):
+    """The walk's packed conditions at ``residue``: P(c) of ``kernels_py._mod2_form``."""
+    lin, cross, target = _mod2_form(basis, n)
+    ones = [i for i, c in enumerate(residue) if c % 2]
+    value = 0
+    for x, i in enumerate(ones):
+        value ^= lin[i]
+        for j in ones[x + 1:]:
+            value ^= cross[i][j]
+    return value, target
+
+
+class TestMod2Obstruction:
+    """The mod-2 walk refutes ``derived_eq`` only where no certificate exists."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_square_against_tau_m_i(self, square1, m):
+        # tau = i against tau = m i is obstructed mod 2 exactly when m is even;
+        # odd m > 1 stays "none within bound" though no certificate exists
+        out = search_relation(square1, _cm_torus([[1, 0], [0, m]]), "derived_eq", 1)
+        assert out.verdict == ("found" if m == 1 else
+                               "refuted" if m % 2 == 0 else "none within bound")
+        if m % 2 == 0:
+            assert (out.nodes_used, out.refuted_by) == (2 ** 8 - 1, MOD2_OBSTRUCTION)
+
+    # A pair related by construction (t2 is t1 in another lattice basis u) has
+    # the certificate diag(u^-1, u^t); the residue of its coordinates, and of
+    # the coordinates of any certificate the search finds, solves the walk's
+    # conditions, so the walk never refutes it.
+    @settings(max_examples=200, deadline=None)
+    @given(_LATTICE_BASES, st.integers(0, 2 ** 32))
+    @example([[1, 0], [0, 2]], 0)
+    def test_related_pairs_are_never_obstructed(self, s, seed):
+        t1 = _cm_torus(s)
+        u = _unimodular(2, random.Random(seed), steps=4)
+        t2 = _in_basis(t1, u)
+        rows = intertwiner_rows(t1, t2, "derived_eq")
+        assert mod2_residue(rows, 4) is not None
+        certs = [_basis_change_iso(t1, u).g]
+        out = search_relation(t1, t2, "derived_eq", 1, node_budget=3 ** 8 - 1)
+        assert out.verdict != "refuted"
+        if out.found:
+            certs.append(out.certificate.map.g)
+        basis = intertwiner_space(t1, t2, "derived_eq")
+        for g in certs:
+            assert verify_map(LatticeMap(g, t1, t2, "derived_eq")).valid
+            coords = _coordinates_of(g, basis)
+            assert all(c.denominator == 1 for c in coords)
+            value, target = _mod2_value(rows, [int(c) for c in coords], 4)
+            assert value == target
+
+    # Refutation by the walk is invariant under a change of lattice basis of
+    # either torus: the intertwiner lattices are isomorphic over Z.
+    @settings(max_examples=200, deadline=None)
+    @given(_LATTICE_BASES, _LATTICE_BASES, st.integers(0, 2 ** 32))
+    @example([[1, 0], [0, 1]], [[1, 0], [0, 2]], 0)
+    def test_refutation_is_basis_invariant(self, s1, s2, seed):
+        rng = random.Random(seed)
+        t1, t2 = _cm_torus(s1), _cm_torus(s2)
+        pairs = [(t1, t2), (_rebased(t1, rng, 4), t2), (t1, _rebased(t2, rng, 4))]
+        # a budget of 2^8 - 1 runs the walk and stops the scan right after it
+        verdicts = {search_relation(a, b, "derived_eq", 1, node_budget=2 ** 8 - 1).verdict
+                    == "refuted" for a, b in pairs}
+        assert len(verdicts) == 1
