@@ -632,7 +632,10 @@ GOLDEN_CERTIFICATES = [
 
 # A d=2 torus with B != 0 and non-integral G and B, and the sha256 of the
 # stdout of `doubled` and `spectrum --height 1` on it, frozen from the block
-# formula for the Narain form and the per-torus G^-1 of the older code.
+# formula for the Narain form and the per-torus G^-1 of the older code, and of
+# `hodge`, `beta` and `pp-classes --p 1` on it, frozen from the code that
+# answered them with matrices over the Gaussian rationals.  Its B has a
+# nonzero (0,2)-part, so the beta report's projection is nonzero.
 GOLDEN_TORUS = {
     "d": 2,
     "I": [["2", "-1", "2", "0"], ["5", "-2", "4", "-2"], ["0", "0", "0", "-1"],
@@ -646,6 +649,9 @@ GOLDEN_TORUS = {
 GOLDEN_STDOUT_SHA256 = {
     "doubled": "af2d7dba6ddd8aad0ef0f25587b627e2dcf5a47c479bf925a905b2f2729771ed",
     "spectrum": "512604bfa7a450882a65bfc982fcf9c5063750a03bcf731a9cca49325aaa37c8",
+    "hodge": "71ddd0a444d3520fee728993c98a36f9d093fec851ff2571bac03ba8bd0fc8dd",
+    "beta": "5c7d2de213f28db65aa53a68888b15f596b51a421998294ee9aac121973fc272",
+    "pp-classes": "6d7f9717c53d6cd5d6746e645ad3effc0ab0c352175a78c22ef8eb3ac4cd104e",
 }
 
 
@@ -693,16 +699,24 @@ GOLDEN_FOCK_SHA256 = {
 # brane of the T4 and on a Lagrangian whose curvature is rejected at
 # condition (ii), and of `fm` on square2 with the Kaehler (1,1) class, frozen
 # from the code that ran the acceptance conditions once per reader and built
-# the mirror through a rewritten split torus.  The reports echo `--brane`,
-# so the branes are read from a fixed relative path.
+# the mirror through a rewritten split torus.  The space-filling brane is
+# also checked on the T4 rebased by T4_REBASE, with F = u^T F u: its report
+# (top coefficient 1/2 - i/2) was frozen from the code that took the
+# holomorphic volume from a kernel over the Gaussian rationals, and its +i
+# eigenspace has free columns other than the last d.  The reports echo
+# `--brane`, so the branes are read from a fixed relative path.
+T4_REBASE = RatMatrix([[1, 1, 0, 0], [0, 1, 0, 2], [0, 0, 1, 0], [0, 0, 1, 1]])
 GOLDEN_BRANES = {
     "space-filling": ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
                       [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]]),
     "curved-lagrangian": ([[1, 0, 0, 0], [0, 0, 1, 0]], [[0, 1], [-1, 0]]),
+    "space-filling-rebased": ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                              [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 2], [0, 1, -2, 0]]),
 }
 GOLDEN_BRANE_SHA256 = {
     "space-filling": "b5aceae258af2dc36271ebcc7ea51c5d7e1ed46f33c96cdc23d9e2293cbca70d",
     "curved-lagrangian": "f4a051b5de457f454174c1a26b8234c835314662e4fda3eda9fb3d1a9e747347",
+    "space-filling-rebased": "fd220172525b5826e2102f56d00a8e1e267e4eef8cb7128e7e00455c746d1c4b",
 }
 GOLDEN_FM_SHA256 = "840f01a20dbe3645d67653ebeb98bde937ecf67ffcc14bf61b80e50df1f2189a"
 
@@ -711,6 +725,10 @@ def golden_mirror_torus(name):
     if name == "T4":
         i = RatMatrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
         return TorusData(2, i, RatMatrix.identity(4), RatMatrix.zero(4, 4), "T4")
+    if name == "T4-rebased":
+        t, u = golden_mirror_torus("T4"), T4_REBASE
+        return TorusData(2, u.inverse() * t.I * u, u.transpose() * t.G * u,
+                         u.transpose() * t.B * u, name)
     return square_torus(int(name[-1]), name)
 
 
@@ -760,8 +778,10 @@ class TestDeterminism:
         assert (code, err) == (1, "")
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
-    @pytest.mark.parametrize("command, extra", [("doubled", []), ("spectrum", ["--height", "1"])],
-                             ids=["doubled", "spectrum-height1"])
+    @pytest.mark.parametrize("command, extra", [("doubled", []), ("spectrum", ["--height", "1"]),
+                                                ("hodge", []), ("beta", []),
+                                                ("pp-classes", ["--p", "1"])],
+                             ids=["doubled", "spectrum-height1", "hodge", "beta", "pp-classes-p1"])
     def test_golden_reports_with_b_field(self, capsys, tmp_path, command, extra):
         path = tmp_path / "golden2.json"
         path.write_text(json.dumps(GOLDEN_TORUS))
@@ -797,13 +817,14 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_BRANES))
     def test_golden_abrane_reports(self, capsys, monkeypatch, tmp_path, torus_file, name):
-        torus_file(golden_mirror_torus("T4"), "t4.json")
+        torus_file(golden_mirror_torus("T4-rebased" if name.endswith("rebased") else "T4"),
+                   "t4.json")
         y_basis, f = GOLDEN_BRANES[name]
         (tmp_path / "brane.json").write_text(json.dumps(
             {"torus_ref": "t4.json", "Y_basis": y_basis, "F": f}))
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, "abrane-check", "--brane", "brane.json")
-        assert (code, err) == (0 if name == "space-filling" else 1, "")
+        assert (code, err) == (1 if name == "curved-lagrangian" else 0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_BRANE_SHA256[name]
 
     def test_golden_fm_report(self, capsys, tmp_path, square2_file):
