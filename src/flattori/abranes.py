@@ -24,7 +24,7 @@ from functools import cached_property
 
 from ._intlat import column_pivots
 from .errors import DimensionError, InconsistencyError, ValidationError
-from .exactlinear import (GAUSS_I, GaussRational, ExtElement, RatMatrix,
+from .exactlinear import (GAUSS_I, QONE, QZERO, GaussRational, ExtElement, RatMatrix,
                           apply_linear, wedge)
 from .torus import TorusData, omega, require_valid
 
@@ -246,8 +246,7 @@ def wedge_characterization(b: AffineBrane) -> WedgePowerReport:
     n_rank = max(fol.n_rank, 1)
     powers_vanish = []
     if fol.n_rank:
-        phi = (ExtElement.two_form(fol.f.to_gauss())
-               + ExtElement.two_form(fol.sigma.to_gauss()).scale(GAUSS_I))
+        phi = ExtElement.two_form(fol.f) + ExtElement.two_form(fol.sigma).scale(GAUSS_I)
         current = ExtElement.scalar(n_rank, GaussRational(1))
         for rr in range(1, fol.n_rank // 2 + 2):
             current = wedge(current, phi)
@@ -273,6 +272,28 @@ class AnomalyReport:
     top_coefficient: GaussRational
 
 
+def _plus_i_covectors(t: TorusData):
+    """The echelon Q(i)-basis of the +i eigencovectors of the complex structure.
+
+    It is the echelon kernel of ``J - i`` (J the transpose of I), found over
+    Q: on ``v = x + iy`` the real and imaginary parts of ``(J - i) v`` are
+    ``Jx + y`` and ``Jy - x``, whose columns are interleaved as
+    ``x_0, y_0, x_1, ...``.  The free columns of that real system come in
+    pairs ``(x_f, y_f)``, and the kernel vector of each ``x_f``, read as
+    ``x + iy``, is the complex echelon kernel vector of column f.
+    """
+    n = t.rank
+    j = t.I.transpose().entries
+    rows = []
+    for r in range(n):
+        rows.append([c for a in range(n) for c in (j[r][a], QONE if a == r else QZERO)])
+        rows.append([c for a in range(n) for c in (-QONE if a == r else QZERO, j[r][a])])
+    kernel = RatMatrix(rows).kernel_basis()[::2]
+    if len(kernel) != t.d:
+        raise InconsistencyError("eigenspace of the complex structure has wrong dimension")
+    return [tuple(GaussRational(v[2 * i], v[2 * i + 1]) for i in range(n)) for v in kernel]
+
+
 def holomorphic_volume(t: TorusData) -> ExtElement:
     """Wedge of a Q(i)-basis of +i eigencovectors of the complex structure.
 
@@ -281,13 +302,8 @@ def holomorphic_volume(t: TorusData) -> ExtElement:
     """
     require_valid(t)
     n = t.rank
-    it = t.I.transpose().to_gauss()
-    shifted = it.minus_scalar(GAUSS_I)
-    kernel = shifted.kernel_basis()
-    if len(kernel) != t.d:
-        raise InconsistencyError("eigenspace of the complex structure has wrong dimension")
     result = ExtElement.scalar(n, GaussRational(1))
-    for vec in kernel:
+    for vec in _plus_i_covectors(t):
         result = wedge(result, ExtElement(n, {(i,): c for i, c in enumerate(vec) if c}))
     return result
 
@@ -296,9 +312,9 @@ def anomaly_check_affine(b: AffineBrane) -> AnomalyReport:
     """Anomaly data for an accepted brane: constant data force a trivial class.
 
     ``Omega|_Y ^ F^k`` is a constant multiple of the volume form on Y; the
-    multiple is computed exactly over the Gaussian rationals and must be
-    nonzero (a zero would contradict acceptance and raises).  Since the
-    ratio h is a nonzero constant, its Bockstein image vanishes.
+    multiple is an exact Gaussian rational and must be nonzero (a zero would
+    contradict acceptance and raises).  Since the ratio h is a nonzero
+    constant, its Bockstein image vanishes.
     """
     report = b.acceptance
     if not report.accepted:
@@ -307,9 +323,8 @@ def anomaly_check_affine(b: AffineBrane) -> AnomalyReport:
     t = b.torus
     y = b.direction_matrix()
     om = holomorphic_volume(t)
-    om_restricted = apply_linear(om, y.transpose().to_gauss())
-    total = om_restricted
-    f_form = ExtElement.two_form(b.curvature.to_gauss())
+    total = apply_linear(om, y.transpose())
+    f_form = ExtElement.two_form(b.curvature)
     for _ in range(k):
         total = wedge(total, f_form)
     top = tuple(range(b.r))

@@ -3,9 +3,10 @@
 Cohomology is modeled as the exterior algebra on the dual lattice tensored
 with Q.  The bigrading is read off exactly from the degree-0 derivation D
 extending the complex structure's dual action: a (p,q)-class is an
-``i(p-q)``-eigenvector, so the rational (p,p)-part is the plain rational
-kernel of D and the full bigraded ranks are computed over the Gaussian
-rationals.
+``i(p-q)``-eigenvector.  D is a rational matrix, so every question about the
+bigrading is answered over Q: the (p,p)-part is the plain rational kernel of
+D, the ``+-i m`` eigenspaces together are the kernel of ``D^2 + m^2``, and the
+(0,2)-projector on grade 2 is the polynomial ``-D^2/8 + i D/4`` in D.
 
 The duality transport pulls a class back to the product model
 ``A x dual(A) x B``, multiplies by the exponential of the canonical pairing
@@ -16,12 +17,13 @@ left.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from .errors import DimensionError, GradeError, ValidationError
-from .exactlinear import (GAUSS_I, GaussRational, ExtElement, QZERO, RatMatrix,
-                          apply_linear, derivation_map, exp_grade2, interior, wedge)
+from .exactlinear import (GaussRational, ExtElement, QZERO, RatMatrix, apply_linear,
+                          derivation_map, exp_grade2, interior, wedge)
 from .torus import TorusData, omega, require_valid
 
 
@@ -51,45 +53,48 @@ def _dual_action(t: TorusData) -> RatMatrix:
     return t.I.transpose()
 
 
-def _bidegree_projector(dual_i: RatMatrix, k: int, p: int):
-    """Projector onto the (p, k-p) part of grade k, over Q(i)."""
-    dmat = derivation_map(dual_i, k).to_gauss()
-    dim = dmat.rows
-    ident = RatMatrix.identity(dim).to_gauss()
-    # eigenvalues i(p'-q') over all p'+q'=k with 0 <= p',q' <= d
-    d = dual_i.rows // 2
-    values = [(pp, GAUSS_I * (2 * pp - k)) for pp in range(max(0, k - d), min(d, k) + 1)]
-    target = GAUSS_I * (2 * p - k)
-    proj = ident
-    for pp, lam in values:
-        if pp == p:
-            continue
-        proj = proj * dmat.minus_scalar(lam)
-        proj = proj.scale(GaussRational(1) / (target - lam))
-    return proj
+def _projector_02(dual_i: RatMatrix):
+    """Real and imaginary parts of the projector onto the (0,2) part of grade 2.
+
+    On grade 2 the spectrum of D lies in {-2i, 0, 2i}, so the projector onto
+    the -2i eigenspace is ``D (D - 2i) / ((-2i)(-4i)) = -D^2/8 + i D/4``.
+    """
+    dmat = derivation_map(dual_i, 2)
+    return (dmat * dmat).scale(Fraction(-1, 8)), dmat.scale(Fraction(1, 4))
 
 
 def hodge_diamond(t: TorusData) -> HodgeDiamond:
     """Bigraded ranks computed from the complex structure, cross-checked.
 
-    Each ``h^{p,q}`` is the exact dimension of the ``i(p-q)``-eigenspace of
-    the derivation D on grade p+q over Q(i); for a flat torus this must agree
-    with ``C(d,p) C(d,q)``, and a disagreement raises (it would mean corrupted
-    input or a bug, not new mathematics).
+    Each ``h^{p,q}`` is the dimension of the ``i(p-q)``-eigenspace of the
+    derivation D on grade p+q, found over Q.  D is real and semisimple, and
+    complex conjugation swaps its ``+-i m`` eigenspaces, so ``h^{p,p} =
+    dim ker D`` and, for p < q, ``h^{p,q} = h^{q,p} = dim ker(D^2 + (q-p)^2)
+    / 2``.  For a flat torus this must agree with ``C(d,p) C(d,q)``; an odd
+    kernel or a disagreement raises (it would mean corrupted input or a bug,
+    not new mathematics).
     """
     require_valid(t)
     d = t.d
     dual_i = _dual_action(t)
     grid = [[0] * (d + 1) for _ in range(d + 1)]
     for k in range(0, 2 * d + 1):
-        dmat = derivation_map(dual_i, k).to_gauss()
-        for p in range(max(0, k - d), min(d, k) + 1):
+        dmat = derivation_map(dual_i, k)
+        dsq = dmat * dmat
+        for p in range(max(0, k - d), k // 2 + 1):
             q = k - p
-            rank = dmat.rows - dmat.minus_scalar(GAUSS_I * (p - q)).rank()
+            if p == q:
+                rank = dmat.rows - dmat.rank()
+            else:
+                both = dmat.rows - dsq.minus_scalar(-(q - p) ** 2).rank()
+                if both % 2:
+                    raise ValidationError(
+                        f"the +-{q - p}i eigenspaces of grade {k} have odd dimension {both}")
+                rank = both // 2
             if rank != comb(d, p) * comb(d, q):
                 raise ValidationError(
                     f"h^{{{p},{q}}} computed as {rank}, expected {comb(d, p) * comb(d, q)}")
-            grid[p][q] = rank
+            grid[p][q] = grid[q][p] = rank
     h = tuple(tuple(row) for row in grid)
     for p in range(d + 1):
         for q in range(d + 1):
@@ -232,27 +237,20 @@ class BetaReport:
 def beta_torsion(t: TorusData) -> BetaReport:
     """Whether the B-field maps to a torsion class in the analytic Brauer group.
 
-    The (0,2)-projection of B is computed over the Gaussian rationals and
-    tested for membership in the rational span of the projections of the
-    integral basis 2-forms.  With the rational data model this membership
-    always holds (B is itself a rational combination of integral classes);
-    the report exhibits the projection and one membership solution.
+    The (0,2)-projection of B is computed from the rational real and
+    imaginary parts of the projector and tested for membership in the
+    rational span of the projections of the integral basis 2-forms, one real
+    and one imaginary row per coordinate.  With the rational data model this
+    membership always holds (B is itself a rational combination of integral
+    classes); the report exhibits the projection and one membership solution.
     """
     require_valid(t)
-    n = t.rank
-    dual_i = _dual_action(t)
-    proj02 = _bidegree_projector(dual_i, 2, 0)
-    basis = list(combinations(range(n), 2))
-    bvec = [t.B.entries[i][j] for (i, j) in basis]
-    bproj = proj02.apply([GaussRational.coerce(x) for x in bvec])
-    rows = []
-    rhs = []
-    for prow, x in zip(proj02.entries, bproj):
-        rows.append([e.re for e in prow])
-        rhs.append(x.re)
-        rows.append([e.im for e in prow])
-        rhs.append(x.im)
-    sol = RatMatrix(rows).solve(rhs)
+    re, im = _projector_02(_dual_action(t))
+    bvec = [t.B.entries[i][j] for (i, j) in combinations(range(t.rank), 2)]
+    parts = list(zip(re.apply(bvec), im.apply(bvec)))
+    bproj = [GaussRational(x, y) for x, y in parts]
+    rows = [row for pair in zip(re.entries, im.entries) for row in pair]
+    sol = RatMatrix(rows).solve([c for pair in parts for c in pair])
     return BetaReport(
         torsion=sol is not None,
         projection_nonzero=any(bool(x) for x in bproj),

@@ -1,10 +1,12 @@
-"""Exact linear and exterior algebra over the rationals and Gaussian rationals.
+"""Exact linear and exterior algebra over the rationals.
 
-Everything in this module is exact: scalars are `fractions.Fraction` or
-:class:`GaussRational` (a pair of fractions representing ``re + im*i``),
-matrices are dense tuples of tuples, and exterior-algebra elements store
-their coefficients on strictly increasing index tuples.  No floating point
-enters any computation.
+Everything in this module is exact: matrices are dense tuples of tuples of
+`fractions.Fraction`, and exterior-algebra elements store their coefficients
+on strictly increasing index tuples.  No floating point enters any
+computation.  :class:`GaussRational` (a pair of fractions representing
+``re + im*i``) is a scalar only: it may be an exterior-algebra coefficient or
+a reported value, never a matrix entry.  A question about a rational complex
+structure that lives over Q(i) is answered by its callers over Q.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -49,8 +51,8 @@ def rat_str(x: Fraction) -> str:
 class GaussRational:
     """A Gaussian rational ``re + im*i`` with exact field operations.
 
-    Only the extension Q(i) is supported; it is all that is needed to split
-    the +/-i eigenspaces of a rational complex structure.
+    A scalar only: exterior-algebra coefficients such as the holomorphic
+    volume's, and report values.  :class:`RatMatrix` rejects it as an entry.
     """
 
     __slots__ = ("re", "im")
@@ -126,17 +128,12 @@ GAUSS_I = GaussRational(0, 1)
 
 
 class RatMatrix:
-    """Dense exact matrix.
-
-    Entries are Fractions in most of the package; the same class also works
-    verbatim over Gaussian rationals (all algorithms use field operations
-    only).  Instances are immutable.
-    """
+    """Dense exact matrix of Fractions; instances are immutable."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(e if isinstance(e, GaussRational) else rat(e) for e in row) for row in entries)
+        rows = tuple(tuple(rat(e) for e in row) for row in entries)
         if not rows or not rows[0]:
             raise DimensionError("matrix must have at least one row and one column")
         ncols = len(rows[0])
@@ -161,7 +158,7 @@ class RatMatrix:
 
     @staticmethod
     def diag(values) -> "RatMatrix":
-        vals = [rat(v) if not isinstance(v, GaussRational) else v for v in values]
+        vals = [rat(v) for v in values]
         n = len(vals)
         return RatMatrix([[vals[i] if i == j else QZERO for j in range(n)] for i in range(n)])
 
@@ -220,20 +217,15 @@ class RatMatrix:
     def __mul__(self, other):
         """Matrix product, or the scaling ``self.scale(other)`` by a scalar.
 
-        Two rational factors are multiplied in Python ints: each is cleared
-        of its denominators once by :func:`cleared` (``A = a / D_a``,
-        ``B = b / D_b`` with int rows a, b), the int dot products of a and b
-        are taken, and each entry is built once as ``Fraction(n, D_a D_b)``.
-        A factor with any Gaussian-rational entry keeps the entrywise
-        field-operation product.
+        The factors are multiplied in Python ints: each is cleared of its
+        denominators once by :func:`cleared` (``A = a / D_a``, ``B = b / D_b``
+        with int rows a, b), the int dot products of a and b are taken, and
+        each entry is built once as ``Fraction(n, D_a D_b)``.
         """
         if not isinstance(other, RatMatrix):
             return self.scale(other)
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        if self._is_gaussian() or other._is_gaussian():
-            bt = list(zip(*other.entries))
-            return RatMatrix([[_dot(row, col) for col in bt] for row in self.entries])
         da, a = cleared(self)
         db, b = cleared(other)
         den = da * db
@@ -244,7 +236,7 @@ class RatMatrix:
         return self.scale(other)
 
     def scale(self, c) -> "RatMatrix":
-        c = c if isinstance(c, GaussRational) else rat(c)
+        c = rat(c)
         return RatMatrix([[c * a for a in row] for row in self.entries])
 
     def transpose(self) -> "RatMatrix":
@@ -254,10 +246,7 @@ class RatMatrix:
         """Multiply by a column vector given as a sequence; returns a tuple."""
         if len(vec) != self.cols:
             raise DimensionError("vector length does not match column count")
-        return tuple(_dot(row, vec) for row in self.entries)
-
-    def _is_gaussian(self) -> bool:
-        return any(isinstance(e, GaussRational) for row in self.entries for e in row)
+        return tuple(sum(map(mul, row, vec)) for row in self.entries)
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -275,9 +264,7 @@ class RatMatrix:
         return self.is_square() and self == -self.transpose()
 
     def is_integral(self) -> bool:
-        return all(
-            isinstance(e, Fraction) and e.denominator == 1 for row in self.entries for e in row
-        )
+        return all(e.denominator == 1 for row in self.entries for e in row)
 
     def is_positive_definite(self) -> bool:
         """Sylvester criterion: all leading principal minors positive.
@@ -350,11 +337,11 @@ class RatMatrix:
             raise DimensionError("determinant of a non-square matrix")
         m = [list(row) for row in self.entries]
         n = self.rows
-        det = QONE if not isinstance(m[0][0], GaussRational) else GaussRational(1)
+        det = QONE
         for c in range(n):
             pr = next((i for i in range(c, n) if m[i][c]), None)
             if pr is None:
-                return det * 0
+                return QZERO
             if pr != c:
                 m[c], m[pr] = m[pr], m[c]
                 det = -det
@@ -390,12 +377,6 @@ class RatMatrix:
             x[pc] = red.entries[r][self.cols]
         return tuple(x)
 
-    def map_entries(self, fn) -> "RatMatrix":
-        return RatMatrix([[fn(e) for e in row] for row in self.entries])
-
-    def to_gauss(self) -> "RatMatrix":
-        return self.map_entries(GaussRational.coerce)
-
 
 def cleared(*matrices):
     """``(D, D m_1, D m_2, ...)`` for rational matrices ``m_i``.
@@ -407,14 +388,6 @@ def cleared(*matrices):
     den = math.lcm(*(x.denominator for m in matrices for row in m.entries for x in row))
     return (den, *([[x.numerator * (den // x.denominator) for x in row] for row in m.entries]
                    for m in matrices))
-
-
-def _dot(row, col):
-    acc = None
-    for a, b in zip(row, col):
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +574,8 @@ def exp_grade2(a: ExtElement) -> ExtElement:
     """Exponential ``sum a^k / k!`` of a pure grade-2 element (finite sum)."""
     if a.terms and not a.is_homogeneous(2):
         raise GradeError("exponential argument must be of pure grade 2")
-    one = QONE if not any(isinstance(c, GaussRational) for c in a.terms.values()) else GaussRational(1)
-    total = ExtElement.scalar(a.base_rank, one)
-    power = ExtElement.scalar(a.base_rank, one)
+    total = ExtElement.scalar(a.base_rank, QONE)
+    power = ExtElement.scalar(a.base_rank, QONE)
     k = 0
     while True:
         power = wedge(power, a)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 from ._intlat import column_pivots, integer_kernel, spans_direct_summand
 from .equivalence import Certificate, LatticeMap, verify_map
@@ -57,7 +58,7 @@ def splitting_report(t: TorusData, s: LagrangianSplitting):
     _, w = cleared(omega(t))  # a positive multiple keeps every isotropy question
 
     def isotropic(vectors):
-        return all(_dot(u, _image(w, v)) == 0
+        return all(sum(map(mul, u, _image(w, v))) == 0
                    for i, u in enumerate(vectors) for v in vectors[i + 1:])
 
     checks.append(("A_isotropic", isotropic(s.a_basis)))
@@ -67,11 +68,7 @@ def splitting_report(t: TorusData, s: LagrangianSplitting):
 
 def _image(w, v):
     """``w v`` for integer rows ``w`` and an integer vector ``v``."""
-    return tuple(_dot(row, v) for row in w)
-
-
-def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return tuple(sum(map(mul, row, v)) for row in w)
 
 
 def require_splitting(t: TorusData, s: LagrangianSplitting):
@@ -123,7 +120,7 @@ def _isotropic_complement(w, a):
     trans = [[int(i == j) for j in range(n)] for i in range(n)]
     column_pivots([list(v) for v in a], trans)
     c = [[int(x) for x in row] for row in RatMatrix(trans).inverse().entries[d:]]
-    pair = [[_dot(u, _image(w, v)) for v in a + c] for u in c]
+    pair = [[sum(map(mul, u, _image(w, v))) for v in a + c] for u in c]
     rows = [[pair[i][k] * (r == j) - pair[j][k] * (r == i) for r in range(d) for k in range(d)]
             + [pair[i][d + j]] for i, j in combinations(range(d), 2)]
     *phi, last = map(list, zip(*integer_kernel(rows or [[0] * (d * d + 1)])))

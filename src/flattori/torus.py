@@ -205,7 +205,7 @@ class ChargeVector:
 
 @dataclass(frozen=True)
 class ZeroModes:
-    """The sqrt(2,)-rescaled zero-mode momenta and their half-norms.
+    """The sqrt(2)-rescaled zero-mode momenta and their half-norms.
 
     ``p = m - (B+G)w`` and ``pbar = m + (G-B)w`` are exact rational
     covectors equal to sqrt(2) times the physical momenta; the reported

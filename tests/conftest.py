@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from flattori import jsonio
-from flattori.exactlinear import Q, RatMatrix
+from flattori.exactlinear import GaussRational, Q, RatMatrix
 from flattori.torus import TorusData, square_torus
 
 
@@ -34,6 +34,43 @@ def stretched1():
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def _gauss_eigenvectors(rows, lam):
+    """Echelon kernel basis of ``M - lam 1`` over Q(i): the reference oracle.
+
+    Plain Gauss-Jordan elimination on GaussRational scalars, independent of
+    RatMatrix, which holds rationals only.  Each basis vector is 1 at its own
+    free column and 0 at the other free columns.
+    """
+    m = [[GaussRational.coerce(x) - (lam if a == b else 0) for b, x in enumerate(row)]
+         for a, row in enumerate(rows)]
+    ncols = len(m[0])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and f:
+                m[i] = [a - f * b for a, b in zip(row, m[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [GaussRational(int(c == fc)) for c in range(ncols)]
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+@pytest.fixture(scope="session")
+def gauss_eigenvectors():
+    return _gauss_eigenvectors
 
 
 @pytest.fixture

@@ -1,16 +1,19 @@
 """Coisotropic brane acceptance on flat four- and six-tori."""
 
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flattori import abranes
-from flattori.abranes import (AffineBrane, anomaly_check_affine, check_abrane,
-                              characteristic_foliation, coisotropy_witness,
+from flattori.abranes import (AffineBrane, _plus_i_covectors, anomaly_check_affine,
+                              check_abrane, characteristic_foliation, coisotropy_witness,
                               holomorphic_volume, wedge_characterization)
 from flattori.errors import ValidationError
-from flattori.exactlinear import RatMatrix
-from flattori.torus import TorusData, omega
+from flattori.exactlinear import GAUSS_I, RatMatrix
+from flattori.torus import TorusData, omega, random_valid_torus
 
 
 def unit(n, k):
@@ -239,6 +242,14 @@ class TestAnomaly:
                         RatMatrix.zero(3, 3))
         with pytest.raises(ValidationError):
             anomaly_check_affine(b)
+
+    # the realified kernel over Q, halved, is the oracle's echelon kernel of
+    # I^T - i over Q(i), vector by vector
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3))
+    def test_covectors_are_the_oracle_echelon_kernel(self, gauss_eigenvectors, seed, d):
+        t = random_valid_torus(random.Random(seed), d)
+        assert _plus_i_covectors(t) == gauss_eigenvectors(t.I.transpose().entries, GAUSS_I)
 
     def test_holomorphic_volume_has_top_antiholomorphic_pair(self, t4):
         om = holomorphic_volume(t4)

@@ -702,9 +702,10 @@ GOLDEN_FOCK_SHA256 = {
 # the mirror through a rewritten split torus.  The space-filling brane is
 # also checked on the T4 rebased by T4_REBASE, with F = u^T F u: its report
 # (top coefficient 1/2 - i/2) was frozen from the code that took the
-# holomorphic volume from a kernel over the Gaussian rationals, and its +i
-# eigenspace has free columns other than the last d.  The reports echo
-# `--brane`, so the branes are read from a fixed relative path.
+# holomorphic volume from a kernel over the Gaussian rationals; its +i
+# covectors, unlike the T4's, span several coordinate pairs with entries such
+# as -1/4 - i/4.  The reports echo `--brane`, so the branes are read from a
+# fixed relative path.
 T4_REBASE = RatMatrix([[1, 1, 0, 0], [0, 1, 0, 2], [0, 0, 1, 0], [0, 0, 1, 1]])
 GOLDEN_BRANES = {
     "space-filling": ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],

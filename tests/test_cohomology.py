@@ -1,16 +1,19 @@
 """Hodge data, Lefschetz kernel, duality transport, and the B-field predicate."""
 
+import random
 from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flattori.cohomology import (CohClass, _bidegree_projector, beta_torsion, fm_transform,
+from flattori.cohomology import (CohClass, _projector_02, beta_torsion, fm_transform,
                                  hodge_diamond, inverse_bivector,
                                  lefschetz_kernel_dim, mirror_class_condition,
                                  rational_pp_classes)
-from flattori.exactlinear import (ExtElement, Q, QZERO, RatMatrix, exp_grade2,
-                                  interior, wedge)
+from flattori.exactlinear import (GAUSS_I, ExtElement, Q, QZERO, RatMatrix, derivation_map,
+                                  exp_grade2, interior, wedge)
 from flattori.tduality import dual_splitting, find_lagrangian_splitting, mirror_via_tduality
 from flattori.torus import TorusData, omega, random_valid_torus, square_torus
 
@@ -31,12 +34,16 @@ class TestHodgeDiamond:
     def test_metric_independent(self, stretched1):
         assert hodge_diamond(stretched1).h == ((1, 1), (1, 1))
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_eigenspace_ranks_match_projector_ranks(self, d, rng):
-        t = random_valid_torus(rng, d)
+    # h^{p,q} is read over Q from ker D and ker(D^2 + (p-q)^2); the oracle
+    # counts the i(p-q)-eigenvectors of D over Q(i) directly
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 2))
+    def test_diamond_matches_oracle_eigenspaces(self, gauss_eigenvectors, seed, d):
+        t = random_valid_torus(random.Random(seed), d)
         hd = hodge_diamond(t)
         for p, q in product(range(d + 1), repeat=2):
-            assert _bidegree_projector(t.I.transpose(), p + q, p).rank() == hd.entry(p, q)
+            dmat = derivation_map(t.I.transpose(), p + q)
+            assert len(gauss_eigenvectors(dmat.entries, GAUSS_I * (p - q))) == hd.entry(p, q)
 
 
 class TestPpClasses:
@@ -222,6 +229,21 @@ class TestBetaTorsion:
                     b[j][i] = -c
             t = TorusData(2, square2.I, square2.G, RatMatrix(b))
             assert beta_torsion(t).torsion
+
+    # re + i im projects onto the -2i eigenspace of D on grade 2: D P = -2i P,
+    # P^2 = P, and its trace is the rank h^{0,2} = C(d, 2)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3))
+    def test_projector_is_the_02_eigenprojector(self, seed, d):
+        t = random_valid_torus(random.Random(seed), d)
+        re, im = _projector_02(t.I.transpose())
+        dmat = derivation_map(t.I.transpose(), 2)
+        assert dmat * re == im.scale(2)
+        assert dmat * im == re.scale(-2)
+        assert re * re - im * im == re
+        assert re * im + im * re == im
+        assert sum(re.entries[a][a] for a in range(re.rows)) == comb(d, 2)
+        assert sum(im.entries[a][a] for a in range(im.rows)) == 0
 
     def test_nonzero_02_part_still_torsion(self, square2):
         b = RatMatrix([[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]])
