@@ -12,8 +12,8 @@ from flattori.cohomology import (CohClass, _projector_02, beta_torsion, fm_trans
                                  hodge_diamond, inverse_bivector,
                                  lefschetz_kernel_dim, mirror_class_condition,
                                  rational_pp_classes)
-from flattori.exactlinear import (GAUSS_I, ExtElement, Q, QZERO, RatMatrix, derivation_map,
-                                  exp_grade2, interior, wedge)
+from flattori.exactlinear import (GAUSS_I, ExtElement, GaussRational, Q, QZERO, RatMatrix,
+                                  derivation_map, exp_grade2, interior, wedge)
 from flattori.tduality import dual_splitting, find_lagrangian_splitting, mirror_via_tduality
 from flattori.torus import TorusData, omega, random_valid_torus, square_torus
 
@@ -44,6 +44,30 @@ class TestHodgeDiamond:
         for p, q in product(range(d + 1), repeat=2):
             dmat = derivation_map(t.I.transpose(), p + q)
             assert len(gauss_eigenvectors(dmat.entries, GAUSS_I * (p - q))) == hd.entry(p, q)
+
+    # the spectral projector of D onto its i(p-q)-eigenspace, built over Q(i)
+    # as the product of (D - im) / (i(p-q) - im) over the other eigenvalues im
+    # of D on grade p+q, has rank h^{p,q}
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_eigenspace_ranks_match_projector_ranks(self, gauss_eigenvectors, d, rng):
+        t = random_valid_torus(rng, d)
+        hd = hodge_diamond(t)
+        for p, q in product(range(d + 1), repeat=2):
+            k = p + q
+            dmat = [[GaussRational.coerce(x) for x in row]
+                    for row in derivation_map(t.I.transpose(), k).entries]
+            n = len(dmat)
+            proj = [[GaussRational(int(a == b)) for b in range(n)] for a in range(n)]
+            top = min(k, 2 * d - k)
+            for m in range(-top, top + 1, 2):
+                if m == p - q:
+                    continue
+                c = GaussRational(0, p - q - m)
+                factor = [[(x - (GAUSS_I * m if a == b else 0)) / c for b, x in enumerate(row)]
+                          for a, row in enumerate(dmat)]
+                proj = [[sum((row[j] * factor[j][b] for j in range(n)), GaussRational(0))
+                         for b in range(n)] for row in proj]
+            assert n - len(gauss_eigenvectors(proj, 0)) == hd.entry(p, q)
 
 
 class TestPpClasses:
