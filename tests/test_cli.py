@@ -305,11 +305,11 @@ class TestSearchCommands:
         assert report(out)["result"] == {
             "found": False, "verdict": "none within bound", "nodes": 5 ** 8 - 1}
 
-    def test_small_budget_skips_the_walk(self, capsys, square_file, stretched_file):
+    def test_small_budget_skips_the_walk(self, capsys, torus_file):
         # 100 nodes hold fewer than the 255 nonzero residues: the scan runs
         # as before the walk existed and spends its budget
-        code, out, err = run(capsys, "check-derived-eq", square_file, stretched_file,
-                             "--budget", "100")
+        code, out, err = run(capsys, "check-derived-eq", torus_file(OPEN1, "open1.json"),
+                             torus_file(OPEN2, "open2.json"), "--budget", "100")
         assert code == 1
         assert report(out)["result"] == {"found": False, "verdict": "undecided", "nodes": 100,
                                          "budget": 100, "last_complete_height": 0}
@@ -659,20 +659,32 @@ GOLDEN_STDOUT_SHA256 = {
 STRETCHED3 = TorusData(1, RatMatrix([[0, -3], [Q(1, 3), 0]]), RatMatrix.diag([1, 9]),
                        RatMatrix.zero(2, 2), "stretched3")
 
+
+def _open_torus(i, label):
+    i = RatMatrix(i)
+    return TorusData(1, i, RatMatrix.identity(2) + i.transpose() * i, RatMatrix.zero(2, 2),
+                     label)
+
+
+# A d = 1 pair that no invariant separates and no bound-1 certificate
+# relates: check-derived-eq on it ends "none within bound" (6,560 nodes).
+OPEN1 = _open_torus([[-1, Q(4, 3)], [Q(-3, 2), 1]], "open1")
+OPEN2 = _open_torus([[Q(-1, 2), Q(-5, 6)], [Q(3, 2), Q(1, 2)]], "open2")
+
 # The sha256 of the stdout of a refuted report on square1 vs stretched1, frozen
 # from the code that signalled a spent budget by an exception, and of a
-# none-within-bound report on square1 vs stretched3, frozen from the code
-# without the mod-2 walk.
+# none-within-bound report on open1 vs open2, frozen from the code that
+# refuted derived equivalence by a mod-2 residue walk.
 GOLDEN_VERDICT_REPORTS = [
-    ("check-iso", "stretched", "2",
+    ("check-iso", "square", "stretched", "2",
      "bc3c4ac1adbdedb7fd7cd124bdd8c524463ed0e442c2603c7debd081c7dae871"),
-    ("check-derived-eq", "stretched3", "1",
-     "2fa4e160d717da422a7c05451071d18c3344ba7ae7433dbed07e6ded643f6bda"),
+    ("check-derived-eq", "open1", "open2", "1",
+     "8b4e8b384b4376adbf7db87c109a7148cdf9877b2e305ff0f9bfd8d968780bdc"),
 ]
 
-# The sha256 of the stdout of check-derived-eq square1 stretched1 --budget 100,
-# frozen from the code without the mod-2 walk.
-UNDECIDED_BUDGET100_SHA256 = "57ed18e4d643ca66e32ec25516bb6462b67aac862ccd6c475a5aa87d78774cd4"
+# The sha256 of the stdout of check-derived-eq open1 open2 --budget 100,
+# frozen from the code that refuted derived equivalence by a mod-2 residue walk.
+UNDECIDED_BUDGET100_SHA256 = "da4096dc20b98d32fc46a6b7bc79978fbb609dd37a5be267870ac68f8af157c6"
 
 
 # The sha256 of the stdout of `mirror --torus` on the square tori and the T4
@@ -769,13 +781,13 @@ class TestDeterminism:
         data = report(capsys.readouterr().out)
         assert (data["command"], data["paper_ref"]) == (command, claim)
 
-    @pytest.mark.parametrize("command, target, bound, sha256", GOLDEN_VERDICT_REPORTS,
+    @pytest.mark.parametrize("command, source, target, bound, sha256", GOLDEN_VERDICT_REPORTS,
                              ids=["iso-refuted", "derived-none-within-bound"])
-    def test_golden_verdict_reports(self, capsys, square_file, stretched_file, torus_file,
-                                    command, target, bound, sha256):
-        if target == "stretched3":
-            stretched_file = torus_file(STRETCHED3, "stretched3.json")
-        code, out, err = run(capsys, command, square_file, stretched_file, "--bound", bound)
+    def test_golden_verdict_reports(self, capsys, square1, stretched1, torus_file,
+                                    command, source, target, bound, sha256):
+        tori = {"square": square1, "stretched": stretched1, "open1": OPEN1, "open2": OPEN2}
+        code, out, err = run(capsys, command, torus_file(tori[source], f"{source}.json"),
+                             torus_file(tori[target], f"{target}.json"), "--bound", bound)
         assert (code, err) == (1, "")
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
