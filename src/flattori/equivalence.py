@@ -13,14 +13,18 @@ all integral solutions is the integer kernel of the constraint rows (built in
 integers from the structures scaled by the lcm D of their denominators, see
 :func:`~flattori.exactlinear.cleared`); we then enumerate small integer
 coordinate vectors over a size-reduced basis of it, keeping the first
-candidate that satisfies the quadratic q-congruence.  An ``iso`` or
-``mirror`` certificate also preserves the Narain form N, so an exhausted
-window holding the whole ellipsoid ``tr(N_1^-1 g^t N_2 g) = 4d`` refutes the
-relation.  A ``derived_eq`` certificate's coordinates reduce mod 2 to a
-residue solving the congruence mod 2, so when no residue does (a walk over
-all ``2^k`` of them, run when they fit in the node budget) the relation is
-refuted.  Otherwise a search without a hit means only "none within bound",
-and one that spends its node budget first is "undecided".
+candidate that satisfies the quadratic q-congruence.
+
+Refutation reads one integer form on the intertwiner lattices,
+``F(h) = tr(q h^t q h)`` (Gram matrix :func:`_f_gram`), which every
+certificate g carries isometrically: ``F(gh) = F(hg) = F(h)`` as
+``g^t q g = q = g q g^t``.  A ``derived_eq`` pair whose three lattices
+L(T1,T1), L(T1,T2), L(T2,T2) differ in (rank, det) is refuted before the
+scan.  On ``iso`` and ``mirror`` lattices F is the Narain form
+``tr(N_1^-1 h^t N_2 h)``, so an exhausted window holding the whole ellipsoid
+``F = 4d`` refutes the relation.  Otherwise a search without a hit means only
+"none within bound", and one that spends its node budget first is
+"undecided".
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from . import kernels
 from ._intlat import integral_coordinate_lattice, pair_reduce
 from .errors import DimensionError, ValidationError
 from .exactlinear import RatMatrix, cleared
-from .kernels_py import completed_height, mod2_residue
-from .torus import ChargeVector, TorusData, doubled, narain_form, q_value
+from .kernels_py import completed_height
+from .torus import TorusData, doubled, narain_form
 
 # kind -> the structure equalities ``g S_1 = T_2 g`` of a certificate, in
 # check order, as (check name, source structure S, target structure T).
@@ -167,16 +171,16 @@ def intertwiner_space(t1: TorusData, t2: TorusData, kind: str):
 
 
 NARAIN_WINDOW = "window contains every g with tr(N1^-1 g^t N2 g) = 4d"
-MOD2_OBSTRUCTION = "no residue of g mod 2 solves g^t q g = q (entries mod 2, diagonal halved)"
+LATTICE_ISOMETRY = "(rank, det) of tr(q h^t q h) differs on L(T1,T1), L(T1,T2), L(T2,T2)"
 
 
 @dataclass(frozen=True)
 class SearchOutcome:
     """The verdict of a search: ``"found"`` (with its certificate), ``"refuted"``
-    (``refuted_by`` names the proof: :data:`NARAIN_WINDOW` or
-    :data:`MOD2_OBSTRUCTION`), ``"none within bound"`` or ``"undecided"`` (the
-    node budget ran out after covering every height shell up to
-    ``last_complete_height``)."""
+    (``refuted_by`` names the proof: :data:`NARAIN_WINDOW`, or
+    :data:`LATTICE_ISOMETRY` followed by the three lattices' (rank, det)),
+    ``"none within bound"`` or ``"undecided"`` (the node budget ran out after
+    covering every height shell up to ``last_complete_height``)."""
 
     verdict: str
     nodes_used: int
@@ -189,33 +193,51 @@ class SearchOutcome:
         return self.verdict == "found"
 
 
-def _ellipsoid_radii(t1: TorusData, t2: TorusData, basis):
-    """``4d (A^-1)_ii``, A the Gram matrix of ``Q(g) = tr(N_1^-1 g^t N_2 g)`` on the basis.
+def _f_gram(rows, n):
+    """The integer Gram matrix ``A_ij = tr(q M_i^t q M_j)`` of the flattened ``rows``.
 
-    ``A_ij = <M_i, N_2 M_j N_1^-1>`` (Frobenius) with ``N_1^-1 = q N_1 q``,
-    as ``N q N = q``.  On ``Q <= 4d``, ``c_i^2 <= 4d (A^-1)_ii``: the first
-    step of Fincke-Pohst (Math. Comp. 44, 1985).
+    ``tr(q X^t q Y)`` is the Frobenius product of X with ``q Y q``, whose entry
+    (a, b) is Y's entry (a + h, b + h), indices mod n and h = n/2.
     """
-    q = doubled(t1).q
-    n1_inv, n2 = q * narain_form(t1) * q, narain_form(t2)
-    flat = [[x for row in m.entries for x in row] for m in basis]
-    images = [[x for row in (n2 * m * n1_inv).entries for x in row] for m in basis]
-    a_inv = RatMatrix([[sum(map(mul, mi, mj)) for mj in images] for mi in flat]).inverse()
-    return [4 * t1.d * a_inv.entries[i][i] for i in range(len(basis))]
+    half = n // 2
+    swap = [(t // n + half) % n * n + (t + half) % n for t in range(n * n)]
+    images = [[m[s] for s in swap] for m in rows]
+    return [[sum(map(mul, mi, mj)) for mj in images] for mi in rows]
+
+
+def _lattice_class(rows, n):
+    """``(rank, det A)`` of the lattice spanned by ``rows`` under F.
+
+    A ``derived_eq`` lattice is never empty: over Q both doubled structures
+    make Q^n a Q(i)-vector space of dimension n/2, so its rank is ``n^2 / 2``.
+    """
+    return len(rows), int(RatMatrix(_f_gram(rows, n)).det())
+
+
+def _ellipsoid_radii(rows, n):
+    """``4d (A^-1)_ii``, A the Gram matrix :func:`_f_gram` of an iso or mirror basis.
+
+    For h in such a lattice ``N_2 h = q h q N_1`` (``N = -q calI calJ``), so
+    ``F(h)`` is the Narain form ``tr(N_1^-1 h^t N_2 h)``.  On ``F <= 4d``,
+    ``c_i^2 <= 4d (A^-1)_ii``: the first step of Fincke-Pohst (Math. Comp. 44,
+    1985).
+    """
+    a_inv = RatMatrix(_f_gram(rows, n)).inverse()
+    return [n * a_inv.entries[i][i] for i in range(len(rows))]
 
 
 def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
                     node_budget: int = DEFAULT_NODE_BUDGET) -> SearchOutcome:
     """Bounded deterministic search for a relation certificate.
 
-    For ``derived_eq``, when the ``2^k - 1`` nonzero residues of the k
-    integral coordinates fit in ``node_budget``, the walk of
-    :func:`~flattori.kernels_py.mod2_residue` runs first: if no residue
-    solves the congruence mod 2, no certificate exists, and the outcome is
-    ``"refuted"`` with ``2^k - 1`` nodes.  At d = 1 (k = 8) it always runs;
-    at d >= 2 (k = 32, 72) it needs a budget of at least ``2^k - 1``.  A residue
-    that solves it proves nothing, and the scan below runs as if the walk
-    had not.
+    For ``derived_eq`` the intertwiner lattices are compared first, with no
+    budget involved.  A certificate g maps L(T1,T1) onto L(T1,T2) by
+    ``h -> gh`` and L(T1,T2) onto L(T2,T2) by ``h -> hg^-1``, both integral
+    with integral inverses, and ``F(h) = tr(q h^t q h)`` is unchanged by
+    either, as ``g^t q g = q`` and ``g q g^t = q``.  The three lattices are
+    then isometric under F, and ``det(U^t A U) = det A`` makes (rank, det A)
+    independent of the basis: when the three pairs differ, the outcome is
+    ``"refuted"`` by :data:`LATTICE_ISOMETRY` with 0 nodes.
 
     The scan enumerates integer coordinate vectors of max-norm at most
     ``coeff_bound`` over the integral intertwiner basis, in the canonical
@@ -224,11 +246,10 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
     q-congruent candidate is returned as a verified certificate (verdict
     ``"found"``).
 
-    An ``iso`` or ``mirror`` certificate preserves N as well as q, so it has
-    ``tr(N_1^-1 g^t N_2 g) = 4d``; an exhausted window without a hit is
-    ``"refuted"`` when it holds all of that ellipsoid, i.e.
-    ``4d (A^-1)_ii < (coeff_bound + 1)^2`` (see :func:`_ellipsoid_radii`).
-    ``derived_eq`` maps need not preserve N.  Any other exhausted window is
+    An ``iso`` or ``mirror`` certificate has ``F(g) = tr(q q) = 4d``, and F is
+    the Narain form there; an exhausted window without a hit is ``"refuted"``
+    when it holds all of that ellipsoid, i.e. ``4d (A^-1)_ii < (coeff_bound +
+    1)^2`` (see :func:`_ellipsoid_radii`).  Any other exhausted window is
     ``"none within bound"``.  A search that spends ``node_budget`` first is
     ``"undecided"`` and records the last height shell it covered completely.
     """
@@ -236,9 +257,12 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
         raise ValueError("coeff_bound must be at least 1")
     flat = intertwiner_rows(t1, t2, kind)
     n = 4 * t1.d
-    residues = 2 ** len(flat) - 1
-    if kind == "derived_eq" and residues <= node_budget and mod2_residue(flat, n) is None:
-        return SearchOutcome("refuted", residues, refuted_by=MOD2_OBSTRUCTION)
+    if kind == "derived_eq":
+        classes = [_lattice_class(rows, n) for rows in (
+            intertwiner_rows(t1, t1, kind), flat, intertwiner_rows(t2, t2, kind))]
+        if len(set(classes)) > 1:
+            return SearchOutcome("refuted", 0, refuted_by=f"{LATTICE_ISOMETRY}: "
+                                 + ", ".join(map(str, classes)))
     hits, nodes, exhausted = kernels.run_filter(flat, n, coeff_bound, node_budget, max_hits=1)
     if hits:
         g = [sum(c * m[t] for c, m in zip(hits[0], flat) if c) for t in range(n * n)]
@@ -250,8 +274,7 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
         return SearchOutcome("undecided", nodes,
                              last_complete_height=completed_height(len(flat), nodes))
     if kind != "derived_eq" and all(
-            r < (coeff_bound + 1) ** 2
-            for r in _ellipsoid_radii(t1, t2, [_as_matrix(m, n) for m in flat])):
+            r < (coeff_bound + 1) ** 2 for r in _ellipsoid_radii(flat, n)):
         return SearchOutcome("refuted", nodes, refuted_by=NARAIN_WINDOW)
     return SearchOutcome("none within bound", nodes)
 
@@ -281,8 +304,9 @@ def spectrum_fingerprint(t: TorusData, height: int):
     triples = []
     rng = range(-height, height + 1)
     for coords in product(rng, repeat=2 * half):
-        q = q_value(ChargeVector(coords[:half], coords[half:]))
+        q = 2 * sum(map(mul, coords[:half], coords[half:]))
         norm = _quadratic(n_form, coords)
-        triples.append((q, Fraction(norm - den * q, 2 * den), Fraction(norm + den * q, 2 * den)))
+        triples.append((Fraction(q), Fraction(norm - den * q, 2 * den),
+                        Fraction(norm + den * q, 2 * den)))
     triples.sort()
     return tuple(triples)

@@ -27,10 +27,6 @@ costs ``value + x*(lin + x*D)``: O(1) amortised integer work.  Each hit is
 re-checked entry by entry with :func:`congruence_ok`; a disagreement is an
 internal error.  Arithmetic is in Python integers, so large basis entries
 cannot overflow.
-
-:func:`mod2_residue` takes the same congruence mod 2 over the residues
-``c in F_2^K``, one bit per entry, and walks them the same way: a residue
-costs one XOR.  When no residue solves it, no integral ``g`` does.
 """
 
 from __future__ import annotations
@@ -68,77 +64,6 @@ def congruence_ok(gflat, n):
             if s != want:
                 return False
     return True
-
-
-def _mod2_form(basis_flat, n):
-    """``(lin, cross, target)``: the congruence mod 2 as bit masks, one bit per entry a <= b.
-
-    Write ``H(U, V)_ab = sum_{r<h} U_ra V_r+h,b`` (h = n/2).  The conditions
-    are ``P_ab = H(g,g)_ab + H(g,g)_ba`` for a < b and ``P_aa = H(g,g)_aa``,
-    which is ``(g^t q g)_aa / 2``: q is even, so halving keeps the diagonal
-    an integer polynomial and mod 2 still sees ``q(v, v)``.  With
-    ``g = sum c_i M_i`` and ``c_i^2 = c_i`` mod 2, ``P = sum_i c_i K_ii +
-    sum_{i<j} c_i c_j (K_ij + K_ji)`` with ``K_ij`` the packed ``H(M_i, M_j)``;
-    ``lin[i]`` is ``K_ii`` and ``cross[i][j]`` is ``K_ij ^ K_ji``, both mod 2.
-    """
-    half = n // 2
-    entries = [(a, b) for a in range(n) for b in range(a, n)]
-
-    def column_masks(m, first):
-        return [sum((m[(first + r) * n + a] & 1) << r for r in range(half)) for a in range(n)]
-
-    tops = [column_masks(m, 0) for m in basis_flat]
-    bottoms = [column_masks(m, half) for m in basis_flat]
-
-    def packed(i, j):
-        top, bottom = tops[i], bottoms[j]
-        bits = 0
-        for e, (a, b) in enumerate(entries):
-            x = (top[a] & bottom[b]).bit_count()
-            if a != b:
-                x += (top[b] & bottom[a]).bit_count()
-            bits |= (x & 1) << e
-        return bits
-
-    k = len(basis_flat)
-    form = [[packed(i, j) for j in range(k)] for i in range(k)]
-    lin = [form[i][i] for i in range(k)]
-    cross = [[form[i][j] ^ form[j][i] for j in range(k)] for i in range(k)]
-    target = sum(1 << e for e, (a, b) in enumerate(entries) if b - a == half)
-    return lin, cross, target
-
-
-def mod2_residue(basis_flat, n):
-    """The first residue ``c`` in ``F_2^K`` whose ``g = sum c_i M_i`` solves the
-    congruence mod 2, or None.
-
-    The conditions are ``(g^t q g)_ab = q_ab`` mod 2 for a < b and
-    ``(g^t q g)_aa / 2 = 0`` mod 2 (see :func:`_mod2_form`).  The integer
-    coordinates of every q-congruent ``g`` reduce to a solving residue, so
-    None proves there is none.  Residues are walked depth first in
-    lexicographic order (0 before 1), each level XOR-ing its coordinate's
-    mask into the prefix value and its cross terms into the masks still to
-    come: O(1) amortised per residue over the ``2^K`` of them.  The zero
-    residue never solves, as the target has the bits of q's ones.
-    """
-    k = len(basis_flat)
-    lin, cross, target = _mod2_form(basis_flat, n)
-    coords = [0] * k
-
-    def walk(t, value, lin):
-        """Coordinates ``t..K-1`` below a fixed prefix: ``value`` is P on the
-        prefix, ``lin[u]`` the mask a 1 at coordinate ``t + u`` adds to it."""
-        if t == k:
-            return value == target
-        rest = lin[1:]
-        coords[t] = 0
-        if walk(t + 1, value, rest):
-            return True
-        coords[t] = 1
-        row = cross[t]
-        return walk(t + 1, value ^ lin[0], [m ^ row[u] for u, m in enumerate(rest, t + 1)])
-
-    return tuple(coords) if walk(0, 0, lin) else None
 
 
 def _packed_form(basis_flat, n, bound):

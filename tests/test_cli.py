@@ -18,7 +18,7 @@ from flattori.torus import TorusData, random_valid_torus, square_torus
 
 
 REFUTED_BY = "window contains every g with tr(N1^-1 g^t N2 g) = 4d"
-MOD2_REFUTED_BY = "no residue of g mod 2 solves g^t q g = q (entries mod 2, diagonal halved)"
+LATTICE_REFUTED_BY = "(rank, det) of tr(q h^t q h) differs on L(T1,T1), L(T1,T2), L(T2,T2): "
 
 
 def run(capsys, *args):
@@ -288,26 +288,27 @@ class TestSearchCommands:
             "found": False, "verdict": "refuted", "nodes": 5 ** 4 - 1, "refuted_by": REFUTED_BY}
 
     def test_check_derived_eq_refuted_mod_2(self, capsys, square_file, stretched_file):
-        # no residue mod 2 of the 8 intertwiner coordinates solves the
-        # congruence, so the walk refutes before the scan starts
+        # the derived_eq intertwiner lattices of tau = i and tau = 2i are not
+        # isometric, so the pair is refuted before the scan starts
         code, out, _ = run(capsys, "check-derived-eq", square_file, stretched_file)
         assert code == 1
         assert report(out)["result"] == {
-            "found": False, "verdict": "refuted", "nodes": 2 ** 8 - 1,
-            "refuted_by": MOD2_REFUTED_BY}
+            "found": False, "verdict": "refuted", "nodes": 0,
+            "refuted_by": LATTICE_REFUTED_BY + "(8, 256), (8, 65536), (8, 65536)"}
 
     def test_check_derived_eq_odd_index_stays_open(self, capsys, square_file, torus_file):
-        # tau = 3i is not isomorphic to tau = i, but the pair is not obstructed
-        # mod 2: the walk finds a residue and the scan ends without a hit
+        # tau = 3i is not obstructed mod 2, but its lattices separate it from
+        # tau = i: det 256 * 3^8 against 256
         code, out, _ = run(capsys, "check-derived-eq", square_file,
                            torus_file(STRETCHED3, "stretched3.json"))
         assert code == 1
         assert report(out)["result"] == {
-            "found": False, "verdict": "none within bound", "nodes": 5 ** 8 - 1}
+            "found": False, "verdict": "refuted", "nodes": 0,
+            "refuted_by": LATTICE_REFUTED_BY + "(8, 256), (8, 1679616), (8, 1679616)"}
 
     def test_small_budget_skips_the_walk(self, capsys, torus_file):
-        # 100 nodes hold fewer than the 255 nonzero residues: the scan runs
-        # as before the walk existed and spends its budget
+        # the lattices of open1 and open2 agree at (8, 429981696), so the scan
+        # runs and spends its budget of 100 nodes
         code, out, err = run(capsys, "check-derived-eq", torus_file(OPEN1, "open1.json"),
                              torus_file(OPEN2, "open2.json"), "--budget", "100")
         assert code == 1

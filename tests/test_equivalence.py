@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 
 from flattori._intlat import (integer_kernel, integral_coordinate_lattice,
                               spans_direct_summand)
-from flattori.equivalence import (KINDS, MOD2_OBSTRUCTION, RELATIONS, LatticeMap,
-                                  _constraint_rows, _ellipsoid_radii, intertwiner_rows,
-                                  intertwiner_space, search_relation, spectrum_fingerprint,
-                                  verify_map)
+from flattori.equivalence import (DEFAULT_NODE_BUDGET, KINDS, LATTICE_ISOMETRY, RELATIONS,
+                                  LatticeMap, _constraint_rows, _ellipsoid_radii,
+                                  _lattice_class, intertwiner_rows, intertwiner_space,
+                                  search_relation, spectrum_fingerprint, verify_map)
 from flattori.errors import ValidationError
 from flattori.exactlinear import Q, RatMatrix
-from flattori.kernels_py import _mod2_form, mod2_residue
 from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
 from flattori.torus import (ChargeVector, TorusData, doubled, narain_form, q_value,
                             random_valid_torus, square_torus, zero_mode_momenta)
@@ -459,20 +458,32 @@ class TestConstraintRows:
             integer_kernel([_lcm_scaled(r) for r in fraction_rows])
 
 
+def _narain_radii(t1, t2, basis):
+    """The reference radii ``4d (A^-1)_ii``, A the Gram matrix of the Narain
+    form ``Q(g) = tr(N_1^-1 g^t N_2 g)`` on the basis matrices:
+    ``A_ij = <M_i, N_2 M_j N_1^-1>`` (Frobenius) with ``N_1^-1 = q N_1 q``."""
+    q = doubled(t1).q
+    n1_inv, n2 = q * narain_form(t1) * q, narain_form(t2)
+    flat = [[x for row in m.entries for x in row] for m in basis]
+    images = [[x for row in (n2 * m * n1_inv).entries for x in row] for m in basis]
+    a_inv = RatMatrix([[sum(x * y for x, y in zip(mi, mj)) for mj in images]
+                       for mi in flat]).inverse()
+    return [4 * t1.d * a_inv.entries[i][i] for i in range(len(basis))]
+
+
 class TestNarainWindow:
     @pytest.mark.parametrize("shear", [False, True], ids=["square1", "sheared1"])
     def test_d1_windows_refute_iso_and_mirror(self, square1, stretched1, shear):
         source = _in_basis(square1, E1_SHEAR) if shear else square1
         for kind in ("iso", "mirror"):
             # 4d (A^-1)_ii < 1: no nonzero lattice vector has Q <= 4d
-            basis = intertwiner_space(source, stretched1, kind)
-            assert max(_ellipsoid_radii(source, stretched1, basis)) < 1
+            assert max(_ellipsoid_radii(intertwiner_rows(source, stretched1, kind), 4)) < 1
             out = search_relation(source, stretched1, kind, 1)
             assert (out.found, out.verdict) == (False, "refuted")
-        # no residue mod 2 of the 8 derived_eq coordinates solves the congruence
+        # the derived_eq lattices of tau = i and tau = 2i are not isometric
         out = search_relation(source, stretched1, "derived_eq", 1)
         assert (out.found, out.verdict, out.nodes_used, out.refuted_by) == \
-            (False, "refuted", 2 ** 8 - 1, MOD2_OBSTRUCTION)
+            (False, "refuted", 0, f"{LATTICE_ISOMETRY}: (8, 256), (8, 65536), (8, 65536)")
 
     def test_narain_form_inverse_is_conjugate_by_q(self, rng):
         # N q N = q, so N^-1 = q N q and the Gram matrix needs no inversion of N
@@ -481,6 +492,22 @@ class TestNarainWindow:
             t = random_valid_torus(rng, rng.choice((1, 2)), b_bound=3)
             q, big_n = doubled(t).q, narain_form(t)
             assert big_n * q * big_n == q
+
+    # On an iso or mirror lattice tr(q h^t q h) is the Narain form, so the
+    # radii read from it equal those of the Narain Gram matrix; t2 is t1
+    # rebased, its mirror or another random torus (the lattice may be empty).
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from([1, 2]), st.sampled_from(["iso", "mirror"]),
+           st.sampled_from(["rebased", "mirror", "random"]))
+    def test_radii_equal_the_narain_reference(self, seed, d, kind, partner):
+        rng = random.Random(seed)
+        t1 = random_valid_torus(rng, d, b_bound=3)
+        t2 = (_rebased(t1, rng) if partner == "rebased" else
+              _mirror(t1).mirror if partner == "mirror" else
+              random_valid_torus(rng, d, b_bound=3))
+        rows = intertwiner_rows(t1, t2, kind)
+        basis = intertwiner_space(t1, t2, kind)
+        assert _ellipsoid_radii(rows, 4 * d) == _narain_radii(t1, t2, basis)
 
     # Random basis changes of square tori and of random tori with B != 0:
     # the rebased copy is related, so the search must never refute, and a
@@ -498,9 +525,8 @@ class TestNarainWindow:
         out = search_relation(t1, t2, kind, 3 - d, node_budget=20000)
         assert out.verdict != "refuted"
         if out.found:
-            basis = intertwiner_space(t1, t2, kind)
-            coords = _coordinates_of(out.certificate.map.g, basis)
-            radii = _ellipsoid_radii(t1, t2, basis)
+            coords = _coordinates_of(out.certificate.map.g, intertwiner_space(t1, t2, kind))
+            radii = _ellipsoid_radii(intertwiner_rows(t1, t2, kind), 4 * d)
             assert all(c * c <= r for c, r in zip(coords, radii))
 
 
@@ -512,51 +538,80 @@ def _cm_torus(s):
                      RatMatrix.zero(2, 2), "cm")
 
 
+def _kaehler_torus(s):
+    """The complex structure of ``_cm_torus(s)`` with the metric ``G = 1 + I^t I``
+    and B = 0: a derived_eq lattice depends on I alone, an iso one on G too."""
+    i = _cm_torus(s).I
+    return TorusData(1, i, RatMatrix.identity(2) + i.transpose() * i, RatMatrix.zero(2, 2),
+                     "kaehler")
+
+
 # 2 x 2 integer matrices of nonzero determinant: their tori include tau = m i
 # (s = diag(1, m)) and the points of Q(i) of every small index.
 _LATTICE_BASES = st.lists(st.integers(-3, 3), min_size=4, max_size=4).map(
     lambda e: [e[:2], e[2:]]).filter(lambda s: s[0][0] * s[1][1] != s[0][1] * s[1][0])
+_D1_TORI = st.builds(lambda s, kaehler: (_kaehler_torus if kaehler else _cm_torus)(s),
+                     _LATTICE_BASES, st.booleans())
 
 
-def _mod2_value(basis, residue, n):
-    """The walk's packed conditions at ``residue``: P(c) of ``kernels_py._mod2_form``."""
-    lin, cross, target = _mod2_form(basis, n)
-    ones = [i for i, c in enumerate(residue) if c % 2]
-    value = 0
-    for x, i in enumerate(ones):
-        value ^= lin[i]
-        for j in ones[x + 1:]:
-            value ^= cross[i][j]
-    return value, target
+def solves_mod2(basis_flat, n, residue):
+    """``g = sum c_i M_i`` over a 0/1 residue, checked on ``g^t q g`` itself:
+    entries a < b against q mod 2, diagonal entries halved against 0 mod 2."""
+    half = n // 2
+    g = [sum(m[t] for c, m in zip(residue, basis_flat) if c) for t in range(n * n)]
+    for a in range(n):
+        for b in range(a, n):
+            s = sum(g[r * n + a] * g[((r + half) % n) * n + b] for r in range(n))
+            if (s // 2 if a == b else s - (b - a == half)) % 2:
+                return False
+    return True
+
+
+def brute_force_residue(basis_flat, n):
+    """The first solving residue in lexicographic order (0 before 1), or None.
+
+    The coordinates of every q-congruent g reduce mod 2 to a solving residue,
+    so None proves that no certificate exists: the mod-2 oracle."""
+    return next((c for c in product((0, 1), repeat=len(basis_flat))
+                 if solves_mod2(basis_flat, n, c)), None)
 
 
 class TestMod2Obstruction:
-    """The mod-2 walk refutes ``derived_eq`` only where no certificate exists."""
+    """``derived_eq`` is refuted when L(T1,T1), L(T1,T2) and L(T2,T2) differ in
+    (rank, det) under ``tr(q h^t q h)``: never on a related pair, on every
+    pair the mod-2 oracle obstructs, and on pairs it cannot see."""
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_square_against_tau_m_i(self, square1, m):
-        # tau = i against tau = m i is obstructed mod 2 exactly when m is even;
-        # odd m > 1 stays "none within bound" though no certificate exists
-        out = search_relation(square1, _cm_torus([[1, 0], [0, m]]), "derived_eq", 1)
-        assert out.verdict == ("found" if m == 1 else
-                               "refuted" if m % 2 == 0 else "none within bound")
-        if m % 2 == 0:
-            assert (out.nodes_used, out.refuted_by) == (2 ** 8 - 1, MOD2_OBSTRUCTION)
+        # tau = i against tau = m i is obstructed mod 2 exactly when m is even,
+        # and refuted for every m > 1 at any budget; L(tau = m i) has det 256 m^8
+        t2 = _cm_torus([[1, 0], [0, m]])
+        obstructed = brute_force_residue(intertwiner_rows(square1, t2, "derived_eq"), 4) is None
+        assert obstructed == (m % 2 == 0)
+        if m == 1:
+            assert search_relation(square1, t2, "derived_eq", 1).verdict == "found"
+            return
+        for budget in (1, 100, DEFAULT_NODE_BUDGET):
+            out = search_relation(square1, t2, "derived_eq", 1, node_budget=budget)
+            assert (out.verdict, out.nodes_used) == ("refuted", 0)
+            assert out.refuted_by == \
+                f"{LATTICE_ISOMETRY}: (8, 256), (8, {256 * m ** 8}), (8, {256 * m ** 8})"
 
-    # A pair related by construction (t2 is t1 in another lattice basis u) has
-    # the certificate diag(u^-1, u^t); the residue of its coordinates, and of
-    # the coordinates of any certificate the search finds, solves the walk's
-    # conditions, so the walk never refutes it.
+    # A pair related by construction (t2 is t1 with another Kaehler metric, in
+    # another lattice basis u) has the certificate diag(u^-1, u^t); the
+    # residue of its coordinates, and of the coordinates of any certificate
+    # the search finds, solves the congruence mod 2, and the search never
+    # refutes the pair.
     @settings(max_examples=200, deadline=None)
-    @given(_LATTICE_BASES, st.integers(0, 2 ** 32))
-    @example([[1, 0], [0, 2]], 0)
-    def test_related_pairs_are_never_obstructed(self, s, seed):
+    @given(_LATTICE_BASES, st.booleans(), st.integers(0, 2 ** 32))
+    @example([[1, 0], [0, 2]], True, 0)
+    def test_related_pairs_are_never_obstructed(self, s, kaehler, seed):
         t1 = _cm_torus(s)
         u = _unimodular(2, random.Random(seed), steps=4)
-        t2 = _in_basis(t1, u)
+        cert = _basis_change_iso(_kaehler_torus(s) if kaehler else t1, u)
+        t2 = cert.target
         rows = intertwiner_rows(t1, t2, "derived_eq")
-        assert mod2_residue(rows, 4) is not None
-        certs = [_basis_change_iso(t1, u).g]
+        certs = [cert.g]
         out = search_relation(t1, t2, "derived_eq", 1, node_budget=3 ** 8 - 1)
         assert out.verdict != "refuted"
         if out.found:
@@ -566,19 +621,30 @@ class TestMod2Obstruction:
             assert verify_map(LatticeMap(g, t1, t2, "derived_eq")).valid
             coords = _coordinates_of(g, basis)
             assert all(c.denominator == 1 for c in coords)
-            value, target = _mod2_value(rows, [int(c) for c in coords], 4)
-            assert value == target
+            assert solves_mod2(rows, 4, [int(c) % 2 for c in coords])
 
-    # Refutation by the walk is invariant under a change of lattice basis of
-    # either torus: the intertwiner lattices are isomorphic over Z.
+    # (rank, det) of each lattice is unchanged when either torus is written in
+    # another lattice basis, so the verdict is too.
     @settings(max_examples=200, deadline=None)
-    @given(_LATTICE_BASES, _LATTICE_BASES, st.integers(0, 2 ** 32))
-    @example([[1, 0], [0, 1]], [[1, 0], [0, 2]], 0)
-    def test_refutation_is_basis_invariant(self, s1, s2, seed):
+    @given(_D1_TORI, _D1_TORI, st.integers(0, 2 ** 32))
+    @example(_cm_torus([[1, 0], [0, 1]]), _cm_torus([[1, 0], [0, 2]]), 0)
+    def test_refutation_is_basis_invariant(self, t1, t2, seed):
         rng = random.Random(seed)
-        t1, t2 = _cm_torus(s1), _cm_torus(s2)
-        pairs = [(t1, t2), (_rebased(t1, rng, 4), t2), (t1, _rebased(t2, rng, 4))]
-        # a budget of 2^8 - 1 runs the walk and stops the scan right after it
-        verdicts = {search_relation(a, b, "derived_eq", 1, node_budget=2 ** 8 - 1).verdict
-                    == "refuted" for a, b in pairs}
-        assert len(verdicts) == 1
+        r1, r2 = _rebased(t1, rng, 4), _rebased(t2, rng, 4)
+
+        def classes(a, b):
+            return [_lattice_class(intertwiner_rows(x, y, "derived_eq"), 4)
+                    for x, y in ((a, a), (a, b), (b, b))]
+
+        assert classes(t1, t2) == classes(r1, t2) == classes(t1, r2) == classes(r1, r2)
+
+    # Every pair the mod-2 oracle obstructs is refuted.
+    @settings(max_examples=200, deadline=None)
+    @given(_D1_TORI, _D1_TORI)
+    @example(_cm_torus([[1, 0], [0, 1]]), _cm_torus([[1, 0], [0, 2]]))
+    def test_obstructed_pairs_are_refuted(self, t1, t2):
+        rows = intertwiner_rows(t1, t2, "derived_eq")
+        out = search_relation(t1, t2, "derived_eq", 1, node_budget=1)
+        if brute_force_residue(rows, 4) is None:
+            assert (out.verdict, out.nodes_used) == ("refuted", 0)
+            assert out.refuted_by.startswith(LATTICE_ISOMETRY)

@@ -147,7 +147,7 @@ def test_hit_disagreeing_with_congruence_ok_is_an_internal_error(monkeypatch):
 @pytest.mark.parametrize("shear", [False, True], ids=["square1", "sheared1"])
 def test_d1_derived_refute_windows_are_exhausted(square1, stretched1, shear):
     # the scan alone on check-derived-eq square1|sheared1 stretched1 at the
-    # default bound 2 (the command refutes by the mod-2 walk before it):
+    # default bound 2 (the command refutes by the lattice check before it):
     # the 8-matrix basis gives 5^8 - 1 candidates and none preserves q
     source = square1
     if shear:
@@ -221,87 +221,3 @@ def test_benchmark_oracle_reads_search_verdicts(capsys, monkeypatch, square1, st
     assert outcome("check-mirror", "mirror", related=False) == oracle.REFUTED
     assert outcome("check-iso", "iso", related=True) == oracle.FAIL
     assert outcome("check-derived-eq", "derived_eq", related=False) == oracle.REFUTED
-
-
-def solves_mod2(basis_flat, n, residue):
-    """``g = sum c_i M_i`` over a 0/1 residue, checked on ``g^t q g`` itself:
-    entries a < b against q mod 2, diagonal entries halved against 0 mod 2."""
-    half = n // 2
-    g = [sum(m[t] for c, m in zip(residue, basis_flat) if c) for t in range(n * n)]
-    for a in range(n):
-        for b in range(a, n):
-            s = sum(g[r * n + a] * g[((r + half) % n) * n + b] for r in range(n))
-            if (s // 2 if a == b else s - (b - a == half)) % 2:
-                return False
-    return True
-
-
-def brute_force_residue(basis_flat, n):
-    """The first solving residue in lexicographic order (0 before 1), or None."""
-    return next((c for c in product((0, 1), repeat=len(basis_flat))
-                 if solves_mod2(basis_flat, n, c)), None)
-
-
-def unique_residue_instance(residue, n=8):
-    """A basis on which ``residue`` is the first solving residue: its matrices
-    sum to the identity, and a 1 anywhere else adds a lone E_n-1,n-1."""
-    support = [i for i, c in enumerate(residue) if c]
-    basis = []
-    for i in range(len(residue)):
-        m = [0] * (n * n)
-        if i not in support:
-            m[n * n - 1] = 1
-        elif i == support[0]:
-            m = identity_instance(n)
-            for x in range(1, len(support)):
-                m[x * n + x] = 0
-        else:
-            x = support.index(i)
-            m[x * n + x] = 1
-        basis.append(m)
-    return basis
-
-
-def test_walk_finds_every_residue_that_solves_first():
-    # every nonzero residue of K <= 5 coordinates, as the first solver of an
-    # instance built for it: a walk that skips a residue misses one of them
-    for k in range(1, 6):
-        for residue in product((0, 1), repeat=k):
-            if any(residue):
-                basis = unique_residue_instance(residue)
-                assert kernels_py.mod2_residue(basis, 8) == residue
-                assert brute_force_residue(basis, 8) == residue
-
-
-@st.composite
-def mod2_instances(draw):
-    n = draw(st.sampled_from([4, 8]))
-    k = draw(st.integers(0, 6 if n == 4 else 4))
-    entries = st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)
-    basis = draw(st.lists(st.one_of(entries, st.just(identity_instance(n))),
-                          min_size=k, max_size=k))
-    return basis, n
-
-
-@settings(max_examples=200, deadline=None)
-@given(mod2_instances())
-@example(([identity_instance(4)], 4))
-def test_walk_matches_brute_force(instance):
-    assert kernels_py.mod2_residue(*instance) == brute_force_residue(*instance)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-3, 3), min_size=8, max_size=8).filter(
-    lambda e: e[0] * e[3] != e[1] * e[2] and e[4] * e[7] != e[5] * e[6]))
-@example([1, 0, 0, 1, 1, 0, 0, 2])
-def test_walk_matches_brute_force_on_d1_derived_bases(e):
-    # the d = 1 derived_eq bases between the tori s Z^2 and s' Z^2 of the
-    # square torus's plane (tau over Q(i)); k = 8, so 256 residues
-    def torus(s):
-        s = RatMatrix([s[:2], s[2:]])
-        return TorusData(1, s.inverse() * RatMatrix([[0, -1], [1, 0]]) * s,
-                         s.transpose() * s, RatMatrix.zero(2, 2), "cm")
-    basis = [[int(x) for row in m.entries for x in row]
-             for m in intertwiner_space(torus(e[:4]), torus(e[4:]), "derived_eq")]
-    assert len(basis) == 8
-    assert kernels_py.mod2_residue(basis, 4) == brute_force_residue(basis, 4)
