@@ -19,18 +19,17 @@ all distributions and forms are constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from ._intlat import column_pivots
+from ._record import Record
 from .errors import DimensionError, InconsistencyError, ValidationError
-from .exactlinear import (GAUSS_I, QONE, QZERO, GaussRational, ExtElement, RatMatrix,
-                          apply_linear, wedge)
+from .exactlinear import QONE, QZERO, RatMatrix
+from .exterior import GAUSS_I, ExtElement, GaussRational, apply_linear, wedge
 from .torus import TorusData, omega, require_valid
 
 
-@dataclass(frozen=True)
-class AffineBrane:
+class AffineBrane(Record):
     """An affine subtorus with a constant integral curvature 2-form.
 
     ``y_basis``: integer direction vectors (each of length 2d) spanning the
@@ -81,8 +80,7 @@ def _require_structural(b: AffineBrane):
         raise ValidationError("brane directions do not span a primitive sublattice")
 
 
-@dataclass(frozen=True)
-class FoliationData:
+class FoliationData(Record):
     """Kernel of the restricted symplectic form and the transverse data.
 
     All vectors are in Y-coordinates.  ``complement`` lists the coordinate
@@ -148,15 +146,13 @@ def coisotropy_witness(b: AffineBrane):
     return None
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(Record):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class AbraneReport:
+class AbraneReport(Record):
     conditions: tuple
     accepted: bool
     k: int | None
@@ -217,8 +213,7 @@ def check_abrane(b: AffineBrane) -> AbraneReport:
     return AbraneReport(tuple(conditions), True, k, j_n, fol)
 
 
-@dataclass(frozen=True)
-class WedgePowerReport:
+class WedgePowerReport(Record):
     k: int
     vanishing_powers: tuple
     first_vanishing_power: int | None
@@ -265,8 +260,7 @@ def wedge_characterization(b: AffineBrane) -> WedgePowerReport:
     )
 
 
-@dataclass(frozen=True)
-class AnomalyReport:
+class AnomalyReport(Record):
     h_constant: bool
     bockstein_class_zero: bool
     top_coefficient: GaussRational

@@ -7,11 +7,13 @@ identifier of the mathematical claim the command decides).  Exit codes:
 (a search that spent its node budget), 2 for input errors.  Diagnostics go
 to stderr.
 
-Each command imports only the layers it runs: the handlers import
+Each command imports only the layers it runs.  Start-up loads ``jsonio``,
+``torus``, ``exactlinear``, ``errors`` and ``_record``; the handlers import
 ``equivalence``, ``tduality``, ``cohomology``, ``abranes`` and ``fock`` when
-they are called.  Start-up is most of a typical command's time, and where
-``PYTHONDONTWRITEBYTECODE`` is set every imported line is compiled again on
-every start.
+they are called, and only ``cohomology``, ``abranes`` and reading a class
+load the exterior algebra (``exterior``).  Start-up is most of a typical
+command's time, and where ``PYTHONDONTWRITEBYTECODE`` is set every imported
+line is compiled again on every start.
 """
 
 from __future__ import annotations

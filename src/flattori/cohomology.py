@@ -16,19 +16,19 @@ left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from ._record import Record
 from .errors import DimensionError, GradeError, ValidationError
-from .exactlinear import (GaussRational, ExtElement, QZERO, RatMatrix, apply_linear,
-                          derivation_map, exp_grade2, interior, wedge)
+from .exactlinear import QZERO, RatMatrix
+from .exterior import (ExtElement, GaussRational, apply_linear, derivation_map, exp_grade2,
+                       interior, wedge)
 from .torus import TorusData, omega, require_valid
 
 
-@dataclass(frozen=True)
-class CohClass:
+class CohClass(Record):
     """A rational cohomology class of a flat torus."""
 
     torus: TorusData
@@ -39,8 +39,7 @@ class CohClass:
             raise DimensionError("class base rank must be twice the torus dimension")
 
 
-@dataclass(frozen=True)
-class HodgeDiamond:
+class HodgeDiamond(Record):
     d: int
     h: tuple  # h[p][q]
 
@@ -205,7 +204,7 @@ def inverse_bivector(w_mat: RatMatrix) -> ExtElement:
     Normalized so that contracting the form with its inverse counts the
     dimension: ``interior(inverse_bivector(W), two_form(W)) == n`` on a
     rank-2n space.  With the left-contraction convention used by
-    :func:`flattori.exactlinear.interior` this is minus the matrix inverse.
+    :func:`flattori.exterior.interior` this is minus the matrix inverse.
     """
     return ExtElement.two_form(-w_mat.inverse())
 
@@ -226,8 +225,7 @@ def mirror_class_condition(tprime: TorusData, alphaprime: CohClass) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BetaReport:
+class BetaReport(Record):
     torsion: bool
     projection_nonzero: bool
     projection: tuple

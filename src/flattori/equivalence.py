@@ -29,13 +29,13 @@ scan.  On ``iso`` and ``mirror`` lattices F is the Narain form
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import mul
 
 from . import kernels
 from ._intlat import integral_coordinate_lattice, pair_reduce
+from ._record import Record
 from .errors import DimensionError, ValidationError
 from .exactlinear import RatMatrix, cleared
 from .kernels_py import completed_height
@@ -54,8 +54,7 @@ KINDS = tuple(RELATIONS)
 DEFAULT_NODE_BUDGET = 10 ** 7
 
 
-@dataclass(frozen=True)
-class LatticeMap:
+class LatticeMap(Record):
     """An integral map between doubled lattices with a declared relation kind."""
 
     g: RatMatrix
@@ -77,14 +76,12 @@ class LatticeMap:
             raise ValidationError("lattice map is not unimodular")
 
 
-@dataclass(frozen=True)
-class MapCheck:
+class MapCheck(Record):
     name: str
     ok: bool
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Outcome of verify_map: named exact matrix equalities, all or nothing."""
 
     map: LatticeMap
@@ -174,8 +171,7 @@ NARAIN_WINDOW = "window contains every g with tr(N1^-1 g^t N2 g) = 4d"
 LATTICE_ISOMETRY = "(rank, det) of tr(q h^t q h) differs on L(T1,T1), L(T1,T2), L(T2,T2)"
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     """The verdict of a search: ``"found"`` (with its certificate), ``"refuted"``
     (``refuted_by`` names the proof: :data:`NARAIN_WINDOW`, or
     :data:`LATTICE_ISOMETRY` followed by the three lattices' (rank, det)),
@@ -197,12 +193,14 @@ def _f_gram(rows, n):
     """The integer Gram matrix ``A_ij = tr(q M_i^t q M_j)`` of the flattened ``rows``.
 
     ``tr(q X^t q Y)`` is the Frobenius product of X with ``q Y q``, whose entry
-    (a, b) is Y's entry (a + h, b + h), indices mod n and h = n/2.
+    (a, b) is Y's entry (a + h, b + h), indices mod n and h = n/2.  Each row
+    is summed over its nonzero entries only: a basis row holds a few of its
+    n^2 entries.
     """
     half = n // 2
     swap = [(t // n + half) % n * n + (t + half) % n for t in range(n * n)]
-    images = [[m[s] for s in swap] for m in rows]
-    return [[sum(map(mul, mi, mj)) for mj in images] for mi in rows]
+    support = [[(swap[t], x) for t, x in enumerate(m) if x] for m in rows]
+    return [[sum(x * mj[s] for s, x in si) for mj in rows] for si in support]
 
 
 def _lattice_class(rows, n):

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import Record
 from .errors import TruncationError, ValidationError
 from .exactlinear import QZERO, RatMatrix, cleared
 
@@ -38,8 +38,7 @@ def _sorted_vars(families, twice_levels, n):
     return [var for var, _ in keyed], [t for _, t in keyed]
 
 
-@dataclass(frozen=True)
-class TruncatedFock:
+class TruncatedFock(Record):
     """Deterministic monomial basis of the truncated oscillator space.
 
     Levels are counted in halves, as ints: a monomial fits when twice its
@@ -110,8 +109,7 @@ class TruncatedFock:
 _KIND_FAMILY = {"alpha": "a", "alphabar": "abar", "psi": "th", "psibar": "thbar"}
 
 
-@dataclass(frozen=True)
-class OscillatorOp:
+class OscillatorOp(Record):
     """Exact sparse matrix of one oscillator on the truncated basis.
 
     Columns are computed on demand (the verifiers only ever touch low-level
@@ -119,7 +117,8 @@ class OscillatorOp:
     entry is ``a / scale``.  Creators have scale 1, annihilators the lcm D
     of the denominators of G^-1.  Creator images that exceed the level cap
     are silently dropped (the corestriction to the truncated space), which
-    is why verifications guard their subspaces.
+    is why verifications guard their subspaces.  The column function and the
+    columns computed so far are not compared.
     """
 
     space: TruncatedFock
@@ -127,8 +126,10 @@ class OscillatorOp:
     index: int
     mode: Fraction
     scale: int
-    _column_fn: object = field(compare=False, repr=False)
-    _cols: dict = field(compare=False, repr=False, default_factory=dict)
+    _column_fn: object
+
+    def __post_init__(self):
+        object.__setattr__(self, "_cols", {})
 
     def int_column(self, col: int):
         got = self._cols.get(col)
@@ -226,8 +227,7 @@ def build_oscillator(space: TruncatedFock, kind: str, i: int, s) -> OscillatorOp
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(Record):
     status: str  # "pass", "fail", or "inconclusive"
     tested_dimension: int
     expected: Fraction

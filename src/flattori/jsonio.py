@@ -14,7 +14,7 @@ import os
 from fractions import Fraction
 
 from .errors import SchemaError
-from .exactlinear import ExtElement, GaussRational, RatMatrix, rat, rat_str
+from .exactlinear import RatMatrix, rat, rat_str
 from .torus import TorusData
 
 
@@ -103,6 +103,7 @@ def class_to_json(element: ExtElement):
 
 
 def class_from_json(data, base_rank, pointer="class") -> ExtElement:
+    from .exterior import ExtElement
     if not isinstance(data, dict) or "grade_terms" not in data:
         raise SchemaError("expected an object with grade_terms", pointer)
     declared = data.get("base_rank", base_rank)

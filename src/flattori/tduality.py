@@ -13,19 +13,18 @@ wrong inversion branch cannot survive silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
 
 from ._intlat import column_pivots, integer_kernel, spans_direct_summand
+from ._record import Record
 from .equivalence import Certificate, LatticeMap, verify_map
 from .errors import RecoveryError, ValidationError
 from .exactlinear import QZERO, RatMatrix, cleared
 from .torus import TorusData, doubled, omega, require_valid
 
 
-@dataclass(frozen=True)
-class LagrangianSplitting:
+class LagrangianSplitting(Record):
     """An integral splitting of the winding lattice into isotropic halves.
 
     ``change_of_basis`` has the A vectors as its first d columns and the B
@@ -156,8 +155,7 @@ def find_lagrangian_splitting(t: TorusData) -> LagrangianSplitting:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MirrorResult:
+class MirrorResult(Record):
     mirror: TorusData
     duality_map: LatticeMap
     duality_certificate: Certificate

@@ -19,11 +19,10 @@ materialized (it cancels in every statement the package checks).
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import Record
 from .errors import DimensionError, ValidationError
 from .exactlinear import Q, QZERO, RatMatrix
 
@@ -32,8 +31,7 @@ BLOCK_CONVENTION = "winding-then-momentum"
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class TorusData:
+class TorusData(Record):
     """A flat Kaehler torus with B-field, in a fixed lattice basis."""
 
     d: int
@@ -54,9 +52,9 @@ class TorusData:
         return 2 * self.d
 
     # Derived data: each is computed on first use and cached on the instance
-    # (cached_property writes the instance dict, which a frozen dataclass
-    # allows), so a torus is validated, has G inverted and has its doubled
-    # structures built at most once.  Everything past ``validation`` requires
+    # (cached_property writes the instance dict, which a Record keeps and
+    # does not guard), so a torus is validated, has G inverted and has its
+    # doubled structures built at most once.  Everything past ``validation`` requires
     # valid data and raises the ValidationError of :func:`require_valid`.
 
     @cached_property
@@ -112,14 +110,12 @@ class TorusData:
         return DoubledStructure(q_matrix(self.d), cal_i, cal_j, cal_it)
 
 
-@dataclass(frozen=True)
-class ValidationCheck:
+class ValidationCheck(Record):
     name: str
     ok: bool
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     checks: tuple
 
     @property
@@ -163,8 +159,7 @@ def q_matrix(d: int) -> RatMatrix:
     return RatMatrix.from_blocks([[z, i], [i, z]])
 
 
-@dataclass(frozen=True)
-class DoubledStructure:
+class DoubledStructure(Record):
     q: RatMatrix
     calI: RatMatrix
     calJ: RatMatrix
@@ -186,8 +181,7 @@ def doubled(t: TorusData) -> DoubledStructure:
     return t._doubled
 
 
-@dataclass(frozen=True)
-class ChargeVector:
+class ChargeVector(Record):
     """An integral winding/momentum pair ``(w, m)``."""
 
     w: tuple
@@ -203,8 +197,7 @@ class ChargeVector:
         return self.w + self.m
 
 
-@dataclass(frozen=True)
-class ZeroModes:
+class ZeroModes(Record):
     """The sqrt(2)-rescaled zero-mode momenta and their half-norms.
 
     ``p = m - (B+G)w`` and ``pbar = m + (G-B)w`` are exact rational

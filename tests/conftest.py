@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import pytest
 
 from flattori import jsonio
-from flattori.exactlinear import GaussRational, Q, RatMatrix
+from flattori.exactlinear import Q, RatMatrix
+from flattori.exterior import GaussRational
 from flattori.torus import TorusData, square_torus
 
 

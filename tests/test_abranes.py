@@ -12,7 +12,8 @@ from flattori.abranes import (AffineBrane, _plus_i_covectors, anomaly_check_affi
                               check_abrane, characteristic_foliation, coisotropy_witness,
                               holomorphic_volume, wedge_characterization)
 from flattori.errors import ValidationError
-from flattori.exactlinear import GAUSS_I, RatMatrix
+from flattori.exactlinear import RatMatrix
+from flattori.exterior import GAUSS_I
 from flattori.torus import TorusData, omega, random_valid_torus
 
 

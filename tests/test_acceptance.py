@@ -17,7 +17,8 @@ from flattori.cohomology import (CohClass, fm_transform, hodge_diamond,
                                  lefschetz_kernel_dim, mirror_class_condition,
                                  rational_pp_classes)
 from flattori.equivalence import search_relation, verify_map
-from flattori.exactlinear import ExtElement, RatMatrix
+from flattori.exactlinear import RatMatrix
+from flattori.exterior import ExtElement
 from flattori.fock import TruncatedFock, ccr_car_sweep
 from flattori.tduality import (dual_splitting, find_lagrangian_splitting,
                                mirror_via_tduality)

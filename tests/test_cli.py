@@ -226,39 +226,59 @@ class TestValidateAndStructures:
         assert err.startswith("input error:") and err.count("\n") == 1
 
 
-# Runs main(argv) in a fresh interpreter and prints, after the report, the
-# flattori modules it loaded.
+# Runs main(argv) in a fresh interpreter and prints, after the report, every
+# module it loaded.
 LOADED_MODULES = """\
 import json, sys
 from flattori.cli import main
 code = main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("flattori"))), file=sys.stderr)
+print(json.dumps(sorted(sys.modules)), file=sys.stderr)
 sys.exit(code)
 """
+
+
+def _fresh_python(script, *argv):
+    src = os.path.dirname(os.path.dirname(flattori.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 class TestImportIsolation:
     """Each command imports only the layers it runs."""
 
     @pytest.mark.parametrize("argv, unloaded", [
-        (["validate", "T"], {"fock", "cohomology", "abranes", "tduality", "equivalence"}),
-        (["check-iso", "T", "T"], {"fock", "cohomology", "abranes", "tduality"}),
+        (["validate", "T"],
+         {"fock", "cohomology", "abranes", "tduality", "equivalence", "exterior"}),
+        (["check-iso", "T", "T"], {"fock", "cohomology", "abranes", "tduality", "exterior"}),
         (["hodge", "T"], {"tduality", "equivalence", "abranes", "fock"}),
-        (["mirror", "--torus", "T"], {"fock", "cohomology", "abranes"}),
+        (["mirror", "--torus", "T"], {"fock", "cohomology", "abranes", "exterior"}),
         (["fock-verify", "--d", "1", "--cap", "1"],
-         {"equivalence", "tduality", "cohomology", "abranes"}),
+         {"equivalence", "tduality", "cohomology", "abranes", "exterior"}),
     ])
     def test_command_leaves_other_layers_unloaded(self, square_file, argv, unloaded):
-        src = os.path.dirname(os.path.dirname(flattori.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         argv = [square_file if a == "T" else a for a in argv]
-        proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = _fresh_python(LOADED_MODULES, *argv)
         assert proc.returncode == 0, proc.stderr
         assert report(proc.stdout)["command"] == argv[0]
-        loaded = {m.removeprefix("flattori.") for m in json.loads(proc.stderr.splitlines()[-1])}
+        loaded = {m.removeprefix("flattori.") for m in json.loads(proc.stderr.splitlines()[-1])
+                  if m.startswith("flattori.")}
         assert loaded & unloaded == set()
+
+    # Start-up compiles no dataclass machinery and no exterior algebra: after
+    # an in-process check-iso neither module is loaded, unless the bare
+    # interpreter loads it already; hodge loads the exterior algebra.
+    def test_startup_loads_neither_dataclasses_nor_exterior(self, square_file):
+        watched = {"dataclasses", "flattori.exterior"}
+        bare = _fresh_python("import json, sys; print(json.dumps(sorted(sys.modules)))")
+        expected = watched & set(json.loads(bare.stdout))
+        proc = _fresh_python(LOADED_MODULES, "check-iso", square_file, square_file)
+        assert proc.returncode == 0, proc.stderr
+        assert set(json.loads(proc.stderr.splitlines()[-1])) & watched == expected
+        proc = _fresh_python(LOADED_MODULES, "hodge", square_file)
+        assert proc.returncode == 0, proc.stderr
+        assert "flattori.exterior" in json.loads(proc.stderr.splitlines()[-1])
 
     def test_budget_default_is_the_search_default(self):
         assert cli.DEFAULTS["budget"] == equivalence.DEFAULT_NODE_BUDGET

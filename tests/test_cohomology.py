@@ -12,8 +12,9 @@ from flattori.cohomology import (CohClass, _projector_02, beta_torsion, fm_trans
                                  hodge_diamond, inverse_bivector,
                                  lefschetz_kernel_dim, mirror_class_condition,
                                  rational_pp_classes)
-from flattori.exactlinear import (GAUSS_I, ExtElement, GaussRational, Q, QZERO, RatMatrix,
-                                  derivation_map, exp_grade2, interior, wedge)
+from flattori.exactlinear import Q, QZERO, RatMatrix
+from flattori.exterior import (GAUSS_I, ExtElement, GaussRational, derivation_map, exp_grade2,
+                               interior, wedge)
 from flattori.tduality import dual_splitting, find_lagrangian_splitting, mirror_via_tduality
 from flattori.torus import TorusData, omega, random_valid_torus, square_torus
 
@@ -88,7 +89,7 @@ class TestPpClasses:
         assert total == comb(2 * n, n)
 
     def test_kernel_classes_are_pp(self, square2):
-        from flattori.exactlinear import derivation_map
+        from flattori.exterior import derivation_map
         dual_i = square2.I.transpose()
         for p in (1, 2):
             dm = derivation_map(dual_i, 2 * p)
@@ -179,7 +180,7 @@ class TestFmTransform:
         s2 = dual_splitting(mr.mirror)
         mr2 = mirror_via_tduality(mr.mirror, s2)
         n = 2 * d
-        from flattori.exactlinear import apply_linear
+        from flattori.exterior import apply_linear
         for k in range(n + 1):
             for idx in combinations(range(n), k):
                 alpha = CohClass(t, ExtElement.monomial(n, idx))

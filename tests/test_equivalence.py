@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from flattori._intlat import (integer_kernel, integral_coordinate_lattice,
                               spans_direct_summand)
 from flattori.equivalence import (DEFAULT_NODE_BUDGET, KINDS, LATTICE_ISOMETRY, RELATIONS,
-                                  LatticeMap, _constraint_rows, _ellipsoid_radii,
+                                  LatticeMap, _constraint_rows, _ellipsoid_radii, _f_gram,
                                   _lattice_class, intertwiner_rows, intertwiner_space,
                                   search_relation, spectrum_fingerprint, verify_map)
 from flattori.errors import ValidationError
@@ -469,6 +469,32 @@ def _narain_radii(t1, t2, basis):
     a_inv = RatMatrix([[sum(x * y for x, y in zip(mi, mj)) for mj in images]
                        for mi in flat]).inverse()
     return [4 * t1.d * a_inv.entries[i][i] for i in range(len(basis))]
+
+
+def _dense_f_gram(rows, n):
+    """The reference Gram matrix of ``tr(q M_i^t q M_j)``: every row's full
+    Frobenius product with the index-permuted image ``q M_j q``."""
+    half = n // 2
+    swap = [(t // n + half) % n * n + (t + half) % n for t in range(n * n)]
+    images = [[m[s] for s in swap] for m in rows]
+    return [[sum(x * y for x, y in zip(mi, mj)) for mj in images] for mi in rows]
+
+
+class TestFGram:
+    # The Gram matrix summed over each row's nonzero entries equals the dense
+    # product on random iso, mirror and derived_eq lattices; t2 is t1
+    # rebased, its mirror or another random torus (the lattice may be empty).
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from([1, 2]), st.sampled_from(KINDS),
+           st.sampled_from(["rebased", "mirror", "random"]))
+    def test_sparse_gram_equals_the_dense_product(self, seed, d, kind, partner):
+        rng = random.Random(seed)
+        t1 = random_valid_torus(rng, d, steps=3, b_bound=3)
+        t2 = (_rebased(t1, rng) if partner == "rebased" else
+              _mirror(t1).mirror if partner == "mirror" else
+              random_valid_torus(rng, d, steps=3, b_bound=3))
+        rows = intertwiner_rows(t1, t2, kind)
+        assert _f_gram(rows, 4 * d) == _dense_f_gram(rows, 4 * d)
 
 
 class TestNarainWindow:

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flattori.errors import DimensionError, GradeError
-from flattori.exactlinear import (GaussRational, ExtElement, Q, RatMatrix,
-                                  apply_linear, cleared, derivation_map, exp_grade2,
-                                  induced_map, interior, rat, rat_str, wedge)
+from flattori.exactlinear import Q, RatMatrix, cleared, rat, rat_str
+from flattori.exterior import (GaussRational, ExtElement, apply_linear, derivation_map,
+                               exp_grade2, induced_map, interior, wedge)
 
 
 def e(rank, *indices):
