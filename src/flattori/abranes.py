@@ -107,22 +107,6 @@ def _restricted_form(mat: RatMatrix, indices):
     return RatMatrix([[mat.entries[i][j] for j in indices] for i in indices])
 
 
-def characteristic_foliation(b: AffineBrane) -> FoliationData:
-    """Compute the foliation data; raises with a witness if not coisotropic.
-
-    Coisotropy is checked through the equivalent finite condition that the
-    skew-orthogonal complement of V is contained in V.  For an affine
-    subtorus the kernel distribution is constant, hence integrable.
-    """
-    _require_structural(b)
-    witness = coisotropy_witness(b)
-    if witness is not None:
-        raise ValidationError(
-            f"subtorus is not coisotropic; witness vector {witness} is "
-            "skew-orthogonal to it but lies outside")
-    return _foliation(b)
-
-
 def _foliation(b: AffineBrane) -> FoliationData:
     """The foliation data of a structurally valid, coisotropic brane."""
     y = b.direction_matrix()
@@ -136,7 +120,8 @@ def _foliation(b: AffineBrane) -> FoliationData:
 
 
 def coisotropy_witness(b: AffineBrane):
-    """A vector in the skew-orthogonal complement of V outside V, or None."""
+    """A vector in the skew-orthogonal complement of V outside V, or None
+    exactly when V is coisotropic."""
     w = omega(b.torus)
     y = b.direction_matrix()
     perp = (y.transpose() * w).kernel_basis()

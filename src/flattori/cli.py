@@ -4,8 +4,9 @@ Reports are deterministic (sorted keys, no timestamps) and always carry the
 fields ``command``, ``inputs``, ``result``, and ``paper_ref`` (a stable
 identifier of the mathematical claim the command decides).  Exit codes:
 0 for success/true/found, 1 for refuted/false/none-within-bound/undecided
-(a search that spent its node budget), 2 for input errors.  Diagnostics go
-to stderr.
+(a search that spent its node budget), 2 for input errors (malformed JSON
+among them, and ``mirror`` given one path for both output files).
+Diagnostics go to stderr.
 
 Each command imports only the layers it runs.  Start-up loads ``jsonio``,
 ``torus``, ``exactlinear``, ``errors`` and ``_record``; the handlers import
@@ -170,6 +171,10 @@ def _cmd_verify_map(args, cfg):
 
 def _cmd_mirror(args, cfg):
     from . import tduality
+    if args.out_torus and args.out_cert and (
+            os.path.realpath(args.out_torus) == os.path.realpath(args.out_cert)):
+        raise SchemaError(f"--out-torus and --out-cert name the same file {args.out_cert}",
+                          "--out-cert")
     t = jsonio.load_torus(args.torus)
     inputs = {"torus": jsonio.torus_to_json(t)}
     try:

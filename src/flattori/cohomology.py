@@ -94,12 +94,7 @@ def hodge_diamond(t: TorusData) -> HodgeDiamond:
                 raise ValidationError(
                     f"h^{{{p},{q}}} computed as {rank}, expected {comb(d, p) * comb(d, q)}")
             grid[p][q] = grid[q][p] = rank
-    h = tuple(tuple(row) for row in grid)
-    for p in range(d + 1):
-        for q in range(d + 1):
-            if h[p][q] != h[d - p][d - q]:
-                raise ValidationError("diamond lacks 180-degree symmetry")
-    return HodgeDiamond(d, h)
+    return HodgeDiamond(d, tuple(tuple(row) for row in grid))
 
 
 def rational_pp_classes(t: TorusData, p: int):
@@ -151,8 +146,7 @@ def lefschetz_kernel_dim(t: TorusData) -> int:
 # ---------------------------------------------------------------------------
 
 
-def fm_transform(s: LagrangianSplitting, alpha: CohClass,
-                 mirror_result: MirrorResult | None = None) -> CohClass:
+def fm_transform(s: LagrangianSplitting, alpha: CohClass) -> CohClass:
     """Transport a class to the mirror through the product model.
 
     Steps: rewrite the class in the splitting basis, include it into the
@@ -161,13 +155,10 @@ def fm_transform(s: LagrangianSplitting, alpha: CohClass,
     A-volume form from the left.  The result lives on the mirror produced
     by :func:`flattori.tduality.mirror_via_tduality` for the same splitting.
     """
-    from .tduality import mirror_via_tduality, require_splitting
+    from .tduality import mirror_via_tduality
     t = alpha.torus
-    require_splitting(t, s)
+    mirror = mirror_via_tduality(t, s).mirror
     d, n = t.d, t.rank
-    mr = mirror_result or mirror_via_tduality(t, s)
-    if mr.duality_map.source != t:
-        raise ValidationError("mirror_result does not belong to the class's torus")
     p = s.change_of_basis
     in_split = apply_linear(alpha.element, p.transpose())
 
@@ -195,7 +186,7 @@ def fm_transform(s: LagrangianSplitting, alpha: CohClass,
                 seen_other += 1
         rest = tuple(i - d for i in idx if i >= d)
         out_terms[rest] = c if sign % 2 == 0 else -c
-    return CohClass(mr.mirror, ExtElement(n, out_terms))
+    return CohClass(mirror, ExtElement(n, out_terms))
 
 
 def inverse_bivector(w_mat: RatMatrix) -> ExtElement:

@@ -16,15 +16,16 @@ coordinate vectors over a size-reduced basis of it, keeping the first
 candidate that satisfies the quadratic q-congruence.
 
 Refutation reads one integer form on the intertwiner lattices,
-``F(h) = tr(q h^t q h)`` (Gram matrix :func:`_f_gram`), which every
-certificate g carries isometrically: ``F(gh) = F(hg) = F(h)`` as
-``g^t q g = q = g q g^t``.  A ``derived_eq`` pair whose three lattices
-L(T1,T1), L(T1,T2), L(T2,T2) differ in (rank, det) is refuted before the
-scan.  On ``iso`` and ``mirror`` lattices F is the Narain form
-``tr(N_1^-1 h^t N_2 h)``, so an exhausted window holding the whole ellipsoid
-``F = 4d`` refutes the relation.  Otherwise a search without a hit means only
-"none within bound", and one that spends its node budget first is
-"undecided".
+``F(h) = tr(q h^t q h)``, which every certificate g carries isometrically:
+``F(gh) = F(hg) = F(h)`` as ``g^t q g = q = g q g^t``.  Its Gram matrix
+``<M_i, q M_j q>`` comes from :func:`~flattori.kernels_py.frobenius_gram`
+with R = q, the builder of the search's packed form.  A ``derived_eq``
+pair whose three lattices L(T1,T1), L(T1,T2), L(T2,T2) differ in (rank,
+det) is refuted before the scan.  On ``iso`` and ``mirror`` lattices F is
+the Narain form ``tr(N_1^-1 h^t N_2 h)``, so an exhausted window holding the
+whole ellipsoid ``F = 4d`` refutes the relation.  Otherwise a search without
+a hit means only "none within bound", and one that spends its node budget
+first is "undecided".
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from ._intlat import integral_coordinate_lattice, pair_reduce
 from ._record import Record
 from .errors import DimensionError, ValidationError
 from .exactlinear import RatMatrix, cleared
-from .kernels_py import completed_height
+from .kernels_py import completed_height, frobenius_gram, split_pairing
 from .torus import TorusData, doubled, narain_form
 
 # kind -> the structure equalities ``g S_1 = T_2 g`` of a certificate, in
@@ -189,38 +190,24 @@ class SearchOutcome(Record):
         return self.verdict == "found"
 
 
-def _f_gram(rows, n):
-    """The integer Gram matrix ``A_ij = tr(q M_i^t q M_j)`` of the flattened ``rows``.
-
-    ``tr(q X^t q Y)`` is the Frobenius product of X with ``q Y q``, whose entry
-    (a, b) is Y's entry (a + h, b + h), indices mod n and h = n/2.  Each row
-    is summed over its nonzero entries only: a basis row holds a few of its
-    n^2 entries.
-    """
-    half = n // 2
-    swap = [(t // n + half) % n * n + (t + half) % n for t in range(n * n)]
-    support = [[(swap[t], x) for t, x in enumerate(m) if x] for m in rows]
-    return [[sum(x * mj[s] for s, x in si) for mj in rows] for si in support]
-
-
 def _lattice_class(rows, n):
     """``(rank, det A)`` of the lattice spanned by ``rows`` under F.
 
     A ``derived_eq`` lattice is never empty: over Q both doubled structures
     make Q^n a Q(i)-vector space of dimension n/2, so its rank is ``n^2 / 2``.
     """
-    return len(rows), int(RatMatrix(_f_gram(rows, n)).det())
+    return len(rows), int(RatMatrix(frobenius_gram(rows, n, split_pairing(n))).det())
 
 
 def _ellipsoid_radii(rows, n):
-    """``4d (A^-1)_ii``, A the Gram matrix :func:`_f_gram` of an iso or mirror basis.
+    """``4d (A^-1)_ii``, A the Gram matrix of F on an iso or mirror basis.
 
     For h in such a lattice ``N_2 h = q h q N_1`` (``N = -q calI calJ``), so
     ``F(h)`` is the Narain form ``tr(N_1^-1 h^t N_2 h)``.  On ``F <= 4d``,
     ``c_i^2 <= 4d (A^-1)_ii``: the first step of Fincke-Pohst (Math. Comp. 44,
     1985).
     """
-    a_inv = RatMatrix(_f_gram(rows, n)).inverse()
+    a_inv = RatMatrix(frobenius_gram(rows, n, split_pairing(n))).inverse()
     return [n * a_inv.entries[i][i] for i in range(len(rows))]
 
 

@@ -91,7 +91,10 @@ def load_json(path: str):
         raise SchemaError(f"file not found: {path}", path)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc.strerror}", path)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+        # literal past the int-to-string digit limit, RecursionError nesting
+        # past the recursion limit: exit 1 must never come from a bad file
         raise SchemaError(f"malformed JSON: {exc}", path)
 
 

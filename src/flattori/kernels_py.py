@@ -66,11 +66,40 @@ def congruence_ok(gflat, n):
     return True
 
 
+def split_pairing(n):
+    """The split pairing q on Z^n as sparse rows: row c is ``e_{c + n/2 mod n}``."""
+    return [[((c + n // 2) % n, 1)] for c in range(n)]
+
+
+def frobenius_gram(basis_flat, n, right):
+    """The integer K x K matrix ``X_ij = <M_i, q M_j R>`` (Frobenius product).
+
+    ``basis_flat`` holds the M_i flattened row-major and ``right`` the rows of
+    a symmetric R as ``(column, value)`` pairs of its nonzero entries; X is
+    then symmetric, and only ``i <= j`` is summed.  Row s of M_j is row s + h
+    (mod n, h = n/2) of ``q M_j``, so the sums run over the nonzero entries of
+    the basis and of each row of R only.
+    """
+    half = n // 2
+    sparse = [[(t, v) for t, v in enumerate(m) if v] for m in basis_flat]
+    k = len(basis_flat)
+    gram = [[0] * k for _ in range(k)]
+    for j, mj in enumerate(sparse):
+        y = [0] * (n * n)
+        for t, v in mj:
+            base = (t // n + half) % n * n
+            for x, w in right[t % n]:
+                y[base + x] += v * w
+        for i in range(j + 1):
+            gram[i][j] = gram[j][i] = sum(v * y[t] for t, v in sparse[i])
+    return gram
+
+
 def _packed_form(basis_flat, n, bound):
     """``(X, target)`` with ``F(c) = sum_i X_ii/2 c_i^2 + sum_{i<j} X_ij c_i c_j``.
 
-    ``X_ij = <M_i, q M_j R>`` where R is symmetric with ``R_ab = W^e(a,b)``
-    off the diagonal and ``2 W^e(a,a)`` on it; ``target`` is F at any c with
+    X is :func:`frobenius_gram` with R symmetric, ``R_ab = W^e(a,b)`` off the
+    diagonal and ``2 W^e(a,a)`` on it; ``target`` is F at any c with
     ``g^t q g = q``.  Valid for candidates of max-norm at most ``bound``.
     """
     half = n // 2
@@ -90,23 +119,7 @@ def _packed_form(basis_flat, n, bound):
                 target += power
             power *= w
         weight[x][x] *= 2
-    sparse = [[(t, m[t]) for t in range(size) if m[t]] for m in basis_flat]
-    k = len(basis_flat)
-    form = [[0] * k for _ in range(k)]
-    for j, m in enumerate(basis_flat):
-        # Y = q M_j R; row r of q M_j is row r+h (mod n) of M_j
-        y = [0] * size
-        for r in range(n):
-            src = ((r + half) % n) * n
-            for col in range(n):
-                v = m[src + col]
-                if v:
-                    wrow = weight[col]
-                    for x in range(n):
-                        y[r * n + x] += v * wrow[x]
-        for i in range(j + 1):
-            form[i][j] = form[j][i] = sum(v * y[t] for t, v in sparse[i])
-    return form, target
+    return frobenius_gram(basis_flat, n, [list(enumerate(row)) for row in weight]), target
 
 
 def run_filter(basis_flat, n, bound, budget, max_hits=1):

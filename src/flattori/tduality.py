@@ -157,7 +157,6 @@ def find_lagrangian_splitting(t: TorusData) -> LagrangianSplitting:
 
 class MirrorResult(Record):
     mirror: TorusData
-    duality_map: LatticeMap
     duality_certificate: Certificate
     recovery_report: tuple
 
@@ -225,11 +224,9 @@ def mirror_via_tduality(t: TorusData, s: LagrangianSplitting) -> MirrorResult:
     check("calI_resubstitutes", ds_mirror.calI == cal_i_new)
     check("calJ_resubstitutes", ds_mirror.calJ == cal_j_new)
 
-    dmap = LatticeMap(g=g, source=t, target=mirror, kind="mirror")
-    cert = verify_map(dmap)
+    cert = verify_map(LatticeMap(g=g, source=t, target=mirror, kind="mirror"))
     check("duality_map_verifies", cert.valid)
-    return MirrorResult(mirror=mirror, duality_map=dmap,
-                        duality_certificate=cert, recovery_report=tuple(report))
+    return MirrorResult(mirror=mirror, duality_certificate=cert, recovery_report=tuple(report))
 
 
 def dual_splitting(mirror: TorusData) -> LagrangianSplitting:

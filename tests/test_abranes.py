@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flattori import abranes
-from flattori.abranes import (AffineBrane, _plus_i_covectors, anomaly_check_affine,
-                              check_abrane, characteristic_foliation, coisotropy_witness,
-                              holomorphic_volume, wedge_characterization)
+from flattori.abranes import (AffineBrane, _foliation, _plus_i_covectors, anomaly_check_affine,
+                              check_abrane, coisotropy_witness, holomorphic_volume,
+                              wedge_characterization)
+from flattori.cohomology import CohClass, mirror_class_condition
 from flattori.errors import ValidationError
 from flattori.exactlinear import RatMatrix
-from flattori.exterior import GAUSS_I
+from flattori.exterior import GAUSS_I, ExtElement, exp_grade2
 from flattori.torus import TorusData, omega, random_valid_torus
 
 
@@ -21,11 +22,15 @@ def unit(n, k):
     return tuple(1 if i == k else 0 for i in range(n))
 
 
-@pytest.fixture
-def t4():
+def _t4():
     # complex structure chosen so omega = e1^e2 + e3^e4 on the nose
     i = RatMatrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
-    t = TorusData(2, i, RatMatrix.identity(4), RatMatrix.zero(4, 4), "T4")
+    return TorusData(2, i, RatMatrix.identity(4), RatMatrix.zero(4, 4), "T4")
+
+
+@pytest.fixture
+def t4():
+    t = _t4()
     assert omega(t) == RatMatrix([[0, 1, 0, 0], [-1, 0, 0, 0],
                                   [0, 0, 0, 1], [0, 0, -1, 0]])
     return t
@@ -39,21 +44,21 @@ def space_filling(t4):
 
 class TestFoliation:
     def test_whole_torus(self, t4, space_filling):
-        fol = characteristic_foliation(space_filling)
+        fol = check_abrane(space_filling).foliation
         assert fol.l_basis == ()
         assert fol.n_rank == 4
         assert fol.sigma == omega(t4)
 
     def test_lagrangian(self, t4):
         b = AffineBrane(t4, (unit(4, 0), unit(4, 2)), RatMatrix.zero(2, 2))
-        fol = characteristic_foliation(b)
+        fol = _foliation(b)
         assert len(fol.l_basis) == 2
         assert fol.n_rank == 0
 
     def test_codimension_one(self, t4):
         b = AffineBrane(t4, (unit(4, 0), unit(4, 1), unit(4, 2)),
                         RatMatrix.zero(3, 3))
-        fol = characteristic_foliation(b)
+        fol = _foliation(b)
         assert fol.l_basis == ((0, 0, 1),)
         assert fol.n_rank == 2
 
@@ -65,8 +70,8 @@ class TestFoliation:
         t6 = TorusData(3, i3, RatMatrix.identity(6), RatMatrix.zero(6, 6))
         b = AffineBrane(t6, (unit(6, 0), unit(6, 2)), RatMatrix.zero(2, 2))
         assert coisotropy_witness(b) is not None
-        with pytest.raises(ValidationError):
-            characteristic_foliation(b)
+        rep = check_abrane(b)
+        assert rep.rejection == "coisotropic" and rep.foliation is None
 
 
 class TestCheckAbrane:
@@ -209,6 +214,56 @@ class TestRandomizedComparison:
             agreements.append(rep.agreement)
             assert rep.condition_iii_holds == check_abrane(b).accepted
         assert agreements  # at least some branes reached the comparison
+
+
+# Curvatures of accepted space-filling branes on T4, as the coefficients of
+# e01, e02, e03, e12, e13, e23: 6 of the 28 that F in {-1, 0, 1}^6 accepts.
+ACCEPTED_F = ((0, 1, 0, 0, -1, 0), (0, 0, 1, 1, 0, 0), (0, -1, 1, 1, 0, 0),
+              (0, -1, -1, -1, 0, 0), (-1, -1, -1, -1, 1, 1), (1, 1, 1, 1, -1, -1))
+
+
+def _skew4(coeffs):
+    f = [[0] * 4 for _ in range(4)]
+    for (i, j), c in zip(combinations(range(4), 2), coeffs):
+        f[i][j], f[j][i] = c, -c
+    return RatMatrix(f)
+
+
+def _unimodular4(rng, steps=3):
+    u = [[int(i == j) for j in range(4)] for i in range(4)]
+    for _ in range(steps):
+        i, j = rng.sample(range(4), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        for k in range(4):
+            u[i][k] += c * u[j][k]
+    return RatMatrix(u)
+
+
+class TestChargeIdentity:
+    """A space-filling brane on a 4-torus passes check_abrane exactly when its
+    charge exp F satisfies the mirror-class condition: both layers test
+    (omega^-1 F)^2 = -1, that is F ^ omega = 0 and F ^ F = omega ^ omega."""
+
+    # T4 rebased by u with F = u^t F0 u, F0 accepted or drawn from {-1, 0, 1}^6,
+    # and random tori with integral F drawn from {-2..2}^6.
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(["T4 accepted", "T4", "random"]))
+    def test_acceptance_is_the_mirror_class_condition(self, seed, source):
+        rng = random.Random(seed)
+        if source == "random":
+            t = random_valid_torus(rng, 2, b_bound=3)
+            f = _skew4([rng.randint(-2, 2) for _ in range(6)])
+        else:
+            t0, u = _t4(), _unimodular4(rng)
+            t = TorusData(2, u.inverse() * t0.I * u, u.transpose() * t0.G * u,
+                          u.transpose() * t0.B * u, "T4 rebased")
+            f0 = (rng.choice(ACCEPTED_F) if source == "T4 accepted"
+                  else [rng.randint(-1, 1) for _ in range(6)])
+            f = u.transpose() * _skew4(f0) * u
+        accepted = check_abrane(AffineBrane(t, tuple(unit(4, k) for k in range(4)), f)).accepted
+        charge = CohClass(t, exp_grade2(ExtElement.two_form(f)))
+        assert accepted == mirror_class_condition(t, charge)
+        assert accepted or source != "T4 accepted"
 
 
 class TestAnomaly:

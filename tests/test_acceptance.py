@@ -110,9 +110,9 @@ def test_criterion_06_mirror_class_condition():
     all_pass = True
     for p in range(3):
         for c in rational_pp_classes(t, p):
-            img = fm_transform(s, c, mr)
+            img = fm_transform(s, c)
             all_pass = all_pass and mirror_class_condition(mr.mirror, img)
-    bad = fm_transform(s, CohClass(t, ExtElement.generator(4, 0)), mr)
+    bad = fm_transform(s, CohClass(t, ExtElement.generator(4, 0)))
     some_fail = not mirror_class_condition(mr.mirror, bad)
     record(6, all_pass and some_fail,
            "every transported (p,p) class satisfies the interior/wedge "

@@ -85,6 +85,8 @@ class TestNumericInputErrors:
         (None, ["pp-classes", "W", "--p", "5"], "p must lie in 0..2, got 5 (at --p)"),
         (None, ["fock-verify", "--d", "3", "--torus", "T"],
          "give --d or --torus, not both (at --d)"),
+        (None, ["mirror", "--torus", "T", "--out-torus", "O", "--out-cert", "O"],
+         "--out-torus and --out-cert name the same file {O} (at --out-cert)"),
     ])
     def test_one_line_exit_two(self, capsys, tmp_path, square_file, square2_file, config,
                                argv, message):
@@ -208,6 +210,28 @@ class TestValidateAndStructures:
         assert code == 2
         assert "input error" in err
 
+    # Exit 1 means refuted, false, none within bound or undecided, so JSON the
+    # parser gives up on must be an input error, not a traceback: an integer
+    # literal past the int-to-string digit limit, and nesting past the
+    # recursion limit.
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no integer digit limit")
+    def test_oversized_integer_is_input_error(self, capsys, tmp_path, square1):
+        data = jsonio.torus_to_json(square1)
+        text = json.dumps(data).replace('"1"', "1" + "0" * 4999, 1)
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: malformed JSON: ") and err.count("\n") == 1
+
+    def test_deep_nesting_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: malformed JSON: ") and err.count("\n") == 1
+
     def test_doubled(self, capsys, square_file):
         code, out, _ = run(capsys, "doubled", square_file)
         assert code == 0
@@ -237,11 +261,12 @@ sys.exit(code)
 """
 
 
-def _fresh_python(script, *argv):
+def _fresh_python(*argv, cwd=None):
+    """Run ``python *argv`` in a new interpreter that imports this flattori."""
     src = os.path.dirname(os.path.dirname(flattori.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
 
 
@@ -259,7 +284,7 @@ class TestImportIsolation:
     ])
     def test_command_leaves_other_layers_unloaded(self, square_file, argv, unloaded):
         argv = [square_file if a == "T" else a for a in argv]
-        proc = _fresh_python(LOADED_MODULES, *argv)
+        proc = _fresh_python("-c", LOADED_MODULES, *argv)
         assert proc.returncode == 0, proc.stderr
         assert report(proc.stdout)["command"] == argv[0]
         loaded = {m.removeprefix("flattori.") for m in json.loads(proc.stderr.splitlines()[-1])
@@ -271,14 +296,44 @@ class TestImportIsolation:
     # interpreter loads it already; hodge loads the exterior algebra.
     def test_startup_loads_neither_dataclasses_nor_exterior(self, square_file):
         watched = {"dataclasses", "flattori.exterior"}
-        bare = _fresh_python("import json, sys; print(json.dumps(sorted(sys.modules)))")
+        bare = _fresh_python("-c", "import json, sys; print(json.dumps(sorted(sys.modules)))")
         expected = watched & set(json.loads(bare.stdout))
-        proc = _fresh_python(LOADED_MODULES, "check-iso", square_file, square_file)
+        proc = _fresh_python("-c", LOADED_MODULES, "check-iso", square_file, square_file)
         assert proc.returncode == 0, proc.stderr
         assert set(json.loads(proc.stderr.splitlines()[-1])) & watched == expected
-        proc = _fresh_python(LOADED_MODULES, "hodge", square_file)
+        proc = _fresh_python("-c", LOADED_MODULES, "hodge", square_file)
         assert proc.returncode == 0, proc.stderr
         assert "flattori.exterior" in json.loads(proc.stderr.splitlines()[-1])
+
+    # Each handler imports its own layer, so a missing import shows only when
+    # its command starts as a fresh process: every subcommand is started once
+    # as `python -m flattori.cli` on tiny inputs and must exit 0 with a report.
+    def test_every_command_runs_in_a_fresh_process(self, tmp_path, square_file):
+        from flattori.exterior import ExtElement
+        (tmp_path / "map.json").write_text(json.dumps(
+            {"kind": "iso", "source": "square.json", "target": "square.json",
+             "g": [[int(i == j) for j in range(4)] for i in range(4)]}))
+        (tmp_path / "class.json").write_text(json.dumps(
+            jsonio.class_to_json(ExtElement.generator(2, 0))))
+        (tmp_path / "brane.json").write_text(json.dumps(
+            {"torus_ref": "square.json", "Y_basis": [[1, 0]], "F": [["0"]]}))
+        commands = [
+            ["validate", "T"], ["doubled", "T"], ["spectrum", "T"],
+            ["check-iso", "T", "T"], ["check-mirror", "T", "T"],
+            ["check-derived-eq", "T", "T"], ["verify-map", "map.json"],
+            ["mirror", "--torus", "T"], ["hodge", "T"], ["pp-classes", "T", "--p", "1"],
+            ["lefschetz", "T"],
+            ["fm", "--torus", "T", "--split", "1,0|0,1", "--class", "class.json"],
+            ["check-mirror-class", "--torus", "T", "--class", "class.json"], ["beta", "T"],
+            ["abrane-check", "--brane", "brane.json"],
+            ["fock-verify", "--torus", "T", "--cap", "1"],
+        ]
+        assert {argv[0] for argv in commands} == set(PAPER_REFS)
+        for argv in commands:
+            argv = [square_file if a == "T" else a for a in argv]
+            proc = _fresh_python("-m", "flattori.cli", *argv, cwd=tmp_path)
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
+            assert report(proc.stdout)["command"] == argv[0]
 
     def test_budget_default_is_the_search_default(self):
         assert cli.DEFAULTS["budget"] == equivalence.DEFAULT_NODE_BUDGET
@@ -474,6 +529,15 @@ class TestMirrorCommand:
         cert = json.loads(out_c.read_text())
         assert cert["kind"] == "mirror"
         assert all(c["ok"] for c in cert["checks"])
+
+    def test_one_path_for_both_outputs_leaves_it_untouched(self, capsys, tmp_path, square_file):
+        path = tmp_path / "out.json"
+        path.write_text("kept\n")
+        code, out, err = run(capsys, "mirror", "--torus", square_file,
+                             "--out-torus", str(path), "--out-cert", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert path.read_text() == "kept\n"
 
     def test_mirror_with_explicit_split(self, capsys, square2_file):
         code, out, _ = run(capsys, "mirror", "--torus", square2_file,

@@ -4,7 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 
 import pytest
@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from flattori._intlat import (integer_kernel, integral_coordinate_lattice,
                               spans_direct_summand)
 from flattori.equivalence import (DEFAULT_NODE_BUDGET, KINDS, LATTICE_ISOMETRY, RELATIONS,
-                                  LatticeMap, _constraint_rows, _ellipsoid_radii, _f_gram,
+                                  LatticeMap, _constraint_rows, _ellipsoid_radii,
                                   _lattice_class, intertwiner_rows, intertwiner_space,
                                   search_relation, spectrum_fingerprint, verify_map)
 from flattori.errors import ValidationError
 from flattori.exactlinear import Q, RatMatrix
+from flattori.kernels_py import frobenius_gram, split_pairing
 from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
 from flattori.torus import (ChargeVector, TorusData, doubled, narain_form, q_value,
                             random_valid_torus, square_torus, zero_mode_momenta)
@@ -83,7 +84,7 @@ class TestCertificateAlgebra:
         t = random_valid_torus(random.Random(seed), 1 + seed % 2, b_bound=3)
         m1 = _mirror(t)
         m2 = _mirror(m1.mirror)
-        g1, g2 = m1.duality_map.g, m2.duality_map.g
+        g1, g2 = m1.duality_certificate.map.g, m2.duality_certificate.map.g
         assert verify_map(LatticeMap(g2 * g1, t, m2.mirror, "iso")).valid
         assert verify_map(LatticeMap(g1.inverse(), m1.mirror, t, "mirror")).valid
 
@@ -95,12 +96,44 @@ class TestCertificateAlgebra:
         assert verify_map(iso).valid
         assert verify_map(LatticeMap(iso.g.inverse(), iso.target, t, "iso")).valid
         # mirror after iso: t -> t rebased -> its mirror
-        dual = _mirror(iso.target).duality_map
+        dual = _mirror(iso.target).duality_certificate.map
         assert verify_map(LatticeMap(dual.g * iso.g, t, dual.target, "mirror")).valid
         # iso after mirror: t -> its mirror -> the mirror rebased
-        dual = _mirror(t).duality_map
+        dual = _mirror(t).duality_certificate.map
         iso = _basis_change_iso(dual.target, _unimodular(t.rank, rng))
         assert verify_map(LatticeMap(iso.g * dual.g, t, iso.target, "mirror")).valid
+
+
+    # iso after iso is iso, and derived_eq after derived_eq is derived_eq.  An
+    # iso step rebases the torus.  A derived_eq step first replaces B (calItilde
+    # reads only I) and, at d = 1, shifts the momenta by b w with b = c e1^e2,
+    # which commutes with calItilde as b I + I^t b = 0; then it rebases.
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from([1, 2]),
+           st.sampled_from(["iso", "derived_eq"]))
+    def test_composites_of_one_kind_verify(self, seed, d, kind):
+        rng = random.Random(seed)
+        n = 2 * d
+
+        def step(t):
+            shift = RatMatrix.identity(2 * n)
+            if kind == "derived_eq":
+                b = [[0] * n for _ in range(n)]
+                for i, j in combinations(range(n), 2):
+                    b[i][j] = Q(rng.randint(-3, 3), rng.randint(1, 2))
+                    b[j][i] = -b[i][j]
+                t = TorusData(d, t.I, t.G, RatMatrix(b), "regauged")
+                if d == 1:
+                    c = rng.randint(-2, 2)
+                    shift = RatMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, c, 1, 0], [-c, 0, 0, 1]])
+            m = _basis_change_iso(t, _unimodular(n, rng))
+            return m.g * shift, m.target
+
+        t1 = random_valid_torus(rng, d, b_bound=3)
+        g1, t2 = step(t1)
+        g2, t3 = step(t2)
+        for g, source, target in ((g1, t1, t2), (g2, t2, t3), (g2 * g1, t1, t3)):
+            assert verify_map(LatticeMap(g, source, target, kind)).valid
 
 
 class TestIntertwinerSpace:
@@ -270,6 +303,46 @@ class TestSearchRelation:
         assert out.nodes_used == 100
         # the iso basis has 4 matrices: shell 1 holds 3^4 - 1 = 80 candidates
         assert out.last_complete_height == 1
+
+
+PARTNERS = ("rebased", "mirror", "random")
+CONTRADICTION = {"found", "refuted"}
+
+
+def _partner(t, rng, how):
+    """``t`` rebased, its mirror, or an unrelated random torus."""
+    return (_rebased(t, rng) if how == "rebased" else _mirror(t).mirror if how == "mirror"
+            else random_valid_torus(rng, t.d, steps=3, b_bound=3))
+
+
+def _verdict(t1, t2, kind):
+    return search_relation(t1, t2, kind, 2, node_budget=5000).verdict
+
+
+class TestVerdictsPropagate:
+    """Verdicts that must agree never come out one "found" and one "refuted"
+    (either may stay open: none within bound or undecided)."""
+
+    # An iso carries every relation with T3 across: T1 and its rebased copy T2
+    # get compatible verdicts against T3 for every kind.
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(KINDS), st.sampled_from(PARTNERS))
+    def test_iso_tori_get_compatible_verdicts(self, seed, kind, how):
+        rng = random.Random(seed)
+        t1 = random_valid_torus(rng, 1, steps=3, b_bound=3)
+        t2 = _rebased(t1, rng)
+        t3 = _partner(t1, rng, how)
+        assert {_verdict(t1, t3, kind), _verdict(t2, t3, kind)} != CONTRADICTION
+
+    # check-mirror T1 T2 and check-iso T1 mirror(T2) decide the same relation.
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(PARTNERS))
+    def test_mirror_agrees_with_iso_to_the_mirror(self, seed, how):
+        rng = random.Random(seed)
+        t1 = random_valid_torus(rng, 1, steps=3, b_bound=3)
+        t2 = _partner(t1, rng, how)
+        assert {_verdict(t1, t2, "mirror"),
+                _verdict(t1, _mirror(t2).mirror, "iso")} != CONTRADICTION
 
 
 class TestSpectrumFingerprint:
@@ -481,9 +554,10 @@ def _dense_f_gram(rows, n):
 
 
 class TestFGram:
-    # The Gram matrix summed over each row's nonzero entries equals the dense
-    # product on random iso, mirror and derived_eq lattices; t2 is t1
-    # rebased, its mirror or another random torus (the lattice may be empty).
+    # The shared Gram builder with R = q, summed over the nonzero entries of
+    # each basis row and of q, equals the dense product on random iso, mirror
+    # and derived_eq lattices; t2 is t1 rebased, its mirror or another random
+    # torus (the lattice may be empty).
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 32), st.sampled_from([1, 2]), st.sampled_from(KINDS),
            st.sampled_from(["rebased", "mirror", "random"]))
@@ -494,7 +568,8 @@ class TestFGram:
               _mirror(t1).mirror if partner == "mirror" else
               random_valid_torus(rng, d, steps=3, b_bound=3))
         rows = intertwiner_rows(t1, t2, kind)
-        assert _f_gram(rows, 4 * d) == _dense_f_gram(rows, 4 * d)
+        n = 4 * d
+        assert frobenius_gram(rows, n, split_pairing(n)) == _dense_f_gram(rows, n)
 
 
 class TestNarainWindow:

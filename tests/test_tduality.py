@@ -44,7 +44,7 @@ class TestFindSplitting:
         assert all(ok for _, ok in splitting_report(t, s))
         mr = mirror_via_tduality(t, s)
         assert all(ok for _, ok in mr.recovery_report)
-        assert verify_map(mr.duality_map).valid
+        assert verify_map(mr.duality_certificate.map).valid
 
     def test_complement_may_need_a_non_integral_shift(self):
         # omega pairs A = (e0, e1) with (e2, e3) through 2 id and has
@@ -88,7 +88,7 @@ class TestMirrorConstruction:
         assert mr.mirror.G == square1.G
         assert mr.mirror.B == square1.B
         swap = RatMatrix([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
-        assert mr.duality_map.g == swap
+        assert mr.duality_certificate.map.g == swap
         assert all(ok for _, ok in mr.recovery_report)
 
     def test_moduli_exchange_at_radius(self):
@@ -116,7 +116,7 @@ class TestMirrorConstruction:
         for t in tori:
             s = find_lagrangian_splitting(t)
             mr = mirror_via_tduality(t, s)
-            assert verify_map(mr.duality_map).valid
+            assert verify_map(mr.duality_certificate.map).valid
 
     def test_invalid_splitting_rejected(self, square2):
         bad = LagrangianSplitting.from_vectors(
@@ -131,7 +131,7 @@ class TestMirrorConstruction:
         mr = mirror_via_tduality(t, s)
         assert validate(mr.mirror).ok
         assert all(ok for _, ok in mr.recovery_report)
-        assert verify_map(mr.duality_map).valid
+        assert verify_map(mr.duality_certificate.map).valid
 
 
 class TestRebasing:
@@ -156,7 +156,7 @@ class TestRebasing:
                          rebased, t, "iso")
         assert verify_map(iso).valid
         mr = mirror_via_tduality(t, find_lagrangian_splitting(t))
-        composed = LatticeMap(mr.duality_map.g * iso.g, rebased, mr.mirror, "mirror")
+        composed = LatticeMap(mr.duality_certificate.map.g * iso.g, rebased, mr.mirror, "mirror")
         assert verify_map(composed).valid
 
 
