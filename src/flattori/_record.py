@@ -10,6 +10,9 @@ field whose name starts with ``_`` is stored but neither compared, hashed
 nor shown.  Instances keep a ``__dict__``, so ``functools.cached_property``
 caches on them, and ``__post_init__`` stores derived attributes with
 ``object.__setattr__``.
+
+Every check list of a report is a tuple of :class:`Check` records, and
+:func:`failures` names the failed ones.
 """
 
 
@@ -59,3 +62,17 @@ class Record:
     def __repr__(self):
         body = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._shown)
         return f"{type(self).__qualname__}({body})"
+
+
+class Check(Record):
+    """One named exact check of a report; ``detail`` says why, where a report
+    gives a reason."""
+
+    name: str
+    ok: bool
+    detail: str = ""
+
+
+def failures(checks):
+    """The names of the failed checks, in order."""
+    return [c.name for c in checks if not c.ok]

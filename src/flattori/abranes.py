@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from ._intlat import column_pivots
-from ._record import Record
+from ._record import Check, Record, failures
 from .errors import DimensionError, InconsistencyError, ValidationError
 from .exactlinear import QONE, QZERO, RatMatrix
 from .exterior import GAUSS_I, ExtElement, GaussRational, apply_linear, wedge
@@ -131,22 +131,20 @@ def coisotropy_witness(b: AffineBrane):
     return None
 
 
-class ConditionResult(Record):
-    name: str
-    ok: bool
-    detail: str = ""
-
-
 class AbraneReport(Record):
     conditions: tuple
-    accepted: bool
     k: int | None
     transverse_j: RatMatrix | None
     foliation: FoliationData | None
 
     @property
     def rejection(self):
-        return next((c.name for c in self.conditions if not c.ok), None)
+        bad = failures(self.conditions)
+        return bad[0] if bad else None
+
+    @property
+    def accepted(self) -> bool:
+        return self.rejection is None
 
 
 def check_abrane(b: AffineBrane) -> AbraneReport:
@@ -158,44 +156,44 @@ def check_abrane(b: AffineBrane) -> AbraneReport:
 
     witness = coisotropy_witness(b)
     if witness is not None:
-        conditions.append(ConditionResult(
+        conditions.append(Check(
             "coisotropic", False, f"witness {tuple(str(x) for x in witness)}"))
-        return AbraneReport(tuple(conditions), False, None, None, None)
-    conditions.append(ConditionResult("coisotropic", True))
+        return AbraneReport(tuple(conditions), None, None, None)
+    conditions.append(Check("coisotropic", True))
 
     if (r - d) % 2 != 0 or r < d:
-        conditions.append(ConditionResult(
+        conditions.append(Check(
             "dimension_law", False, f"dim Y = {r} is not n + 2k for n = {d}"))
-        return AbraneReport(tuple(conditions), False, None, None, None)
+        return AbraneReport(tuple(conditions), None, None, None)
     k = (r - d) // 2
-    conditions.append(ConditionResult("dimension_law", True, f"k = {k}"))
+    conditions.append(Check("dimension_law", True, f"k = {k}"))
 
     fol = _foliation(b)
     bad = [l for l in fol.l_basis
            if any(x != 0 for x in b.curvature.apply(l))]
     if bad:
-        conditions.append(ConditionResult(
+        conditions.append(Check(
             "curvature_annihilates_foliation", False,
             f"curvature does not annihilate leaf direction {tuple(str(x) for x in bad[0])}"))
-        return AbraneReport(tuple(conditions), False, None, None, fol)
-    conditions.append(ConditionResult("curvature_annihilates_foliation", True))
+        return AbraneReport(tuple(conditions), None, None, fol)
+    conditions.append(Check("curvature_annihilates_foliation", True))
 
     if fol.n_rank == 0:
-        conditions.append(ConditionResult("transverse_complex_structure", True,
-                                          "vacuous for a Lagrangian"))
-        return AbraneReport(tuple(conditions), True, k, None, fol)
+        conditions.append(Check("transverse_complex_structure", True,
+                                "vacuous for a Lagrangian"))
+        return AbraneReport(tuple(conditions), k, None, fol)
     try:
         j_n = fol.sigma.inverse() * fol.f
     except ZeroDivisionError:
-        conditions.append(ConditionResult(
+        conditions.append(Check(
             "transverse_complex_structure", False, "induced symplectic form degenerate"))
-        return AbraneReport(tuple(conditions), False, None, None, fol)
+        return AbraneReport(tuple(conditions), None, None, fol)
     if j_n * j_n != -RatMatrix.identity(fol.n_rank):
-        conditions.append(ConditionResult(
+        conditions.append(Check(
             "transverse_complex_structure", False, "(sigma^-1 f)^2 != -id"))
-        return AbraneReport(tuple(conditions), False, None, None, fol)
-    conditions.append(ConditionResult("transverse_complex_structure", True))
-    return AbraneReport(tuple(conditions), True, k, j_n, fol)
+        return AbraneReport(tuple(conditions), None, None, fol)
+    conditions.append(Check("transverse_complex_structure", True))
+    return AbraneReport(tuple(conditions), k, j_n, fol)
 
 
 class WedgePowerReport(Record):
@@ -223,11 +221,10 @@ def wedge_characterization(b: AffineBrane) -> WedgePowerReport:
         raise ValidationError("wedge characterization needs conditions (i)-(ii) to hold")
     fol = report.foliation
     k = (b.r - b.torus.d) // 2
-    n_rank = max(fol.n_rank, 1)
     powers_vanish = []
     if fol.n_rank:
         phi = ExtElement.two_form(fol.f) + ExtElement.two_form(fol.sigma).scale(GAUSS_I)
-        current = ExtElement.scalar(n_rank, GaussRational(1))
+        current = ExtElement.scalar(fol.n_rank, GaussRational(1))
         for rr in range(1, fol.n_rank // 2 + 2):
             current = wedge(current, phi)
             if not current:

@@ -4,8 +4,9 @@ Reports are deterministic (sorted keys, no timestamps) and always carry the
 fields ``command``, ``inputs``, ``result``, and ``paper_ref`` (a stable
 identifier of the mathematical claim the command decides).  Exit codes:
 0 for success/true/found, 1 for refuted/false/none-within-bound/undecided
-(a search that spent its node budget), 2 for input errors (malformed JSON
-among them, and ``mirror`` given one path for both output files).
+(a search that spent its node budget) and for a mirror recovery that failed
+(``mirror`` and ``fm``), 2 for input errors (malformed JSON among them, and
+``mirror`` given one path for both output files).
 Diagnostics go to stderr.
 
 Each command imports only the layers it runs.  Start-up loads ``jsonio``,
@@ -28,6 +29,7 @@ from functools import partial
 from math import comb
 
 from . import jsonio
+from ._record import failures
 from .errors import FlatToriError, RecoveryError, SchemaError, ValidationError
 from .exactlinear import rat_str
 from .torus import BLOCK_CONVENTION, doubled, narain_form, omega, require_valid, validate
@@ -98,10 +100,10 @@ def parse_splitting(text, n):
 
 def _cmd_validate(args, cfg):
     t = jsonio.load_torus(args.torus)
-    report = validate(t)
-    result = {"ok": report.ok,
-              "checks": [{"name": c.name, "ok": c.ok} for c in report.checks]}
-    return _emit(args, {"torus": jsonio.torus_to_json(t)}, result, 0 if report.ok else 1)
+    checks = validate(t)
+    ok = not failures(checks)
+    result = {"ok": ok, "checks": jsonio.checks_to_json(checks)}
+    return _emit(args, {"torus": jsonio.torus_to_json(t)}, result, 0 if ok else 1)
 
 
 def _cmd_doubled(args, cfg):
@@ -165,7 +167,7 @@ def _cmd_verify_map(args, cfg):
     result = {"valid": cert.valid,
               "certificate": jsonio.certificate_to_json(cert)}
     if not cert.valid:
-        result["refuting_check"] = cert.first_failure
+        result["refuting_check"] = failures(cert.checks)[0]
     return _emit(args, {"map": args.map, "kind": m.kind}, result, 0 if cert.valid else 1)
 
 
@@ -183,18 +185,23 @@ def _cmd_mirror(args, cfg):
         inputs["split"] = {"A": [list(v) for v in s.a_basis], "B": [list(v) for v in s.b_basis]}
         mr = tduality.mirror_via_tduality(t, s)
     except RecoveryError as exc:
-        return _emit(args, inputs,
-                     {"found": False, "verdict": "recovery failed", "block": exc.block}, 1)
+        return _recovery_failed(args, inputs, exc)
     result = {
         "found": True,
         "mirror": jsonio.torus_to_json(mr.mirror),
         "certificate": jsonio.certificate_to_json(mr.duality_certificate),
-        "recovery_report": [{"name": n, "ok": ok} for n, ok in mr.recovery_report],
+        "recovery_report": jsonio.checks_to_json(mr.recovery_report),
     }
     _write_json_files([(path, data, flag) for path, data, flag in (
         (args.out_torus, result["mirror"], "--out-torus"),
         (args.out_cert, result["certificate"], "--out-cert")) if path])
     return _emit(args, inputs, result, 0)
+
+
+def _recovery_failed(args, inputs, exc):
+    """The report of a mirror whose recovery failed at ``exc.block``; exit 1."""
+    result = {"found": False, "verdict": "recovery failed", "block": exc.block}
+    return _emit(args, inputs, result, 1)
 
 
 def _write_json_files(outputs):
@@ -260,11 +267,14 @@ def _cmd_fm(args, cfg):
     data = jsonio.load_json(args.cls)
     element = jsonio.class_from_json(data, t.rank)
     alpha = cohomology.CohClass(t, element)
-    image = cohomology.fm_transform(s, alpha)
-    result = {"image": jsonio.class_to_json(image.element),
-              "mirror": jsonio.torus_to_json(image.torus)}
     inputs = {"torus": jsonio.torus_to_json(t), "class": jsonio.class_to_json(element),
               "split": args.split}
+    try:
+        image = cohomology.fm_transform(s, alpha)
+    except RecoveryError as exc:
+        return _recovery_failed(args, inputs, exc)
+    result = {"image": jsonio.class_to_json(image.element),
+              "mirror": jsonio.torus_to_json(image.torus)}
     return _emit(args, inputs, result, 0)
 
 

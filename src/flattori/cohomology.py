@@ -172,20 +172,10 @@ def fm_transform(s: LagrangianSplitting, alpha: CohClass) -> CohClass:
     pairing = ExtElement(ambient, {(i, d + i): 1 for i in range(d)})
     total = wedge(embedded, exp_grade2(pairing))
 
+    # the A-duals 0..d-1 sort first in every term, so the left A-volume costs no sign
     a_set = tuple(range(d))
-    out_terms = {}
-    for idx, c in total.terms.items():
-        if not set(a_set) <= set(idx):
-            continue
-        sign = 0
-        seen_other = 0
-        for i in idx:
-            if i < d:
-                sign += seen_other
-            else:
-                seen_other += 1
-        rest = tuple(i - d for i in idx if i >= d)
-        out_terms[rest] = c if sign % 2 == 0 else -c
+    out_terms = {tuple(i - d for i in idx[d:]): c
+                 for idx, c in total.terms.items() if idx[:d] == a_set}
     return CohClass(mirror, ExtElement(n, out_terms))
 
 

@@ -36,7 +36,7 @@ from operator import mul
 
 from . import kernels
 from ._intlat import integral_coordinate_lattice, pair_reduce
-from ._record import Record
+from ._record import Check, Record
 from .errors import DimensionError, ValidationError
 from .exactlinear import RatMatrix, cleared
 from .kernels_py import completed_height, frobenius_gram, split_pairing
@@ -77,11 +77,6 @@ class LatticeMap(Record):
             raise ValidationError("lattice map is not unimodular")
 
 
-class MapCheck(Record):
-    name: str
-    ok: bool
-
-
 class Certificate(Record):
     """Outcome of verify_map: named exact matrix equalities, all or nothing."""
 
@@ -92,26 +87,22 @@ class Certificate(Record):
     def valid(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    @property
-    def first_failure(self):
-        return next((c.name for c in self.checks if not c.ok), None)
-
 
 def verify_map(m: LatticeMap) -> Certificate:
     """Check every defining equality of the declared kind, exactly.
 
     The checks run in the contract order (q-congruence first, then the
-    structure intertwinings); ``first_failure`` names the refuting equality.
+    structure intertwinings); the first failed check names the refuting equality.
     Non-unimodular maps cannot be constructed in the first place, so a
     precondition violation surfaces before any check runs.
     """
     d1 = doubled(m.source)
     d2 = doubled(m.target)
-    checks = [MapCheck("preserves_q", m.g.transpose() * d2.q * m.g == d1.q)]
+    checks = [Check("preserves_q", m.g.transpose() * d2.q * m.g == d1.q)]
     for name, src_attr, tgt_attr in RELATIONS[m.kind]:
         lhs = m.g * getattr(d1, src_attr)
         rhs = getattr(d2, tgt_attr) * m.g
-        checks.append(MapCheck(name, lhs == rhs))
+        checks.append(Check(name, lhs == rhs))
     return Certificate(m, tuple(checks))
 
 

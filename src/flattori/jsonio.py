@@ -169,12 +169,16 @@ def load_brane(path: str) -> AffineBrane:
                            pointer=os.path.basename(path))
 
 
+def checks_to_json(checks):
+    return [{"name": c.name, "ok": c.ok} for c in checks]
+
+
 def certificate_to_json(cert: Certificate):
     return {
         "kind": cert.map.kind,
         "g": [[int(e) for e in row] for row in cert.map.g.entries],
         "det": int(cert.map.g.det()),
-        "checks": [{"name": c.name, "ok": c.ok} for c in cert.checks],
+        "checks": checks_to_json(cert.checks),
     }
 
 

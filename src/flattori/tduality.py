@@ -17,7 +17,7 @@ from itertools import combinations
 from operator import mul
 
 from ._intlat import column_pivots, integer_kernel, spans_direct_summand
-from ._record import Record
+from ._record import Check, Record, failures
 from .equivalence import Certificate, LatticeMap, verify_map
 from .errors import RecoveryError, ValidationError
 from .exactlinear import QZERO, RatMatrix, cleared
@@ -45,23 +45,23 @@ class LagrangianSplitting(Record):
 
 
 def splitting_report(t: TorusData, s: LagrangianSplitting):
-    """Validity checks of a splitting for a given torus."""
+    """Validity checks of a splitting for a given torus, one :class:`Check` each."""
     n = t.rank
     checks = []
     shape_ok = (len(s.a_basis) == t.d and len(s.b_basis) == t.d
                 and all(len(v) == n for v in s.a_basis + s.b_basis))
-    checks.append(("shape", shape_ok))
+    checks.append(Check("shape", shape_ok))
     if not shape_ok:
         return checks
-    checks.append(("unimodular", spans_direct_summand(s.a_basis + s.b_basis)))
+    checks.append(Check("unimodular", spans_direct_summand(s.a_basis + s.b_basis)))
     _, w = cleared(omega(t))  # a positive multiple keeps every isotropy question
 
     def isotropic(vectors):
         return all(sum(map(mul, u, _image(w, v))) == 0
                    for i, u in enumerate(vectors) for v in vectors[i + 1:])
 
-    checks.append(("A_isotropic", isotropic(s.a_basis)))
-    checks.append(("B_isotropic", isotropic(s.b_basis)))
+    checks.append(Check("A_isotropic", isotropic(s.a_basis)))
+    checks.append(Check("B_isotropic", isotropic(s.b_basis)))
     return checks
 
 
@@ -71,7 +71,7 @@ def _image(w, v):
 
 
 def require_splitting(t: TorusData, s: LagrangianSplitting):
-    bad = [name for name, ok in splitting_report(t, s) if not ok]
+    bad = failures(splitting_report(t, s))
     if bad:
         raise ValidationError(f"invalid Lagrangian splitting: {', '.join(bad)}")
 
@@ -199,7 +199,7 @@ def mirror_via_tduality(t: TorusData, s: LagrangianSplitting) -> MirrorResult:
     report = []
 
     def check(name, ok):
-        report.append((name, ok))
+        report.append(Check(name, ok))
         if not ok:
             raise RecoveryError(f"mirror recovery failed at {name}", block=name)
 
@@ -219,7 +219,7 @@ def mirror_via_tduality(t: TorusData, s: LagrangianSplitting) -> MirrorResult:
     check("B_skew", b_new.is_skew())
     mirror = TorusData(d=d, I=i_new, G=g_new, B=b_new,
                        label=f"{t.label}|mirror" if t.label else "mirror")
-    check("mirror_validates", mirror.validation.ok)
+    check("mirror_validates", not failures(mirror.validation))
     ds_mirror = doubled(mirror)
     check("calI_resubstitutes", ds_mirror.calI == cal_i_new)
     check("calJ_resubstitutes", ds_mirror.calJ == cal_j_new)

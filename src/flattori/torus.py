@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
-from ._record import Record
+from ._record import Check, Record, failures
 from .errors import DimensionError, ValidationError
 from .exactlinear import Q, QZERO, RatMatrix
 
@@ -54,11 +55,12 @@ class TorusData(Record):
     # Derived data: each is computed on first use and cached on the instance
     # (cached_property writes the instance dict, which a Record keeps and
     # does not guard), so a torus is validated, has G inverted and has its
-    # doubled structures built at most once.  Everything past ``validation`` requires
-    # valid data and raises the ValidationError of :func:`require_valid`.
+    # Kaehler form, Narain form and doubled structures built at most once.
+    # Everything past ``validation`` requires valid data and raises the
+    # ValidationError of :func:`require_valid`.
 
     @cached_property
-    def validation(self) -> ValidationReport:
+    def validation(self) -> tuple:
         return validate(self)
 
     @cached_property
@@ -67,31 +69,15 @@ class TorusData(Record):
         return self.G.inverse()
 
     @cached_property
-    def momentum_maps(self):
-        """``(M_p, M_pbar) = ([-(B+G) | 1], [G-B | 1])``.
-
-        ``p = M_p gamma`` and ``pbar = M_pbar gamma`` for a charge gamma in
-        winding-then-momentum order.
-        """
-        require_valid(self)
-        ident = RatMatrix.identity(self.rank)
-        return (RatMatrix.from_blocks([[-(self.B + self.G), ident]]),
-                RatMatrix.from_blocks([[self.G - self.B, ident]]))
-
-    @cached_property
-    def half_norm_forms(self):
-        """``M^t G^-1 M / 2`` for each momentum map: ``p^2/2``, ``pbar^2/2`` as forms on charges."""
-        return tuple((m.transpose() * self.ginv * m).scale(HALF) for m in self.momentum_maps)
-
-    @cached_property
     def _omega(self) -> RatMatrix:
         require_valid(self)
         return self.G * self.I
 
     @cached_property
     def _narain(self) -> RatMatrix:
-        p_form, pbar_form = self.half_norm_forms
-        return p_form + pbar_form
+        ginv, B = self.ginv, self.B
+        bg = B * ginv
+        return RatMatrix.from_blocks([[self.G - bg * B, bg], [-(ginv * B), ginv]])
 
     @cached_property
     def _doubled(self) -> DoubledStructure:
@@ -110,40 +96,23 @@ class TorusData(Record):
         return DoubledStructure(q_matrix(self.d), cal_i, cal_j, cal_it)
 
 
-class ValidationCheck(Record):
-    name: str
-    ok: bool
-
-
-class ValidationReport(Record):
-    checks: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self):
-        return [c.name for c in self.checks if not c.ok]
-
-
-def validate(t: TorusData) -> ValidationReport:
-    """Check the structural invariants of a torus, one report line each."""
+def validate(t: TorusData) -> tuple:
+    """Check the structural invariants of a torus, one :class:`Check` each."""
     n = t.rank
     ident = RatMatrix.identity(n)
-    checks = (
-        ValidationCheck("I_squares_to_minus_id", t.I * t.I == -ident),
-        ValidationCheck("G_symmetric", t.G.is_symmetric()),
-        ValidationCheck("G_positive_definite", t.G.is_symmetric() and t.G.is_positive_definite()),
-        ValidationCheck("G_hermitian_for_I", t.I.transpose() * t.G * t.I == t.G),
-        ValidationCheck("B_skew", t.B.is_skew()),
+    return (
+        Check("I_squares_to_minus_id", t.I * t.I == -ident),
+        Check("G_symmetric", t.G.is_symmetric()),
+        Check("G_positive_definite", t.G.is_symmetric() and t.G.is_positive_definite()),
+        Check("G_hermitian_for_I", t.I.transpose() * t.G * t.I == t.G),
+        Check("B_skew", t.B.is_skew()),
     )
-    return ValidationReport(checks)
 
 
 def require_valid(t: TorusData) -> None:
-    report = t.validation
-    if not report.ok:
-        raise ValidationError(f"invalid torus {t.label!r}: {', '.join(report.failures())}")
+    bad = failures(t.validation)
+    if bad:
+        raise ValidationError(f"invalid torus {t.label!r}: {', '.join(bad)}")
 
 
 def omega(t: TorusData) -> RatMatrix:
@@ -193,9 +162,6 @@ class ChargeVector(Record):
         if len(self.w) != len(self.m):
             raise DimensionError("winding and momentum lengths differ")
 
-    def coords(self):
-        return self.w + self.m
-
 
 class ZeroModes(Record):
     """The sqrt(2)-rescaled zero-mode momenta and their half-norms.
@@ -215,10 +181,10 @@ def zero_mode_momenta(t: TorusData, c: ChargeVector) -> ZeroModes:
     require_valid(t)
     if len(c.w) != t.rank:
         raise DimensionError("charge vector length does not match torus rank")
-    gamma = c.coords()
-    p, pbar = (m.apply(gamma) for m in t.momentum_maps)
-    p2_half, pbar2_half = (sum(x * y for x, y in zip(gamma, form.apply(gamma)))
-                           for form in t.half_norm_forms)
+    bw, gw = t.B.apply(c.w), t.G.apply(c.w)
+    p = tuple(m - b - g for m, b, g in zip(c.m, bw, gw))
+    pbar = tuple(m + g - b for m, b, g in zip(c.m, bw, gw))
+    p2_half, pbar2_half = (HALF * sum(map(mul, v, t.ginv.apply(v))) for v in (p, pbar))
     return ZeroModes(p, pbar, p2_half, pbar2_half)
 
 
@@ -229,8 +195,7 @@ def q_value(c: ChargeVector) -> Fraction:
 def narain_form(t: TorusData) -> RatMatrix:
     """The positive form with ``gamma^t N gamma = p^2/2 + pbar^2/2``.
 
-    The sum of the two half-norm forms; in blocks,
-    ``[[G - B G^-1 B, B G^-1], [-G^-1 B, G^-1]]``.
+    Built from its blocks, ``[[G - B G^-1 B, B G^-1], [-G^-1 B, G^-1]]``.
     """
     return t._narain
 

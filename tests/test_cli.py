@@ -362,7 +362,7 @@ class TestSearchCommands:
         assert report(out)["result"] == {
             "found": False, "verdict": "refuted", "nodes": 5 ** 4 - 1, "refuted_by": REFUTED_BY}
 
-    def test_check_derived_eq_refuted_mod_2(self, capsys, square_file, stretched_file):
+    def test_check_derived_eq_refuted_tau_2i(self, capsys, square_file, stretched_file):
         # the derived_eq intertwiner lattices of tau = i and tau = 2i are not
         # isometric, so the pair is refuted before the scan starts
         code, out, _ = run(capsys, "check-derived-eq", square_file, stretched_file)
@@ -371,9 +371,9 @@ class TestSearchCommands:
             "found": False, "verdict": "refuted", "nodes": 0,
             "refuted_by": LATTICE_REFUTED_BY + "(8, 256), (8, 65536), (8, 65536)"}
 
-    def test_check_derived_eq_odd_index_stays_open(self, capsys, square_file, torus_file):
-        # tau = 3i is not obstructed mod 2, but its lattices separate it from
-        # tau = i: det 256 * 3^8 against 256
+    def test_check_derived_eq_refuted_tau_3i(self, capsys, square_file, torus_file):
+        # tau = 3i is refuted like tau = 2i: its lattices separate it from
+        # tau = i, det 256 * 3^8 against 256
         code, out, _ = run(capsys, "check-derived-eq", square_file,
                            torus_file(STRETCHED3, "stretched3.json"))
         assert code == 1
@@ -381,7 +381,7 @@ class TestSearchCommands:
             "found": False, "verdict": "refuted", "nodes": 0,
             "refuted_by": LATTICE_REFUTED_BY + "(8, 256), (8, 1679616), (8, 1679616)"}
 
-    def test_small_budget_skips_the_walk(self, capsys, torus_file):
+    def test_small_budget_ends_undecided(self, capsys, torus_file):
         # the lattices of open1 and open2 agree at (8, 429981696), so the scan
         # runs and spends its budget of 100 nodes
         code, out, err = run(capsys, "check-derived-eq", torus_file(OPEN1, "open1.json"),
@@ -600,6 +600,30 @@ class TestCohomologyCommands:
         assert code == 0
         image = report(out)["result"]["image"]
         assert image["grade_terms"] == [{"indices": [0], "coeff": "1"}]
+
+    def test_fm_reports_a_failed_recovery_like_mirror(self, capsys, tmp_path, square2,
+                                                      torus_file):
+        # A = (e0, e2) is omega-isotropic but B(e0, e2) = 1: both commands
+        # report the block recovery failed at as a verdict, exit 1
+        b = RatMatrix([[0, 0, 1, 0], [0, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0]])
+        t = TorusData(2, square2.I, square2.G, b, "b_on_a")
+        source = torus_file(t, "b_on_a.json")
+        split = "1,0,0,0;0,0,1,0|0,1,0,0;0,0,0,1"
+        cls = tmp_path / "one.json"
+        cls.write_text(json.dumps({"grade_terms": [{"indices": [], "coeff": "1"}]}))
+        failed = {"found": False, "verdict": "recovery failed",
+                  "block": "calI_upper_right_vanishes"}
+        code, out, err = run(capsys, "mirror", "--torus", source, "--split", split)
+        assert (code, err) == (1, "")
+        assert report(out)["result"] == failed
+        code, out, err = run(capsys, "fm", "--torus", source, "--split", split,
+                             "--class", str(cls))
+        assert (code, err) == (1, "")
+        data = report(out)
+        assert data["result"] == failed
+        assert data["inputs"] == {"torus": jsonio.torus_to_json(t), "split": split,
+                                  "class": {"base_rank": 4, "grade_terms": [
+                                      {"indices": [], "coeff": "1"}]}}
 
     def test_check_mirror_class(self, capsys, tmp_path, square2_file):
         good = tmp_path / "good.json"

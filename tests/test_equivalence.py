@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from flattori._intlat import (integer_kernel, integral_coordinate_lattice,
                               spans_direct_summand)
+from flattori._record import failures
 from flattori.equivalence import (DEFAULT_NODE_BUDGET, KINDS, LATTICE_ISOMETRY, RELATIONS,
                                   LatticeMap, _constraint_rows, _ellipsoid_radii,
                                   _lattice_class, intertwiner_rows, intertwiner_space,
@@ -44,7 +45,7 @@ class TestVerifyMap:
         assert not cert.valid
         # both structure intertwinings fail; the first named is calI
         # (checks run in the contract order q, calI, calJ)
-        assert cert.first_failure == "intertwines_calI"
+        assert failures(cert.checks)[0] == "intertwines_calI"
 
     def test_non_unimodular_rejected(self, square1):
         with pytest.raises(ValidationError):

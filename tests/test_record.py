@@ -5,11 +5,19 @@ from fractions import Fraction
 import pytest
 
 from flattori import torus
-from flattori.equivalence import MapCheck, SearchOutcome
+from flattori._record import Check, Record, failures
+from flattori.equivalence import SearchOutcome
 from flattori.errors import DimensionError
 from flattori.exactlinear import RatMatrix
 from flattori.fock import TruncatedFock, build_oscillator
-from flattori.torus import TorusData, ValidationCheck, square_torus
+from flattori.torus import TorusData, square_torus
+
+
+class _Twin(Record):
+    # the fields of Check under another class
+    name: str
+    ok: bool
+    detail: str = ""
 
 
 @pytest.fixture
@@ -40,12 +48,12 @@ class TestEqualityAndHash:
         b = SearchOutcome(verdict="refuted", nodes_used=0, refuted_by="x")
         assert a == b and hash(a) == hash(b)
         assert a != SearchOutcome("refuted", 1, refuted_by="x")
-        assert len({MapCheck("q", True), MapCheck("q", True), MapCheck("q", False)}) == 2
+        assert len({Check("q", True), Check("q", True), Check("q", False)}) == 2
 
     def test_other_types_are_not_compared(self):
-        check = MapCheck("q", True)
-        assert check.__eq__(ValidationCheck("q", True)) is NotImplemented
-        assert check != ValidationCheck("q", True)
+        check = Check("q", True)
+        assert check.__eq__(_Twin("q", True)) is NotImplemented
+        assert check != _Twin("q", True)
         assert check.__eq__(("q", True)) is NotImplemented
 
     def test_oscillator_column_function_is_not_compared(self, space):
@@ -59,7 +67,8 @@ class TestEqualityAndHash:
 
 class TestRepr:
     def test_fields_in_order(self):
-        assert repr(MapCheck("preserves_q", True)) == "MapCheck(name='preserves_q', ok=True)"
+        assert repr(Check("preserves_q", True)) == (
+            "Check(name='preserves_q', ok=True, detail='')")
         assert repr(SearchOutcome("undecided", 5, last_complete_height=1)) == (
             "SearchOutcome(verdict='undecided', nodes_used=5, certificate=None, "
             "last_complete_height=1, refuted_by=None)")
@@ -84,18 +93,24 @@ class TestConstruction:
     @pytest.mark.parametrize("args, kwargs", [
         (("q",), {}),
         (("q", True), {"extra": 1}),
-        (("q", True, 3), {}),
+        (("q", True, "", 3), {}),
         (("q",), {"name": "r"}),
         ((), {"ok": True}),
     ])
     def test_missing_unknown_or_repeated_fields_raise(self, args, kwargs):
         with pytest.raises(TypeError):
-            MapCheck(*args, **kwargs)
+            Check(*args, **kwargs)
 
     def test_post_init_still_checks(self):
         t = square_torus(1)
         with pytest.raises(DimensionError):
             TorusData(2, t.I, t.G, t.B)
+
+
+def test_failures_are_named_in_order():
+    checks = (Check("a", True), Check("b", False, "why"), Check("c", True), Check("d", False))
+    assert failures(checks) == ["b", "d"]
+    assert failures(checks[:1]) == [] and failures(()) == []
 
 
 def test_validation_is_computed_once(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flattori._record import failures
 from flattori.errors import DimensionError, ValidationError
 from flattori.exactlinear import Q, RatMatrix
 from flattori.torus import (ChargeVector, TorusData, doubled, narain_form,
@@ -16,26 +17,25 @@ from flattori.torus import (ChargeVector, TorusData, doubled, narain_form,
 
 class TestValidate:
     def test_square_torus_passes(self, square1):
-        assert validate(square1).ok
+        assert not failures(validate(square1))
 
     def test_identity_complex_structure_fails(self):
         t = TorusData(1, RatMatrix.identity(2), RatMatrix.identity(2),
                       RatMatrix.zero(2, 2))
-        rep = validate(t)
-        assert not rep.ok
-        assert "I_squares_to_minus_id" in rep.failures()
+        bad = failures(validate(t))
+        assert bad
+        assert "I_squares_to_minus_id" in bad
 
     def test_indefinite_metric_fails(self):
         t = TorusData(1, standard_complex_structure(1), RatMatrix.diag([1, -1]),
                       RatMatrix.zero(2, 2))
-        rep = validate(t)
-        assert "G_positive_definite" in rep.failures()
+        assert "G_positive_definite" in failures(validate(t))
 
     def test_incompatible_metric_fails(self):
         # diag(2,1) is not Kaehler for the standard rotation
         t = TorusData(1, standard_complex_structure(1), RatMatrix.diag([2, 1]),
                       RatMatrix.zero(2, 2))
-        assert "G_hermitian_for_I" in validate(t).failures()
+        assert "G_hermitian_for_I" in failures(validate(t))
 
     def test_dimension_mismatch_is_structural(self):
         with pytest.raises(DimensionError):
@@ -78,7 +78,7 @@ class TestDoubled:
         i2 = RatMatrix([[1, -1], [2, -1]])
         g2 = RatMatrix([[2, -1], [-1, 1]])
         t2 = TorusData(1, i2, g2, square1.B)
-        assert validate(t2).ok
+        assert not failures(validate(t2))
         assert omega(t2) == omega(square1)
         assert t2.G != square1.G
         assert doubled(t2).calJ == doubled(square1).calJ
@@ -99,7 +99,7 @@ class TestDoubled:
         # B = e1*^e3* - e2*^e4* has a nonzero (0,2) part on the square abelian surface
         b = RatMatrix([[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]])
         t = TorusData(2, square2.I, square2.G, b)
-        assert validate(t).ok
+        assert not failures(validate(t))
         ds = doubled(t)
         assert ds.calI != ds.calItilde
 
@@ -163,8 +163,8 @@ class TestNarainForm:
 
     def test_equals_minus_q_calI_calJ(self, rng):
         # cross-check of two independent constructions: the positive form
-        # assembled from the zero-mode formulas equals -q calI calJ built
-        # from the block formulas
+        # from its own block formula equals -q calI calJ built from the
+        # block formulas of the doubled structures
         from flattori.torus import doubled, q_matrix, random_valid_torus
         for _ in range(12):
             d = rng.choice((1, 2, 3))
