@@ -6,7 +6,8 @@ the intertwining constraints is the integer kernel of the constraint rows, as
 the caller built them, and is then size-reduced so that natural
 certificates tend to have small, sparse coordinates.  Everything here is
 integer arithmetic; one column reduction (:func:`column_pivots`) answers every
-rank, kernel and primitivity question, and the size reduction
+rank, kernel and primitivity question, :func:`integer_det` takes
+determinants without fractions, and the size reduction
 (:func:`pair_reduce`) keeps the Gram matrix of its basis, so a reduction step
 reads its inner products instead of recomputing them.
 """
@@ -24,43 +25,74 @@ def column_pivots(work, trans=()):
     zeros to its right, and every column past the last pivot ends up zero,
     so the number of pivots is the rank.  Each operation is mirrored on the
     rows of ``trans`` (an identity matrix there accumulates the transform).
+    A row already reduced is zero from the current pivot column on, and the
+    operations only touch those columns, so they skip it.
     """
-    rows = [*work, *trans]
     n = len(work[0]) if work else 0
-
-    def addmul_col(dst, src, f):
-        for row in rows:
-            row[dst] += f * row[src]
-
-    def swap_col(a, b):
-        for row in rows:
-            row[a], row[b] = row[b], row[a]
-
     pivots = []
-    for row in work:
+    for r, row in enumerate(work):
         c = len(pivots)
         if c == n:
             break
-        # find a column with a nonzero entry in this row at position >= c
-        nz = [j for j in range(c, n) if row[j] != 0]
+        live = [*work[r:], *trans]
+        nz = [j for j, x in enumerate(row[c:], c) if x]
         if not nz:
             continue
-        # gcd-reduce the nonzero entries of the row into column c
-        j0 = min(nz, key=lambda j: abs(row[j]))
-        swap_col(c, j0)
-        while True:
-            nz = [j for j in range(c + 1, n) if row[j] != 0]
-            if not nz:
-                break
-            for j in nz:
-                q = row[j] // row[c]
-                addmul_col(j, c, -q)
-            nz = [j for j in range(c + 1, n) if row[j] != 0]
-            if nz:
-                j0 = min(nz, key=lambda j: abs(row[j]))
-                swap_col(c, j0)
+        while nz:
+            # swap the smallest nonzero entry into column c, then reduce the
+            # entries to its right by it
+            j0 = min(nz, key=lambda j: abs(row[j]))
+            for x in live:
+                x[c], x[j0] = x[j0], x[c]
+            quotients = [(j, row[j] // row[c]) for j, x in enumerate(row[c + 1:], c + 1) if x]
+            for x in live:
+                v = x[c]
+                if v:
+                    for j, q in quotients:
+                        x[j] -= q * v
+            nz = [j for j, x in enumerate(row[c + 1:], c + 1) if x]
         pivots.append(row[c])
     return pivots
+
+
+def integer_det(rows):
+    """Determinant of a square integer matrix by fraction-free elimination.
+
+    Bareiss (Math. Comp. 22, 1968): step k turns each later row x into
+    ``(x p_k - x_k r_k) / p_(k-1)``, r_k the pivot row and p_k its pivot,
+    and every division is exact.  A row whose entry in column k is zero is
+    only scaled by ``p_k / p_(k-1)``, and those factors telescope, so such a
+    row is left alone: ``base[i]`` is the pivot of the last step that
+    changed row i, its true entries are the stored ones times
+    ``prev / base[i]``, and the next step that changes it divides by
+    ``base[i]`` instead of ``prev``.  Sparse Gram matrices then cost far
+    less than a full sweep of every row per step.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    base = [1] * n
+    sign, prev = 1, 1
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            base[k], base[swap] = base[swap], base[k]
+            sign = -sign
+        top = a[k][k:]
+        if base[k] != prev:
+            top = [x * prev // base[k] for x in top]
+        pivot, tail = top[0], top[1:]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
+            if f:
+                b = base[i]
+                row[k + 1:] = [(x * pivot - f * y) // b for x, y in zip(row[k + 1:], tail)]
+                base[i] = pivot
+        prev = pivot
+    return sign * prev
 
 
 def spans_direct_summand(vectors):

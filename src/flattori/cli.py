@@ -182,7 +182,7 @@ def _cmd_mirror(args, cfg):
     try:
         s = (parse_splitting(args.split, t.rank) if args.split
              else tduality.find_lagrangian_splitting(t))
-        inputs["split"] = {"A": [list(v) for v in s.a_basis], "B": [list(v) for v in s.b_basis]}
+        inputs["split"] = _split_json(s)
         mr = tduality.mirror_via_tduality(t, s)
     except RecoveryError as exc:
         return _recovery_failed(args, inputs, exc)
@@ -196,6 +196,11 @@ def _cmd_mirror(args, cfg):
         (args.out_torus, result["mirror"], "--out-torus"),
         (args.out_cert, result["certificate"], "--out-cert")) if path])
     return _emit(args, inputs, result, 0)
+
+
+def _split_json(s):
+    """A splitting as a report echoes it, parsed or found: its two halves' vectors."""
+    return {"A": [list(v) for v in s.a_basis], "B": [list(v) for v in s.b_basis]}
 
 
 def _recovery_failed(args, inputs, exc):
@@ -268,7 +273,7 @@ def _cmd_fm(args, cfg):
     element = jsonio.class_from_json(data, t.rank)
     alpha = cohomology.CohClass(t, element)
     inputs = {"torus": jsonio.torus_to_json(t), "class": jsonio.class_to_json(element),
-              "split": args.split}
+              "split": _split_json(s)}
     try:
         image = cohomology.fm_transform(s, alpha)
     except RecoveryError as exc:
@@ -360,7 +365,7 @@ def _cmd_fock_verify(args, cfg):
     fails = sum(1 for r in rows if r["status"] == "fail")
     passes = sum(1 for r in rows if r["status"] == "pass")
     inconclusive = sum(1 for r in rows if r["status"] == "inconclusive")
-    result = {"d": d, "cap": str(cap), "basis_dimension": len(space.basis),
+    result = {"d": d, "cap": str(cap), "basis_dimension": space.basis_dimension,
               "pass": passes, "fail": fails, "inconclusive": inconclusive,
               "checks": rows}
     inputs.update(d=d, cap=str(cap))

@@ -42,10 +42,11 @@ class TruncatedFock(Record):
     """Deterministic monomial basis of the truncated oscillator space.
 
     Levels are counted in halves, as ints: a monomial fits when twice its
-    level is at most ``floor(2 cap)``.  Besides its variable tuples, each
-    basis monomial is kept as its key: the tuples of the ranks of its even
-    and of its odd variables, each family of variables taken in sorted
-    order.  The oscillator columns are built on these keys.
+    level is at most ``floor(2 cap)``.  The variables are ranked in tuple
+    order, the even ones first, and each basis monomial is kept as its key:
+    the sorted tuple of the ranks of its variables.  The oscillator columns
+    are built on these keys; the variable tuples of :attr:`basis` are built
+    from them only when read.  The space holds no operators.
     """
 
     d: int
@@ -61,36 +62,47 @@ class TruncatedFock(Record):
         cap = Fraction(self.level_cap)
         object.__setattr__(self, "level_cap", cap)
         cap2 = math.floor(2 * cap)
-        even_vars, even_twice = _sorted_vars(EVEN_FAMILIES, range(2, cap2 + 1, 2), n)
+        variables, twice_levels = _sorted_vars(EVEN_FAMILIES, range(2, cap2 + 1, 2), n)
+        n_even = len(variables)
         odd_vars, odd_twice = _sorted_vars(ODD_FAMILIES, range(1, cap2 + 1, 2), n)
+        variables += odd_vars
+        twice_levels += odd_twice
         found = []
 
         def extend_odd(pos, even, odd, twice):
             found.append((twice, even, odd))
-            for r in range(pos, len(odd_vars)):
-                if twice + odd_twice[r] <= cap2:
-                    extend_odd(r + 1, even, odd + (r,), twice + odd_twice[r])
+            for r in range(pos, len(variables)):
+                if twice + twice_levels[r] <= cap2:
+                    extend_odd(r + 1, even, odd + (r,), twice + twice_levels[r])
 
         def extend_even(pos, even, twice):
-            extend_odd(0, even, (), twice)
-            for r in range(pos, len(even_vars)):
-                if twice + even_twice[r] <= cap2:
-                    extend_even(r, even + (r,), twice + even_twice[r])  # repetition allowed
+            extend_odd(n_even, even, (), twice)
+            for r in range(pos, n_even):
+                if twice + twice_levels[r] <= cap2:
+                    extend_even(r, even + (r,), twice + twice_levels[r])  # repetition allowed
 
         extend_even(0, (), 0)
         # ranks order like the variable tuples, so this is the (level, monomial) order
         found.sort()
-        keys = tuple((even, odd) for _, even, odd in found)
-        basis = tuple((tuple(even_vars[r] for r in even), tuple(odd_vars[r] for r in odd))
-                      for even, odd in keys)
-        object.__setattr__(self, "basis", basis)
+        keys = tuple(even + odd for _, even, odd in found)
         object.__setattr__(self, "_levels", tuple(twice for twice, _, _ in found))
         object.__setattr__(self, "_cap2", cap2)
         object.__setattr__(self, "_keys", keys)
         object.__setattr__(self, "_key_index", {k: i for i, k in enumerate(keys)})
-        object.__setattr__(self, "_var_rank", {v: r for family in (even_vars, odd_vars)
-                                               for r, v in enumerate(family)})
-        object.__setattr__(self, "_op_cache", {})
+        object.__setattr__(self, "_variables", variables)
+        object.__setattr__(self, "_n_even", n_even)
+
+    @cached_property
+    def basis(self):
+        """Each monomial as ``(even variables, odd variables)``, variables ``(family, level, index)``."""
+        variables, n_even = self._variables, self._n_even
+        return tuple((tuple(variables[r] for r in key if r < n_even),
+                      tuple(variables[r] for r in key if r >= n_even))
+                     for key in self._keys)
+
+    @property
+    def basis_dimension(self) -> int:
+        return len(self._keys)
 
     @property
     def rank(self) -> int:
@@ -112,13 +124,15 @@ _KIND_FAMILY = {"alpha": "a", "alphabar": "abar", "psi": "th", "psibar": "thbar"
 class OscillatorOp(Record):
     """Exact sparse matrix of one oscillator on the truncated basis.
 
-    Columns are computed on demand (the verifiers only ever touch low-level
-    columns) as ``(row_index, a)`` pairs with integer ``a``; the matrix
+    Columns are ``(row_index, a)`` pairs with integer ``a``; the matrix
     entry is ``a / scale``.  Creators have scale 1, annihilators the lcm D
     of the denominators of G^-1.  Creator images that exceed the level cap
     are silently dropped (the corestriction to the truncated space), which
-    is why verifications guard their subspaces.  The column function and the
-    columns computed so far are not compared.
+    is why verifications guard their subspaces.  The columns whose level
+    leaves room for the mode, a prefix of the basis and the only ones a
+    guarded bracket reads, are computed when the operator is built and live
+    as long as it; any other column is computed when asked for.  Neither is
+    compared.
     """
 
     space: TruncatedFock
@@ -126,16 +140,12 @@ class OscillatorOp(Record):
     index: int
     mode: Fraction
     scale: int
+    _cols: tuple
     _column_fn: object
 
-    def __post_init__(self):
-        object.__setattr__(self, "_cols", {})
-
     def int_column(self, col: int):
-        got = self._cols.get(col)
-        if got is None:
-            got = self._cols[col] = self._column_fn(col)
-        return got
+        cols = self._cols
+        return cols[col] if col < len(cols) else self._column_fn(col)
 
 
 def build_oscillator(space: TruncatedFock, kind: str, i: int, s) -> OscillatorOp:
@@ -160,66 +170,70 @@ def build_oscillator(space: TruncatedFock, kind: str, i: int, s) -> OscillatorOp
         raise ValidationError("fermionic modes are half-odd integers")
     if abs(s) > space.level_cap:
         raise TruncationError(f"mode {s} exceeds the level cap {space.level_cap}")
-    cache_key = (kind, i, s)
-    cache = space._op_cache
-    if cache_key in cache:
-        return cache[cache_key]
-    keys, key_index = space._keys, space._key_index
+    keys, key_index, levels = space._keys, space._key_index, space._levels
+    room = space._cap2 - int(2 * abs(s))
     # the variables (family, |s|, j) for j = 0..n-1 hold consecutive ranks
-    first = space._var_rank[(_KIND_FAMILY[kind], abs(s), 0)]
+    first = space._variables.index((_KIND_FAMILY[kind], abs(s), 0))
     if s < 0:
         scale = 1
         r = first + i
-        levels, room = space._levels, space._cap2 - int(-2 * s)
         if bosonic:
             def column_fn(col):
                 if levels[col] > room:
                     return ()
-                even, odd = keys[col]
-                pos = bisect_right(even, r)
-                return ((key_index[(even[:pos] + (r,) + even[pos:], odd)], 1),)
+                key = keys[col]
+                pos = bisect_right(key, r)
+                return ((key_index[key[:pos] + (r,) + key[pos:]], 1),)
         else:
+            n_even = space._n_even
+
             def column_fn(col):
                 if levels[col] > room:
                     return ()
-                even, odd = keys[col]
-                pos = bisect_left(odd, r)
-                if odd[pos:pos + 1] == (r,):  # an odd variable squares to zero
+                key = keys[col]
+                pos = bisect_left(key, r)
+                if key[pos:pos + 1] == (r,):  # an odd variable squares to zero
                     return ()
-                # moving the new variable past pos odd ones gives (-1)^pos
-                return ((key_index[(even, odd[:pos] + (r,) + odd[pos:])], -1 if pos % 2 else 1),)
+                # moving the new variable past the odd ones before it gives a sign
+                sign = -1 if (pos - bisect_left(key, n_even)) % 2 else 1
+                return ((key_index[key[:pos] + (r,) + key[pos:]], sign),)
     else:
         scale, scaled = space._scaled_ginv
         if bosonic:
             coeffs = tuple(int(s) * c for c in scaled[i])  # D s G^-1_ij
 
             def column_fn(col):
-                even, odd = keys[col]
+                key = keys[col]
+                lo, hi = bisect_left(key, first), bisect_left(key, first + n)
                 entries = []
-                for t, r in enumerate(even):
-                    j = r - first
-                    if 0 <= j < n and coeffs[j] and (t == 0 or even[t - 1] != r):
-                        mult = even.count(r)
-                        entries.append((key_index[(even[:t] + even[t + 1:], odd)],
-                                        coeffs[j] * mult))
+                for t in range(lo, hi):
+                    r = key[t]
+                    c = coeffs[r - first]
+                    if c and (t == lo or key[t - 1] != r):
+                        mult = bisect_right(key, r, t) - t
+                        entries.append((key_index[key[:t] + key[t + 1:]], c * mult))
                 return tuple(entries)
         else:
             coeffs = scaled[i]  # D G^-1_ij
+            n_even = space._n_even
 
             def column_fn(col):
-                even, odd = keys[col]
+                key = keys[col]
+                lo, hi = bisect_left(key, first), bisect_left(key, first + n)
+                odd_start = bisect_left(key, n_even)
                 entries = []
-                for t, r in enumerate(odd):
-                    j = r - first
-                    if 0 <= j < n and coeffs[j]:
-                        c = -coeffs[j] if t % 2 else coeffs[j]
-                        entries.append((key_index[(even, odd[:t] + odd[t + 1:])], c))
+                for t in range(lo, hi):
+                    c = coeffs[key[t] - first]
+                    if c:
+                        if (t - odd_start) % 2:
+                            c = -c
+                        entries.append((key_index[key[:t] + key[t + 1:]], c))
                 return tuple(entries)
 
-    op = OscillatorOp(space=space, kind=kind, index=i, mode=s, scale=scale,
-                      _column_fn=column_fn)
-    cache[cache_key] = op
-    return op
+    # the basis is level-sorted, so the columns with room for the mode are a prefix
+    cols = tuple(map(column_fn, range(bisect_right(levels, room))))
+    return OscillatorOp(space=space, kind=kind, index=i, mode=s, scale=scale,
+                        _cols=cols, _column_fn=column_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +250,9 @@ class CheckOutcome(Record):
 def _bracket_is(op1, op2, sign, testable, expected):
     """Whether ``op1 op2 + sign op2 op1`` is ``expected`` times the identity.
 
-    Only the testable columns are checked.  Both products have integer entries at scale ``op1.scale * op2.scale``,
+    Only the testable columns are checked; their level leaves room for both
+    modes, so every column read lies in each operator's computed prefix.
+    Both products have integer entries at scale ``op1.scale * op2.scale``,
     so they are compared with ``expected`` at that scale: multiplying by a
     nonzero integer is injective on Q, and a target that is not an integer
     cannot be met.
@@ -245,25 +261,37 @@ def _bracket_is(op1, op2, sign, testable, expected):
     if target.denominator != 1:
         return False
     target = target.numerator
+    cols1, cols2 = op1._cols, op2._cols
     for col in testable:
         acc = {}
-        for mid, c1 in op2.int_column(col):       # op1 after op2
-            for row, c2 in op1.int_column(mid):
+        for mid, c1 in cols2[col]:       # op1 after op2
+            for row, c2 in cols1[mid]:
                 acc[row] = acc.get(row, 0) + c1 * c2
-        for mid, c1 in op1.int_column(col):       # sign * op2 after op1
-            for row, c2 in op2.int_column(mid):
+        for mid, c1 in cols1[col]:       # sign * op2 after op1
+            for row, c2 in cols2[mid]:
                 acc[row] = acc.get(row, 0) + sign * c1 * c2
         if acc.pop(col, 0) != target or any(acc.values()):
             return False
     return True
 
 
-def _verify_pairs(space, i, j, s, p, flavors, sign, expected_same_flavor):
+def _verify_pairs(space, i, j, s, p, flavors, sign, expected_same_flavor, ops=None):
+    """The three brackets of one index/mode pair; ``ops`` keeps the operators
+    built, by ``(kind, index, mode)``, for the calls that share it."""
     # basis is level-sorted, so the guarded subspace is a prefix
     room = space._cap2 - int(2 * abs(s)) - int(2 * abs(p))
     testable = range(bisect_right(space._levels, room))
     if not testable:
         return CheckOutcome("inconclusive", 0, expected_same_flavor)
+    if ops is None:
+        ops = {}
+
+    def oscillator(kind, index, mode):
+        op = ops.get((kind, index, mode))
+        if op is None:
+            op = ops[kind, index, mode] = build_oscillator(space, kind, index, mode)
+        return op
+
     left, right = flavors
     checks = (
         (left, left, expected_same_flavor),
@@ -271,35 +299,40 @@ def _verify_pairs(space, i, j, s, p, flavors, sign, expected_same_flavor):
         (left, right, QZERO),
     )
     for kind1, kind2, expected in checks:
-        op1 = build_oscillator(space, kind1, i, s)
-        op2 = build_oscillator(space, kind2, j, p)
-        if not _bracket_is(op1, op2, sign, testable, expected):
+        if not _bracket_is(oscillator(kind1, i, s), oscillator(kind2, j, p), sign, testable,
+                           expected):
             return CheckOutcome("fail", len(testable), expected_same_flavor)
     return CheckOutcome("pass", len(testable), expected_same_flavor)
 
 
-def verify_ccr(space: TruncatedFock, i: int, j: int, s, p) -> CheckOutcome:
+def verify_ccr(space: TruncatedFock, i: int, j: int, s, p, ops=None) -> CheckOutcome:
     """Commutators of the bosonic oscillators on the guarded subspace.
 
     Checks ``[alpha^i_s, alpha^j_p]`` and its right-moving twin against
     ``s (G^-1)^{ij} delta_{s,-p}``, and the mixed commutator against zero.
+    Calls that pass one dict as ``ops`` share the operators they build.
     """
     s = Fraction(s)
     p = Fraction(p)
     expected = s * space.ginv.entries[i][j] if s == -p else QZERO
-    return _verify_pairs(space, i, j, s, p, ("alpha", "alphabar"), -1, expected)
+    return _verify_pairs(space, i, j, s, p, ("alpha", "alphabar"), -1, expected, ops)
 
 
-def verify_car(space: TruncatedFock, i: int, j: int, s, p) -> CheckOutcome:
+def verify_car(space: TruncatedFock, i: int, j: int, s, p, ops=None) -> CheckOutcome:
     """Anticommutators of the fermionic oscillators on the guarded subspace."""
     s = Fraction(s)
     p = Fraction(p)
     expected = space.ginv.entries[i][j] if s == -p else QZERO
-    return _verify_pairs(space, i, j, s, p, ("psi", "psibar"), +1, expected)
+    return _verify_pairs(space, i, j, s, p, ("psi", "psibar"), +1, expected, ops)
 
 
 def ccr_car_sweep(space: TruncatedFock):
-    """All index/mode pairs testable at the cap; rows for reports and the CLI."""
+    """All index/mode pairs testable at the cap; rows for reports and the CLI.
+
+    Each algebra's pass owns the operators it builds, with their column
+    caches: the CCR operators are released before the CAR pass starts, and
+    the space keeps none of them.
+    """
     cap = space.level_cap
     n = space.rank
     rows = []
@@ -311,11 +344,12 @@ def ccr_car_sweep(space: TruncatedFock):
         s += 1
     for algebra, modes, verify in (("ccr", boson_modes, verify_ccr),
                                    ("car", fermi_modes, verify_car)):
+        ops = {}
         for i in range(n):
             for j in range(n):
                 for s in modes:
                     for p in modes:
-                        out = verify(space, i, j, s, p)
+                        out = verify(space, i, j, s, p, ops)
                         rows.append({
                             "algebra": algebra, "i": i, "j": j,
                             "s": str(s), "p": str(p),

@@ -1,10 +1,13 @@
 """Truncated oscillator algebras and their (anti)commutation sweeps."""
 
+import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+from flattori import fock
 from flattori.errors import TruncationError, ValidationError
 from flattori.exactlinear import Q, RatMatrix
 from flattori.fock import (TruncatedFock, _bracket_is, _verify_pairs, build_oscillator,
@@ -242,3 +245,55 @@ class TestCcrCar:
         at_seven_thirds = TruncatedFock(1, Fraction(7, 3), RatMatrix.identity(2))
         assert at_seven_thirds.basis == at_two.basis
         assert ccr_car_sweep(at_seven_thirds) == ccr_car_sweep(at_two)
+
+
+class TestSweepMemory:
+    def test_operators_live_for_one_algebra_pass(self, monkeypatch):
+        # every operator the sweep builds is gone when it returns, and the
+        # CCR operators are gone before the first CAR operator is built
+        space = TruncatedFock(1, Fraction(2), PAIRED)
+        built = []
+        unreleased_at_car = []
+
+        def tracked(space, kind, i, s):
+            if kind.startswith("psi") and not unreleased_at_car:
+                unreleased_at_car.append(sum(ref() is not None for ref in built))
+            op = build_oscillator(space, kind, i, s)
+            built.append(weakref.ref(op))
+            return op
+
+        monkeypatch.setattr(fock, "build_oscillator", tracked)
+        before = set(vars(space))
+        rows = ccr_car_sweep(space)
+        assert built and unreleased_at_car == [0]
+        assert all(ref() is None for ref in built)
+        # the space gained only its cached metric inverses
+        assert set(vars(space)) - before <= {"ginv", "_scaled_ginv"}
+        assert any(r["status"] == "pass" for r in rows)
+
+    def test_two_sweeps_on_one_space_agree(self):
+        space = TruncatedFock(2, Fraction(2), TRIDIAGONAL)
+        assert ccr_car_sweep(space) == ccr_car_sweep(space)
+
+    def test_off_diagonal_inverse_at_cap_five_halves(self):
+        # G^-1 = [[2, -1], [-1, 2]] / 3: every annihilator column mixes both
+        # indices, and cap 5/2 tests the CCR at mode 1 and the CAR up to 3/2
+        rows = ccr_car_sweep(TruncatedFock(1, Fraction(5, 2), PAIRED))
+        assert all(r["status"] != "fail" for r in rows)
+        passed = {(r["algebra"], r["s"], r["p"]) for r in rows if r["status"] == "pass"}
+        assert {("ccr", "1", "-1"), ("car", "1/2", "-1/2"), ("car", "3/2", "-1/2")} <= passed
+
+    def test_d2_cap3_sweep_stays_in_bounded_memory(self):
+        # the space plus the sweep peaked at 6.0 MiB traced when the space
+        # kept every operator for its life; with one pass's operators alive
+        # at a time they peak at 3.4 MiB (CPython 3.11), and the bound leaves
+        # room for other versions
+        tracemalloc.start()
+        try:
+            space = TruncatedFock(2, Fraction(3), RatMatrix.identity(4))
+            rows = ccr_car_sweep(space)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert space.basis_dimension == 4791 and len(rows) == 1152
+        assert peak < 4.5 * 2 ** 20

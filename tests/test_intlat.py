@@ -7,29 +7,11 @@ from math import gcd, lcm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flattori._intlat import (MAX_SWEEPS, column_pivots, integer_kernel,
+from flattori._intlat import (MAX_SWEEPS, column_pivots, integer_det, integer_kernel,
                               integral_coordinate_lattice, pair_reduce, spans_direct_summand)
+from flattori.exactlinear import RatMatrix
 
 BIG = 2 ** 40
-
-
-def integer_det(rows):
-    """Bareiss fraction-free determinant of a square integer matrix."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
 
 
 def minors_gcd(vectors):
@@ -77,6 +59,99 @@ class TestColumnReduction:
         assert all(sum(x * y for x, y in zip(v, k)) == 0 for v in vectors for k in kernel)
         # the kernel is saturated: a direct summand of Z^n
         assert not kernel or spans_direct_summand(kernel)
+
+
+def reference_column_pivots(work, trans=()):
+    """The column reduction as it was before it skipped reduced rows: every
+    column operation runs over every row (the oracle)."""
+    rows = [*work, *trans]
+    n = len(work[0]) if work else 0
+
+    def addmul_col(dst, src, f):
+        for row in rows:
+            row[dst] += f * row[src]
+
+    def swap_col(a, b):
+        for row in rows:
+            row[a], row[b] = row[b], row[a]
+
+    pivots = []
+    for row in work:
+        c = len(pivots)
+        if c == n:
+            break
+        nz = [j for j in range(c, n) if row[j] != 0]
+        if not nz:
+            continue
+        j0 = min(nz, key=lambda j: abs(row[j]))
+        swap_col(c, j0)
+        while True:
+            nz = [j for j in range(c + 1, n) if row[j] != 0]
+            if not nz:
+                break
+            for j in nz:
+                q = row[j] // row[c]
+                addmul_col(j, c, -q)
+            nz = [j for j in range(c + 1, n) if row[j] != 0]
+            if nz:
+                j0 = min(nz, key=lambda j: abs(row[j]))
+                swap_col(c, j0)
+        pivots.append(row[c])
+    return pivots
+
+
+@st.composite
+def reduction_inputs(draw):
+    """Integer or rational rows (dependent and zero rows mixed in), with or
+    without an identity transform."""
+    n = draw(st.integers(1, 7))
+    entry = draw(st.sampled_from([
+        st.integers(-9, 9), st.one_of(st.integers(-3, 3), st.sampled_from([BIG, -BIG + 1])),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6)]))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=7))
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    [a * x + b * y for x, y in zip(rows[i], rows[j])])
+    with_trans = draw(st.booleans())
+    return rows, with_trans
+
+
+class TestColumnPivotsAgainstReference:
+    # Skipping the rows already reduced changes no pivot, no reduced row and
+    # no transform entry.
+    @settings(max_examples=200, deadline=None)
+    @given(reduction_inputs())
+    @example(([[0, 2, 4], [3, 0, 6], [1, 1, 1]], True))
+    @example(([[0, 0], [0, 5]], True))
+    def test_same_pivots_rows_and_transform(self, case):
+        rows, with_trans = case
+        n = len(rows[0])
+        work, ref_work = [list(r) for r in rows], [list(r) for r in rows]
+        trans = [[int(i == j) for j in range(n)] for i in range(n)] if with_trans else []
+        ref_trans = [list(r) for r in trans]
+        assert column_pivots(work, trans) == reference_column_pivots(ref_work, ref_trans)
+        assert work == ref_work and trans == ref_trans
+
+
+square_matrices = st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.integers(-4, 4), st.just(0), st.integers(-BIG, BIG)),
+             min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+class TestIntegerDet:
+    @settings(max_examples=150, deadline=None)
+    @given(square_matrices)
+    @example([[0, 1], [1, 0]])                      # a swap at the first step
+    @example([[1, 2, 3], [2, 4, 7], [1, 0, 0]])     # a zero pivot after one step
+    @example([[1, 2, 3], [2, 4, 6], [0, 1, 5]])     # singular
+    @example([[2, 0, 0], [0, 3, 0], [1, 0, 5]])     # rows left alone, then caught up
+    def test_matches_the_rational_determinant(self, rows):
+        assert integer_det(rows) == RatMatrix(rows).det()
+
+    def test_empty_matrix_has_determinant_one(self):
+        assert integer_det([]) == 1
 
 
 @st.composite
