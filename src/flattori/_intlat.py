@@ -6,8 +6,8 @@ the intertwining constraints is the integer kernel of the constraint rows, as
 the caller built them, and is then size-reduced so that natural
 certificates tend to have small, sparse coordinates.  Everything here is
 integer arithmetic; one column reduction (:func:`column_pivots`) answers every
-rank, kernel and primitivity question, :func:`integer_det` takes
-determinants without fractions, and the size reduction
+kernel and primitivity question (plain ranks and determinants come from
+:func:`~flattori.exactlinear.bareiss`), and the size reduction
 (:func:`pair_reduce`) keeps the Gram matrix of its basis, so a reduction step
 reads its inner products instead of recomputing them.
 """
@@ -53,46 +53,6 @@ def column_pivots(work, trans=()):
             nz = [j for j, x in enumerate(row[c + 1:], c + 1) if x]
         pivots.append(row[c])
     return pivots
-
-
-def integer_det(rows):
-    """Determinant of a square integer matrix by fraction-free elimination.
-
-    Bareiss (Math. Comp. 22, 1968): step k turns each later row x into
-    ``(x p_k - x_k r_k) / p_(k-1)``, r_k the pivot row and p_k its pivot,
-    and every division is exact.  A row whose entry in column k is zero is
-    only scaled by ``p_k / p_(k-1)``, and those factors telescope, so such a
-    row is left alone: ``base[i]`` is the pivot of the last step that
-    changed row i, its true entries are the stored ones times
-    ``prev / base[i]``, and the next step that changes it divides by
-    ``base[i]`` instead of ``prev``.  Sparse Gram matrices then cost far
-    less than a full sweep of every row per step.
-    """
-    a = [list(r) for r in rows]
-    n = len(a)
-    base = [1] * n
-    sign, prev = 1, 1
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            base[k], base[swap] = base[swap], base[k]
-            sign = -sign
-        top = a[k][k:]
-        if base[k] != prev:
-            top = [x * prev // base[k] for x in top]
-        pivot, tail = top[0], top[1:]
-        for i in range(k + 1, n):
-            row = a[i]
-            f = row[k]
-            if f:
-                b = base[i]
-                row[k + 1:] = [(x * pivot - f * y) // b for x, y in zip(row[k + 1:], tail)]
-                base[i] = pivot
-        prev = pivot
-    return sign * prev
 
 
 def spans_direct_summand(vectors):

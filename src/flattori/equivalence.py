@@ -35,10 +35,10 @@ from itertools import product
 from operator import mul
 
 from . import kernels
-from ._intlat import integer_det, integral_coordinate_lattice, pair_reduce
+from ._intlat import integral_coordinate_lattice, pair_reduce
 from ._record import Check, Record
 from .errors import DimensionError, ValidationError
-from .exactlinear import RatMatrix, cleared
+from .exactlinear import RatMatrix, bareiss, cleared
 from .kernels_py import completed_height, frobenius_gram, split_pairing
 from .torus import TorusData, doubled, narain_form
 
@@ -187,7 +187,8 @@ def _lattice_class(rows, n):
     A ``derived_eq`` lattice is never empty: over Q both doubled structures
     make Q^n a Q(i)-vector space of dimension n/2, so its rank is ``n^2 / 2``.
     """
-    return len(rows), integer_det(frobenius_gram(rows, n, split_pairing(n)))
+    pivots, last = bareiss(frobenius_gram(rows, n, split_pairing(n)))
+    return len(rows), last if len(pivots) == len(rows) else 0
 
 
 def _ellipsoid_radii(rows, n):

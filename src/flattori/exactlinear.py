@@ -1,7 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Everything in this module is exact: matrices are dense tuples of tuples of
-`fractions.Fraction`.  No floating point enters any computation.  A matrix
+`fractions.Fraction`.  No floating point enters any computation.  Every
+determinant and rank comes from one fraction-free integer elimination,
+:func:`bareiss`, on the int rows that :func:`cleared` returns; the Fraction
+row reduction :meth:`RatMatrix.rref` serves the inverse, solve and kernel
+basis, whose answers are rational matrices themselves.  A matrix
 entry is always rational; a question about a rational complex structure that
 lives over Q(i) is answered by its callers over Q.  Gaussian-rational scalars
 and the exterior algebra live in :mod:`flattori.exterior`, which the commands
@@ -224,7 +228,7 @@ class RatMatrix:
         return RatMatrix(m), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(bareiss(cleared(self)[1])[0])
 
     def kernel_basis(self):
         """Basis of the right kernel, as a list of coordinate tuples.
@@ -245,25 +249,13 @@ class RatMatrix:
         return basis
 
     def det(self):
+        """``p / D^n`` for the signed last pivot p of :func:`bareiss` on the
+        rows cleared by D, or 0 when there are fewer than n pivots."""
         if not self.is_square():
             raise DimensionError("determinant of a non-square matrix")
-        m = [list(row) for row in self.entries]
-        n = self.rows
-        det = QONE
-        for c in range(n):
-            pr = next((i for i in range(c, n) if m[i][c]), None)
-            if pr is None:
-                return QZERO
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                det = -det
-            det = det * m[c][c]
-            inv = m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] / inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
+        den, a = cleared(self)
+        pivots, last = bareiss(a)
+        return Fraction(last, den ** self.rows) if len(pivots) == self.rows else QZERO
 
     def inverse(self) -> "RatMatrix":
         if not self.is_square():
@@ -300,6 +292,51 @@ def cleared(*matrices):
     den = math.lcm(*(x.denominator for m in matrices for row in m.entries for x in row))
     return (den, *([[x.numerator * (den // x.denominator) for x in row] for row in m.entries]
                    for m in matrices))
+
+
+def bareiss(rows):
+    """``(pivot columns, signed last pivot)`` of the fraction-free forward
+    elimination of integer rows: the one determinant and rank routine.
+
+    Bareiss (Math. Comp. 22, 1968): a pivot p turns each later row x into
+    ``(x p - x_c y) / p'``, y the pivot row and p' the previous pivot, and
+    every division is exact.  A column with no pivot left is passed over, so
+    the pivots count the rank; a square matrix of full rank has determinant
+    the last pivot times the sign of the row swaps.  A row whose entry in the
+    pivot column is zero would only be scaled by ``p / p'``, and those factors
+    telescope, so it is left alone: ``base[i]`` is the pivot of the last step
+    that changed row i, its true entries are the stored ones times
+    ``prev / base[i]``, and the next step that changes it divides by
+    ``base[i]``.  Sparse rows then cost far less than a sweep per step.
+    """
+    a = [list(r) for r in rows]
+    nrows = len(a)
+    base = [1] * nrows
+    pivots = []
+    sign, prev = 1, 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        swap = next((i for i in range(r, nrows) if a[i][c]), None)
+        if swap is None:
+            continue
+        if swap != r:
+            a[r], a[swap] = a[swap], a[r]
+            base[r], base[swap] = base[swap], base[r]
+            sign = -sign
+        top = a[r][c:]
+        if base[r] != prev:
+            top = [x * prev // base[r] for x in top]
+        pivot, tail = top[0], top[1:]
+        for i in range(r + 1, nrows):
+            row = a[i]
+            f = row[c]
+            if f:
+                b = base[i]
+                row[c + 1:] = [(x * pivot - f * y) // b for x, y in zip(row[c + 1:], tail)]
+                base[i] = pivot
+        pivots.append(c)
+        prev = pivot
+    return tuple(pivots), sign * prev
 
 
 def __getattr__(name):

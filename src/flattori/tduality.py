@@ -20,7 +20,7 @@ from ._intlat import column_pivots, integer_kernel, spans_direct_summand
 from ._record import Check, Record, failures
 from .equivalence import Certificate, LatticeMap, verify_map
 from .errors import RecoveryError, ValidationError
-from .exactlinear import QZERO, RatMatrix, cleared
+from .exactlinear import QZERO, RatMatrix, bareiss, cleared
 from .torus import TorusData, doubled, omega, require_valid
 
 
@@ -81,10 +81,6 @@ def require_splitting(t: TorusData, s: LagrangianSplitting):
 # ---------------------------------------------------------------------------
 
 
-def _rank(vectors):
-    return len(column_pivots([list(v) for v in vectors]))
-
-
 def _krylov_lagrangian(w, s, v):
     """A Lagrangian subspace of ``w`` through v on which B vanishes too, for
     ``s`` a positive multiple of ``S = omega^-1 B``.
@@ -96,13 +92,13 @@ def _krylov_lagrangian(w, s, v):
     """
     a = []
     while True:
-        while _rank(a + [v]) > len(a):
+        while len(bareiss(a + [v])[0]) > len(a):
             a.append(v)
             v = _image(s, v)
         if 2 * len(a) == len(w):
             return a
         v = next(x for x in integer_kernel([_image(w, u) for u in a])
-                 if _rank(a + [x]) > len(a))
+                 if len(bareiss(a + [x])[0]) > len(a))
 
 
 def _isotropic_complement(w, a):

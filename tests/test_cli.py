@@ -87,13 +87,16 @@ class TestNumericInputErrors:
          "give --d or --torus, not both (at --d)"),
         (None, ["mirror", "--torus", "T", "--out-torus", "O", "--out-cert", "O"],
          "--out-torus and --out-cert name the same file {O} (at --out-cert)"),
+        (None, ["verify-map", "N"], "lattice map is not unimodular"),
     ])
     def test_one_line_exit_two(self, capsys, tmp_path, square_file, square2_file, config,
                                argv, message):
         # T is a valid torus file and W one of another dimension, V a map from
-        # T to W, M a path in a directory that does not exist, O a writable
-        # path, D a directory and U a file that is not UTF-8
+        # T to W, N an integral map on T with det 2, M a path in a directory
+        # that does not exist, O a writable path, D a directory and U a file
+        # that is not UTF-8
         paths = {"T": square_file, "W": square2_file, "V": str(tmp_path / "dims.json"),
+                 "N": str(tmp_path / "det2.json"),
                  "M": str(tmp_path / "missing" / "out.json"),
                  "O": str(tmp_path / "m.json"), "D": str(tmp_path),
                  "U": str(tmp_path / "binary.json")}
@@ -101,6 +104,9 @@ class TestNumericInputErrors:
         (tmp_path / "dims.json").write_text(json.dumps(
             {"kind": "iso", "source": "square.json", "target": "square2.json",
              "g": [[str(int(i == j)) for j in range(4)] for i in range(4)]}))
+        (tmp_path / "det2.json").write_text(json.dumps(
+            {"kind": "iso", "source": "square.json", "target": "square.json",
+             "g": [[str((1 + (i == 0)) * (i == j)) for j in range(4)] for i in range(4)]}))
         prefix = []
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -275,7 +281,7 @@ class TestImportIsolation:
 
     @pytest.mark.parametrize("argv, unloaded", [
         (["validate", "T"],
-         {"fock", "cohomology", "abranes", "tduality", "equivalence", "exterior"}),
+         {"fock", "cohomology", "abranes", "tduality", "equivalence", "exterior", "_intlat"}),
         (["check-iso", "T", "T"], {"fock", "cohomology", "abranes", "tduality", "exterior"}),
         (["hodge", "T"], {"tduality", "equivalence", "abranes", "fock"}),
         (["mirror", "--torus", "T"], {"fock", "cohomology", "abranes", "exterior"}),

@@ -5,11 +5,11 @@ from itertools import combinations
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flattori.errors import DimensionError, GradeError
-from flattori.exactlinear import Q, RatMatrix, cleared, rat, rat_str
+from flattori.exactlinear import Q, RatMatrix, bareiss, cleared, rat, rat_str
 from flattori.exterior import (GaussRational, ExtElement, apply_linear, derivation_map,
                                exp_grade2, induced_map, interior, wedge)
 
@@ -99,6 +99,73 @@ def _dense_rref(rows):
     return m, pivots
 
 
+def _dense_det(rows):
+    """Reference determinant by Fraction elimination with row swaps."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c]), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+def _ldlt_positive_definite(rows):
+    """Reference definiteness test: the d_k of ``A = L D L^t``, built without
+    pivoting, are all positive exactly when the symmetric A is positive
+    definite (and the factorization stops at the first d_k <= 0)."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    n = len(a)
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
+BIG = 2 ** 40
+
+square_matrices = st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.integers(-4, 4), st.just(0), st.integers(-BIG, BIG)),
+             min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@st.composite
+def integer_rows(draw):
+    """Rectangular integer rows with zero rows and exact repeats mixed in."""
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-4, 4), st.just(0), st.integers(-BIG, BIG))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=8))
+    for i in draw(st.lists(st.integers(0, len(rows)), max_size=3)):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    list(rows[i]) if i < len(rows) else [0] * n)
+    return rows
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices ``M^t M + s 1``, or a symmetric matrix as drawn."""
+    n = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    m = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        s = draw(st.integers(-2, 2))
+        return [[sum(m[k][i] * m[k][j] for k in range(n)) + s * (i == j) for j in range(n)]
+                for i in range(n)]
+    return [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
 small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 # about two entries in three are zero
 sparse_entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_fraction)
@@ -154,6 +221,48 @@ class TestEliminationAgainstDenseReference:
         inv = m.inverse()
         assert inv == RatMatrix([row[n:] for row in ref])
         assert m * inv == RatMatrix.identity(n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_rows())
+    @example([[0, 1, 2], [0, 3, 4]])             # the first column has no pivot
+    @example([[1, 2], [0, 0], [3, 4]])           # a zero row
+    @example([[1, 2, 3], [1, 2, 3], [0, 1, 1]])  # a repeated row
+    @example([[2, 0, 1], [0, 0, 3], [1, 0, 0]])  # a row left alone, then caught up
+    def test_rank_of_integer_rows(self, rows):
+        _, pivots = _dense_rref([[Fraction(x) for x in r] for r in rows])
+        assert bareiss(rows)[0] == tuple(pivots)
+        assert RatMatrix(rows).rank() == len(pivots)
+
+    @settings(max_examples=100, deadline=None)
+    @given(symmetric_matrices())
+    @example([[1, 1], [1, 1]])     # singular, positive semidefinite
+    @example([[2, 1], [1, 1]])
+    @example([[0, 1], [1, 0]])
+    @example([[1, 2], [2, 1]])
+    def test_positive_definite(self, rows):
+        assert RatMatrix(rows).is_positive_definite() == _ldlt_positive_definite(rows)
+
+
+class TestIntegerDet:
+    @settings(max_examples=150, deadline=None)
+    @given(square_matrices)
+    @example([[0, 1], [1, 0]])                      # a swap at the first step
+    @example([[1, 2, 3], [2, 4, 7], [1, 0, 0]])     # a zero pivot after one step
+    @example([[1, 2, 3], [2, 4, 6], [0, 1, 5]])     # singular
+    @example([[2, 0, 0], [0, 3, 0], [1, 0, 5]])     # rows left alone, then caught up
+    def test_matches_the_rational_determinant(self, rows):
+        pivots, last = bareiss(rows)
+        ref = _dense_det(rows)
+        assert (last if len(pivots) == len(rows) else 0) == ref
+        assert RatMatrix(rows).det() == ref
+
+    @settings(max_examples=50, deadline=None)
+    @given(sparse_matrices(square=True))
+    def test_rational_determinant(self, rows):
+        assert RatMatrix(rows).det() == _dense_det(rows)
+
+    def test_empty_matrix_has_determinant_one(self):
+        assert bareiss([]) == ((), 1)
 
 
 class TestWedge:

@@ -7,7 +7,7 @@ from math import gcd, lcm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flattori._intlat import (MAX_SWEEPS, column_pivots, integer_det, integer_kernel,
+from flattori._intlat import (MAX_SWEEPS, column_pivots, integer_kernel,
                               integral_coordinate_lattice, pair_reduce, spans_direct_summand)
 from flattori.exactlinear import RatMatrix
 
@@ -19,7 +19,7 @@ def minors_gcd(vectors):
     n = len(vectors[0])
     g = 0
     for cols in combinations(range(n), len(vectors)):
-        g = gcd(g, integer_det([[v[c] for c in cols] for v in vectors]))
+        g = gcd(g, int(RatMatrix([[v[c] for c in cols] for v in vectors]).det()))
     return g
 
 
@@ -133,25 +133,6 @@ class TestColumnPivotsAgainstReference:
         ref_trans = [list(r) for r in trans]
         assert column_pivots(work, trans) == reference_column_pivots(ref_work, ref_trans)
         assert work == ref_work and trans == ref_trans
-
-
-square_matrices = st.integers(1, 12).flatmap(lambda n: st.lists(
-    st.lists(st.one_of(st.integers(-4, 4), st.just(0), st.integers(-BIG, BIG)),
-             min_size=n, max_size=n), min_size=n, max_size=n))
-
-
-class TestIntegerDet:
-    @settings(max_examples=150, deadline=None)
-    @given(square_matrices)
-    @example([[0, 1], [1, 0]])                      # a swap at the first step
-    @example([[1, 2, 3], [2, 4, 7], [1, 0, 0]])     # a zero pivot after one step
-    @example([[1, 2, 3], [2, 4, 6], [0, 1, 5]])     # singular
-    @example([[2, 0, 0], [0, 3, 0], [1, 0, 5]])     # rows left alone, then caught up
-    def test_matches_the_rational_determinant(self, rows):
-        assert integer_det(rows) == RatMatrix(rows).det()
-
-    def test_empty_matrix_has_determinant_one(self):
-        assert integer_det([]) == 1
 
 
 @st.composite
