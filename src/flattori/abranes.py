@@ -24,7 +24,7 @@ from functools import cached_property
 from ._intlat import column_pivots
 from ._record import Check, Record, failures
 from .errors import DimensionError, InconsistencyError, ValidationError
-from .exactlinear import QONE, QZERO, RatMatrix
+from .exactlinear import QONE, QZERO, RatMatrix, bareiss, cleared
 from .exterior import GAUSS_I, ExtElement, GaussRational, apply_linear, wedge
 from .torus import TorusData, omega, require_valid
 
@@ -99,7 +99,7 @@ class FoliationData(Record):
 def _complement_indices(l_rows, r):
     if not l_rows:
         return tuple(range(r))
-    _, pivots = RatMatrix(l_rows).rref()
+    pivots = bareiss(cleared(RatMatrix(l_rows))[1])[0]
     return tuple(j for j in range(r) if j not in pivots)
 
 

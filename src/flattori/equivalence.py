@@ -187,7 +187,7 @@ def _lattice_class(rows, n):
     A ``derived_eq`` lattice is never empty: over Q both doubled structures
     make Q^n a Q(i)-vector space of dimension n/2, so its rank is ``n^2 / 2``.
     """
-    pivots, last = bareiss(frobenius_gram(rows, n, split_pairing(n)))
+    pivots, last, _ = bareiss(frobenius_gram(rows, n, split_pairing(n)))
     return len(rows), last if len(pivots) == len(rows) else 0
 
 

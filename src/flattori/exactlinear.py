@@ -2,10 +2,9 @@
 
 Everything in this module is exact: matrices are dense tuples of tuples of
 `fractions.Fraction`.  No floating point enters any computation.  Every
-determinant and rank comes from one fraction-free integer elimination,
-:func:`bareiss`, on the int rows that :func:`cleared` returns; the Fraction
-row reduction :meth:`RatMatrix.rref` serves the inverse, solve and kernel
-basis, whose answers are rational matrices themselves.  A matrix
+determinant, rank, reduced echelon form, inverse, solution and kernel basis
+comes from one fraction-free integer Gauss-Jordan elimination,
+:func:`bareiss`, on the int rows that :func:`cleared` returns.  A matrix
 entry is always rational; a question about a rational complex structure that
 lives over Q(i) is answered by its callers over Q.  Gaussian-rational scalars
 and the exterior algebra live in :mod:`flattori.exterior`, which the commands
@@ -199,33 +198,12 @@ class RatMatrix:
     def rref(self):
         """Reduced row echelon form; returns ``(matrix, pivot_columns)``.
 
-        Row updates touch only the nonzero positions of the pivot row, which
-        keeps sparse systems (such as Kronecker-form constraints) cheap; the
-        reduced form is unique, so this changes no result.
+        The rows :func:`bareiss` returns are p times the reduced rows, p its
+        last pivot; a matrix with no pivot comes back unchanged.
         """
-        m = [list(row) for row in self.entries]
-        nrows, ncols = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            pr = next((i for i in range(r, nrows) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = m[r][c]
-            prow = m[r] = [e / inv for e in m[r]]
-            support = [(j, b) for j, b in enumerate(prow) if b]
-            for i in range(nrows):
-                row = m[i]
-                if i != r and row[c]:
-                    f = row[c]
-                    for j, b in support:
-                        row[j] = row[j] - f * b
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return RatMatrix(m), tuple(pivots)
+        pivots, _, red = bareiss(cleared(self)[1])
+        p = red[0][pivots[0]] if pivots else 1
+        return RatMatrix([[Fraction(x, p) for x in row] for row in red]), pivots
 
     def rank(self) -> int:
         return len(bareiss(cleared(self)[1])[0])
@@ -254,7 +232,7 @@ class RatMatrix:
         if not self.is_square():
             raise DimensionError("determinant of a non-square matrix")
         den, a = cleared(self)
-        pivots, last = bareiss(a)
+        pivots, last, _ = bareiss(a)
         return Fraction(last, den ** self.rows) if len(pivots) == self.rows else QZERO
 
     def inverse(self) -> "RatMatrix":
@@ -295,19 +273,22 @@ def cleared(*matrices):
 
 
 def bareiss(rows):
-    """``(pivot columns, signed last pivot)`` of the fraction-free forward
-    elimination of integer rows: the one determinant and rank routine.
+    """``(pivot columns, signed last pivot, reduced rows)`` of the
+    fraction-free Gauss-Jordan elimination of integer rows: the one
+    elimination over Q.
 
-    Bareiss (Math. Comp. 22, 1968): a pivot p turns each later row x into
-    ``(x p - x_c y) / p'``, y the pivot row and p' the previous pivot, and
-    every division is exact.  A column with no pivot left is passed over, so
-    the pivots count the rank; a square matrix of full rank has determinant
-    the last pivot times the sign of the row swaps.  A row whose entry in the
-    pivot column is zero would only be scaled by ``p / p'``, and those factors
-    telescope, so it is left alone: ``base[i]`` is the pivot of the last step
-    that changed row i, its true entries are the stored ones times
-    ``prev / base[i]``, and the next step that changes it divides by
-    ``base[i]``.  Sparse rows then cost far less than a sweep per step.
+    Bareiss (Math. Comp. 22, 1968): a pivot p in row r turns every other row
+    x into ``(x p - x_c y) / p'``, y the pivot row and p' the previous pivot,
+    and every division is exact.  A column with no pivot left is passed over,
+    so the pivots count the rank; a square matrix of full rank has
+    determinant the last pivot times the sign of the row swaps.  A row whose
+    entry in the pivot column is zero would only be scaled by ``p / p'``, and
+    those factors telescope, so it is left alone: ``base[i]`` is the pivot of
+    the last step that changed row i, its true entries are the stored ones
+    times ``prev / base[i]``, and the next step that changes it divides by
+    ``base[i]``.  Sparse rows then cost far less than a sweep per step.  After
+    the last step every row is caught up, every pivot entry equals the last
+    pivot, and each reduced row is that pivot times its reduced echelon row.
     """
     a = [list(r) for r in rows]
     nrows = len(a)
@@ -323,20 +304,24 @@ def bareiss(rows):
             a[r], a[swap] = a[swap], a[r]
             base[r], base[swap] = base[swap], base[r]
             sign = -sign
-        top = a[r][c:]
+        top = a[r]
         if base[r] != prev:
-            top = [x * prev // base[r] for x in top]
-        pivot, tail = top[0], top[1:]
-        for i in range(r + 1, nrows):
-            row = a[i]
+            top[c:] = [x * prev // base[r] for x in top[c:]]
+        base[r] = pivot = top[c]
+        for i, row in enumerate(a):
             f = row[c]
-            if f:
+            if f and i != r:
+                # a row above is zero left of its own pivot column, y left of c
+                lo = pivots[i] if i < r else c
                 b = base[i]
-                row[c + 1:] = [(x * pivot - f * y) // b for x, y in zip(row[c + 1:], tail)]
+                row[lo:] = [(x * pivot - f * y) // b for x, y in zip(row[lo:], top[lo:])]
                 base[i] = pivot
         pivots.append(c)
         prev = pivot
-    return tuple(pivots), sign * prev
+    for i, row in enumerate(a):
+        if base[i] != prev:
+            a[i] = [x * prev // base[i] for x in row]
+    return tuple(pivots), sign * prev, a
 
 
 def __getattr__(name):

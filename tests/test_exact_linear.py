@@ -183,14 +183,59 @@ def sparse_matrices(draw, square=False):
     return m
 
 
+@st.composite
+def wide_matrices(draw):
+    """Rational matrices with more columns than rows, like ``[A | I]``, some
+    entries of size 2^40."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(rows + 1, 3 * rows + 2))
+    entry = st.one_of(sparse_entry, st.integers(-BIG, BIG).map(Fraction))
+    return [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+@st.composite
+def linear_systems(draw):
+    """``(A, b)`` with b = A x for a drawn x, or b drawn freely (often inconsistent)."""
+    rows = draw(sparse_matrices())
+    if draw(st.booleans()):
+        x = draw(st.lists(small_fraction, min_size=len(rows[0]), max_size=len(rows[0])))
+        return rows, list(RatMatrix(rows).apply(x))
+    return rows, draw(st.lists(small_fraction, min_size=len(rows), max_size=len(rows)))
+
+
 class TestEliminationAgainstDenseReference:
-    @settings(max_examples=30, deadline=None)
-    @given(sparse_matrices())
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(sparse_matrices(), integer_rows(), wide_matrices()))
+    @example([[0, 0, 0], [0, 0, 0]])             # a zero matrix
+    @example([[0, 1, 2], [0, 3, 4]])             # the first column has no pivot
+    @example([[1, 2, 3], [1, 2, 3], [0, 1, 1]])  # a repeated row
+    @example([[2, 0, 1], [0, 3, 0], [0, 0, 5]])  # a row above a pivot left alone, then caught up
     def test_rref(self, rows):
+        rows = [[Fraction(x) for x in r] for r in rows]
         red, pivots = RatMatrix(rows).rref()
         ref, ref_pivots = _dense_rref(rows)
         assert red == RatMatrix(ref)
         assert list(pivots) == ref_pivots
+
+    @settings(max_examples=60, deadline=None)
+    @given(linear_systems())
+    @example(([[1, 1], [1, 1]], [0, 1]))        # inconsistent
+    @example(([[0, 0], [0, 0]], [0, 0]))        # a zero matrix, consistent
+    @example(([[0, 2, 1], [0, 4, 2]], [1, 2]))  # a free first column
+    def test_solve(self, system):
+        rows, b = system
+        n = len(rows[0])
+        ref, pivots = _dense_rref([[Fraction(x) for x in r] + [Fraction(v)]
+                                   for r, v in zip(rows, b)])
+        m = RatMatrix(rows)
+        if n in pivots:
+            assert m.solve(b) is None
+            return
+        expected = [Fraction(0)] * n
+        for r, pc in enumerate(pivots):
+            expected[pc] = ref[r][n]
+        assert m.solve(b) == tuple(expected)
+        assert m.apply(expected) == tuple(b)
 
     @settings(max_examples=30, deadline=None)
     @given(sparse_matrices())
@@ -251,7 +296,7 @@ class TestIntegerDet:
     @example([[1, 2, 3], [2, 4, 6], [0, 1, 5]])     # singular
     @example([[2, 0, 0], [0, 3, 0], [1, 0, 5]])     # rows left alone, then caught up
     def test_matches_the_rational_determinant(self, rows):
-        pivots, last = bareiss(rows)
+        pivots, last, _ = bareiss(rows)
         ref = _dense_det(rows)
         assert (last if len(pivots) == len(rows) else 0) == ref
         assert RatMatrix(rows).det() == ref
@@ -262,7 +307,7 @@ class TestIntegerDet:
         assert RatMatrix(rows).det() == _dense_det(rows)
 
     def test_empty_matrix_has_determinant_one(self):
-        assert bareiss([]) == ((), 1)
+        assert bareiss([]) == ((), 1, [])
 
 
 class TestWedge:
