@@ -25,7 +25,7 @@ from ._intlat import column_pivots
 from ._record import Check, Record, failures
 from .errors import DimensionError, InconsistencyError, ValidationError
 from .exactlinear import QONE, QZERO, RatMatrix, bareiss, cleared
-from .exterior import GAUSS_I, ExtElement, GaussRational, apply_linear, wedge
+from .exterior import ExtElement, apply_linear, wedge
 from .torus import TorusData, omega, require_valid
 
 
@@ -223,11 +223,11 @@ def wedge_characterization(b: AffineBrane) -> WedgePowerReport:
     k = (b.r - b.torus.d) // 2
     powers_vanish = []
     if fol.n_rank:
-        phi = ExtElement.two_form(fol.f) + ExtElement.two_form(fol.sigma).scale(GAUSS_I)
-        current = ExtElement.scalar(fol.n_rank, GaussRational(1))
+        phi = (ExtElement.two_form(fol.f), ExtElement.two_form(fol.sigma))
+        current = (ExtElement.scalar(fol.n_rank, QONE), ExtElement.zero(fol.n_rank))
         for rr in range(1, fol.n_rank // 2 + 2):
-            current = wedge(current, phi)
-            if not current:
+            current = _complex_wedge(current, phi)
+            if not any(current):
                 powers_vanish.append(rr)
     first_zero = powers_vanish[0] if powers_vanish else None
     stated = all(rr not in powers_vanish for rr in range(1, k)) and (k == 0 or k in powers_vanish)
@@ -245,11 +245,17 @@ def wedge_characterization(b: AffineBrane) -> WedgePowerReport:
 class AnomalyReport(Record):
     h_constant: bool
     bockstein_class_zero: bool
-    top_coefficient: GaussRational
+    top_coefficient: tuple  # (re, im)
+
+
+def _complex_wedge(x, y):
+    """Wedge of two Q(i)-valued elements, each a ``(re, im)`` pair."""
+    return (wedge(x[0], y[0]) - wedge(x[1], y[1]), wedge(x[0], y[1]) + wedge(x[1], y[0]))
 
 
 def _plus_i_covectors(t: TorusData):
-    """The echelon Q(i)-basis of the +i eigencovectors of the complex structure.
+    """The echelon Q(i)-basis of the +i eigencovectors of the complex structure,
+    each as the ``(re, im)`` pair of its rational coordinate vectors.
 
     It is the echelon kernel of ``J - i`` (J the transpose of I), found over
     Q: on ``v = x + iy`` the real and imaginary parts of ``(J - i) v`` are
@@ -267,20 +273,22 @@ def _plus_i_covectors(t: TorusData):
     kernel = RatMatrix(rows).kernel_basis()[::2]
     if len(kernel) != t.d:
         raise InconsistencyError("eigenspace of the complex structure has wrong dimension")
-    return [tuple(GaussRational(v[2 * i], v[2 * i + 1]) for i in range(n)) for v in kernel]
+    return [(v[0::2], v[1::2]) for v in kernel]
 
 
-def holomorphic_volume(t: TorusData) -> ExtElement:
-    """Wedge of a Q(i)-basis of +i eigencovectors of the complex structure.
+def holomorphic_volume(t: TorusData):
+    """Wedge of a Q(i)-basis of +i eigencovectors of the complex structure,
+    as the ``(re, im)`` pair of its rational parts.
 
     Any two such choices differ by a nonzero constant, which affects none of
     the reported conclusions.
     """
     require_valid(t)
     n = t.rank
-    result = ExtElement.scalar(n, GaussRational(1))
+    result = (ExtElement.scalar(n, QONE), ExtElement.zero(n))
     for vec in _plus_i_covectors(t):
-        result = wedge(result, ExtElement(n, {(i,): c for i, c in enumerate(vec) if c}))
+        theta = tuple(ExtElement(n, {(i,): c for i, c in enumerate(part)}) for part in vec)
+        result = _complex_wedge(result, theta)
     return result
 
 
@@ -288,25 +296,27 @@ def anomaly_check_affine(b: AffineBrane) -> AnomalyReport:
     """Anomaly data for an accepted brane: constant data force a trivial class.
 
     ``Omega|_Y ^ F^k`` is a constant multiple of the volume form on Y; the
-    multiple is an exact Gaussian rational and must be nonzero (a zero would
-    contradict acceptance and raises).  Since the ratio h is a nonzero
-    constant, its Bockstein image vanishes.
+    multiple is an exact Gaussian rational, reported as the ``(re, im)`` pair
+    of the real and imaginary parts of Omega each pulled back and wedged with
+    ``F^k``.  It must be nonzero (a zero would contradict acceptance and
+    raises).  Since the ratio h is a nonzero constant, its Bockstein image
+    vanishes.
     """
     report = b.acceptance
     if not report.accepted:
         raise ValidationError("anomaly check requires an accepted brane")
     k = report.k
-    t = b.torus
-    y = b.direction_matrix()
-    om = holomorphic_volume(t)
-    total = apply_linear(om, y.transpose())
+    yt = b.direction_matrix().transpose()
     f_form = ExtElement.two_form(b.curvature)
-    for _ in range(k):
-        total = wedge(total, f_form)
     top = tuple(range(b.r))
-    coeff = total.coefficient(top)
-    if not coeff:
+    coeff = []
+    for part in holomorphic_volume(b.torus):
+        total = apply_linear(part, yt)
+        for _ in range(k):
+            total = wedge(total, f_form)
+        coeff.append(total.coefficient(top))
+    if not any(coeff):
         raise InconsistencyError(
             "top-form coefficient vanished for an accepted brane (bug)")
     return AnomalyReport(h_constant=True, bockstein_class_zero=True,
-                         top_coefficient=coeff)
+                         top_coefficient=tuple(coeff))

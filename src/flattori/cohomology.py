@@ -23,8 +23,7 @@ from math import comb
 from ._record import Record
 from .errors import DimensionError, GradeError, ValidationError
 from .exactlinear import QZERO, RatMatrix
-from .exterior import (ExtElement, GaussRational, apply_linear, derivation_map, exp_grade2,
-                       interior, wedge)
+from .exterior import ExtElement, apply_linear, derivation_map, exp_grade2, interior, wedge
 from .torus import TorusData, omega, require_valid
 
 
@@ -146,7 +145,7 @@ def lefschetz_kernel_dim(t: TorusData) -> int:
 # ---------------------------------------------------------------------------
 
 
-def fm_transform(s: LagrangianSplitting, alpha: CohClass) -> CohClass:
+def fm_transform(s, alpha: CohClass) -> CohClass:
     """Transport a class to the mirror through the product model.
 
     Steps: rewrite the class in the splitting basis, include it into the
@@ -209,7 +208,7 @@ def mirror_class_condition(tprime: TorusData, alphaprime: CohClass) -> bool:
 class BetaReport(Record):
     torsion: bool
     projection_nonzero: bool
-    projection: tuple
+    projection: tuple  # one (re, im) pair per basis 2-form
     membership_solution: tuple
 
 
@@ -226,13 +225,12 @@ def beta_torsion(t: TorusData) -> BetaReport:
     require_valid(t)
     re, im = _projector_02(_dual_action(t))
     bvec = [t.B.entries[i][j] for (i, j) in combinations(range(t.rank), 2)]
-    parts = list(zip(re.apply(bvec), im.apply(bvec)))
-    bproj = [GaussRational(x, y) for x, y in parts]
+    parts = tuple(zip(re.apply(bvec), im.apply(bvec)))
     rows = [row for pair in zip(re.entries, im.entries) for row in pair]
     sol = RatMatrix(rows).solve([c for pair in parts for c in pair])
     return BetaReport(
         torsion=sol is not None,
-        projection_nonzero=any(bool(x) for x in bproj),
-        projection=tuple(bproj),
+        projection_nonzero=any(x or y for x, y in parts),
+        projection=parts,
         membership_solution=tuple(sol) if sol is not None else (),
     )

@@ -6,9 +6,10 @@ determinant, rank, reduced echelon form, inverse, solution and kernel basis
 comes from one fraction-free integer Gauss-Jordan elimination,
 :func:`bareiss`, on the int rows that :func:`cleared` returns.  A matrix
 entry is always rational; a question about a rational complex structure that
-lives over Q(i) is answered by its callers over Q.  Gaussian-rational scalars
-and the exterior algebra live in :mod:`flattori.exterior`, which the commands
-that need them import, so that the others do not compile it on start-up.
+lives over Q(i) is answered by its callers over Q, and a Q(i) value is the
+``(re, im)`` pair of its rational parts.  The exterior algebra lives in
+:mod:`flattori.exterior`, which the commands that need it import, so that
+the others do not compile it on start-up.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
-"""Gaussian-rational scalars and the exterior algebra, exactly.
+"""The exterior algebra over Q, exactly.
 
-:class:`GaussRational` (a pair of fractions representing ``re + im*i``) is a
-scalar only: an exterior-algebra coefficient or a reported value, never a
-matrix entry.  Exterior-algebra elements store their coefficients on
-strictly increasing index tuples; the functors :func:`induced_map` and
-:func:`derivation_map` give rational matrices.  Only the cohomology and
-brane layers and :func:`flattori.jsonio.class_from_json` use this module,
-so the commands that reach none of them never load it.
+Exterior-algebra elements store Fraction coefficients on strictly
+increasing index tuples; the functors :func:`induced_map` and
+:func:`derivation_map` give rational matrices.  A Q(i)-valued form, such as
+the holomorphic volume, is carried by its callers as a ``(re, im)`` pair of
+elements.  Only the cohomology and brane layers and
+:func:`flattori.jsonio.class_from_json` use this module, so the commands
+that reach none of them never load it.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -23,94 +23,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DimensionError, GradeError
-from .exactlinear import QONE, QZERO, RatMatrix, rat, rat_str
-
-
-class GaussRational:
-    """A Gaussian rational ``re + im*i`` with exact field operations.
-
-    A scalar only: exterior-algebra coefficients such as the holomorphic
-    volume's, and report values.  :class:`RatMatrix` rejects it as an entry.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", rat(re))
-        object.__setattr__(self, "im", rat(im))
-
-    def __setattr__(self, *a):
-        raise AttributeError("GaussRational is immutable")
-
-    @staticmethod
-    def coerce(x) -> "GaussRational":
-        if isinstance(x, GaussRational):
-            return x
-        return GaussRational(rat(x))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussRational(other)
-        if not isinstance(other, GaussRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        # equal to its real part when im == 0, so it must hash like it
-        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
-
-    def __add__(self, other):
-        other = GaussRational.coerce(other)
-        return GaussRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-GaussRational.coerce(other))
-
-    def __rsub__(self, other):
-        return GaussRational.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = GaussRational.coerce(other)
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = GaussRational.coerce(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * GaussRational(other.re / n, -other.im / n)
-
-    def __rtruediv__(self, other):
-        return GaussRational.coerce(other) / self
-
-    def __repr__(self):
-        if self.im == 0:
-            return rat_str(self.re)
-        return f"({rat_str(self.re)}+{rat_str(self.im)}i)"
-
-
-GAUSS_I = GaussRational(0, 1)
+from .exactlinear import QONE, QZERO, RatMatrix, rat
 
 
 class ExtElement:
     """Element of the exterior algebra on a based vector space.
 
     ``terms`` maps strictly increasing tuples of generator indices to
-    nonzero coefficients; the empty tuple indexes the scalar part.
-    Coefficients may be Fractions or Gaussian rationals.
+    nonzero Fraction coefficients; the empty tuple indexes the scalar part.
     """
 
     __slots__ = ("base_rank", "terms")
@@ -123,8 +43,7 @@ class ExtElement:
                 raise ValueError(f"index tuple {idx} is not strictly increasing")
             if idx and (idx[0] < 0 or idx[-1] >= base_rank):
                 raise DimensionError(f"index tuple {idx} out of range for rank {base_rank}")
-            if not isinstance(c, GaussRational):
-                c = rat(c)
+            c = rat(c)
             if c:
                 clean[idx] = c
         object.__setattr__(self, "base_rank", base_rank)

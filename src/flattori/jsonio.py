@@ -1,10 +1,11 @@
 """JSON (de)serialization for all file formats the CLI speaks.
 
 Rationals travel as strings ``"p/q"`` (or ``"p"`` for integers) so that
-exactness survives serialization; Gaussian rationals as ``{"re","im"}``
-objects.  Exterior-algebra classes list their terms with 0-based strictly
-increasing index tuples.  Schema violations raise :class:`SchemaError`
-with a pointer to the offending field.
+exactness survives serialization.  A Gaussian rational is carried as its
+``(re, im)`` pair of rationals and written as an ``{"re","im"}`` object by
+:func:`gauss_to_json` alone.  Exterior-algebra classes list their terms
+with 0-based strictly increasing index tuples.  Schema violations raise
+:class:`SchemaError` with a pointer to the offending field.
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ def _rat_from(value, pointer):
         raise SchemaError(f"expected a rational number, got {value!r}", pointer)
 
 
-def gauss_to_json(g: GaussRational):
-    return {"re": rat_str(g.re), "im": rat_str(g.im)}
+def gauss_to_json(g):
+    """The ``{"re", "im"}`` object of a Gaussian rational given as its ``(re, im)`` pair."""
+    re, im = g
+    return {"re": rat_str(re), "im": rat_str(im)}
 
 
 def matrix_to_json(m: RatMatrix):
@@ -98,14 +101,14 @@ def load_json(path: str):
         raise SchemaError(f"malformed JSON: {exc}", path)
 
 
-def class_to_json(element: ExtElement):
+def class_to_json(element):
     terms = []
     for idx in sorted(element.terms, key=lambda t: (len(t), t)):
         terms.append({"indices": list(idx), "coeff": rat_str(element.terms[idx])})
     return {"base_rank": element.base_rank, "grade_terms": terms}
 
 
-def class_from_json(data, base_rank, pointer="class") -> ExtElement:
+def class_from_json(data, base_rank, pointer="class"):
     from .exterior import ExtElement
     if not isinstance(data, dict) or "grade_terms" not in data:
         raise SchemaError("expected an object with grade_terms", pointer)
@@ -164,7 +167,7 @@ def brane_from_json(data, base_dir=".", pointer="brane"):
                        curvature=fmat, translation=translation)
 
 
-def load_brane(path: str) -> AffineBrane:
+def load_brane(path: str):
     return brane_from_json(load_json(path), base_dir=os.path.dirname(path) or ".",
                            pointer=os.path.basename(path))
 
@@ -173,7 +176,7 @@ def checks_to_json(checks):
     return [{"name": c.name, "ok": c.ok} for c in checks]
 
 
-def certificate_to_json(cert: Certificate):
+def certificate_to_json(cert):
     return {
         "kind": cert.map.kind,
         "g": [[int(e) for e in row] for row in cert.map.g.entries],
@@ -182,7 +185,7 @@ def certificate_to_json(cert: Certificate):
     }
 
 
-def map_from_json(data, base_dir=".", pointer="map") -> LatticeMap:
+def map_from_json(data, base_dir=".", pointer="map"):
     from .equivalence import KINDS, LatticeMap
     if not isinstance(data, dict):
         raise SchemaError("expected an object", pointer)
@@ -209,6 +212,6 @@ def map_from_json(data, base_dir=".", pointer="map") -> LatticeMap:
     return LatticeMap(g=g, source=source, target=target, kind=kind)
 
 
-def load_map(path: str) -> LatticeMap:
+def load_map(path: str):
     return map_from_json(load_json(path), base_dir=os.path.dirname(path) or ".",
                          pointer=os.path.basename(path))

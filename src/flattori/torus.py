@@ -222,7 +222,7 @@ def square_torus(d: int, label: str = "") -> TorusData:
     )
 
 
-def random_valid_torus(rng: random.Random, d: int, steps: int = 6, b_bound: int = 2,
+def random_valid_torus(rng, d: int, steps: int = 6, b_bound: int = 2,
                        scale_bound: int = 3) -> TorusData:
     """A random valid torus: conjugate the square data by a unimodular S.
 

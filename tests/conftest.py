@@ -1,12 +1,12 @@
 import json
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from flattori import jsonio
 from flattori.exactlinear import Q, RatMatrix
-from flattori.exterior import GaussRational
 from flattori.torus import TorusData, square_torus
 
 
@@ -37,14 +37,71 @@ def rng():
     return random.Random(20240817)
 
 
+class Gaussian:
+    """A Gaussian rational ``re + im*i`` with exact field operations.
+
+    The oracles' own Q(i) arithmetic: the package carries a Q(i) value as a
+    ``(re, im)`` pair of rationals and has no such type.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, Gaussian) else Gaussian(x)
+
+    def pair(self):
+        return self.re, self.im
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __eq__(self, other):
+        return self.pair() == Gaussian.of(other).pair()
+
+    def __add__(self, other):
+        other = Gaussian.of(other)
+        return Gaussian(self.re + other.re, self.im + other.im)
+
+    def __neg__(self):
+        return Gaussian(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + -Gaussian.of(other)
+
+    def __rsub__(self, other):
+        return Gaussian.of(other) - self
+
+    def __mul__(self, other):
+        other = Gaussian.of(other)
+        return Gaussian(self.re * other.re - self.im * other.im,
+                        self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = Gaussian.of(other)
+        n = other.re * other.re + other.im * other.im
+        return self * Gaussian(other.re / n, -other.im / n)
+
+    def __rtruediv__(self, other):
+        return Gaussian.of(other) / self
+
+    def __repr__(self):
+        return f"({self.re}+{self.im}i)"
+
+
 def _gauss_eigenvectors(rows, lam):
     """Echelon kernel basis of ``M - lam 1`` over Q(i): the reference oracle.
 
-    Plain Gauss-Jordan elimination on GaussRational scalars, independent of
-    RatMatrix, which holds rationals only.  Each basis vector is 1 at its own
-    free column and 0 at the other free columns.
+    Plain Gauss-Jordan elimination on :class:`Gaussian` scalars, independent
+    of RatMatrix, which holds rationals only.  Each basis vector is 1 at its
+    own free column and 0 at the other free columns.
     """
-    m = [[GaussRational.coerce(x) - (lam if a == b else 0) for b, x in enumerate(row)]
+    m = [[Gaussian.of(x) - (lam if a == b else 0) for b, x in enumerate(row)]
          for a, row in enumerate(rows)]
     ncols = len(m[0])
     pivots = []
@@ -62,7 +119,7 @@ def _gauss_eigenvectors(rows, lam):
         pivots.append(c)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
-        v = [GaussRational(int(c == fc)) for c in range(ncols)]
+        v = [Gaussian(int(c == fc)) for c in range(ncols)]
         for r, pc in enumerate(pivots):
             v[pc] = -m[r][fc]
         basis.append(tuple(v))

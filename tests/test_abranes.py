@@ -1,12 +1,13 @@
 """Coisotropic brane acceptance on flat four- and six-tori."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import Gaussian
 from flattori import abranes
 from flattori.abranes import (AffineBrane, _foliation, _plus_i_covectors, anomaly_check_affine,
                               check_abrane, coisotropy_witness, holomorphic_volume,
@@ -14,8 +15,10 @@ from flattori.abranes import (AffineBrane, _foliation, _plus_i_covectors, anomal
 from flattori.cohomology import CohClass, mirror_class_condition
 from flattori.errors import ValidationError
 from flattori.exactlinear import RatMatrix
-from flattori.exterior import GAUSS_I, ExtElement, apply_linear, exp_grade2, wedge
+from flattori.exterior import ExtElement, apply_linear, exp_grade2, wedge
+from flattori.tduality import find_lagrangian_splitting
 from flattori.torus import TorusData, omega, random_valid_torus
+from test_cli import OPEN1, OPEN2
 
 
 def unit(n, k):
@@ -375,13 +378,13 @@ class TestAnomaly:
     def test_space_filling_top_coefficient(self, space_filling):
         rep = anomaly_check_affine(space_filling)
         assert rep.h_constant and rep.bockstein_class_zero
-        assert rep.top_coefficient
+        assert any(rep.top_coefficient)
 
     def test_lagrangian_maslov_trivial(self, t4):
         b = AffineBrane(t4, (unit(4, 0), unit(4, 2)), RatMatrix.zero(2, 2))
         rep = anomaly_check_affine(b)
         assert rep.bockstein_class_zero
-        assert rep.top_coefficient
+        assert any(rep.top_coefficient)
 
     def test_rejected_brane_not_accepted_here(self, t4):
         b = AffineBrane(t4, tuple(unit(4, k) for k in range(3)),
@@ -390,14 +393,54 @@ class TestAnomaly:
             anomaly_check_affine(b)
 
     # the realified kernel over Q, halved, is the oracle's echelon kernel of
-    # I^T - i over Q(i), vector by vector
+    # I^T - i over Q(i), vector by vector, as (re, im) pairs
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(1, 3))
     def test_covectors_are_the_oracle_echelon_kernel(self, gauss_eigenvectors, seed, d):
         t = random_valid_torus(random.Random(seed), d)
-        assert _plus_i_covectors(t) == gauss_eigenvectors(t.I.transpose().entries, GAUSS_I)
+        oracle = gauss_eigenvectors(t.I.transpose().entries, Gaussian(0, 1))
+        assert _plus_i_covectors(t) == [tuple(zip(*(z.pair() for z in v))) for v in oracle]
 
     def test_holomorphic_volume_has_top_antiholomorphic_pair(self, t4):
-        om = holomorphic_volume(t4)
-        assert om.is_homogeneous(2)
-        assert om
+        # the +i covectors are i e0 + e1 and i e2 + e3, whose wedge is
+        # (-e02 + e13) + i (e03 + e12)
+        assert holomorphic_volume(t4) == (ExtElement(4, {(0, 2): -1, (1, 3): 1}),
+                                          ExtElement(4, {(0, 3): 1, (1, 2): 1}))
+
+    # Both halves of a splitting are Lagrangian subtori, accepted with F = 0
+    # and k = 0, on tori that are not rebased products, and their charges
+    # satisfy the mirror-class condition.  Their anomaly coefficient Omega|_Y
+    # is det[theta_j(y_l)] for the oracle's +i covectors theta_j, a Leibniz
+    # sum over Q(i).
+    @pytest.mark.parametrize("t", [OPEN1, OPEN2], ids=["open1", "open2"])
+    def test_lagrangian_halves_match_the_oracle_determinant(self, gauss_eigenvectors, t):
+        _assert_halves_match_oracle(t, gauss_eigenvectors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3))
+    def test_random_lagrangian_halves_match_the_oracle_determinant(self, gauss_eigenvectors,
+                                                                    seed, d):
+        _assert_halves_match_oracle(random_valid_torus(random.Random(seed), d),
+                                    gauss_eigenvectors)
+
+
+def _leibniz_det(m):
+    total = Gaussian(0)
+    for perm in permutations(range(len(m))):
+        term = Gaussian((-1) ** sum(a > b for a, b in combinations(perm, 2)))
+        for row, col in enumerate(perm):
+            term = term * m[row][col]
+        total = total + term
+    return total
+
+
+def _assert_halves_match_oracle(t, gauss_eigenvectors):
+    thetas = gauss_eigenvectors(t.I.transpose().entries, Gaussian(0, 1))
+    s = find_lagrangian_splitting(t)
+    for half in (s.a_basis, s.b_basis):
+        b = AffineBrane(t, half, RatMatrix.zero(t.d, t.d))
+        assert b.acceptance.accepted and b.acceptance.k == 0
+        assert mirror_class_condition(t, _charge(b))
+        m = [[sum((c * x for c, x in zip(theta, y)), Gaussian(0)) for y in half]
+             for theta in thetas]
+        assert anomaly_check_affine(b).top_coefficient == _leibniz_det(m).pair()

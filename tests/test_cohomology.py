@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import Gaussian
 from flattori.cohomology import (CohClass, _projector_02, beta_torsion, fm_transform,
                                  hodge_diamond, inverse_bivector,
                                  lefschetz_kernel_dim, mirror_class_condition,
                                  rational_pp_classes)
 from flattori.exactlinear import Q, QZERO, RatMatrix
-from flattori.exterior import (GAUSS_I, ExtElement, GaussRational, derivation_map, exp_grade2,
-                               interior, wedge)
+from flattori.exterior import ExtElement, derivation_map, exp_grade2, interior, wedge
 from flattori.tduality import dual_splitting, find_lagrangian_splitting, mirror_via_tduality
 from flattori.torus import TorusData, omega, random_valid_torus, square_torus
 
@@ -44,7 +44,7 @@ class TestHodgeDiamond:
         hd = hodge_diamond(t)
         for p, q in product(range(d + 1), repeat=2):
             dmat = derivation_map(t.I.transpose(), p + q)
-            assert len(gauss_eigenvectors(dmat.entries, GAUSS_I * (p - q))) == hd.entry(p, q)
+            assert len(gauss_eigenvectors(dmat.entries, Gaussian(0, p - q))) == hd.entry(p, q)
 
     # the spectral projector of D onto its i(p-q)-eigenspace, built over Q(i)
     # as the product of (D - im) / (i(p-q) - im) over the other eigenvalues im
@@ -55,18 +55,18 @@ class TestHodgeDiamond:
         hd = hodge_diamond(t)
         for p, q in product(range(d + 1), repeat=2):
             k = p + q
-            dmat = [[GaussRational.coerce(x) for x in row]
+            dmat = [[Gaussian.of(x) for x in row]
                     for row in derivation_map(t.I.transpose(), k).entries]
             n = len(dmat)
-            proj = [[GaussRational(int(a == b)) for b in range(n)] for a in range(n)]
+            proj = [[Gaussian(int(a == b)) for b in range(n)] for a in range(n)]
             top = min(k, 2 * d - k)
             for m in range(-top, top + 1, 2):
                 if m == p - q:
                     continue
-                c = GaussRational(0, p - q - m)
-                factor = [[(x - (GAUSS_I * m if a == b else 0)) / c for b, x in enumerate(row)]
+                c = Gaussian(0, p - q - m)
+                factor = [[(x - (Gaussian(0, m) if a == b else 0)) / c for b, x in enumerate(row)]
                           for a, row in enumerate(dmat)]
-                proj = [[sum((row[j] * factor[j][b] for j in range(n)), GaussRational(0))
+                proj = [[sum((row[j] * factor[j][b] for j in range(n)), Gaussian(0))
                          for b in range(n)] for row in proj]
             assert n - len(gauss_eigenvectors(proj, 0)) == hd.entry(p, q)
 
@@ -184,6 +184,34 @@ class TestFmTransform:
                 twice = fm_transform(s2, fm_transform(s, alpha))
                 split = apply_linear(alpha.element, s.change_of_basis.transpose())
                 assert twice.element == split.scale(sign)
+
+    # fm is an isometry of the Mukai pairing <a, b>, the top coefficient of
+    # sigma(a) ^ b with sigma = (-1)^floor(k/2) on grade k, up to the sign
+    # det P of the splitting's change of basis (Mukai, Nagoya Math. J. 81)
+    @settings(max_examples=45, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3))
+    def test_fm_is_an_isometry_of_the_mukai_pairing(self, seed, d):
+        rng = random.Random(seed)
+        t = random_valid_torus(rng, d)
+        s = find_lagrangian_splitting(t)
+        for _ in range(3):
+            alpha, beta = (CohClass(t, _class_of_every_grade(rng, t.rank)) for _ in range(2))
+            assert (_mukai(fm_transform(s, alpha), fm_transform(s, beta))
+                    == s.change_of_basis.det() * _mukai(alpha, beta))
+
+
+def _class_of_every_grade(rng, n):
+    terms = {idx: rng.randint(-2, 2) for k in range(n + 1) for idx in combinations(range(n), k)}
+    for k in range(n + 1):
+        terms[rng.choice(list(combinations(range(n), k)))] = rng.choice((-2, -1, 1, 2))
+    return ExtElement(n, terms)
+
+
+def _mukai(alpha, beta):
+    n = alpha.element.base_rank
+    sigma = ExtElement(n, {idx: c * (-1) ** (len(idx) // 2)
+                           for idx, c in alpha.element.terms.items()})
+    return wedge(sigma, beta.element).coefficient(tuple(range(n)))
 
 
 class TestMirrorClassCondition:

@@ -1,9 +1,14 @@
 """The immutable record base, on the package's own record classes."""
 
+import importlib
+import inspect
+import pkgutil
+import typing
 from fractions import Fraction
 
 import pytest
 
+import flattori
 from flattori import torus
 from flattori._record import Check, Record, failures
 from flattori.equivalence import SearchOutcome
@@ -123,3 +128,31 @@ def test_validation_is_computed_once(monkeypatch):
     assert t.validation is first and t.ginv is t.ginv
     torus.require_valid(t)
     assert calls == [t]
+
+
+def _annotated(module):
+    """Every function, method and class (for its record fields) that the module defines."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield obj
+            for attr in vars(obj).values():
+                # plain, static and class methods, properties and cached properties
+                for func in (attr, getattr(attr, "__func__", None), getattr(attr, "fget", None),
+                             getattr(attr, "func", None)):
+                    if inspect.isfunction(func):
+                        yield func
+
+
+# an annotation naming a class its module does not import stays a string
+# that nothing resolves; the layers cli keeps lazy must stay unimported
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(flattori.__path__)))
+def test_every_annotation_resolves(name):
+    module = importlib.import_module(f"flattori.{name}")
+    objs = list(_annotated(module))
+    assert objs
+    for obj in objs:
+        typing.get_type_hints(obj)
