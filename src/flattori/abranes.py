@@ -83,15 +83,14 @@ def _require_structural(b: AffineBrane):
 class FoliationData(Record):
     """Kernel of the restricted symplectic form and the transverse data.
 
-    All vectors are in Y-coordinates.  ``complement`` lists the coordinate
-    indices representing the transverse space; ``sigma`` and ``f`` are the
-    induced forms on those representatives (None in the Lagrangian case,
-    where the transverse space is zero).
+    All vectors are in Y-coordinates.  ``sigma`` and ``f`` are the induced
+    forms on the coordinate directions that complement the kernel (the
+    non-pivot columns of its echelon form), None in the Lagrangian case,
+    where the transverse space is zero.
     """
 
     l_basis: tuple
     n_rank: int
-    complement: tuple
     sigma: RatMatrix | None
     f: RatMatrix | None
 
@@ -115,8 +114,7 @@ def _foliation(b: AffineBrane) -> FoliationData:
     comp = _complement_indices(l_basis, b.r)
     sigma = _restricted_form(w_v, comp) if comp else None
     f = _restricted_form(b.curvature, comp) if comp else None
-    return FoliationData(l_basis=l_basis, n_rank=len(comp), complement=comp,
-                         sigma=sigma, f=f)
+    return FoliationData(l_basis=l_basis, n_rank=len(comp), sigma=sigma, f=f)
 
 
 def coisotropy_witness(b: AffineBrane):

@@ -42,9 +42,6 @@ class HodgeDiamond(Record):
     d: int
     h: tuple  # h[p][q]
 
-    def entry(self, p: int, q: int) -> int:
-        return self.h[p][q]
-
 
 def _dual_action(t: TorusData) -> RatMatrix:
     # the complex structure acting on covectors, in the dual basis

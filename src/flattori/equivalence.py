@@ -37,7 +37,7 @@ from operator import mul
 from . import kernels
 from ._intlat import integral_coordinate_lattice, pair_reduce
 from ._record import Check, Record
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, InconsistencyError, ValidationError
 from .exactlinear import RatMatrix, bareiss, cleared
 from .kernels_py import completed_height, frobenius_gram, split_pairing
 from .torus import TorusData, doubled, narain_form
@@ -214,14 +214,15 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
     either, as ``g^t q g = q`` and ``g q g^t = q``.  The three lattices are
     then isometric under F, and ``det(U^t A U) = det A`` makes (rank, det A)
     independent of the basis: when the three pairs differ, the outcome is
-    ``"refuted"`` by :data:`LATTICE_ISOMETRY` with 0 nodes.
+    ``"refuted"`` by :data:`LATTICE_ISOMETRY` with 0 nodes.  L(T1,T1) and
+    L(T2,T2), which the scan never reads, are therefore not size-reduced.
 
     The scan enumerates integer coordinate vectors of max-norm at most
-    ``coeff_bound`` over the integral intertwiner basis, in the canonical
+    ``coeff_bound`` over the size-reduced intertwiner basis, in the canonical
     candidate order (height shell, then support size, then positions, then
     digits), with the exact filter of :mod:`flattori.kernels_py`; the first
-    q-congruent candidate is returned as a verified certificate (verdict
-    ``"found"``).
+    q-congruent candidate is checked once, by :func:`verify_map` (a failure
+    is an ``InconsistencyError``), and is the certificate (verdict ``"found"``).
 
     An ``iso`` or ``mirror`` certificate has ``F(g) = tr(q q) = 4d``, and F is
     the Narain form there; an exhausted window without a hit is ``"refuted"``
@@ -236,7 +237,8 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
     n = 4 * t1.d
     if kind == "derived_eq":
         classes = [_lattice_class(rows, n) for rows in (
-            intertwiner_rows(t1, t1, kind), flat, intertwiner_rows(t2, t2, kind))]
+            integral_coordinate_lattice(_constraint_rows(t1, t1, kind)), flat,
+            integral_coordinate_lattice(_constraint_rows(t2, t2, kind)))]
         if len(set(classes)) > 1:
             return SearchOutcome("refuted", 0, refuted_by=f"{LATTICE_ISOMETRY}: "
                                  + ", ".join(map(str, classes)))
@@ -245,7 +247,7 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
         g = [sum(c * m[t] for c, m in zip(hits[0], flat) if c) for t in range(n * n)]
         cert = verify_map(LatticeMap(g=_as_matrix(g, n), source=t1, target=t2, kind=kind))
         if not cert.valid:
-            raise AssertionError("search produced a non-verifying candidate (internal error)")
+            raise InconsistencyError("search produced a non-verifying candidate (internal error)")
         return SearchOutcome("found", nodes, cert)
     if not exhausted:
         return SearchOutcome("undecided", nodes,

@@ -63,10 +63,6 @@ class ExtElement:
         return ExtElement(base_rank, {(): c})
 
     @staticmethod
-    def generator(base_rank: int, i: int) -> "ExtElement":
-        return ExtElement(base_rank, {(i,): QONE})
-
-    @staticmethod
     def monomial(base_rank: int, indices, c=QONE) -> "ExtElement":
         return ExtElement(base_rank, {tuple(indices): c})
 

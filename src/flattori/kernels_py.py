@@ -23,17 +23,15 @@ has magnitude below W/2, so ``F(c) = F_q`` (the packed q) holds exactly when
 every entry matches.  ``F`` is a K x K integer form built once per search;
 the scan walks the digits of each support depth first, carrying the prefix
 value and the linear terms of the positions still to come, so a candidate
-costs ``value + x*(lin + x*D)``: O(1) amortised integer work.  Each hit is
-re-checked entry by entry with :func:`congruence_ok`; a disagreement is an
-internal error.  Arithmetic is in Python integers, so large basis entries
-cannot overflow.
+costs ``value + x*(lin + x*D)``: O(1) amortised integer work.  A hit is
+kept as its coordinates; the caller checks the map they give once, with
+:func:`flattori.equivalence.verify_map`.  Arithmetic is in Python integers,
+so large basis entries cannot overflow.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-
-from .errors import InconsistencyError
 
 
 def _digit_values(height):
@@ -49,21 +47,6 @@ def completed_height(k, nodes):
     while (2 * h + 3) ** k - 1 <= nodes:
         h += 1
     return h
-
-
-def congruence_ok(gflat, n):
-    """Exact check of ``g^t q g == q`` for the split pairing on Z^n (n = 4d)."""
-    half = n // 2
-    for a in range(n):
-        for b in range(a, n):
-            s = 0
-            for i in range(half):
-                s += gflat[i * n + a] * gflat[(i + half) * n + b]
-                s += gflat[(i + half) * n + a] * gflat[i * n + b]
-            want = 1 if abs(a - b) == half else 0
-            if s != want:
-                return False
-    return True
 
 
 def split_pairing(n):
@@ -141,13 +124,8 @@ def run_filter(basis_flat, n, bound, budget, max_hits=1):
 
     def hit(pos):
         coords = [0] * k
-        g = [0] * (n * n)
         for p, c in zip(pos, digits):
             coords[p] = c
-            for t, v in enumerate(basis_flat[p]):
-                g[t] += c * v
-        if not congruence_ok(g, n):
-            raise InconsistencyError("packed form and congruence_ok disagree (internal error)")
         hits.append(tuple(coords))
         return len(hits) >= max_hits
 

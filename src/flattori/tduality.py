@@ -224,17 +224,3 @@ def mirror_via_tduality(t: TorusData, s: LagrangianSplitting) -> MirrorResult:
     check("duality_map_verifies", cert.valid)
     return MirrorResult(mirror=mirror, duality_certificate=cert, recovery_report=tuple(report))
 
-
-def dual_splitting(mirror: TorusData) -> LagrangianSplitting:
-    """The splitting of a mirror along its dualized factor (first d coordinates).
-
-    Used for the round trip: dualizing the mirror along this splitting
-    returns to a torus isomorphic to the original.
-    """
-    n = mirror.rank
-    d = mirror.d
-    a = [tuple(1 if i == k else 0 for i in range(n)) for k in range(d)]
-    b = [tuple(1 if i == k else 0 for i in range(n)) for k in range(d, n)]
-    s = LagrangianSplitting.from_vectors(a, b)
-    require_splitting(mirror, s)
-    return s

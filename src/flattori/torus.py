@@ -150,46 +150,20 @@ def doubled(t: TorusData) -> DoubledStructure:
     return t._doubled
 
 
-class ChargeVector(Record):
-    """An integral winding/momentum pair ``(w, m)``."""
+def zero_mode_momenta(t: TorusData, w, m):
+    """``(p, pbar, p^2/2, pbar^2/2)`` of the charge with windings w, momenta m.
 
-    w: tuple
-    m: tuple
-
-    def __post_init__(self):
-        if any(not isinstance(x, int) for x in self.w + self.m):
-            raise ValueError("charge vectors must have integer entries")
-        if len(self.w) != len(self.m):
-            raise DimensionError("winding and momentum lengths differ")
-
-
-class ZeroModes(Record):
-    """The sqrt(2)-rescaled zero-mode momenta and their half-norms.
-
-    ``p = m - (B+G)w`` and ``pbar = m + (G-B)w`` are exact rational
-    covectors equal to sqrt(2) times the physical momenta; the reported
-    half-norms ``G^-1(p,p)/2`` are the quantities entering every identity.
+    ``p = m - (B+G)w`` and ``pbar = m + (G-B)w`` are sqrt(2) times the
+    physical momenta, and ``p^2/2 = G^-1(p,p)/2``.  No command calls this:
+    it is the tests' oracle for :func:`narain_form`.
     """
-
-    p: tuple
-    pbar: tuple
-    p2_half: Fraction
-    pbar2_half: Fraction
-
-
-def zero_mode_momenta(t: TorusData, c: ChargeVector) -> ZeroModes:
     require_valid(t)
-    if len(c.w) != t.rank:
+    if len(w) != t.rank or len(m) != t.rank:
         raise DimensionError("charge vector length does not match torus rank")
-    bw, gw = t.B.apply(c.w), t.G.apply(c.w)
-    p = tuple(m - b - g for m, b, g in zip(c.m, bw, gw))
-    pbar = tuple(m + g - b for m, b, g in zip(c.m, bw, gw))
-    p2_half, pbar2_half = (HALF * sum(map(mul, v, t.ginv.apply(v))) for v in (p, pbar))
-    return ZeroModes(p, pbar, p2_half, pbar2_half)
-
-
-def q_value(c: ChargeVector) -> Fraction:
-    return Fraction(2 * sum(a * b for a, b in zip(c.w, c.m)))
+    bw, gw = t.B.apply(w), t.G.apply(w)
+    p = tuple(mi - b - g for mi, b, g in zip(m, bw, gw))
+    pbar = tuple(mi + g - b for mi, b, g in zip(m, bw, gw))
+    return (p, pbar, *(HALF * sum(map(mul, v, t.ginv.apply(v))) for v in (p, pbar)))
 
 
 def narain_form(t: TorusData) -> RatMatrix:

@@ -131,6 +131,14 @@ def gauss_eigenvectors():
     return _gauss_eigenvectors
 
 
+def unit_splitting(d):
+    """Z^{2d} split into its first d and its last d unit vectors: a mirror's
+    dualized factor, so dualizing a mirror along it is the round trip."""
+    from flattori.tduality import LagrangianSplitting
+    units = [tuple(int(i == k) for i in range(2 * d)) for k in range(2 * d)]
+    return LagrangianSplitting.from_vectors(units[:d], units[d:])
+
+
 @pytest.fixture
 def torus_file(tmp_path):
     def write(t, name):

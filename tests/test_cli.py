@@ -320,7 +320,7 @@ class TestImportIsolation:
             {"kind": "iso", "source": "square.json", "target": "square.json",
              "g": [[int(i == j) for j in range(4)] for i in range(4)]}))
         (tmp_path / "class.json").write_text(json.dumps(
-            jsonio.class_to_json(ExtElement.generator(2, 0))))
+            jsonio.class_to_json(ExtElement.monomial(2, (0,)))))
         (tmp_path / "brane.json").write_text(json.dumps(
             {"torus_ref": "square.json", "Y_basis": [[1, 0]], "F": [["0"]]}))
         commands = [

@@ -6,12 +6,13 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flattori._intlat import (integer_kernel, integral_coordinate_lattice,
+from flattori._intlat import (integer_kernel, integral_coordinate_lattice, pair_reduce,
                               spans_direct_summand)
 from flattori._record import failures
 from flattori.equivalence import (DEFAULT_NODE_BUDGET, KINDS, LATTICE_ISOMETRY, RELATIONS,
@@ -22,8 +23,8 @@ from flattori.errors import ValidationError
 from flattori.exactlinear import Q, RatMatrix
 from flattori.kernels_py import frobenius_gram, split_pairing
 from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
-from flattori.torus import (ChargeVector, TorusData, doubled, narain_form, q_value,
-                            random_valid_torus, square_torus, zero_mode_momenta)
+from flattori.torus import (TorusData, doubled, narain_form, random_valid_torus,
+                            square_torus, zero_mode_momenta)
 
 E1_SWAP = RatMatrix([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
 E1_SHEAR = RatMatrix([[1, 1], [0, 1]])
@@ -361,9 +362,6 @@ class TestSpectrumFingerprint:
         assert spectrum_fingerprint(square1, 1) != spectrum_fingerprint(stretched1, 1)
 
     def test_iso_certificate_preserves_triples(self, square1):
-        from flattori.torus import ChargeVector, zero_mode_momenta, q_value
-        from itertools import product
-
         # self-iso of the square torus, plus an iso onto a rebased copy
         u = RatMatrix([[1, 1], [0, 1]])
         rebased = TorusData(1, u.inverse() * square1.I * u,
@@ -373,14 +371,11 @@ class TestSpectrumFingerprint:
         for t1, t2 in pairs:
             g = search_relation(t1, t2, "iso", 2).certificate.map.g
             for coords in product(range(-3, 4), repeat=4):
-                c = ChargeVector(coords[:2], coords[2:])
-                image = g.apply(coords)
-                ci = ChargeVector(tuple(int(x) for x in image[:2]),
-                                  tuple(int(x) for x in image[2:]))
-                z1 = zero_mode_momenta(t1, c)
-                z2 = zero_mode_momenta(t2, ci)
-                assert (q_value(c), z1.p2_half, z1.pbar2_half) == \
-                       (q_value(ci), z2.p2_half, z2.pbar2_half)
+                image = [int(x) for x in g.apply(coords)]
+                _, _, *z1 = zero_mode_momenta(t1, coords[:2], coords[2:])
+                _, _, *z2 = zero_mode_momenta(t2, image[:2], image[2:])
+                assert (2 * sum(map(mul, coords[:2], coords[2:])), *z1) == \
+                       (2 * sum(map(mul, image[:2], image[2:])), *z2)
 
 
 def _random_torus_with_b(seed, d):
@@ -393,9 +388,9 @@ def _reference_fingerprint(t, height):
     """The fingerprint built charge by charge from the public per-charge API."""
     triples = []
     for coords in product(range(-height, height + 1), repeat=2 * t.rank):
-        c = ChargeVector(coords[:t.rank], coords[t.rank:])
-        z = zero_mode_momenta(t, c)
-        triples.append((q_value(c), z.p2_half, z.pbar2_half))
+        w, m = coords[:t.rank], coords[t.rank:]
+        _, _, p2_half, pbar2_half = zero_mode_momenta(t, w, m)
+        triples.append((Fraction(2 * sum(map(mul, w, m))), p2_half, pbar2_half))
     return tuple(sorted(triples))
 
 
@@ -417,11 +412,11 @@ class TestHoistedFingerprint:
         # the fingerprint reads both half-norms off the one Narain form:
         # p^2/2 = (gamma^t N gamma - q)/2 and pbar^2/2 = (gamma^t N gamma + q)/2
         t = _random_torus_with_b(seed, 2)
-        c = ChargeVector(tuple(coords[:4]), tuple(coords[4:]))
+        q = 2 * sum(map(mul, coords[:4], coords[4:]))
         norm = sum(x * y for x, y in zip(coords, narain_form(t).apply(coords)))
-        z = zero_mode_momenta(t, c)
-        assert z.p2_half == (norm - q_value(c)) / 2
-        assert z.pbar2_half == (norm + q_value(c)) / 2
+        _, _, p2_half, pbar2_half = zero_mode_momenta(t, coords[:4], coords[4:])
+        assert p2_half == (norm - q) / 2
+        assert pbar2_half == (norm + q) / 2
 
 
 def _in_basis(t, u):
@@ -739,6 +734,18 @@ class TestMod2Obstruction:
                     for x, y in ((a, a), (a, b), (b, b))]
 
         assert classes(t1, t2) == classes(r1, t2) == classes(t1, r2) == classes(r1, r2)
+
+    # search_relation reads L(T1,T1) and L(T2,T2) off the kernel basis without
+    # size reduction: the unimodular steps of pair_reduce keep (rank, det).
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 2), st.booleans(), st.sampled_from(KINDS), st.integers(0, 2 ** 32))
+    def test_lattice_class_ignores_size_reduction(self, d, rebased, kind, seed):
+        rng = random.Random(seed)
+        t1 = random_valid_torus(rng, d)
+        t2 = _rebased(t1, rng) if rebased else random_valid_torus(rng, d)
+        for a, b in ((t1, t1), (t1, t2), (t2, t2)):
+            rows = integral_coordinate_lattice(_constraint_rows(a, b, kind))
+            assert _lattice_class(pair_reduce(rows), 4 * d) == _lattice_class(rows, 4 * d)
 
     # Every pair the mod-2 oracle obstructs is refuted.
     @settings(max_examples=200, deadline=None)

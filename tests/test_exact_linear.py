@@ -436,7 +436,7 @@ class TestInducedMap:
                         cols.append(ExtElement(3, {(i,): m.entries[i][gen]
                                                    for i in range(3) if m.entries[i][gen]}))
                     else:
-                        cols.append(ExtElement.generator(3, gen))
+                        cols.append(ExtElement.monomial(3, (gen,)))
                 term = ExtElement.scalar(3, 1)
                 for c in cols:
                     term = wedge(term, c)

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flattori import kernels, kernels_py
+from flattori import cli, equivalence, kernels, kernels_py
+from flattori._record import Check
 from flattori.equivalence import intertwiner_space
 from flattori.errors import InconsistencyError
 from flattori.exactlinear import RatMatrix
@@ -138,10 +139,18 @@ def test_completed_height_counts_whole_shells():
         [0, 0, 1, 1, 2, 3]
 
 
-def test_hit_disagreeing_with_congruence_ok_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(kernels_py, "congruence_ok", lambda g, n: False)
-    with pytest.raises(InconsistencyError):
-        kernels_py.run_filter([identity_instance(4)], 4, 1, 100)
+def test_hit_failing_verify_map_is_an_internal_error(monkeypatch, capsys, square1, torus_file):
+    # a filter hit is checked once, by verify_map; a failure there is a bug,
+    # which check-iso reports as one error line with exit 2
+    monkeypatch.setattr(equivalence, "verify_map",
+                        lambda m: equivalence.Certificate(m, (Check("preserves_q", False),)))
+    with pytest.raises(InconsistencyError, match="internal error"):
+        equivalence.search_relation(square1, square1, "iso", 1)
+    path = torus_file(square1, "square1.json")
+    assert cli.main(["check-iso", path, path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: search produced a non-verifying candidate (internal error)\n"
 
 
 @pytest.mark.parametrize("shear", [False, True], ids=["square1", "sheared1"])

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import unit_splitting
 from flattori._record import failures
 from flattori.equivalence import LatticeMap, search_relation, verify_map
 from flattori.errors import ValidationError
 from flattori.exactlinear import Q, RatMatrix
-from flattori.tduality import (LagrangianSplitting, _isotropic_complement, dual_splitting,
+from flattori.tduality import (LagrangianSplitting, _isotropic_complement,
                                find_lagrangian_splitting, mirror_via_tduality,
                                splitting_report)
 from flattori.torus import TorusData, omega, random_valid_torus, square_torus, validate
@@ -168,7 +169,7 @@ class TestRoundTrip:
         t = square_torus(d)
         s = find_lagrangian_splitting(t)
         mr = mirror_via_tduality(t, s)
-        back = mirror_via_tduality(mr.mirror, dual_splitting(mr.mirror))
+        back = mirror_via_tduality(mr.mirror, unit_splitting(d))
         out = search_relation(t, back.mirror, "iso", 2)
         assert out.found
 
@@ -177,7 +178,7 @@ class TestRoundTrip:
                       RatMatrix.zero(2, 2), "R9")
         s = find_lagrangian_splitting(t)
         mr = mirror_via_tduality(t, s)
-        back = mirror_via_tduality(mr.mirror, dual_splitting(mr.mirror))
+        back = mirror_via_tduality(mr.mirror, unit_splitting(1))
         assert back.mirror.G == t.G
         assert back.mirror.I == t.I
 
@@ -193,4 +194,4 @@ class TestHodgeRotation:
         h2 = hodge_diamond(mr.mirror)
         for p in range(d + 1):
             for q in range(d + 1):
-                assert h1.entry(p, q) == h2.entry(d - p, q)
+                assert h1.h[p][q] == h2.h[d - p][q]
