@@ -3,13 +3,15 @@
 The truncated space is spanned by monomials in even creator variables (one
 per lattice index and positive integer level, separately for left and right
 movers) and odd creator variables (half-odd levels), with total level at
-most a cap.  Annihilators act by the metric-contracted derivative rule, so
-the canonical (anti)commutation relations hold exactly on every subspace
-whose level keeps both operator orders inside the truncation; the verifiers
-report "inconclusive" outside that guarded subspace rather than pretending.
-Operator columns hold integers: annihilator entries are scaled by the lcm D
-of the denominators of G^-1, and each bracket is compared with its expected
-value scaled the same way.
+most a cap.  One rule serves both statistics: an even variable may repeat
+and is removed with its multiplicity; an odd one squares to zero and takes
+the sign of the odd variables before it.  Annihilators act by the
+metric-contracted derivative rule, so the canonical (anti)commutation
+relations hold exactly on every subspace whose level keeps both operator
+orders inside the truncation; the verifiers report "inconclusive" outside
+that guarded subspace rather than pretending.  Operator columns hold
+integers: annihilator entries are scaled by the lcm D of the denominators of
+G^-1, and each bracket is compared with its expected value scaled alike.
 """
 
 from __future__ import annotations
@@ -69,19 +71,15 @@ class TruncatedFock(Record):
         twice_levels += odd_twice
         found = []
 
-        def extend_odd(pos, even, odd, twice):
-            found.append((twice, even, odd))
+        def extend(pos, key, k, twice):
+            # key holds k even ranks, then odd ones: an even variable may repeat
+            found.append((twice, key[:k], key[k:]))
             for r in range(pos, len(variables)):
                 if twice + twice_levels[r] <= cap2:
-                    extend_odd(r + 1, even, odd + (r,), twice + twice_levels[r])
+                    even = r < n_even
+                    extend(r if even else r + 1, key + (r,), k + even, twice + twice_levels[r])
 
-        def extend_even(pos, even, twice):
-            extend_odd(n_even, even, (), twice)
-            for r in range(pos, n_even):
-                if twice + twice_levels[r] <= cap2:
-                    extend_even(r, even + (r,), twice + twice_levels[r])  # repetition allowed
-
-        extend_even(0, (), 0)
+        extend(0, (), 0, 0)
         # ranks order like the variable tuples, so this is the (level, monomial) order
         found.sort()
         keys = tuple(even + odd for _, even, odd in found)
@@ -153,7 +151,9 @@ def build_oscillator(space: TruncatedFock, kind: str, i: int, s) -> OscillatorOp
 
     Negative modes are creators (multiplication), positive modes act by the
     metric-contracted derivative; bosonic modes must be integers and
-    fermionic modes half-odd.  Modes beyond the cap cannot act at all.
+    fermionic modes half-odd.  Modes beyond the cap cannot act at all.  An
+    even variable may repeat and is removed with its multiplicity; an odd
+    one squares to zero and takes the sign of the odd variables before it.
     """
     if kind not in _KIND_FAMILY:
         raise ValueError(f"unknown oscillator kind {kind!r}")
@@ -164,71 +164,48 @@ def build_oscillator(space: TruncatedFock, kind: str, i: int, s) -> OscillatorOp
     if not 0 <= i < n:
         raise ValueError(f"index must lie in 0..{n - 1}")
     bosonic = kind in ("alpha", "alphabar")
-    if bosonic and s.denominator != 1:
-        raise ValidationError("bosonic modes are integers")
-    if not bosonic and (s.denominator != 2):
-        raise ValidationError("fermionic modes are half-odd integers")
+    if s.denominator != (1 if bosonic else 2):
+        raise ValidationError("bosonic modes are integers" if bosonic
+                              else "fermionic modes are half-odd integers")
     if abs(s) > space.level_cap:
         raise TruncationError(f"mode {s} exceeds the level cap {space.level_cap}")
-    keys, key_index, levels = space._keys, space._key_index, space._levels
+    keys, key_index, levels, n_even = space._keys, space._key_index, space._levels, space._n_even
     room = space._cap2 - int(2 * abs(s))
     # the variables (family, |s|, j) for j = 0..n-1 hold consecutive ranks
     first = space._variables.index((_KIND_FAMILY[kind], abs(s), 0))
     if s < 0:
         scale = 1
         r = first + i
-        if bosonic:
-            def column_fn(col):
-                if levels[col] > room:
-                    return ()
-                key = keys[col]
-                pos = bisect_right(key, r)
-                return ((key_index[key[:pos] + (r,) + key[pos:]], 1),)
-        else:
-            n_even = space._n_even
 
-            def column_fn(col):
-                if levels[col] > room:
-                    return ()
-                key = keys[col]
-                pos = bisect_left(key, r)
-                if key[pos:pos + 1] == (r,):  # an odd variable squares to zero
-                    return ()
-                # moving the new variable past the odd ones before it gives a sign
-                sign = -1 if (pos - bisect_left(key, n_even)) % 2 else 1
-                return ((key_index[key[:pos] + (r,) + key[pos:]], sign),)
+        def column_fn(col):
+            if levels[col] > room:
+                return ()
+            key = keys[col]
+            pos = bisect_left(key, r)
+            if not bosonic and key[pos:pos + 1] == (r,):  # an odd variable squares to zero
+                return ()
+            # moving the new variable past the odd ones before it gives a sign
+            sign = -1 if (pos - bisect_left(key, n_even, 0, pos)) % 2 else 1
+            return ((key_index[key[:pos] + (r,) + key[pos:]], sign),)
     else:
         scale, scaled = space._scaled_ginv
-        if bosonic:
-            coeffs = tuple(int(s) * c for c in scaled[i])  # D s G^-1_ij
+        coeffs = tuple(int(s) * c for c in scaled[i]) if bosonic else scaled[i]  # D s G^-1, D G^-1
 
-            def column_fn(col):
-                key = keys[col]
-                lo, hi = bisect_left(key, first), bisect_left(key, first + n)
-                entries = []
-                for t in range(lo, hi):
-                    r = key[t]
-                    c = coeffs[r - first]
-                    if c and (t == lo or key[t - 1] != r):
-                        mult = bisect_right(key, r, t) - t
-                        entries.append((key_index[key[:t] + key[t + 1:]], c * mult))
-                return tuple(entries)
-        else:
-            coeffs = scaled[i]  # D G^-1_ij
-            n_even = space._n_even
-
-            def column_fn(col):
-                key = keys[col]
-                lo, hi = bisect_left(key, first), bisect_left(key, first + n)
-                odd_start = bisect_left(key, n_even)
-                entries = []
-                for t in range(lo, hi):
-                    c = coeffs[key[t] - first]
-                    if c:
-                        if (t - odd_start) % 2:
-                            c = -c
-                        entries.append((key_index[key[:t] + key[t + 1:]], c))
-                return tuple(entries)
+        def column_fn(col):
+            key = keys[col]
+            lo, hi = bisect_left(key, first), bisect_left(key, first + n)
+            odd_start = bisect_left(key, n_even)
+            entries = []
+            for t in range(lo, hi):
+                r = key[t]
+                c = coeffs[r - first]
+                if c and (t == lo or key[t - 1] != r):
+                    # times its multiplicity and (-1)^max(t - odd_start, 0), the odd ones before it
+                    c *= bisect_right(key, r, t) - t
+                    if t > odd_start and (t - odd_start) % 2:
+                        c = -c
+                    entries.append((key_index[key[:t] + key[t + 1:]], c))
+            return tuple(entries)
 
     # the basis is level-sorted, so the columns with room for the mode are a prefix
     cols = tuple(map(column_fn, range(bisect_right(levels, room))))
@@ -333,17 +310,11 @@ def ccr_car_sweep(space: TruncatedFock):
     caches: the CCR operators are released before the CAR pass starts, and
     the space keeps none of them.
     """
-    cap = space.level_cap
     n = space.rank
     rows = []
-    boson_modes = [Fraction(s) for a in range(1, int(cap) + 1) for s in (a, -a)]
-    fermi_modes = []
-    s = HALF
-    while s <= cap:
-        fermi_modes.extend((s, -s))
-        s += 1
-    for algebra, modes, verify in (("ccr", boson_modes, verify_ccr),
-                                   ("car", fermi_modes, verify_car)):
+    for algebra, start, verify in (("ccr", 2, verify_ccr), ("car", 1, verify_car)):
+        # modes 1, -1, 2, -2, ... for the CCR and 1/2, -1/2, 3/2, ... for the CAR
+        modes = [Fraction(e * t, 2) for t in range(start, space._cap2 + 1, 2) for e in (1, -1)]
         ops = {}
         for i in range(n):
             for j in range(n):

@@ -46,6 +46,9 @@ def matrix_to_json(m: RatMatrix):
 def matrix_from_json(data, pointer, size) -> RatMatrix:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise SchemaError("expected a non-empty list of rows", pointer)
+    k = next((k for k, row in enumerate(data) if not row or len(row) != len(data[0])), None)
+    if k is not None:
+        raise SchemaError("matrix rows must be non-empty and of equal length", f"{pointer}[{k}]")
     entries = [[_rat_from(e, f"{pointer}[{i}][{j}]") for j, e in enumerate(row)]
                for i, row in enumerate(data)]
     m = RatMatrix(entries)

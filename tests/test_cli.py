@@ -88,19 +88,40 @@ class TestNumericInputErrors:
         (None, ["mirror", "--torus", "T", "--out-torus", "O", "--out-cert", "O"],
          "--out-torus and --out-cert name the same file {O} (at --out-cert)"),
         (None, ["verify-map", "N"], "lattice map is not unimodular"),
+        (None, ["validate", "R"],
+         "matrix rows must be non-empty and of equal length (at ragged.json.I[1])"),
+        (None, ["validate", "E"],
+         "matrix rows must be non-empty and of equal length (at empty_rows.json.G[0])"),
+        (None, ["verify-map", "S"],
+         "matrix rows must be non-empty and of equal length (at short_g.json.g[1])"),
+        (None, ["abrane-check", "--brane", "F"],
+         "matrix rows must be non-empty and of equal length (at ragged_f.json.F[1])"),
     ])
     def test_one_line_exit_two(self, capsys, tmp_path, square_file, square2_file, config,
                                argv, message):
         # T is a valid torus file and W one of another dimension, V a map from
         # T to W, N an integral map on T with det 2, M a path in a directory
         # that does not exist, O a writable path, D a directory and U a file
-        # that is not UTF-8
+        # that is not UTF-8; R, E, S and F each hold one matrix with a short or
+        # empty row: a torus's I, a torus's G, a map's g and a brane's F
         paths = {"T": square_file, "W": square2_file, "V": str(tmp_path / "dims.json"),
                  "N": str(tmp_path / "det2.json"),
                  "M": str(tmp_path / "missing" / "out.json"),
                  "O": str(tmp_path / "m.json"), "D": str(tmp_path),
-                 "U": str(tmp_path / "binary.json")}
+                 "U": str(tmp_path / "binary.json"), "R": str(tmp_path / "ragged.json"),
+                 "E": str(tmp_path / "empty_rows.json"), "S": str(tmp_path / "short_g.json"),
+                 "F": str(tmp_path / "ragged_f.json")}
         (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
+        (tmp_path / "ragged.json").write_text(json.dumps(
+            {**SQUARE1_JSON, "I": [["0", "-1"], ["1"]]}))
+        (tmp_path / "empty_rows.json").write_text(json.dumps({**SQUARE1_JSON, "G": [[], []]}))
+        (tmp_path / "short_g.json").write_text(json.dumps(
+            {"kind": "iso", "source": "square.json", "target": "square.json",
+             "g": [["1", "0", "0", "0"], ["0", "1", "0"], ["0", "0", "1", "0"],
+                   ["0", "0", "0", "1"]]}))
+        (tmp_path / "ragged_f.json").write_text(json.dumps(
+            {"torus_ref": "square.json", "Y_basis": [[1, 0], [0, 1]],
+             "F": [["0", "1"], ["-1"]]}))
         (tmp_path / "dims.json").write_text(json.dumps(
             {"kind": "iso", "source": "square.json", "target": "square2.json",
              "g": [[str(int(i == j)) for j in range(4)] for i in range(4)]}))

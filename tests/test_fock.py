@@ -3,7 +3,7 @@
 import tracemalloc
 import weakref
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -39,6 +39,34 @@ class TestSpace:
     def test_odd_variables_never_repeat(self, space1):
         for even, odd in space1.basis:
             assert len(set(odd)) == len(odd)
+
+    @pytest.mark.parametrize("d, cap", [(1, c) for c in ("1/2", "1", "3/2", "2", "5/2")]
+                             + [(2, c) for c in ("1/2", "1", "3/2", "2")])
+    def test_basis_equals_brute_force_enumeration(self, d, cap):
+        # every multiset of even variables times every set of odd variables,
+        # within the cap, in (level, even part, odd part) order
+        cap = Fraction(cap)
+        space = TruncatedFock(d, cap, RatMatrix.identity(2 * d))
+        even = sorted((fam, Fraction(a), i) for fam in ("a", "abar")
+                      for a in range(1, int(cap) + 1) for i in range(2 * d))
+        odd = sorted((fam, Fraction(2 * a + 1, 2), i) for fam in ("th", "thbar")
+                     for a in range(int(cap + HALF)) for i in range(2 * d))
+        variables = even + odd
+
+        def level(ranks):
+            return sum(variables[r][1] for r in ranks)
+
+        # an even variable has level at least 1, an odd one at least 1/2
+        monomials = sorted(
+            (level(e + o), e, o)
+            for k in range(int(cap) + 1)
+            for e in combinations_with_replacement(range(len(even)), k)
+            for m in range(int(2 * (cap - level(e))) + 1)
+            for o in combinations(range(len(even), len(variables)), m)
+            if level(e + o) <= cap)
+        assert space._keys == tuple(e + o for _, e, o in monomials)
+        assert space.basis == tuple((tuple(variables[r] for r in e),
+                                     tuple(variables[r] for r in o)) for _, e, o in monomials)
 
     def test_indefinite_metric_rejected(self):
         with pytest.raises(ValidationError):
