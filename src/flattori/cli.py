@@ -269,8 +269,7 @@ def _cmd_fm(args, cfg):
     from . import cohomology
     t = jsonio.load_torus(args.torus)
     s = parse_splitting(args.split, t.rank)
-    data = jsonio.load_json(args.cls)
-    element = jsonio.class_from_json(data, t.rank)
+    element = jsonio.load_class(args.cls, t.rank)
     alpha = cohomology.CohClass(t, element)
     inputs = {"torus": jsonio.torus_to_json(t), "class": jsonio.class_to_json(element),
               "split": _split_json(s)}
@@ -286,7 +285,7 @@ def _cmd_fm(args, cfg):
 def _cmd_check_mirror_class(args, cfg):
     from . import cohomology
     t = jsonio.load_torus(args.torus)
-    element = jsonio.class_from_json(jsonio.load_json(args.cls), t.rank)
+    element = jsonio.load_class(args.cls, t.rank)
     alpha = cohomology.CohClass(t, element)
     ok = cohomology.mirror_class_condition(t, alpha)
     inputs = {"torus": jsonio.torus_to_json(t), "class": jsonio.class_to_json(element)}

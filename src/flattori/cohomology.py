@@ -8,10 +8,10 @@ bigrading is answered over Q: the (p,p)-part is the plain rational kernel of
 D, the ``+-i m`` eigenspaces together are the kernel of ``D^2 + m^2``, and the
 (0,2)-projector on grade 2 is the polynomial ``-D^2/8 + i D/4`` in D.
 
-The duality transport pulls a class back to the product model
-``A x dual(A) x B``, multiplies by the exponential of the canonical pairing
-class, and pushes forward by extracting the A-volume coefficient from the
-left.
+The duality transport lifts the two factors of the mirror certificate
+``g = sw . diag(p^-1, p^t)`` to the exterior algebra: ``p^t`` rewrites a
+class in the splitting basis, and the swap sends ``e_S ^ e_T`` (S in A, T in
+B) to ``sign(S, S^c) (-1)^(m(m-1)/2) e_{S^c} ^ e_T`` with m = |S^c|.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import comb
 from ._record import Record
 from .errors import DimensionError, GradeError, ValidationError
 from .exactlinear import QZERO, RatMatrix
-from .exterior import ExtElement, apply_linear, derivation_map, exp_grade2, interior, wedge
+from .exterior import ExtElement, apply_linear, derivation_map, interior, merge_sign, wedge
 from .torus import TorusData, omega, require_valid
 
 
@@ -143,36 +143,26 @@ def lefschetz_kernel_dim(t: TorusData) -> int:
 
 
 def fm_transform(s, alpha: CohClass) -> CohClass:
-    """Transport a class to the mirror through the product model.
+    """Transport a class to the mirror: the lift of the certificate's two factors.
 
-    Steps: rewrite the class in the splitting basis, include it into the
-    exterior algebra on (A-duals, A-directions, B-duals), multiply by
-    ``exp(sum eta_i ^ etahat_i)``, and extract the coefficient of the
-    A-volume form from the left.  The result lives on the mirror produced
-    by :func:`flattori.tduality.mirror_via_tduality` for the same splitting.
+    ``apply_linear`` with ``p^t`` rewrites the class in the splitting basis,
+    then the swap dualizes A as the module docstring says.  This is the
+    product-model transform (wedge with ``exp(sum eta_a ^ etahat_a)`` on
+    ``A x dual(A) x B``, extract the A-volume), of which only the term on S^c
+    survives.  The result lives on the mirror that
+    :func:`flattori.tduality.mirror_via_tduality` builds for the splitting.
     """
     from .tduality import mirror_via_tduality
     t = alpha.torus
     mirror = mirror_via_tduality(t, s).mirror
-    d, n = t.d, t.rank
-    p = s.change_of_basis
-    in_split = apply_linear(alpha.element, p.transpose())
-
-    ambient = 3 * d
-    # ambient indices: 0..d-1 the A-duals, d..2d-1 the A-directions,
-    # 2d..3d-1 the B-duals
-    embed = {i: (i if i < d else d + i) for i in range(n)}
-    embedded = ExtElement(ambient, {
-        tuple(embed[i] for i in idx): c for idx, c in in_split.terms.items()
-    })
-    pairing = ExtElement(ambient, {(i, d + i): 1 for i in range(d)})
-    total = wedge(embedded, exp_grade2(pairing))
-
-    # the A-duals 0..d-1 sort first in every term, so the left A-volume costs no sign
-    a_set = tuple(range(d))
-    out_terms = {tuple(i - d for i in idx[d:]): c
-                 for idx, c in total.terms.items() if idx[:d] == a_set}
-    return CohClass(mirror, ExtElement(n, out_terms))
+    d = t.d
+    terms = {}
+    for idx, c in apply_linear(alpha.element, s.change_of_basis.transpose()).terms.items():
+        k = sum(1 for i in idx if i < d)  # S = idx[:k], T = idx[k:]
+        rest = tuple(i for i in range(d) if i not in idx[:k])
+        sign = merge_sign(idx[:k], rest)[1] * (-1) ** (len(rest) * (len(rest) - 1) // 2)
+        terms[rest + idx[k:]] = c if sign > 0 else -c
+    return CohClass(mirror, ExtElement(t.rank, terms))
 
 
 def inverse_bivector(w_mat: RatMatrix) -> ExtElement:

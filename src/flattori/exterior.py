@@ -18,8 +18,6 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import DimensionError, GradeError
@@ -165,6 +163,16 @@ def wedge(a: ExtElement, b: ExtElement) -> ExtElement:
     return ExtElement(a.base_rank, terms)
 
 
+def _contract(j, terms: dict) -> dict:
+    """Left contraction of ``terms`` with the dual of ``e_j``: sign (-1)^(position of j)."""
+    out = {}
+    for idx, c in terms.items():
+        if j in idx:
+            pos = idx.index(j)
+            out[idx[:pos] + idx[pos + 1:]] = -c if pos % 2 else c
+    return out
+
+
 def interior(bivector: ExtElement, a: ExtElement) -> ExtElement:
     """Contraction with a grade-2 element of the dual space.
 
@@ -177,44 +185,17 @@ def interior(bivector: ExtElement, a: ExtElement) -> ExtElement:
         raise GradeError("contraction bivector must be of pure grade 2")
     terms = {}
     for (i, j), cb in bivector.terms.items():
-        for idx, ca in a.terms.items():
-            if len(idx) < 2 or i not in idx or j not in idx:
-                continue
-            pos_i = idx.index(i)
-            rest = idx[:pos_i] + idx[pos_i + 1:]
-            sign = -1 if pos_i % 2 else 1
-            pos_j = rest.index(j)
-            if pos_j % 2:
-                sign = -sign
-            out = rest[:pos_j] + rest[pos_j + 1:]
-            c = terms.get(out, QZERO) + (cb * ca if sign > 0 else -(cb * ca))
-            if c:
-                terms[out] = c
-            else:
-                terms.pop(out, None)
+        for idx, c in _contract(j, _contract(i, a.terms)).items():
+            terms[idx] = terms.get(idx, QZERO) + cb * c
     return ExtElement(a.base_rank, terms)
-
-
-def exp_grade2(a: ExtElement) -> ExtElement:
-    """Exponential ``sum a^k / k!`` of a pure grade-2 element (finite sum)."""
-    if a.terms and not a.is_homogeneous(2):
-        raise GradeError("exponential argument must be of pure grade 2")
-    total = ExtElement.scalar(a.base_rank, QONE)
-    power = ExtElement.scalar(a.base_rank, QONE)
-    k = 0
-    while True:
-        power = wedge(power, a)
-        k += 1
-        if not power:
-            return total
-        total = total + power.scale(Fraction(1, math.factorial(k)))
 
 
 def induced_map(m: RatMatrix, grade: int) -> RatMatrix:
     """Matrix of the functorial action of ``m`` on the grade component.
 
     Basis of the grade component: strictly increasing index tuples in
-    lexicographic order.  Entry ``[T, S]`` is the ``T x S`` minor of ``m``.
+    lexicographic order.  Column ``S`` is :func:`apply_linear` of ``e_S``, so
+    entry ``[T, S]`` is the ``T x S`` minor of ``m``.
     """
     if not m.is_square():
         raise DimensionError("induced_map requires a square matrix")
@@ -222,22 +203,17 @@ def induced_map(m: RatMatrix, grade: int) -> RatMatrix:
     if grade < 0 or grade > n:
         raise GradeError(f"grade {grade} out of range for rank {n}")
     basis = list(combinations(range(n), grade))
-    if grade == 0:
-        return RatMatrix.identity(1)
-    rows = []
-    for t in basis:
-        row = []
-        for s in basis:
-            row.append(RatMatrix([[m.entries[i][j] for j in s] for i in t]).det())
-        rows.append(row)
-    return RatMatrix(rows)
+    cols = [apply_linear(ExtElement.monomial(n, s), m) for s in basis]
+    return RatMatrix([[col.coefficient(t) for col in cols] for t in basis])
 
 
 def derivation_map(m: RatMatrix, grade: int) -> RatMatrix:
     """Matrix of the degree-0 derivation extending ``m`` to the grade component.
 
     Sends ``e_S`` to ``sum_t e_{s_1}^..^(m e_{s_t})^..^e_{s_k}``; this is the
-    infinitesimal (Lie-algebra) counterpart of :func:`induced_map`.
+    infinitesimal (Lie-algebra) counterpart of :func:`induced_map`.  Each
+    ``e_i`` of ``m e_{s_t}`` carries the contraction sign (-1)^t times
+    :func:`merge_sign` of ``(i,)`` and the rest of S.
     """
     if not m.is_square():
         raise DimensionError("derivation_map requires a square matrix")
@@ -248,17 +224,17 @@ def derivation_map(m: RatMatrix, grade: int) -> RatMatrix:
     for s in basis:
         col = {}
         for t, gen in enumerate(s):
+            rest = s[:t] + s[t + 1:]
+            parity = -1 if t % 2 else 1
             for i in range(n):
                 c = m.entries[i][gen]
                 if not c:
                     continue
-                if i in s and i != gen:
+                idx, sign = merge_sign((i,), rest)
+                if idx is None:
                     continue
-                replaced = s[:t] + (i,) + s[t + 1:]
-                srt = tuple(sorted(replaced))
-                inv = sum(1 for x in replaced[:t] if x > i) + sum(1 for x in replaced[t + 1:] if x < i)
-                key = pos[srt]
-                col[key] = col.get(key, QZERO) + (c if inv % 2 == 0 else -c)
+                key = pos[idx]
+                col[key] = col.get(key, QZERO) + (c if sign == parity else -c)
         cols.append(col)
     dim = len(basis)
     return RatMatrix([[cols[j].get(i, QZERO) for j in range(dim)] for i in range(dim)])

@@ -89,6 +89,10 @@ def load_torus(path: str) -> TorusData:
     return torus_from_json(load_json(path), pointer=os.path.basename(path))
 
 
+def load_class(path: str, rank: int):
+    return class_from_json(load_json(path), rank, pointer=os.path.basename(path))
+
+
 def load_json(path: str):
     try:
         with open(path) as fh:

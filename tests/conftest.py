@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -6,7 +7,9 @@ from types import SimpleNamespace
 import pytest
 
 from flattori import jsonio
+from flattori.errors import GradeError
 from flattori.exactlinear import Q, RatMatrix
+from flattori.exterior import ExtElement, apply_linear, wedge
 from flattori.torus import TorusData, square_torus
 
 
@@ -137,6 +140,45 @@ def unit_splitting(d):
     from flattori.tduality import LagrangianSplitting
     units = [tuple(int(i == k) for i in range(2 * d)) for k in range(2 * d)]
     return LagrangianSplitting.from_vectors(units[:d], units[d:])
+
+
+def exp_grade2(a):
+    """Exponential ``sum a^k / k!`` of a pure grade-2 element (finite sum)."""
+    if a.terms and not a.is_homogeneous(2):
+        raise GradeError("exponential argument must be of pure grade 2")
+    total = ExtElement.scalar(a.base_rank, 1)
+    power = ExtElement.scalar(a.base_rank, 1)
+    k = 0
+    while True:
+        power = wedge(power, a)
+        k += 1
+        if not power:
+            return total
+        total = total + power.scale(Fraction(1, math.factorial(k)))
+
+
+def fm_product_model(s, alpha):
+    """The product-model transform: the reference for ``fm_transform``.
+
+    Rewrite the class in the splitting basis, include it into the exterior
+    algebra on (A-duals, A-directions, B-duals), multiply by
+    ``exp(sum eta_i ^ etahat_i)`` and extract the coefficient of the A-volume
+    form from the left.  Returns the image as an element of rank 2d.
+    """
+    d, n = alpha.torus.d, alpha.torus.rank
+    in_split = apply_linear(alpha.element, s.change_of_basis.transpose())
+    # ambient indices: 0..d-1 the A-duals, d..2d-1 the A-directions,
+    # 2d..3d-1 the B-duals
+    embed = {i: (i if i < d else d + i) for i in range(n)}
+    embedded = ExtElement(3 * d, {
+        tuple(embed[i] for i in idx): c for idx, c in in_split.terms.items()
+    })
+    pairing = ExtElement(3 * d, {(i, d + i): 1 for i in range(d)})
+    total = wedge(embedded, exp_grade2(pairing))
+    # the A-duals 0..d-1 sort first in every term, so the left A-volume costs no sign
+    a_set = tuple(range(d))
+    return ExtElement(n, {tuple(i - d for i in idx[d:]): c
+                          for idx, c in total.terms.items() if idx[:d] == a_set})
 
 
 @pytest.fixture

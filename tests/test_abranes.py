@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Gaussian
+from conftest import Gaussian, exp_grade2
 from flattori import abranes
 from flattori.abranes import (AffineBrane, _foliation, _plus_i_covectors, anomaly_check_affine,
                               check_abrane, coisotropy_witness, holomorphic_volume,
@@ -15,7 +15,7 @@ from flattori.abranes import (AffineBrane, _foliation, _plus_i_covectors, anomal
 from flattori.cohomology import CohClass, mirror_class_condition
 from flattori.errors import ValidationError
 from flattori.exactlinear import RatMatrix
-from flattori.exterior import ExtElement, apply_linear, exp_grade2, wedge
+from flattori.exterior import ExtElement, apply_linear, wedge
 from flattori.tduality import find_lagrangian_splitting
 from flattori.torus import TorusData, omega, random_valid_torus
 from test_cli import OPEN1, OPEN2

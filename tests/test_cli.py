@@ -151,7 +151,7 @@ BOOLEAN_PAYLOADS = {
     "class-indices": (["check-mirror-class", "--torus", "S", "--class", "X"],
                       {"grade_terms": [{"indices": [False, True], "coeff": "1"}]},
                       "indices must be a strictly increasing list within range "
-                      "(at class.grade_terms[0].indices)"),
+                      "(at x.json.grade_terms[0].indices)"),
     "brane-Y_basis": (["abrane-check", "--brane", "X"],
                       {"torus_ref": "square.json", "Y_basis": [[True, False]]},
                       "Y_basis must be a list of integer vectors (at x.json.Y_basis)"),
@@ -165,7 +165,7 @@ BOOLEAN_PAYLOADS = {
 # One payload per field that reads a JSON list, each with a scalar there.
 NON_LIST_PAYLOADS = {
     "class-grade_terms": (["check-mirror-class", "--torus", "S", "--class", "X"],
-                          {"grade_terms": 5}, "grade_terms must be a list (at class.grade_terms)"),
+                          {"grade_terms": 5}, "grade_terms must be a list (at x.json.grade_terms)"),
     "brane-translation": (["abrane-check", "--brane", "X"],
                           {"torus_ref": "square.json", "Y_basis": [[1, 0, 0, 0], [0, 0, 1, 0]],
                            "translation": "0000"},

@@ -5,18 +5,19 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import Gaussian, unit_splitting
+from conftest import Gaussian, exp_grade2, fm_product_model, unit_splitting
 from flattori.cohomology import (CohClass, _projector_02, beta_torsion, fm_transform,
                                  hodge_diamond, inverse_bivector,
                                  lefschetz_kernel_dim, mirror_class_condition,
                                  rational_pp_classes)
 from flattori.exactlinear import Q, QZERO, RatMatrix
-from flattori.exterior import ExtElement, derivation_map, exp_grade2, interior, wedge
+from flattori.exterior import ExtElement, derivation_map, interior, wedge
 from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
 from flattori.torus import TorusData, omega, random_valid_torus, square_torus
+from test_abranes import _rebased, _unimodular
 
 
 class TestHodgeDiamond:
@@ -199,6 +200,25 @@ class TestFmTransform:
             assert (_mukai(fm_transform(s, alpha), fm_transform(s, beta))
                     == s.change_of_basis.det() * _mukai(alpha, beta))
 
+    # the closed form is the product-model transform, on classes of every
+    # grade of random tori with generic B and of rebased copies of them
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3), st.booleans())
+    @example(0, 2, False)
+    @example(0, 3, True)
+    def test_equals_the_product_model(self, seed, d, rebase):
+        rng = random.Random(seed)
+        t = _random_torus(rng, d, rebase)
+        s = find_lagrangian_splitting(t)
+        alpha = CohClass(t, _class_of_every_grade(rng, t.rank))
+        assert fm_transform(s, alpha).element == fm_product_model(s, alpha)
+
+
+def _random_torus(rng, d, rebase):
+    """A random torus with generic B, or a copy of one in a random lattice basis."""
+    t = random_valid_torus(rng, d)
+    return _rebased(t, _unimodular(rng, t.rank, steps=4)) if rebase else t
+
 
 def _class_of_every_grade(rng, n):
     terms = {idx: rng.randint(-2, 2) for k in range(n + 1) for idx in combinations(range(n), k)}
@@ -242,6 +262,32 @@ class TestMirrorClassCondition:
         mr = mirror_via_tduality(square2, s)
         bad = fm_transform(s, CohClass(square2, ExtElement.monomial(4, (0,))))
         assert not mirror_class_condition(mr.mirror, bad)
+
+    # check-mirror-class reads omega' and not B', so the (p,p) images pass
+    # untwisted when B = B' = 0.  In general the class that passes is the
+    # B-twisted image e^{B'} ^ fm(e^{-B} ^ alpha); a class of odd grade,
+    # never (p,p), still fails
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3), st.booleans())
+    @example(0, 3, False)
+    def test_b_twisted_pp_images_pass(self, seed, d, rebase):
+        rng = random.Random(seed)
+        t = _random_torus(rng, d, rebase)
+        s = find_lagrangian_splitting(t)
+        mirror = mirror_via_tduality(t, s).mirror
+
+        def twisted(element):
+            untwisted = wedge(exp_grade2(ExtElement.two_form(-t.B)), element)
+            image = fm_transform(s, CohClass(t, untwisted)).element
+            return CohClass(mirror, wedge(exp_grade2(ExtElement.two_form(mirror.B)), image))
+
+        alpha = ExtElement.zero(t.rank)
+        for p in range(d + 1):
+            for c in rational_pp_classes(t, p):
+                alpha = alpha + c.element.scale(rng.randint(-2, 2))
+        assert mirror_class_condition(mirror, twisted(alpha))
+        odd = ExtElement.monomial(t.rank, (rng.randrange(t.rank),))
+        assert not mirror_class_condition(mirror, twisted(alpha + odd))
 
     def test_exponential_solutions_exist(self, square2):
         s = find_lagrangian_splitting(square2)

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import Gaussian
+from conftest import Gaussian, exp_grade2
 from flattori.errors import DimensionError, GradeError
 from flattori.exactlinear import Q, RatMatrix, bareiss, cleared, rat, rat_str
-from flattori.exterior import (ExtElement, apply_linear, derivation_map, exp_grade2,
-                               induced_map, interior, wedge)
+from flattori.exterior import (ExtElement, apply_linear, derivation_map, induced_map, interior,
+                               wedge)
 
 
 def e(rank, *indices):
