@@ -1,5 +1,5 @@
-"""Integer-lattice helpers: integer kernels, saturation, and pairwise size
-reduction.
+"""Integer-lattice helpers: integer kernels, saturation, pairwise size
+reduction, and the short vectors of a positive definite form.
 
 These support the certificate search: the lattice of *integral* solutions of
 the intertwining constraints is the integer kernel of the constraint rows, as
@@ -9,11 +9,15 @@ integer arithmetic; one column reduction (:func:`column_pivots`) answers every
 kernel and primitivity question (plain ranks and determinants come from
 :func:`~flattori.exactlinear.bareiss`), and the size reduction
 (:func:`pair_reduce`) keeps the Gram matrix of its basis, so a reduction step
-reads its inner products instead of recomputing them.
+reads its inner products instead of recomputing them.  :func:`short_vectors`
+lists every lattice vector of bounded norm under a positive definite integer
+form: integral LLL, then a Fincke-Pohst walk whose every pruning decision is
+an integer comparison.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from operator import mul
 
 
@@ -162,3 +166,116 @@ def pair_reduce(basis):
                 v[t] = -v[t]
     b.sort(key=_sortkey)
     return b
+
+
+def _lll(gram):
+    """Integral LLL with delta = 3/4 on a positive definite integer Gram matrix.
+
+    Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.6.7
+    (Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982), indexed from 1 as
+    there.  Returns ``(basis, d, lam)``: ``basis[i - 1]`` holds the
+    coordinates of the i-th reduced vector b_i in the input basis, ``d[i]``
+    is the Gram determinant of b_1..b_i (``d[0] = 1``) and ``lam[i][j] =
+    d[j] mu_ij`` for j < i, with mu the Gram-Schmidt coefficients; all are
+    integers.  They are updated in place by each size reduction and swap, so
+    Gram-Schmidt is never recomputed.  A vector past ``kmax`` has not been
+    touched yet, so its inner products are read off its row of ``gram``.
+    (On the d = 3 generic-B lattice of ``tier1.yml``, whose Gram entries
+    have 206 bits, delta = 99/100 took about four times as long, and the
+    walk after it visited the same nodes.)
+    """
+    m = len(gram)
+    h = [None] + [[int(i == j) for j in range(m)] for i in range(m)]
+    d = [1] * (m + 1)
+    lam = [[0] * (m + 1) for _ in range(m + 1)]
+    k, kmax = 1, 0
+    while k <= m:
+        if k > kmax:
+            kmax = k
+            lk, row = lam[k], gram[k - 1]
+            for j in range(1, k + 1):
+                u = sum(map(mul, h[j], row))
+                lj = lam[j]
+                for i in range(1, j):
+                    u = (d[i] * u - lk[i] * lj[i]) // d[i - 1]
+                if j < k:
+                    lk[j] = u
+                elif u > 0:
+                    d[k] = u
+                else:
+                    raise ValueError("the form is not positive definite")
+        for l in range(k - 1, 0, -1):
+            # size-reduce b_k by b_l (Cohen's REDI), b_{k-1} first
+            lk, dl = lam[k], d[l]
+            if 2 * abs(lk[l]) > dl:
+                q = (2 * lk[l] + dl) // (2 * dl)
+                h[k] = [x - q * y for x, y in zip(h[k], h[l])]
+                lk[l] -= q * dl
+                lk[1:l] = [x - q * y for x, y in zip(lk[1:l], lam[l][1:l])]
+            if l == k - 1 and 4 * d[k] * d[k - 2] < 3 * d[k - 1] ** 2 - 4 * lk[l] ** 2:
+                # Lovasz condition fails: swap b_k and b_{k-1} (Cohen's SWAPI)
+                h[k], h[k - 1] = h[k - 1], h[k]
+                lk1 = lam[k - 1]
+                lk[1:k - 1], lk1[1:k - 1] = lk1[1:k - 1], lk[1:k - 1]
+                c = lk[k - 1]
+                b = (d[k - 2] * d[k] + c * c) // d[k - 1]
+                for i in range(k + 1, kmax + 1):
+                    li = lam[i]
+                    t = li[k]
+                    li[k] = (d[k] * li[k - 1] - c * t) // d[k - 1]
+                    li[k - 1] = (b * t + c * li[k]) // d[k]
+                d[k - 1] = b
+                k = max(2, k - 1)
+                break
+        else:
+            k += 1
+    return h[1:], d, lam
+
+
+def short_vectors(gram, bound):
+    """The vectors of norm at most ``bound`` under a positive definite integer form.
+
+    Returns ``(basis, vectors, nodes)``.  ``basis`` is the LLL-reduced basis
+    of :func:`_lll`, as coordinate rows in the input basis; ``vectors`` lists
+    ``(x, x^t A x)`` for every nonzero x, in coordinates over ``basis``,
+    with ``x^t A x <= bound``, one of each pair +-x (the one whose last
+    nonzero coordinate is positive), in the walk's order; ``nodes`` counts
+    the coordinate values the walk tried.
+
+    Fincke-Pohst (Math. Comp. 44, 1985): with B_i = d_i / d_(i-1) and
+    mu_ji = lam_ji / d_i, ``x^t A x = sum_i B_i (x_i + sum_(j>i) mu_ji x_j)^2``,
+    fixed from the last coordinate down.  ``N_i = d_(i-1) T_i``, T_i the sum
+    from i on, is an integer: it is the Gram determinant of b_1..b_(i-1) and
+    ``sum_(j>=i) x_j b_j``.  With ``s = sum_(j>i) lam_ji x_j`` and
+    ``y = d_i x_i + s``, ``N_i = (d_(i-1) N_(i+1) + y^2) / d_i`` exactly, and
+    ``T_i <= bound`` reads ``y^2 <= d_(i-1) (bound d_i - N_(i+1))``: each
+    level's range of x_i comes from one integer square root.
+    """
+    m = len(gram)
+    basis, d, lam = _lll(gram)
+    x = [0] * (m + 1)
+    vectors = []
+    nodes = 0
+
+    def walk(i, rest, top):
+        """Coordinate x_i, given x_(i+1)..x_m and ``rest`` = N_(i+1); ``top``
+        while they are all zero, when x_i may not be negative."""
+        nonlocal nodes
+        s = sum(lam[j][i] * x[j] for j in range(i + 1, m + 1) if x[j])
+        di, dp = d[i], d[i - 1]
+        r = isqrt(dp * (bound * di - rest))
+        lo = 0 if top else -((r + s) // di)
+        for v in range(lo, (r - s) // di + 1):
+            nodes += 1
+            x[i] = v
+            y = di * v + s
+            norm = (dp * rest + y * y) // di
+            if i > 1:
+                walk(i - 1, norm, top and not v)
+            elif v or not top:
+                vectors.append((tuple(x[1:]), norm))
+        x[i] = 0
+
+    if m and bound >= 0:
+        walk(m, 0, True)
+    return basis, vectors, nodes

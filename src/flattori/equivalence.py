@@ -22,10 +22,13 @@ Refutation reads one integer form on the intertwiner lattices,
 with R = q, the builder of the search's packed form.  A ``derived_eq``
 pair whose three lattices L(T1,T1), L(T1,T2), L(T2,T2) differ in (rank,
 det) is refuted before the scan.  On ``iso`` and ``mirror`` lattices F is
-the Narain form ``tr(N_1^-1 h^t N_2 h)``, so an exhausted window holding the
-whole ellipsoid ``F = 4d`` refutes the relation.  Otherwise a search without
-a hit means only "none within bound", and one that spends its node budget
-first is "undecided".
+the Narain form ``tr(N_1^-1 h^t N_2 h)``, positive definite, and every
+certificate lies in the finite shell ``F <= 4d``: an exhausted window holding
+that whole ellipsoid refutes the relation, and otherwise the shell is
+enumerated (:func:`~flattori._intlat.short_vectors`), which finds a
+certificate or refutes.  A ``derived_eq`` search without a hit means only
+"none within bound", and one that spends its node budget first is
+"undecided".
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ from itertools import product
 from operator import mul
 
 from . import kernels
-from ._intlat import integral_coordinate_lattice, pair_reduce
+from ._intlat import integral_coordinate_lattice, pair_reduce, short_vectors
 from ._record import Check, Record
 from .errors import DimensionError, InconsistencyError, ValidationError
 from .exactlinear import RatMatrix, bareiss, cleared
-from .kernels_py import completed_height, frobenius_gram, split_pairing
+from .kernels_py import completed_height, frobenius_gram, packed_form, split_pairing
 from .torus import TorusData, doubled, narain_form
 
 # kind -> the structure equalities ``g S_1 = T_2 g`` of a certificate, in
@@ -160,15 +163,18 @@ def intertwiner_space(t1: TorusData, t2: TorusData, kind: str):
 
 
 NARAIN_WINDOW = "window contains every g with tr(N1^-1 g^t N2 g) = 4d"
+NARAIN_SHELL = "no g with tr(N1^-1 g^t N2 g) <= 4d preserves q"
 LATTICE_ISOMETRY = "(rank, det) of tr(q h^t q h) differs on L(T1,T1), L(T1,T2), L(T2,T2)"
 
 
 class SearchOutcome(Record):
     """The verdict of a search: ``"found"`` (with its certificate), ``"refuted"``
-    (``refuted_by`` names the proof: :data:`NARAIN_WINDOW`, or
-    :data:`LATTICE_ISOMETRY` followed by the three lattices' (rank, det)),
-    ``"none within bound"`` or ``"undecided"`` (the node budget ran out after
-    covering every height shell up to ``last_complete_height``)."""
+    (``refuted_by`` names the proof: :data:`NARAIN_WINDOW`,
+    :data:`NARAIN_SHELL` followed by the shell's size and the enumeration's
+    nodes, or :data:`LATTICE_ISOMETRY` followed by the three lattices'
+    (rank, det)), and for ``derived_eq`` only ``"none within bound"`` or
+    ``"undecided"`` (the node budget ran out after covering every height
+    shell up to ``last_complete_height``)."""
 
     verdict: str
     nodes_used: int
@@ -203,9 +209,60 @@ def _ellipsoid_radii(rows, n):
     return [n * a_inv.entries[i][i] for i in range(len(rows))]
 
 
+def _certified(t1, t2, kind, g, n, nodes):
+    """The found outcome for the flattened map ``g``, checked once by :func:`verify_map`."""
+    cert = verify_map(LatticeMap(g=_as_matrix(g, n), source=t1, target=t2, kind=kind))
+    if not cert.valid:
+        raise InconsistencyError("search produced a non-verifying candidate (internal error)")
+    return SearchOutcome("found", nodes, cert)
+
+
+def _narain_shell(flat, n):
+    """``(g, size, nodes)`` for the shell ``F <= 4d`` of an ``iso`` or ``mirror`` lattice.
+
+    :func:`short_vectors` lists the shell over an LLL-reduced basis, one of
+    each pair +-h: ``size`` vectors, in ``nodes`` walk nodes.  A certificate
+    has ``F = 4d`` exactly, so only those vectors are tested for
+    q-congruence, in the walk's order, by the packed form of
+    :func:`~flattori.kernels_py.packed_form` over the reduced basis
+    (``x^t X x = 2 target``), whose bound is the largest coordinate among
+    them.  ``g`` is the first that
+    passes, flattened, or None: then no certificate exists.
+    """
+    basis, vectors, nodes = short_vectors(frobenius_gram(flat, n, split_pairing(n)), n)
+    shell = [x for x, norm in vectors if norm == n]
+    if shell:
+        sparse = [[(t, v) for t, v in enumerate(m) if v] for m in flat]
+        reduced = []
+        for coords in basis:
+            row = [0] * (n * n)
+            for c, m in zip(coords, sparse):
+                if c:
+                    for t, v in m:
+                        row[t] += c * v
+            reduced.append(row)
+        form, target = packed_form(reduced, n, max(max(map(abs, x)) for x in shell))
+        for x in shell:
+            nz = [(i, c) for i, c in enumerate(x) if c]
+            if sum(c * e * form[i][j] for i, c in nz for j, e in nz) == 2 * target:
+                return [sum(c * reduced[i][t] for i, c in nz) for t in range(n * n)], \
+                    len(vectors), nodes
+    return None, len(vectors), nodes
+
+
+# Up to this dimension the shell F <= 4d is walked before a scan that cannot
+# exhaust its window within the budget: there the shell is small (square2
+# against itself, 256 vectors in 1,512 nodes, 4 ms), and a pair without a
+# certificate skips a scan that could not refute it.  At d = 3 square3's
+# shell holds 29,856 vectors (0.7 s), far more work than the scan needs to
+# find its certificate, so the shell waits for the scan.
+SHELL_FIRST_MAX_D = 2
+
+
 def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
                     node_budget: int = DEFAULT_NODE_BUDGET) -> SearchOutcome:
-    """Bounded deterministic search for a relation certificate.
+    """Deterministic search for a relation certificate: always found or
+    refuted for ``iso`` and ``mirror``, bounded for ``derived_eq``.
 
     For ``derived_eq`` the intertwiner lattices are compared first, with no
     budget involved.  A certificate g maps L(T1,T1) onto L(T1,T2) by
@@ -223,13 +280,22 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
     digits), with the exact filter of :mod:`flattori.kernels_py`; the first
     q-congruent candidate is checked once, by :func:`verify_map` (a failure
     is an ``InconsistencyError``), and is the certificate (verdict ``"found"``).
+    A ``derived_eq`` scan that exhausts its window without one is ``"none
+    within bound"``, and one that spends ``node_budget`` first is
+    ``"undecided"`` and records the last height shell it covered completely.
 
     An ``iso`` or ``mirror`` certificate has ``F(g) = tr(q q) = 4d``, and F is
-    the Narain form there; an exhausted window without a hit is ``"refuted"``
-    when it holds all of that ellipsoid, i.e. ``4d (A^-1)_ii < (coeff_bound +
-    1)^2`` (see :func:`_ellipsoid_radii`).  Any other exhausted window is
-    ``"none within bound"``.  A search that spends ``node_budget`` first is
-    ``"undecided"`` and records the last height shell it covered completely.
+    the positive definite Narain form there, so :func:`_narain_shell`
+    decides the relation; ``node_budget`` bounds the scan alone.  The scan
+    still picks the certificate whenever it finds one, so the report names
+    the first certificate in the canonical order, and an exhausted window
+    without a hit is ``"refuted"`` by :data:`NARAIN_WINDOW` when it holds all
+    of the ellipsoid, i.e. ``4d (A^-1)_ii < (coeff_bound + 1)^2`` (see
+    :func:`_ellipsoid_radii`).  Up to :data:`SHELL_FIRST_MAX_D`, a scan that
+    cannot exhaust its window within ``node_budget`` waits for the shell,
+    and a pair without a certificate skips it.  Otherwise the shell's
+    first certificate is reported, found after the scan's nodes and the
+    walk's, or the relation is ``"refuted"`` by :data:`NARAIN_SHELL`.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
@@ -242,20 +308,30 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
         if len(set(classes)) > 1:
             return SearchOutcome("refuted", 0, refuted_by=f"{LATTICE_ISOMETRY}: "
                                  + ", ".join(map(str, classes)))
-    hits, nodes, exhausted = kernels.run_filter(flat, n, coeff_bound, node_budget, max_hits=1)
-    if hits:
-        g = [sum(c * m[t] for c, m in zip(hits[0], flat) if c) for t in range(n * n)]
-        cert = verify_map(LatticeMap(g=_as_matrix(g, n), source=t1, target=t2, kind=kind))
-        if not cert.valid:
-            raise InconsistencyError("search produced a non-verifying candidate (internal error)")
-        return SearchOutcome("found", nodes, cert)
-    if not exhausted:
-        return SearchOutcome("undecided", nodes,
-                             last_complete_height=completed_height(len(flat), nodes))
-    if kind != "derived_eq" and all(
-            r < (coeff_bound + 1) ** 2 for r in _ellipsoid_radii(flat, n)):
-        return SearchOutcome("refuted", nodes, refuted_by=NARAIN_WINDOW)
-    return SearchOutcome("none within bound", nodes)
+    shell = None
+    if kind != "derived_eq" and t1.d <= SHELL_FIRST_MAX_D and \
+            (2 * coeff_bound + 1) ** len(flat) - 1 > node_budget:
+        shell = _narain_shell(flat, n)
+    nodes = 0
+    if shell is None or shell[0] is not None:
+        hits, nodes, exhausted = kernels.run_filter(flat, n, coeff_bound, node_budget,
+                                                    max_hits=1)
+        if hits:
+            return _certified(t1, t2, kind, [sum(c * m[t] for c, m in zip(hits[0], flat) if c)
+                                             for t in range(n * n)], n, nodes)
+        if kind == "derived_eq":
+            if not exhausted:
+                return SearchOutcome("undecided", nodes,
+                                     last_complete_height=completed_height(len(flat), nodes))
+            return SearchOutcome("none within bound", nodes)
+        if exhausted and flat and all(
+                r < (coeff_bound + 1) ** 2 for r in _ellipsoid_radii(flat, n)):
+            return SearchOutcome("refuted", nodes, refuted_by=NARAIN_WINDOW)
+    g, size, walked = shell or _narain_shell(flat, n)
+    if g is not None:
+        return _certified(t1, t2, kind, g, n, nodes + walked)
+    return SearchOutcome("refuted", nodes + walked,
+                         refuted_by=f"{NARAIN_SHELL}: {size} vectors up to sign, {walked} nodes")
 
 
 # ---------------------------------------------------------------------------

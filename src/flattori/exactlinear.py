@@ -3,13 +3,13 @@
 Everything in this module is exact: matrices are dense tuples of tuples of
 `fractions.Fraction`.  No floating point enters any computation.  Every
 determinant, rank, reduced echelon form, inverse, solution and kernel basis
-comes from one fraction-free integer Gauss-Jordan elimination,
-:func:`bareiss`, on the int rows that :func:`cleared` returns.  A matrix
-entry is always rational; a question about a rational complex structure that
-lives over Q(i) is answered by its callers over Q, and a Q(i) value is the
-``(re, im)`` pair of its rational parts.  The exterior algebra lives in
-:mod:`flattori.exterior`, which the commands that need it import, so that
-the others do not compile it on start-up.
+comes from one fraction-free integer forward elimination, :func:`bareiss`,
+on the int rows that :func:`cleared` returns; the reduced echelon form
+completes it upward.  A matrix entry is always rational; a question about a
+rational complex structure that lives over Q(i) is answered by its callers
+over Q, and a Q(i) value is the ``(re, im)`` pair of its rational parts.
+The exterior algebra lives in :mod:`flattori.exterior`, which the commands
+that need it import, so that the others do not compile it on start-up.
 """
 
 from __future__ import annotations
@@ -199,12 +199,24 @@ class RatMatrix:
     def rref(self):
         """Reduced row echelon form; returns ``(matrix, pivot_columns)``.
 
-        The rows :func:`bareiss` returns are p times the reduced rows, p its
-        last pivot; a matrix with no pivot comes back unchanged.
+        :func:`bareiss` leaves echelon rows E_r whose pivot entries are the
+        successive pivots; the last one, p, times the reduced rows is an
+        integer matrix (Cramer), and it is completed upward from the last
+        pivot row: ``p R_r = (p E_r - sum_(s>r) E_r[c_s] p R_s) / E_r[c_r]``,
+        each division exact.  A matrix with no pivot comes back unchanged.
         """
-        pivots, _, red = bareiss(cleared(self)[1])
-        p = red[0][pivots[0]] if pivots else 1
-        return RatMatrix([[Fraction(x, p) for x in row] for row in red]), pivots
+        pivots, _, rows = bareiss(cleared(self)[1])
+        p = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+        for r in range(len(pivots) - 1, -1, -1):
+            c = pivots[r]
+            row = rows[r]
+            done = [p * x for x in row[c:]]
+            for s in range(r + 1, len(pivots)):
+                f = row[pivots[s]]
+                if f:
+                    done = [x - f * y for x, y in zip(done, rows[s][c:])]
+            rows[r] = row[:c] + [x // row[c] for x in done]
+        return RatMatrix([[Fraction(x, p) for x in row] for row in rows]), pivots
 
     def rank(self) -> int:
         return len(bareiss(cleared(self)[1])[0])
@@ -274,22 +286,23 @@ def cleared(*matrices):
 
 
 def bareiss(rows):
-    """``(pivot columns, signed last pivot, reduced rows)`` of the
-    fraction-free Gauss-Jordan elimination of integer rows: the one
-    elimination over Q.
+    """``(pivot columns, signed last pivot, echelon rows)`` of the
+    fraction-free forward elimination of integer rows: the one elimination
+    over Q, which :meth:`RatMatrix.rref` completes upward.
 
-    Bareiss (Math. Comp. 22, 1968): a pivot p in row r turns every other row
-    x into ``(x p - x_c y) / p'``, y the pivot row and p' the previous pivot,
-    and every division is exact.  A column with no pivot left is passed over,
-    so the pivots count the rank; a square matrix of full rank has
-    determinant the last pivot times the sign of the row swaps.  A row whose
-    entry in the pivot column is zero would only be scaled by ``p / p'``, and
-    those factors telescope, so it is left alone: ``base[i]`` is the pivot of
-    the last step that changed row i, its true entries are the stored ones
-    times ``prev / base[i]``, and the next step that changes it divides by
-    ``base[i]``.  Sparse rows then cost far less than a sweep per step.  After
-    the last step every row is caught up, every pivot entry equals the last
-    pivot, and each reduced row is that pivot times its reduced echelon row.
+    Bareiss (Math. Comp. 22, 1968): a pivot p in row r turns every row x
+    below it into ``(x p - x_c y) / p'``, y the pivot row and p' the previous
+    pivot, and every division is exact.  A column with no pivot left is
+    passed over, so the pivots count the rank; a square matrix of full rank
+    has determinant the last pivot times the sign of the row swaps.  A row
+    whose entry in the pivot column is zero would only be scaled by
+    ``p / p'``, and those factors telescope, so it is left alone: ``base[i]``
+    is the pivot of the last step that changed row i, its true entries are
+    the stored ones times ``prev / base[i]``, and the next step that changes
+    it divides by ``base[i]``.  Sparse rows then cost far less than a sweep
+    per step.  A pivot row is caught up when it is chosen, and no later step
+    touches it, so echelon row r holds the r-th pivot in its pivot column;
+    the rows past the last pivot end up zero.
     """
     a = [list(r) for r in rows]
     nrows = len(a)
@@ -309,19 +322,16 @@ def bareiss(rows):
         if base[r] != prev:
             top[c:] = [x * prev // base[r] for x in top[c:]]
         base[r] = pivot = top[c]
-        for i, row in enumerate(a):
+        for i in range(r + 1, nrows):
+            row = a[i]
             f = row[c]
-            if f and i != r:
-                # a row above is zero left of its own pivot column, y left of c
-                lo = pivots[i] if i < r else c
+            if f:
+                # a row below is zero left of c, like the pivot row
                 b = base[i]
-                row[lo:] = [(x * pivot - f * y) // b for x, y in zip(row[lo:], top[lo:])]
+                row[c:] = [(x * pivot - f * y) // b for x, y in zip(row[c:], top[c:])]
                 base[i] = pivot
         pivots.append(c)
         prev = pivot
-    for i, row in enumerate(a):
-        if base[i] != prev:
-            a[i] = [x * prev // base[i] for x in row]
     return tuple(pivots), sign * prev, a
 
 

@@ -114,9 +114,6 @@ class ExtElement:
     def __neg__(self):
         return ExtElement(self.base_rank, {i: -c for i, c in self.terms.items()})
 
-    def scale(self, c) -> "ExtElement":
-        return ExtElement(self.base_rank, {i: c * v for i, v in self.terms.items()})
-
     def _check_rank(self, other):
         if not isinstance(other, ExtElement):
             raise TypeError("expected an ExtElement")
@@ -245,7 +242,9 @@ def apply_linear(element: ExtElement, m: RatMatrix) -> ExtElement:
 
     ``m`` may be rectangular; the result lives on a base of rank
     ``m.rows``.  Used for basis changes and for restricting forms to
-    subspaces.
+    subspaces.  The image of a monomial is that of its longest prefix
+    already seen, wedged with the images of the remaining factors, and every
+    prefix's image is kept: one wedge per distinct prefix.
     """
     if m.cols != element.base_rank:
         raise DimensionError("matrix column count must equal the element's base rank")
@@ -254,13 +253,17 @@ def apply_linear(element: ExtElement, m: RatMatrix) -> ExtElement:
         ExtElement(out_rank, {(i,): m.entries[i][j] for i in range(out_rank) if m.entries[i][j]})
         for j in range(element.base_rank)
     ]
-    one = QONE
-    total = ExtElement.zero(out_rank)
+    prefixes = {(): ExtElement.scalar(out_rank, QONE)}
+    terms = {}
     for idx, c in element.terms.items():
-        term = ExtElement.scalar(out_rank, one)
-        for g in idx:
-            term = wedge(term, images[g])
-            if not term:
-                break
-        total = total + term.scale(c)
-    return total
+        t = len(idx)
+        while idx[:t] not in prefixes:
+            t -= 1
+        image = prefixes[idx[:t]]
+        for t in range(t, len(idx)):
+            if image:
+                image = wedge(image, images[idx[t]])
+            prefixes[idx[:t + 1]] = image
+        for key, v in image.terms.items():
+            terms[key] = terms.get(key, QZERO) + c * v
+    return ExtElement(out_rank, terms)

@@ -78,7 +78,7 @@ def frobenius_gram(basis_flat, n, right):
     return gram
 
 
-def _packed_form(basis_flat, n, bound):
+def packed_form(basis_flat, n, bound):
     """``(X, target)`` with ``F(c) = sum_i X_ii/2 c_i^2 + sum_{i<j} X_ij c_i c_j``.
 
     X is :func:`frobenius_gram` with R symmetric, ``R_ab = W^e(a,b)`` off the
@@ -118,7 +118,7 @@ def run_filter(basis_flat, n, bound, budget, max_hits=1):
     hits = []
     if k == 0 or bound < 1:
         return hits, nodes, True
-    form, target = _packed_form(basis_flat, n, bound)
+    form, target = packed_form(basis_flat, n, bound)
     diag = [form[i][i] // 2 for i in range(k)]
     digits = [0] * k  # digits[t] is the digit at pos[t] on the current path
 

@@ -142,6 +142,11 @@ def unit_splitting(d):
     return LagrangianSplitting.from_vectors(units[:d], units[d:])
 
 
+def ext_scaled(a, c):
+    """The exterior element ``c a``."""
+    return ExtElement(a.base_rank, {i: c * v for i, v in a.terms.items()})
+
+
 def exp_grade2(a):
     """Exponential ``sum a^k / k!`` of a pure grade-2 element (finite sum)."""
     if a.terms and not a.is_homogeneous(2):
@@ -154,7 +159,7 @@ def exp_grade2(a):
         k += 1
         if not power:
             return total
-        total = total + power.scale(Fraction(1, math.factorial(k)))
+        total = total + ext_scaled(power, Fraction(1, math.factorial(k)))
 
 
 def fm_product_model(s, alpha):

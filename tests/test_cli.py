@@ -19,6 +19,7 @@ from flattori.torus import TorusData, random_valid_torus, square_torus
 
 REFUTED_BY = "window contains every g with tr(N1^-1 g^t N2 g) = 4d"
 LATTICE_REFUTED_BY = "(rank, det) of tr(q h^t q h) differs on L(T1,T1), L(T1,T2), L(T2,T2): "
+SHELL_REFUTED_BY = "no g with tr(N1^-1 g^t N2 g) <= 4d preserves q: "
 
 
 def run(capsys, *args):
@@ -428,18 +429,27 @@ class TestSearchCommands:
         result = report(out)["result"]
         return result["found"], result["verdict"], result["nodes"]
 
-    @pytest.mark.parametrize("bound, verdict", [(1, "none within bound"), (2, "refuted")])
+    @pytest.mark.parametrize("bound, verdict", [(1, "refuted"), (2, "refuted")])
     def test_refuted_once_the_window_holds_the_ellipsoid(self, capsys, torus_file,
                                                          bound, verdict):
         # the mirror ellipsoid of this pair reaches c_i^2 = 5 (4d (A^-1)_ii):
-        # past the height-1 window, inside the height-2 one
+        # past the height-1 window, inside the height-2 one.  The height-1
+        # window is scanned and then the shell F <= 4d refutes: it is empty
+        # (4 walk nodes)
         source = TorusData(1, RatMatrix([[1, -1], [2, -1]]), RatMatrix([[2, -1], [-1, 1]]),
                            RatMatrix([[0, 2], [-2, 0]]), "source")
         target = TorusData(1, RatMatrix([[-34, -13], [89, 34]]),
                            RatMatrix([[178, 68], [68, 26]]),
                            RatMatrix([[0, -2], [2, 0]]), "target")
-        assert self.mirror_search(capsys, torus_file, source, target, bound) == \
-            (False, verdict, (2 * bound + 1) ** 4 - 1)
+        code, out, _ = run(capsys, "check-mirror", torus_file(source, "source.json"),
+                           torus_file(target, "target.json"), "--bound", str(bound))
+        assert code == 1
+        window = (2 * bound + 1) ** 4 - 1
+        assert report(out)["result"] == (
+            {"found": False, "verdict": verdict, "nodes": window, "refuted_by": REFUTED_BY}
+            if bound == 2 else
+            {"found": False, "verdict": verdict, "nodes": window + 4,
+             "refuted_by": SHELL_REFUTED_BY + "0 vectors up to sign, 4 nodes"})
 
     def test_small_ellipsoid_is_refuted_at_height_one(self, capsys, torus_file):
         # on the saturated intertwiner basis this pair's radii are at most 1/4
@@ -501,21 +511,27 @@ class TestSearchCommands:
             verdicts.append(report(out)["result"]["verdict"])
         assert verdicts == ["refuted", "refuted", "refuted"]
 
-    def test_spent_budget_is_undecided(self, capsys, monkeypatch, square2_file, torus_file):
+    @pytest.mark.parametrize("command", ["check-iso", "check-mirror"])
+    @pytest.mark.parametrize("budget", [[], ["--bound", "1", "--budget", "50"]],
+                             ids=["default", "budget50"])
+    def test_refute_bench_row_is_refuted_by_the_shell(self, capsys, monkeypatch, square2_file,
+                                                      torus_file, command, budget):
+        # no vector of the shell F <= 8 preserves q, and neither window fits
+        # its budget (3^16 - 1 and 5^16 - 1 candidates), so neither is scanned
         def refuse(*args):
-            raise AssertionError("fingerprint computed for an undecided search")
+            raise AssertionError("a scan or a fingerprint that cannot refute ran")
         monkeypatch.setattr(equivalence, "spectrum_fingerprint", refuse)
+        monkeypatch.setattr(equivalence.kernels, "run_filter", refuse)
         stretched2 = TorusData(
             2, RatMatrix([[0, -2, 0, 0], [Q(1, 2), 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]),
             RatMatrix.diag([1, 4, 1, 1]), RatMatrix.zero(4, 4), "stretched2")
-        code, out, err = run(capsys, "check-iso", square2_file,
-                             torus_file(stretched2, "stretched2.json"),
-                             "--bound", "1", "--budget", "50")
+        code, out, err = run(capsys, command, square2_file,
+                             torus_file(stretched2, "stretched2.json"), *budget)
         assert code == 1
-        assert report(out)["result"] == {"found": False, "verdict": "undecided", "nodes": 50,
-                                         "budget": 50, "last_complete_height": 0}
-        assert err == ("budget exceeded: search exhausted its node budget (50) before "
-                       "covering height 1 (50/50 nodes)\n")
+        assert report(out)["result"] == {
+            "found": False, "verdict": "refuted", "nodes": 220,
+            "refuted_by": SHELL_REFUTED_BY + "64 vectors up to sign, 220 nodes"}
+        assert err == ""
 
 
 class TestVerifyMapCommand:

@@ -5,18 +5,19 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import isqrt, lcm, prod
 from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from flattori import kernels_py
 from flattori._intlat import (integer_kernel, integral_coordinate_lattice, pair_reduce,
-                              spans_direct_summand)
+                              short_vectors, spans_direct_summand)
 from flattori._record import failures
-from flattori.equivalence import (DEFAULT_NODE_BUDGET, KINDS, LATTICE_ISOMETRY, RELATIONS,
-                                  LatticeMap, _constraint_rows, _ellipsoid_radii,
+from flattori.equivalence import (DEFAULT_NODE_BUDGET, KINDS, LATTICE_ISOMETRY, NARAIN_SHELL,
+                                  RELATIONS, LatticeMap, _constraint_rows, _ellipsoid_radii,
                                   _lattice_class, intertwiner_rows, intertwiner_space,
                                   search_relation, spectrum_fingerprint, verify_map)
 from flattori.errors import ValidationError
@@ -25,9 +26,13 @@ from flattori.kernels_py import frobenius_gram, split_pairing
 from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
 from flattori.torus import (TorusData, doubled, narain_form, random_valid_torus,
                             square_torus, zero_mode_momenta)
+from test_cli import OPEN1, OPEN2
 
 E1_SWAP = RatMatrix([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
 E1_SHEAR = RatMatrix([[1, 1], [0, 1]])
+STRETCHED2 = TorusData(
+    2, RatMatrix([[0, -2, 0, 0], [Q(1, 2), 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]),
+    RatMatrix.diag([1, 4, 1, 1]), RatMatrix.zero(4, 4), "stretched2")
 
 
 class TestVerifyMap:
@@ -299,11 +304,13 @@ class TestSearchRelation:
                     search_relation(t1, t2, "iso", 2)
         assert torus_work.validated == ["square", "rebased", "bad"]
 
-    def test_budget_exceeded_carries_progress(self, square1, stretched1):
-        out = search_relation(square1, stretched1, "iso", 3, node_budget=100)
+    def test_budget_exceeded_carries_progress(self):
+        # a derived_eq search may still end open: the lattices of open1 and
+        # open2 agree, and the scan spends its budget
+        out = search_relation(OPEN1, OPEN2, "derived_eq", 3, node_budget=7000)
         assert (out.verdict, out.found, out.certificate) == ("undecided", False, None)
-        assert out.nodes_used == 100
-        # the iso basis has 4 matrices: shell 1 holds 3^4 - 1 = 80 candidates
+        assert out.nodes_used == 7000
+        # the derived_eq basis has 8 matrices: shell 1 holds 3^8 - 1 = 6560 candidates
         assert out.last_complete_height == 1
 
 
@@ -318,12 +325,15 @@ def _partner(t, rng, how):
 
 
 def _verdict(t1, t2, kind):
-    return search_relation(t1, t2, kind, 2, node_budget=5000).verdict
+    verdict = search_relation(t1, t2, kind, 2, node_budget=5000).verdict
+    assert kind == "derived_eq" or verdict in CONTRADICTION
+    return verdict
 
 
 class TestVerdictsPropagate:
-    """Verdicts that must agree never come out one "found" and one "refuted"
-    (either may stay open: none within bound or undecided)."""
+    """Verdicts that must agree never come out one "found" and one "refuted".
+    An iso or mirror verdict is always one of the two; a derived_eq one may
+    stay open (none within bound or undecided)."""
 
     # An iso carries every relation with T3 across: T1 and its rebased copy T2
     # get compatible verdicts against T3 for every kind.
@@ -607,8 +617,8 @@ class TestNarainWindow:
         assert _ellipsoid_radii(rows, 4 * d) == _narain_radii(t1, t2, basis)
 
     # Random basis changes of square tori and of random tori with B != 0:
-    # the rebased copy is related, so the search must never refute, and a
-    # certificate it finds has coordinates inside the ellipsoid's box.
+    # the rebased copy is related, so the search finds a certificate, and its
+    # coordinates lie inside the ellipsoid's box.
     @settings(max_examples=16, deadline=None)
     @given(st.integers(0, 2 ** 32),
            st.sampled_from([("square", 1, "iso"), ("square", 1, "mirror"),
@@ -620,11 +630,77 @@ class TestNarainWindow:
         t1 = square_torus(d) if family == "square" else random_valid_torus(rng, d, b_bound=3)
         t2 = _rebased(t1, rng)
         out = search_relation(t1, t2, kind, 3 - d, node_budget=20000)
-        assert out.verdict != "refuted"
-        if out.found:
-            coords = _coordinates_of(out.certificate.map.g, intertwiner_space(t1, t2, kind))
-            radii = _ellipsoid_radii(intertwiner_rows(t1, t2, kind), 4 * d)
-            assert all(c * c <= r for c, r in zip(coords, radii))
+        assert out.found
+        coords = _coordinates_of(out.certificate.map.g, intertwiner_space(t1, t2, kind))
+        radii = _ellipsoid_radii(intertwiner_rows(t1, t2, kind), 4 * d)
+        assert all(c * c <= r for c, r in zip(coords, radii))
+
+
+class TestNarainShell:
+    # The enumerator's set {F <= 4d} on an iso or mirror lattice equals brute
+    # force over the box of the Narain radii: on the whole lattice at d = 1,
+    # and at d = 2, whose box can hold 5^16 points, on the sublattice spanned
+    # by up to five of its basis vectors.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from([1, 2]), st.sampled_from(["iso", "mirror"]),
+           st.sampled_from(PARTNERS))
+    def test_shell_equals_brute_force(self, seed, d, kind, how):
+        rng = random.Random(seed)
+        t1 = random_valid_torus(rng, d, steps=3, b_bound=3)
+        rows = intertwiner_rows(t1, _partner(t1, rng, how), kind)
+        assume(rows)
+        if d == 2:
+            rows = rng.sample(rows, rng.randint(1, 5))
+        n = 4 * d
+        gram = frobenius_gram(rows, n, split_pairing(n))
+        box = [isqrt(int(r)) for r in _ellipsoid_radii(rows, n)]
+        assume(prod(2 * b + 1 for b in box) <= 20000)
+
+        def form(c):
+            return sum(ci * sum(map(mul, row, c)) for ci, row in zip(c, gram))
+        brute = {c for c in product(*(range(-b, b + 1) for b in box)) if any(c) and form(c) <= n}
+        basis, vectors, _ = short_vectors(gram, n)
+        shell = set()
+        for x, norm in vectors:
+            c = tuple(sum(map(mul, x, col)) for col in zip(*basis))
+            assert form(c) == norm
+            shell |= {c, tuple(-v for v in c)}
+        assert shell == brute
+
+    @pytest.mark.parametrize("kind", ["iso", "mirror"])
+    def test_square2_against_stretched2_is_refuted_without_a_scan(self, square2, kind,
+                                                                  monkeypatch):
+        # 64 vectors up to sign have F <= 8 and none preserves q; the scan's
+        # windows hold 3^16 - 1 and 5^16 - 1 candidates, past both budgets
+        def refuse(*args):
+            raise AssertionError("the scan ran")
+        monkeypatch.setattr("flattori.kernels.run_filter", refuse)
+        for bound, budget in ((1, 50), (2, DEFAULT_NODE_BUDGET)):
+            out = search_relation(square2, STRETCHED2, kind, bound, node_budget=budget)
+            assert (out.verdict, out.nodes_used, out.refuted_by) == (
+                "refuted", 220, f"{NARAIN_SHELL}: 64 vectors up to sign, 220 nodes")
+
+    def test_certificate_outside_the_window_is_found(self):
+        # every certificate of this rebased pair needs a coordinate of 2: the
+        # height-1 window (80 nodes) holds none, the shell (7 nodes) does
+        t1 = TorusData(1, RatMatrix([[-5, -13], [2, 5]]), RatMatrix([[4, 10], [10, 26]]),
+                       RatMatrix([[0, Q(3, 2)], [Q(-3, 2), 0]]), "t1")
+        t2 = TorusData(1, RatMatrix([[-17, -5], [58, 17]]), RatMatrix([[116, 34], [34, 10]]),
+                       RatMatrix([[0, Q(3, 2)], [Q(-3, 2), 0]]), "t2")
+        hits, nodes, exhausted = kernels_py.run_filter(intertwiner_rows(t1, t2, "iso"), 4, 1,
+                                                       DEFAULT_NODE_BUDGET)
+        assert (hits, nodes, exhausted) == ([], 80, True)
+        out = search_relation(t1, t2, "iso", 1)
+        assert (out.verdict, out.nodes_used) == ("found", 87)
+        assert out.certificate.valid
+
+    def test_d3_certificate_past_the_budget_is_found(self):
+        # the scan spends its one node; the shell's first certificate is
+        # checked by verify_map
+        t1 = random_valid_torus(random.Random(2), 3, steps=2, scale_bound=2, b_bound=1)
+        t2 = _rebased(t1, random.Random(102))
+        out = search_relation(t1, t2, "iso", 1, node_budget=1)
+        assert out.found and out.certificate.valid and out.nodes_used > 1
 
 
 def _cm_torus(s):

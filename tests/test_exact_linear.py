@@ -338,8 +338,8 @@ class TestWedge:
         assert lhs == rhs
 
     def test_associativity(self):
-        a = e(4, 0) + e(4, 1).scale(2)
-        b = e(4, 1) + e(4, 2).scale(-3)
+        a = e(4, 0) + ExtElement.monomial(4, (1,), 2)
+        b = e(4, 1) + ExtElement.monomial(4, (2,), -3)
         c = e(4, 3) + ExtElement.scalar(4, Q(1, 2))
         assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
 

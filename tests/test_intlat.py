@@ -1,14 +1,18 @@
-"""Integer-lattice helpers: the column reduction against minor-based references."""
+"""Integer-lattice helpers: the column reduction against minor-based references,
+and the short-vector enumerator against brute force."""
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from itertools import product
+from math import gcd, isqrt, lcm
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flattori._intlat import (MAX_SWEEPS, column_pivots, integer_kernel,
-                              integral_coordinate_lattice, pair_reduce, spans_direct_summand)
+from flattori._intlat import (MAX_SWEEPS, _lll, column_pivots, integer_kernel,
+                              integral_coordinate_lattice, pair_reduce, short_vectors,
+                              spans_direct_summand)
 from flattori.exactlinear import RatMatrix
 
 BIG = 2 ** 40
@@ -285,3 +289,108 @@ class TestPairReduce:
         basis = [[3, -1], [-5, 2]]
         pair_reduce(basis)
         assert basis == [[3, -1], [-5, 2]]
+
+
+def form_value(gram, c):
+    return sum(ci * sum(a * cj for a, cj in zip(row, c)) for ci, row in zip(c, gram))
+
+
+def box_radii(gram, bound):
+    """``isqrt(bound (A^-1)_ii)``: no vector of ``c^t A c <= bound`` leaves this box."""
+    inv = RatMatrix(gram).inverse()
+    return [isqrt(int(bound * inv.entries[i][i])) for i in range(len(gram))]
+
+
+def brute_force_shell(gram, bound):
+    """Every nonzero integer c in the box of :func:`box_radii` with ``c^t A c <= bound``."""
+    ranges = [range(-r, r + 1) for r in box_radii(gram, bound)]
+    return {c for c in product(*ranges) if any(c) and form_value(gram, c) <= bound}
+
+
+def enumerated_shell(gram, bound):
+    """:func:`short_vectors`, in the input basis and with both signs; each
+    reported norm is checked on the way."""
+    basis, vectors, _ = short_vectors(gram, bound)
+    shell = set()
+    for x, norm in vectors:
+        c = tuple(sum(xi * row[t] for xi, row in zip(x, basis)) for t in range(len(gram)))
+        assert form_value(gram, c) == norm <= bound
+        assert x[max(t for t, v in enumerate(x) if v)] > 0  # one of +-x
+        shell |= {c, tuple(-v for v in c)}
+    assert len(shell) == 2 * len(vectors)
+    return shell
+
+
+@st.composite
+def definite_grams(draw):
+    """``B^t B`` for a nonsingular integer B of size up to 5 (entries up to 2^40
+    in some rows, so the LLL has work to do)."""
+    k = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    rows = [[draw(entry) for _ in range(k)] for _ in range(k)]
+    if draw(st.booleans()):
+        # a skewed basis of the same lattice: add a huge multiple of one row
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        if i != j:
+            f = draw(st.integers(-BIG, BIG))
+            rows[i] = [x + f * y for x, y in zip(rows[i], rows[j])]
+    assume(RatMatrix(rows).det() != 0)
+    return [[sum(r[a] * r[b] for r in rows) for b in range(k)] for a in range(k)]
+
+
+class TestShortVectors:
+    @settings(max_examples=200, deadline=None)
+    @given(definite_grams())
+    @example([[1]])
+    @example([[2, 1], [1, 2]])
+    def test_lll_basis_is_unimodular_and_reduced(self, gram):
+        basis, d, lam = _lll(gram)
+        k = len(gram)
+        assert abs(RatMatrix(basis).det()) == 1
+        reduced = [[form_value_pair(gram, u, v) for v in basis] for u in basis]
+        # d and lam are the Gram-Schmidt data of the reduced basis
+        for i in range(1, k + 1):
+            assert d[i] == RatMatrix([row[:i] for row in reduced[:i]]).det()
+        mu = gram_schmidt_mu(reduced)
+        for i in range(k):
+            for j in range(i):
+                assert lam[i + 1][j + 1] == d[j + 1] * mu[i][j]
+                assert 2 * abs(lam[i + 1][j + 1]) <= d[j + 1]  # size-reduced
+        for i in range(2, k + 1):
+            # Lovasz with delta = 3/4: B_i >= (3/4 - mu^2) B_(i-1), B_i = d_i / d_(i-1)
+            assert 4 * d[i] * d[i - 2] >= 3 * d[i - 1] ** 2 - 4 * lam[i][i - 1] ** 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(definite_grams(), st.integers(0, 12))
+    @example([[2, 1], [1, 2]], 2)   # the whole hexagonal first shell lies on F = bound
+    @example([[1]], 0)
+    def test_shell_equals_brute_force(self, gram, bound):
+        radii = box_radii(gram, bound)
+        assume(all(r <= 4 for r in radii))
+        assert enumerated_shell(gram, bound) == brute_force_shell(gram, bound)
+
+    def test_nodes_count_every_coordinate_tried(self):
+        # Z^2 with bound 1: x_2 in {0, 1} (top level, sign fixed), then x_1 in
+        # {0, 1} below x_2 = 0 and {0} below x_2 = 1
+        assert short_vectors([[1, 0], [0, 1]], 1)[1:] == ([((1, 0), 1), ((0, 1), 1)], 5)
+
+    def test_rejects_an_indefinite_form(self):
+        with pytest.raises(ValueError, match="not positive definite"):
+            short_vectors([[1, 2], [2, 1]], 4)
+
+
+def form_value_pair(gram, u, v):
+    return sum(ui * sum(a * vj for a, vj in zip(row, v)) for ui, row in zip(u, gram))
+
+
+def gram_schmidt_mu(gram):
+    """The Gram-Schmidt coefficients of a basis with this Gram matrix, in Fractions."""
+    k = len(gram)
+    mu = [[Fraction(0)] * k for _ in range(k)]
+    norms = []
+    for i in range(k):
+        for j in range(i):
+            mu[i][j] = (gram[i][j] - sum(mu[j][t] * mu[i][t] * norms[t] for t in range(j))) \
+                / norms[j]
+        norms.append(Fraction(gram[i][i]) - sum(mu[i][t] ** 2 * norms[t] for t in range(i)))
+    return mu

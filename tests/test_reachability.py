@@ -94,6 +94,10 @@ def _write_inputs(tmp):
         "square2": jsonio.torus_to_json(square_torus(2, "square2")),
         "stretched1": _torus_json([[0, -2], [Q(1, 2), 0]], [[1, 0], [0, 4]],
                                   [[0, 0], [0, 0]], "stretched"),
+        # no certificate, and a window past the budget: the shell refutes
+        "stretched2": _torus_json([[0, -2, 0, 0], [Q(1, 2), 0, 0, 0], [0, 0, 0, -1],
+                                   [0, 0, 1, 0]], [[1, 0, 0, 0], [0, 4, 0, 0], [0, 0, 1, 0],
+                                                   [0, 0, 0, 1]], zero4, "stretched2"),
         # a d = 1 pair whose derived_eq lattices agree, so the scan runs
         "open1": jsonio.torus_to_json(OPEN1),
         "open2": jsonio.torus_to_json(OPEN2),
@@ -146,6 +150,7 @@ def command_runs(tmp):
         (["check-iso", f("square1"), f("square1")], 0),
         (["check-iso", f("square1"), f("stretched1")], 1),
         (["check-iso", f("square1"), f("square2")], 2),
+        (["check-iso", f("square2"), f("stretched2"), "--bound", "1", "--budget", "50"], 1),
         (["check-iso", f("square1"), f("square1"), "--bound", "0"], 2),
         (["--config", f("config"), "check-mirror", f("square1"), f("stretched1")], 1),
         (["check-derived-eq", f("square1"), f("stretched1")], 1),
