@@ -5,9 +5,17 @@ fields ``command``, ``inputs``, ``result``, and ``paper_ref`` (a stable
 identifier of the mathematical claim the command decides).  Exit codes:
 0 for success/true/found, 1 for refuted/false/none-within-bound/undecided
 (a search that spent its node budget) and for a mirror recovery that failed
-(``mirror`` and ``fm``), 2 for input errors (malformed JSON among them, and
-``mirror`` given one path for both output files).
+(``mirror`` and ``fm``), 2 for input errors (among them malformed JSON,
+``mirror`` given one path for both output files, and every usage error).
 Diagnostics go to stderr.
+
+The command line is parsed from one table, :data:`COMMANDS`, by
+:func:`parse_args`, which builds nothing for the commands it does not run.
+A usage error (an unknown command or option, an abbreviated option, a
+missing value, path or required option, a non-integer where an integer
+belongs) raises ``SchemaError`` like any other input error: one
+``input error:`` line, an empty stdout, exit 2.  ``-h`` or ``--help`` prints
+one usage line per command and exits 0.
 
 Each command imports only the layers it runs.  Start-up loads ``jsonio``,
 ``torus``, ``exactlinear``, ``errors`` and ``_record``; the handlers import
@@ -15,18 +23,18 @@ Each command imports only the layers it runs.  Start-up loads ``jsonio``,
 they are called, and only ``cohomology``, ``abranes`` and reading a class
 load the exterior algebra (``exterior``).  Start-up is most of a typical
 command's time, and where ``PYTHONDONTWRITEBYTECODE`` is set every imported
-line is compiled again on every start.
+line, this module's included, is compiled again on every start.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
 from functools import partial
 from math import comb
+from types import SimpleNamespace
 
 from . import jsonio
 from ._record import failures
@@ -126,6 +134,12 @@ def _cmd_spectrum(args, cfg):
     t = jsonio.load_torus(args.torus)
     if args.height < 0:
         raise SchemaError(f"height must be nonnegative, got {args.height}")
+    # the window is checked before it is listed; its size is written as a
+    # power, which stays printable where the integer may pass the digit limit
+    if (2 * args.height + 1) ** (2 * t.rank) > equivalence.DEFAULT_NODE_BUDGET:
+        raise SchemaError(f"height {args.height} spans (2 * {args.height} + 1)^{2 * t.rank} "
+                          f"charge vectors, more than the limit "
+                          f"{equivalence.DEFAULT_NODE_BUDGET}", "--height")
     fp = equivalence.spectrum_fingerprint(t, args.height)
     result = {"height": args.height,
               "triples": [[rat_str(x) for x in triple] for triple in fp]}
@@ -375,83 +389,129 @@ def _cmd_fock_verify(args, cfg):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+SEARCH_OPTIONS = {"--bound": ("bound", int, None, False),
+                  "--budget": ("budget", int, None, False)}
 
-def build_parser():
-    top = argparse.ArgumentParser(prog="flattori", description=__doc__)
-    top.add_argument("--config", help="JSON sidecar with bound/budget defaults")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, claim, handler, configure):
-        p = sub.add_parser(name)
-        configure(p)
-        p.set_defaults(handler=handler, claim=claim)
-
-    add("validate", "flat-torus-data-invariants", _cmd_validate, lambda p: p.add_argument("torus"))
-    add("doubled", "doubled-lattice-structures", _cmd_doubled, lambda p: p.add_argument("torus"))
-
-    def spectrum_args(p):
-        p.add_argument("torus")
-        p.add_argument("--height", type=int, default=1)
-    add("spectrum", "zero-mode-spectrum-invariants", _cmd_spectrum, spectrum_args)
-
-    def search_args(p):
-        p.add_argument("source")
-        p.add_argument("target")
-        p.add_argument("--bound", type=int, default=None)
-        p.add_argument("--budget", type=int, default=None)
+# command -> (claim, handler, path arguments, options); each option maps its
+# flag to (dest, type, default, required)
+COMMANDS = {
+    "validate": ("flat-torus-data-invariants", _cmd_validate, ("torus",), {}),
+    "doubled": ("doubled-lattice-structures", _cmd_doubled, ("torus",), {}),
+    "spectrum": ("zero-mode-spectrum-invariants", _cmd_spectrum, ("torus",),
+                 {"--height": ("height", int, 1, False)}),
+    "verify-map": ("lattice-map-verification", _cmd_verify_map, ("map",), {}),
+    "mirror": ("tduality-mirror-construction", _cmd_mirror, (),
+               {"--torus": ("torus", str, None, True),
+                "--split": ("split", str, None, False),
+                "--out-torus": ("out_torus", str, None, False),
+                "--out-cert": ("out_cert", str, None, False)}),
+    "hodge": ("hodge-diamond-ranks", _cmd_hodge, ("torus",), {}),
+    "pp-classes": ("rational-pp-classes", _cmd_pp_classes, ("torus",),
+                   {"--p": ("p", int, None, True)}),
+    "lefschetz": ("middle-degree-lefschetz-kernel", _cmd_lefschetz, ("torus",), {}),
+    "fm": ("duality-cohomology-transport", _cmd_fm, (),
+           {"--torus": ("torus", str, None, True),
+            "--split": ("split", str, None, True),
+            "--class": ("cls", str, None, True)}),
+    "check-mirror-class": ("mirror-class-condition", _cmd_check_mirror_class, (),
+                           {"--torus": ("torus", str, None, True),
+                            "--class": ("cls", str, None, True)}),
+    "beta": ("bfield-brauer-torsion", _cmd_beta, ("torus",), {}),
+    "abrane-check": ("coisotropic-brane-conditions", _cmd_abrane_check, (),
+                     {"--brane": ("brane", str, None, True)}),
+    "fock-verify": ("oscillator-algebra-relations", _cmd_fock_verify, (),
+                    {"--d": ("d", int, None, False),
+                     "--cap": ("cap", str, "2", False),
+                     "--torus": ("torus", str, None, False)}),
+}
+COMMANDS.update({
+    name: (claim, partial(_search_command, kind), ("source", "target"), SEARCH_OPTIONS)
     for name, kind, claim in (
-            ("check-iso", "iso", "scft-isomorphism-lattice-criterion"),
-            ("check-mirror", "mirror", "mirror-symmetry-lattice-criterion"),
-            ("check-derived-eq", "derived_eq", "derived-equivalence-lattice-criterion")):
-        add(name, claim, partial(_search_command, kind), search_args)
+        ("check-iso", "iso", "scft-isomorphism-lattice-criterion"),
+        ("check-mirror", "mirror", "mirror-symmetry-lattice-criterion"),
+        ("check-derived-eq", "derived_eq", "derived-equivalence-lattice-criterion"))})
 
-    add("verify-map", "lattice-map-verification", _cmd_verify_map, lambda p: p.add_argument("map"))
+HELP = ("-h", "--help")
 
-    def mirror_args(p):
-        p.add_argument("--torus", required=True)
-        p.add_argument("--split", default=None)
-        p.add_argument("--out-torus", default=None)
-        p.add_argument("--out-cert", default=None)
-    add("mirror", "tduality-mirror-construction", _cmd_mirror, mirror_args)
 
-    add("hodge", "hodge-diamond-ranks", _cmd_hodge, lambda p: p.add_argument("torus"))
+def _print_usage(args, cfg):
+    lines = ["usage: flattori [--config FILE] COMMAND, where COMMAND is one of:"]
+    for name, (_, _, paths, options) in COMMANDS.items():
+        words = [name, *(p.upper() for p in paths)]
+        for flag, (_, _, _, required) in options.items():
+            word = f"{flag} {flag[2:].upper()}"
+            words.append(word if required else f"[{word}]")
+        lines.append("  " + " ".join(words))
+    sys.stdout.write("\n".join(lines) + "\n")
+    return 0
 
-    def pp_args(p):
-        p.add_argument("torus")
-        p.add_argument("--p", type=int, required=True)
-    add("pp-classes", "rational-pp-classes", _cmd_pp_classes, pp_args)
 
-    add("lefschetz", "middle-degree-lefschetz-kernel", _cmd_lefschetz,
-        lambda p: p.add_argument("torus"))
+def _option(word, words, flags, where):
+    """The flag and value of ``--flag=value``, or of ``--flag`` and the next word."""
+    flag, eq, value = word.partition("=")
+    if flag not in flags:
+        raise SchemaError(f"unknown option {flag} {where}")
+    if not eq:
+        value = next(words, None)
+        if value is None:
+            raise SchemaError(f"option {flag} needs a value")
+    return flag, value
 
-    def fm_args(p):
-        p.add_argument("--torus", required=True)
-        p.add_argument("--split", required=True)
-        p.add_argument("--class", dest="cls", required=True)
-    add("fm", "duality-cohomology-transport", _cmd_fm, fm_args)
 
-    def cmc_args(p):
-        p.add_argument("--torus", required=True)
-        p.add_argument("--class", dest="cls", required=True)
-    add("check-mirror-class", "mirror-class-condition", _cmd_check_mirror_class, cmc_args)
+def parse_args(argv):
+    """The namespace of one command line; a usage error raises ``SchemaError``.
 
-    add("beta", "bfield-brauer-torsion", _cmd_beta, lambda p: p.add_argument("torus"))
-    add("abrane-check", "coisotropic-brane-conditions", _cmd_abrane_check,
-        lambda p: p.add_argument("--brane", required=True))
-
-    def fock_args(p):
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--cap", default="2")
-        p.add_argument("--torus", default=None)
-    add("fock-verify", "oscillator-algebra-relations", _cmd_fock_verify, fock_args)
-
-    return top
+    It holds ``command``, ``claim``, ``handler``, ``config`` and one attribute
+    per path argument and option of the command.  ``--config`` goes before the
+    command; options and paths follow it in any order, an option written
+    ``--flag value`` or ``--flag=value``, the last one given winning.  The word
+    after a flag is its value, whatever it looks like.  ``-h`` or ``--help``
+    anywhere else selects the usage handler.
+    """
+    words = iter(argv)
+    config = None
+    for word in words:
+        if word in HELP:
+            return SimpleNamespace(handler=_print_usage, config=None)
+        if not word.startswith("-"):
+            break
+        _, config = _option(word, words, ("--config",), "before the command")
+    else:
+        raise SchemaError("missing command")
+    command = word
+    if command not in COMMANDS:
+        raise SchemaError(f"unknown command {command!r}")
+    claim, handler, paths, options = COMMANDS[command]
+    args = SimpleNamespace(command=command, claim=claim, handler=handler, config=config)
+    for dest, _, default, _ in options.values():
+        setattr(args, dest, default)
+    given = []
+    for word in words:
+        if word in HELP:
+            return SimpleNamespace(handler=_print_usage, config=None)
+        if not word.startswith("-"):
+            given.append(word)
+            continue
+        flag, value = _option(word, words, options, f"for {command}")
+        dest, kind, _, _ = options[flag]
+        try:
+            setattr(args, dest, kind(value))
+        except ValueError:
+            raise SchemaError(f"option {flag} must be an integer, got {value!r}")
+    if len(given) != len(paths):
+        raise SchemaError(f"{command} takes {len(paths)} path argument(s), got {len(given)}")
+    missing = [flag for flag, (dest, _, _, required) in options.items()
+               if required and getattr(args, dest) is None]
+    if missing:
+        raise SchemaError(f"{command} needs {' and '.join(missing)}")
+    for dest, path in zip(paths, given):
+        setattr(args, dest, path)
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         cfg = _load_config(args.config)
         return args.handler(args, cfg)
     except (SchemaError, ValidationError) as exc:

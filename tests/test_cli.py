@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: every subcommand, exit codes, determinism."""
 
-import argparse
 import hashlib
 import json
 import os
@@ -277,6 +276,70 @@ class TestValidateAndStructures:
         assert out == ""
         assert err.startswith("input error:") and err.count("\n") == 1
 
+    # a d = 1 window holds (2h + 1)^4 charge vectors: 57^4 = 10,556,001 is the
+    # first past the limit of 10^7, and 10^8 would not fit in memory
+    @pytest.mark.parametrize("height", [28, 100000000])
+    def test_spectrum_window_past_the_limit_is_input_error(self, capsys, square_file, height):
+        assert run(capsys, "spectrum", square_file, "--height", str(height)) == (
+            2, "", f"input error: height {height} spans (2 * {height} + 1)^4 charge vectors, "
+            "more than the limit 10000000 (at --height)\n")
+
+
+class TestUsage:
+    """The command line is parsed from ``cli.COMMANDS``: a usage error is an
+    input error, and ``-h`` lists every command."""
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "missing command"),
+        (["--config", "{C}"], "missing command"),
+        (["bogus", "{T}"], "unknown command 'bogus'"),
+        (["check-iso", "{T}", "{T}", "--bud", "3"], "unknown option --bud for check-iso"),
+        (["check-iso", "{T}", "{T}", "--bound"], "option --bound needs a value"),
+        (["--config"], "option --config needs a value"),
+        (["pp-classes", "{T}"], "pp-classes needs --p"),
+        (["fm", "--torus", "{T}"], "fm needs --split and --class"),
+        (["check-iso", "{T}"], "check-iso takes 2 path argument(s), got 1"),
+        (["validate", "{T}", "{T}"], "validate takes 1 path argument(s), got 2"),
+        (["check-iso", "{T}", "{T}", "--bound", "x"],
+         "option --bound must be an integer, got 'x'"),
+        (["check-iso", "{T}", "{T}", "--config", "{C}"],
+         "unknown option --config for check-iso"),
+        (["--bound", "1", "check-iso", "{T}", "{T}"],
+         "unknown option --bound before the command"),
+    ], ids=["no-command", "config-only", "unknown-command", "abbreviation", "no-value",
+            "config-no-value", "missing-required", "missing-two", "one-path", "two-paths",
+            "non-integer", "config-after-command", "option-before-command"])
+    def test_usage_error_is_one_input_error_line(self, capsys, tmp_path, square_file,
+                                                 argv, message):
+        (tmp_path / "cfg.json").write_text(json.dumps({"bound": 1}))
+        paths = {"T": square_file, "C": str(tmp_path / "cfg.json")}
+        assert run(capsys, *[a.format(**paths) for a in argv]) == \
+            (2, "", f"input error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["check-iso", "--bound=1", "{T}", "{T}"],
+        ["check-iso", "--bound", "1", "{T}", "{T}"],
+        ["check-iso", "{T}", "--bound", "3", "{T}", "--bound", "1"],
+        ["--config={C}", "check-iso", "{T}", "{T}"],
+    ], ids=["equals", "options-first", "last-wins", "config-equals"])
+    def test_accepted_forms(self, capsys, tmp_path, square_file, argv):
+        (tmp_path / "cfg.json").write_text(json.dumps({"bound": 1}))
+        paths = {"T": square_file, "C": str(tmp_path / "cfg.json")}
+        code, out, err = run(capsys, *[a.format(**paths) for a in argv])
+        assert (code, err) == (0, "")
+        assert report(out)["inputs"]["bound"] == 1
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["check-iso", "-h"],
+                                      ["--config", "missing.json", "fm", "--help"]])
+    def test_help_lists_every_command(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0].startswith("usage: flattori [--config FILE] COMMAND")
+        assert [line.split()[0] for line in lines[1:]] == list(cli.COMMANDS)
+        assert "  check-iso SOURCE TARGET [--bound BOUND] [--budget BUDGET]" in lines
+        assert "  pp-classes TORUS --p P" in lines
+
 
 # Runs main(argv) in a fresh interpreter and prints, after the report, every
 # module it loaded.
@@ -319,11 +382,11 @@ class TestImportIsolation:
                   if m.startswith("flattori.")}
         assert loaded & unloaded == set()
 
-    # Start-up compiles no dataclass machinery and no exterior algebra: after
-    # an in-process check-iso neither module is loaded, unless the bare
-    # interpreter loads it already; hodge loads the exterior algebra.
+    # Start-up compiles no dataclass machinery, no argparse and no exterior
+    # algebra: after an in-process check-iso none of them is loaded, unless
+    # the bare interpreter loads it already; hodge loads the exterior algebra.
     def test_startup_loads_neither_dataclasses_nor_exterior(self, square_file):
-        watched = {"dataclasses", "flattori.exterior"}
+        watched = {"argparse", "dataclasses", "flattori.exterior"}
         bare = _fresh_python("-c", "import json, sys; print(json.dumps(sorted(sys.modules)))")
         expected = watched & set(json.loads(bare.stdout))
         proc = _fresh_python("-c", LOADED_MODULES, "check-iso", square_file, square_file)
@@ -928,14 +991,13 @@ PAPER_REFS = {
 
 class TestDeterminism:
     def test_every_command_is_registered_with_its_claim(self):
-        parser = cli.build_parser()
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        assert set(sub.choices) == set(PAPER_REFS)
+        assert {name: entry[0] for name, entry in cli.COMMANDS.items()} == \
+            {name: claim for name, (_, claim) in PAPER_REFS.items()}
 
     @pytest.mark.parametrize("command", sorted(PAPER_REFS))
     def test_reports_cite_the_paper_claim(self, capsys, command):
         argv, claim = PAPER_REFS[command]
-        args = cli.build_parser().parse_args([command, *argv])
+        args = cli.parse_args([command, *argv])
         assert cli._emit(args, {}, {}, 0) == 0
         data = report(capsys.readouterr().out)
         assert (data["command"], data["paper_ref"]) == (command, claim)

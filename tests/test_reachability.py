@@ -1,7 +1,8 @@
 """Every function in ``src/flattori`` is run by a command.
 
 Each subcommand runs in process on small inputs, with error, undecided,
-refuted and recovery-failure paths among them, under ``sys.setprofile``.
+refuted and recovery-failure paths among them, and so do ``-h`` and the
+usage errors, under ``sys.setprofile``.
 Every ``def`` that ``ast`` finds in the package, methods and nested
 functions included, must be entered by one of those runs, apart from the
 ``__dunder__`` methods and the entries of :data:`ALLOWLIST`.  Each entry
@@ -183,6 +184,17 @@ def command_runs(tmp):
         (["fock-verify", "--d", "1", "--cap", "2"], 0),
         (["fock-verify", "--torus", f("stretched1"), "--cap", "3/2"], 0),
         (["fock-verify", "--d", "1", "--cap", "1/3"], 2),
+        (["-h"], 0),
+        (["check-iso", f("square1"), "--help"], 0),
+        (["check-iso", "--bound=1", f("square1"), f("square1")], 0),
+        ([], 2),
+        (["bogus", f("square1")], 2),
+        (["check-iso", f("square1"), f("square1"), "--bud", "3"], 2),
+        (["check-iso", f("square1"), f("square1"), "--bound"], 2),
+        (["pp-classes", f("square1")], 2),
+        (["check-iso", f("square1")], 2),
+        (["check-iso", f("square1"), f("square1"), "--bound", "x"], 2),
+        (["check-iso", f("square1"), f("square1"), "--config", f("config")], 2),
     ]
 
 
