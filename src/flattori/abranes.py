@@ -19,11 +19,13 @@ all distributions and forms are constant.
 
 from __future__ import annotations
 
+import os
 from functools import cached_property
 
+from . import jsonio
 from ._intlat import column_pivots
 from ._record import Check, Record, failures
-from .errors import DimensionError, InconsistencyError, ValidationError
+from .errors import DimensionError, InconsistencyError, SchemaError, ValidationError
 from .exactlinear import QONE, QZERO, RatMatrix, bareiss, cleared
 from .exterior import ExtElement, apply_linear, wedge
 from .torus import TorusData, omega, require_valid
@@ -318,3 +320,74 @@ def anomaly_check_affine(b: AffineBrane) -> AnomalyReport:
             "top-form coefficient vanished for an accepted brane (bug)")
     return AnomalyReport(h_constant=True, bockstein_class_zero=True,
                          top_coefficient=tuple(coeff))
+
+
+# ---------------------------------------------------------------------------
+# the brane file and the abrane-check command
+# ---------------------------------------------------------------------------
+
+
+def brane_from_json(data, base_dir=".", pointer="brane") -> AffineBrane:
+    """A brane file's brane; its ``torus_ref`` is read relative to ``base_dir``."""
+    if not isinstance(data, dict):
+        raise SchemaError("expected an object", pointer)
+    if "torus" in data:
+        t = jsonio.torus_from_json(data["torus"], f"{pointer}.torus")
+    elif "torus_ref" in data:
+        ref = data["torus_ref"]
+        if not isinstance(ref, str):
+            raise SchemaError("torus_ref must be a path string", f"{pointer}.torus_ref")
+        t = jsonio.load_torus(os.path.join(base_dir, ref))
+    else:
+        raise SchemaError("need torus or torus_ref", pointer)
+    yb = data.get("Y_basis")
+    if (not isinstance(yb, list) or not yb
+            or any(not isinstance(v, list) or any(not jsonio.is_json_int(x) for x in v)
+                   for v in yb)):
+        raise SchemaError("Y_basis must be a list of integer vectors", f"{pointer}.Y_basis")
+    f = data.get("F")
+    fmat = jsonio.matrix_from_json(f, f"{pointer}.F", len(yb)) if f is not None \
+        else RatMatrix.zero(len(yb), len(yb))
+    shift = data.get("translation", [])
+    if not isinstance(shift, list):
+        raise SchemaError("translation must be a list", f"{pointer}.translation")
+    translation = tuple(jsonio.rat_from_json(x, f"{pointer}.translation[{i}]")
+                        for i, x in enumerate(shift))
+    k = next((k for k, v in enumerate(yb) if len(v) != t.rank), None)
+    if k is not None:
+        raise SchemaError(f"brane directions must have length {t.rank}", f"{pointer}.Y_basis[{k}]")
+    if shift and len(shift) != t.rank:
+        raise SchemaError(f"translation must have length {t.rank}", f"{pointer}.translation")
+    return AffineBrane(torus=t, y_basis=tuple(tuple(v) for v in yb),
+                       curvature=fmat, translation=translation)
+
+
+def cmd_abrane_check(args):
+    """``abrane-check``: the acceptance conditions, then the anomaly and wedge reports."""
+    b = jsonio.load_brane(args.brane)
+    rep = b.acceptance
+    result = {
+        "accepted": rep.accepted,
+        "k": rep.k,
+        "conditions": [{"name": c.name, "ok": c.ok, "detail": c.detail}
+                       for c in rep.conditions],
+    }
+    if rep.accepted:
+        result["transverse_complex_structure"] = (
+            jsonio.matrix_to_json(rep.transverse_j) if rep.transverse_j is not None else [])
+        anomaly = anomaly_check_affine(b)
+        result["anomaly"] = {
+            "h_constant": anomaly.h_constant,
+            "bockstein_class_zero": anomaly.bockstein_class_zero,
+            "top_coefficient": jsonio.gauss_to_json(anomaly.top_coefficient),
+        }
+        wedge_rep = wedge_characterization(b)
+        result["wedge_powers"] = {
+            "vanishing_powers": list(wedge_rep.vanishing_powers),
+            "first_vanishing_power": wedge_rep.first_vanishing_power,
+            "stated_conditions_hold": wedge_rep.stated_conditions_hold,
+            "agreement_with_condition_iii": wedge_rep.agreement,
+        }
+    else:
+        result["rejection"] = rep.rejection
+    return {"brane": args.brane}, result, 0 if rep.accepted else 1

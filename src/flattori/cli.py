@@ -17,30 +17,31 @@ belongs) raises ``SchemaError`` like any other input error: one
 ``input error:`` line, an empty stdout, exit 2.  ``-h`` or ``--help`` prints
 one usage line per command and exits 0.
 
-Each command imports only the layers it runs.  Start-up loads ``jsonio``,
-``torus``, ``exactlinear``, ``errors`` and ``_record``; the handlers import
-``equivalence``, ``tduality``, ``cohomology``, ``abranes`` and ``fock`` when
-they are called, and only ``cohomology``, ``abranes`` and reading a class
-load the exterior algebra (``exterior``).  Start-up is most of a typical
-command's time, and where ``PYTHONDONTWRITEBYTECODE`` is set every imported
-line, this module's included, is compiled again on every start.
+A command compiles the start-up core plus its own layer.  The core is this
+module, ``jsonio``, ``torus``, ``exactlinear``, ``errors`` and ``_record``,
+and it holds the handlers of ``validate`` and ``doubled``.  Every other
+handler lives in the layer it drives (``equivalence``, ``tduality``,
+``cohomology``, ``abranes`` or ``fock``), and :data:`COMMANDS` names it by
+module and function, so :func:`main` imports that one module.  A handler
+takes the parsed arguments, with the config's ``bound`` and ``budget``
+already folded in, and returns ``(inputs, result, exit code)``;
+:func:`main` prints the report.  No layer imports this module: under
+``python -m flattori.cli`` it runs as ``__main__``, and an import would
+compile it a second time.  Where ``PYTHONDONTWRITEBYTECODE`` is set every
+imported line is compiled again on every start, and start-up is most of a
+typical command's time.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
-from fractions import Fraction
-from functools import partial
-from math import comb
 from types import SimpleNamespace
 
 from . import jsonio
 from ._record import failures
-from .errors import FlatToriError, RecoveryError, SchemaError, ValidationError
-from .exactlinear import rat_str
-from .torus import BLOCK_CONVENTION, doubled, narain_form, omega, require_valid, validate
+from .errors import FlatToriError, SchemaError, ValidationError
+from .torus import BLOCK_CONVENTION, doubled, narain_form, omega, validate
 
 # budget is equivalence.DEFAULT_NODE_BUDGET, written out so that loading the
 # defaults does not import the search layer.
@@ -73,48 +74,20 @@ def _load_config(path):
     return cfg
 
 
-def _setting(args, cfg, name):
-    value = getattr(args, name.replace("-", "_"), None)
-    return cfg[name] if value is None else value
-
-
-def _at_least_one(name, value):
-    if value < 1:
-        raise SchemaError(f"{name} must be at least 1, got {value}")
-    return value
-
-
-def parse_splitting(text, n):
-    """Parse ``"1,0;0,1|0,1;1,0"``-style A|B vector lists."""
-    from . import tduality
-    try:
-        a_part, b_part = text.split("|")
-        a_vecs = [[int(x) for x in v.split(",")] for v in a_part.split(";") if v]
-        b_vecs = [[int(x) for x in v.split(",")] for v in b_part.split(";") if v]
-    except ValueError:
-        raise SchemaError("splitting must look like 'a1;a2|b1;b2' with comma-separated "
-                          "integer entries", "--split")
-    if not a_vecs or not b_vecs:
-        raise SchemaError("each half of a splitting needs at least one vector", "--split")
-    if any(len(v) != n for v in a_vecs + b_vecs):
-        raise SchemaError(f"splitting vectors must have length {n}", "--split")
-    return tduality.LagrangianSplitting.from_vectors(a_vecs, b_vecs)
-
-
 # ---------------------------------------------------------------------------
-# command handlers
+# the handlers of the start-up core; the others live in their layers
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args, cfg):
+def cmd_validate(args):
     t = jsonio.load_torus(args.torus)
     checks = validate(t)
     ok = not failures(checks)
     result = {"ok": ok, "checks": jsonio.checks_to_json(checks)}
-    return _emit(args, {"torus": jsonio.torus_to_json(t)}, result, 0 if ok else 1)
+    return {"torus": jsonio.torus_to_json(t)}, result, 0 if ok else 1
 
 
-def _cmd_doubled(args, cfg):
+def cmd_doubled(args):
     t = jsonio.load_torus(args.torus)
     ds = doubled(t)
     result = {
@@ -126,263 +99,7 @@ def _cmd_doubled(args, cfg):
         "omega": jsonio.matrix_to_json(omega(t)),
         "narain_form": jsonio.matrix_to_json(narain_form(t)),
     }
-    return _emit(args, {"torus": jsonio.torus_to_json(t)}, result, 0)
-
-
-def _cmd_spectrum(args, cfg):
-    from . import equivalence
-    t = jsonio.load_torus(args.torus)
-    if args.height < 0:
-        raise SchemaError(f"height must be nonnegative, got {args.height}")
-    # the window is checked before it is listed; its size is written as a
-    # power, which stays printable where the integer may pass the digit limit
-    if (2 * args.height + 1) ** (2 * t.rank) > equivalence.DEFAULT_NODE_BUDGET:
-        raise SchemaError(f"height {args.height} spans (2 * {args.height} + 1)^{2 * t.rank} "
-                          f"charge vectors, more than the limit "
-                          f"{equivalence.DEFAULT_NODE_BUDGET}", "--height")
-    fp = equivalence.spectrum_fingerprint(t, args.height)
-    result = {"height": args.height,
-              "triples": [[rat_str(x) for x in triple] for triple in fp]}
-    return _emit(args, {"torus": jsonio.torus_to_json(t)}, result, 0)
-
-
-def _search_command(kind, args, cfg):
-    from . import equivalence
-    t1 = jsonio.load_torus(args.source)
-    t2 = jsonio.load_torus(args.target)
-    if t2.d != t1.d:
-        raise SchemaError(f"tori must have the same dimension, got {t1.d} and {t2.d}",
-                          f"{os.path.basename(args.target)}.d")
-    bound = _at_least_one("bound", _setting(args, cfg, "bound"))
-    budget = _at_least_one("budget", _setting(args, cfg, "budget"))
-    inputs = {"source": jsonio.torus_to_json(t1), "target": jsonio.torus_to_json(t2),
-              "bound": bound}
-    outcome = equivalence.search_relation(t1, t2, kind, bound, node_budget=budget)
-    if outcome.found:
-        result = {"found": True,
-                  "certificate": jsonio.certificate_to_json(outcome.certificate),
-                  "nodes": outcome.nodes_used}
-        return _emit(args, inputs, result, 0)
-    result = {"found": False, "verdict": outcome.verdict, "nodes": outcome.nodes_used}
-    if outcome.verdict == "refuted":
-        result["refuted_by"] = outcome.refuted_by
-    elif outcome.verdict == "undecided":
-        print(f"budget exceeded: search exhausted its node budget ({budget}) before "
-              f"covering height {bound} ({outcome.nodes_used}/{budget} nodes)",
-              file=sys.stderr)
-        result.update(budget=budget, last_complete_height=outcome.last_complete_height)
-    return _emit(args, inputs, result, 1)
-
-
-def _cmd_verify_map(args, cfg):
-    from . import equivalence
-    m = jsonio.load_map(args.map)
-    cert = equivalence.verify_map(m)
-    result = {"valid": cert.valid,
-              "certificate": jsonio.certificate_to_json(cert)}
-    if not cert.valid:
-        result["refuting_check"] = failures(cert.checks)[0]
-    return _emit(args, {"map": args.map, "kind": m.kind}, result, 0 if cert.valid else 1)
-
-
-def _cmd_mirror(args, cfg):
-    from . import tduality
-    if args.out_torus and args.out_cert and (
-            os.path.realpath(args.out_torus) == os.path.realpath(args.out_cert)):
-        raise SchemaError(f"--out-torus and --out-cert name the same file {args.out_cert}",
-                          "--out-cert")
-    t = jsonio.load_torus(args.torus)
-    inputs = {"torus": jsonio.torus_to_json(t)}
-    try:
-        s = (parse_splitting(args.split, t.rank) if args.split
-             else tduality.find_lagrangian_splitting(t))
-        inputs["split"] = _split_json(s)
-        mr = tduality.mirror_via_tduality(t, s)
-    except RecoveryError as exc:
-        return _recovery_failed(args, inputs, exc)
-    result = {
-        "found": True,
-        "mirror": jsonio.torus_to_json(mr.mirror),
-        "certificate": jsonio.certificate_to_json(mr.duality_certificate),
-        "recovery_report": jsonio.checks_to_json(mr.recovery_report),
-    }
-    _write_json_files([(path, data, flag) for path, data, flag in (
-        (args.out_torus, result["mirror"], "--out-torus"),
-        (args.out_cert, result["certificate"], "--out-cert")) if path])
-    return _emit(args, inputs, result, 0)
-
-
-def _split_json(s):
-    """A splitting as a report echoes it, parsed or found: its two halves' vectors."""
-    return {"A": [list(v) for v in s.a_basis], "B": [list(v) for v in s.b_basis]}
-
-
-def _recovery_failed(args, inputs, exc):
-    """The report of a mirror whose recovery failed at ``exc.block``; exit 1."""
-    result = {"found": False, "verdict": "recovery failed", "block": exc.block}
-    return _emit(args, inputs, result, 1)
-
-
-def _write_json_files(outputs):
-    """Write each ``(path, data, flag)``, opening every path before writing any.
-
-    An unwritable path is an input error that leaves no output behind: the
-    files opened so far are removed if this call created them, and a file
-    that existed is truncated only once every path is open.
-    """
-    opened = []
-    try:
-        for path, _, flag in outputs:
-            existed = os.path.exists(path)
-            try:
-                opened.append((open(path, "a"), existed))
-            except OSError as exc:
-                raise SchemaError(f"cannot write {path}: {exc.strerror}", flag)
-    except SchemaError:
-        for (fh, existed), (path, _, _) in zip(opened, outputs):
-            fh.close()
-            if not existed:
-                os.remove(path)
-        raise
-    for (fh, _), (_, data, _) in zip(opened, outputs):
-        with fh:
-            fh.truncate(0)
-            json.dump(data, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
-
-def _cmd_hodge(args, cfg):
-    from . import cohomology
-    t = jsonio.load_torus(args.torus)
-    hd = cohomology.hodge_diamond(t)
-    result = {"d": hd.d, "h": [list(row) for row in hd.h]}
-    return _emit(args, {"torus": jsonio.torus_to_json(t)}, result, 0)
-
-
-def _cmd_pp_classes(args, cfg):
-    from . import cohomology
-    t = jsonio.load_torus(args.torus)
-    if not 0 <= args.p <= t.d:
-        raise SchemaError(f"p must lie in 0..{t.d}, got {args.p}", "--p")
-    classes = cohomology.rational_pp_classes(t, args.p)
-    result = {"p": args.p, "dimension": len(classes),
-              "basis": [jsonio.class_to_json(c.element) for c in classes]}
-    return _emit(args, {"torus": jsonio.torus_to_json(t)}, result, 0)
-
-
-def _cmd_lefschetz(args, cfg):
-    from . import cohomology
-    t = jsonio.load_torus(args.torus)
-    dim = cohomology.lefschetz_kernel_dim(t)
-    result = {"kernel_dimension": dim,
-              "expected": comb(2 * t.d, t.d) - comb(2 * t.d, t.d + 2)}
-    return _emit(args, {"torus": jsonio.torus_to_json(t)}, result, 0)
-
-
-def _cmd_fm(args, cfg):
-    from . import cohomology
-    t = jsonio.load_torus(args.torus)
-    s = parse_splitting(args.split, t.rank)
-    element = jsonio.load_class(args.cls, t.rank)
-    alpha = cohomology.CohClass(t, element)
-    inputs = {"torus": jsonio.torus_to_json(t), "class": jsonio.class_to_json(element),
-              "split": _split_json(s)}
-    try:
-        image = cohomology.fm_transform(s, alpha)
-    except RecoveryError as exc:
-        return _recovery_failed(args, inputs, exc)
-    result = {"image": jsonio.class_to_json(image.element),
-              "mirror": jsonio.torus_to_json(image.torus)}
-    return _emit(args, inputs, result, 0)
-
-
-def _cmd_check_mirror_class(args, cfg):
-    from . import cohomology
-    t = jsonio.load_torus(args.torus)
-    element = jsonio.load_class(args.cls, t.rank)
-    alpha = cohomology.CohClass(t, element)
-    ok = cohomology.mirror_class_condition(t, alpha)
-    inputs = {"torus": jsonio.torus_to_json(t), "class": jsonio.class_to_json(element)}
-    return _emit(args, inputs, {"satisfied": ok}, 0 if ok else 1)
-
-
-def _cmd_beta(args, cfg):
-    from . import cohomology
-    t = jsonio.load_torus(args.torus)
-    rep = cohomology.beta_torsion(t)
-    result = {
-        "torsion": rep.torsion,
-        "projection_nonzero": rep.projection_nonzero,
-        "projection_02": [jsonio.gauss_to_json(x) for x in rep.projection],
-        "membership_solution": [rat_str(x) for x in rep.membership_solution],
-    }
-    return _emit(args, {"torus": jsonio.torus_to_json(t)}, result, 0 if rep.torsion else 1)
-
-
-def _cmd_abrane_check(args, cfg):
-    from . import abranes
-    b = jsonio.load_brane(args.brane)
-    rep = b.acceptance
-    result = {
-        "accepted": rep.accepted,
-        "k": rep.k,
-        "conditions": [{"name": c.name, "ok": c.ok, "detail": c.detail}
-                       for c in rep.conditions],
-    }
-    if rep.accepted:
-        result["transverse_complex_structure"] = (
-            jsonio.matrix_to_json(rep.transverse_j) if rep.transverse_j is not None else [])
-        anomaly = abranes.anomaly_check_affine(b)
-        result["anomaly"] = {
-            "h_constant": anomaly.h_constant,
-            "bockstein_class_zero": anomaly.bockstein_class_zero,
-            "top_coefficient": jsonio.gauss_to_json(anomaly.top_coefficient),
-        }
-        wedge_rep = abranes.wedge_characterization(b)
-        result["wedge_powers"] = {
-            "vanishing_powers": list(wedge_rep.vanishing_powers),
-            "first_vanishing_power": wedge_rep.first_vanishing_power,
-            "stated_conditions_hold": wedge_rep.stated_conditions_hold,
-            "agreement_with_condition_iii": wedge_rep.agreement,
-        }
-    else:
-        result["rejection"] = rep.rejection
-    return _emit(args, {"brane": args.brane}, result, 0 if rep.accepted else 1)
-
-
-def _cmd_fock_verify(args, cfg):
-    from . import fock
-    from .exactlinear import RatMatrix
-    inputs = {}
-    if args.torus:
-        if args.d is not None:
-            raise SchemaError("give --d or --torus, not both", "--d")
-        t = jsonio.load_torus(args.torus)
-        require_valid(t)
-        inputs["torus"] = jsonio.torus_to_json(t)
-        g = t.G
-        d = t.d
-    else:
-        d = args.d
-        if d is None:
-            raise SchemaError("need --d or --torus", "--d")
-        g = RatMatrix.identity(2 * _at_least_one("d", d))
-    try:
-        cap = Fraction(args.cap)
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"cap must be a rational number, got {args.cap!r}", "--cap")
-    if cap < fock.HALF:
-        raise SchemaError(f"cap must be at least 1/2, got {cap}", "--cap")
-    space = fock.TruncatedFock(d, cap, g)
-    rows = fock.ccr_car_sweep(space)
-    fails = sum(1 for r in rows if r["status"] == "fail")
-    passes = sum(1 for r in rows if r["status"] == "pass")
-    inconclusive = sum(1 for r in rows if r["status"] == "inconclusive")
-    result = {"d": d, "cap": str(cap), "basis_dimension": space.basis_dimension,
-              "pass": passes, "fail": fails, "inconclusive": inconclusive,
-              "checks": rows}
-    inputs.update(d=d, cap=str(cap))
-    return _emit(args, inputs, result, 0 if fails == 0 else 1)
+    return {"torus": jsonio.torus_to_json(t)}, result, 0
 
 
 # ---------------------------------------------------------------------------
@@ -392,51 +109,52 @@ def _cmd_fock_verify(args, cfg):
 SEARCH_OPTIONS = {"--bound": ("bound", int, None, False),
                   "--budget": ("budget", int, None, False)}
 
-# command -> (claim, handler, path arguments, options); each option maps its
-# flag to (dest, type, default, required)
+# command -> (claim, handler module, handler function, path arguments,
+# options); each option maps its flag to (dest, type, default, required)
 COMMANDS = {
-    "validate": ("flat-torus-data-invariants", _cmd_validate, ("torus",), {}),
-    "doubled": ("doubled-lattice-structures", _cmd_doubled, ("torus",), {}),
-    "spectrum": ("zero-mode-spectrum-invariants", _cmd_spectrum, ("torus",),
+    "validate": ("flat-torus-data-invariants", "cli", "cmd_validate", ("torus",), {}),
+    "doubled": ("doubled-lattice-structures", "cli", "cmd_doubled", ("torus",), {}),
+    "spectrum": ("zero-mode-spectrum-invariants", "equivalence", "cmd_spectrum", ("torus",),
                  {"--height": ("height", int, 1, False)}),
-    "verify-map": ("lattice-map-verification", _cmd_verify_map, ("map",), {}),
-    "mirror": ("tduality-mirror-construction", _cmd_mirror, (),
+    "verify-map": ("lattice-map-verification", "equivalence", "cmd_verify_map", ("map",), {}),
+    "mirror": ("tduality-mirror-construction", "tduality", "cmd_mirror", (),
                {"--torus": ("torus", str, None, True),
                 "--split": ("split", str, None, False),
                 "--out-torus": ("out_torus", str, None, False),
                 "--out-cert": ("out_cert", str, None, False)}),
-    "hodge": ("hodge-diamond-ranks", _cmd_hodge, ("torus",), {}),
-    "pp-classes": ("rational-pp-classes", _cmd_pp_classes, ("torus",),
+    "hodge": ("hodge-diamond-ranks", "cohomology", "cmd_hodge", ("torus",), {}),
+    "pp-classes": ("rational-pp-classes", "cohomology", "cmd_pp_classes", ("torus",),
                    {"--p": ("p", int, None, True)}),
-    "lefschetz": ("middle-degree-lefschetz-kernel", _cmd_lefschetz, ("torus",), {}),
-    "fm": ("duality-cohomology-transport", _cmd_fm, (),
+    "lefschetz": ("middle-degree-lefschetz-kernel", "cohomology", "cmd_lefschetz",
+                  ("torus",), {}),
+    "fm": ("duality-cohomology-transport", "cohomology", "cmd_fm", (),
            {"--torus": ("torus", str, None, True),
             "--split": ("split", str, None, True),
             "--class": ("cls", str, None, True)}),
-    "check-mirror-class": ("mirror-class-condition", _cmd_check_mirror_class, (),
+    "check-mirror-class": ("mirror-class-condition", "cohomology", "cmd_check_mirror_class", (),
                            {"--torus": ("torus", str, None, True),
                             "--class": ("cls", str, None, True)}),
-    "beta": ("bfield-brauer-torsion", _cmd_beta, ("torus",), {}),
-    "abrane-check": ("coisotropic-brane-conditions", _cmd_abrane_check, (),
+    "beta": ("bfield-brauer-torsion", "cohomology", "cmd_beta", ("torus",), {}),
+    "abrane-check": ("coisotropic-brane-conditions", "abranes", "cmd_abrane_check", (),
                      {"--brane": ("brane", str, None, True)}),
-    "fock-verify": ("oscillator-algebra-relations", _cmd_fock_verify, (),
+    "fock-verify": ("oscillator-algebra-relations", "fock", "cmd_fock_verify", (),
                     {"--d": ("d", int, None, False),
                      "--cap": ("cap", str, "2", False),
                      "--torus": ("torus", str, None, False)}),
+    "check-iso": ("scft-isomorphism-lattice-criterion", "equivalence", "cmd_search",
+                  ("source", "target"), SEARCH_OPTIONS),
+    "check-mirror": ("mirror-symmetry-lattice-criterion", "equivalence", "cmd_search",
+                     ("source", "target"), SEARCH_OPTIONS),
+    "check-derived-eq": ("derived-equivalence-lattice-criterion", "equivalence", "cmd_search",
+                         ("source", "target"), SEARCH_OPTIONS),
 }
-COMMANDS.update({
-    name: (claim, partial(_search_command, kind), ("source", "target"), SEARCH_OPTIONS)
-    for name, kind, claim in (
-        ("check-iso", "iso", "scft-isomorphism-lattice-criterion"),
-        ("check-mirror", "mirror", "mirror-symmetry-lattice-criterion"),
-        ("check-derived-eq", "derived_eq", "derived-equivalence-lattice-criterion"))})
 
 HELP = ("-h", "--help")
 
 
-def _print_usage(args, cfg):
+def _print_usage():
     lines = ["usage: flattori [--config FILE] COMMAND, where COMMAND is one of:"]
-    for name, (_, _, paths, options) in COMMANDS.items():
+    for name, (_, _, _, paths, options) in COMMANDS.items():
         words = [name, *(p.upper() for p in paths)]
         for flag, (_, _, _, required) in options.items():
             word = f"{flag} {flag[2:].upper()}"
@@ -461,18 +179,19 @@ def _option(word, words, flags, where):
 def parse_args(argv):
     """The namespace of one command line; a usage error raises ``SchemaError``.
 
-    It holds ``command``, ``claim``, ``handler``, ``config`` and one attribute
-    per path argument and option of the command.  ``--config`` goes before the
-    command; options and paths follow it in any order, an option written
-    ``--flag value`` or ``--flag=value``, the last one given winning.  The word
-    after a flag is its value, whatever it looks like.  ``-h`` or ``--help``
-    anywhere else selects the usage handler.
+    It holds ``command``, ``claim``, ``module``, ``function``, ``config`` and
+    one attribute per path argument and option of the command.  ``--config``
+    goes before the command; options and paths follow it in any order, an
+    option written ``--flag value`` or ``--flag=value``, the last one given
+    winning.  The word after a flag is its value, whatever it looks like.
+    ``-h`` or ``--help`` anywhere else gives a namespace whose ``command``
+    is None.
     """
     words = iter(argv)
     config = None
     for word in words:
         if word in HELP:
-            return SimpleNamespace(handler=_print_usage, config=None)
+            return SimpleNamespace(command=None)
         if not word.startswith("-"):
             break
         _, config = _option(word, words, ("--config",), "before the command")
@@ -481,14 +200,15 @@ def parse_args(argv):
     command = word
     if command not in COMMANDS:
         raise SchemaError(f"unknown command {command!r}")
-    claim, handler, paths, options = COMMANDS[command]
-    args = SimpleNamespace(command=command, claim=claim, handler=handler, config=config)
+    claim, module, function, paths, options = COMMANDS[command]
+    args = SimpleNamespace(command=command, claim=claim, module=module, function=function,
+                           config=config)
     for dest, _, default, _ in options.values():
         setattr(args, dest, default)
     given = []
     for word in words:
         if word in HELP:
-            return SimpleNamespace(handler=_print_usage, config=None)
+            return SimpleNamespace(command=None)
         if not word.startswith("-"):
             given.append(word)
             continue
@@ -512,8 +232,18 @@ def parse_args(argv):
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        cfg = _load_config(args.config)
-        return args.handler(args, cfg)
+        if args.command is None:
+            return _print_usage()
+        # an option left unset takes the config's value, or the default
+        for key, value in _load_config(args.config).items():
+            if key in vars(args) and getattr(args, key) is None:
+                setattr(args, key, value)
+        # the core's handlers are read from this module's namespace: under -m
+        # it is __main__, and importing flattori.cli would compile it again.
+        # A layer is imported by __import__, which -X importtime reports
+        handler = globals()[args.function] if args.module == "cli" else getattr(
+            __import__(f"flattori.{args.module}", fromlist=[args.function]), args.function)
+        return _emit(args, *handler(args))
     except (SchemaError, ValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -16,14 +16,17 @@ B) to ``sign(S, S^c) (-1)^(m(m-1)/2) e_{S^c} ^ e_T`` with m = |S^c|.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from . import jsonio
 from ._record import Record
-from .errors import DimensionError, GradeError, ValidationError
-from .exactlinear import QZERO, RatMatrix
-from .exterior import ExtElement, apply_linear, derivation_map, interior, merge_sign, wedge
+from .errors import DimensionError, GradeError, RecoveryError, SchemaError, ValidationError
+from .exactlinear import QZERO, RatMatrix, rat_str
+from .exterior import (ExtElement, apply_linear, class_from_json, derivation_map, interior,
+                       merge_sign, wedge)
 from .torus import TorusData, omega, require_valid
 
 
@@ -221,3 +224,73 @@ def beta_torsion(t: TorusData) -> BetaReport:
         projection=parts,
         membership_solution=tuple(sol) if sol is not None else (),
     )
+
+
+# ---------------------------------------------------------------------------
+# the commands of this layer
+# ---------------------------------------------------------------------------
+
+
+def _load_class(path, rank):
+    return class_from_json(jsonio.load_json(path), rank, pointer=os.path.basename(path))
+
+
+def cmd_hodge(args):
+    t = jsonio.load_torus(args.torus)
+    hd = hodge_diamond(t)
+    return {"torus": jsonio.torus_to_json(t)}, {"d": hd.d, "h": [list(row) for row in hd.h]}, 0
+
+
+def cmd_pp_classes(args):
+    t = jsonio.load_torus(args.torus)
+    if not 0 <= args.p <= t.d:
+        raise SchemaError(f"p must lie in 0..{t.d}, got {args.p}", "--p")
+    classes = rational_pp_classes(t, args.p)
+    result = {"p": args.p, "dimension": len(classes),
+              "basis": [jsonio.class_to_json(c.element) for c in classes]}
+    return {"torus": jsonio.torus_to_json(t)}, result, 0
+
+
+def cmd_lefschetz(args):
+    t = jsonio.load_torus(args.torus)
+    result = {"kernel_dimension": lefschetz_kernel_dim(t),
+              "expected": comb(2 * t.d, t.d) - comb(2 * t.d, t.d + 2)}
+    return {"torus": jsonio.torus_to_json(t)}, result, 0
+
+
+def cmd_fm(args):
+    """``fm``: the class transported to the mirror along the splitting."""
+    from .tduality import parse_splitting, recovery_failed, split_json
+    t = jsonio.load_torus(args.torus)
+    s = parse_splitting(args.split, t.rank)
+    element = _load_class(args.cls, t.rank)
+    alpha = CohClass(t, element)
+    inputs = {"torus": jsonio.torus_to_json(t), "class": jsonio.class_to_json(element),
+              "split": split_json(s)}
+    try:
+        image = fm_transform(s, alpha)
+    except RecoveryError as exc:
+        return recovery_failed(inputs, exc)
+    result = {"image": jsonio.class_to_json(image.element),
+              "mirror": jsonio.torus_to_json(image.torus)}
+    return inputs, result, 0
+
+
+def cmd_check_mirror_class(args):
+    t = jsonio.load_torus(args.torus)
+    element = _load_class(args.cls, t.rank)
+    ok = mirror_class_condition(t, CohClass(t, element))
+    inputs = {"torus": jsonio.torus_to_json(t), "class": jsonio.class_to_json(element)}
+    return inputs, {"satisfied": ok}, 0 if ok else 1
+
+
+def cmd_beta(args):
+    t = jsonio.load_torus(args.torus)
+    rep = beta_torsion(t)
+    result = {
+        "torsion": rep.torsion,
+        "projection_nonzero": rep.projection_nonzero,
+        "projection_02": [jsonio.gauss_to_json(x) for x in rep.projection],
+        "membership_solution": [rat_str(x) for x in rep.membership_solution],
+    }
+    return {"torus": jsonio.torus_to_json(t)}, result, 0 if rep.torsion else 1

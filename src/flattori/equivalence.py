@@ -29,20 +29,28 @@ enumerated (:func:`~flattori._intlat.short_vectors`), which finds a
 certificate or refutes.  A ``derived_eq`` search without a hit means only
 "none within bound", and one that spends its node budget first is
 "undecided".
+
+The search functions import the filter (:mod:`flattori.kernels` and
+:mod:`flattori.kernels_py`) when they run, so ``mirror``, ``fm`` and
+``verify-map``, which read :func:`verify_map` and the records alone, do not
+compile it.  The layer's commands (``spectrum``, the three ``check-*`` and
+``verify-map``) and the relation-map file format live at the end of the
+module.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from fractions import Fraction
 from itertools import product
 from operator import mul
 
-from . import kernels
+from . import jsonio
 from ._intlat import integral_coordinate_lattice, pair_reduce, short_vectors
-from ._record import Check, Record
-from .errors import DimensionError, InconsistencyError, ValidationError
-from .exactlinear import RatMatrix, bareiss, cleared
-from .kernels_py import completed_height, frobenius_gram, packed_form, split_pairing
+from ._record import Check, Record, failures
+from .errors import DimensionError, InconsistencyError, SchemaError, ValidationError
+from .exactlinear import RatMatrix, bareiss, cleared, rat_str
 from .torus import TorusData, doubled, narain_form
 
 # kind -> the structure equalities ``g S_1 = T_2 g`` of a certificate, in
@@ -193,6 +201,7 @@ def _lattice_class(rows, n):
     A ``derived_eq`` lattice is never empty: over Q both doubled structures
     make Q^n a Q(i)-vector space of dimension n/2, so its rank is ``n^2 / 2``.
     """
+    from .kernels_py import frobenius_gram, split_pairing
     pivots, last, _ = bareiss(frobenius_gram(rows, n, split_pairing(n)))
     return len(rows), last if len(pivots) == len(rows) else 0
 
@@ -205,6 +214,7 @@ def _ellipsoid_radii(rows, n):
     ``c_i^2 <= 4d (A^-1)_ii``: the first step of Fincke-Pohst (Math. Comp. 44,
     1985).
     """
+    from .kernels_py import frobenius_gram, split_pairing
     a_inv = RatMatrix(frobenius_gram(rows, n, split_pairing(n))).inverse()
     return [n * a_inv.entries[i][i] for i in range(len(rows))]
 
@@ -229,6 +239,7 @@ def _narain_shell(flat, n):
     them.  ``g`` is the first that
     passes, flattened, or None: then no certificate exists.
     """
+    from .kernels_py import frobenius_gram, packed_form, split_pairing
     basis, vectors, nodes = short_vectors(frobenius_gram(flat, n, split_pairing(n)), n)
     shell = [x for x, norm in vectors if norm == n]
     if shell:
@@ -297,6 +308,8 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
     first certificate is reported, found after the scan's nodes and the
     walk's, or the relation is ``"refuted"`` by :data:`NARAIN_SHELL`.
     """
+    from . import kernels
+    from .kernels_py import completed_height
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
     flat = intertwiner_rows(t1, t2, kind)
@@ -365,3 +378,102 @@ def spectrum_fingerprint(t: TorusData, height: int):
                         Fraction(norm + den * q, 2 * den)))
     triples.sort()
     return tuple(triples)
+
+
+# ---------------------------------------------------------------------------
+# the relation-map file and the commands of this layer
+# ---------------------------------------------------------------------------
+
+
+def map_from_json(data, base_dir=".", pointer="map") -> LatticeMap:
+    """A relation-map file's map; a torus given as a path is read relative to ``base_dir``."""
+    if not isinstance(data, dict):
+        raise SchemaError("expected an object", pointer)
+    kind = data.get("kind")
+    if kind not in KINDS:
+        raise SchemaError("kind must be iso, mirror, or derived_eq", f"{pointer}.kind")
+
+    def torus_arg(key):
+        val = data.get(key)
+        if isinstance(val, dict):
+            return jsonio.torus_from_json(val, f"{pointer}.{key}")
+        if isinstance(val, str):
+            return jsonio.load_torus(os.path.join(base_dir, val))
+        raise SchemaError(f"{key} must be a torus object or a path", f"{pointer}.{key}")
+
+    source = torus_arg("source")
+    target = torus_arg("target")
+    if target.d != source.d:
+        raise SchemaError(f"target dimension {target.d} differs from source dimension "
+                          f"{source.d}", f"{pointer}.target")
+    g = jsonio.matrix_from_json(data.get("g"), f"{pointer}.g", 4 * source.d)
+    if not g.is_integral():
+        raise SchemaError("g must be integral", f"{pointer}.g")
+    return LatticeMap(g=g, source=source, target=target, kind=kind)
+
+
+# The largest charge window ``spectrum`` lists.  A d = 1 window of height 10
+# (21^4 = 194,481 charge vectors) takes 8.8 s with a peak RSS of 188 MiB as a
+# fresh process; height 11 (279,841) and every d = 3 window (3^12 = 531,441
+# at height 1) are past the limit.
+SPECTRUM_LIMIT = 2 * 10 ** 5
+
+
+def cmd_spectrum(args):
+    """``spectrum``: the fingerprint of the charge window of max-norm ``height``."""
+    t = jsonio.load_torus(args.torus)
+    if args.height < 0:
+        raise SchemaError(f"height must be nonnegative, got {args.height}")
+    # the window is checked before it is listed; its size is written as a
+    # power, which stays printable where the integer may pass the digit limit
+    if (2 * args.height + 1) ** (2 * t.rank) > SPECTRUM_LIMIT:
+        raise SchemaError(f"height {args.height} spans (2 * {args.height} + 1)^{2 * t.rank} "
+                          f"charge vectors, more than the limit {SPECTRUM_LIMIT}", "--height")
+    fp = spectrum_fingerprint(t, args.height)
+    result = {"height": args.height,
+              "triples": [[rat_str(x) for x in triple] for triple in fp]}
+    return {"torus": jsonio.torus_to_json(t)}, result, 0
+
+
+COMMAND_KINDS = {"check-iso": "iso", "check-mirror": "mirror", "check-derived-eq": "derived_eq"}
+
+
+def cmd_search(args):
+    """``check-iso``, ``check-mirror`` and ``check-derived-eq``: :func:`search_relation`."""
+    t1 = jsonio.load_torus(args.source)
+    t2 = jsonio.load_torus(args.target)
+    if t2.d != t1.d:
+        raise SchemaError(f"tori must have the same dimension, got {t1.d} and {t2.d}",
+                          f"{os.path.basename(args.target)}.d")
+    bound, budget = args.bound, args.budget
+    for name, value in (("bound", bound), ("budget", budget)):
+        if value < 1:
+            raise SchemaError(f"{name} must be at least 1, got {value}")
+    inputs = {"source": jsonio.torus_to_json(t1), "target": jsonio.torus_to_json(t2),
+              "bound": bound}
+    outcome = search_relation(t1, t2, COMMAND_KINDS[args.command], bound, node_budget=budget)
+    if outcome.found:
+        result = {"found": True,
+                  "certificate": jsonio.certificate_to_json(outcome.certificate),
+                  "nodes": outcome.nodes_used}
+        return inputs, result, 0
+    result = {"found": False, "verdict": outcome.verdict, "nodes": outcome.nodes_used}
+    if outcome.verdict == "refuted":
+        result["refuted_by"] = outcome.refuted_by
+    elif outcome.verdict == "undecided":
+        print(f"budget exceeded: search exhausted its node budget ({budget}) before "
+              f"covering height {bound} ({outcome.nodes_used}/{budget} nodes)",
+              file=sys.stderr)
+        result.update(budget=budget, last_complete_height=outcome.last_complete_height)
+    return inputs, result, 1
+
+
+def cmd_verify_map(args):
+    """``verify-map``: every defining equality of the map file's relation."""
+    m = jsonio.load_map(args.map)
+    cert = verify_map(m)
+    result = {"valid": cert.valid,
+              "certificate": jsonio.certificate_to_json(cert)}
+    if not cert.valid:
+        result["refuting_check"] = failures(cert.checks)[0]
+    return {"map": args.map, "kind": m.kind}, result, 0 if cert.valid else 1

@@ -73,12 +73,6 @@ class RatMatrix:
         return RatMatrix([[QZERO] * cols for _ in range(rows)])
 
     @staticmethod
-    def diag(values) -> "RatMatrix":
-        vals = [rat(v) for v in values]
-        n = len(vals)
-        return RatMatrix([[vals[i] if i == j else QZERO for j in range(n)] for i in range(n)])
-
-    @staticmethod
     def from_blocks(blocks) -> "RatMatrix":
         """Assemble a matrix from a 2-d list of equally aligned blocks."""
         rows = []

@@ -4,9 +4,9 @@ Exterior-algebra elements store Fraction coefficients on strictly
 increasing index tuples; the functors :func:`induced_map` and
 :func:`derivation_map` give rational matrices.  A Q(i)-valued form, such as
 the holomorphic volume, is carried by its callers as a ``(re, im)`` pair of
-elements.  Only the cohomology and brane layers and
-:func:`flattori.jsonio.class_from_json` use this module, so the commands
-that reach none of them never load it.
+elements.  Only the cohomology and brane layers use this module, so the
+commands that reach neither never load it; :func:`class_from_json` reads
+the class files of ``fm`` and ``check-mirror-class``.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import DimensionError, GradeError
+from .errors import DimensionError, GradeError, SchemaError
 from .exactlinear import QONE, QZERO, RatMatrix, rat
+from .jsonio import is_json_int, rat_from_json
 
 
 class ExtElement:
@@ -267,3 +268,30 @@ def apply_linear(element: ExtElement, m: RatMatrix) -> ExtElement:
         for key, v in image.terms.items():
             terms[key] = terms.get(key, QZERO) + c * v
     return ExtElement(out_rank, terms)
+
+
+def class_from_json(data, base_rank, pointer="class") -> ExtElement:
+    """A class file's element of rank ``base_rank``; a schema violation raises
+    :class:`SchemaError` naming the field under ``pointer``."""
+    if not isinstance(data, dict) or "grade_terms" not in data:
+        raise SchemaError("expected an object with grade_terms", pointer)
+    declared = data.get("base_rank", base_rank)
+    if declared != base_rank:
+        raise SchemaError(f"class base_rank {declared} does not match the torus rank {base_rank}",
+                          f"{pointer}.base_rank")
+    if not isinstance(data["grade_terms"], list):
+        raise SchemaError("grade_terms must be a list", f"{pointer}.grade_terms")
+    terms = {}
+    for k, item in enumerate(data["grade_terms"]):
+        where = f"{pointer}.grade_terms[{k}]"
+        if not isinstance(item, dict) or "indices" not in item or "coeff" not in item:
+            raise SchemaError("expected an object with indices and coeff", where)
+        idx = item["indices"]
+        if (not isinstance(idx, list) or any(not is_json_int(i) for i in idx)
+                or any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1))
+                or (idx and (idx[0] < 0 or idx[-1] >= base_rank))):
+            raise SchemaError("indices must be a strictly increasing list within range",
+                              f"{where}.indices")
+        coeff = rat_from_json(item["coeff"], f"{where}.coeff")
+        terms[tuple(idx)] = terms.get(tuple(idx), QZERO) + coeff
+    return ExtElement(base_rank, terms)

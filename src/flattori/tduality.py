@@ -9,17 +9,23 @@ block formulas backwards yields the mirror data ``(I', G', B')``.
 Every recovered matrix is re-substituted into the forward block formulas;
 any mismatch raises :class:`RecoveryError` naming the offending block, so a
 wrong inversion branch cannot survive silently.
+
+The ``mirror`` command lives at the end of the module, with the ``--split``
+parser and the splitting echo that ``fm`` shares.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from itertools import combinations
 from operator import mul
 
+from . import jsonio
 from ._intlat import column_pivots, integer_kernel, spans_direct_summand
 from ._record import Check, Record, failures
 from .equivalence import Certificate, LatticeMap, verify_map
-from .errors import RecoveryError, ValidationError
+from .errors import RecoveryError, SchemaError, ValidationError
 from .exactlinear import QZERO, RatMatrix, bareiss, cleared
 from .torus import TorusData, doubled, omega, require_valid
 
@@ -224,3 +230,89 @@ def mirror_via_tduality(t: TorusData, s: LagrangianSplitting) -> MirrorResult:
     check("duality_map_verifies", cert.valid)
     return MirrorResult(mirror=mirror, duality_certificate=cert, recovery_report=tuple(report))
 
+
+
+# ---------------------------------------------------------------------------
+# the mirror command, and the splitting text it shares with fm
+# ---------------------------------------------------------------------------
+
+
+def parse_splitting(text, n):
+    """Parse ``"1,0;0,1|0,1;1,0"``-style A|B vector lists."""
+    try:
+        a_part, b_part = text.split("|")
+        a_vecs = [[int(x) for x in v.split(",")] for v in a_part.split(";") if v]
+        b_vecs = [[int(x) for x in v.split(",")] for v in b_part.split(";") if v]
+    except ValueError:
+        raise SchemaError("splitting must look like 'a1;a2|b1;b2' with comma-separated "
+                          "integer entries", "--split")
+    if not a_vecs or not b_vecs:
+        raise SchemaError("each half of a splitting needs at least one vector", "--split")
+    if any(len(v) != n for v in a_vecs + b_vecs):
+        raise SchemaError(f"splitting vectors must have length {n}", "--split")
+    return LagrangianSplitting.from_vectors(a_vecs, b_vecs)
+
+
+def split_json(s):
+    """A splitting as a report echoes it, parsed or found: its two halves' vectors."""
+    return {"A": [list(v) for v in s.a_basis], "B": [list(v) for v in s.b_basis]}
+
+
+def recovery_failed(inputs, exc):
+    """The report of a mirror whose recovery failed at ``exc.block``; exit 1."""
+    return inputs, {"found": False, "verdict": "recovery failed", "block": exc.block}, 1
+
+
+def _write_json_files(outputs):
+    """Write each ``(path, data, flag)``, opening every path before writing any.
+
+    An unwritable path is an input error that leaves no output behind: the
+    files opened so far are removed if this call created them, and a file
+    that existed is truncated only once every path is open.
+    """
+    opened = []
+    try:
+        for path, _, flag in outputs:
+            existed = os.path.exists(path)
+            try:
+                opened.append((open(path, "a"), existed))
+            except OSError as exc:
+                raise SchemaError(f"cannot write {path}: {exc.strerror}", flag)
+    except SchemaError:
+        for (fh, existed), (path, _, _) in zip(opened, outputs):
+            fh.close()
+            if not existed:
+                os.remove(path)
+        raise
+    for (fh, _), (_, data, _) in zip(opened, outputs):
+        with fh:
+            fh.truncate(0)
+            json.dump(data, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+
+
+def cmd_mirror(args):
+    """``mirror``: the mirror along the given or the found splitting, and its certificate."""
+    if args.out_torus and args.out_cert and (
+            os.path.realpath(args.out_torus) == os.path.realpath(args.out_cert)):
+        raise SchemaError(f"--out-torus and --out-cert name the same file {args.out_cert}",
+                          "--out-cert")
+    t = jsonio.load_torus(args.torus)
+    inputs = {"torus": jsonio.torus_to_json(t)}
+    try:
+        s = (parse_splitting(args.split, t.rank) if args.split
+             else find_lagrangian_splitting(t))
+        inputs["split"] = split_json(s)
+        mr = mirror_via_tduality(t, s)
+    except RecoveryError as exc:
+        return recovery_failed(inputs, exc)
+    result = {
+        "found": True,
+        "mirror": jsonio.torus_to_json(mr.mirror),
+        "certificate": jsonio.certificate_to_json(mr.duality_certificate),
+        "recovery_report": jsonio.checks_to_json(mr.recovery_report),
+    }
+    _write_json_files([(path, data, flag) for path, data, flag in (
+        (args.out_torus, result["mirror"], "--out-torus"),
+        (args.out_cert, result["certificate"], "--out-cert")) if path])
+    return inputs, result, 0

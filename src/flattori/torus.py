@@ -25,7 +25,7 @@ from operator import mul
 
 from ._record import Check, Record, failures
 from .errors import DimensionError, ValidationError
-from .exactlinear import Q, QZERO, RatMatrix
+from .exactlinear import RatMatrix
 
 BLOCK_CONVENTION = "winding-then-momentum"
 
@@ -172,61 +172,3 @@ def narain_form(t: TorusData) -> RatMatrix:
     Built from its blocks, ``[[G - B G^-1 B, B G^-1], [-G^-1 B, G^-1]]``.
     """
     return t._narain
-
-
-def standard_complex_structure(d: int) -> RatMatrix:
-    """Block-diagonal rotation J on each coordinate pair (the square torus I)."""
-    n = 2 * d
-    rows = [[QZERO] * n for _ in range(n)]
-    for k in range(d):
-        rows[2 * k][2 * k + 1] = Q(-1)
-        rows[2 * k + 1][2 * k] = Q(1)
-    return RatMatrix(rows)
-
-
-def square_torus(d: int, label: str = "") -> TorusData:
-    """Product of unit square tori: I standard, G identity, B zero."""
-    n = 2 * d
-    return TorusData(
-        d=d,
-        I=standard_complex_structure(d),
-        G=RatMatrix.identity(n),
-        B=RatMatrix.zero(n, n),
-        label=label or f"square-{d}",
-    )
-
-
-def random_valid_torus(rng, d: int, steps: int = 6, b_bound: int = 2,
-                       scale_bound: int = 3) -> TorusData:
-    """A random valid torus: conjugate the square data by a unimodular S.
-
-    With ``I = S^-1 I0 S`` and ``G = S^t D S`` (D positive, constant on each
-    coordinate pair so it commutes with I0 appropriately), all invariants
-    hold exactly by construction; B is a random rational skew form.
-    """
-    n = 2 * d
-    s = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.choice([-2, -1, 1, 2])
-        for k in range(n):
-            s[i][k] += c * s[j][k]
-    S = RatMatrix(s)
-    scales = []
-    for _ in range(d):
-        c = Q(rng.randint(1, scale_bound), rng.randint(1, scale_bound))
-        scales.extend([c, c])
-    D = RatMatrix.diag(scales)
-    I0 = standard_complex_structure(d)
-    I = S.inverse() * I0 * S
-    G = S.transpose() * D * S
-    b = [[QZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = Q(rng.randint(-b_bound, b_bound), rng.randint(1, 2))
-            b[i][j] = c
-            b[j][i] = -c
-    return TorusData(d=d, I=I, G=G, B=RatMatrix(b), label="random")

@@ -8,9 +8,66 @@ import pytest
 
 from flattori import jsonio
 from flattori.errors import GradeError
-from flattori.exactlinear import Q, RatMatrix
+from flattori.exactlinear import QZERO, Q, RatMatrix, rat
 from flattori.exterior import ExtElement, apply_linear, wedge
-from flattori.torus import TorusData, square_torus
+from flattori.torus import TorusData
+
+
+def diag(values):
+    """The diagonal matrix with the given entries."""
+    vals = [rat(v) for v in values]
+    return RatMatrix([[v if i == j else QZERO for j in range(len(vals))]
+                      for i, v in enumerate(vals)])
+
+
+def standard_complex_structure(d):
+    """Block-diagonal rotation J on each coordinate pair (the square torus I)."""
+    n = 2 * d
+    rows = [[QZERO] * n for _ in range(n)]
+    for k in range(d):
+        rows[2 * k][2 * k + 1] = Q(-1)
+        rows[2 * k + 1][2 * k] = Q(1)
+    return RatMatrix(rows)
+
+
+def square_torus(d, label=""):
+    """Product of unit square tori: I standard, G identity, B zero."""
+    n = 2 * d
+    return TorusData(d=d, I=standard_complex_structure(d), G=RatMatrix.identity(n),
+                     B=RatMatrix.zero(n, n), label=label or f"square-{d}")
+
+
+def random_valid_torus(rng, d, steps=6, b_bound=2, scale_bound=3):
+    """A random valid torus: conjugate the square data by a unimodular S.
+
+    With ``I = S^-1 I0 S`` and ``G = S^t D S`` (D positive, constant on each
+    coordinate pair so it commutes with I0 appropriately), all invariants
+    hold exactly by construction; B is a random rational skew form.
+    """
+    n = 2 * d
+    s = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i == j:
+            continue
+        c = rng.choice([-2, -1, 1, 2])
+        for k in range(n):
+            s[i][k] += c * s[j][k]
+    S = RatMatrix(s)
+    scales = []
+    for _ in range(d):
+        c = Q(rng.randint(1, scale_bound), rng.randint(1, scale_bound))
+        scales.extend([c, c])
+    I = S.inverse() * standard_complex_structure(d) * S
+    G = S.transpose() * diag(scales) * S
+    b = [[QZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = Q(rng.randint(-b_bound, b_bound), rng.randint(1, 2))
+            b[i][j] = c
+            b[j][i] = -c
+    return TorusData(d=d, I=I, G=G, B=RatMatrix(b), label="random")
 
 
 @pytest.fixture
@@ -29,7 +86,7 @@ def stretched1():
     return TorusData(
         d=1,
         I=RatMatrix([[0, -2], [Q(1, 2), 0]]),
-        G=RatMatrix.diag([1, 4]),
+        G=diag([1, 4]),
         B=RatMatrix.zero(2, 2),
         label="stretched",
     )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Gaussian, exp_grade2
+from conftest import Gaussian, exp_grade2, random_valid_torus
 from flattori import abranes
 from flattori.abranes import (AffineBrane, _foliation, _plus_i_covectors, anomaly_check_affine,
                               check_abrane, coisotropy_witness, holomorphic_volume,
@@ -17,7 +17,7 @@ from flattori.errors import ValidationError
 from flattori.exactlinear import RatMatrix
 from flattori.exterior import ExtElement, apply_linear, wedge
 from flattori.tduality import find_lagrangian_splitting
-from flattori.torus import TorusData, omega, random_valid_torus
+from flattori.torus import TorusData, omega
 from test_cli import OPEN1, OPEN2
 
 

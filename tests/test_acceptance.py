@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import unit_splitting
+from conftest import diag, random_valid_torus, square_torus, unit_splitting
 from flattori._record import failures
 from flattori.abranes import AffineBrane, check_abrane, coisotropy_witness
 from flattori.cohomology import (CohClass, fm_transform, hodge_diamond,
@@ -23,8 +23,7 @@ from flattori.exactlinear import RatMatrix
 from flattori.exterior import ExtElement
 from flattori.fock import TruncatedFock, ccr_car_sweep
 from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
-from flattori.torus import (TorusData, doubled, q_matrix, random_valid_torus,
-                            square_torus, validate, zero_mode_momenta)
+from flattori.torus import TorusData, doubled, q_matrix, validate, zero_mode_momenta
 
 E1_SWAP = RatMatrix([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
 
@@ -209,7 +208,7 @@ def test_criterion_11_hodge_rotation():
     for d in (1, 2, 3):
         t = square_torus(d)
         pairs.append((t, mirror_via_tduality(t, find_lagrangian_splitting(t)).mirror))
-    scaled = TorusData(1, square_torus(1).I, RatMatrix.diag([4, 4]),
+    scaled = TorusData(1, square_torus(1).I, diag([4, 4]),
                        RatMatrix.zero(2, 2), "R4")
     pairs.append((scaled, mirror_via_tduality(
         scaled, find_lagrangian_splitting(scaled)).mirror))

@@ -9,11 +9,12 @@ import sys
 
 import pytest
 
+from conftest import diag, random_valid_torus, square_torus
 import flattori
 from flattori import cli, equivalence, jsonio, tduality
 from flattori.cli import main
 from flattori.exactlinear import Q, RatMatrix
-from flattori.torus import TorusData, random_valid_torus, square_torus
+from flattori.torus import TorusData
 
 
 REFUTED_BY = "window contains every g with tr(N1^-1 g^t N2 g) = 4d"
@@ -96,6 +97,9 @@ class TestNumericInputErrors:
          "matrix rows must be non-empty and of equal length (at short_g.json.g[1])"),
         (None, ["abrane-check", "--brane", "F"],
          "matrix rows must be non-empty and of equal length (at ragged_f.json.F[1])"),
+        # the cap as given: this Fraction has more digits than str() may print
+        (None, ["fock-verify", "--d", "1", "--cap", "-1e5000"],
+         "cap must be at least 1/2, got -1e5000 (at --cap)"),
     ])
     def test_one_line_exit_two(self, capsys, tmp_path, square_file, square2_file, config,
                                argv, message):
@@ -276,13 +280,22 @@ class TestValidateAndStructures:
         assert out == ""
         assert err.startswith("input error:") and err.count("\n") == 1
 
-    # a d = 1 window holds (2h + 1)^4 charge vectors: 57^4 = 10,556,001 is the
-    # first past the limit of 10^7, and 10^8 would not fit in memory
-    @pytest.mark.parametrize("height", [28, 100000000])
+    # a d = 1 window holds (2h + 1)^4 charge vectors: 23^4 = 279,841 is the
+    # first past the limit of 2 * 10^5, and 10^8 would not fit in memory
+    @pytest.mark.parametrize("height", [11, 28, 100000000])
     def test_spectrum_window_past_the_limit_is_input_error(self, capsys, square_file, height):
         assert run(capsys, "spectrum", square_file, "--height", str(height)) == (
             2, "", f"input error: height {height} spans (2 * {height} + 1)^4 charge vectors, "
-            "more than the limit 10000000 (at --height)\n")
+            "more than the limit 200000 (at --height)\n")
+
+    def test_spectrum_rejects_every_d3_window(self, capsys, torus_file):
+        # 3^12 = 531,441 charge vectors at height 1, and height 0 is one vector
+        path = torus_file(square_torus(3, "square3"), "square3.json")
+        assert run(capsys, "spectrum", path, "--height", "1") == (
+            2, "", "input error: height 1 spans (2 * 1 + 1)^12 charge vectors, "
+            "more than the limit 200000 (at --height)\n")
+        code, out, _ = run(capsys, "spectrum", path, "--height", "0")
+        assert code == 0 and len(report(out)["result"]["triples"]) == 1
 
 
 class TestUsage:
@@ -351,6 +364,25 @@ print(json.dumps(sorted(sys.modules)), file=sys.stderr)
 sys.exit(code)
 """
 
+# Runs argv as `python -m flattori.cli` does, through runpy with the module
+# named __main__, and prints, after the report, every flattori module it
+# loaded: those in sys.modules at the end, and every import statement's
+# module on the way (its audit event), so one removed again still shows.
+RUN_AS_MAIN = """\
+import json, runpy, sys
+imported = set()
+sys.addaudithook(lambda event, args: event == "import" and imported.add(args[0]))
+sys.argv[0] = "flattori"
+code = 0
+try:
+    runpy.run_module("flattori.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps(sorted(m for m in imported | set(sys.modules) if m.split(".")[0] == "flattori")),
+      file=sys.stderr)
+sys.exit(code)
+"""
+
 
 def _fresh_python(*argv, cwd=None):
     """Run ``python *argv`` in a new interpreter that imports this flattori."""
@@ -361,6 +393,51 @@ def _fresh_python(*argv, cwd=None):
                           capture_output=True, text=True, timeout=60)
 
 
+# The start-up core every command loads, and each command on tiny inputs
+# with the layers it loads besides the core: its own, and what that imports.
+CORE = {"flattori", "flattori.cli", "flattori.jsonio", "flattori.torus",
+        "flattori.exactlinear", "flattori.errors", "flattori._record"}
+SEARCH_LAYERS = {"equivalence", "_intlat", "kernels", "kernels_py"}
+COHOMOLOGY_LAYERS = {"cohomology", "exterior"}
+COMMAND_LAYERS = [
+    (["validate", "T"], set()),
+    (["doubled", "T"], set()),
+    (["spectrum", "T"], {"equivalence", "_intlat"}),
+    (["check-iso", "T", "T"], SEARCH_LAYERS),
+    (["check-mirror", "T", "T"], SEARCH_LAYERS),
+    (["check-derived-eq", "T", "T"], SEARCH_LAYERS),
+    (["verify-map", "M"], {"equivalence", "_intlat"}),
+    (["mirror", "--torus", "T"], {"tduality", "equivalence", "_intlat"}),
+    (["hodge", "T"], COHOMOLOGY_LAYERS),
+    (["pp-classes", "T", "--p", "1"], COHOMOLOGY_LAYERS),
+    (["lefschetz", "T"], COHOMOLOGY_LAYERS),
+    (["fm", "--torus", "T", "--split", "1,0|0,1", "--class", "C"],
+     COHOMOLOGY_LAYERS | {"tduality", "equivalence", "_intlat"}),
+    (["check-mirror-class", "--torus", "T", "--class", "C"], COHOMOLOGY_LAYERS),
+    (["beta", "T"], COHOMOLOGY_LAYERS),
+    (["abrane-check", "--brane", "B"], {"abranes", "exterior", "_intlat"}),
+    (["fock-verify", "--torus", "T", "--cap", "1"], {"fock"}),
+]
+COMMAND_IDS = [argv[0] for argv, _ in COMMAND_LAYERS]
+
+
+@pytest.fixture
+def command_argv(tmp_path, square_file):
+    """Fill in an argv of :data:`COMMAND_LAYERS`: T a square torus, M an
+    identity map, C a class and B a brane on it, each file in ``tmp_path``."""
+    from flattori.exterior import ExtElement
+    files = {"T": square_file, "M": str(tmp_path / "map.json"),
+             "C": str(tmp_path / "class.json"), "B": str(tmp_path / "brane.json")}
+    (tmp_path / "map.json").write_text(json.dumps(
+        {"kind": "iso", "source": "square.json", "target": "square.json",
+         "g": [[int(i == j) for j in range(4)] for i in range(4)]}))
+    (tmp_path / "class.json").write_text(json.dumps(
+        jsonio.class_to_json(ExtElement.monomial(2, (0,)))))
+    (tmp_path / "brane.json").write_text(json.dumps(
+        {"torus_ref": "square.json", "Y_basis": [[1, 0]], "F": [["0"]]}))
+    return lambda argv: [files.get(a, a) for a in argv]
+
+
 class TestImportIsolation:
     """Each command imports only the layers it runs."""
 
@@ -369,7 +446,8 @@ class TestImportIsolation:
          {"fock", "cohomology", "abranes", "tduality", "equivalence", "exterior", "_intlat"}),
         (["check-iso", "T", "T"], {"fock", "cohomology", "abranes", "tduality", "exterior"}),
         (["hodge", "T"], {"tduality", "equivalence", "abranes", "fock"}),
-        (["mirror", "--torus", "T"], {"fock", "cohomology", "abranes", "exterior"}),
+        (["mirror", "--torus", "T"],
+         {"fock", "cohomology", "abranes", "exterior", "kernels", "kernels_py"}),
         (["fock-verify", "--d", "1", "--cap", "1"],
          {"equivalence", "tduality", "cohomology", "abranes", "exterior"}),
     ])
@@ -381,6 +459,27 @@ class TestImportIsolation:
         loaded = {m.removeprefix("flattori.") for m in json.loads(proc.stderr.splitlines()[-1])
                   if m.startswith("flattori.")}
         assert loaded & unloaded == set()
+
+    # the exact set, so a module that starts loading anywhere shows here
+    @pytest.mark.parametrize("argv, layers", COMMAND_LAYERS, ids=COMMAND_IDS)
+    def test_command_loads_the_core_and_its_layers(self, command_argv, argv, layers):
+        proc = _fresh_python("-c", LOADED_MODULES, *command_argv(argv))
+        assert proc.returncode == 0, proc.stderr
+        assert report(proc.stdout)["command"] == argv[0]
+        loaded = {m for m in json.loads(proc.stderr.splitlines()[-1])
+                  if m.split(".")[0] == "flattori"}
+        assert loaded == CORE | {f"flattori.{layer}" for layer in layers}
+
+    # Under -m the command line runs as __main__, so a layer that imported
+    # flattori.cli would compile and run its top level a second time.
+    @pytest.mark.parametrize("argv, layers", COMMAND_LAYERS, ids=COMMAND_IDS)
+    def test_no_layer_imports_cli_under_dash_m(self, command_argv, argv, layers):
+        proc = _fresh_python("-c", RUN_AS_MAIN, *command_argv(argv))
+        assert proc.returncode == 0, proc.stderr
+        assert report(proc.stdout)["command"] == argv[0]
+        imported = json.loads(proc.stderr.splitlines()[-1])
+        assert "flattori.cli" not in imported
+        assert set(imported) == CORE - {"flattori.cli"} | {f"flattori.{m}" for m in layers}
 
     # Start-up compiles no dataclass machinery, no argparse and no exterior
     # algebra: after an in-process check-iso none of them is loaded, unless
@@ -396,33 +495,14 @@ class TestImportIsolation:
         assert proc.returncode == 0, proc.stderr
         assert "flattori.exterior" in json.loads(proc.stderr.splitlines()[-1])
 
-    # Each handler imports its own layer, so a missing import shows only when
-    # its command starts as a fresh process: every subcommand is started once
-    # as `python -m flattori.cli` on tiny inputs and must exit 0 with a report.
-    def test_every_command_runs_in_a_fresh_process(self, tmp_path, square_file):
-        from flattori.exterior import ExtElement
-        (tmp_path / "map.json").write_text(json.dumps(
-            {"kind": "iso", "source": "square.json", "target": "square.json",
-             "g": [[int(i == j) for j in range(4)] for i in range(4)]}))
-        (tmp_path / "class.json").write_text(json.dumps(
-            jsonio.class_to_json(ExtElement.monomial(2, (0,)))))
-        (tmp_path / "brane.json").write_text(json.dumps(
-            {"torus_ref": "square.json", "Y_basis": [[1, 0]], "F": [["0"]]}))
-        commands = [
-            ["validate", "T"], ["doubled", "T"], ["spectrum", "T"],
-            ["check-iso", "T", "T"], ["check-mirror", "T", "T"],
-            ["check-derived-eq", "T", "T"], ["verify-map", "map.json"],
-            ["mirror", "--torus", "T"], ["hodge", "T"], ["pp-classes", "T", "--p", "1"],
-            ["lefschetz", "T"],
-            ["fm", "--torus", "T", "--split", "1,0|0,1", "--class", "class.json"],
-            ["check-mirror-class", "--torus", "T", "--class", "class.json"], ["beta", "T"],
-            ["abrane-check", "--brane", "brane.json"],
-            ["fock-verify", "--torus", "T", "--cap", "1"],
-        ]
-        assert {argv[0] for argv in commands} == set(PAPER_REFS)
-        for argv in commands:
-            argv = [square_file if a == "T" else a for a in argv]
-            proc = _fresh_python("-m", "flattori.cli", *argv, cwd=tmp_path)
+    # Each handler's layer is imported when its command runs, so a missing
+    # import shows only when the command starts as a fresh process: every
+    # subcommand is started once as `python -m flattori.cli` on tiny inputs
+    # and must exit 0 with a report.
+    def test_every_command_runs_in_a_fresh_process(self, tmp_path, command_argv):
+        assert set(COMMAND_IDS) == set(PAPER_REFS)
+        for argv, _ in COMMAND_LAYERS:
+            proc = _fresh_python("-m", "flattori.cli", *command_argv(argv), cwd=tmp_path)
             assert (proc.returncode, proc.stderr) == (0, ""), argv
             assert report(proc.stdout)["command"] == argv[0]
 
@@ -584,10 +664,10 @@ class TestSearchCommands:
         def refuse(*args):
             raise AssertionError("a scan or a fingerprint that cannot refute ran")
         monkeypatch.setattr(equivalence, "spectrum_fingerprint", refuse)
-        monkeypatch.setattr(equivalence.kernels, "run_filter", refuse)
+        monkeypatch.setattr("flattori.kernels.run_filter", refuse)
         stretched2 = TorusData(
             2, RatMatrix([[0, -2, 0, 0], [Q(1, 2), 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]),
-            RatMatrix.diag([1, 4, 1, 1]), RatMatrix.zero(4, 4), "stretched2")
+            diag([1, 4, 1, 1]), RatMatrix.zero(4, 4), "stretched2")
         code, out, err = run(capsys, command, square2_file,
                              torus_file(stretched2, "stretched2.json"), *budget)
         assert code == 1
@@ -812,6 +892,23 @@ class TestBraneAndFock:
         assert (code, out) == (2, "")
         assert err == "input error: invalid torus 'bad': I_squares_to_minus_id\n"
 
+    # the basis is counted level by level before it is built: at d = 1 it holds
+    # 220,886 monomials at cap 17/2 and 350,974 at cap 9, the first cap past
+    # the limit of 250,000, and the count stops there whatever the cap (1e3
+    # overflowed the stack of the recursive basis walk); at d = 100000 level
+    # 1/2 alone holds 400,000, and no 200000 x 200000 metric is built
+    @pytest.mark.parametrize("argv, size, level", [
+        (["--d", "1", "--cap", "9"], 350974, "9"),
+        (["--d", "1", "--cap", "1e3"], 350974, "9"),
+        (["--d", "3", "--cap", "9/2"], 666042, "9/2"),
+        (["--d", "100000", "--cap", "1/2"], 400001, "1/2"),
+    ], ids=["d1-cap9", "d1-cap1e3", "d3-cap9/2", "d100000"])
+    def test_fock_verify_space_past_the_limit_is_input_error(self, capsys, argv, size, level):
+        d, cap = argv[1], argv[3]
+        assert run(capsys, "fock-verify", *argv) == (
+            2, "", f"input error: cap {cap} spans more than 250000 basis monomials at d = {d}: "
+            f"{size} up to level {level} (at --cap)\n")
+
 
 def sheared(d, shears):
     """The square torus in the basis S = product of row shears (i, j, c): row_i += c row_j."""
@@ -875,7 +972,7 @@ GOLDEN_STDOUT_SHA256 = {
 
 
 # tau = 3i: G = diag(1, 9), a sublattice of index 3 in the square torus's.
-STRETCHED3 = TorusData(1, RatMatrix([[0, -3], [Q(1, 3), 0]]), RatMatrix.diag([1, 9]),
+STRETCHED3 = TorusData(1, RatMatrix([[0, -3], [Q(1, 3), 0]]), diag([1, 9]),
                        RatMatrix.zero(2, 2), "stretched3")
 
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import Gaussian, exp_grade2, ext_scaled, fm_product_model, unit_splitting
+from conftest import (Gaussian, exp_grade2, ext_scaled, fm_product_model, random_valid_torus,
+                      square_torus, unit_splitting)
 from flattori.cohomology import (CohClass, _projector_02, beta_torsion, fm_transform,
                                  hodge_diamond, inverse_bivector,
                                  lefschetz_kernel_dim, mirror_class_condition,
@@ -16,7 +17,7 @@ from flattori.cohomology import (CohClass, _projector_02, beta_torsion, fm_trans
 from flattori.exactlinear import Q, QZERO, RatMatrix
 from flattori.exterior import ExtElement, derivation_map, interior, wedge
 from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
-from flattori.torus import TorusData, omega, random_valid_torus, square_torus
+from flattori.torus import TorusData, omega
 from test_abranes import _rebased, _unimodular
 
 

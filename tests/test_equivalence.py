@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import diag, random_valid_torus, square_torus
 from flattori import kernels_py
 from flattori._intlat import (integer_kernel, integral_coordinate_lattice, pair_reduce,
                               short_vectors, spans_direct_summand)
@@ -24,15 +25,14 @@ from flattori.errors import ValidationError
 from flattori.exactlinear import Q, RatMatrix
 from flattori.kernels_py import frobenius_gram, split_pairing
 from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
-from flattori.torus import (TorusData, doubled, narain_form, random_valid_torus,
-                            square_torus, zero_mode_momenta)
+from flattori.torus import TorusData, doubled, narain_form, zero_mode_momenta
 from test_cli import OPEN1, OPEN2
 
 E1_SWAP = RatMatrix([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
 E1_SHEAR = RatMatrix([[1, 1], [0, 1]])
 STRETCHED2 = TorusData(
     2, RatMatrix([[0, -2, 0, 0], [Q(1, 2), 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]),
-    RatMatrix.diag([1, 4, 1, 1]), RatMatrix.zero(4, 4), "stretched2")
+    diag([1, 4, 1, 1]), RatMatrix.zero(4, 4), "stretched2")
 
 
 class TestVerifyMap:
@@ -55,7 +55,7 @@ class TestVerifyMap:
 
     def test_non_unimodular_rejected(self, square1):
         with pytest.raises(ValidationError):
-            verify_map(LatticeMap(RatMatrix.diag([2, 1, 1, 1]), square1, square1, "iso"))
+            verify_map(LatticeMap(diag([2, 1, 1, 1]), square1, square1, "iso"))
 
     def test_sign_flip_invariance(self, square1):
         for kind, g in (("mirror", E1_SWAP), ("iso", RatMatrix.identity(4))):
@@ -172,7 +172,7 @@ class TestIntertwinerSpace:
 
     def test_doubled_structures_commute_on_valid_data(self, rng):
         # the fact behind the previous test, checked on random valid tori
-        from flattori.torus import doubled, random_valid_torus
+        from flattori.torus import doubled
         for _ in range(6):
             t = random_valid_torus(rng, rng.choice((1, 2)))
             ds = doubled(t)
@@ -236,7 +236,7 @@ class TestSearchRelation:
         assert g == E1_SWAP or g == -E1_SWAP
 
     def test_dual_torus_iso(self):
-        t = TorusData(1, square_torus(1).I, RatMatrix.diag([4, 4]),
+        t = TorusData(1, square_torus(1).I, diag([4, 4]),
                       RatMatrix.zero(2, 2), "G4")
         dual = TorusData(1, -t.I.transpose(), t.G.inverse(),
                          RatMatrix.zero(2, 2), "G4-dual")
@@ -463,7 +463,7 @@ FRACTIONAL_TORI = (
                      [Q(-1, 2), Q(1, 2), 0, Q(1, 2)], [0, 1, Q(-1, 2), 0]]),
         label="fractional2",
     ),
-    TorusData(d=1, I=RatMatrix([[0, -2], [Q(1, 2), 0]]), G=RatMatrix.diag([1, 4]),
+    TorusData(d=1, I=RatMatrix([[0, -2], [Q(1, 2), 0]]), G=diag([1, 4]),
               B=RatMatrix([[0, Q(1, 3)], [Q(-1, 3), 0]]), label="stretched_b1"),
 )
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import Gaussian, exp_grade2
+from conftest import Gaussian, diag, exp_grade2
 from flattori.errors import DimensionError, GradeError
 from flattori.exactlinear import Q, RatMatrix, bareiss, cleared, rat, rat_str
 from flattori.exterior import (ExtElement, apply_linear, derivation_map, induced_map, interior,
@@ -58,7 +58,7 @@ class TestMatrix:
 
     def test_positive_definite(self):
         assert RatMatrix([[2, 1], [1, 1]]).is_positive_definite()
-        assert not RatMatrix.diag([1, -1]).is_positive_definite()
+        assert not diag([1, -1]).is_positive_definite()
 
     def test_minus_scalar_shifts_the_diagonal(self):
         m = RatMatrix([[1, Q(1, 2)], [0, -3]])
@@ -401,7 +401,7 @@ class TestInducedMap:
         assert induced_map(RatMatrix.identity(4), 2) == RatMatrix.identity(6)
 
     def test_diagonal_determinant(self):
-        assert induced_map(RatMatrix.diag([2, 3]), 2) == RatMatrix([[6]])
+        assert induced_map(diag([2, 3]), 2) == RatMatrix([[6]])
 
     def test_rotation_preserves_area(self):
         rot = RatMatrix([[0, -1], [1, 0]])
@@ -556,7 +556,7 @@ class TestProduct:
         with pytest.raises(TypeError):
             RatMatrix(entries)
         with pytest.raises(TypeError):
-            RatMatrix.diag([z])
+            diag([z])
         with pytest.raises(TypeError):
             a.scale(z)
         with pytest.raises(TypeError):

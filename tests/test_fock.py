@@ -7,11 +7,12 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
+from conftest import diag
 from flattori import fock
 from flattori.errors import TruncationError, ValidationError
 from flattori.exactlinear import Q, RatMatrix
-from flattori.fock import (TruncatedFock, _bracket_is, _verify_pairs, build_oscillator,
-                           ccr_car_sweep, verify_car, verify_ccr)
+from flattori.fock import (TruncatedFock, _bracket_is, _level_counts, _verify_pairs,
+                           build_oscillator, ccr_car_sweep, verify_car, verify_ccr)
 
 HALF = Fraction(1, 2)
 
@@ -35,6 +36,14 @@ class TestSpace:
 
     def test_vacuum_is_first(self, space1):
         assert space1.basis[0] == ((), ())
+
+    @pytest.mark.parametrize("d, cap", [(1, 7), (2, 4), (3, 2)])
+    def test_level_counts_match_the_basis(self, d, cap):
+        # the count fock-verify checks against its limit, level by level
+        space = TruncatedFock(d, Fraction(cap), RatMatrix.identity(2 * d))
+        counts = _level_counts(2 * d)
+        assert [next(counts) for _ in range(2 * cap + 1)] == \
+            [space._levels.count(t) for t in range(2 * cap + 1)]
 
     def test_odd_variables_never_repeat(self, space1):
         for even, odd in space1.basis:
@@ -70,7 +79,7 @@ class TestSpace:
 
     def test_indefinite_metric_rejected(self):
         with pytest.raises(ValidationError):
-            TruncatedFock(1, Fraction(2), RatMatrix.diag([1, -1]))
+            TruncatedFock(1, Fraction(2), diag([1, -1]))
 
 
 def column(op, col):
@@ -210,7 +219,7 @@ class TestCcrCar:
         assert out.status == "pass" and out.expected == 0
 
     def test_metric_inverse_normalization(self):
-        space = TruncatedFock(1, Fraction(3), RatMatrix.diag([2, 1]))
+        space = TruncatedFock(1, Fraction(3), diag([2, 1]))
         out = verify_ccr(space, 0, 0, 1, -1)
         assert out.status == "pass"
         assert out.expected == Q(1, 2)

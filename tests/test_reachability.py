@@ -20,17 +20,17 @@ from pathlib import Path
 
 import pytest
 
+from conftest import square_torus
 import flattori
 from flattori import cli, jsonio
 from flattori.exactlinear import Q, RatMatrix
-from flattori.torus import TorusData, square_torus
+from flattori.torus import TorusData
 from test_cli import GOLDEN_TORUS, OPEN1, OPEN2
 
 SRC = Path(flattori.__file__).resolve().parent
 ROOT = SRC.parents[1]
 
 HARNESS = "read by the benchmark harness"
-FIXTURE = "builds the fixtures that tier1.yml and the tests import"
 
 # dotted name -> (why no command runs it, {harness file: text that names it})
 ALLOWLIST = {
@@ -47,10 +47,6 @@ ALLOWLIST = {
     "torus.zero_mode_momenta": (HARNESS + ", by the trace plan; the tests' oracle for "
                                 "narain_form", {
         "perfbench/traced_cli.py": '"zero_mode_momenta"'}),
-    "torus.standard_complex_structure": (FIXTURE, {}),
-    "torus.square_torus": (FIXTURE, {}),
-    "torus.random_valid_torus": (FIXTURE, {}),
-    "exactlinear.RatMatrix.diag": (FIXTURE, {}),
     "fock.OscillatorOp.int_column": (
         "the adjointness test reads columns outside the guarded prefix", {}),
 }
@@ -184,6 +180,7 @@ def command_runs(tmp):
         (["fock-verify", "--d", "1", "--cap", "2"], 0),
         (["fock-verify", "--torus", f("stretched1"), "--cap", "3/2"], 0),
         (["fock-verify", "--d", "1", "--cap", "1/3"], 2),
+        (["fock-verify", "--d", "1", "--cap", "1e3"], 2),
         (["-h"], 0),
         (["check-iso", f("square1"), "--help"], 0),
         (["check-iso", "--bound=1", f("square1"), f("square1")], 0),

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import square_torus
 import flattori
 from flattori import torus
 from flattori._record import Check, Record, failures
@@ -15,7 +16,7 @@ from flattori.equivalence import SearchOutcome
 from flattori.errors import DimensionError
 from flattori.exactlinear import RatMatrix
 from flattori.fock import TruncatedFock, build_oscillator
-from flattori.torus import TorusData, square_torus
+from flattori.torus import TorusData
 
 
 class _Twin(Record):

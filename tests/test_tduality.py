@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import unit_splitting
+from conftest import diag, random_valid_torus, square_torus, unit_splitting
 from flattori._record import failures
 from flattori.equivalence import LatticeMap, search_relation, verify_map
 from flattori.errors import ValidationError
@@ -14,7 +14,7 @@ from flattori.exactlinear import Q, RatMatrix
 from flattori.tduality import (LagrangianSplitting, _isotropic_complement,
                                find_lagrangian_splitting, mirror_via_tduality,
                                splitting_report)
-from flattori.torus import TorusData, omega, random_valid_torus, square_torus, validate
+from flattori.torus import TorusData, omega, validate
 
 
 class TestFindSplitting:
@@ -29,7 +29,7 @@ class TestFindSplitting:
         assert s.b_basis == ((0, 1, 0, 0), (0, 0, 0, 1))
 
     def test_scaled_omega_still_splits(self):
-        t = TorusData(1, square_torus(1).I, RatMatrix.diag([2, 2]),
+        t = TorusData(1, square_torus(1).I, diag([2, 2]),
                       RatMatrix.zero(2, 2))
         s = find_lagrangian_splitting(t)
         assert s is not None
@@ -97,11 +97,11 @@ class TestMirrorConstruction:
     def test_moduli_exchange_at_radius(self):
         # area R^2 with square complex structure dualizes to area 1 with
         # complex modulus R^2 (derived by the block-inversion oracle)
-        t = TorusData(1, square_torus(1).I, RatMatrix.diag([4, 4]),
+        t = TorusData(1, square_torus(1).I, diag([4, 4]),
                       RatMatrix.zero(2, 2), "R4")
         s = find_lagrangian_splitting(t)
         mr = mirror_via_tduality(t, s)
-        assert mr.mirror.G == RatMatrix.diag([Q(1, 4), 4])
+        assert mr.mirror.G == diag([Q(1, 4), 4])
         assert mr.mirror.I == RatMatrix([[0, -4], [Q(1, 4), 0]])
         assert omega(mr.mirror) == RatMatrix([[0, -1], [1, 0]])
 
@@ -174,7 +174,7 @@ class TestRoundTrip:
         assert out.found
 
     def test_involution_with_metric_moduli(self):
-        t = TorusData(1, square_torus(1).I, RatMatrix.diag([9, 9]),
+        t = TorusData(1, square_torus(1).I, diag([9, 9]),
                       RatMatrix.zero(2, 2), "R9")
         s = find_lagrangian_splitting(t)
         mr = mirror_via_tduality(t, s)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import diag, random_valid_torus, standard_complex_structure
 from flattori._record import failures
 from flattori.errors import DimensionError, ValidationError
 from flattori.exactlinear import Q, RatMatrix
-from flattori.torus import (TorusData, doubled, narain_form, omega, q_matrix,
-                            random_valid_torus, standard_complex_structure,
-                            validate, zero_mode_momenta)
+from flattori.torus import (TorusData, doubled, narain_form, omega, q_matrix, validate,
+                            zero_mode_momenta)
 
 
 class TestValidate:
@@ -26,13 +26,13 @@ class TestValidate:
         assert "I_squares_to_minus_id" in bad
 
     def test_indefinite_metric_fails(self):
-        t = TorusData(1, standard_complex_structure(1), RatMatrix.diag([1, -1]),
+        t = TorusData(1, standard_complex_structure(1), diag([1, -1]),
                       RatMatrix.zero(2, 2))
         assert "G_positive_definite" in failures(validate(t))
 
     def test_incompatible_metric_fails(self):
         # diag(2,1) is not Kaehler for the standard rotation
-        t = TorusData(1, standard_complex_structure(1), RatMatrix.diag([2, 1]),
+        t = TorusData(1, standard_complex_structure(1), diag([2, 1]),
                       RatMatrix.zero(2, 2))
         assert "G_hermitian_for_I" in failures(validate(t))
 
@@ -163,7 +163,7 @@ class TestNarainForm:
         # cross-check of two independent constructions: the positive form
         # from its own block formula equals -q calI calJ built from the
         # block formulas of the doubled structures
-        from flattori.torus import doubled, q_matrix, random_valid_torus
+        from flattori.torus import doubled, q_matrix
         for _ in range(12):
             d = rng.choice((1, 2, 3))
             t = random_valid_torus(rng, d)
