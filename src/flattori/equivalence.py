@@ -31,11 +31,12 @@ certificate or refutes.  A ``derived_eq`` search without a hit means only
 "undecided".
 
 The search functions import the filter (:mod:`flattori.kernels` and
-:mod:`flattori.kernels_py`) when they run, so ``mirror``, ``fm`` and
-``verify-map``, which read :func:`verify_map` and the records alone, do not
-compile it.  The layer's commands (``spectrum``, the three ``check-*`` and
-``verify-map``) and the relation-map file format live at the end of the
-module.
+:mod:`flattori.kernels_py`) and the integer lattice reduction
+(:mod:`flattori._intlat`) when they run.  ``spectrum`` and ``verify-map``
+compile neither; ``mirror`` and ``fm``, which read :func:`verify_map` and
+the records alone, do not compile the filter.  The layer's commands
+(``spectrum``, the three ``check-*`` and ``verify-map``) and the
+relation-map file format live at the end of the module.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from itertools import product
 from operator import mul
 
 from . import jsonio
-from ._intlat import integral_coordinate_lattice, pair_reduce, short_vectors
 from ._record import Check, Record, failures
 from .errors import DimensionError, InconsistencyError, SchemaError, ValidationError
 from .exactlinear import RatMatrix, bareiss, cleared, rat_str
@@ -157,6 +157,7 @@ def intertwiner_rows(t1: TorusData, t2: TorusData, kind: str):
         raise ValueError(f"kind must be one of {KINDS}")
     if t1.d != t2.d:
         raise DimensionError("tori must have the same dimension")
+    from ._intlat import integral_coordinate_lattice, pair_reduce
     return pair_reduce(integral_coordinate_lattice(_constraint_rows(t1, t2, kind)))
 
 
@@ -230,15 +231,16 @@ def _certified(t1, t2, kind, g, n, nodes):
 def _narain_shell(flat, n):
     """``(g, size, nodes)`` for the shell ``F <= 4d`` of an ``iso`` or ``mirror`` lattice.
 
-    :func:`short_vectors` lists the shell over an LLL-reduced basis, one of
-    each pair +-h: ``size`` vectors, in ``nodes`` walk nodes.  A certificate
-    has ``F = 4d`` exactly, so only those vectors are tested for
-    q-congruence, in the walk's order, by the packed form of
+    :func:`~flattori._intlat.short_vectors` lists the shell over an
+    LLL-reduced basis, one of each pair +-h: ``size`` vectors, in ``nodes``
+    walk nodes.  A certificate has ``F = 4d`` exactly, so only those vectors
+    are tested for q-congruence, in the walk's order, by the packed form of
     :func:`~flattori.kernels_py.packed_form` over the reduced basis
     (``x^t X x = 2 target``), whose bound is the largest coordinate among
-    them.  ``g`` is the first that
-    passes, flattened, or None: then no certificate exists.
+    them.  ``g`` is the first that passes, flattened, or None: then no
+    certificate exists.
     """
+    from ._intlat import short_vectors
     from .kernels_py import frobenius_gram, packed_form, split_pairing
     basis, vectors, nodes = short_vectors(frobenius_gram(flat, n, split_pairing(n)), n)
     shell = [x for x, norm in vectors if norm == n]
@@ -309,6 +311,7 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
     walk's, or the relation is ``"refuted"`` by :data:`NARAIN_SHELL`.
     """
     from . import kernels
+    from ._intlat import integral_coordinate_lattice
     from .kernels_py import completed_height
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")

@@ -276,6 +276,9 @@ def class_from_json(data, base_rank, pointer="class") -> ExtElement:
     if not isinstance(data, dict) or "grade_terms" not in data:
         raise SchemaError("expected an object with grade_terms", pointer)
     declared = data.get("base_rank", base_rank)
+    if not is_json_int(declared):
+        raise SchemaError(f"base_rank must be an integer, got {declared!r}",
+                          f"{pointer}.base_rank")
     if declared != base_rank:
         raise SchemaError(f"class base_rank {declared} does not match the torus rank {base_rank}",
                           f"{pointer}.base_rank")

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: every subcommand, exit codes, determinism."""
 
+import gc
 import hashlib
 import json
 import os
@@ -152,6 +153,9 @@ BOOLEAN_PAYLOADS = {
                 "missing or invalid dimension (at x.json.d)"),
     "torus-G": (["validate", "X"], {**SQUARE1_JSON, "G": [[True, "0"], ["0", True]]},
                 "expected a rational number, got True (at x.json.G[0][0])"),
+    "class-base_rank": (["check-mirror-class", "--torus", "S", "--class", "X"],
+                        {"base_rank": True, "grade_terms": [{"indices": [0], "coeff": "1"}]},
+                        "base_rank must be an integer, got True (at x.json.base_rank)"),
     "class-indices": (["check-mirror-class", "--torus", "S", "--class", "X"],
                       {"grade_terms": [{"indices": [False, True], "coeff": "1"}]},
                       "indices must be a strictly increasing list within range "
@@ -163,6 +167,28 @@ BOOLEAN_PAYLOADS = {
               {"kind": "iso", "source": "square.json", "target": "square.json",
                "g": [[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
               "expected a rational number, got True (at x.json.g[0][0])"),
+}
+
+
+# One payload per field that reads a JSON integer or rational, each with a
+# JSON float of integral value there: 1.0 is not the integer 1.
+FLOAT_PAYLOADS = {
+    "torus-d": (["validate", "X"], {**SQUARE1_JSON, "d": 1.0},
+                "missing or invalid dimension (at x.json.d)"),
+    "class-base_rank": (["check-mirror-class", "--torus", "S", "--class", "X"],
+                        {"base_rank": 2.0, "grade_terms": [{"indices": [0], "coeff": "1"}]},
+                        "base_rank must be an integer, got 2.0 (at x.json.base_rank)"),
+    "class-indices": (["check-mirror-class", "--torus", "S", "--class", "X"],
+                      {"grade_terms": [{"indices": [0.0], "coeff": "1"}]},
+                      "indices must be a strictly increasing list within range "
+                      "(at x.json.grade_terms[0].indices)"),
+    "class-coeff": (["check-mirror-class", "--torus", "S", "--class", "X"],
+                    {"grade_terms": [{"indices": [0], "coeff": 1.0}]},
+                    "expected a rational number, got 1.0 (at x.json.grade_terms[0].coeff)"),
+    "map-g": (["verify-map", "X"],
+              {"kind": "iso", "source": "square.json", "target": "square.json",
+               "g": [[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+              "expected a rational number, got 1.0 (at x.json.g[0][0])"),
 }
 
 
@@ -200,6 +226,14 @@ class TestBooleansAreNotNumbers:
     @pytest.mark.parametrize("field", sorted(BOOLEAN_PAYLOADS))
     def test_boolean_is_input_error(self, capsys, tmp_path, square_file, field):
         argv, payload, message = BOOLEAN_PAYLOADS[field]
+        assert run_payload(capsys, tmp_path, square_file, argv, payload) == \
+            (2, "", f"input error: {message}\n")
+
+
+class TestFloatsAreNotIntegers:
+    @pytest.mark.parametrize("field", sorted(FLOAT_PAYLOADS))
+    def test_float_is_input_error(self, capsys, tmp_path, square_file, field):
+        argv, payload, message = FLOAT_PAYLOADS[field]
         assert run_payload(capsys, tmp_path, square_file, argv, payload) == \
             (2, "", f"input error: {message}\n")
 
@@ -402,11 +436,11 @@ COHOMOLOGY_LAYERS = {"cohomology", "exterior"}
 COMMAND_LAYERS = [
     (["validate", "T"], set()),
     (["doubled", "T"], set()),
-    (["spectrum", "T"], {"equivalence", "_intlat"}),
+    (["spectrum", "T"], {"equivalence"}),
     (["check-iso", "T", "T"], SEARCH_LAYERS),
     (["check-mirror", "T", "T"], SEARCH_LAYERS),
     (["check-derived-eq", "T", "T"], SEARCH_LAYERS),
-    (["verify-map", "M"], {"equivalence", "_intlat"}),
+    (["verify-map", "M"], {"equivalence"}),
     (["mirror", "--torus", "T"], {"tduality", "equivalence", "_intlat"}),
     (["hodge", "T"], COHOMOLOGY_LAYERS),
     (["pp-classes", "T", "--p", "1"], COHOMOLOGY_LAYERS),
@@ -508,6 +542,59 @@ class TestImportIsolation:
 
     def test_budget_default_is_the_search_default(self):
         assert cli.DEFAULTS["budget"] == equivalence.DEFAULT_NODE_BUDGET
+
+
+# The console script the package installs (flattori = "flattori.cli:main"),
+# after an atexit handler that writes, as stderr's last line, how many
+# objects the garbage collector holds frozen once the command has returned.
+CONSOLE_SCRIPT = """\
+import atexit, gc, sys
+atexit.register(lambda: print("frozen:", gc.get_freeze_count(), file=sys.stderr))
+from flattori.cli import main
+sys.exit(main())
+"""
+
+
+class TestProcessExit:
+    """``main()`` run as the program freezes the collector before the
+    interpreter exits, so that its shutdown collections skip every object;
+    what the command prints, writes and returns stays that of ``main(argv)``."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate", "S"], 0),
+        (["check-iso", "S", "T"], 1),
+        (["check-iso", "S"], 2),
+    ], ids=["validate", "check-iso", "usage-error"])
+    def test_program_prints_what_main_returns(self, capsys, tmp_path, square_file,
+                                              stretched_file, argv, code):
+        argv = [{"S": square_file, "T": stretched_file}.get(a, a) for a in argv]
+        expected = run(capsys, *argv)
+        assert expected[0] == code
+        # in process nothing is frozen
+        assert gc.get_freeze_count() == 0
+        proc = _fresh_python("-m", "flattori.cli", *argv, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+        proc = _fresh_python("-c", CONSOLE_SCRIPT, *argv, cwd=tmp_path)
+        *err, frozen = proc.stderr.splitlines(keepends=True)
+        assert (proc.returncode, proc.stdout, "".join(err)) == expected
+        # the atexit handler still ran, after the freeze
+        assert frozen.startswith("frozen: ") and int(frozen.split()[1]) > 0
+
+    def test_program_writes_both_mirror_files_whole(self, capsys, tmp_path, square_file):
+        outputs = [tmp_path / "mirror.json", tmp_path / "cert.json"]
+        argv = ["mirror", "--torus", square_file,
+                "--out-torus", str(outputs[0]), "--out-cert", str(outputs[1])]
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        written = [path.read_bytes() for path in outputs]
+        for path in outputs:
+            path.unlink()
+        proc = _fresh_python("-m", "flattori.cli", *argv, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+        assert [path.read_bytes() for path in outputs] == written
+        for data in written:
+            assert data.endswith(b"}\n")
+            json.loads(data)
 
 
 class TestSearchCommands:
