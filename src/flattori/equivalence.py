@@ -23,12 +23,11 @@ with R = q, the builder of the search's packed form.  A ``derived_eq``
 pair whose three lattices L(T1,T1), L(T1,T2), L(T2,T2) differ in (rank,
 det) is refuted before the scan.  On ``iso`` and ``mirror`` lattices F is
 the Narain form ``tr(N_1^-1 h^t N_2 h)``, positive definite, and every
-certificate lies in the finite shell ``F <= 4d``: an exhausted window holding
-that whole ellipsoid refutes the relation, and otherwise the shell is
-enumerated (:func:`~flattori._intlat.short_vectors`), which finds a
-certificate or refutes.  A ``derived_eq`` search without a hit means only
-"none within bound", and one that spends its node budget first is
-"undecided".
+certificate lies in the finite shell ``F <= 4d``.  Listing that shell
+(:func:`~flattori._intlat.short_vectors`) is the one refutation of ``iso``
+and ``mirror``: it finds a certificate or refutes.  A ``derived_eq`` search
+without a hit means only "none within bound", and one that spends its node
+budget first is "undecided".
 
 The search functions import the filter (:mod:`flattori.kernels` and
 :mod:`flattori.kernels_py`) and the integer lattice reduction
@@ -171,19 +170,18 @@ def intertwiner_space(t1: TorusData, t2: TorusData, kind: str):
     return [_as_matrix(row, n) for row in intertwiner_rows(t1, t2, kind)]
 
 
-NARAIN_WINDOW = "window contains every g with tr(N1^-1 g^t N2 g) = 4d"
 NARAIN_SHELL = "no g with tr(N1^-1 g^t N2 g) <= 4d preserves q"
 LATTICE_ISOMETRY = "(rank, det) of tr(q h^t q h) differs on L(T1,T1), L(T1,T2), L(T2,T2)"
 
 
 class SearchOutcome(Record):
     """The verdict of a search: ``"found"`` (with its certificate), ``"refuted"``
-    (``refuted_by`` names the proof: :data:`NARAIN_WINDOW`,
+    (``refuted_by`` names the proof: for ``iso`` and ``mirror``
     :data:`NARAIN_SHELL` followed by the shell's size and the enumeration's
-    nodes, or :data:`LATTICE_ISOMETRY` followed by the three lattices'
-    (rank, det)), and for ``derived_eq`` only ``"none within bound"`` or
-    ``"undecided"`` (the node budget ran out after covering every height
-    shell up to ``last_complete_height``)."""
+    nodes, for ``derived_eq`` :data:`LATTICE_ISOMETRY` followed by the three
+    lattices' (rank, det)), and for ``derived_eq`` only ``"none within
+    bound"`` or ``"undecided"`` (the node budget ran out after covering every
+    height shell up to ``last_complete_height``)."""
 
     verdict: str
     nodes_used: int
@@ -205,19 +203,6 @@ def _lattice_class(rows, n):
     from .kernels_py import frobenius_gram, split_pairing
     pivots, last, _ = bareiss(frobenius_gram(rows, n, split_pairing(n)))
     return len(rows), last if len(pivots) == len(rows) else 0
-
-
-def _ellipsoid_radii(rows, n):
-    """``4d (A^-1)_ii``, A the Gram matrix of F on an iso or mirror basis.
-
-    For h in such a lattice ``N_2 h = q h q N_1`` (``N = -q calI calJ``), so
-    ``F(h)`` is the Narain form ``tr(N_1^-1 h^t N_2 h)``.  On ``F <= 4d``,
-    ``c_i^2 <= 4d (A^-1)_ii``: the first step of Fincke-Pohst (Math. Comp. 44,
-    1985).
-    """
-    from .kernels_py import frobenius_gram, split_pairing
-    a_inv = RatMatrix(frobenius_gram(rows, n, split_pairing(n))).inverse()
-    return [n * a_inv.entries[i][i] for i in range(len(rows))]
 
 
 def _certified(t1, t2, kind, g, n, nodes):
@@ -263,12 +248,12 @@ def _narain_shell(flat, n):
     return None, len(vectors), nodes
 
 
-# Up to this dimension the shell F <= 4d is walked before a scan that cannot
-# exhaust its window within the budget: there the shell is small (square2
-# against itself, 256 vectors in 1,512 nodes, 4 ms), and a pair without a
-# certificate skips a scan that could not refute it.  At d = 3 square3's
-# shell holds 29,856 vectors (0.7 s), far more work than the scan needs to
-# find its certificate, so the shell waits for the scan.
+# Up to this dimension the shell F <= 4d is walked before the scan: there the
+# shell is small (square2 against itself, 256 vectors in 1,512 nodes, 4 ms),
+# a pair without a certificate skips the scan, and the scan only picks the
+# canonical certificate.  At d = 3 square3's shell holds 29,856 vectors
+# (0.7 s), far more work than the scan needs to find its certificate, so the
+# shell waits for the scan.
 SHELL_FIRST_MAX_D = 2
 
 
@@ -299,16 +284,14 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
 
     An ``iso`` or ``mirror`` certificate has ``F(g) = tr(q q) = 4d``, and F is
     the positive definite Narain form there, so :func:`_narain_shell`
-    decides the relation; ``node_budget`` bounds the scan alone.  The scan
-    still picks the certificate whenever it finds one, so the report names
-    the first certificate in the canonical order, and an exhausted window
-    without a hit is ``"refuted"`` by :data:`NARAIN_WINDOW` when it holds all
-    of the ellipsoid, i.e. ``4d (A^-1)_ii < (coeff_bound + 1)^2`` (see
-    :func:`_ellipsoid_radii`).  Up to :data:`SHELL_FIRST_MAX_D`, a scan that
-    cannot exhaust its window within ``node_budget`` waits for the shell,
-    and a pair without a certificate skips it.  Otherwise the shell's
-    first certificate is reported, found after the scan's nodes and the
-    walk's, or the relation is ``"refuted"`` by :data:`NARAIN_SHELL`.
+    decides the relation; ``coeff_bound`` and ``node_budget`` bound the scan
+    alone.  Up to :data:`SHELL_FIRST_MAX_D` the shell runs first: a pair
+    without a certificate is ``"refuted"`` by :data:`NARAIN_SHELL` after the
+    walk's nodes alone, whatever the bound and budget, and otherwise the scan
+    runs only to pick the first certificate in the canonical order.  At
+    d = 3 the scan runs first.  A certificate the scan does not reach is the
+    shell's first, found after the scan's nodes and the walk's; with none,
+    the relation is ``"refuted"`` by :data:`NARAIN_SHELL`.
     """
     from . import kernels
     from ._intlat import integral_coordinate_lattice
@@ -325,8 +308,7 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
             return SearchOutcome("refuted", 0, refuted_by=f"{LATTICE_ISOMETRY}: "
                                  + ", ".join(map(str, classes)))
     shell = None
-    if kind != "derived_eq" and t1.d <= SHELL_FIRST_MAX_D and \
-            (2 * coeff_bound + 1) ** len(flat) - 1 > node_budget:
+    if kind != "derived_eq" and t1.d <= SHELL_FIRST_MAX_D:
         shell = _narain_shell(flat, n)
     nodes = 0
     if shell is None or shell[0] is not None:
@@ -340,9 +322,6 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
                 return SearchOutcome("undecided", nodes,
                                      last_complete_height=completed_height(len(flat), nodes))
             return SearchOutcome("none within bound", nodes)
-        if exhausted and flat and all(
-                r < (coeff_bound + 1) ** 2 for r in _ellipsoid_radii(flat, n)):
-            return SearchOutcome("refuted", nodes, refuted_by=NARAIN_WINDOW)
     g, size, walked = shell or _narain_shell(flat, n)
     if g is not None:
         return _certified(t1, t2, kind, g, n, nodes + walked)

@@ -18,9 +18,11 @@ from flattori.exactlinear import Q, RatMatrix
 from flattori.torus import TorusData
 
 
-REFUTED_BY = "window contains every g with tr(N1^-1 g^t N2 g) = 4d"
 LATTICE_REFUTED_BY = "(rank, det) of tr(q h^t q h) differs on L(T1,T1), L(T1,T2), L(T2,T2): "
 SHELL_REFUTED_BY = "no g with tr(N1^-1 g^t N2 g) <= 4d preserves q: "
+# the report of a d = 1 iso or mirror pair whose shell F <= 4d is empty
+EMPTY_SHELL_REFUTED = {"found": False, "verdict": "refuted", "nodes": 4,
+                       "refuted_by": SHELL_REFUTED_BY + "0 vectors up to sign, 4 nodes"}
 
 
 def run(capsys, *args):
@@ -610,15 +612,33 @@ class TestSearchCommands:
         code, out, _ = run(capsys, "check-iso", square_file, stretched_file,
                            "--bound", "3")
         assert code == 1
-        assert report(out)["result"] == {
-            "found": False, "verdict": "refuted", "nodes": 7 ** 4 - 1,
-            "refuted_by": REFUTED_BY}
+        assert report(out)["result"] == EMPTY_SHELL_REFUTED
 
     def test_check_mirror_refuted(self, capsys, square_file, stretched_file):
         code, out, _ = run(capsys, "check-mirror", square_file, stretched_file)
         assert code == 1
-        assert report(out)["result"] == {
-            "found": False, "verdict": "refuted", "nodes": 5 ** 4 - 1, "refuted_by": REFUTED_BY}
+        assert report(out)["result"] == EMPTY_SHELL_REFUTED
+
+    @pytest.mark.parametrize("command", ["check-iso", "check-mirror"])
+    def test_d1_refutation_ignores_bound_and_budget(self, capsys, square_file, stretched_file,
+                                                    command):
+        # at d <= 2 the shell decides before any scan runs, so neither the
+        # bound nor the budget moves the report: only the bound echoed in
+        # its inputs differs
+        reports = {}
+        for name, extra in (("default", []), ("bound1", ["--bound", "1"]),
+                            ("bound3", ["--bound", "3"]), ("budget1", ["--budget", "1"])):
+            code, out, err = run(capsys, command, square_file, stretched_file, *extra)
+            assert (code, err) == (1, "")
+            reports[name] = out
+        assert reports["budget1"] == reports["default"]
+        results = set()
+        for name, out in reports.items():
+            data = report(out)
+            assert data["inputs"].pop("bound") == {"bound1": 1, "bound3": 3}.get(name, 2)
+            assert data["result"] == EMPTY_SHELL_REFUTED
+            results.add(json.dumps(data, sort_keys=True))
+        assert len(results) == 1
 
     def test_check_derived_eq_refuted_tau_2i(self, capsys, square_file, stretched_file):
         # the derived_eq intertwiner lattices of tau = i and tau = 2i are not
@@ -663,9 +683,9 @@ class TestSearchCommands:
     def test_refuted_once_the_window_holds_the_ellipsoid(self, capsys, torus_file,
                                                          bound, verdict):
         # the mirror ellipsoid of this pair reaches c_i^2 = 5 (4d (A^-1)_ii):
-        # past the height-1 window, inside the height-2 one.  The height-1
-        # window is scanned and then the shell F <= 4d refutes: it is empty
-        # (4 walk nodes)
+        # past the height-1 box, inside the height-2 one.  Neither box is
+        # scanned: the shell F <= 4d is empty (4 walk nodes) and refutes at
+        # every bound
         source = TorusData(1, RatMatrix([[1, -1], [2, -1]]), RatMatrix([[2, -1], [-1, 1]]),
                            RatMatrix([[0, 2], [-2, 0]]), "source")
         target = TorusData(1, RatMatrix([[-34, -13], [89, 34]]),
@@ -674,22 +694,18 @@ class TestSearchCommands:
         code, out, _ = run(capsys, "check-mirror", torus_file(source, "source.json"),
                            torus_file(target, "target.json"), "--bound", str(bound))
         assert code == 1
-        window = (2 * bound + 1) ** 4 - 1
-        assert report(out)["result"] == (
-            {"found": False, "verdict": verdict, "nodes": window, "refuted_by": REFUTED_BY}
-            if bound == 2 else
-            {"found": False, "verdict": verdict, "nodes": window + 4,
-             "refuted_by": SHELL_REFUTED_BY + "0 vectors up to sign, 4 nodes"})
+        assert report(out)["result"] == dict(EMPTY_SHELL_REFUTED, verdict=verdict)
 
     def test_small_ellipsoid_is_refuted_at_height_one(self, capsys, torus_file):
-        # on the saturated intertwiner basis this pair's radii are at most 1/4
+        # on the saturated intertwiner basis this pair's radii are at most
+        # 1/4: the shell F <= 4d is empty
         source = TorusData(1, RatMatrix([[2, -1], [5, -2]]), RatMatrix([[10, -4], [-4, 2]]),
                            RatMatrix([[0, Q(1, 2)], [Q(-1, 2), 0]]), "source")
         target = TorusData(1, RatMatrix([[-1, -2], [1, 1]]),
                            RatMatrix([[Q(1, 2), Q(1, 2)], [Q(1, 2), 1]]),
                            RatMatrix([[0, Q(-1, 2)], [Q(1, 2), 0]]), "target")
         assert self.mirror_search(capsys, torus_file, source, target, 1) == \
-            (False, "refuted", 3 ** 4 - 1)
+            (False, "refuted", 4)
 
     def test_check_derived_eq_self(self, capsys, square_file):
         code, out, _ = run(capsys, "check-derived-eq", square_file, square_file,
@@ -746,8 +762,8 @@ class TestSearchCommands:
                              ids=["default", "budget50"])
     def test_refute_bench_row_is_refuted_by_the_shell(self, capsys, monkeypatch, square2_file,
                                                       torus_file, command, budget):
-        # no vector of the shell F <= 8 preserves q, and neither window fits
-        # its budget (3^16 - 1 and 5^16 - 1 candidates), so neither is scanned
+        # no vector of the shell F <= 8 preserves q, and at d <= 2 the shell
+        # runs first, so no scan runs
         def refuse(*args):
             raise AssertionError("a scan or a fingerprint that cannot refute ran")
         monkeypatch.setattr(equivalence, "spectrum_fingerprint", refuse)
@@ -1075,12 +1091,12 @@ OPEN1 = _open_torus([[-1, Q(4, 3)], [Q(-3, 2), 1]], "open1")
 OPEN2 = _open_torus([[Q(-1, 2), Q(-5, 6)], [Q(3, 2), Q(1, 2)]], "open2")
 
 # The sha256 of the stdout of a refuted report on square1 vs stretched1, frozen
-# from the code that signalled a spent budget by an exception, and of a
-# none-within-bound report on open1 vs open2, frozen from the code that
-# refuted derived equivalence by a mod-2 residue walk.
+# from the code whose Narain shell became the one refutation of iso and
+# mirror, and of a none-within-bound report on open1 vs open2, frozen from the
+# code that refuted derived equivalence by a mod-2 residue walk.
 GOLDEN_VERDICT_REPORTS = [
     ("check-iso", "square", "stretched", "2",
-     "bc3c4ac1adbdedb7fd7cd124bdd8c524463ed0e442c2603c7debd081c7dae871"),
+     "a171737e47296d1a13bc9141cf86828d48004782ba115ae914c4f8e46f718673"),
     ("check-derived-eq", "open1", "open2", "1",
      "8b4e8b384b4376adbf7db87c109a7148cdf9877b2e305ff0f9bfd8d968780bdc"),
 ]

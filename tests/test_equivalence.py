@@ -18,9 +18,9 @@ from flattori._intlat import (integer_kernel, integral_coordinate_lattice, pair_
                               short_vectors, spans_direct_summand)
 from flattori._record import failures
 from flattori.equivalence import (DEFAULT_NODE_BUDGET, KINDS, LATTICE_ISOMETRY, NARAIN_SHELL,
-                                  RELATIONS, LatticeMap, _constraint_rows, _ellipsoid_radii,
-                                  _lattice_class, intertwiner_rows, intertwiner_space,
-                                  search_relation, spectrum_fingerprint, verify_map)
+                                  RELATIONS, LatticeMap, _constraint_rows, _lattice_class,
+                                  intertwiner_rows, intertwiner_space, search_relation,
+                                  spectrum_fingerprint, verify_map)
 from flattori.errors import ValidationError
 from flattori.exactlinear import Q, RatMatrix
 from flattori.kernels_py import frobenius_gram, split_pairing
@@ -537,17 +537,23 @@ class TestConstraintRows:
             integer_kernel([_lcm_scaled(r) for r in fraction_rows])
 
 
-def _narain_radii(t1, t2, basis):
-    """The reference radii ``4d (A^-1)_ii``, A the Gram matrix of the Narain
-    form ``Q(g) = tr(N_1^-1 g^t N_2 g)`` on the basis matrices:
-    ``A_ij = <M_i, N_2 M_j N_1^-1>`` (Frobenius) with ``N_1^-1 = q N_1 q``."""
+def _narain_gram(t1, t2, rows):
+    """The reference Gram matrix of the Narain form ``Q(g) = tr(N_1^-1 g^t N_2 g)``
+    on the flattened basis matrices M_i: ``A_ij = <M_i, N_2 M_j N_1^-1>``
+    (Frobenius) with ``N_1^-1 = q N_1 q``."""
+    n = 4 * t1.d
     q = doubled(t1).q
     n1_inv, n2 = q * narain_form(t1) * q, narain_form(t2)
-    flat = [[x for row in m.entries for x in row] for m in basis]
-    images = [[x for row in (n2 * m * n1_inv).entries for x in row] for m in basis]
-    a_inv = RatMatrix([[sum(x * y for x, y in zip(mi, mj)) for mj in images]
-                       for mi in flat]).inverse()
-    return [4 * t1.d * a_inv.entries[i][i] for i in range(len(basis))]
+    images = [[x for row in (n2 * RatMatrix([m[i * n:(i + 1) * n] for i in range(n)])
+                             * n1_inv).entries for x in row] for m in rows]
+    return [[sum(x * y for x, y in zip(mi, mj)) for mj in images] for mi in rows]
+
+
+def _narain_radii(gram, n):
+    """``n (A^-1)_ii``, the bound on ``c_i^2`` over the ellipsoid ``c^t A c <= n``:
+    the first step of Fincke-Pohst (Math. Comp. 44, 1985)."""
+    a_inv = RatMatrix(gram).inverse()
+    return [n * a_inv.entries[i][i] for i in range(len(gram))]
 
 
 def _dense_f_gram(rows, n):
@@ -583,10 +589,11 @@ class TestNarainWindow:
     def test_d1_windows_refute_iso_and_mirror(self, square1, stretched1, shear):
         source = _in_basis(square1, E1_SHEAR) if shear else square1
         for kind in ("iso", "mirror"):
-            # 4d (A^-1)_ii < 1: no nonzero lattice vector has Q <= 4d
-            assert max(_ellipsoid_radii(intertwiner_rows(source, stretched1, kind), 4)) < 1
+            # no nonzero lattice vector has F <= 4d: the shell refutes
+            # before any scan, in 4 walk nodes
             out = search_relation(source, stretched1, kind, 1)
-            assert (out.found, out.verdict) == (False, "refuted")
+            assert (out.found, out.verdict, out.nodes_used, out.refuted_by) == \
+                (False, "refuted", 4, f"{NARAIN_SHELL}: 0 vectors up to sign, 4 nodes")
         # the derived_eq lattices of tau = i and tau = 2i are not isometric
         out = search_relation(source, stretched1, "derived_eq", 1)
         assert (out.found, out.verdict, out.nodes_used, out.refuted_by) == \
@@ -600,25 +607,9 @@ class TestNarainWindow:
             q, big_n = doubled(t).q, narain_form(t)
             assert big_n * q * big_n == q
 
-    # On an iso or mirror lattice tr(q h^t q h) is the Narain form, so the
-    # radii read from it equal those of the Narain Gram matrix; t2 is t1
-    # rebased, its mirror or another random torus (the lattice may be empty).
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 2 ** 32), st.sampled_from([1, 2]), st.sampled_from(["iso", "mirror"]),
-           st.sampled_from(["rebased", "mirror", "random"]))
-    def test_radii_equal_the_narain_reference(self, seed, d, kind, partner):
-        rng = random.Random(seed)
-        t1 = random_valid_torus(rng, d, b_bound=3)
-        t2 = (_rebased(t1, rng) if partner == "rebased" else
-              _mirror(t1).mirror if partner == "mirror" else
-              random_valid_torus(rng, d, b_bound=3))
-        rows = intertwiner_rows(t1, t2, kind)
-        basis = intertwiner_space(t1, t2, kind)
-        assert _ellipsoid_radii(rows, 4 * d) == _narain_radii(t1, t2, basis)
-
     # Random basis changes of square tori and of random tori with B != 0:
-    # the rebased copy is related, so the search finds a certificate, and its
-    # coordinates lie inside the ellipsoid's box.
+    # the rebased copy is related, so the search finds a certificate, and it
+    # lies on the shell: tr(q g^t q g) = 4d.
     @settings(max_examples=16, deadline=None)
     @given(st.integers(0, 2 ** 32),
            st.sampled_from([("square", 1, "iso"), ("square", 1, "mirror"),
@@ -631,29 +622,33 @@ class TestNarainWindow:
         t2 = _rebased(t1, rng)
         out = search_relation(t1, t2, kind, 3 - d, node_budget=20000)
         assert out.found
-        coords = _coordinates_of(out.certificate.map.g, intertwiner_space(t1, t2, kind))
-        radii = _ellipsoid_radii(intertwiner_rows(t1, t2, kind), 4 * d)
-        assert all(c * c <= r for c, r in zip(coords, radii))
+        g, q = out.certificate.map.g, doubled(t1).q
+        f = q * g.transpose() * q * g
+        assert sum(f.entries[i][i] for i in range(4 * d)) == 4 * d
 
 
 class TestNarainShell:
-    # The enumerator's set {F <= 4d} on an iso or mirror lattice equals brute
-    # force over the box of the Narain radii: on the whole lattice at d = 1,
-    # and at d = 2, whose box can hold 5^16 points, on the sublattice spanned
-    # by up to five of its basis vectors.
+    # On an iso or mirror lattice F is the Narain form: its Gram matrix equals
+    # the reference built from narain_form.  The enumerator's set {F <= 4d}
+    # equals brute force over the box of the Narain radii: on the whole
+    # lattice at d = 1, and at d = 2, whose box can hold 5^16 points, on the
+    # sublattice spanned by up to five of its basis vectors.
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32), st.sampled_from([1, 2]), st.sampled_from(["iso", "mirror"]),
            st.sampled_from(PARTNERS))
     def test_shell_equals_brute_force(self, seed, d, kind, how):
         rng = random.Random(seed)
         t1 = random_valid_torus(rng, d, steps=3, b_bound=3)
-        rows = intertwiner_rows(t1, _partner(t1, rng, how), kind)
+        t2 = _partner(t1, rng, how)
+        rows = intertwiner_rows(t1, t2, kind)
         assume(rows)
         if d == 2:
             rows = rng.sample(rows, rng.randint(1, 5))
         n = 4 * d
         gram = frobenius_gram(rows, n, split_pairing(n))
-        box = [isqrt(int(r)) for r in _ellipsoid_radii(rows, n)]
+        narain = _narain_gram(t1, t2, rows)
+        assert gram == narain
+        box = [isqrt(int(r)) for r in _narain_radii(narain, n)]
         assume(prod(2 * b + 1 for b in box) <= 20000)
 
         def form(c):
@@ -670,8 +665,8 @@ class TestNarainShell:
     @pytest.mark.parametrize("kind", ["iso", "mirror"])
     def test_square2_against_stretched2_is_refuted_without_a_scan(self, square2, kind,
                                                                   monkeypatch):
-        # 64 vectors up to sign have F <= 8 and none preserves q; the scan's
-        # windows hold 3^16 - 1 and 5^16 - 1 candidates, past both budgets
+        # 64 vectors up to sign have F <= 8 and none preserves q; at d <= 2
+        # the shell runs first, so no scan runs, whatever the bound and budget
         def refuse(*args):
             raise AssertionError("the scan ran")
         monkeypatch.setattr("flattori.kernels.run_filter", refuse)

@@ -91,7 +91,7 @@ def _write_inputs(tmp):
         "square2": jsonio.torus_to_json(square_torus(2, "square2")),
         "stretched1": _torus_json([[0, -2], [Q(1, 2), 0]], [[1, 0], [0, 4]],
                                   [[0, 0], [0, 0]], "stretched"),
-        # no certificate, and a window past the budget: the shell refutes
+        # no certificate: the shell refutes before any scan
         "stretched2": _torus_json([[0, -2, 0, 0], [Q(1, 2), 0, 0, 0], [0, 0, 0, -1],
                                    [0, 0, 1, 0]], [[1, 0, 0, 0], [0, 4, 0, 0], [0, 0, 1, 0],
                                                    [0, 0, 0, 1]], zero4, "stretched2"),
