@@ -13,9 +13,16 @@ that guarded subspace rather than pretending.  Operator columns hold
 integers: annihilator entries are scaled by the lcm D of the denominators of
 G^-1, and each bracket is compared with its expected value scaled alike.
 
+Each algebra's pass over the space removes every variable of its parity
+from every monomial once; its creators share those columns, and its
+annihilators scatter theirs from them.  A same-flavour bracket matrix is
+computed once for an index/mode pair and its swap, which reads it times the
+bracket's sign.
+
 The ``fock-verify`` command lives at the end of the module.  It counts the
-truncated space level by level before building it, and a space past
-:data:`MAX_BASIS_DIMENSION` monomials is an input error.
+truncated space level by level, and its check rows, before building it: a
+space past :data:`MAX_BASIS_DIMENSION` monomials, or a report past
+:data:`MAX_CHECK_ROWS` rows, is an input error.
 """
 
 from __future__ import annotations
@@ -23,13 +30,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import count
+from weakref import WeakValueDictionary
 
 from . import jsonio
 from ._record import Record
 from .errors import SchemaError, TruncationError, ValidationError
-from .exactlinear import QZERO, RatMatrix, cleared
+from .exactlinear import QZERO, RatMatrix, cleared, rat
 from .torus import require_valid
 
 HALF = Fraction(1, 2)
@@ -47,15 +55,36 @@ def _sorted_vars(families, twice_levels, n):
     return [var for var, _ in keyed], [t for _, t in keyed]
 
 
+def _monomials(ranks, twice_levels, cap2, repeat):
+    """The ascending tuples of ``ranks`` within twice-level ``cap2``, in tuple
+    order, each with its twice-level; a rank may repeat only if ``repeat``."""
+    # fits[b]: the ranks whose twice-level is at most b, ascending
+    fits = [[r for r in ranks if twice_levels[r] <= b] for b in range(cap2 + 1)]
+    found = []
+
+    def extend(key, pos, twice):
+        found.append((key, twice))
+        fit = fits[cap2 - twice]
+        for r in fit[bisect_left(fit, pos):]:
+            extend(key + (r,), r if repeat else r + 1, twice + twice_levels[r])
+
+    extend((), ranks.start, 0)
+    return found
+
+
 class TruncatedFock(Record):
     """Deterministic monomial basis of the truncated oscillator space.
 
     Levels are counted in halves, as ints: a monomial fits when twice its
     level is at most ``floor(2 cap)``.  The variables are ranked in tuple
     order, the even ones first, and each basis monomial is kept as its key:
-    the sorted tuple of the ranks of its variables.  The oscillator columns
-    are built on these keys; the variable tuples of :attr:`basis` are built
-    from them only when read.  The space holds no operators.
+    the sorted tuple of the ranks of its variables, its even part (a
+    multiset of even ranks) then its odd part (a set of odd ranks).  The
+    basis is ordered by level, then even part, then odd part, so a monomial's
+    index follows from its level and its two parts; the removal passes the
+    oscillators are built from place their monomials that way.  The variable
+    tuples of :attr:`basis` are built only when read.  The space holds no
+    operators, and its removal passes only while an operator does.
     """
 
     d: int
@@ -76,26 +105,34 @@ class TruncatedFock(Record):
         odd_vars, odd_twice = _sorted_vars(ODD_FAMILIES, range(1, cap2 + 1, 2), n)
         variables += odd_vars
         twice_levels += odd_twice
-        found = []
-
-        def extend(pos, key, k, twice):
-            # key holds k even ranks, then odd ones: an even variable may repeat
-            found.append((twice, key[:k], key[k:]))
-            for r in range(pos, len(variables)):
-                if twice + twice_levels[r] <= cap2:
-                    even = r < n_even
-                    extend(r if even else r + 1, key + (r,), k + even, twice + twice_levels[r])
-
-        extend(0, (), 0, 0)
-        # ranks order like the variable tuples, so this is the (level, monomial) order
-        found.sort()
-        keys = tuple(even + odd for _, even, odd in found)
-        object.__setattr__(self, "_levels", tuple(twice for twice, _, _ in found))
+        evens = _monomials(range(n_even), twice_levels, cap2, True)
+        odds = _monomials(range(n_even, len(variables)), twice_levels, cap2, False)
+        # odd_at[t]: the odd parts of twice-level t; odd_pos[o]: the place of o there
+        odd_at = [[] for _ in range(cap2 + 1)]
+        odd_pos = []
+        for o, (_, twice) in enumerate(odds):
+            odd_pos.append(len(odd_at[twice]))
+            odd_at[twice].append(o)
         object.__setattr__(self, "_cap2", cap2)
-        object.__setattr__(self, "_keys", keys)
-        object.__setattr__(self, "_key_index", {k: i for i, k in enumerate(keys)})
+        object.__setattr__(self, "_evens", evens)
+        object.__setattr__(self, "_odds", odds)
+        object.__setattr__(self, "_odd_at", odd_at)
+        object.__setattr__(self, "_odd_pos", odd_pos)
+        # first[e][level]: the index of the first monomial of that level with even part e
+        first = [[None] * (cap2 + 1) for _ in evens]
+        keys, levels = [], []
+        for level, e, block in self._walk():
+            first[e][level] = len(keys)
+            even = evens[e][0]
+            keys += [even + odds[o][0] for o in block]
+            levels += [level] * len(block)
+        object.__setattr__(self, "_first", first)
+        object.__setattr__(self, "_keys", tuple(keys))
+        object.__setattr__(self, "_levels", tuple(levels))
         object.__setattr__(self, "_variables", variables)
+        object.__setattr__(self, "_twice_levels", twice_levels)
         object.__setattr__(self, "_n_even", n_even)
+        object.__setattr__(self, "_removal_passes", WeakValueDictionary())
 
     @cached_property
     def basis(self):
@@ -109,6 +146,15 @@ class TruncatedFock(Record):
     def basis_dimension(self) -> int:
         return len(self._keys)
 
+    def _walk(self):
+        """The basis in order, in blocks: ``(level, even part, odd parts)``, the
+        monomials of that level with that even part, in order of odd part."""
+        evens, odd_at = self._evens, self._odd_at
+        for level in range(self._cap2 + 1):
+            for e, (_, twice) in enumerate(evens):
+                if twice <= level:
+                    yield level, e, odd_at[level - twice]
+
     @property
     def rank(self) -> int:
         return 2 * self.d
@@ -121,6 +167,17 @@ class TruncatedFock(Record):
     def _scaled_ginv(self):
         """``(D, D G^-1)``: D is the lcm of the denominators of G^-1, the rows are ints."""
         return cleared(self.ginv)
+
+    def _removals(self, odd):
+        """The removal pass of one parity, shared by the operators built on it.
+
+        Each operator holds the pass it scattered from; the space holds it
+        only weakly, so it is released with the last such operator.
+        """
+        removals = self._removal_passes.get(odd)
+        if removals is None:
+            removals = self._removal_passes[odd] = _RemovalPass(self, odd)
+        return removals
 
 
 _KIND_FAMILY = {"alpha": "a", "alphabar": "abar", "psi": "th", "psibar": "thbar"}
@@ -136,8 +193,8 @@ class OscillatorOp(Record):
     is why verifications guard their subspaces.  The columns whose level
     leaves room for the mode, a prefix of the basis and the only ones a
     guarded bracket reads, are computed when the operator is built and live
-    as long as it; any other column is computed when asked for.  Neither is
-    compared.
+    as long as it; ``_column_fn(lo, hi)`` scatters any other run of columns
+    when asked.  Neither is compared.
     """
 
     space: TruncatedFock
@@ -150,7 +207,99 @@ class OscillatorOp(Record):
 
     def int_column(self, col: int):
         cols = self._cols
-        return cols[col] if col < len(cols) else self._column_fn(col)
+        return cols[col] if col < len(cols) else self._column_fn(col, col + 1)[0]
+
+
+class _RemovalPass:
+    """One scan of the basis for the variables of one parity.
+
+    For each pair of a basis monomial and a variable of that parity in it,
+    the scan finds the same monomial with one copy of the variable removed.
+    A removal changes one part of the monomial, so it is worked out once
+    per even or odd part, and placed by the level and the other part.  The
+    scan keeps these pairs as the creators' columns: ``up[r]`` holds, for
+    each monomial whose level leaves room for the variable of rank r, the
+    column ``((monomial with r added, sign),)``, or ``()`` where an odd r
+    is already present.  The sign is ``(-1)^k`` for the k odd variables
+    before r, and 1 for an even r.  The creators of a pass share these
+    columns, and its annihilators scatter theirs from them.  Within one
+    monomial the columns of equal sign are one tuple.
+    """
+
+    __slots__ = ("odd", "space", "up", "__weakref__")
+
+    def __init__(self, space, odd):
+        levels, twice_levels, first, odd_pos = (space._levels, space._twice_levels,
+                                                space._first, space._odd_pos)
+        n_even = space._n_even
+        ranks = range(n_even, len(twice_levels)) if odd else range(n_even)
+        cols = {r: [()] * bisect_right(levels, space._cap2 - twice_levels[r]) for r in ranks}
+        parts = space._odds if odd else space._evens
+        index = {key: k for k, (key, _) in enumerate(parts)}
+        place = odd_pos if odd else range(len(parts))
+        # removals[k]: for each variable r of part k (once, if it repeats), the
+        # creator column list of r, the part less one copy of r (an odd part as
+        # its place in its level), the twice-level of r and, in an odd part,
+        # whether an odd number of variables comes before r
+        removals = [[(cols[r], place[index[key[:t] + key[t + 1:]]], twice_levels[r], t % 2)
+                     for t, r in enumerate(key) if t == 0 or key[t - 1] != r]
+                    for key, _ in parts]
+        # a removal lies one level of r lower and keeps the other part
+        for level, e, block in space._walk():
+            start = first[e][level]
+            if odd:
+                below = first[e]
+                for big, o in enumerate(block, start):
+                    part = removals[o]
+                    if part:
+                        columns = ((big, 1),), ((big, -1),)
+                        for up, pos, twice, negative in part:
+                            up[below[level - twice] + pos] = columns[negative]
+            elif removals[e]:
+                for big, o in enumerate(block, start):
+                    pos, column = odd_pos[o], ((big, 1),)
+                    for up, rest, twice, _ in removals[e]:
+                        up[first[rest][level - twice] + pos] = column
+        self.odd = odd
+        self.space = space
+        self.up = {r: tuple(c) for r, c in cols.items()}
+
+
+def _creator_columns(removals, r, lo, hi):
+    """Columns ``lo .. hi - 1`` of the creator of the variable of rank r: past
+    the monomials with room for it, its image leaves the truncation."""
+    cols = removals.up[r][lo:hi]
+    return cols + ((),) * (hi - lo - len(cols))
+
+
+def _annihilator_columns(removals, first, coeffs, lo, hi):
+    """Columns ``lo .. hi - 1`` of the sum over j of ``coeffs[j]`` times the
+    derivative in the variable of rank ``first + j``.
+
+    The derivative maps a monomial to the one with a copy of the variable
+    removed, times the multiplicity of an even variable, or the sign of the
+    odd variables before an odd one: the transpose of the creator, up to
+    the multiplicity.
+    """
+    space = removals.space
+    levels = space._levels
+    cols = [()] * (hi - lo)
+    if lo == hi:
+        return cols
+    for j, c in enumerate(coeffs):
+        if not c:
+            continue
+        r = first + j
+        # the monomials that r lifts into lo .. hi - 1 lie one level of r below them
+        twice = space._twice_levels[r]
+        up = removals.up[r]
+        for small in range(bisect_left(levels, levels[lo] - twice),
+                           bisect_right(levels, levels[hi - 1] - twice)):
+            for big, sign in up[small]:
+                if lo <= big < hi:
+                    weight = sign if removals.odd else space._keys[big].count(r)
+                    cols[big - lo] += ((small, c * weight),)
+    return cols
 
 
 def build_oscillator(space: TruncatedFock, kind: str, i: int, s) -> OscillatorOp:
@@ -176,46 +325,18 @@ def build_oscillator(space: TruncatedFock, kind: str, i: int, s) -> OscillatorOp
                               else "fermionic modes are half-odd integers")
     if abs(s) > space.level_cap:
         raise TruncationError(f"mode {s} exceeds the level cap {space.level_cap}")
-    keys, key_index, levels, n_even = space._keys, space._key_index, space._levels, space._n_even
-    room = space._cap2 - int(2 * abs(s))
     # the variables (family, |s|, j) for j = 0..n-1 hold consecutive ranks
     first = space._variables.index((_KIND_FAMILY[kind], abs(s), 0))
+    removals = space._removals(not bosonic)
     if s < 0:
-        scale = 1
-        r = first + i
-
-        def column_fn(col):
-            if levels[col] > room:
-                return ()
-            key = keys[col]
-            pos = bisect_left(key, r)
-            if not bosonic and key[pos:pos + 1] == (r,):  # an odd variable squares to zero
-                return ()
-            # moving the new variable past the odd ones before it gives a sign
-            sign = -1 if (pos - bisect_left(key, n_even, 0, pos)) % 2 else 1
-            return ((key_index[key[:pos] + (r,) + key[pos:]], sign),)
+        scale, column_fn = 1, partial(_creator_columns, removals, first + i)
     else:
         scale, scaled = space._scaled_ginv
-        coeffs = tuple(int(s) * c for c in scaled[i]) if bosonic else scaled[i]  # D s G^-1, D G^-1
-
-        def column_fn(col):
-            key = keys[col]
-            lo, hi = bisect_left(key, first), bisect_left(key, first + n)
-            odd_start = bisect_left(key, n_even)
-            entries = []
-            for t in range(lo, hi):
-                r = key[t]
-                c = coeffs[r - first]
-                if c and (t == lo or key[t - 1] != r):
-                    # times its multiplicity and (-1)^max(t - odd_start, 0), the odd ones before it
-                    c *= bisect_right(key, r, t) - t
-                    if t > odd_start and (t - odd_start) % 2:
-                        c = -c
-                    entries.append((key_index[key[:t] + key[t + 1:]], c))
-            return tuple(entries)
-
+        coeffs = [int(s) * c for c in scaled[i]] if bosonic else scaled[i]  # D s G^-1, D G^-1
+        column_fn = partial(_annihilator_columns, removals, first, coeffs)
     # the basis is level-sorted, so the columns with room for the mode are a prefix
-    cols = tuple(map(column_fn, range(bisect_right(levels, room))))
+    room = space._cap2 - int(2 * abs(s))
+    cols = tuple(column_fn(0, bisect_right(space._levels, room)))
     return OscillatorOp(space=space, kind=kind, index=i, mode=s, scale=scale,
                         _cols=cols, _column_fn=column_fn)
 
@@ -231,62 +352,103 @@ class CheckOutcome(Record):
     expected: Fraction
 
 
+def _bracket_scalar(op1, op2, sign, testable):
+    """The c with ``op1 op2 + sign op2 op1 = c`` times the identity on the
+    testable columns, as an int at scale ``op1.scale * op2.scale``, or None.
+
+    The level of a testable column leaves room for both modes, so every
+    column read lies in each operator's computed prefix.
+    """
+    cols1, cols2 = op1._cols, op2._cols
+    value = None
+    for col in testable:
+        acc = None                       # most columns reach no row at all
+        for mid, c1 in cols2[col]:       # op1 after op2
+            for row, c2 in cols1[mid]:
+                if acc is None:
+                    acc = {}
+                acc[row] = acc.get(row, 0) + c1 * c2
+        for mid, c1 in cols1[col]:       # sign * op2 after op1
+            c1 *= sign
+            for row, c2 in cols2[mid]:
+                if acc is None:
+                    acc = {}
+                acc[row] = acc.get(row, 0) + c1 * c2
+        if acc is None:
+            diagonal = 0
+        else:
+            diagonal = acc.pop(col, 0)
+            if acc and any(acc.values()):
+                return None
+        if diagonal != value:
+            if value is not None:
+                return None
+            value = diagonal
+    return value
+
+
 def _bracket_is(op1, op2, sign, testable, expected):
     """Whether ``op1 op2 + sign op2 op1`` is ``expected`` times the identity.
 
-    Only the testable columns are checked; their level leaves room for both
-    modes, so every column read lies in each operator's computed prefix.
     Both products have integer entries at scale ``op1.scale * op2.scale``,
     so they are compared with ``expected`` at that scale: multiplying by a
     nonzero integer is injective on Q, and a target that is not an integer
     cannot be met.
     """
-    target = expected * op1.scale * op2.scale
-    if target.denominator != 1:
-        return False
-    target = target.numerator
-    cols1, cols2 = op1._cols, op2._cols
-    for col in testable:
-        acc = {}
-        for mid, c1 in cols2[col]:       # op1 after op2
-            for row, c2 in cols1[mid]:
-                acc[row] = acc.get(row, 0) + c1 * c2
-        for mid, c1 in cols1[col]:       # sign * op2 after op1
-            for row, c2 in cols2[mid]:
-                acc[row] = acc.get(row, 0) + sign * c1 * c2
-        if acc.pop(col, 0) != target or any(acc.values()):
-            return False
-    return True
+    return _bracket_scalar(op1, op2, sign, testable) == expected * op1.scale * op2.scale
+
+
+def _testable(space, s, p):
+    """The columns a bracket of modes s and p is checked on: those whose level
+    leaves room for both modes, a prefix of the level-sorted basis."""
+    # floor(2 |s|) and floor(2 |p|) in int arithmetic, for int or Fraction modes
+    room = (space._cap2 - 2 * abs(s.numerator) // s.denominator
+            - 2 * abs(p.numerator) // p.denominator)
+    return range(bisect_right(space._levels, room))
+
+
+_ABSENT = object()
 
 
 def _verify_pairs(space, i, j, s, p, flavors, sign, expected_same_flavor, ops=None):
-    """The three brackets of one index/mode pair; ``ops`` keeps the operators
-    built, by ``(kind, index, mode)``, for the calls that share it."""
-    # basis is level-sorted, so the guarded subspace is a prefix
-    room = space._cap2 - int(2 * abs(s)) - int(2 * abs(p))
-    testable = range(bisect_right(space._levels, room))
+    """The three brackets of one index/mode pair.
+
+    ``ops`` keeps, for the calls that share it, the operators built and the
+    scalar of each same-flavour bracket: the bracket of the swapped pair
+    ``(j, i, p, s)`` is ``sign`` times it, so that call compares it with its
+    own expected value without computing the matrix again.  Modes are keyed
+    by numerator and denominator, which hash faster than a Fraction.
+    """
+    testable = _testable(space, s, p)
     if not testable:
         return CheckOutcome("inconclusive", 0, expected_same_flavor)
     if ops is None:
         ops = {}
+    s_key, p_key = (s.numerator, s.denominator), (p.numerator, p.denominator)
 
-    def oscillator(kind, index, mode):
-        op = ops.get((kind, index, mode))
+    def oscillator(kind, index, mode, mode_key):
+        op = ops.get((kind, index, mode_key))
         if op is None:
-            op = ops[kind, index, mode] = build_oscillator(space, kind, index, mode)
+            op = ops[kind, index, mode_key] = build_oscillator(space, kind, index, mode)
         return op
 
+    def same_flavor(kind):
+        c = ops.pop((kind, j, i, p_key, s_key), _ABSENT)
+        if c is not _ABSENT:
+            return None if c is None else sign * c
+        c = _bracket_scalar(oscillator(kind, i, s, s_key), oscillator(kind, j, p, p_key), sign,
+                            testable)
+        if (i, s_key) != (j, p_key):
+            ops[kind, i, j, s_key, p_key] = c
+        return c
+
     left, right = flavors
-    checks = (
-        (left, left, expected_same_flavor),
-        (right, right, expected_same_flavor),
-        (left, right, QZERO),
-    )
-    for kind1, kind2, expected in checks:
-        if not _bracket_is(oscillator(kind1, i, s), oscillator(kind2, j, p), sign, testable,
-                           expected):
-            return CheckOutcome("fail", len(testable), expected_same_flavor)
-    return CheckOutcome("pass", len(testable), expected_same_flavor)
+    op1, op2 = oscillator(left, i, s, s_key), oscillator(right, j, p, p_key)
+    target = expected_same_flavor * (op1.scale * op2.scale) if expected_same_flavor else 0
+    if (same_flavor(left) == target and same_flavor(right) == target
+            and _bracket_is(op1, op2, sign, testable, 0)):
+        return CheckOutcome("pass", len(testable), expected_same_flavor)
+    return CheckOutcome("fail", len(testable), expected_same_flavor)
 
 
 def verify_ccr(space: TruncatedFock, i: int, j: int, s, p, ops=None) -> CheckOutcome:
@@ -294,18 +456,17 @@ def verify_ccr(space: TruncatedFock, i: int, j: int, s, p, ops=None) -> CheckOut
 
     Checks ``[alpha^i_s, alpha^j_p]`` and its right-moving twin against
     ``s (G^-1)^{ij} delta_{s,-p}``, and the mixed commutator against zero.
-    Calls that pass one dict as ``ops`` share the operators they build.
+    Calls that pass one dict as ``ops`` share the operators they build and
+    the brackets their swapped pairs read.
     """
-    s = Fraction(s)
-    p = Fraction(p)
+    s, p = rat(s), rat(p)
     expected = s * space.ginv.entries[i][j] if s == -p else QZERO
     return _verify_pairs(space, i, j, s, p, ("alpha", "alphabar"), -1, expected, ops)
 
 
 def verify_car(space: TruncatedFock, i: int, j: int, s, p, ops=None) -> CheckOutcome:
     """Anticommutators of the fermionic oscillators on the guarded subspace."""
-    s = Fraction(s)
-    p = Fraction(p)
+    s, p = rat(s), rat(p)
     expected = space.ginv.entries[i][j] if s == -p else QZERO
     return _verify_pairs(space, i, j, s, p, ("psi", "psibar"), +1, expected, ops)
 
@@ -314,26 +475,34 @@ def ccr_car_sweep(space: TruncatedFock):
     """All index/mode pairs testable at the cap; rows for reports and the CLI.
 
     Each algebra's pass owns the operators it builds, with their column
-    caches: the CCR operators are released before the CAR pass starts, and
-    the space keeps none of them.
+    caches and the removal pass they share: the CCR operators are released
+    before the CAR pass starts, and the space keeps none of them.
     """
-    n = space.rank
     rows = []
     for algebra, start, verify in (("ccr", 2, verify_ccr), ("car", 1, verify_car)):
-        # modes 1, -1, 2, -2, ... for the CCR and 1/2, -1/2, 3/2, ... for the CAR
-        modes = [Fraction(e * t, 2) for t in range(start, space._cap2 + 1, 2) for e in (1, -1)]
-        ops = {}
-        for i in range(n):
-            for j in range(n):
-                for s in modes:
-                    for p in modes:
-                        out = verify(space, i, j, s, p, ops)
-                        rows.append({
-                            "algebra": algebra, "i": i, "j": j,
-                            "s": str(s), "p": str(p),
-                            "status": out.status,
-                            "tested_dimension": out.tested_dimension,
-                        })
+        rows += _sweep_pass(space, algebra, start, verify)
+    return rows
+
+
+def _sweep_pass(space, algebra, start, verify):
+    """The rows of one algebra; its operators are released when it returns.
+
+    The modes, their names and the testable dimension of each mode pair are
+    computed once; a pair with no testable column is inconclusive, as
+    ``verify`` would find, and builds no operator.
+    """
+    n = space.rank
+    # modes 1, -1, 2, -2, ... for the CCR and 1/2, -1/2, 3/2, ... for the CAR
+    modes = [Fraction(e * t, 2) for t in range(start, space._cap2 + 1, 2) for e in (1, -1)]
+    pairs = [(s, p, str(s), str(p), len(_testable(space, s, p))) for s in modes for p in modes]
+    ops = {}
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for s, p, s_name, p_name, dimension in pairs:
+                status = verify(space, i, j, s, p, ops).status if dimension else "inconclusive"
+                rows.append({"algebra": algebra, "i": i, "j": j, "s": s_name, "p": p_name,
+                             "status": status, "tested_dimension": dimension})
     return rows
 
 
@@ -341,11 +510,27 @@ def ccr_car_sweep(space: TruncatedFock):
 # the fock-verify command
 # ---------------------------------------------------------------------------
 
-# fock-verify spends 28-40 us per basis monomial as a fresh process (d = 1 to
-# 6, CPython 3.11.7 on a 2-core VM), so the largest space the limit admits,
-# d = 3 at cap 4 (236,886 monomials), takes about 9 s; at d = 1 the first cap
-# past it is 9 (350,974 monomials).
+# fock-verify spends 15-25 us per basis monomial as a fresh process at the
+# largest cap admitted for each d = 1 to 6 (CPython 3.11.7 on a 2-core VM), so
+# the largest space the limit admits, d = 3 at cap 4 (236,886 monomials),
+# takes about 5-6 s with a peak RSS of 150 MiB; at d = 1 the first cap past it
+# is 9 (350,974 monomials).
 MAX_BASIS_DIMENSION = 250_000
+
+# The largest number of check rows fock-verify reports.  Beside its sweep, a
+# report costs about 23 us and 2 KiB of peak RSS per row: d = 79 at cap 1/2
+# (99,856 rows, all inconclusive, over 401 monomials) takes 2.3 s with a peak
+# RSS of 190 MiB, as much as the largest window spectrum lists; a report of
+# 10 s would need about 0.8 GiB.  Every cap the basis limit admits at d <= 3
+# is admitted here: the most rows among them are 4,608, at d = 3 and cap 4.
+MAX_CHECK_ROWS = 10 ** 5
+
+
+def _row_count(d, cap2):
+    """The rows ``ccr_car_sweep`` writes at twice-level cap ``cap2``: every
+    index pair times every pair of CCR modes and every pair of CAR modes."""
+    ccr_modes, car_modes = 2 * (cap2 // 2), 2 * ((cap2 + 1) // 2)
+    return (2 * d) ** 2 * (ccr_modes ** 2 + car_modes ** 2)
 
 
 def _level_counts(n):
@@ -396,6 +581,10 @@ def cmd_fock_verify(args):
             raise SchemaError(f"cap {args.cap} spans more than {MAX_BASIS_DIMENSION} basis "
                               f"monomials at d = {d}: {size} up to level {Fraction(twice, 2)}",
                               "--cap")
+    rows = _row_count(d, math.floor(2 * cap))
+    if rows > MAX_CHECK_ROWS:
+        raise SchemaError(f"cap {args.cap} at d = {d} gives {rows} check rows, more than "
+                          f"the limit {MAX_CHECK_ROWS}", "--cap")
     space = TruncatedFock(d, cap, t.G if args.torus else RatMatrix.identity(2 * d))
     rows = ccr_car_sweep(space)
     fails = sum(1 for r in rows if r["status"] == "fail")

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -277,3 +278,110 @@ def torus_work(monkeypatch):
     monkeypatch.setattr(torus, "DoubledStructure", counted_structure)
     monkeypatch.setattr(RatMatrix, "inverse", counted_inverse)
     return work
+
+
+def _reference_oscillator(space, kind, i, s, key_index):
+    """``(scale, columns)`` of one oscillator on the columns whose level leaves
+    room for its mode, each column found by splicing the variable into, or
+    out of, the monomial's key."""
+    keys, levels, n_even, n = space._keys, space._levels, space._n_even, space.rank
+    bosonic = kind in ("alpha", "alphabar")
+    family = {"alpha": "a", "alphabar": "abar", "psi": "th", "psibar": "thbar"}[kind]
+    first = space._variables.index((family, abs(s), 0))
+    prefix = range(bisect_right(levels, space._cap2 - int(2 * abs(s))))
+    if s < 0:
+        r = first + i
+        columns = []
+        for col in prefix:
+            key = keys[col]
+            pos = bisect_left(key, r)
+            if not bosonic and key[pos:pos + 1] == (r,):  # an odd variable squares to zero
+                columns.append(())
+                continue
+            # moving the new variable past the odd ones before it gives a sign
+            sign = -1 if (pos - bisect_left(key, n_even, 0, pos)) % 2 else 1
+            columns.append(((key_index[key[:pos] + (r,) + key[pos:]], sign),))
+        return 1, columns
+    scale = math.lcm(*(x.denominator for row in space.ginv.entries for x in row))
+    coeffs = [int((s if bosonic else 1) * x * scale) for x in space.ginv.entries[i]]
+    columns = []
+    for col in prefix:
+        key = keys[col]
+        lo, hi = bisect_left(key, first), bisect_left(key, first + n)
+        odd_start = bisect_left(key, n_even)
+        entries = []
+        for t in range(lo, hi):
+            r = key[t]
+            c = coeffs[r - first]
+            if c and (t == lo or key[t - 1] != r):
+                # times its multiplicity and (-1)^max(t - odd_start, 0), the odd ones before it
+                c *= bisect_right(key, r, t) - t
+                if t > odd_start and (t - odd_start) % 2:
+                    c = -c
+                entries.append((key_index[key[:t] + key[t + 1:]], c))
+        columns.append(tuple(entries))
+    return scale, columns
+
+
+def _reference_bracket_is(op1, op2, sign, testable, expected):
+    """Whether ``op1 op2 + sign op2 op1`` is ``expected`` times the identity on
+    the testable columns, checked column by column at scale ``scale1 scale2``."""
+    (scale1, cols1), (scale2, cols2) = op1, op2
+    target = expected * scale1 * scale2
+    if target.denominator != 1:
+        return False
+    target = target.numerator
+    for col in testable:
+        acc = {}
+        for mid, c1 in cols2[col]:       # op1 after op2
+            for row, c2 in cols1[mid]:
+                acc[row] = acc.get(row, 0) + c1 * c2
+        for mid, c1 in cols1[col]:       # sign * op2 after op1
+            for row, c2 in cols2[mid]:
+                acc[row] = acc.get(row, 0) + sign * c1 * c2
+        if acc.pop(col, 0) != target or any(acc.values()):
+            return False
+    return True
+
+
+def reference_sweep(space):
+    """The rows of ``fock.ccr_car_sweep``, from the reference a test pins it to.
+
+    Every oscillator is spliced column by column, and every row computes its
+    three brackets itself, the swapped index/mode pairs included, against
+    its own expected value in Fraction arithmetic.
+    """
+    key_index = {key: col for col, key in enumerate(space._keys)}
+    ginv = space.ginv.entries
+    rows = []
+    for algebra, start, (left, right), sign in (("ccr", 2, ("alpha", "alphabar"), -1),
+                                                ("car", 1, ("psi", "psibar"), +1)):
+        modes = [Fraction(e * t, 2) for t in range(start, space._cap2 + 1, 2) for e in (1, -1)]
+        ops = {}
+
+        def oscillator(kind, index, mode):
+            if (kind, index, mode) not in ops:
+                ops[kind, index, mode] = _reference_oscillator(space, kind, index, mode, key_index)
+            return ops[kind, index, mode]
+
+        for i in range(space.rank):
+            for j in range(space.rank):
+                for s in modes:
+                    for p in modes:
+                        room = space._cap2 - int(2 * abs(s)) - int(2 * abs(p))
+                        testable = range(bisect_right(space._levels, room))
+                        expected = (s if algebra == "ccr" else 1) * ginv[i][j] if s == -p else 0
+                        if not testable:
+                            status = "inconclusive"
+                        elif all(_reference_bracket_is(oscillator(k1, i, s), oscillator(k2, j, p),
+                                                       sign, testable, e)
+                                 for k1, k2, e in ((left, left, expected),
+                                                   (right, right, expected),
+                                                   (left, right, Fraction(0)))):
+                            status = "pass"
+                        else:
+                            status = "fail"
+                        rows.append({"algebra": algebra, "i": i, "j": j, "s": str(s),
+                                     "p": str(p), "status": status,
+                                     "tested_dimension": len(testable)})
+    return rows

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import diag, random_valid_torus, square_torus
 import flattori
-from flattori import cli, equivalence, jsonio, tduality
+from flattori import cli, equivalence, fock, jsonio, tduality
 from flattori.cli import main
 from flattori.exactlinear import Q, RatMatrix
 from flattori.torus import TorusData
@@ -1011,6 +1011,17 @@ class TestBraneAndFock:
         assert run(capsys, "fock-verify", *argv) == (
             2, "", f"input error: cap {cap} spans more than 250000 basis monomials at d = {d}: "
             f"{size} up to level {level} (at --cap)\n")
+
+    # d = 100 at cap 1/2 spans 401 monomials but 160,000 check rows: the rows
+    # are counted before the space (or its 200 x 200 metric) is built
+    def test_fock_verify_report_past_the_limit_is_input_error(self, capsys, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("the space was built")
+
+        monkeypatch.setattr(fock, "TruncatedFock", unbuilt)
+        assert run(capsys, "fock-verify", "--d", "100", "--cap", "1/2") == (
+            2, "", "input error: cap 1/2 at d = 100 gives 160000 check rows, more than the "
+            "limit 100000 (at --cap)\n")
 
 
 def sheared(d, shears):

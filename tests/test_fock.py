@@ -1,18 +1,22 @@
 """Truncated oscillator algebras and their (anti)commutation sweeps."""
 
+import random
 import tracemalloc
 import weakref
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, count, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import diag
+from conftest import diag, reference_sweep
 from flattori import fock
 from flattori.errors import TruncationError, ValidationError
 from flattori.exactlinear import Q, RatMatrix
-from flattori.fock import (TruncatedFock, _bracket_is, _level_counts, _verify_pairs,
-                           build_oscillator, ccr_car_sweep, verify_car, verify_ccr)
+from flattori.fock import (MAX_BASIS_DIMENSION, MAX_CHECK_ROWS, TruncatedFock, _bracket_is,
+                           _level_counts, _row_count, _verify_pairs, build_oscillator,
+                           ccr_car_sweep, verify_car, verify_ccr)
 
 HALF = Fraction(1, 2)
 
@@ -104,6 +108,24 @@ class TestOscillators:
         ann = build_oscillator(space1, "psi", 0, HALF)
         [(row, c)] = column(cre, 0)
         assert [(r, c * a) for r, a in column(ann, row)] == [(0, 1)]
+
+    def test_odd_creators_take_the_sign_of_the_odd_variables_before_them(self):
+        # a basis monomial is its odd variables, in tuple order, applied to the
+        # vacuum; the CAR and the adjointness would also hold with the sign of
+        # the odd variables after the new one, so the convention is pinned here
+        space = TruncatedFock(1, Fraction(2), RatMatrix.identity(2))
+        index = {m: k for k, m in enumerate(space.basis)}
+        for kind, family in (("psi", "th"), ("psibar", "thbar")):
+            for i in range(2):
+                for s in (HALF, Fraction(3, 2)):
+                    new = (family, s, i)
+                    creator = build_oscillator(space, kind, i, -s)
+                    for col, (even, odd) in enumerate(space.basis):
+                        image = (even, tuple(sorted(odd + (new,))))
+                        expected = []
+                        if new not in odd and image in index:
+                            expected = [(index[image], (-1) ** sum(v < new for v in odd))]
+                        assert column(creator, col) == expected
 
     def test_mode_parity_enforced(self, space1):
         with pytest.raises(ValidationError):
@@ -284,6 +306,48 @@ class TestCcrCar:
         assert ccr_car_sweep(at_seven_thirds) == ccr_car_sweep(at_two)
 
 
+def random_metric(rng, d):
+    """``L L^t + 1`` for a random integer lower-triangular L with a positive
+    diagonal: symmetric positive definite, with denominators in its inverse."""
+    n = 2 * d
+    low = [[rng.randint(-2, 2) if b < a else rng.randint(1, 2) * (a == b) for b in range(n)]
+           for a in range(n)]
+    return RatMatrix([[sum(low[a][k] * low[b][k] for k in range(n)) + (a == b) for b in range(n)]
+                      for a in range(n)])
+
+
+class TestReferenceSweep:
+    # the reference splices every column and computes every bracket of every
+    # row, the swapped pairs included; the sweep shares one removal pass per
+    # algebra and reads each swapped same-flavour bracket from its twin
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 2), st.integers(1, 5),
+           st.sampled_from(["identity", "paired", "random"]))
+    def test_sweep_equals_the_reference_row_for_row(self, seed, d, cap2, metric):
+        g = {"identity": RatMatrix.identity(2 * d), "paired": (PAIRED, TRIDIAGONAL)[d - 1],
+             "random": random_metric(random.Random(seed), d)}[metric]
+        space = TruncatedFock(d, Fraction(cap2, 2), g)
+        assert ccr_car_sweep(space) == reference_sweep(space)
+
+
+class TestRowLimit:
+    @pytest.mark.parametrize("d, cap", [(1, "1/2"), (1, "5/2"), (2, "2")])
+    def test_row_count_is_the_length_of_the_sweep(self, d, cap):
+        space = TruncatedFock(d, Fraction(cap), RatMatrix.identity(2 * d))
+        assert _row_count(d, space._cap2) == len(ccr_car_sweep(space))
+
+    def test_every_cap_the_basis_limit_admits_up_to_d3_is_admitted(self):
+        most = 0
+        for d in (1, 2, 3):
+            size = 0
+            for twice, level_size in zip(count(), _level_counts(2 * d)):
+                size += level_size
+                if size > MAX_BASIS_DIMENSION:
+                    break
+                most = max(most, _row_count(d, twice))
+        assert most == _row_count(3, 8) == 4608 <= MAX_CHECK_ROWS
+
+
 class TestSweepMemory:
     def test_operators_live_for_one_algebra_pass(self, monkeypatch):
         # every operator the sweep builds is gone when it returns, and the
@@ -323,8 +387,9 @@ class TestSweepMemory:
     def test_d2_cap3_sweep_stays_in_bounded_memory(self):
         # the space plus the sweep peaked at 6.0 MiB traced when the space
         # kept every operator for its life; with one pass's operators alive
-        # at a time they peak at 3.4 MiB (CPython 3.11), and the bound leaves
-        # room for other versions
+        # at a time, sharing its removal pass's columns with its creators, they
+        # peak at 2.7 MiB (CPython 3.11), and the bound leaves room for other
+        # versions
         tracemalloc.start()
         try:
             space = TruncatedFock(2, Fraction(3), RatMatrix.identity(4))
