@@ -23,10 +23,10 @@ import os
 from functools import cached_property
 
 from . import jsonio
-from ._intlat import column_pivots
+from ._intkernel import column_pivots
 from ._record import Check, Record, failures
 from .errors import DimensionError, InconsistencyError, SchemaError, ValidationError
-from .exactlinear import QONE, QZERO, RatMatrix, bareiss, cleared
+from .exactlinear import QONE, QZERO, RatMatrix, bareiss
 from .exterior import ExtElement, apply_linear, wedge
 from .torus import TorusData, omega, require_valid
 
@@ -100,7 +100,7 @@ class FoliationData(Record):
 def _complement_indices(l_rows, r):
     if not l_rows:
         return tuple(range(r))
-    pivots = bareiss(cleared(RatMatrix(l_rows))[1])[0]
+    pivots = bareiss(RatMatrix(l_rows).num)[0]
     return tuple(j for j in range(r) if j not in pivots)
 
 

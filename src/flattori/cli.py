@@ -22,7 +22,13 @@ module, ``jsonio``, ``torus``, ``exactlinear``, ``errors`` and ``_record``,
 and it holds the handlers of ``validate`` and ``doubled``.  Every other
 handler lives in the layer it drives (``equivalence``, ``tduality``,
 ``cohomology``, ``abranes`` or ``fock``), and :data:`COMMANDS` names it by
-module and function, so :func:`main` imports that one module.  A handler
+module and function, so :func:`main` imports that one module and what it
+imports.  The parts of the search that other layers read live in two small
+modules: ``relations`` (lattice maps, certificates and ``verify_map``) and
+``_intkernel`` (integer kernels and primitivity).  ``tduality`` reads those
+two, so ``mirror`` and ``fm`` compile neither the search (``equivalence``)
+nor its lattice reduction (``_intlat``), and ``abrane-check`` compiles
+``_intkernel`` alone.  A handler
 takes the parsed arguments, with the config's ``bound`` and ``budget``
 already folded in, and returns ``(inputs, result, exit code)``;
 :func:`main` prints the report.  No layer imports this module: under

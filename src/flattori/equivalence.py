@@ -2,11 +2,11 @@
 
 A relation is certified by an integral unimodular map ``g`` on the doubled
 lattices that preserves the split pairing q and intertwines the doubled
-structures in the pattern belonging to the relation kind:
-
-* ``iso``:        g calI_1 = calI_2 g   and   g calJ_1 = calJ_2 g
-* ``mirror``:     g calI_1 = calJ_2 g   and   g calJ_1 = calI_2 g
-* ``derived_eq``: g calItilde_1 = calItilde_2 g
+structures in the pattern belonging to the relation kind, checked by
+:func:`~flattori.relations.verify_map`.  The certificate types, the check
+and the relation table live in :mod:`flattori.relations`, and this module
+re-exports them (``LatticeMap``, ``Certificate``, ``verify_map``,
+``RELATIONS``, ``KINDS``).
 
 Existence search: the intertwining constraints are linear, so the lattice of
 all integral solutions is the integer kernel of the constraint rows (built in
@@ -32,8 +32,9 @@ budget first is "undecided".
 The search functions import the filter (:mod:`flattori.kernels` and
 :mod:`flattori.kernels_py`) and the integer lattice reduction
 (:mod:`flattori._intlat`) when they run.  ``spectrum`` and ``verify-map``
-compile neither; ``mirror`` and ``fm``, which read :func:`verify_map` and
-the records alone, do not compile the filter.  The layer's commands
+compile neither.  ``mirror`` and ``fm`` do not compile this module at all:
+the mirror construction reads :mod:`flattori.relations` and the integer
+kernels of :mod:`flattori._intkernel` only.  The layer's commands
 (``spectrum``, the three ``check-*`` and ``verify-map``) and the
 relation-map file format live at the end of the module.
 """
@@ -47,73 +48,13 @@ from itertools import product
 from operator import mul
 
 from . import jsonio
-from ._record import Check, Record, failures
-from .errors import DimensionError, InconsistencyError, SchemaError, ValidationError
+from ._record import Record, failures
+from .errors import DimensionError, InconsistencyError, SchemaError
 from .exactlinear import RatMatrix, bareiss, cleared, rat_str
+from .relations import KINDS, RELATIONS, Certificate, LatticeMap, verify_map  # noqa: F401
 from .torus import TorusData, doubled, narain_form
 
-# kind -> the structure equalities ``g S_1 = T_2 g`` of a certificate, in
-# check order, as (check name, source structure S, target structure T).
-RELATIONS = {
-    "iso": (("intertwines_calI", "calI", "calI"), ("intertwines_calJ", "calJ", "calJ")),
-    "mirror": (("swaps_calI_to_calJ", "calI", "calJ"), ("swaps_calJ_to_calI", "calJ", "calI")),
-    "derived_eq": (("intertwines_calItilde", "calItilde", "calItilde"),),
-}
-
-KINDS = tuple(RELATIONS)
-
 DEFAULT_NODE_BUDGET = 10 ** 7
-
-
-class LatticeMap(Record):
-    """An integral map between doubled lattices with a declared relation kind."""
-
-    g: RatMatrix
-    source: TorusData
-    target: TorusData
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
-        n = 4 * self.source.d
-        if self.g.rows != n or self.g.cols != n:
-            raise DimensionError(f"map must be {n}x{n}")
-        if self.source.d != self.target.d:
-            raise DimensionError("source and target dimensions differ")
-        if not self.g.is_integral():
-            raise ValidationError("lattice map must have integer entries")
-        if abs(self.g.det()) != 1:
-            raise ValidationError("lattice map is not unimodular")
-
-
-class Certificate(Record):
-    """Outcome of verify_map: named exact matrix equalities, all or nothing."""
-
-    map: LatticeMap
-    checks: tuple
-
-    @property
-    def valid(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def verify_map(m: LatticeMap) -> Certificate:
-    """Check every defining equality of the declared kind, exactly.
-
-    The checks run in the contract order (q-congruence first, then the
-    structure intertwinings); the first failed check names the refuting equality.
-    Non-unimodular maps cannot be constructed in the first place, so a
-    precondition violation surfaces before any check runs.
-    """
-    d1 = doubled(m.source)
-    d2 = doubled(m.target)
-    checks = [Check("preserves_q", m.g.transpose() * d2.q * m.g == d1.q)]
-    for name, src_attr, tgt_attr in RELATIONS[m.kind]:
-        lhs = m.g * getattr(d1, src_attr)
-        rhs = getattr(d2, tgt_attr) * m.g
-        checks.append(Check(name, lhs == rhs))
-    return Certificate(m, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +291,8 @@ def spectrum_fingerprint(t: TorusData, height: int):
     if height < 0:
         raise ValueError("height must be nonnegative")
     half = t.rank
-    den, n_form = cleared(narain_form(t))
+    n = narain_form(t)
+    den, n_form = n.den, n.num
     triples = []
     rng = range(-height, height + 1)
     for coords in product(rng, repeat=2 * half):

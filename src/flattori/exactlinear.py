@@ -1,13 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Everything in this module is exact: matrices are dense tuples of tuples of
-`fractions.Fraction`.  No floating point enters any computation.  Every
+Everything in this module is exact, and no floating point enters any
+computation.  A matrix is kept cleared: int rows over one positive
+denominator, the lcm of its entries' denominators (:class:`RatMatrix`).
+Products, sums, transposes, blocks and eliminations work on those rows, and
+`fractions.Fraction` entries are built only when a caller reads them.  Every
 determinant, rank, reduced echelon form, inverse, solution and kernel basis
 comes from one fraction-free integer forward elimination, :func:`bareiss`,
-on the int rows that :func:`cleared` returns; the reduced echelon form
-completes it upward.  A matrix entry is always rational; a question about a
-rational complex structure that lives over Q(i) is answered by its callers
-over Q, and a Q(i) value is the ``(re, im)`` pair of its rational parts.
+on the int rows; the reduced echelon form completes it upward.  A matrix
+entry is always rational; a question about a rational complex structure
+that lives over Q(i) is answered by its callers over Q, and a Q(i) value is
+the ``(re, im)`` pair of its rational parts.
 The exterior algebra lives in :mod:`flattori.exterior`, which the commands
 that need it import, so that the others do not compile it on start-up.
 """
@@ -16,7 +19,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from itertools import chain
+from operator import add, mul
 
 from .errors import DimensionError
 
@@ -30,9 +34,7 @@ def rat(x) -> Fraction:
     """Coerce an int, string like ``"3/4"``, or Fraction to a Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
@@ -44,58 +46,82 @@ def rat_str(x: Fraction) -> str:
 
 
 class RatMatrix:
-    """Dense exact matrix of Fractions; instances are immutable."""
+    """Dense exact rational matrix, ``num / den``; instances are immutable.
 
-    __slots__ = ("rows", "cols", "entries")
+    ``den`` is positive and ``num`` is a tuple of int rows whose gcd with
+    ``den`` is 1, so ``den`` is the lcm of the entries' denominators and
+    equal matrices have equal ``(den, num)``.  Every operation below works
+    on those rows and returns the same form; ``entries``, the Fractions,
+    are built when first read.
+    """
+
+    __slots__ = ("rows", "cols", "den", "num", "_entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(rat(e) for e in row) for row in entries)
-        if not rows or not rows[0]:
-            raise DimensionError("matrix must have at least one row and one column")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise DimensionError("ragged matrix rows")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
+        rows = [[e if type(e) is int else rat(e) for e in row] for row in entries]
+        if len({*map(len, rows)}) != 1 or not rows[0]:
+            raise DimensionError("matrix rows must be non-empty and of equal length")
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        self._set(den, [[x.numerator * (den // x.denominator) for x in row] for row in rows])
+
+    def _set(self, den, num):
+        """Hold ``num / den`` (den a nonzero int, num int rows), divided by
+        the signed gcd that leaves den positive and coprime to the rows."""
+        g = math.gcd(den, *chain.from_iterable(num))
+        if den < 0:
+            g = -g
+        if g != 1:
+            den //= g
+            num = [[x // g for x in row] for row in num]
+        for name, value in zip(self.__slots__, (len(num), len(num[0]), den,
+                                                tuple(map(tuple, num)), None)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("RatMatrix is immutable")
+
+    @property
+    def entries(self):
+        """The entries as tuples of Fractions, built on the first read."""
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(
+                tuple(Fraction(x, self.den) for x in row) for row in self.num))
+        return self._entries
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix([[QONE if i == j else QZERO for j in range(n)] for i in range(n)])
+        return _matrix(1, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zero(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix([[QZERO] * cols for _ in range(rows)])
+        return _matrix(1, [[0] * cols for _ in range(rows)])
 
     @staticmethod
     def from_blocks(blocks) -> "RatMatrix":
         """Assemble a matrix from a 2-d list of equally aligned blocks."""
+        den = math.lcm(*(b.den for brow in blocks for b in brow))
         rows = []
         for brow in blocks:
-            height = brow[0].rows
-            if any(b.rows != height for b in brow):
+            if any(b.rows != brow[0].rows for b in brow):
                 raise DimensionError("block row heights differ")
-            for i in range(height):
-                rows.append([e for b in brow for e in b.entries[i]])
-        return RatMatrix(rows)
+            rows += [list(chain(*parts)) for parts in zip(*[_scaled(b, den) for b in brow])]
+        return _matrix(den, rows)
 
     # -- basic accessors -------------------------------------------------
 
     def block(self, r0, r1, c0, c1) -> "RatMatrix":
-        return RatMatrix([row[c0:c1] for row in self.entries[r0:r1]])
+        return _matrix(self.den, [row[c0:c1] for row in self.num[r0:r1]])
 
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(self.num)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in row) for row in self.entries)
@@ -104,63 +130,51 @@ class RatMatrix:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        self._same_shape(other)
-        return RatMatrix([
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)
-        ])
+        if self.rows != other.rows or self.cols != other.cols:
+            raise DimensionError("matrix shapes differ")
+        den, a, b = cleared(self, other)
+        return _matrix(den, [list(map(add, r, s)) for r, s in zip(a, b)])
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return RatMatrix([
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)
-        ])
+        return self + -other
 
     def __neg__(self):
-        return RatMatrix([[-a for a in row] for row in self.entries])
+        return _matrix(self.den, [[-x for x in row] for row in self.num])
 
     def minus_scalar(self, c) -> "RatMatrix":
-        """``self - c 1`` for a square matrix, subtracting c on the diagonal only."""
+        """``self - c 1`` for a square matrix."""
         if not self.is_square():
             raise DimensionError("scalar shift of a non-square matrix")
-        return RatMatrix([row[:i] + (row[i] - c,) + row[i + 1:] for i, row in enumerate(self.entries)])
+        return self - RatMatrix.identity(self.rows).scale(c)
 
     def __mul__(self, other):
         """Matrix product, or the scaling ``self.scale(other)`` by a scalar.
 
-        The factors are multiplied in Python ints: each is cleared of its
-        denominators once by :func:`cleared` (``A = a / D_a``, ``B = b / D_b``
-        with int rows a, b), the int dot products of a and b are taken, and
-        each entry is built once as ``Fraction(n, D_a D_b)``.
+        ``(a / D_a)(b / D_b) = ab / (D_a D_b)``: the dot products of the int
+        rows are taken in ints, and the product is reduced once.
         """
         if not isinstance(other, RatMatrix):
             return self.scale(other)
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        da, a = cleared(self)
-        db, b = cleared(other)
-        den = da * db
-        bt = list(zip(*b))
-        return RatMatrix([[Fraction(sum(map(mul, row, col)), den) for col in bt] for row in a])
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        cols = list(zip(*other.num))
+        return _matrix(self.den * other.den,
+                       [[sum(map(mul, row, col)) for col in cols] for row in self.num])
 
     def scale(self, c) -> "RatMatrix":
         c = rat(c)
-        return RatMatrix([[c * a for a in row] for row in self.entries])
+        return _matrix(self.den * c.denominator, [[c.numerator * x for x in row] for row in self.num])
+
+    __rmul__ = scale
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(list(zip(*self.entries)))
+        return _matrix(self.den, list(zip(*self.num)))
 
     def apply(self, vec):
         """Multiply by a column vector given as a sequence; returns a tuple."""
         if len(vec) != self.cols:
             raise DimensionError("vector length does not match column count")
         return tuple(sum(map(mul, row, vec)) for row in self.entries)
-
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("matrix shapes differ")
 
     # -- predicates ------------------------------------------------------
 
@@ -174,19 +188,15 @@ class RatMatrix:
         return self.is_square() and self == -self.transpose()
 
     def is_integral(self) -> bool:
-        return all(e.denominator == 1 for row in self.entries for e in row)
+        return self.den == 1
 
     def is_positive_definite(self) -> bool:
         """Sylvester criterion: all leading principal minors positive.
 
         Only meaningful for symmetric rational matrices.
         """
-        if not self.is_square():
-            return False
-        for k in range(1, self.rows + 1):
-            if self.block(0, k, 0, k).det() <= 0:
-                return False
-        return True
+        return self.is_square() and all(self.block(0, k, 0, k).det() > 0
+                                        for k in range(1, self.rows + 1))
 
     # -- elimination-based computations ----------------------------------
 
@@ -199,21 +209,19 @@ class RatMatrix:
         pivot row: ``p R_r = (p E_r - sum_(s>r) E_r[c_s] p R_s) / E_r[c_r]``,
         each division exact.  A matrix with no pivot comes back unchanged.
         """
-        pivots, _, rows = bareiss(cleared(self)[1])
+        pivots, _, rows = bareiss(self.num)
         p = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
+        for r, c in reversed([*enumerate(pivots)]):
             row = rows[r]
             done = [p * x for x in row[c:]]
-            for s in range(r + 1, len(pivots)):
-                f = row[pivots[s]]
-                if f:
-                    done = [x - f * y for x, y in zip(done, rows[s][c:])]
+            for s, cs in enumerate(pivots[r + 1:], r + 1):
+                if row[cs]:
+                    done = [x - row[cs] * y for x, y in zip(done, rows[s][c:])]
             rows[r] = row[:c] + [x // row[c] for x in done]
-        return RatMatrix([[Fraction(x, p) for x in row] for row in rows]), pivots
+        return _matrix(p, rows), pivots
 
     def rank(self) -> int:
-        return len(bareiss(cleared(self)[1])[0])
+        return len(bareiss(self.num)[0])
 
     def kernel_basis(self):
         """Basis of the right kernel, as a list of coordinate tuples.
@@ -222,10 +230,8 @@ class RatMatrix:
         other free columns (standard echelon parametrization).
         """
         red, pivots = self.rref()
-        pivset = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivset]
         basis = []
-        for fc in free:
+        for fc in (c for c in range(self.cols) if c not in pivots):
             v = [QZERO] * self.cols
             v[fc] = QONE
             for r, pc in enumerate(pivots):
@@ -234,49 +240,48 @@ class RatMatrix:
         return basis
 
     def det(self):
-        """``p / D^n`` for the signed last pivot p of :func:`bareiss` on the
-        rows cleared by D, or 0 when there are fewer than n pivots."""
+        """``p / den^n`` for the signed last pivot p of :func:`bareiss` on
+        the int rows, or 0 when there are fewer than n pivots."""
         if not self.is_square():
             raise DimensionError("determinant of a non-square matrix")
-        den, a = cleared(self)
-        pivots, last, _ = bareiss(a)
-        return Fraction(last, den ** self.rows) if len(pivots) == self.rows else QZERO
+        pivots, last, _ = bareiss(self.num)
+        return Fraction(last, self.den ** self.rows) if len(pivots) == self.rows else QZERO
 
     def inverse(self) -> "RatMatrix":
         if not self.is_square():
             raise DimensionError("inverse of a non-square matrix")
         n = self.rows
-        aug = [list(row) + [QONE if i == j else QZERO for j in range(n)]
-               for i, row in enumerate(self.entries)]
-        red, pivots = RatMatrix(aug).rref()
-        if list(pivots[:n]) != list(range(n)):
+        red, pivots = RatMatrix.from_blocks([[self, RatMatrix.identity(n)]]).rref()
+        if pivots[:n] != tuple(range(n)):
             raise ZeroDivisionError("matrix is singular")
         return red.block(0, n, n, 2 * n)
 
     def solve(self, rhs):
         """Solve ``self @ x = rhs`` exactly; returns a tuple or None."""
-        if len(rhs) != self.rows:
-            raise DimensionError("rhs length does not match row count")
-        aug = [list(row) + [rhs[i]] for i, row in enumerate(self.entries)]
-        red, pivots = RatMatrix(aug).rref()
-        if self.cols in pivots:
-            return None
-        x = [QZERO] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.entries[r][self.cols]
-        return tuple(x)
+        # the kernel vector of [A | -b] that is 1 at the last column, if any
+        basis = RatMatrix.from_blocks([[self, -RatMatrix([[x] for x in rhs])]]).kernel_basis()
+        return basis[-1][:-1] if basis and basis[-1][-1] else None
+
+
+def _matrix(den, num) -> RatMatrix:
+    """The matrix ``num / den`` for a nonzero int den and int rows num."""
+    return object.__new__(RatMatrix)._set(den, num)
+
+
+def _scaled(m, den):
+    """The int rows of ``den * m``, for a multiple den of ``m.den``."""
+    f = den // m.den
+    return [[f * x for x in row] for row in m.num]
 
 
 def cleared(*matrices):
     """``(D, D m_1, D m_2, ...)`` for rational matrices ``m_i``.
 
-    D is the lcm of every denominator in the given matrices, and each
-    ``D m_i`` is a list of int rows: the one place the package clears
-    denominators.
+    D is the lcm of the matrices' denominators, and each ``D m_i`` is a
+    list of int rows: a matrix's own ``(den, num)`` rescaled to the common D.
     """
-    den = math.lcm(*(x.denominator for m in matrices for row in m.entries for x in row))
-    return (den, *([[x.numerator * (den // x.denominator) for x in row] for row in m.entries]
-                   for m in matrices))
+    den = math.lcm(*(m.den for m in matrices))
+    return (den, *(_scaled(m, den) for m in matrices))
 
 
 def bareiss(rows):

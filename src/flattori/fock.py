@@ -37,7 +37,7 @@ from weakref import WeakValueDictionary
 from . import jsonio
 from ._record import Record
 from .errors import SchemaError, TruncationError, ValidationError
-from .exactlinear import QZERO, RatMatrix, cleared, rat
+from .exactlinear import QZERO, RatMatrix, rat
 from .torus import require_valid
 
 HALF = Fraction(1, 2)
@@ -162,11 +162,6 @@ class TruncatedFock(Record):
     @cached_property
     def ginv(self) -> RatMatrix:
         return self.G.inverse()
-
-    @cached_property
-    def _scaled_ginv(self):
-        """``(D, D G^-1)``: D is the lcm of the denominators of G^-1, the rows are ints."""
-        return cleared(self.ginv)
 
     def _removals(self, odd):
         """The removal pass of one parity, shared by the operators built on it.
@@ -331,7 +326,7 @@ def build_oscillator(space: TruncatedFock, kind: str, i: int, s) -> OscillatorOp
     if s < 0:
         scale, column_fn = 1, partial(_creator_columns, removals, first + i)
     else:
-        scale, scaled = space._scaled_ginv
+        scale, scaled = space.ginv.den, space.ginv.num  # D and the int rows D G^-1
         coeffs = [int(s) * c for c in scaled[i]] if bosonic else scaled[i]  # D s G^-1, D G^-1
         column_fn = partial(_annihilator_columns, removals, first, coeffs)
     # the basis is level-sorted, so the columns with room for the mode are a prefix

@@ -1,7 +1,10 @@
 """JSON (de)serialization shared by the commands: tori, matrices, checks.
 
 Rationals travel as strings ``"p/q"`` (or ``"p"`` for integers) so that
-exactness survives serialization.  A Gaussian rational is carried as its
+exactness survives serialization; a file may also give a JSON integer, and
+nothing else: :func:`rat_from_json` refuses decimals, exponents, ``_`` digit
+separators and surrounding blanks, which :class:`~fractions.Fraction` would
+accept.  A Gaussian rational is carried as its
 ``(re, im)`` pair of rationals and written as an ``{"re","im"}`` object by
 :func:`gauss_to_json` alone.  Exterior-algebra classes list their terms
 with 0-based strictly increasing index tuples.  Schema violations raise
@@ -30,12 +33,21 @@ def is_json_int(value):
 
 
 def rat_from_json(value, pointer):
-    if isinstance(value, bool):
-        raise SchemaError(f"expected a rational number, got {value!r}", pointer)
-    try:
-        return rat(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise SchemaError(f"expected a rational number, got {value!r}", pointer)
+    """A file's rational: a JSON integer, or a string ``"p"`` or ``"p/q"``
+    with p ASCII digits after an optional sign and q positive ASCII digits."""
+    if isinstance(value, str):
+        p, slash, q = value.partition("/")
+        p = p[1:] if p[:1] in ("+", "-") else p
+        ok = (p + q).isascii() and p.isdigit() and (q.isdigit() or not slash)
+    else:
+        ok = is_json_int(value)
+    if ok:
+        try:
+            return rat(value)
+        except (ValueError, ZeroDivisionError):
+            # a zero denominator, or more digits than int() may read
+            pass
+    raise SchemaError(f"expected a rational number, got {value!r}", pointer)
 
 
 def gauss_to_json(g):
@@ -45,6 +57,8 @@ def gauss_to_json(g):
 
 
 def matrix_to_json(m: RatMatrix):
+    if m.den == 1:  # an integer matrix is written from its int rows
+        return [list(map(str, row)) for row in m.num]
     return [[rat_str(e) for e in row] for row in m.entries]
 
 
@@ -129,7 +143,7 @@ def checks_to_json(checks):
 def certificate_to_json(cert):
     return {
         "kind": cert.map.kind,
-        "g": [[int(e) for e in row] for row in cert.map.g.entries],
+        "g": [list(row) for row in cert.map.g.num],  # a lattice map is integral
         "det": int(cert.map.g.det()),
         "checks": checks_to_json(cert.checks),
     }

@@ -22,11 +22,11 @@ from itertools import combinations
 from operator import mul
 
 from . import jsonio
-from ._intlat import column_pivots, integer_kernel, spans_direct_summand
+from ._intkernel import column_pivots, integer_kernel, spans_direct_summand
 from ._record import Check, Record, failures
-from .equivalence import Certificate, LatticeMap, verify_map
 from .errors import RecoveryError, SchemaError, ValidationError
-from .exactlinear import QZERO, RatMatrix, bareiss, cleared
+from .exactlinear import QZERO, RatMatrix, bareiss
+from .relations import Certificate, LatticeMap, verify_map
 from .torus import TorusData, doubled, omega, require_valid
 
 
@@ -60,7 +60,7 @@ def splitting_report(t: TorusData, s: LagrangianSplitting):
     if not shape_ok:
         return checks
     checks.append(Check("unimodular", spans_direct_summand(s.a_basis + s.b_basis)))
-    _, w = cleared(omega(t))  # a positive multiple keeps every isotropy question
+    w = omega(t).num  # a positive multiple keeps every isotropy question
 
     def isotropic(vectors):
         return all(sum(map(mul, u, _image(w, v))) == 0
@@ -139,8 +139,8 @@ def find_lagrangian_splitting(t: TorusData) -> LagrangianSplitting:
     kernel) of :func:`_krylov_lagrangian` from the first unit vector whose A
     :func:`_isotropic_complement` completes; both halves in descending order.
     """
-    _, w = cleared(omega(t))
-    _, s = cleared(omega(t).inverse() * t.B)
+    w = omega(t).num
+    s = (omega(t).inverse() * t.B).num
     for k in range(t.rank):
         start = tuple(int(i == k) for i in range(t.rank))
         a = integer_kernel(integer_kernel(_krylov_lagrangian(w, s, start)))

@@ -385,3 +385,119 @@ def reference_sweep(space):
                                      "p": str(p), "status": status,
                                      "tested_dimension": len(testable)})
     return rows
+
+
+class FractionMatrix:
+    """The plain-Fraction reference for :class:`~flattori.exactlinear.RatMatrix`.
+
+    A tuple of Fraction rows, every operation done entry by entry in field
+    arithmetic with Gauss-Jordan elimination: no common denominator, no int
+    rows and no fraction-free step, so it shares no code path with the
+    package's cleared form.
+    """
+
+    def __init__(self, rows):
+        self.entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        self.rows, self.cols = len(self.entries), len(self.entries[0])
+
+    def __eq__(self, other):
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __add__(self, other):
+        return FractionMatrix([[a + b for a, b in zip(r, s)]
+                               for r, s in zip(self.entries, other.entries)])
+
+    def __sub__(self, other):
+        return FractionMatrix([[a - b for a, b in zip(r, s)]
+                               for r, s in zip(self.entries, other.entries)])
+
+    def __neg__(self):
+        return FractionMatrix([[-a for a in row] for row in self.entries])
+
+    def __mul__(self, other):
+        if isinstance(other, FractionMatrix):
+            return FractionMatrix([[sum((a * b for a, b in zip(row, col)), Fraction(0))
+                                    for col in zip(*other.entries)] for row in self.entries])
+        return FractionMatrix([[Fraction(other) * a for a in row] for row in self.entries])
+
+    def transpose(self):
+        return FractionMatrix(list(zip(*self.entries)))
+
+    def block(self, r0, r1, c0, c1):
+        return FractionMatrix([row[c0:c1] for row in self.entries[r0:r1]])
+
+    @staticmethod
+    def from_blocks(blocks):
+        return FractionMatrix([sum((b.entries[i] for b in brow), ())
+                               for brow in blocks for i in range(brow[0].rows)])
+
+    def is_integral(self):
+        return all(x.denominator == 1 for row in self.entries for x in row)
+
+    def rref(self):
+        """Gauss-Jordan with the first nonzero entry of a column as its pivot."""
+        m = [list(row) for row in self.entries]
+        pivots = []
+        for c in range(self.cols):
+            r = len(pivots)
+            pr = next((i for i in range(r, self.rows) if m[i][c]), None)
+            if pr is None:
+                continue
+            m[r], m[pr] = m[pr], m[r]
+            m[r] = [x / m[r][c] for x in m[r]]
+            for i in range(self.rows):
+                if i != r and m[i][c]:
+                    m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+            pivots.append(c)
+        return FractionMatrix(m), tuple(pivots)
+
+    def rank(self):
+        return len(self.rref()[1])
+
+    def det(self):
+        m = [list(row) for row in self.entries]
+        det = Fraction(1)
+        for c in range(self.rows):
+            pr = next((i for i in range(c, self.rows) if m[i][c]), None)
+            if pr is None:
+                return Fraction(0)
+            if pr != c:
+                m[c], m[pr] = m[pr], m[c]
+                det = -det
+            det *= m[c][c]
+            for i in range(c + 1, self.rows):
+                f = m[i][c] / m[c][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+        return det
+
+    def kernel_basis(self):
+        red, pivots = self.rref()
+        basis = []
+        for fc in (c for c in range(self.cols) if c not in pivots):
+            v = [Fraction(0)] * self.cols
+            v[fc] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                v[pc] = -red.entries[r][fc]
+            basis.append(tuple(v))
+        return basis
+
+    def inverse(self):
+        n = self.rows
+        eye = FractionMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+        red, pivots = FractionMatrix.from_blocks([[self, eye]]).rref()
+        if pivots[:n] != tuple(range(n)):
+            raise ZeroDivisionError("matrix is singular")
+        return red.block(0, n, n, 2 * n)
+
+    def solve(self, rhs):
+        red, pivots = FractionMatrix.from_blocks(
+            [[self, FractionMatrix([[x] for x in rhs])]]).rref()
+        if self.cols in pivots:
+            return None
+        x = [Fraction(0)] * self.cols
+        for r, pc in enumerate(pivots):
+            x[pc] = red.entries[r][self.cols]
+        return tuple(x)

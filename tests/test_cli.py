@@ -256,6 +256,67 @@ class TestWrongLengthsAreInputErrors:
             (2, "", f"input error: {message}\n")
 
 
+# A rational in a file is a JSON integer or a string "p" or "p/q": p an
+# optionally signed integer, q a positive integer.  One payload per form
+# outside that grammar, most of which Fraction would read, each in a field
+# that reads rationals: (argv, the bad file's content, the pointer).
+def _g_with(value):
+    return {**SQUARE1_JSON, "G": [[value, "0"], ["0", "1"]]}
+
+
+RATIONAL_GRAMMAR_PAYLOADS = {
+    "2.5": (["validate", "X"], _g_with("2.5"), "G[0][0]"),
+    "1_0": (["validate", "X"], _g_with("1_0"), "G[0][0]"),
+    " 3/4 ": (["validate", "X"], _g_with(" 3/4 "), "G[0][0]"),
+    "1e300000": (["validate", "X"], _g_with("1e300000"), "G[0][0]"),
+    "3/-4": (["validate", "X"], _g_with("3/-4"), "G[0][0]"),
+    "3/0": (["validate", "X"], _g_with("3/0"), "G[0][0]"),
+    "nan": (["validate", "X"], _g_with("nan"), "G[0][0]"),
+    "++1": (["validate", "X"], _g_with("++1"), "G[0][0]"),
+    "1/2/3": (["validate", "X"], _g_with("1/2/3"), "G[0][0]"),
+    "\u0661": (["validate", "X"], _g_with("\u0661"), "G[0][0]"),
+    "1e3": (["check-mirror-class", "--torus", "S", "--class", "X"],
+            {"grade_terms": [{"indices": [0], "coeff": "1e3"}]}, "grade_terms[0].coeff"),
+    "0.5": (["abrane-check", "--brane", "X"],
+            {"torus_ref": "square.json", "Y_basis": [[1, 0], [0, 1]],
+             "F": [["0", "0.5"], ["-1/2", "0"]]}, "F[0][1]"),
+    "2E1": (["abrane-check", "--brane", "X"],
+            {"torus_ref": "square.json", "Y_basis": [[1, 0], [0, 1]],
+             "translation": ["1/2", "2E1"]}, "translation[1]"),
+    "1.0": (["verify-map", "X"],
+            {"kind": "iso", "source": "square.json", "target": "square.json",
+             "g": [["1.0", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}, "g[0][0]"),
+}
+
+
+class TestRationalGrammar:
+    @pytest.mark.parametrize("value", sorted(RATIONAL_GRAMMAR_PAYLOADS))
+    def test_form_outside_the_grammar_is_input_error(self, capsys, tmp_path, square_file,
+                                                     value):
+        argv, payload, pointer = RATIONAL_GRAMMAR_PAYLOADS[value]
+        assert run_payload(capsys, tmp_path, square_file, argv, payload) == \
+            (2, "", f"input error: expected a rational number, got {value!r} "
+                    f"(at x.json.{pointer})\n")
+
+    # signs, leading zeros, reducible fractions and JSON integers are read
+    def test_forms_in_the_grammar_are_read(self, capsys, tmp_path, square_file):
+        payload = {**SQUARE1_JSON, "I": [[0, "-1"], ["+1", "00"]],
+                   "G": [["2/2", "-0/5"], [0, "+006/6"]]}
+        code, out, _ = run_payload(capsys, tmp_path, square_file, ["validate", "X"], payload)
+        assert code == 0
+        torus = report(out)["inputs"]["torus"]
+        assert (torus["I"], torus["G"]) == ([["0", "-1"], ["1", "0"]], [["1", "0"], ["0", "1"]])
+
+    # the exponent used to pass validation and then fail while the report was
+    # written, with a traceback, exit 1 and an empty stdout
+    def test_exponent_is_input_error_in_a_fresh_process(self, tmp_path):
+        (tmp_path / "big.json").write_text(json.dumps(_g_with("1e300000")))
+        proc = _fresh_python("-m", "flattori.cli", "validate", str(tmp_path / "big.json"))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("input error: expected a rational number, got '1e300000' "
+                               "(at big.json.G[0][0])\n")
+
+
 class TestValidateAndStructures:
     def test_validate_pass(self, capsys, square_file):
         code, out, _ = run(capsys, "validate", square_file)
@@ -433,25 +494,25 @@ def _fresh_python(*argv, cwd=None):
 # with the layers it loads besides the core: its own, and what that imports.
 CORE = {"flattori", "flattori.cli", "flattori.jsonio", "flattori.torus",
         "flattori.exactlinear", "flattori.errors", "flattori._record"}
-SEARCH_LAYERS = {"equivalence", "_intlat", "kernels", "kernels_py"}
+SEARCH_LAYERS = {"equivalence", "relations", "_intlat", "_intkernel", "kernels", "kernels_py"}
 COHOMOLOGY_LAYERS = {"cohomology", "exterior"}
 COMMAND_LAYERS = [
     (["validate", "T"], set()),
     (["doubled", "T"], set()),
-    (["spectrum", "T"], {"equivalence"}),
+    (["spectrum", "T"], {"equivalence", "relations"}),
     (["check-iso", "T", "T"], SEARCH_LAYERS),
     (["check-mirror", "T", "T"], SEARCH_LAYERS),
     (["check-derived-eq", "T", "T"], SEARCH_LAYERS),
-    (["verify-map", "M"], {"equivalence"}),
-    (["mirror", "--torus", "T"], {"tduality", "equivalence", "_intlat"}),
+    (["verify-map", "M"], {"equivalence", "relations"}),
+    (["mirror", "--torus", "T"], {"tduality", "relations", "_intkernel"}),
     (["hodge", "T"], COHOMOLOGY_LAYERS),
     (["pp-classes", "T", "--p", "1"], COHOMOLOGY_LAYERS),
     (["lefschetz", "T"], COHOMOLOGY_LAYERS),
     (["fm", "--torus", "T", "--split", "1,0|0,1", "--class", "C"],
-     COHOMOLOGY_LAYERS | {"tduality", "equivalence", "_intlat"}),
+     COHOMOLOGY_LAYERS | {"tduality", "relations", "_intkernel"}),
     (["check-mirror-class", "--torus", "T", "--class", "C"], COHOMOLOGY_LAYERS),
     (["beta", "T"], COHOMOLOGY_LAYERS),
-    (["abrane-check", "--brane", "B"], {"abranes", "exterior", "_intlat"}),
+    (["abrane-check", "--brane", "B"], {"abranes", "exterior", "_intkernel"}),
     (["fock-verify", "--torus", "T", "--cap", "1"], {"fock"}),
 ]
 COMMAND_IDS = [argv[0] for argv, _ in COMMAND_LAYERS]

@@ -1,14 +1,14 @@
 """Exterior algebra and exact matrix substrate."""
 
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import chain, combinations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import Gaussian, diag, exp_grade2
+from conftest import FractionMatrix, Gaussian, diag, exp_grade2
 from flattori.errors import DimensionError, GradeError
 from flattori.exactlinear import Q, RatMatrix, bareiss, cleared, rat, rat_str
 from flattori.exterior import (ExtElement, apply_linear, derivation_map, induced_map, interior,
@@ -572,3 +572,140 @@ class TestProduct:
         c = RatMatrix([[1] * b.cols] * (a.cols + extra))
         with pytest.raises(DimensionError):
             a * c
+
+
+def assert_cleared_form(m):
+    """``m`` is held in its one normal form: a positive den that is the lcm
+    of the entries' denominators, int rows coprime to it, and den m = num."""
+    assert m.den > 0
+    assert all(type(x) is int for x in chain(*m.num))
+    assert all(type(x) is Fraction for x in chain(*m.entries))
+    assert m.den == lcm(*(x.denominator for x in chain(*m.entries)))
+    assert gcd(m.den, *chain(*m.num)) == 1
+    assert m.num == tuple(tuple(m.den * x for x in row) for row in m.entries)
+
+
+def agrees(m, ref):
+    """``m`` is in normal form and has the reference's entries; returns m."""
+    assert_cleared_form(m)
+    assert (m.rows, m.cols) == (ref.rows, ref.cols)
+    assert m.entries == ref.entries
+    return m
+
+
+# small rationals, zeros, and both numerators and denominators of size 2^40
+int_form_entry = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.integers(-BIG, BIG).map(Fraction),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+
+
+@st.composite
+def int_form_matrix(draw, rows, cols):
+    """Rows of :data:`int_form_entry`; now and then a row is zero, or a
+    rational multiple of an earlier row, so that singular matrices are common."""
+    m = []
+    for _ in range(rows):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            m.append([Fraction(0)] * cols)
+        elif kind == 1 and m:
+            c = draw(int_form_entry)
+            m.append([c * x for x in draw(st.sampled_from(m))])
+        else:
+            m.append(draw(st.lists(int_form_entry, min_size=cols, max_size=cols)))
+    return m
+
+
+@st.composite
+def operand_sets(draw):
+    """``(A, B, C, s, cut)``: A and B of shape n x k, C of shape k x m, s a
+    scalar and cut the bounds ``(r0, r1, c0, c1)`` of a block of A."""
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    r0, c0 = draw(st.integers(0, n - 1)), draw(st.integers(0, k - 1))
+    cut = (r0, draw(st.integers(r0 + 1, n)), c0, draw(st.integers(c0 + 1, k)))
+    return (draw(int_form_matrix(n, k)), draw(int_form_matrix(n, k)),
+            draw(int_form_matrix(k, m)), draw(int_form_entry), cut)
+
+
+@st.composite
+def elimination_operands(draw):
+    """``(S, W, b)``: S square of size n, W of n rows, b of length n."""
+    n = draw(st.integers(1, 5))
+    return (draw(int_form_matrix(n, n)), draw(int_form_matrix(n, draw(st.integers(1, 7)))),
+            draw(st.lists(int_form_entry, min_size=n, max_size=n)))
+
+
+class TestIntRowsAgainstFractionReference:
+    # every operation on the int rows over one denominator gives the entries
+    # the entrywise Fraction reference gives, and leaves its result in normal form
+
+    @settings(max_examples=150, deadline=None)
+    @given(operand_sets())
+    @example(([[1, 2]], [[-1, -2]], [[1], [1]], Fraction(0), (0, 1, 1, 2)))  # zero sums, scalings
+    @example(([[Fraction(1, 2)]], [[Fraction(1, 2)]], [[2]], Fraction(2, 3), (0, 1, 0, 1)))
+    def test_arithmetic(self, operands):
+        a, b, c, s, cut = operands
+        ra, rb, rc = (FractionMatrix(x) for x in (a, b, c))
+        a, b, c = (agrees(RatMatrix(x), r) for x, r in ((a, ra), (b, rb), (c, rc)))
+        agrees(a * c, ra * rc)
+        agrees(a + b, ra + rb)
+        agrees(a - b, ra - rb)
+        agrees(-a, -ra)
+        agrees(a.transpose(), ra.transpose())
+        agrees(a.scale(s), ra * s)
+        agrees(a * s, ra * s)
+        agrees(s * a, ra * s)
+        agrees(RatMatrix.from_blocks([[a, b], [b, a]]),
+               FractionMatrix.from_blocks([[ra, rb], [rb, ra]]))
+        agrees(RatMatrix.from_blocks([[a * c, a], [b * c, b]]),
+               FractionMatrix.from_blocks([[ra * rc, ra], [rb * rc, rb]]))
+        agrees(a.block(*cut), ra.block(*cut))
+        if a.is_square():
+            eye = FractionMatrix([[int(i == j) for j in range(a.rows)] for i in range(a.rows)])
+            agrees(a.minus_scalar(s), ra - eye * s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(operand_sets())
+    # equal int rows over different denominators: different matrices
+    @example(([[1, 3]], [[Fraction(1, 2), Fraction(3, 2)]], [[1], [1]], Fraction(1, 2), (0, 1, 0, 1)))
+    def test_equality_and_hash(self, operands):
+        a, b, _, s, _ = operands
+        ra, rb = FractionMatrix(a), FractionMatrix(b)
+        a, b = RatMatrix(a), RatMatrix(b)
+        assert (a == b) == (ra == rb)
+        assert (a != b) == (ra != rb)
+        assert (a.scale(s) == a) == (ra * s == ra)
+        # one matrix reached by different paths is one value, with one hash
+        same = [a, (a + b) - b, a.transpose().transpose(), -(-a), a * RatMatrix.identity(a.cols),
+                RatMatrix([[str(x) for x in row] for row in a.entries])]
+        if s:
+            same.append(a.scale(s).scale(1 / s))
+        for m in same:
+            agrees(m, ra)
+            assert m == a and hash(m) == hash(a)
+        assert len({*same}) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(elimination_operands())
+    @example(([[0, 0], [0, 0]], [[1, 2, 3], [2, 4, 6]], [0, 0]))
+    @example(([[2, 1], [4, 2]], [[0, 1, 0], [0, 0, 0]], [1, 1]))
+    def test_elimination(self, operands):
+        sq, wide, rhs = operands
+        for rows in (sq, wide):
+            m, ref = RatMatrix(rows), FractionMatrix(rows)
+            red, pivots = m.rref()
+            ref_red, ref_pivots = ref.rref()
+            agrees(red, ref_red)
+            assert tuple(pivots) == ref_pivots
+            assert m.rank() == ref.rank()
+            assert m.kernel_basis() == ref.kernel_basis()
+            assert m.solve(rhs) == ref.solve(rhs)
+            assert m.is_integral() == ref.is_integral()
+        m, ref = RatMatrix(sq), FractionMatrix(sq)
+        assert m.det() == ref.det()
+        if ref.det():
+            agrees(m.inverse(), ref.inverse())
+        else:
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()

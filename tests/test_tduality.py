@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import diag, random_valid_torus, square_torus, unit_splitting
+from flattori import equivalence, relations, tduality
 from flattori._record import failures
 from flattori.equivalence import LatticeMap, search_relation, verify_map
 from flattori.errors import ValidationError
@@ -120,6 +121,11 @@ class TestMirrorConstruction:
             s = find_lagrangian_splitting(t)
             mr = mirror_via_tduality(t, s)
             assert verify_map(mr.duality_certificate.map).valid
+
+    # one verifier: the duality certificate is checked by the verify_map of
+    # the search and of verify-map, which tduality imports without the search
+    def test_duality_certificate_comes_from_the_one_verifier(self):
+        assert tduality.verify_map is equivalence.verify_map is relations.verify_map
 
     def test_invalid_splitting_rejected(self, square2):
         bad = LagrangianSplitting.from_vectors(
