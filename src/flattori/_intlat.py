@@ -16,6 +16,14 @@ reads its inner products instead of recomputing them.  :func:`short_vectors`
 lists every lattice vector of bounded norm under a positive definite integer
 form: integral LLL, then a Fincke-Pohst walk whose every pruning decision is
 an integer comparison.
+
+The integer forms that the verdicts read on a lattice of intertwiners live
+here too: :func:`frobenius_gram` with the :func:`split_pairing` q is the
+Gram matrix of ``tr(q h^t q h)`` that decides a refutation, and
+:func:`packed_form` packs the q-congruence into the one form that picks a
+certificate, in the shell and in the scan of :mod:`flattori.kernels_py`.
+A search imports the scan only when it runs it, so a refutation compiles
+this module and not the scan.
 """
 
 from __future__ import annotations
@@ -217,3 +225,72 @@ def short_vectors(gram, bound):
     if m and bound >= 0:
         walk(m, 0, True)
     return basis, vectors, nodes
+
+
+# ---------------------------------------------------------------------------
+# the integer forms on intertwiner lattices that the verdicts read
+# ---------------------------------------------------------------------------
+
+
+def split_pairing(n):
+    """The split pairing q on Z^n as sparse rows: row c is ``e_{c + n/2 mod n}``."""
+    return [[((c + n // 2) % n, 1)] for c in range(n)]
+
+
+def frobenius_gram(basis_flat, n, right):
+    """The integer K x K matrix ``X_ij = <M_i, q M_j R>`` (Frobenius product).
+
+    ``basis_flat`` holds the M_i flattened row-major and ``right`` the rows of
+    a symmetric R as ``(column, value)`` pairs of its nonzero entries; X is
+    then symmetric, and only ``i <= j`` is summed.  Row s of M_j is row s + h
+    (mod n, h = n/2) of ``q M_j``, so the sums run over the nonzero entries of
+    the basis and of each row of R only.
+    """
+    half = n // 2
+    sparse = [[(t, v) for t, v in enumerate(m) if v] for m in basis_flat]
+    k = len(basis_flat)
+    gram = [[0] * k for _ in range(k)]
+    for j, mj in enumerate(sparse):
+        y = [0] * (n * n)
+        for t, v in mj:
+            base = (t // n + half) % n * n
+            for x, w in right[t % n]:
+                y[base + x] += v * w
+        for i in range(j + 1):
+            gram[i][j] = gram[j][i] = sum(v * y[t] for t, v in sparse[i])
+    return gram
+
+
+def packed_form(basis_flat, n, bound):
+    """``(X, target)`` with ``F(c) = sum_i X_ii/2 c_i^2 + sum_{i<j} X_ij c_i c_j``.
+
+    The q-congruence ``g^t q g = q`` of ``g = sum c_i M_i`` is ``n(n+1)/2``
+    integer quadratic forms in c, one per entry ``a <= b`` of ``g^t q g``.
+    They are packed into one by Kronecker substitution,
+    ``F(c) = sum_{a<=b} W^e(a,b) (g^t q g)_ab``, with
+    ``W > 2 (bound^2 max_{a<=b} sum_r (A_ra A_r+h,b + A_r+h,a A_rb) + 1)``,
+    where ``A = sum |M_i|`` entrywise and h = n/2.  Every entry of
+    ``g^t q g - q`` then has magnitude below W/2, so ``F(c) = target`` (the
+    packed q) holds exactly when every entry matches.  X is
+    :func:`frobenius_gram` with R symmetric, ``R_ab = W^e(a,b)`` off the
+    diagonal and ``2 W^e(a,a)`` on it.  Valid for candidates of max-norm at
+    most ``bound``.
+    """
+    half = n // 2
+    size = n * n
+    a = [sum(abs(m[t]) for m in basis_flat) for t in range(size)]
+    worst = max(sum(a[r * n + x] * a[(r + half) * n + y] + a[(r + half) * n + x] * a[r * n + y]
+                    for r in range(half))
+                for x in range(n) for y in range(x, n))
+    w = 1 << (2 * (bound * bound * worst + 1)).bit_length()
+    weight = [[0] * n for _ in range(n)]
+    power = 1
+    target = 0
+    for x in range(n):
+        for y in range(x, n):
+            weight[x][y] = weight[y][x] = power
+            if y - x == half:
+                target += power
+            power *= w
+        weight[x][x] *= 2
+    return frobenius_gram(basis_flat, n, [list(enumerate(row)) for row in weight]), target

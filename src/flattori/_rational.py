@@ -1,0 +1,30 @@
+"""Scalar rationals: the :class:`fractions.Fraction` the layers compute with.
+
+A matrix of :mod:`flattori.exactlinear` is int rows over one denominator
+and needs no Fraction, and neither does a file rational on its way into
+one (:mod:`flattori.jsonio`).  The layers that compute with single
+rationals (the exterior algebra, cohomology, branes, the mirror
+construction, the oscillators) import this module, and with it
+:mod:`fractions`, which also loads :mod:`decimal` and :mod:`numbers`.  The
+start-up core and the search import neither, so ``validate`` and every
+refutation run without them.  :mod:`flattori.exactlinear` still answers
+for these names, loading this module when one is first read.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+Q = Fraction
+
+QZERO = Fraction(0)
+QONE = Fraction(1)
+
+
+def rat(x) -> Fraction:
+    """Coerce an int, string like ``"3/4"``, or Fraction to a Fraction."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    raise TypeError(f"cannot interpret {x!r} as a rational number")

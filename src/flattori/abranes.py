@@ -24,9 +24,10 @@ from functools import cached_property
 
 from . import jsonio
 from ._intkernel import column_pivots
+from ._rational import QONE, QZERO
 from ._record import Check, Record, failures
 from .errors import DimensionError, InconsistencyError, SchemaError, ValidationError
-from .exactlinear import QONE, QZERO, RatMatrix, bareiss
+from .exactlinear import RatMatrix, bareiss
 from .exterior import ExtElement, apply_linear, wedge
 from .torus import TorusData, omega, require_valid
 

@@ -19,7 +19,11 @@ one usage line per command and exits 0.
 
 A command compiles the start-up core plus its own layer.  The core is this
 module, ``jsonio``, ``torus``, ``exactlinear``, ``errors`` and ``_record``,
-and it holds the handlers of ``validate`` and ``doubled``.  Every other
+and it holds the handlers of ``validate`` and ``doubled``.  The core reads,
+checks and writes a torus on int rows over one denominator and builds no
+Fraction, so it does not import ``fractions`` (which would also load
+``decimal`` and ``numbers``); the layers that compute with single rationals
+import it through ``_rational``, and the search does not.  Every other
 handler lives in the layer it drives (``equivalence``, ``tduality``,
 ``cohomology``, ``abranes`` or ``fock``), and :data:`COMMANDS` names it by
 module and function, so :func:`main` imports that one module and what it
@@ -28,7 +32,8 @@ modules: ``relations`` (lattice maps, certificates and ``verify_map``) and
 ``_intkernel`` (integer kernels and primitivity).  ``tduality`` reads those
 two, so ``mirror`` and ``fm`` compile neither the search (``equivalence``)
 nor its lattice reduction (``_intlat``), and ``abrane-check`` compiles
-``_intkernel`` alone.  A handler
+``_intkernel`` alone.  A search compiles the box scan (``kernels`` and
+``kernels_py``) only when it runs it, so a refutation does not.  A handler
 takes the parsed arguments, with the config's ``bound`` and ``budget``
 already folded in, and returns ``(inputs, result, exit code)``;
 :func:`main` prints the report.  No layer imports this module: under

@@ -22,9 +22,10 @@ from itertools import combinations
 from math import comb
 
 from . import jsonio
+from ._rational import QZERO
 from ._record import Record
 from .errors import DimensionError, GradeError, RecoveryError, SchemaError, ValidationError
-from .exactlinear import QZERO, RatMatrix, rat_str
+from .exactlinear import RatMatrix, rat_str
 from .exterior import (ExtElement, apply_linear, class_from_json, derivation_map, interior,
                        merge_sign, wedge)
 from .torus import TorusData, omega, require_valid

@@ -18,7 +18,7 @@ candidate that satisfies the quadratic q-congruence.
 Refutation reads one integer form on the intertwiner lattices,
 ``F(h) = tr(q h^t q h)``, which every certificate g carries isometrically:
 ``F(gh) = F(hg) = F(h)`` as ``g^t q g = q = g q g^t``.  Its Gram matrix
-``<M_i, q M_j q>`` comes from :func:`~flattori.kernels_py.frobenius_gram`
+``<M_i, q M_j q>`` comes from :func:`~flattori._intlat.frobenius_gram`
 with R = q, the builder of the search's packed form.  A ``derived_eq``
 pair whose three lattices L(T1,T1), L(T1,T2), L(T2,T2) differ in (rank,
 det) is refuted before the scan.  On ``iso`` and ``mirror`` lattices F is
@@ -29,10 +29,14 @@ and ``mirror``: it finds a certificate or refutes.  A ``derived_eq`` search
 without a hit means only "none within bound", and one that spends its node
 budget first is "undecided".
 
-The search functions import the filter (:mod:`flattori.kernels` and
-:mod:`flattori.kernels_py`) and the integer lattice reduction
-(:mod:`flattori._intlat`) when they run.  ``spectrum`` and ``verify-map``
-compile neither.  ``mirror`` and ``fm`` do not compile this module at all:
+The search functions import the integer lattice work
+(:mod:`flattori._intlat`) when they run, and the filter
+(:mod:`flattori.kernels` and :mod:`flattori.kernels_py`) only when the box
+scan runs: a refuted pair, and a ``derived_eq`` pair refuted by its
+lattices, never compile it.  ``spectrum`` and ``verify-map`` compile
+neither.  No search builds a Fraction, so the search path never imports
+:mod:`fractions`; ``spectrum`` does, for the rationals it reports.
+``mirror`` and ``fm`` do not compile this module at all:
 the mirror construction reads :mod:`flattori.relations` and the integer
 kernels of :mod:`flattori._intkernel` only.  The layer's commands
 (``spectrum``, the three ``check-*`` and ``verify-map``) and the
@@ -43,14 +47,13 @@ from __future__ import annotations
 
 import os
 import sys
-from fractions import Fraction
 from itertools import product
 from operator import mul
 
 from . import jsonio
 from ._record import Record, failures
 from .errors import DimensionError, InconsistencyError, SchemaError
-from .exactlinear import RatMatrix, bareiss, cleared, rat_str
+from .exactlinear import RatMatrix, cleared, int_det, rat_str
 from .relations import KINDS, RELATIONS, Certificate, LatticeMap, verify_map  # noqa: F401
 from .torus import TorusData, doubled, narain_form
 
@@ -68,7 +71,7 @@ def _constraint_rows(t1, t2, kind):
     Unknown is vec(g), row-major; constraint ``g A - B g = 0`` contributes
     the rows of ``A^t (x) id - id (x) B`` in Kronecker form, built from
     ``D A`` and ``D B`` (D the lcm of their denominators): D times the
-    Fraction rows.
+    rational rows.
     """
     n = 4 * t1.d
     d1, d2 = doubled(t1), doubled(t2)
@@ -141,9 +144,8 @@ def _lattice_class(rows, n):
     A ``derived_eq`` lattice is never empty: over Q both doubled structures
     make Q^n a Q(i)-vector space of dimension n/2, so its rank is ``n^2 / 2``.
     """
-    from .kernels_py import frobenius_gram, split_pairing
-    pivots, last, _ = bareiss(frobenius_gram(rows, n, split_pairing(n)))
-    return len(rows), last if len(pivots) == len(rows) else 0
+    from ._intlat import frobenius_gram, split_pairing
+    return len(rows), int_det(frobenius_gram(rows, n, split_pairing(n)))
 
 
 def _certified(t1, t2, kind, g, n, nodes):
@@ -161,13 +163,12 @@ def _narain_shell(flat, n):
     LLL-reduced basis, one of each pair +-h: ``size`` vectors, in ``nodes``
     walk nodes.  A certificate has ``F = 4d`` exactly, so only those vectors
     are tested for q-congruence, in the walk's order, by the packed form of
-    :func:`~flattori.kernels_py.packed_form` over the reduced basis
+    :func:`~flattori._intlat.packed_form` over the reduced basis
     (``x^t X x = 2 target``), whose bound is the largest coordinate among
     them.  ``g`` is the first that passes, flattened, or None: then no
     certificate exists.
     """
-    from ._intlat import short_vectors
-    from .kernels_py import frobenius_gram, packed_form, split_pairing
+    from ._intlat import frobenius_gram, packed_form, short_vectors, split_pairing
     basis, vectors, nodes = short_vectors(frobenius_gram(flat, n, split_pairing(n)), n)
     shell = [x for x, norm in vectors if norm == n]
     if shell:
@@ -234,9 +235,7 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
     shell's first, found after the scan's nodes and the walk's; with none,
     the relation is ``"refuted"`` by :data:`NARAIN_SHELL`.
     """
-    from . import kernels
     from ._intlat import integral_coordinate_lattice
-    from .kernels_py import completed_height
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
     flat = intertwiner_rows(t1, t2, kind)
@@ -253,6 +252,8 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
         shell = _narain_shell(flat, n)
     nodes = 0
     if shell is None or shell[0] is not None:
+        from . import kernels
+        from .kernels_py import completed_height
         hits, nodes, exhausted = kernels.run_filter(flat, n, coeff_bound, node_budget,
                                                     max_hits=1)
         if hits:
@@ -286,8 +287,10 @@ def spectrum_fingerprint(t: TorusData, height: int):
     is a box in the lattice basis, so the multiset depends on the basis and
     decides no relation between tori.  ``p^2/2 = (gamma^t N gamma - q)/2``
     and ``pbar^2/2 = (gamma^t N gamma + q)/2`` with N the Narain form, cleared
-    of denominators once: one integer form per charge.
+    of denominators once: one integer form per charge.  The triples are the
+    one place in this module that builds Fractions.
     """
+    from ._rational import Q
     if height < 0:
         raise ValueError("height must be nonnegative")
     half = t.rank
@@ -298,8 +301,7 @@ def spectrum_fingerprint(t: TorusData, height: int):
     for coords in product(rng, repeat=2 * half):
         q = 2 * sum(map(mul, coords[:half], coords[half:]))
         norm = _quadratic(n_form, coords)
-        triples.append((Fraction(q), Fraction(norm - den * q, 2 * den),
-                        Fraction(norm + den * q, 2 * den)))
+        triples.append((Q(q), Q(norm - den * q, 2 * den), Q(norm + den * q, 2 * den)))
     triples.sort()
     return tuple(triples)
 

@@ -3,14 +3,22 @@
 Everything in this module is exact, and no floating point enters any
 computation.  A matrix is kept cleared: int rows over one positive
 denominator, the lcm of its entries' denominators (:class:`RatMatrix`).
-Products, sums, transposes, blocks and eliminations work on those rows, and
-`fractions.Fraction` entries are built only when a caller reads them.  Every
-determinant, rank, reduced echelon form, inverse, solution and kernel basis
-comes from one fraction-free integer forward elimination, :func:`bareiss`,
-on the int rows; the reduced echelon form completes it upward.  A matrix
-entry is always rational; a question about a rational complex structure
-that lives over Q(i) is answered by its callers over Q, and a Q(i) value is
-the ``(re, im)`` pair of its rational parts.
+Products, sums, transposes, blocks and eliminations work on those rows.
+Every determinant, rank, reduced echelon form, inverse, solution and kernel
+basis comes from one fraction-free integer forward elimination,
+:func:`bareiss`, on the int rows; the reduced echelon form completes it
+upward.  A matrix entry is always rational; a question about a rational
+complex structure that lives over Q(i) is answered by its callers over Q,
+and a Q(i) value is the ``(re, im)`` pair of its rational parts.
+
+This module does not import :mod:`fractions`.  A ``Fraction`` is built only
+where a caller asks for one: the entries, the determinant of a matrix that
+is not integral, a kernel basis or a solution, and a matrix made from
+Fraction or string entries.  Those paths import :mod:`flattori._rational`,
+which holds the scalar helpers ``Q``, ``QZERO``, ``QONE`` and ``rat``.  An
+integral determinant is an int, definiteness reads integer leading minors,
+and :func:`ratio_str` writes a rational from its int numerator and
+denominator, so the start-up core and the search never load ``fractions``.
 The exterior algebra lives in :mod:`flattori.exterior`, which the commands
 that need it import, so that the others do not compile it on start-up.
 """
@@ -18,31 +26,22 @@ that need it import, so that the others do not compile it on start-up.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import chain
 from operator import add, mul
 
 from .errors import DimensionError
 
-Q = Fraction
 
-QZERO = Fraction(0)
-QONE = Fraction(1)
-
-
-def rat(x) -> Fraction:
-    """Coerce an int, string like ``"3/4"``, or Fraction to a Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as a rational number")
+def ratio_str(p: int, q: int) -> str:
+    """The rational ``p / q`` (ints, q > 0) in lowest terms, as ``"p/q"``,
+    or ``"p"`` when its denominator is 1."""
+    g = math.gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
-def rat_str(x: Fraction) -> str:
-    """Serialize a rational as ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def rat_str(x) -> str:
+    """Serialize a rational (a Fraction or an int) by :func:`ratio_str`."""
+    return ratio_str(x.numerator, x.denominator)
 
 
 class RatMatrix:
@@ -52,13 +51,18 @@ class RatMatrix:
     ``den`` is 1, so ``den`` is the lcm of the entries' denominators and
     equal matrices have equal ``(den, num)``.  Every operation below works
     on those rows and returns the same form; ``entries``, the Fractions,
-    are built when first read.
+    are built when first read.  A matrix is made from rows of ints,
+    Fractions or strings like ``"3/4"``, or by :meth:`over` from its
+    cleared form.
     """
 
     __slots__ = ("rows", "cols", "den", "num", "_entries")
 
     def __init__(self, entries):
-        rows = [[e if type(e) is int else rat(e) for e in row] for row in entries]
+        rows = [list(row) for row in entries]
+        if not all(type(e) is int for row in rows for e in row):
+            from ._rational import rat
+            rows = [[e if type(e) is int else rat(e) for e in row] for row in rows]
         if len({*map(len, rows)}) != 1 or not rows[0]:
             raise DimensionError("matrix rows must be non-empty and of equal length")
         den = math.lcm(*(x.denominator for row in rows for x in row))
@@ -85,19 +89,26 @@ class RatMatrix:
     def entries(self):
         """The entries as tuples of Fractions, built on the first read."""
         if self._entries is None:
+            from ._rational import Q
             object.__setattr__(self, "_entries", tuple(
-                tuple(Fraction(x, self.den) for x in row) for row in self.num))
+                tuple(Q(x, self.den) for x in row) for row in self.num))
         return self._entries
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
+    def over(den, rows) -> "RatMatrix":
+        """The matrix ``rows / den`` for a nonzero int den and non-empty int
+        rows of one length, brought to lowest terms."""
+        return object.__new__(RatMatrix)._set(den, rows)
+
+    @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return _matrix(1, [[int(i == j) for j in range(n)] for i in range(n)])
+        return RatMatrix.over(1, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zero(rows: int, cols: int) -> "RatMatrix":
-        return _matrix(1, [[0] * cols for _ in range(rows)])
+        return RatMatrix.over(1, [[0] * cols for _ in range(rows)])
 
     @staticmethod
     def from_blocks(blocks) -> "RatMatrix":
@@ -108,12 +119,12 @@ class RatMatrix:
             if any(b.rows != brow[0].rows for b in brow):
                 raise DimensionError("block row heights differ")
             rows += [list(chain(*parts)) for parts in zip(*[_scaled(b, den) for b in brow])]
-        return _matrix(den, rows)
+        return RatMatrix.over(den, rows)
 
     # -- basic accessors -------------------------------------------------
 
     def block(self, r0, r1, c0, c1) -> "RatMatrix":
-        return _matrix(self.den, [row[c0:c1] for row in self.num[r0:r1]])
+        return RatMatrix.over(self.den, [row[c0:c1] for row in self.num[r0:r1]])
 
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
@@ -133,13 +144,13 @@ class RatMatrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionError("matrix shapes differ")
         den, a, b = cleared(self, other)
-        return _matrix(den, [list(map(add, r, s)) for r, s in zip(a, b)])
+        return RatMatrix.over(den, [list(map(add, r, s)) for r, s in zip(a, b)])
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return _matrix(self.den, [[-x for x in row] for row in self.num])
+        return RatMatrix.over(self.den, [[-x for x in row] for row in self.num])
 
     def minus_scalar(self, c) -> "RatMatrix":
         """``self - c 1`` for a square matrix."""
@@ -158,17 +169,20 @@ class RatMatrix:
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         cols = list(zip(*other.num))
-        return _matrix(self.den * other.den,
-                       [[sum(map(mul, row, col)) for col in cols] for row in self.num])
+        return RatMatrix.over(self.den * other.den,
+                              [[sum(map(mul, row, col)) for col in cols] for row in self.num])
 
     def scale(self, c) -> "RatMatrix":
-        c = rat(c)
-        return _matrix(self.den * c.denominator, [[c.numerator * x for x in row] for row in self.num])
+        if type(c) is not int:
+            from ._rational import rat
+            c = rat(c)
+        return RatMatrix.over(self.den * c.denominator,
+                              [[c.numerator * x for x in row] for row in self.num])
 
     __rmul__ = scale
 
     def transpose(self) -> "RatMatrix":
-        return _matrix(self.den, list(zip(*self.num)))
+        return RatMatrix.over(self.den, list(zip(*self.num)))
 
     def apply(self, vec):
         """Multiply by a column vector given as a sequence; returns a tuple."""
@@ -193,9 +207,12 @@ class RatMatrix:
     def is_positive_definite(self) -> bool:
         """Sylvester criterion: all leading principal minors positive.
 
-        Only meaningful for symmetric rational matrices.
+        Only meaningful for symmetric rational matrices.  The k-th leading
+        minor of the int rows is ``den^k`` times that of the matrix, so it
+        has the same sign, and :func:`int_det` reads it off :func:`bareiss`.
         """
-        return self.is_square() and all(self.block(0, k, 0, k).det() > 0
+        num = self.num
+        return self.is_square() and all(int_det([row[:k] for row in num[:k]]) > 0
                                         for k in range(1, self.rows + 1))
 
     # -- elimination-based computations ----------------------------------
@@ -218,7 +235,7 @@ class RatMatrix:
                 if row[cs]:
                     done = [x - row[cs] * y for x, y in zip(done, rows[s][c:])]
             rows[r] = row[:c] + [x // row[c] for x in done]
-        return _matrix(p, rows), pivots
+        return RatMatrix.over(p, rows), pivots
 
     def rank(self) -> int:
         return len(bareiss(self.num)[0])
@@ -229,6 +246,7 @@ class RatMatrix:
         Each basis vector has entry 1 at "its" free column and 0 at the
         other free columns (standard echelon parametrization).
         """
+        from ._rational import QONE, QZERO
         red, pivots = self.rref()
         basis = []
         for fc in (c for c in range(self.cols) if c not in pivots):
@@ -240,12 +258,15 @@ class RatMatrix:
         return basis
 
     def det(self):
-        """``p / den^n`` for the signed last pivot p of :func:`bareiss` on
-        the int rows, or 0 when there are fewer than n pivots."""
+        """``p / den^n`` for p the :func:`int_det` of the int rows: an int
+        for an integral matrix, else a Fraction."""
         if not self.is_square():
             raise DimensionError("determinant of a non-square matrix")
-        pivots, last, _ = bareiss(self.num)
-        return Fraction(last, self.den ** self.rows) if len(pivots) == self.rows else QZERO
+        p = int_det(self.num)
+        if self.den == 1:
+            return p
+        from ._rational import Q
+        return Q(p, self.den ** self.rows)
 
     def inverse(self) -> "RatMatrix":
         if not self.is_square():
@@ -263,11 +284,6 @@ class RatMatrix:
         return basis[-1][:-1] if basis and basis[-1][-1] else None
 
 
-def _matrix(den, num) -> RatMatrix:
-    """The matrix ``num / den`` for a nonzero int den and int rows num."""
-    return object.__new__(RatMatrix)._set(den, num)
-
-
 def _scaled(m, den):
     """The int rows of ``den * m``, for a multiple den of ``m.den``."""
     f = den // m.den
@@ -282,6 +298,14 @@ def cleared(*matrices):
     """
     den = math.lcm(*(m.den for m in matrices))
     return (den, *(_scaled(m, den) for m in matrices))
+
+
+def int_det(rows):
+    """The determinant of a square integer matrix given by its rows: the
+    signed last pivot of :func:`bareiss`, or 0 when it finds fewer pivots
+    than rows."""
+    pivots, last, _ = bareiss(rows)
+    return last if len(pivots) == len(rows) else 0
 
 
 def bareiss(rows):

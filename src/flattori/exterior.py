@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from ._rational import QONE, QZERO, rat
 from .errors import DimensionError, GradeError, SchemaError
-from .exactlinear import QONE, QZERO, RatMatrix, rat
+from .exactlinear import RatMatrix
 from .jsonio import is_json_int, rat_from_json
 
 

@@ -35,9 +35,10 @@ from itertools import count
 from weakref import WeakValueDictionary
 
 from . import jsonio
+from ._rational import QZERO, rat
 from ._record import Record
 from .errors import SchemaError, TruncationError, ValidationError
-from .exactlinear import QZERO, RatMatrix, rat
+from .exactlinear import RatMatrix
 from .torus import require_valid
 
 HALF = Fraction(1, 2)

@@ -2,9 +2,15 @@
 
 Rationals travel as strings ``"p/q"`` (or ``"p"`` for integers) so that
 exactness survives serialization; a file may also give a JSON integer, and
-nothing else: :func:`rat_from_json` refuses decimals, exponents, ``_`` digit
-separators and surrounding blanks, which :class:`~fractions.Fraction` would
-accept.  A Gaussian rational is carried as its
+nothing else: :func:`ratio_from_json` refuses decimals, exponents, ``_``
+digit separators and surrounding blanks, which :class:`~fractions.Fraction`
+would accept.  It reads p and q as ints, a matrix is built from them as int
+rows over the lcm of its denominators, and a matrix is written from its int
+rows and denominator, so loading and writing a torus builds no Fraction and
+this module does not import :mod:`fractions`; :func:`rat_from_json` hands
+the layers that compute with single rationals their Fraction.  An input
+error repeats at most :data:`ECHO_LIMIT` characters of the offending value.
+A Gaussian rational is carried as its
 ``(re, im)`` pair of rationals and written as an ``{"re","im"}`` object by
 :func:`gauss_to_json` alone.  Exterior-algebra classes list their terms
 with 0-based strictly increasing index tuples.  Schema violations raise
@@ -20,11 +26,16 @@ type: a class in :mod:`flattori.exterior`, a brane in
 from __future__ import annotations
 
 import json
+import math
 import os
 
 from .errors import SchemaError
-from .exactlinear import RatMatrix, rat, rat_str
+from .exactlinear import RatMatrix, rat_str, ratio_str
 from .torus import TorusData
+
+# An input error repeats the offending value up to this many characters of
+# its repr; past them it is cut, and its length is given.
+ECHO_LIMIT = 40
 
 
 def is_json_int(value):
@@ -32,22 +43,34 @@ def is_json_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def rat_from_json(value, pointer):
-    """A file's rational: a JSON integer, or a string ``"p"`` or ``"p/q"``
-    with p ASCII digits after an optional sign and q positive ASCII digits."""
+def ratio_from_json(value, pointer):
+    """``(p, q)``, ints with q > 0, of a file's rational: a JSON integer, or a
+    string ``"p"`` or ``"p/q"`` with p ASCII digits after an optional sign
+    and q nonzero ASCII digits."""
+    if is_json_int(value):
+        return value, 1
     if isinstance(value, str):
         p, slash, q = value.partition("/")
-        p = p[1:] if p[:1] in ("+", "-") else p
-        ok = (p + q).isascii() and p.isdigit() and (q.isdigit() or not slash)
-    else:
-        ok = is_json_int(value)
-    if ok:
-        try:
-            return rat(value)
-        except (ValueError, ZeroDivisionError):
-            # a zero denominator, or more digits than int() may read
-            pass
-    raise SchemaError(f"expected a rational number, got {value!r}", pointer)
+        digits = p[1:] if p[:1] in ("+", "-") else p
+        if (digits + q).isascii() and digits.isdigit() and (q.isdigit() or not slash):
+            try:
+                p, q = int(p), int(q) if slash else 1
+            except ValueError:
+                pass  # more digits than int() may read
+            else:
+                if q:
+                    return p, q
+    text = repr(value)
+    if len(text) > ECHO_LIMIT:
+        # a JSON value this long is a string, a list or an object
+        text = f"{text[:ECHO_LIMIT]}... ({type(value).__name__} of length {len(value)})"
+    raise SchemaError(f"expected a rational number, got {text}", pointer)
+
+
+def rat_from_json(value, pointer):
+    """A file's rational, by :func:`ratio_from_json`, as a Fraction."""
+    from ._rational import Q
+    return Q(*ratio_from_json(value, pointer))
 
 
 def gauss_to_json(g):
@@ -59,7 +82,7 @@ def gauss_to_json(g):
 def matrix_to_json(m: RatMatrix):
     if m.den == 1:  # an integer matrix is written from its int rows
         return [list(map(str, row)) for row in m.num]
-    return [[rat_str(e) for e in row] for row in m.entries]
+    return [[ratio_str(x, m.den) for x in row] for row in m.num]
 
 
 def matrix_from_json(data, pointer, size) -> RatMatrix:
@@ -68,9 +91,10 @@ def matrix_from_json(data, pointer, size) -> RatMatrix:
     k = next((k for k, row in enumerate(data) if not row or len(row) != len(data[0])), None)
     if k is not None:
         raise SchemaError("matrix rows must be non-empty and of equal length", f"{pointer}[{k}]")
-    entries = [[rat_from_json(e, f"{pointer}[{i}][{j}]") for j, e in enumerate(row)]
-               for i, row in enumerate(data)]
-    m = RatMatrix(entries)
+    pairs = [[ratio_from_json(e, f"{pointer}[{i}][{j}]") for j, e in enumerate(row)]
+             for i, row in enumerate(data)]
+    den = math.lcm(*(q for row in pairs for _, q in row))
+    m = RatMatrix.over(den, [[p * (den // q) for p, q in row] for row in pairs])
     if m.rows != size or m.cols != size:
         raise SchemaError(f"expected a {size}x{size} matrix, got {m.rows}x{m.cols}", pointer)
     return m
@@ -144,7 +168,7 @@ def certificate_to_json(cert):
     return {
         "kind": cert.map.kind,
         "g": [list(row) for row in cert.map.g.num],  # a lattice map is integral
-        "det": int(cert.map.g.det()),
+        "det": cert.map.g.det(),  # an int: g is integral
         "checks": checks_to_json(cert.checks),
     }
 

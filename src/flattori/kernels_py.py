@@ -14,24 +14,24 @@ so shells 1..h hold ``(2h+1)^K - 1`` candidates.  A candidate
 ``g^t q g = q`` with the split pairing q (which forces ``det g = +-1``);
 survivors are returned in order.
 
-The congruence is ``n(n+1)/2`` integer quadratic forms in c, one per entry
-``a <= b`` of ``g^t q g``.  They are packed into one integer form by
-Kronecker substitution, ``F(c) = sum_{a<=b} W^e(a,b) (g^t q g)_ab``, with
-``W > 2 (bound^2 max_{a<=b} sum_r (A_ra A_r+h,b + A_r+h,a A_rb) + 1)``, where
-``A = sum |M_i|`` entrywise and h = n/2.  Every entry of ``g^t q g - q`` then
-has magnitude below W/2, so ``F(c) = F_q`` (the packed q) holds exactly when
-every entry matches.  ``F`` is a K x K integer form built once per search;
-the scan walks the digits of each support depth first, carrying the prefix
-value and the linear terms of the positions still to come, so a candidate
-costs ``value + x*(lin + x*D)``: O(1) amortised integer work.  A hit is
-kept as its coordinates; the caller checks the map they give once, with
-:func:`flattori.equivalence.verify_map`.  Arithmetic is in Python integers,
-so large basis entries cannot overflow.
+The congruence is ``n(n+1)/2`` integer quadratic forms in c, packed into
+one K x K integer form F by :func:`flattori._intlat.packed_form`, so that
+``F(c) = F_q`` (the packed q) holds exactly when every entry matches.  F is
+built once per search; the scan walks the digits of each support depth
+first, carrying the prefix value and the linear terms of the positions
+still to come, so a candidate costs ``value + x*(lin + x*D)``: O(1)
+amortised integer work.  A hit is kept as its coordinates; the caller
+checks the map they give once, with :func:`flattori.equivalence.verify_map`.
+Arithmetic is in Python integers, so large basis entries cannot overflow.
+Only a search that runs the scan imports this module: a refutation reads
+the lattice forms of :mod:`flattori._intlat` alone.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+from ._intlat import packed_form
 
 
 def _digit_values(height):
@@ -47,62 +47,6 @@ def completed_height(k, nodes):
     while (2 * h + 3) ** k - 1 <= nodes:
         h += 1
     return h
-
-
-def split_pairing(n):
-    """The split pairing q on Z^n as sparse rows: row c is ``e_{c + n/2 mod n}``."""
-    return [[((c + n // 2) % n, 1)] for c in range(n)]
-
-
-def frobenius_gram(basis_flat, n, right):
-    """The integer K x K matrix ``X_ij = <M_i, q M_j R>`` (Frobenius product).
-
-    ``basis_flat`` holds the M_i flattened row-major and ``right`` the rows of
-    a symmetric R as ``(column, value)`` pairs of its nonzero entries; X is
-    then symmetric, and only ``i <= j`` is summed.  Row s of M_j is row s + h
-    (mod n, h = n/2) of ``q M_j``, so the sums run over the nonzero entries of
-    the basis and of each row of R only.
-    """
-    half = n // 2
-    sparse = [[(t, v) for t, v in enumerate(m) if v] for m in basis_flat]
-    k = len(basis_flat)
-    gram = [[0] * k for _ in range(k)]
-    for j, mj in enumerate(sparse):
-        y = [0] * (n * n)
-        for t, v in mj:
-            base = (t // n + half) % n * n
-            for x, w in right[t % n]:
-                y[base + x] += v * w
-        for i in range(j + 1):
-            gram[i][j] = gram[j][i] = sum(v * y[t] for t, v in sparse[i])
-    return gram
-
-
-def packed_form(basis_flat, n, bound):
-    """``(X, target)`` with ``F(c) = sum_i X_ii/2 c_i^2 + sum_{i<j} X_ij c_i c_j``.
-
-    X is :func:`frobenius_gram` with R symmetric, ``R_ab = W^e(a,b)`` off the
-    diagonal and ``2 W^e(a,a)`` on it; ``target`` is F at any c with
-    ``g^t q g = q``.  Valid for candidates of max-norm at most ``bound``.
-    """
-    half = n // 2
-    size = n * n
-    a = [sum(abs(m[t]) for m in basis_flat) for t in range(size)]
-    worst = max(sum(a[r * n + x] * a[(r + half) * n + y] + a[(r + half) * n + x] * a[r * n + y]
-                    for r in range(half))
-                for x in range(n) for y in range(x, n))
-    w = 1 << (2 * (bound * bound * worst + 1)).bit_length()
-    weight = [[0] * n for _ in range(n)]
-    power = 1
-    target = 0
-    for x in range(n):
-        for y in range(x, n):
-            weight[x][y] = weight[y][x] = power
-            if y - x == half:
-                target += power
-            power *= w
-        weight[x][x] *= 2
-    return frobenius_gram(basis_flat, n, [list(enumerate(row)) for row in weight]), target
 
 
 def run_filter(basis_flat, n, bound, budget, max_hits=1):

@@ -50,7 +50,7 @@ class LatticeMap(Record):
             raise DimensionError("source and target dimensions differ")
         if not self.g.is_integral():
             raise ValidationError("lattice map must have integer entries")
-        if abs(self.g.det()) != 1:
+        if abs(self.g.det()) != 1:  # an int, from the int rows' Bareiss pivots
             raise ValidationError("lattice map is not unimodular")
 
 

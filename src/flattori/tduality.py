@@ -23,9 +23,10 @@ from operator import mul
 
 from . import jsonio
 from ._intkernel import column_pivots, integer_kernel, spans_direct_summand
+from ._rational import QZERO
 from ._record import Check, Record, failures
 from .errors import RecoveryError, SchemaError, ValidationError
-from .exactlinear import QZERO, RatMatrix, bareiss
+from .exactlinear import RatMatrix, bareiss
 from .relations import Certificate, LatticeMap, verify_map
 from .torus import TorusData, doubled, omega, require_valid
 

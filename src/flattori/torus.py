@@ -19,7 +19,6 @@ materialized (it cancels in every statement the package checks).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
@@ -28,8 +27,6 @@ from .errors import DimensionError, ValidationError
 from .exactlinear import RatMatrix
 
 BLOCK_CONVENTION = "winding-then-momentum"
-
-HALF = Fraction(1, 2)
 
 
 class TorusData(Record):
@@ -155,15 +152,17 @@ def zero_mode_momenta(t: TorusData, w, m):
 
     ``p = m - (B+G)w`` and ``pbar = m + (G-B)w`` are sqrt(2) times the
     physical momenta, and ``p^2/2 = G^-1(p,p)/2``.  No command calls this:
-    it is the tests' oracle for :func:`narain_form`.
+    it is the tests' oracle for :func:`narain_form`, and the one place in
+    this module that builds a Fraction.
     """
+    from ._rational import Q
     require_valid(t)
     if len(w) != t.rank or len(m) != t.rank:
         raise DimensionError("charge vector length does not match torus rank")
     bw, gw = t.B.apply(w), t.G.apply(w)
     p = tuple(mi - b - g for mi, b, g in zip(m, bw, gw))
     pbar = tuple(mi + g - b for mi, b, g in zip(m, bw, gw))
-    return (p, pbar, *(HALF * sum(map(mul, v, t.ginv.apply(v))) for v in (p, pbar)))
+    return (p, pbar, *(Q(sum(map(mul, v, t.ginv.apply(v))), 2) for v in (p, pbar)))
 
 
 def narain_form(t: TorusData) -> RatMatrix:

@@ -8,8 +8,9 @@ from types import SimpleNamespace
 import pytest
 
 from flattori import jsonio
+from flattori._rational import Q, QZERO, rat
 from flattori.errors import GradeError
-from flattori.exactlinear import QZERO, Q, RatMatrix, rat
+from flattori.exactlinear import RatMatrix
 from flattori.exterior import ExtElement, apply_linear, wedge
 from flattori.torus import TorusData
 

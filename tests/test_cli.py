@@ -5,16 +5,22 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import diag, random_valid_torus, square_torus
 import flattori
 from flattori import cli, equivalence, fock, jsonio, tduality
+from flattori._rational import Q
 from flattori.cli import main
-from flattori.exactlinear import Q, RatMatrix
+from flattori.errors import SchemaError
+from flattori.exactlinear import RatMatrix, rat_str, ratio_str
 from flattori.torus import TorusData
 
 
@@ -50,6 +56,18 @@ def square2_file(square2, torus_file):
 @pytest.fixture
 def stretched_file(stretched1, torus_file):
     return torus_file(stretched1, "stretched.json")
+
+
+# square2 with its first factor stretched to tau = 2i: no certificate relates
+# the two, and the Narain shell of the pair is not empty.
+STRETCHED2 = TorusData(
+    2, RatMatrix([[0, -2, 0, 0], [Q(1, 2), 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]),
+    diag([1, 4, 1, 1]), RatMatrix.zero(4, 4), "stretched2")
+
+
+@pytest.fixture
+def stretched2_file(torus_file):
+    return torus_file(STRETCHED2, "stretched2.json")
 
 
 class TestNumericInputErrors:
@@ -103,16 +121,19 @@ class TestNumericInputErrors:
         # the cap as given: this Fraction has more digits than str() may print
         (None, ["fock-verify", "--d", "1", "--cap", "-1e5000"],
          "cap must be at least 1/2, got -1e5000 (at --cap)"),
+        # diag(1, 1, 1, 0): the last Bareiss pivot is 1, yet det g = 0
+        (None, ["verify-map", "Z"], "lattice map is not unimodular"),
     ])
     def test_one_line_exit_two(self, capsys, tmp_path, square_file, square2_file, config,
                                argv, message):
         # T is a valid torus file and W one of another dimension, V a map from
-        # T to W, N an integral map on T with det 2, M a path in a directory
-        # that does not exist, O a writable path, D a directory and U a file
-        # that is not UTF-8; R, E, S and F each hold one matrix with a short or
-        # empty row: a torus's I, a torus's G, a map's g and a brane's F
+        # T to W, N an integral map on T with det 2 and Z one of rank 3, M a
+        # path in a directory that does not exist, O a writable path, D a
+        # directory and U a file that is not UTF-8; R, E, S and F each hold
+        # one matrix with a short or empty row: a torus's I, a torus's G, a
+        # map's g and a brane's F
         paths = {"T": square_file, "W": square2_file, "V": str(tmp_path / "dims.json"),
-                 "N": str(tmp_path / "det2.json"),
+                 "N": str(tmp_path / "det2.json"), "Z": str(tmp_path / "rank3.json"),
                  "M": str(tmp_path / "missing" / "out.json"),
                  "O": str(tmp_path / "m.json"), "D": str(tmp_path),
                  "U": str(tmp_path / "binary.json"), "R": str(tmp_path / "ragged.json"),
@@ -135,6 +156,9 @@ class TestNumericInputErrors:
         (tmp_path / "det2.json").write_text(json.dumps(
             {"kind": "iso", "source": "square.json", "target": "square.json",
              "g": [[str((1 + (i == 0)) * (i == j)) for j in range(4)] for i in range(4)]}))
+        (tmp_path / "rank3.json").write_text(json.dumps(
+            {"kind": "iso", "source": "square.json", "target": "square.json",
+             "g": [[int(i == j < 3) for j in range(4)] for i in range(4)]}))
         prefix = []
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -306,6 +330,41 @@ class TestRationalGrammar:
         assert code == 0
         torus = report(out)["inputs"]["torus"]
         assert (torus["I"], torus["G"]) == ([["0", "-1"], ["1", "0"]], [["1", "0"], ["0", "1"]])
+
+    # a value past int()'s digit limit, or any long value, is cut in the
+    # message, which gives its length: one short line
+    def test_oversized_value_is_one_short_line(self, capsys, tmp_path, square_file):
+        for value, shown in (("1" * 100_000, "'" + "1" * 39 + "... (str of length 100000)"),
+                             ([0] * 1000, "[" + "0, " * 13 + "... (list of length 1000)")):
+            assert run_payload(capsys, tmp_path, square_file, ["validate", "X"],
+                               _g_with(value)) == \
+                (2, "", f"input error: expected a rational number, got {shown} "
+                        f"(at x.json.G[0][0])\n")
+
+    # The int parser and the (num, den) writer against Fraction: a string is
+    # read exactly when it is [+-]p or [+-]p/q in ASCII digits with q != 0,
+    # to Fraction's value, and writes back as rat_str of that Fraction; any
+    # other string is refused with the message of the forms above.
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.from_regex(r"[+-]?[0-9]{1,25}(/[0-9]{1,25})?", fullmatch=True),
+                     st.text(alphabet="0123456789+-/ _.eE\u0661", max_size=10)))
+    @example("+006/6")
+    @example("-0/5")
+    @example("3/0")
+    @example("1e3")
+    def test_parser_and_writer_agree_with_fraction(self, value):
+        in_grammar = re.fullmatch(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?", value, re.ASCII)
+        if not in_grammar:
+            with pytest.raises(SchemaError) as info:
+                jsonio.ratio_from_json(value, "x")
+            assert str(info.value) == f"expected a rational number, got {value!r} (at x)"
+            return
+        ref = Fraction(value)
+        p, q = jsonio.ratio_from_json(value, "x")
+        assert q > 0 and Fraction(p, q) == ref == jsonio.rat_from_json(value, "x")
+        assert ratio_str(p, q) == rat_str(ref)
+        m = jsonio.matrix_from_json([[value, "1/6"], [value, 0]], "x", 2)
+        assert jsonio.matrix_to_json(m) == [[rat_str(ref), "1/6"], [rat_str(ref), "0"]]
 
     # the exponent used to pass validation and then fail while the report was
     # written, with a traceback, exit 1 and an empty stdout
@@ -495,16 +554,16 @@ def _fresh_python(*argv, cwd=None):
 CORE = {"flattori", "flattori.cli", "flattori.jsonio", "flattori.torus",
         "flattori.exactlinear", "flattori.errors", "flattori._record"}
 SEARCH_LAYERS = {"equivalence", "relations", "_intlat", "_intkernel", "kernels", "kernels_py"}
-COHOMOLOGY_LAYERS = {"cohomology", "exterior"}
+COHOMOLOGY_LAYERS = {"cohomology", "exterior", "_rational"}
 COMMAND_LAYERS = [
     (["validate", "T"], set()),
     (["doubled", "T"], set()),
-    (["spectrum", "T"], {"equivalence", "relations"}),
+    (["spectrum", "T"], {"equivalence", "relations", "_rational"}),
     (["check-iso", "T", "T"], SEARCH_LAYERS),
     (["check-mirror", "T", "T"], SEARCH_LAYERS),
     (["check-derived-eq", "T", "T"], SEARCH_LAYERS),
     (["verify-map", "M"], {"equivalence", "relations"}),
-    (["mirror", "--torus", "T"], {"tduality", "relations", "_intkernel"}),
+    (["mirror", "--torus", "T"], {"tduality", "relations", "_intkernel", "_rational"}),
     (["hodge", "T"], COHOMOLOGY_LAYERS),
     (["pp-classes", "T", "--p", "1"], COHOMOLOGY_LAYERS),
     (["lefschetz", "T"], COHOMOLOGY_LAYERS),
@@ -512,8 +571,8 @@ COMMAND_LAYERS = [
      COHOMOLOGY_LAYERS | {"tduality", "relations", "_intkernel"}),
     (["check-mirror-class", "--torus", "T", "--class", "C"], COHOMOLOGY_LAYERS),
     (["beta", "T"], COHOMOLOGY_LAYERS),
-    (["abrane-check", "--brane", "B"], {"abranes", "exterior", "_intkernel"}),
-    (["fock-verify", "--torus", "T", "--cap", "1"], {"fock"}),
+    (["abrane-check", "--brane", "B"], {"abranes", "exterior", "_intkernel", "_rational"}),
+    (["fock-verify", "--torus", "T", "--cap", "1"], {"fock", "_rational"}),
 ]
 COMMAND_IDS = [argv[0] for argv, _ in COMMAND_LAYERS]
 
@@ -591,6 +650,42 @@ class TestImportIsolation:
         proc = _fresh_python("-c", LOADED_MODULES, "hodge", square_file)
         assert proc.returncode == 0, proc.stderr
         assert "flattori.exterior" in json.loads(proc.stderr.splitlines()[-1])
+
+    # Validating a torus and deciding a search work on int rows alone, so
+    # neither loads fractions, nor the decimal and numbers modules it loads,
+    # unless the bare interpreter has them already; a refutation, which
+    # never runs the box scan, does not compile the filter either.  square2
+    # against stretched2 has a nonempty Narain shell, so it reads the packed
+    # form too.  hodge computes with Fractions.
+    @pytest.mark.parametrize("argv, verdict", [
+        (["validate", "T"], None),
+        (["check-iso", "T", "T"], "found"),
+        (["check-iso", "T", "S"], "refuted"),
+        (["check-mirror", "T", "S"], "refuted"),
+        (["check-derived-eq", "T", "S"], "refuted"),
+        (["check-iso", "T2", "S2"], "refuted"),
+    ], ids=["validate", "check-iso-found", "check-iso-refuted", "check-mirror-refuted",
+            "check-derived-eq-refuted", "check-iso-d2-refuted"])
+    def test_validate_and_search_load_no_fractions(self, square_file, stretched_file,
+                                                   square2_file, stretched2_file, argv,
+                                                   verdict):
+        watched = {"fractions", "decimal", "numbers"}
+        bare = _fresh_python("-c", "import json, sys; print(json.dumps(sorted(sys.modules)))")
+        files = {"T": square_file, "S": stretched_file, "T2": square2_file,
+                 "S2": stretched2_file}
+        proc = _fresh_python("-c", LOADED_MODULES, *[files.get(a, a) for a in argv])
+        assert proc.returncode == (verdict == "refuted"), proc.stderr
+        result = report(proc.stdout)["result"]
+        assert result.get("verdict", "found" if result.get("found") else None) == verdict
+        loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+        assert loaded & watched == watched & set(json.loads(bare.stdout))
+        if verdict == "refuted":
+            assert loaded & {"flattori.kernels", "flattori.kernels_py"} == set()
+
+    def test_hodge_loads_fractions(self, square_file):
+        proc = _fresh_python("-c", LOADED_MODULES, "hodge", square_file)
+        assert proc.returncode == 0, proc.stderr
+        assert "fractions" in json.loads(proc.stderr.splitlines()[-1])
 
     # Each handler's layer is imported when its command runs, so a missing
     # import shows only when the command starts as a fresh process: every
@@ -822,18 +917,14 @@ class TestSearchCommands:
     @pytest.mark.parametrize("budget", [[], ["--bound", "1", "--budget", "50"]],
                              ids=["default", "budget50"])
     def test_refute_bench_row_is_refuted_by_the_shell(self, capsys, monkeypatch, square2_file,
-                                                      torus_file, command, budget):
+                                                      stretched2_file, command, budget):
         # no vector of the shell F <= 8 preserves q, and at d <= 2 the shell
         # runs first, so no scan runs
         def refuse(*args):
             raise AssertionError("a scan or a fingerprint that cannot refute ran")
         monkeypatch.setattr(equivalence, "spectrum_fingerprint", refuse)
         monkeypatch.setattr("flattori.kernels.run_filter", refuse)
-        stretched2 = TorusData(
-            2, RatMatrix([[0, -2, 0, 0], [Q(1, 2), 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]),
-            diag([1, 4, 1, 1]), RatMatrix.zero(4, 4), "stretched2")
-        code, out, err = run(capsys, command, square2_file,
-                             torus_file(stretched2, "stretched2.json"), *budget)
+        code, out, err = run(capsys, command, square2_file, stretched2_file, *budget)
         assert code == 1
         assert report(out)["result"] == {
             "found": False, "verdict": "refuted", "nodes": 220,

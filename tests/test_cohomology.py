@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from conftest import (Gaussian, exp_grade2, ext_scaled, fm_product_model, random_valid_torus,
                       square_torus, unit_splitting)
+from flattori._rational import Q, QZERO
 from flattori.cohomology import (CohClass, _projector_02, beta_torsion, fm_transform,
                                  hodge_diamond, inverse_bivector,
                                  lefschetz_kernel_dim, mirror_class_condition,
                                  rational_pp_classes)
-from flattori.exactlinear import Q, QZERO, RatMatrix
+from flattori.exactlinear import RatMatrix
 from flattori.exterior import ExtElement, derivation_map, interior, wedge
 from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
 from flattori.torus import TorusData, omega

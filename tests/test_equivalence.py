@@ -14,16 +14,16 @@ from hypothesis import strategies as st
 
 from conftest import diag, random_valid_torus, square_torus
 from flattori import kernels_py
-from flattori._intlat import (integer_kernel, integral_coordinate_lattice, pair_reduce,
-                              short_vectors, spans_direct_summand)
+from flattori._intlat import (frobenius_gram, integer_kernel, integral_coordinate_lattice,
+                              pair_reduce, short_vectors, spans_direct_summand, split_pairing)
+from flattori._rational import Q
 from flattori._record import failures
 from flattori.equivalence import (DEFAULT_NODE_BUDGET, KINDS, LATTICE_ISOMETRY, NARAIN_SHELL,
                                   RELATIONS, LatticeMap, _constraint_rows, _lattice_class,
                                   intertwiner_rows, intertwiner_space, search_relation,
                                   spectrum_fingerprint, verify_map)
 from flattori.errors import ValidationError
-from flattori.exactlinear import Q, RatMatrix
-from flattori.kernels_py import frobenius_gram, split_pairing
+from flattori.exactlinear import RatMatrix
 from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
 from flattori.torus import TorusData, doubled, narain_form, zero_mode_momenta
 from test_cli import OPEN1, OPEN2
@@ -56,6 +56,11 @@ class TestVerifyMap:
     def test_non_unimodular_rejected(self, square1):
         with pytest.raises(ValidationError):
             verify_map(LatticeMap(diag([2, 1, 1, 1]), square1, square1, "iso"))
+
+    # Bareiss stops at three pivots, the last of them 1: det g = 0 all the same
+    def test_rank_deficient_map_with_last_pivot_one_rejected(self, square1):
+        with pytest.raises(ValidationError, match="^lattice map is not unimodular$"):
+            LatticeMap(diag([1, 1, 1, 0]), square1, square1, "iso")
 
     def test_sign_flip_invariance(self, square1):
         for kind, g in (("mirror", E1_SWAP), ("iso", RatMatrix.identity(4))):

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FractionMatrix, Gaussian, diag, exp_grade2
+from flattori._rational import Q, rat
 from flattori.errors import DimensionError, GradeError
-from flattori.exactlinear import Q, RatMatrix, bareiss, cleared, rat, rat_str
+from flattori.exactlinear import RatMatrix, bareiss, cleared, rat_str
 from flattori.exterior import (ExtElement, apply_linear, derivation_map, induced_map, interior,
                                wedge)
 
@@ -282,6 +283,20 @@ class TestEliminationAgainstDenseReference:
     @example([[1, 2], [2, 1]])
     def test_positive_definite(self, rows):
         assert RatMatrix(rows).is_positive_definite() == _ldlt_positive_definite(rows)
+
+    # Sylvester's criterion read off Bareiss pivots of the int rows agrees
+    # with the leading minors taken over the rationals, on singular and
+    # indefinite matrices too, and where row swaps would leave every pivot
+    # of the whole matrix positive (two hyperbolic planes)
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_matrices())
+    @example([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    @example([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+    @example([[Fraction(1, 2), 1], [1, Fraction(1, 3)]])
+    @example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 2)]])
+    def test_positive_definite_is_sylvester(self, rows):
+        minors = [_dense_det([r[:k] for r in rows[:k]]) for k in range(1, len(rows) + 1)]
+        assert RatMatrix(rows).is_positive_definite() == all(m > 0 for m in minors)
 
 
 class TestIntegerDet:

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import diag, reference_sweep
 from flattori import fock
+from flattori._rational import Q
 from flattori.errors import TruncationError, ValidationError
-from flattori.exactlinear import Q, RatMatrix
+from flattori.exactlinear import RatMatrix
 from flattori.fock import (MAX_BASIS_DIMENSION, MAX_CHECK_ROWS, TruncatedFock, _bracket_is,
                            _level_counts, _row_count, _verify_pairs, build_oscillator,
                            ccr_car_sweep, verify_car, verify_ccr)

@@ -23,7 +23,8 @@ import pytest
 from conftest import square_torus
 import flattori
 from flattori import cli, jsonio
-from flattori.exactlinear import Q, RatMatrix
+from flattori._rational import Q
+from flattori.exactlinear import RatMatrix
 from flattori.torus import TorusData
 from test_cli import GOLDEN_TORUS, OPEN1, OPEN2
 

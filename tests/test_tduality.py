@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import diag, random_valid_torus, square_torus, unit_splitting
 from flattori import equivalence, relations, tduality
+from flattori._rational import Q
 from flattori._record import failures
 from flattori.equivalence import LatticeMap, search_relation, verify_map
 from flattori.errors import ValidationError
-from flattori.exactlinear import Q, RatMatrix
+from flattori.exactlinear import RatMatrix
 from flattori.tduality import (LagrangianSplitting, _isotropic_complement,
                                find_lagrangian_splitting, mirror_via_tduality,
                                splitting_report)

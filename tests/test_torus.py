@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import diag, random_valid_torus, standard_complex_structure
+from flattori._rational import Q
 from flattori._record import failures
 from flattori.errors import DimensionError, ValidationError
-from flattori.exactlinear import Q, RatMatrix
+from flattori.exactlinear import RatMatrix
 from flattori.torus import (TorusData, doubled, narain_form, omega, q_matrix, validate,
                             zero_mode_momenta)
 
