@@ -22,8 +22,11 @@ module, ``jsonio``, ``torus``, ``exactlinear``, ``errors`` and ``_record``,
 and it holds the handlers of ``validate`` and ``doubled``.  The core reads,
 checks and writes a torus on int rows over one denominator and builds no
 Fraction, so it does not import ``fractions`` (which would also load
-``decimal`` and ``numbers``); the layers that compute with single rationals
-import it through ``_rational``, and the search does not.  Every other
+``decimal`` and ``numbers``).  The layers that compute with single
+rationals import it: ``equivalence``'s spectrum, ``exterior``,
+``cohomology`` and ``abranes`` through ``_rational``, and ``fock``, whose
+levels and modes are Fractions, directly.  The search and ``mirror`` work
+on int rows alone and do not.  Every other
 handler lives in the layer it drives (``equivalence``, ``tduality``,
 ``cohomology``, ``abranes`` or ``fock``), and :data:`COMMANDS` names it by
 module and function, so :func:`main` imports that one module and what it

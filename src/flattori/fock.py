@@ -8,16 +8,20 @@ and is removed with its multiplicity; an odd one squares to zero and takes
 the sign of the odd variables before it.  Annihilators act by the
 metric-contracted derivative rule, so the canonical (anti)commutation
 relations hold exactly on every subspace whose level keeps both operator
-orders inside the truncation; the verifiers report "inconclusive" outside
+orders inside the truncation; the sweep reports "inconclusive" outside
 that guarded subspace rather than pretending.  Operator columns hold
 integers: annihilator entries are scaled by the lcm D of the denominators of
-G^-1, and each bracket is compared with its expected value scaled alike.
+G^-1, and an operator holds only the columns of that guarded prefix.
 
 Each algebra's pass over the space removes every variable of its parity
-from every monomial once; its creators share those columns, and its
-annihilators scatter theirs from them.  A same-flavour bracket matrix is
-computed once for an index/mode pair and its swap, which reads it times the
-bracket's sign.
+from every monomial once; its creators share those columns, its
+annihilators scatter theirs from them, and every operator owns the pass it
+was built from, so the operators alive at once share one.  The sweep keeps
+each mode as twice its value, an int, and decides each row with one integer
+check: a nonzero expected bracket pairs a creator with an annihilator, so
+at scale D its target is the integer ``s (D G^-1)^{ij}`` (CCR) or
+``(D G^-1)^{ij}`` (CAR).  A same-flavour bracket is computed once for an
+index/mode pair and its swap, which reads it times the bracket's sign.
 
 The ``fock-verify`` command lives at the end of the module.  It counts the
 truncated space level by level, and its check rows, before building it: a
@@ -30,15 +34,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import count
 from weakref import WeakValueDictionary
 
 from . import jsonio
-from ._rational import QZERO, rat
 from ._record import Record
 from .errors import SchemaError, TruncationError, ValidationError
-from .exactlinear import RatMatrix
+from .exactlinear import RatMatrix, ratio_str
 from .torus import require_valid
 
 HALF = Fraction(1, 2)
@@ -186,11 +189,12 @@ class OscillatorOp(Record):
     entry is ``a / scale``.  Creators have scale 1, annihilators the lcm D
     of the denominators of G^-1.  Creator images that exceed the level cap
     are silently dropped (the corestriction to the truncated space), which
-    is why verifications guard their subspaces.  The columns whose level
-    leaves room for the mode, a prefix of the basis and the only ones a
-    guarded bracket reads, are computed when the operator is built and live
-    as long as it; ``_column_fn(lo, hi)`` scatters any other run of columns
-    when asked.  Neither is compared.
+    is why the sweep guards its subspaces.  ``_cols`` holds the columns
+    whose level leaves room for the mode, a prefix of the basis and the only
+    ones a guarded bracket reads; past it a creator's columns are empty.
+    ``_removals`` is the removal pass the columns came from, which the
+    operator keeps alive for the next operator of its parity.  Neither is
+    compared.
     """
 
     space: TruncatedFock
@@ -199,11 +203,7 @@ class OscillatorOp(Record):
     mode: Fraction
     scale: int
     _cols: tuple
-    _column_fn: object
-
-    def int_column(self, col: int):
-        cols = self._cols
-        return cols[col] if col < len(cols) else self._column_fn(col, col + 1)[0]
+    _removals: object
 
 
 class _RemovalPass:
@@ -261,15 +261,8 @@ class _RemovalPass:
         self.up = {r: tuple(c) for r, c in cols.items()}
 
 
-def _creator_columns(removals, r, lo, hi):
-    """Columns ``lo .. hi - 1`` of the creator of the variable of rank r: past
-    the monomials with room for it, its image leaves the truncation."""
-    cols = removals.up[r][lo:hi]
-    return cols + ((),) * (hi - lo - len(cols))
-
-
-def _annihilator_columns(removals, first, coeffs, lo, hi):
-    """Columns ``lo .. hi - 1`` of the sum over j of ``coeffs[j]`` times the
+def _annihilator_columns(removals, first, coeffs, hi):
+    """Columns ``0 .. hi - 1`` of the sum over j of ``coeffs[j]`` times the
     derivative in the variable of rank ``first + j``.
 
     The derivative maps a monomial to the one with a copy of the variable
@@ -279,22 +272,21 @@ def _annihilator_columns(removals, first, coeffs, lo, hi):
     """
     space = removals.space
     levels = space._levels
-    cols = [()] * (hi - lo)
-    if lo == hi:
+    cols = [()] * hi
+    if not hi:
         return cols
     for j, c in enumerate(coeffs):
         if not c:
             continue
         r = first + j
-        # the monomials that r lifts into lo .. hi - 1 lie one level of r below them
+        # the monomials that r lifts into 0 .. hi - 1 lie one level of r below them
         twice = space._twice_levels[r]
         up = removals.up[r]
-        for small in range(bisect_left(levels, levels[lo] - twice),
-                           bisect_right(levels, levels[hi - 1] - twice)):
+        for small in range(bisect_right(levels, levels[hi - 1] - twice)):
             for big, sign in up[small]:
-                if lo <= big < hi:
+                if big < hi:
                     weight = sign if removals.odd else space._keys[big].count(r)
-                    cols[big - lo] += ((small, c * weight),)
+                    cols[big] += ((small, c * weight),)
     return cols
 
 
@@ -325,16 +317,17 @@ def build_oscillator(space: TruncatedFock, kind: str, i: int, s) -> OscillatorOp
     first = space._variables.index((_KIND_FAMILY[kind], abs(s), 0))
     removals = space._removals(not bosonic)
     if s < 0:
-        scale, column_fn = 1, partial(_creator_columns, removals, first + i)
+        # the pass's columns for the variable: those of the monomials with room for it
+        scale, cols = 1, removals.up[first + i]
     else:
         scale, scaled = space.ginv.den, space.ginv.num  # D and the int rows D G^-1
         coeffs = [int(s) * c for c in scaled[i]] if bosonic else scaled[i]  # D s G^-1, D G^-1
-        column_fn = partial(_annihilator_columns, removals, first, coeffs)
-    # the basis is level-sorted, so the columns with room for the mode are a prefix
-    room = space._cap2 - int(2 * abs(s))
-    cols = tuple(column_fn(0, bisect_right(space._levels, room)))
+        # the basis is level-sorted, so the columns with room for the mode are a prefix
+        room = space._cap2 - int(2 * s)
+        cols = tuple(_annihilator_columns(removals, first, coeffs,
+                                          bisect_right(space._levels, room)))
     return OscillatorOp(space=space, kind=kind, index=i, mode=s, scale=scale,
-                        _cols=cols, _column_fn=column_fn)
+                        _cols=cols, _removals=removals)
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +335,17 @@ def build_oscillator(space: TruncatedFock, kind: str, i: int, s) -> OscillatorOp
 # ---------------------------------------------------------------------------
 
 
-class CheckOutcome(Record):
-    status: str  # "pass", "fail", or "inconclusive"
-    tested_dimension: int
-    expected: Fraction
-
-
-def _bracket_scalar(op1, op2, sign, testable):
+def _bracket_scalar(op1, op2, sign, tested):
     """The c with ``op1 op2 + sign op2 op1 = c`` times the identity on the
-    testable columns, as an int at scale ``op1.scale * op2.scale``, or None.
+    first ``tested`` columns, as an int at scale ``op1.scale * op2.scale``,
+    or None.
 
-    The level of a testable column leaves room for both modes, so every
+    The level of a tested column leaves room for both modes, so every
     column read lies in each operator's computed prefix.
     """
     cols1, cols2 = op1._cols, op2._cols
     value = None
-    for col in testable:
+    for col in range(tested):
         acc = None                       # most columns reach no row at all
         for mid, c1 in cols2[col]:       # op1 after op2
             for row, c2 in cols1[mid]:
@@ -383,122 +371,71 @@ def _bracket_scalar(op1, op2, sign, testable):
     return value
 
 
-def _bracket_is(op1, op2, sign, testable, expected):
-    """Whether ``op1 op2 + sign op2 op1`` is ``expected`` times the identity.
-
-    Both products have integer entries at scale ``op1.scale * op2.scale``,
-    so they are compared with ``expected`` at that scale: multiplying by a
-    nonzero integer is injective on Q, and a target that is not an integer
-    cannot be met.
-    """
-    return _bracket_scalar(op1, op2, sign, testable) == expected * op1.scale * op2.scale
-
-
-def _testable(space, s, p):
-    """The columns a bracket of modes s and p is checked on: those whose level
-    leaves room for both modes, a prefix of the level-sorted basis."""
-    # floor(2 |s|) and floor(2 |p|) in int arithmetic, for int or Fraction modes
-    room = (space._cap2 - 2 * abs(s.numerator) // s.denominator
-            - 2 * abs(p.numerator) // p.denominator)
-    return range(bisect_right(space._levels, room))
-
-
-_ABSENT = object()
-
-
-def _verify_pairs(space, i, j, s, p, flavors, sign, expected_same_flavor, ops=None):
-    """The three brackets of one index/mode pair.
-
-    ``ops`` keeps, for the calls that share it, the operators built and the
-    scalar of each same-flavour bracket: the bracket of the swapped pair
-    ``(j, i, p, s)`` is ``sign`` times it, so that call compares it with its
-    own expected value without computing the matrix again.  Modes are keyed
-    by numerator and denominator, which hash faster than a Fraction.
-    """
-    testable = _testable(space, s, p)
-    if not testable:
-        return CheckOutcome("inconclusive", 0, expected_same_flavor)
-    if ops is None:
-        ops = {}
-    s_key, p_key = (s.numerator, s.denominator), (p.numerator, p.denominator)
-
-    def oscillator(kind, index, mode, mode_key):
-        op = ops.get((kind, index, mode_key))
-        if op is None:
-            op = ops[kind, index, mode_key] = build_oscillator(space, kind, index, mode)
-        return op
-
-    def same_flavor(kind):
-        c = ops.pop((kind, j, i, p_key, s_key), _ABSENT)
-        if c is not _ABSENT:
-            return None if c is None else sign * c
-        c = _bracket_scalar(oscillator(kind, i, s, s_key), oscillator(kind, j, p, p_key), sign,
-                            testable)
-        if (i, s_key) != (j, p_key):
-            ops[kind, i, j, s_key, p_key] = c
-        return c
-
-    left, right = flavors
-    op1, op2 = oscillator(left, i, s, s_key), oscillator(right, j, p, p_key)
-    target = expected_same_flavor * (op1.scale * op2.scale) if expected_same_flavor else 0
-    if (same_flavor(left) == target and same_flavor(right) == target
-            and _bracket_is(op1, op2, sign, testable, 0)):
-        return CheckOutcome("pass", len(testable), expected_same_flavor)
-    return CheckOutcome("fail", len(testable), expected_same_flavor)
-
-
-def verify_ccr(space: TruncatedFock, i: int, j: int, s, p, ops=None) -> CheckOutcome:
-    """Commutators of the bosonic oscillators on the guarded subspace.
-
-    Checks ``[alpha^i_s, alpha^j_p]`` and its right-moving twin against
-    ``s (G^-1)^{ij} delta_{s,-p}``, and the mixed commutator against zero.
-    Calls that pass one dict as ``ops`` share the operators they build and
-    the brackets their swapped pairs read.
-    """
-    s, p = rat(s), rat(p)
-    expected = s * space.ginv.entries[i][j] if s == -p else QZERO
-    return _verify_pairs(space, i, j, s, p, ("alpha", "alphabar"), -1, expected, ops)
-
-
-def verify_car(space: TruncatedFock, i: int, j: int, s, p, ops=None) -> CheckOutcome:
-    """Anticommutators of the fermionic oscillators on the guarded subspace."""
-    s, p = rat(s), rat(p)
-    expected = space.ginv.entries[i][j] if s == -p else QZERO
-    return _verify_pairs(space, i, j, s, p, ("psi", "psibar"), +1, expected, ops)
-
-
 def ccr_car_sweep(space: TruncatedFock):
     """All index/mode pairs testable at the cap; rows for reports and the CLI.
 
-    Each algebra's pass owns the operators it builds, with their column
-    caches and the removal pass they share: the CCR operators are released
-    before the CAR pass starts, and the space keeps none of them.
+    The CCR rows check ``[alpha^i_s, alpha^j_p]`` and its right-moving twin
+    against ``s (G^-1)^{ij} delta_{s,-p}``, the CAR rows the anticommutators
+    of ``psi`` and ``psibar`` against ``(G^-1)^{ij} delta_{s,-p}``, and each
+    the mixed bracket against zero.  Each algebra's pass owns the operators
+    it builds, with the removal pass they share: the CCR operators are
+    released before the CAR pass starts, and the space keeps none of them.
     """
-    rows = []
-    for algebra, start, verify in (("ccr", 2, verify_ccr), ("car", 1, verify_car)):
-        rows += _sweep_pass(space, algebra, start, verify)
-    return rows
+    return (_sweep_pass(space, "ccr", 2, ("alpha", "alphabar"), -1)
+            + _sweep_pass(space, "car", 1, ("psi", "psibar"), +1))
 
 
-def _sweep_pass(space, algebra, start, verify):
+def _sweep_pass(space, algebra, start, flavors, sign):
     """The rows of one algebra; its operators are released when it returns.
 
-    The modes, their names and the testable dimension of each mode pair are
-    computed once; a pair with no testable column is inconclusive, as
-    ``verify`` would find, and builds no operator.
+    Modes are kept as twice their value.  The modes, their names and the
+    tested dimension of each mode pair are computed once; a pair with no
+    tested column is inconclusive and builds no operator.  A nonzero target
+    pairs a creator (scale 1) with an annihilator (scale D), so at scale D
+    it is the integer ``(s / 2) (D G^-1)^{ij}`` (CCR) or ``(D G^-1)^{ij}``
+    (CAR).  ``brackets`` keeps each same-flavour scalar for the swapped pair
+    ``(j, i, p, s)``, which reads it times ``sign``.
     """
-    n = space.rank
-    # modes 1, -1, 2, -2, ... for the CCR and 1/2, -1/2, 3/2, ... for the CAR
-    modes = [Fraction(e * t, 2) for t in range(start, space._cap2 + 1, 2) for e in (1, -1)]
-    pairs = [(s, p, str(s), str(p), len(_testable(space, s, p))) for s in modes for p in modes]
-    ops = {}
+    n, levels, cap2 = space.rank, space._levels, space._cap2
+    # twice the modes: 2, -2, 4, -4, ... for the CCR and 1, -1, 3, -3, ... for the CAR
+    modes = [e * t for t in range(start, cap2 + 1, 2) for e in (1, -1)]
+    pairs = [(s, p, ratio_str(s, 2), ratio_str(p, 2),
+              bisect_right(levels, cap2 - abs(s) - abs(p))) for s in modes for p in modes]
+    ginv = space.ginv.num
+    left, right = flavors
+    ops, brackets = {}, {}
+
+    def oscillator(kind, index, mode):
+        op = ops.get((kind, index, mode))
+        if op is None:
+            op = ops[kind, index, mode] = build_oscillator(space, kind, index, Fraction(mode, 2))
+        return op
+
+    def same_flavor(kind, i, j, s, p, tested):
+        swapped = (kind, j, i, p, s)
+        if swapped in brackets:
+            c = brackets.pop(swapped)
+            return None if c is None else sign * c
+        c = _bracket_scalar(oscillator(kind, i, s), oscillator(kind, j, p), sign, tested)
+        if (i, s) != (j, p):
+            brackets[kind, i, j, s, p] = c
+        return c
+
     rows = []
     for i in range(n):
         for j in range(n):
-            for s, p, s_name, p_name, dimension in pairs:
-                status = verify(space, i, j, s, p, ops).status if dimension else "inconclusive"
+            for s, p, s_name, p_name, tested in pairs:
+                if not tested:
+                    status = "inconclusive"
+                else:
+                    target = 0 if s != -p else (s // 2 if algebra == "ccr" else 1) * ginv[i][j]
+                    ok = (same_flavor(left, i, j, s, p, tested) == target
+                          and same_flavor(right, i, j, s, p, tested) == target
+                          and _bracket_scalar(oscillator(left, i, s), oscillator(right, j, p),
+                                              sign, tested) == 0)
+                    status = "pass" if ok else "fail"
                 rows.append({"algebra": algebra, "i": i, "j": j, "s": s_name, "p": p_name,
-                             "status": status, "tested_dimension": dimension})
+                             "status": status, "tested_dimension": tested})
     return rows
 
 

@@ -23,7 +23,6 @@ from operator import mul
 
 from . import jsonio
 from ._intkernel import column_pivots, integer_kernel, spans_direct_summand
-from ._rational import QZERO
 from ._record import Check, Record, failures
 from .errors import RecoveryError, SchemaError, ValidationError
 from .exactlinear import RatMatrix, bareiss
@@ -121,7 +120,7 @@ def _isotropic_complement(w, a):
     n, d = len(w), len(a)
     trans = [[int(i == j) for j in range(n)] for i in range(n)]
     column_pivots([list(v) for v in a], trans)
-    c = [[int(x) for x in row] for row in RatMatrix(trans).inverse().entries[d:]]
+    c = list(RatMatrix.over(1, trans).inverse().num[d:])  # U is unimodular: den 1
     pair = [[sum(map(mul, u, _image(w, v))) for v in a + c] for u in c]
     rows = [[pair[i][k] * (r == j) - pair[j][k] * (r == i) for r in range(d) for k in range(d)]
             + [pair[i][d + j]] for i, j in combinations(range(d), 2)]
@@ -168,14 +167,14 @@ def _swap_matrix(d: int) -> RatMatrix:
     """Exchange A-windings with A-momenta on the doubled split basis."""
     n4 = 4 * d
     n = 2 * d
-    rows = [[QZERO] * n4 for _ in range(n4)]
+    rows = [[0] * n4 for _ in range(n4)]
     for i in range(d):
         rows[i][n + i] = 1       # new winding along dual A = old A momentum
         rows[n + i][i] = 1       # new A momentum = old A winding
     for i in range(d, n):
         rows[i][i] = 1           # B windings unchanged
         rows[n + i][n + i] = 1   # B momenta unchanged
-    return RatMatrix(rows)
+    return RatMatrix.over(1, rows)
 
 
 def mirror_via_tduality(t: TorusData, s: LagrangianSplitting) -> MirrorResult:

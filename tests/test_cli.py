@@ -563,7 +563,7 @@ COMMAND_LAYERS = [
     (["check-mirror", "T", "T"], SEARCH_LAYERS),
     (["check-derived-eq", "T", "T"], SEARCH_LAYERS),
     (["verify-map", "M"], {"equivalence", "relations"}),
-    (["mirror", "--torus", "T"], {"tduality", "relations", "_intkernel", "_rational"}),
+    (["mirror", "--torus", "T"], {"tduality", "relations", "_intkernel"}),
     (["hodge", "T"], COHOMOLOGY_LAYERS),
     (["pp-classes", "T", "--p", "1"], COHOMOLOGY_LAYERS),
     (["lefschetz", "T"], COHOMOLOGY_LAYERS),
@@ -572,7 +572,7 @@ COMMAND_LAYERS = [
     (["check-mirror-class", "--torus", "T", "--class", "C"], COHOMOLOGY_LAYERS),
     (["beta", "T"], COHOMOLOGY_LAYERS),
     (["abrane-check", "--brane", "B"], {"abranes", "exterior", "_intkernel", "_rational"}),
-    (["fock-verify", "--torus", "T", "--cap", "1"], {"fock", "_rational"}),
+    (["fock-verify", "--torus", "T", "--cap", "1"], {"fock"}),
 ]
 COMMAND_IDS = [argv[0] for argv, _ in COMMAND_LAYERS]
 
@@ -651,12 +651,12 @@ class TestImportIsolation:
         assert proc.returncode == 0, proc.stderr
         assert "flattori.exterior" in json.loads(proc.stderr.splitlines()[-1])
 
-    # Validating a torus and deciding a search work on int rows alone, so
-    # neither loads fractions, nor the decimal and numbers modules it loads,
-    # unless the bare interpreter has them already; a refutation, which
-    # never runs the box scan, does not compile the filter either.  square2
-    # against stretched2 has a nonempty Narain shell, so it reads the packed
-    # form too.  hodge computes with Fractions.
+    # Validating a torus, deciding a search and building a mirror work on int
+    # rows alone, so none loads fractions, nor the decimal and numbers
+    # modules it loads, unless the bare interpreter has them already; a
+    # refutation, which never runs the box scan, does not compile the filter
+    # either.  square2 against stretched2 has a nonempty Narain shell, so it
+    # reads the packed form too.  hodge computes with Fractions.
     @pytest.mark.parametrize("argv, verdict", [
         (["validate", "T"], None),
         (["check-iso", "T", "T"], "found"),
@@ -664,8 +664,9 @@ class TestImportIsolation:
         (["check-mirror", "T", "S"], "refuted"),
         (["check-derived-eq", "T", "S"], "refuted"),
         (["check-iso", "T2", "S2"], "refuted"),
+        (["mirror", "--torus", "T"], "found"),
     ], ids=["validate", "check-iso-found", "check-iso-refuted", "check-mirror-refuted",
-            "check-derived-eq-refuted", "check-iso-d2-refuted"])
+            "check-derived-eq-refuted", "check-iso-d2-refuted", "mirror"])
     def test_validate_and_search_load_no_fractions(self, square_file, stretched_file,
                                                    square2_file, stretched2_file, argv,
                                                    verdict):

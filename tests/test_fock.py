@@ -1,8 +1,10 @@
 """Truncated oscillator algebras and their (anti)commutation sweeps."""
 
+import gc
 import random
 import tracemalloc
 import weakref
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, count, permutations
 
@@ -15,9 +17,9 @@ from flattori import fock
 from flattori._rational import Q
 from flattori.errors import TruncationError, ValidationError
 from flattori.exactlinear import RatMatrix
-from flattori.fock import (MAX_BASIS_DIMENSION, MAX_CHECK_ROWS, TruncatedFock, _bracket_is,
-                           _level_counts, _row_count, _verify_pairs, build_oscillator,
-                           ccr_car_sweep, verify_car, verify_ccr)
+from flattori.fock import (MAX_BASIS_DIMENSION, MAX_CHECK_ROWS, TruncatedFock,
+                           _annihilator_columns, _bracket_scalar, _level_counts, _row_count,
+                           build_oscillator, ccr_car_sweep)
 
 HALF = Fraction(1, 2)
 
@@ -88,8 +90,10 @@ class TestSpace:
 
 
 def column(op, col):
-    """The exact entries ``(row, Fraction)`` of one column of ``op``."""
-    return [(row, Fraction(a, op.scale)) for row, a in op.int_column(col)]
+    """The exact entries ``(row, Fraction)`` of one column of ``op``, from its
+    guarded prefix: past it a creator's image leaves the truncation."""
+    cols = op._cols
+    return [(row, Fraction(a, op.scale)) for row, a in (cols[col] if col < len(cols) else ())]
 
 
 class TestOscillators:
@@ -101,8 +105,8 @@ class TestOscillators:
         assert coeff == 1
 
     def test_annihilator_kills_vacuum(self, space1):
-        assert build_oscillator(space1, "alpha", 0, 1).int_column(0) == ()
-        assert build_oscillator(space1, "psi", 0, HALF).int_column(0) == ()
+        assert build_oscillator(space1, "alpha", 0, 1)._cols[0] == ()
+        assert build_oscillator(space1, "psi", 0, HALF)._cols[0] == ()
 
     def test_fermionic_derivative_rule(self, space1):
         cre = build_oscillator(space1, "psi", 0, -HALF)
@@ -157,14 +161,27 @@ def assert_adjoint_to_creators(space):
         for i in range(2):
             for s in modes:
                 cre = build_oscillator(space, kind, i, -s)
-                ann = build_oscillator(space, kind, i, s)
+                lower = every_annihilator_column(build_oscillator(space, kind, i, s))
                 for c1, m1 in enumerate(basis):
                     lift = column(cre, c1)
                     for c2, m2 in enumerate(basis):
                         lhs = sum(c * monomial_pairing(space, basis[r], m2) for r, c in lift)
                         rhs = sum(c * monomial_pairing(space, m1, basis[r])
-                                  for r, c in column(ann, c2))
+                                  for r, c in lower[c2])
                         assert lhs == rhs
+
+
+def every_annihilator_column(ann):
+    """Every column of the annihilator ``ann`` as exact entries ``(row,
+    Fraction)``, past its guarded prefix too, scattered from its removal
+    pass; the prefix must be the columns ``ann`` holds."""
+    space = ann.space
+    first = space._variables.index((fock._KIND_FAMILY[ann.kind], ann.mode, 0))
+    scaled = space.ginv.num[ann.index]
+    coeffs = [int(ann.mode) * c for c in scaled] if ann.kind.startswith("alpha") else scaled
+    cols = _annihilator_columns(ann._removals, first, coeffs, space.basis_dimension)
+    assert tuple(cols[:len(ann._cols)]) == ann._cols
+    return [[(row, Fraction(a, ann.scale)) for row, a in col] for col in cols]
 
 
 def monomial_pairing(space, m1, m2):
@@ -233,36 +250,41 @@ def _perm_sign(perm):
     return sign
 
 
+def sweep_row(space, algebra, i, j, s, p):
+    """The ``ccr_car_sweep`` row of one algebra, index pair and mode pair."""
+    [row] = [r for r in ccr_car_sweep(space)
+             if (r["algebra"], r["i"], r["j"], r["s"], r["p"]) == (algebra, i, j, str(s), str(p))]
+    return row["status"], row["tested_dimension"]
+
+
 class TestCcrCar:
     def test_standard_commutator(self, space1):
-        assert verify_ccr(space1, 0, 0, 1, -1).status == "pass"
+        assert sweep_row(space1, "ccr", 0, 0, 1, -1)[0] == "pass"
 
     def test_mismatched_modes_commute(self, space1):
-        out = verify_ccr(space1, 0, 0, 1, -2)
-        assert out.status == "pass" and out.expected == 0
+        assert sweep_row(space1, "ccr", 0, 0, 1, -2)[0] == "pass"
 
     def test_metric_inverse_normalization(self):
+        # G^-1 = diag(1/2, 1), so D = 2 and [alpha^0_1, alpha^0_-1] = 1/2 is 1 at scale D
         space = TruncatedFock(1, Fraction(3), diag([2, 1]))
-        out = verify_ccr(space, 0, 0, 1, -1)
-        assert out.status == "pass"
-        assert out.expected == Q(1, 2)
+        assert sweep_row(space, "ccr", 0, 0, 1, -1)[0] == "pass"
+        ann, cre = build_oscillator(space, "alpha", 0, 1), build_oscillator(space, "alpha", 0, -1)
+        assert (ann.scale, _bracket_scalar(ann, cre, -1, 1)) == (2, 1)
 
     def test_car_standard(self, space1):
-        assert verify_car(space1, 0, 0, HALF, -HALF).status == "pass"
+        assert sweep_row(space1, "car", 0, 0, HALF, -HALF)[0] == "pass"
 
     def test_car_cross_flavor_zero(self, space1):
-        # included in every verify_car call; also check an off-diagonal pair
-        assert verify_car(space1, 0, 1, HALF, Fraction(3, 2)).status == "pass"
+        # the mixed bracket is checked on every row; also check an off-diagonal pair
+        assert sweep_row(space1, "car", 0, 1, HALF, Fraction(3, 2))[0] == "pass"
 
     def test_odd_square_vanishes(self, space1):
-        out = verify_car(space1, 0, 0, -HALF, -HALF)
-        assert out.status == "pass" and out.expected == 0
+        assert sweep_row(space1, "car", 0, 0, -HALF, -HALF)[0] == "pass"
 
     def test_inconclusive_outside_guard(self, space1):
         # at cap 3 the guard 3 - |s| - |p| is negative: no column is tested
-        out = verify_ccr(space1, 0, 0, 3, -3)
-        assert (out.status, out.tested_dimension) == ("inconclusive", 0)
-        assert verify_ccr(space1, 0, 0, 3, 3).status == "inconclusive"
+        assert sweep_row(space1, "ccr", 0, 0, 3, -3) == ("inconclusive", 0)
+        assert sweep_row(space1, "ccr", 0, 0, 3, 3)[0] == "inconclusive"
 
     @pytest.mark.parametrize("d, g", [(1, None), (2, None), (1, PAIRED), (2, TRIDIAGONAL)],
                              ids=["1", "2", "1-D3", "2-D5"])
@@ -274,29 +296,33 @@ class TestCcrCar:
 
     @pytest.mark.parametrize("d, g, scale", [(1, PAIRED, 3), (2, TRIDIAGONAL, 5)],
                              ids=["1-D3", "2-D5"])
-    def test_scaled_bracket_rejects_a_wrong_value(self, d, g, scale):
-        space = TruncatedFock(d, Fraction(3), g)
-        assert space.ginv.entries[0][1].denominator == scale
-        ccr = (("alpha", "alphabar"), -1)
-        car = (("psi", "psibar"), +1)
-        cases = (
-            (ccr, 1, -1, verify_ccr(space, 0, 1, 1, -1).expected),       # annihilator, creator
-            (car, HALF, -HALF, verify_car(space, 0, 1, HALF, -HALF).expected),
-            (ccr, 1, -2, Q(0)),                                           # mismatched modes
-            (ccr, -1, -1, Q(0)),                                          # two creators, scale 1
-        )
-        for (flavors, sign), s, p, right in cases:
-            assert _verify_pairs(space, 0, 1, s, p, flavors, sign, right).status == "pass"
-            wrong = right + Fraction(1, scale)
-            assert _verify_pairs(space, 0, 1, s, p, flavors, sign, wrong).status == "fail"
+    def test_scaled_bracket_is_the_integer_target(self, d, g, scale):
+        # an annihilator (scale D) against a creator (scale 1) brackets to
+        # s (D G^-1)_01 for the CCR and (D G^-1)_01 for the CAR, the integers the
+        # sweep compares with; two creators, at scale 1, commute
+        space = TruncatedFock(d, Fraction(4), g)  # room for modes 2 and -2
+        assert space.ginv.den == scale
+        entry = space.ginv.num[0][1]
+        assert entry % scale
+
+        def bracket(kind, s, p, sign):
+            op1, op2 = build_oscillator(space, kind, 0, s), build_oscillator(space, kind, 1, p)
+            tested = bisect_right(space._levels, space._cap2 - int(2 * abs(s)) - int(2 * abs(p)))
+            return op1.scale * op2.scale, _bracket_scalar(op1, op2, sign, tested)
+
+        assert bracket("alpha", 1, -1, -1) == (scale, entry)
+        assert bracket("alphabar", 2, -2, -1) == (scale, 2 * entry)
+        assert bracket("psi", HALF, -HALF, +1) == (scale, entry)
+        assert bracket("alpha", 1, -2, -1) == (scale, 0)        # mismatched modes
+        assert bracket("alpha", -1, -1, -1) == (1, 0)           # two creators
 
     def test_bracket_sees_entries_off_the_diagonal(self, space1):
         # a boson and a fermion creator commute, so their anticommutator is
         # 2 a psi: zero on the diagonal, nonzero below it
         a = build_oscillator(space1, "alpha", 0, -1)
         psi = build_oscillator(space1, "psi", 0, -HALF)
-        assert _bracket_is(a, psi, -1, range(1), Q(0))
-        assert not _bracket_is(a, psi, +1, range(1), Q(0))
+        assert _bracket_scalar(a, psi, -1, 1) == 0
+        assert _bracket_scalar(a, psi, +1, 1) is None
 
     def test_cap_between_half_integers_rounds_down(self):
         # 2 * 7/3 rounds down to 4, so cap 7/3 truncates exactly like cap 2,
@@ -372,6 +398,16 @@ class TestSweepMemory:
         # the space gained only its cached metric inverses
         assert set(vars(space)) - before <= {"ginv", "_scaled_ginv"}
         assert any(r["status"] == "pass" for r in rows)
+
+    def test_operators_of_one_parity_share_one_removal_pass(self):
+        # each operator owns its removal pass; the space holds it only weakly,
+        # so without an owner the next operator would scan the basis again
+        space = TruncatedFock(1, Fraction(2), PAIRED)
+        op1 = build_oscillator(space, "alpha", 0, -1)
+        gc.collect()
+        op2 = build_oscillator(space, "alphabar", 1, 2)
+        assert op2._removals is op1._removals
+        assert list(space._removal_passes.values()) == [op1._removals]
 
     def test_two_sweeps_on_one_space_agree(self):
         space = TruncatedFock(2, Fraction(2), TRIDIAGONAL)

@@ -48,8 +48,6 @@ ALLOWLIST = {
     "torus.zero_mode_momenta": (HARNESS + ", by the trace plan; the tests' oracle for "
                                 "narain_form", {
         "perfbench/traced_cli.py": '"zero_mode_momenta"'}),
-    "fock.OscillatorOp.int_column": (
-        "the adjointness test reads columns outside the guarded prefix", {}),
 }
 
 

@@ -45,7 +45,7 @@ class TestImmutable:
         with pytest.raises(AttributeError):
             op.scale = 2
         with pytest.raises(AttributeError):
-            del op._column_fn
+            del op._removals
 
 
 class TestEqualityAndHash:
@@ -62,13 +62,13 @@ class TestEqualityAndHash:
         assert check != _Twin("q", True)
         assert check.__eq__(("q", True)) is NotImplemented
 
-    def test_oscillator_column_function_is_not_compared(self, space):
+    def test_oscillator_columns_and_removal_pass_are_not_compared(self, space):
         op = build_oscillator(space, "alpha", 0, -1)
         twin = type(op)(op.space, op.kind, op.index, op.mode, op.scale, _cols=(),
-                        _column_fn=None)
+                        _removals=None)
         assert op == twin and hash(op) == hash(twin)
-        assert op.int_column(0) == op.int_column(0)
         assert op._cols and twin._cols == ()
+        assert op._removals is not None and twin._removals is None
         assert op != build_oscillator(space, "alpha", 1, -1)
 
 
