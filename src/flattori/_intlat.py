@@ -22,8 +22,8 @@ here too: :func:`frobenius_gram` with the :func:`split_pairing` q is the
 Gram matrix of ``tr(q h^t q h)`` that decides a refutation, and
 :func:`packed_form` packs the q-congruence into the one form that picks a
 certificate, in the shell and in the scan of :mod:`flattori.kernels_py`.
-A search imports the scan only when it runs it, so a refutation compiles
-this module and not the scan.
+The shell alone, the whole ``iso`` and ``mirror`` search at d <= 2,
+compiles this module and not the scan.
 """
 
 from __future__ import annotations

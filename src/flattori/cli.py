@@ -36,7 +36,7 @@ modules: ``relations`` (lattice maps, certificates and ``verify_map``) and
 two, so ``mirror`` and ``fm`` compile neither the search (``equivalence``)
 nor its lattice reduction (``_intlat``), and ``abrane-check`` compiles
 ``_intkernel`` alone.  A search compiles the box scan (``kernels`` and
-``kernels_py``) only when it runs it, so a refutation does not.  A handler
+``kernels_py``) only when it runs it, for derived_eq or at d = 3.  A handler
 takes the parsed arguments, with the config's ``bound`` and ``budget``
 already folded in, and returns ``(inputs, result, exit code)``;
 :func:`main` prints the report.  No layer imports this module: under

@@ -11,8 +11,8 @@ re-exports them (``LatticeMap``, ``Certificate``, ``verify_map``,
 Existence search: the intertwining constraints are linear, so the lattice of
 all integral solutions is the integer kernel of the constraint rows (built in
 integers from the structures scaled by the lcm D of their denominators, see
-:func:`~flattori.exactlinear.cleared`); we then enumerate small integer
-coordinate vectors over a size-reduced basis of it, keeping the first
+:func:`~flattori.exactlinear.cleared`).  The box scan enumerates small
+integer coordinate vectors over a size-reduced basis of it, keeping the first
 candidate that satisfies the quadratic q-congruence.
 
 Refutation reads one integer form on the intertwiner lattices,
@@ -24,16 +24,16 @@ pair whose three lattices L(T1,T1), L(T1,T2), L(T2,T2) differ in (rank,
 det) is refuted before the scan.  On ``iso`` and ``mirror`` lattices F is
 the Narain form ``tr(N_1^-1 h^t N_2 h)``, positive definite, and every
 certificate lies in the finite shell ``F <= 4d``.  Listing that shell
-(:func:`~flattori._intlat.short_vectors`) is the one refutation of ``iso``
-and ``mirror``: it finds a certificate or refutes.  A ``derived_eq`` search
-without a hit means only "none within bound", and one that spends its node
-budget first is "undecided".
+(:func:`~flattori._intlat.short_vectors`) finds an ``iso`` or ``mirror``
+certificate or refutes; at d <= 2 it is their whole search.  A
+``derived_eq`` search without a hit means only "none within bound", and one
+that spends its node budget first is "undecided".
 
 The search functions import the integer lattice work
 (:mod:`flattori._intlat`) when they run, and the filter
 (:mod:`flattori.kernels` and :mod:`flattori.kernels_py`) only when the box
-scan runs: a refuted pair, and a ``derived_eq`` pair refuted by its
-lattices, never compile it.  ``spectrum`` and ``verify-map`` compile
+scan runs, for ``derived_eq`` past its lattice check and for ``iso`` and
+``mirror`` at d = 3.  ``spectrum`` and ``verify-map`` compile
 neither.  No search builds a Fraction, so the search path never imports
 :mod:`fractions`; ``spectrum`` does, for the rationals it reports.
 ``mirror`` and ``fm`` do not compile this module at all:
@@ -190,12 +190,13 @@ def _narain_shell(flat, n):
     return None, len(vectors), nodes
 
 
-# Up to this dimension the shell F <= 4d is walked before the scan: there the
-# shell is small (square2 against itself, 256 vectors in 1,512 nodes, 4 ms),
-# a pair without a certificate skips the scan, and the scan only picks the
-# canonical certificate.  At d = 3 square3's shell holds 29,856 vectors
-# (0.7 s), far more work than the scan needs to find its certificate, so the
-# shell waits for the scan.
+# Up to this dimension the shell F <= 4d is the whole iso and mirror search:
+# it is small (square2 against itself, 256 vectors in 1,512 nodes, 4 ms), and a
+# scan in front of it only re-finds a certificate the shell holds (10^7
+# nodes on a d = 2 mirror pair with a generic B).  At d = 3 the scan still runs
+# first: check-iso square3 sheared3 took 0.67 s as a fresh process with a walk
+# stopping at its first certificate (55,771 nodes), 0.11 s with the scan
+# first (CPython 3.11.7, 2-core VM).
 SHELL_FIRST_MAX_D = 2
 
 
@@ -214,7 +215,8 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
     ``"refuted"`` by :data:`LATTICE_ISOMETRY` with 0 nodes.  L(T1,T1) and
     L(T2,T2), which the scan never reads, are therefore not size-reduced.
 
-    The scan enumerates integer coordinate vectors of max-norm at most
+    The box scan (``derived_eq``, and ``iso`` and ``mirror`` at d = 3)
+    enumerates integer coordinate vectors of max-norm at most
     ``coeff_bound`` over the size-reduced intertwiner basis, in the canonical
     candidate order (height shell, then support size, then positions, then
     digits), with the exact filter of :mod:`flattori.kernels_py`; the first
@@ -226,14 +228,13 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
 
     An ``iso`` or ``mirror`` certificate has ``F(g) = tr(q q) = 4d``, and F is
     the positive definite Narain form there, so :func:`_narain_shell`
-    decides the relation; ``coeff_bound`` and ``node_budget`` bound the scan
-    alone.  Up to :data:`SHELL_FIRST_MAX_D` the shell runs first: a pair
-    without a certificate is ``"refuted"`` by :data:`NARAIN_SHELL` after the
-    walk's nodes alone, whatever the bound and budget, and otherwise the scan
-    runs only to pick the first certificate in the canonical order.  At
-    d = 3 the scan runs first.  A certificate the scan does not reach is the
-    shell's first, found after the scan's nodes and the walk's; with none,
-    the relation is ``"refuted"`` by :data:`NARAIN_SHELL`.
+    decides the relation: its first q-congruent vector is the certificate,
+    checked once by :func:`verify_map`, and with none the relation is
+    ``"refuted"`` by :data:`NARAIN_SHELL`.  Up to :data:`SHELL_FIRST_MAX_D`
+    the shell is the whole search: ``coeff_bound`` and ``node_budget`` bound
+    nothing, and ``nodes_used`` is the walk's nodes, found or refuted.  At
+    d = 3 the scan runs first, and the shell only when the scan ends without
+    a certificate, after the scan's nodes and the walk's.
     """
     from ._intlat import integral_coordinate_lattice
     if coeff_bound < 1:
@@ -247,11 +248,8 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
         if len(set(classes)) > 1:
             return SearchOutcome("refuted", 0, refuted_by=f"{LATTICE_ISOMETRY}: "
                                  + ", ".join(map(str, classes)))
-    shell = None
-    if kind != "derived_eq" and t1.d <= SHELL_FIRST_MAX_D:
-        shell = _narain_shell(flat, n)
     nodes = 0
-    if shell is None or shell[0] is not None:
+    if kind == "derived_eq" or t1.d > SHELL_FIRST_MAX_D:
         from . import kernels
         from .kernels_py import completed_height
         hits, nodes, exhausted = kernels.run_filter(flat, n, coeff_bound, node_budget,
@@ -264,7 +262,7 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
                 return SearchOutcome("undecided", nodes,
                                      last_complete_height=completed_height(len(flat), nodes))
             return SearchOutcome("none within bound", nodes)
-    g, size, walked = shell or _narain_shell(flat, n)
+    g, size, walked = _narain_shell(flat, n)
     if g is not None:
         return _certified(t1, t2, kind, g, n, nodes + walked)
     return SearchOutcome("refuted", nodes + walked,

@@ -43,6 +43,29 @@ def report(out):
     return data
 
 
+def _report_at_every_bound_and_budget(capsys, command, source, target, code):
+    """The one report ``command`` prints, found or refuted, at the default
+    options, ``--bound 1``, ``--bound 3`` and ``--budget 1``, less the bound
+    echoed in its inputs.  At d <= 2 the Narain shell is the whole iso and
+    mirror search, so neither option moves the report: the ``--budget 1``
+    stdout is byte-identical to the default's, and the others differ from
+    it only in that echoed bound."""
+    outs = {}
+    for name, extra in (("default", []), ("bound1", ["--bound", "1"]),
+                        ("bound3", ["--bound", "3"]), ("budget1", ["--budget", "1"])):
+        got, out, err = run(capsys, command, source, target, *extra)
+        assert (got, err) == (code, "")
+        outs[name] = out
+    assert outs["budget1"] == outs["default"]
+    reports = []
+    for name, out in outs.items():
+        data = report(out)
+        assert data["inputs"].pop("bound") == {"bound1": 1, "bound3": 3}.get(name, 2)
+        reports.append(data)
+    assert all(data == reports[0] for data in reports)
+    return reports[0]
+
+
 @pytest.fixture
 def square_file(square1, torus_file):
     return torus_file(square1, "square.json")
@@ -551,16 +574,19 @@ def _fresh_python(*argv, cwd=None):
 
 # The start-up core every command loads, and each command on tiny inputs
 # with the layers it loads besides the core: its own, and what that imports.
+# An iso or mirror search at d <= 2 is the Narain shell alone, so it loads
+# the search layers without the box scan (kernels and kernels_py).
 CORE = {"flattori", "flattori.cli", "flattori.jsonio", "flattori.torus",
         "flattori.exactlinear", "flattori.errors", "flattori._record"}
-SEARCH_LAYERS = {"equivalence", "relations", "_intlat", "_intkernel", "kernels", "kernels_py"}
+SHELL_LAYERS = {"equivalence", "relations", "_intlat", "_intkernel"}
+SEARCH_LAYERS = SHELL_LAYERS | {"kernels", "kernels_py"}
 COHOMOLOGY_LAYERS = {"cohomology", "exterior", "_rational"}
 COMMAND_LAYERS = [
     (["validate", "T"], set()),
     (["doubled", "T"], set()),
     (["spectrum", "T"], {"equivalence", "relations", "_rational"}),
-    (["check-iso", "T", "T"], SEARCH_LAYERS),
-    (["check-mirror", "T", "T"], SEARCH_LAYERS),
+    (["check-iso", "T", "T"], SHELL_LAYERS),
+    (["check-mirror", "T", "T"], SHELL_LAYERS),
     (["check-derived-eq", "T", "T"], SEARCH_LAYERS),
     (["verify-map", "M"], {"equivalence", "relations"}),
     (["mirror", "--torus", "T"], {"tduality", "relations", "_intkernel"}),
@@ -653,10 +679,11 @@ class TestImportIsolation:
 
     # Validating a torus, deciding a search and building a mirror work on int
     # rows alone, so none loads fractions, nor the decimal and numbers
-    # modules it loads, unless the bare interpreter has them already; a
-    # refutation, which never runs the box scan, does not compile the filter
-    # either.  square2 against stretched2 has a nonempty Narain shell, so it
-    # reads the packed form too.  hodge computes with Fractions.
+    # modules it loads, unless the bare interpreter has them already.  None
+    # compiles the box scan either: at d <= 2 an iso or mirror search, found
+    # or refuted, is the shell alone, and the derived_eq pair is refuted by
+    # its lattices.  square2 against stretched2 has a nonempty Narain shell,
+    # so it reads the packed form too.  hodge computes with Fractions.
     @pytest.mark.parametrize("argv, verdict", [
         (["validate", "T"], None),
         (["check-iso", "T", "T"], "found"),
@@ -680,8 +707,7 @@ class TestImportIsolation:
         assert result.get("verdict", "found" if result.get("found") else None) == verdict
         loaded = set(json.loads(proc.stderr.splitlines()[-1]))
         assert loaded & watched == watched & set(json.loads(bare.stdout))
-        if verdict == "refuted":
-            assert loaded & {"flattori.kernels", "flattori.kernels_py"} == set()
+        assert loaded & {"flattori.kernels", "flattori.kernels_py"} == set()
 
     def test_hodge_loads_fractions(self, square_file):
         proc = _fresh_python("-c", LOADED_MODULES, "hodge", square_file)
@@ -779,23 +805,29 @@ class TestSearchCommands:
     @pytest.mark.parametrize("command", ["check-iso", "check-mirror"])
     def test_d1_refutation_ignores_bound_and_budget(self, capsys, square_file, stretched_file,
                                                     command):
-        # at d <= 2 the shell decides before any scan runs, so neither the
-        # bound nor the budget moves the report: only the bound echoed in
-        # its inputs differs
-        reports = {}
-        for name, extra in (("default", []), ("bound1", ["--bound", "1"]),
-                            ("bound3", ["--bound", "3"]), ("budget1", ["--budget", "1"])):
-            code, out, err = run(capsys, command, square_file, stretched_file, *extra)
-            assert (code, err) == (1, "")
-            reports[name] = out
-        assert reports["budget1"] == reports["default"]
-        results = set()
-        for name, out in reports.items():
-            data = report(out)
-            assert data["inputs"].pop("bound") == {"bound1": 1, "bound3": 3}.get(name, 2)
-            assert data["result"] == EMPTY_SHELL_REFUTED
-            results.add(json.dumps(data, sort_keys=True))
-        assert len(results) == 1
+        data = _report_at_every_bound_and_budget(capsys, command, square_file,
+                                                 stretched_file, 1)
+        assert data["result"] == EMPTY_SHELL_REFUTED
+
+    @pytest.mark.parametrize("command, pair", [("check-iso", "rebased1"),
+                                               ("check-mirror", "mirrored1"),
+                                               ("check-iso", "sheared2"),
+                                               ("check-mirror", "sheared2")])
+    def test_found_report_ignores_bound_and_budget(self, capsys, torus_file, command, pair):
+        # the shell's first certificate and the walk's nodes: a box scan
+        # would reach no certificate of the d = 1 pairs below height 2, nor
+        # one of any of these pairs within a budget of 1
+        t1, t2 = REBASED1
+        source, target = {
+            "rebased1": (t1, t2),
+            "mirrored1": (t2, tduality.mirror_via_tduality(
+                t1, tduality.find_lagrangian_splitting(t1)).mirror),
+            "sheared2": (square_torus(2, "square2"), sheared(2, [(0, 2, 1), (3, 1, -1)])),
+        }[pair]
+        data = _report_at_every_bound_and_budget(
+            capsys, command, torus_file(source, "source.json"),
+            torus_file(target, "target.json"), 0)
+        assert data["result"]["found"] is True
 
     def test_check_derived_eq_refuted_tau_2i(self, capsys, square_file, stretched_file):
         # the derived_eq intertwiner lattices of tau = i and tau = 2i are not
@@ -920,7 +952,7 @@ class TestSearchCommands:
     def test_refute_bench_row_is_refuted_by_the_shell(self, capsys, monkeypatch, square2_file,
                                                       stretched2_file, command, budget):
         # no vector of the shell F <= 8 preserves q, and at d <= 2 the shell
-        # runs first, so no scan runs
+        # is the whole search, so no scan runs
         def refuse(*args):
             raise AssertionError("a scan or a fingerprint that cannot refute ran")
         monkeypatch.setattr(equivalence, "spectrum_fingerprint", refuse)
@@ -1190,12 +1222,13 @@ def sheared(d, shears):
 
 
 # Frozen certificates: under the determinism contract the search must keep
-# returning exactly these.
+# returning exactly these.  The d = 2 one is the Narain shell's first, frozen
+# when the shell became the whole d <= 2 search; the d = 3 ones are the scan's.
 GOLDEN_CERTIFICATES = [
     ("check-iso", 2, [(0, 2, 1), (3, 1, -1)],
-     [[0, 0, 0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, -1, 0, 0],
-      [0, 0, 0, 0, 1, 0, 0, 1], [0, 0, 1, 0, 0, 0, 0, 0], [-1, 0, 0, 1, 0, 0, 0, 0],
-      [0, -1, 1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]]),
+     [[-1, 0, 0, 0, 0, 0, 0, 1], [0, -1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, -1],
+      [0, -1, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, -1, 0, 0, 0], [0, 0, -1, 0, 0, -1, 0, 0],
+      [0, 0, 0, -1, -1, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0]]),
     ("check-iso", 3, [(0, 3, 1), (4, 1, -1), (2, 5, 1)],
      [[0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
       [0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0],
@@ -1247,6 +1280,17 @@ def _open_torus(i, label):
     i = RatMatrix(i)
     return TorusData(1, i, RatMatrix.identity(2) + i.transpose() * i, RatMatrix.zero(2, 2),
                      label)
+
+
+# A d = 1 pair related by a change of lattice basis (with B != 0) whose iso
+# certificates all need a coordinate of 2 over the size-reduced intertwiner
+# basis: a box scan of height 1 holds none, the Narain shell does.
+REBASED1 = (
+    TorusData(1, RatMatrix([[-5, -13], [2, 5]]), RatMatrix([[4, 10], [10, 26]]),
+              RatMatrix([[0, Q(3, 2)], [Q(-3, 2), 0]]), "t1"),
+    TorusData(1, RatMatrix([[-17, -5], [58, 17]]), RatMatrix([[116, 34], [34, 10]]),
+              RatMatrix([[0, Q(3, 2)], [Q(-3, 2), 0]]), "t2"),
+)
 
 
 # A d = 1 pair that no invariant separates and no bound-1 certificate

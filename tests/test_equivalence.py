@@ -26,7 +26,7 @@ from flattori.errors import ValidationError
 from flattori.exactlinear import RatMatrix
 from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
 from flattori.torus import TorusData, doubled, narain_form, zero_mode_momenta
-from test_cli import OPEN1, OPEN2
+from test_cli import OPEN1, OPEN2, REBASED1
 
 E1_SWAP = RatMatrix([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
 E1_SHEAR = RatMatrix([[1, 1], [0, 1]])
@@ -114,6 +114,22 @@ class TestCertificateAlgebra:
         dual = _mirror(t).duality_certificate.map
         iso = _basis_change_iso(dual.target, _unimodular(t.rank, rng))
         assert verify_map(LatticeMap(iso.g * dual.g, t, iso.target, "mirror")).valid
+
+    # Round trip on tori with a generic B: the search finds the mirror that
+    # mirror_via_tduality builds, and the certificate it reports, followed
+    # by the inverse of the construction's own, is an iso automorphism of T.
+    # Seed 0 at d = 2 is the torus of the CI's check-mirror step.
+    @pytest.mark.parametrize("d", [1, 2])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32))
+    @example(seed=0)
+    def test_search_certifies_the_constructed_mirror(self, d, seed):
+        t = random_valid_torus(random.Random(seed), d, steps=10, scale_bound=5)
+        built = _mirror(t)
+        out = search_relation(t, built.mirror, "mirror", 1)
+        assert out.found
+        g = built.duality_certificate.map.g.inverse() * out.certificate.map.g
+        assert verify_map(LatticeMap(g, t, t, "iso")).valid
 
 
     # iso after iso is iso, and derived_eq after derived_eq is derived_eq.  An
@@ -671,7 +687,8 @@ class TestNarainShell:
     def test_square2_against_stretched2_is_refuted_without_a_scan(self, square2, kind,
                                                                   monkeypatch):
         # 64 vectors up to sign have F <= 8 and none preserves q; at d <= 2
-        # the shell runs first, so no scan runs, whatever the bound and budget
+        # the shell is the whole search, so no scan runs, whatever the bound
+        # and budget
         def refuse(*args):
             raise AssertionError("the scan ran")
         monkeypatch.setattr("flattori.kernels.run_filter", refuse)
@@ -680,18 +697,30 @@ class TestNarainShell:
             assert (out.verdict, out.nodes_used, out.refuted_by) == (
                 "refuted", 220, f"{NARAIN_SHELL}: 64 vectors up to sign, 220 nodes")
 
+    @pytest.mark.parametrize("kind", ["iso", "mirror"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_found_pair_is_decided_without_a_scan(self, d, kind, monkeypatch):
+        # a rebased copy of a square torus is related in both kinds, and at
+        # d <= 2 the shell's first certificate is the answer: no scan runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan ran")
+        monkeypatch.setattr("flattori.kernels.run_filter", refuse)
+        t1 = square_torus(d)
+        t2 = _rebased(t1, random.Random(d))
+        for bound, budget in ((1, 1), (3, DEFAULT_NODE_BUDGET)):
+            out = search_relation(t1, t2, kind, bound, node_budget=budget)
+            assert out.found and out.certificate.valid
+
     def test_certificate_outside_the_window_is_found(self):
         # every certificate of this rebased pair needs a coordinate of 2: the
-        # height-1 window (80 nodes) holds none, the shell (7 nodes) does
-        t1 = TorusData(1, RatMatrix([[-5, -13], [2, 5]]), RatMatrix([[4, 10], [10, 26]]),
-                       RatMatrix([[0, Q(3, 2)], [Q(-3, 2), 0]]), "t1")
-        t2 = TorusData(1, RatMatrix([[-17, -5], [58, 17]]), RatMatrix([[116, 34], [34, 10]]),
-                       RatMatrix([[0, Q(3, 2)], [Q(-3, 2), 0]]), "t2")
+        # height-1 window (80 nodes) holds none, the shell (7 nodes) does, and
+        # at d = 1 the shell alone is walked
+        t1, t2 = REBASED1
         hits, nodes, exhausted = kernels_py.run_filter(intertwiner_rows(t1, t2, "iso"), 4, 1,
                                                        DEFAULT_NODE_BUDGET)
         assert (hits, nodes, exhausted) == ([], 80, True)
         out = search_relation(t1, t2, "iso", 1)
-        assert (out.verdict, out.nodes_used) == ("found", 87)
+        assert (out.verdict, out.nodes_used) == ("found", 7)
         assert out.certificate.valid
 
     def test_d3_certificate_past_the_budget_is_found(self):

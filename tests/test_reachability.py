@@ -150,6 +150,9 @@ def command_runs(tmp):
         (["check-iso", f("square1"), f("square1"), "--bound", "0"], 2),
         (["--config", f("config"), "check-mirror", f("square1"), f("stretched1")], 1),
         (["check-derived-eq", f("square1"), f("stretched1")], 1),
+        # iso and mirror at d <= 2 are the shell alone: a found derived_eq
+        # search is the command run whose scan hits
+        (["check-derived-eq", f("square1"), f("square1")], 0),
         (["check-derived-eq", f("open1"), f("open2"), "--budget", "100"], 1),
         (["verify-map", f("map")], 0),
         (["verify-map", f("bad_map")], 1),
