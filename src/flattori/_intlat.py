@@ -23,12 +23,12 @@ Gram matrix of ``tr(q h^t q h)`` that decides a refutation, and
 :func:`packed_form` packs the q-congruence into the one form that picks a
 certificate, in the shell and in the scan of :mod:`flattori.kernels_py`.
 The shell alone, the whole ``iso`` and ``mirror`` search at d <= 2,
-compiles this module and not the scan.
+and ``spectrum`` compile this module and not the scan.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from math import inf, isqrt
 from operator import mul
 
 from ._intkernel import column_pivots, integer_kernel, spans_direct_summand  # noqa: F401
@@ -178,7 +178,7 @@ def _lll(gram):
     return h[1:], d, lam
 
 
-def short_vectors(gram, bound):
+def short_vectors(gram, bound, cap=inf):
     """The vectors of norm at most ``bound`` under a positive definite integer form.
 
     Returns ``(basis, vectors, nodes)``.  ``basis`` is the LLL-reduced basis
@@ -186,7 +186,8 @@ def short_vectors(gram, bound):
     ``(x, x^t A x)`` for every nonzero x, in coordinates over ``basis``,
     with ``x^t A x <= bound``, one of each pair +-x (the one whose last
     nonzero coordinate is positive), in the walk's order; ``nodes`` counts
-    the coordinate values the walk tried.
+    the coordinate values the walk tried.  The walk stops once it has listed
+    ``cap + 1`` vectors.
 
     Fincke-Pohst (Math. Comp. 44, 1985): with B_i = d_i / d_(i-1) and
     mu_ji = lam_ji / d_i, ``x^t A x = sum_i B_i (x_i + sum_(j>i) mu_ji x_j)^2``,
@@ -205,7 +206,7 @@ def short_vectors(gram, bound):
 
     def walk(i, rest, top):
         """Coordinate x_i, given x_(i+1)..x_m and ``rest`` = N_(i+1); ``top``
-        while they are all zero, when x_i may not be negative."""
+        while they are all zero, when x_i may not be negative; True past ``cap``."""
         nonlocal nodes
         s = sum(lam[j][i] * x[j] for j in range(i + 1, m + 1) if x[j])
         di, dp = d[i], d[i - 1]
@@ -217,9 +218,12 @@ def short_vectors(gram, bound):
             y = di * v + s
             norm = (dp * rest + y * y) // di
             if i > 1:
-                walk(i - 1, norm, top and not v)
+                if walk(i - 1, norm, top and not v):
+                    return True
             elif v or not top:
                 vectors.append((tuple(x[1:]), norm))
+                if len(vectors) > cap:
+                    return True
         x[i] = 0
 
     if m and bound >= 0:

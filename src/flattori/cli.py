@@ -23,10 +23,10 @@ and it holds the handlers of ``validate`` and ``doubled``.  The core reads,
 checks and writes a torus on int rows over one denominator and builds no
 Fraction, so it does not import ``fractions`` (which would also load
 ``decimal`` and ``numbers``).  The layers that compute with single
-rationals import it: ``equivalence``'s spectrum, ``exterior``,
-``cohomology`` and ``abranes`` through ``_rational``, and ``fock``, whose
-levels and modes are Fractions, directly.  The search and ``mirror`` work
-on int rows alone and do not.  Every other
+rationals import it: ``exterior``, ``cohomology`` and ``abranes`` through
+``_rational``, and ``fock``, whose levels and modes are Fractions,
+directly.  The search, ``spectrum`` and ``mirror`` work on int rows alone
+and do not.  Every other
 handler lives in the layer it drives (``equivalence``, ``tduality``,
 ``cohomology``, ``abranes`` or ``fock``), and :data:`COMMANDS` names it by
 module and function, so :func:`main` imports that one module and what it
@@ -139,7 +139,7 @@ COMMANDS = {
     "validate": ("flat-torus-data-invariants", "cli", "cmd_validate", ("torus",), {}),
     "doubled": ("doubled-lattice-structures", "cli", "cmd_doubled", ("torus",), {}),
     "spectrum": ("zero-mode-spectrum-invariants", "equivalence", "cmd_spectrum", ("torus",),
-                 {"--height": ("height", int, 1, False)}),
+                 {"--norm": ("norm", int, 2, False)}),
     "verify-map": ("lattice-map-verification", "equivalence", "cmd_verify_map", ("map",), {}),
     "mirror": ("tduality-mirror-construction", "tduality", "cmd_mirror", (),
                {"--torus": ("torus", str, None, True),

@@ -29,15 +29,14 @@ certificate or refutes; at d <= 2 it is their whole search.  A
 ``derived_eq`` search without a hit means only "none within bound", and one
 that spends its node budget first is "undecided".
 
-The search functions import the integer lattice work
-(:mod:`flattori._intlat`) when they run, and the filter
-(:mod:`flattori.kernels` and :mod:`flattori.kernels_py`) only when the box
-scan runs, for ``derived_eq`` past its lattice check and for ``iso`` and
-``mirror`` at d = 3.  ``spectrum`` and ``verify-map`` compile
-neither.  No search builds a Fraction, so the search path never imports
-:mod:`fractions`; ``spectrum`` does, for the rationals it reports.
-``mirror`` and ``fm`` do not compile this module at all:
-the mirror construction reads :mod:`flattori.relations` and the integer
+The search functions and the spectrum of the Narain ball import the
+integer lattice work (:mod:`flattori._intlat`) when they run, and the
+filter (:mod:`flattori.kernels` and :mod:`flattori.kernels_py`) only when
+the box scan runs, for ``derived_eq`` past its lattice check and for
+``iso`` and ``mirror`` at d = 3.  ``verify-map`` compiles neither.  No
+search and no spectrum builds a Fraction, so neither imports
+:mod:`fractions`.  ``mirror`` and ``fm`` do not compile this module at
+all: the mirror construction reads :mod:`flattori.relations` and the integer
 kernels of :mod:`flattori._intkernel` only.  The layer's commands
 (``spectrum``, the three ``check-*`` and ``verify-map``) and the
 relation-map file format live at the end of the module.
@@ -47,13 +46,11 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import product
-from operator import mul
 
 from . import jsonio
 from ._record import Record, failures
 from .errors import DimensionError, InconsistencyError, SchemaError
-from .exactlinear import RatMatrix, cleared, int_det, rat_str
+from .exactlinear import RatMatrix, cleared, int_det, ratio_str
 from .relations import KINDS, RELATIONS, Certificate, LatticeMap, verify_map  # noqa: F401
 from .torus import TorusData, doubled, narain_form
 
@@ -270,38 +267,45 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
 
 
 # ---------------------------------------------------------------------------
-# spectrum fingerprint (zero-mode spectrum of a charge window)
+# zero-mode spectrum of the Narain ball
 # ---------------------------------------------------------------------------
 
 
-def _quadratic(form, x):
-    return sum(xi * sum(a * xj for a, xj in zip(row, x)) for xi, row in zip(x, form) if xi)
+# The most charges, up to sign, that ``spectrum`` lists.  A ball just under it
+# takes 1.8-2.8 s and 125 MiB at d = 1, 3.1-4.8 s and 140 MiB at d = 3, as a
+# fresh process (CPython 3.11.7, 2-core VM): less than the 8.8 s and 188 MiB
+# of the old charge box's largest window.  Past it the walk stops, in 0.2-0.6 s.
+SPECTRUM_LIMIT = 2 * 10 ** 5
 
 
-def spectrum_fingerprint(t: TorusData, height: int):
-    """Sorted multiset of ``(q(gamma,gamma), p^2/2, pbar^2/2)`` triples.
+def spectrum_fingerprint(t: TorusData, norm: int):
+    """The sorted ``(q(gamma,gamma), p^2/2, pbar^2/2)`` triples of the Narain ball, as strings.
 
-    Enumerates all charge vectors of max-norm at most ``height``.  The window
-    is a box in the lattice basis, so the multiset depends on the basis and
-    decides no relation between tori.  ``p^2/2 = (gamma^t N gamma - q)/2``
-    and ``pbar^2/2 = (gamma^t N gamma + q)/2`` with N the Narain form, cleared
-    of denominators once: one integer form per charge.  The triples are the
-    one place in this module that builds Fractions.
+    One triple per pair +-gamma of nonzero charges with ``gamma^t N gamma =
+    p^2/2 + pbar^2/2 <= norm``.  An isomorphism or a T-duality preserves N
+    and q, so the triples do not see the lattice basis, and a torus and its
+    mirror share them.  :func:`~flattori._intlat.short_vectors` lists the
+    ball of ``den N`` at ``den norm`` with values ``s = den gamma^t N gamma``,
+    so ``p^2/2, pbar^2/2 = (s -+ den q) / (2 den)``, sorted by ``(q, s)``,
+    their exact order.  A ball past :data:`SPECTRUM_LIMIT` gives None.
     """
-    from ._rational import Q
-    if height < 0:
-        raise ValueError("height must be nonnegative")
-    half = t.rank
-    n = narain_form(t)
-    den, n_form = n.den, n.num
-    triples = []
-    rng = range(-height, height + 1)
-    for coords in product(rng, repeat=2 * half):
-        q = 2 * sum(map(mul, coords[:half], coords[half:]))
-        norm = _quadratic(n_form, coords)
-        triples.append((Q(q), Q(norm - den * q, 2 * den), Q(norm + den * q, 2 * den)))
-    triples.sort()
-    return tuple(triples)
+    from ._intlat import short_vectors
+    form = narain_form(t)
+    den, half = form.den, t.rank
+    basis, vectors, _ = short_vectors(form.num, den * norm, SPECTRUM_LIMIT)
+    if len(vectors) > SPECTRUM_LIMIT:
+        return None
+    keyed = []
+    for x, s in vectors:
+        nz = [(c, row) for c, row in zip(x, basis) if c]
+        gamma = [sum(c * row[k] for c, row in nz) for k in range(2 * half)]
+        keyed.append((2 * sum(w * m for w, m in zip(gamma[:half], gamma[half:])), s))
+    del vectors
+    keyed.sort()
+    # one triple object per (q, s), as a ball repeats few values many times
+    triple = {(q, s): (str(q), ratio_str(s - den * q, 2 * den), ratio_str(s + den * q, 2 * den))
+              for q, s in set(keyed)}
+    return tuple(map(triple.__getitem__, keyed))
 
 
 # ---------------------------------------------------------------------------
@@ -336,27 +340,16 @@ def map_from_json(data, base_dir=".", pointer="map") -> LatticeMap:
     return LatticeMap(g=g, source=source, target=target, kind=kind)
 
 
-# The largest charge window ``spectrum`` lists.  A d = 1 window of height 10
-# (21^4 = 194,481 charge vectors) takes 8.8 s with a peak RSS of 188 MiB as a
-# fresh process; height 11 (279,841) and every d = 3 window (3^12 = 531,441
-# at height 1) are past the limit.
-SPECTRUM_LIMIT = 2 * 10 ** 5
-
-
 def cmd_spectrum(args):
-    """``spectrum``: the fingerprint of the charge window of max-norm ``height``."""
+    """``spectrum``: the zero-mode triples of the Narain ball ``gamma^t N gamma <= norm``."""
     t = jsonio.load_torus(args.torus)
-    if args.height < 0:
-        raise SchemaError(f"height must be nonnegative, got {args.height}")
-    # the window is checked before it is listed; its size is written as a
-    # power, which stays printable where the integer may pass the digit limit
-    if (2 * args.height + 1) ** (2 * t.rank) > SPECTRUM_LIMIT:
-        raise SchemaError(f"height {args.height} spans (2 * {args.height} + 1)^{2 * t.rank} "
-                          f"charge vectors, more than the limit {SPECTRUM_LIMIT}", "--height")
-    fp = spectrum_fingerprint(t, args.height)
-    result = {"height": args.height,
-              "triples": [[rat_str(x) for x in triple] for triple in fp]}
-    return {"torus": jsonio.torus_to_json(t)}, result, 0
+    if args.norm < 0:
+        raise SchemaError(f"norm must be nonnegative, got {args.norm}", "--norm")
+    triples = spectrum_fingerprint(t, args.norm)
+    if triples is None:
+        raise SchemaError(f"norm {args.norm} holds more than {SPECTRUM_LIMIT} charge vectors "
+                          "up to sign, the limit", "--norm")
+    return {"torus": jsonio.torus_to_json(t)}, {"norm": args.norm, "triples": triples}, 0
 
 
 COMMAND_KINDS = {"check-iso": "iso", "check-mirror": "mirror", "check-derived-eq": "derived_eq"}

@@ -453,9 +453,9 @@ MAX_BASIS_DIMENSION = 250_000
 # The largest number of check rows fock-verify reports.  Beside its sweep, a
 # report costs about 23 us and 2 KiB of peak RSS per row: d = 79 at cap 1/2
 # (99,856 rows, all inconclusive, over 401 monomials) takes 2.3 s with a peak
-# RSS of 190 MiB, as much as the largest window spectrum lists; a report of
-# 10 s would need about 0.8 GiB.  Every cap the basis limit admits at d <= 3
-# is admitted here: the most rows among them are 4,608, at d = 3 and cap 4.
+# RSS of 190 MiB; a report of 10 s would need about 0.8 GiB.  Every cap the
+# basis limit admits at d <= 3 is admitted here: the most rows among them are
+# 4,608, at d = 3 and cap 4.
 MAX_CHECK_ROWS = 10 ** 5
 
 

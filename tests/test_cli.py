@@ -449,32 +449,34 @@ class TestValidateAndStructures:
         assert result["calI"] == result["calItilde"]
 
     def test_spectrum(self, capsys, square_file):
-        code, out, _ = run(capsys, "spectrum", square_file, "--height", "1")
+        # square1's N is the identity: the 32 charges of norm 1 and 2 are 16
+        # pairs +-gamma, q = 2 w.m, and p^2/2 = (|gamma|^2 - q)/2
+        code, out, _ = run(capsys, "spectrum", square_file)
         assert code == 0
-        assert len(report(out)["result"]["triples"]) == 81
+        assert report(out)["result"] == {"norm": 2, "triples": (
+            2 * [["-2", "2", "0"]] + 4 * [["0", "1/2", "1/2"]] + 8 * [["0", "1", "1"]]
+            + 2 * [["2", "0", "2"]])}
+        code, out, _ = run(capsys, "spectrum", square_file, "--norm", "0")
+        assert (code, report(out)["result"]) == (0, {"norm": 0, "triples": []})
 
-    def test_spectrum_negative_height_is_input_error(self, capsys, square_file):
-        code, out, err = run(capsys, "spectrum", square_file, "--height", "-1")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("input error:") and err.count("\n") == 1
+    def test_spectrum_negative_norm_is_input_error(self, capsys, square_file):
+        assert run(capsys, "spectrum", square_file, "--norm", "-1") == (
+            2, "", "input error: norm must be nonnegative, got -1 (at --norm)\n")
 
-    # a d = 1 window holds (2h + 1)^4 charge vectors: 23^4 = 279,841 is the
-    # first past the limit of 2 * 10^5, and 10^8 would not fit in memory
-    @pytest.mark.parametrize("height", [11, 28, 100000000])
-    def test_spectrum_window_past_the_limit_is_input_error(self, capsys, square_file, height):
-        assert run(capsys, "spectrum", square_file, "--height", str(height)) == (
-            2, "", f"input error: height {height} spans (2 * {height} + 1)^4 charge vectors, "
-            "more than the limit 200000 (at --height)\n")
+    # square1's ball holds 2.5 c^2 charges up to sign: 199,292 at norm 284,
+    # 201,212 at 285, the first past the limit of 2 * 10^5; the walk stops
+    # there, so 10^8 and 10^100 cost no more
+    @pytest.mark.parametrize("norm", [285, 100000000, 10 ** 100])
+    def test_spectrum_window_past_the_limit_is_input_error(self, capsys, square_file, norm):
+        assert run(capsys, "spectrum", square_file, "--norm", str(norm)) == (
+            2, "", f"input error: norm {norm} holds more than 200000 charge vectors up to "
+            "sign, the limit (at --norm)\n")
 
-    def test_spectrum_rejects_every_d3_window(self, capsys, torus_file):
-        # 3^12 = 531,441 charge vectors at height 1, and height 0 is one vector
+    def test_spectrum_lists_a_d3_ball(self, capsys, torus_file):
+        # 24 charges of norm 1 and 264 of norm 2, up to sign
         path = torus_file(square_torus(3, "square3"), "square3.json")
-        assert run(capsys, "spectrum", path, "--height", "1") == (
-            2, "", "input error: height 1 spans (2 * 1 + 1)^12 charge vectors, "
-            "more than the limit 200000 (at --height)\n")
-        code, out, _ = run(capsys, "spectrum", path, "--height", "0")
-        assert code == 0 and len(report(out)["result"]["triples"]) == 1
+        code, out, _ = run(capsys, "spectrum", path)
+        assert code == 0 and len(report(out)["result"]["triples"]) == 144
 
 
 class TestUsage:
@@ -575,7 +577,8 @@ def _fresh_python(*argv, cwd=None):
 # The start-up core every command loads, and each command on tiny inputs
 # with the layers it loads besides the core: its own, and what that imports.
 # An iso or mirror search at d <= 2 is the Narain shell alone, so it loads
-# the search layers without the box scan (kernels and kernels_py).
+# the search layers without the box scan (kernels and kernels_py), and so
+# does spectrum, which lists the Narain ball with the same enumerator.
 CORE = {"flattori", "flattori.cli", "flattori.jsonio", "flattori.torus",
         "flattori.exactlinear", "flattori.errors", "flattori._record"}
 SHELL_LAYERS = {"equivalence", "relations", "_intlat", "_intkernel"}
@@ -584,7 +587,7 @@ COHOMOLOGY_LAYERS = {"cohomology", "exterior", "_rational"}
 COMMAND_LAYERS = [
     (["validate", "T"], set()),
     (["doubled", "T"], set()),
-    (["spectrum", "T"], {"equivalence", "relations", "_rational"}),
+    (["spectrum", "T"], SHELL_LAYERS),
     (["check-iso", "T", "T"], SHELL_LAYERS),
     (["check-mirror", "T", "T"], SHELL_LAYERS),
     (["check-derived-eq", "T", "T"], SEARCH_LAYERS),
@@ -677,22 +680,24 @@ class TestImportIsolation:
         assert proc.returncode == 0, proc.stderr
         assert "flattori.exterior" in json.loads(proc.stderr.splitlines()[-1])
 
-    # Validating a torus, deciding a search and building a mirror work on int
-    # rows alone, so none loads fractions, nor the decimal and numbers
-    # modules it loads, unless the bare interpreter has them already.  None
-    # compiles the box scan either: at d <= 2 an iso or mirror search, found
-    # or refuted, is the shell alone, and the derived_eq pair is refuted by
-    # its lattices.  square2 against stretched2 has a nonempty Narain shell,
-    # so it reads the packed form too.  hodge computes with Fractions.
+    # Validating a torus, deciding a search, listing the spectrum and
+    # building a mirror work on int rows alone, so none loads fractions, nor
+    # the decimal and numbers modules it loads, unless the bare interpreter
+    # has them already.  None compiles the box scan either: at d <= 2 an iso
+    # or mirror search, found or refuted, is the shell alone, and the
+    # derived_eq pair is refuted by its lattices.  square2 against stretched2
+    # has a nonempty Narain shell, so it reads the packed form too.  hodge
+    # computes with Fractions.
     @pytest.mark.parametrize("argv, verdict", [
         (["validate", "T"], None),
+        (["spectrum", "T2"], None),
         (["check-iso", "T", "T"], "found"),
         (["check-iso", "T", "S"], "refuted"),
         (["check-mirror", "T", "S"], "refuted"),
         (["check-derived-eq", "T", "S"], "refuted"),
         (["check-iso", "T2", "S2"], "refuted"),
         (["mirror", "--torus", "T"], "found"),
-    ], ids=["validate", "check-iso-found", "check-iso-refuted", "check-mirror-refuted",
+    ], ids=["validate", "spectrum", "check-iso-found", "check-iso-refuted", "check-mirror-refuted",
             "check-derived-eq-refuted", "check-iso-d2-refuted", "mirror"])
     def test_validate_and_search_load_no_fractions(self, square_file, stretched_file,
                                                    square2_file, stretched2_file, argv,
@@ -1247,10 +1252,12 @@ GOLDEN_CERTIFICATES = [
 
 
 # A d=2 torus with B != 0 and non-integral G and B, and the sha256 of the
-# stdout of `doubled` and `spectrum --height 1` on it, frozen from the block
-# formula for the Narain form and the per-torus G^-1 of the older code, and of
-# `hodge`, `beta` and `pp-classes --p 1` on it, frozen from the code that
-# answered them with matrices over the Gaussian rationals.  Its B has a
+# stdout of `doubled` on it, frozen from the block formula for the Narain form
+# and the per-torus G^-1 of the older code, of `spectrum --norm 2` on it (40
+# triples), frozen from the Narain-ball listing once it matched the
+# charge-by-charge reference of test_equivalence over a box of 2,096,325
+# charges, and of `hodge`, `beta` and `pp-classes --p 1` on it, frozen from the
+# code that answered them with matrices over the Gaussian rationals.  Its B has a
 # nonzero (0,2)-part, so the beta report's projection is nonzero.
 GOLDEN_TORUS = {
     "d": 2,
@@ -1264,7 +1271,7 @@ GOLDEN_TORUS = {
 }
 GOLDEN_STDOUT_SHA256 = {
     "doubled": "af2d7dba6ddd8aad0ef0f25587b627e2dcf5a47c479bf925a905b2f2729771ed",
-    "spectrum": "512604bfa7a450882a65bfc982fcf9c5063750a03bcf731a9cca49325aaa37c8",
+    "spectrum": "af30929a6d7a55e6366864913595e61c1e21ff991ab582fd8b0507cf99776299",
     "hodge": "71ddd0a444d3520fee728993c98a36f9d093fec851ff2571bac03ba8bd0fc8dd",
     "beta": "5c7d2de213f28db65aa53a68888b15f596b51a421998294ee9aac121973fc272",
     "pp-classes": "6d7f9717c53d6cd5d6746e645ad3effc0ab0c352175a78c22ef8eb3ac4cd104e",
@@ -1420,10 +1427,10 @@ class TestDeterminism:
         assert (code, err) == (1, "")
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
-    @pytest.mark.parametrize("command, extra", [("doubled", []), ("spectrum", ["--height", "1"]),
+    @pytest.mark.parametrize("command, extra", [("doubled", []), ("spectrum", ["--norm", "2"]),
                                                 ("hodge", []), ("beta", []),
                                                 ("pp-classes", ["--p", "1"])],
-                             ids=["doubled", "spectrum-height1", "hodge", "beta", "pp-classes-p1"])
+                             ids=["doubled", "spectrum-norm2", "hodge", "beta", "pp-classes-p1"])
     def test_golden_reports_with_b_field(self, capsys, tmp_path, command, extra):
         path = tmp_path / "golden2.json"
         path.write_text(json.dumps(GOLDEN_TORUS))

@@ -23,7 +23,7 @@ from flattori.equivalence import (DEFAULT_NODE_BUDGET, KINDS, LATTICE_ISOMETRY, 
                                   intertwiner_rows, intertwiner_space, search_relation,
                                   spectrum_fingerprint, verify_map)
 from flattori.errors import ValidationError
-from flattori.exactlinear import RatMatrix
+from flattori.exactlinear import RatMatrix, rat_str
 from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
 from flattori.torus import TorusData, doubled, narain_form, zero_mode_momenta
 from test_cli import OPEN1, OPEN2, REBASED1
@@ -379,18 +379,32 @@ class TestVerdictsPropagate:
 
 
 class TestSpectrumFingerprint:
-    def test_height_zero(self, square1):
-        assert spectrum_fingerprint(square1, 0) == ((0, 0, 0),)
+    def test_norm_zero_is_empty(self, square1):
+        assert spectrum_fingerprint(square1, 0) == ()
 
-    def test_square_height_one_multiset(self, square1):
-        fp = spectrum_fingerprint(square1, 1)
-        assert len(fp) == 3 ** 4
-        # frozen from the enumeration: pure unit windings and momenta give
-        # (0, 1/2, 1/2) with multiplicity 8
-        assert sum(1 for t in fp if t == (0, Q(1, 2), Q(1, 2))) == 8
+    def test_square_norm_two_multiset(self, square1):
+        fp = spectrum_fingerprint(square1, 2)
+        # one of each pair +-gamma: N is the identity, so the 8 unit charges
+        # give (0, 1/2, 1/2) 4 times, and the 24 of norm 2 give 12 triples
+        assert len(fp) == 16
+        assert fp.count(("0", "1/2", "1/2")) == 4
+        assert fp.count(("0", "1", "1")) == 8
+        assert fp.count(("-2", "2", "0")) == fp.count(("2", "0", "2")) == 2
 
     def test_distinguishes_stretched_from_square(self, square1, stretched1):
-        assert spectrum_fingerprint(square1, 1) != spectrum_fingerprint(stretched1, 1)
+        assert spectrum_fingerprint(square1, 2) != spectrum_fingerprint(stretched1, 2)
+
+    # An iso and a T-duality both carry N and q across, so the ball's triples
+    # do not see the lattice basis and are the same for a torus and its mirror.
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from([1, 2]))
+    @example(0, 3)
+    def test_basis_and_mirror_invariant(self, seed, d):
+        rng = random.Random(seed)
+        t = random_valid_torus(rng, d, steps=10, scale_bound=5)
+        fp = spectrum_fingerprint(t, 2)
+        assert spectrum_fingerprint(_rebased(t, rng), 2) == fp
+        assert spectrum_fingerprint(_mirror(t).mirror, 2) == fp
 
     def test_iso_certificate_preserves_triples(self, square1):
         # self-iso of the square torus, plus an iso onto a rebased copy
@@ -415,25 +429,37 @@ def _random_torus_with_b(seed, d):
     return t
 
 
-def _reference_fingerprint(t, height):
-    """The fingerprint built charge by charge from the public per-charge API."""
+def _ball_box(t, norm):
+    """Radii of a box that holds the ball ``gamma^t N gamma <= norm``:
+    ``gamma_i^2 <= norm (N^-1)_ii`` (Cauchy-Schwarz in the form N)."""
+    inv = narain_form(t).inverse()
+    return [isqrt(int(norm * inv.entries[i][i])) for i in range(2 * t.rank)]
+
+
+def _reference_fingerprint(t, norm):
+    """The ball's triples built charge by charge from the public per-charge
+    API, over the box of :func:`_ball_box`: both of each pair +-gamma."""
     triples = []
-    for coords in product(range(-height, height + 1), repeat=2 * t.rank):
+    for coords in product(*(range(-r, r + 1) for r in _ball_box(t, norm))):
         w, m = coords[:t.rank], coords[t.rank:]
         _, _, p2_half, pbar2_half = zero_mode_momenta(t, w, m)
-        triples.append((Fraction(2 * sum(map(mul, w, m))), p2_half, pbar2_half))
-    return tuple(sorted(triples))
+        if any(coords) and p2_half + pbar2_half <= norm:
+            triples.append(tuple(map(rat_str, (Fraction(2 * sum(map(mul, w, m))), p2_half,
+                                                pbar2_half))))
+    return sorted(triples)
 
 
 class TestHoistedFingerprint:
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2 ** 32), st.sampled_from([(1, 0), (1, 1), (2, 0)]))
-    def test_matches_per_charge_reference(self, seed, window):
-        d, height = window
-        t = _random_torus_with_b(seed, d)
-        fp = spectrum_fingerprint(t, height)
-        assert fp == _reference_fingerprint(t, height)
-        assert all(type(x) is Fraction for triple in fp for x in triple)
+    # The listing holds one of each pair +-gamma, the reference both.  At
+    # d = 2 the box of a random torus passes 10^4 charges even at norm 1, too
+    # many for the per-charge reference, so it runs at d = 1.
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from([0, 1, 3, 6]))
+    def test_matches_per_charge_reference(self, seed, norm):
+        t = _random_torus_with_b(seed, 1)
+        assume(prod(2 * r + 1 for r in _ball_box(t, norm)) <= 5000)
+        fp = spectrum_fingerprint(t, norm)
+        assert sorted(fp + fp) == _reference_fingerprint(t, norm)
 
     # The whole d=2 height-1 window (6561 charges) is too slow for the
     # per-charge reference, so its charges are checked one at a time.

@@ -369,6 +369,17 @@ class TestShortVectors:
         assume(all(r <= 4 for r in radii))
         assert enumerated_shell(gram, bound) == brute_force_shell(gram, bound)
 
+    # the walk lists cap + 1 vectors at most, the first ones of the whole walk
+    @settings(max_examples=100, deadline=None)
+    @given(definite_grams(), st.integers(0, 12), st.integers(0, 20))
+    def test_cap_stops_the_walk_past_it(self, gram, bound, cap):
+        basis, vectors, nodes = short_vectors(gram, bound)
+        capped = short_vectors(gram, bound, cap)
+        assert capped[:2] == (basis, vectors[:cap + 1])
+        assert capped[2] <= nodes
+        if len(vectors) <= cap:
+            assert capped[2] == nodes
+
     def test_nodes_count_every_coordinate_tried(self):
         # Z^2 with bound 1: x_2 in {0, 1} (top level, sign fixed), then x_1 in
         # {0, 1} below x_2 = 0 and {0} below x_2 = 1

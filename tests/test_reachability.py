@@ -142,7 +142,7 @@ def command_runs(tmp):
         (["validate", f("malformed")], 2),
         (["doubled", f("generic2")], 0),
         (["spectrum", f("square1")], 0),
-        (["spectrum", f("square1"), "--height", "-1"], 2),
+        (["spectrum", f("square1"), "--norm", "-1"], 2),
         (["check-iso", f("square1"), f("square1")], 0),
         (["check-iso", f("square1"), f("stretched1")], 1),
         (["check-iso", f("square1"), f("square2")], 2),
