@@ -1,11 +1,11 @@
 """Integer-lattice helpers: integer kernels, saturation, pairwise size
 reduction, and the short vectors of a positive definite form.
 
-These support the certificate search: the lattice of *integral* solutions of
-the intertwining constraints is the integer kernel of the constraint rows, as
-the caller built them, and is then size-reduced so that natural
-certificates tend to have small, sparse coordinates.  Everything here is
-integer arithmetic; one column reduction
+These support the certificate searches: for ``derived_eq`` the lattice of
+*integral* solutions of the intertwining constraints is the integer kernel of
+the constraint rows, as the caller built them, and is then size-reduced so
+that natural certificates tend to have small, sparse coordinates.  Everything
+here is integer arithmetic; one column reduction
 (:func:`~flattori._intkernel.column_pivots`, re-exported here with
 :func:`~flattori._intkernel.integer_kernel` and
 :func:`~flattori._intkernel.spans_direct_summand`) answers every kernel and
@@ -15,15 +15,14 @@ primitivity question (plain ranks and determinants come from
 reads its inner products instead of recomputing them.  :func:`short_vectors`
 lists every lattice vector of bounded norm under a positive definite integer
 form: integral LLL, then a Fincke-Pohst walk whose every pruning decision is
-an integer comparison.
+an integer comparison; the ``iso`` and ``mirror`` search and ``spectrum``
+read them on the Narain lattices.
 
-The integer forms that the verdicts read on a lattice of intertwiners live
-here too: :func:`frobenius_gram` with the :func:`split_pairing` q is the
-Gram matrix of ``tr(q h^t q h)`` that decides a refutation, and
-:func:`packed_form` packs the q-congruence into the one form that picks a
-certificate, in the shell and in the scan of :mod:`flattori.kernels_py`.
-The shell alone, the whole ``iso`` and ``mirror`` search at d <= 2,
-and ``spectrum`` compile this module and not the scan.
+The integer forms that the ``derived_eq`` verdicts read live here too:
+:func:`frobenius_gram` with the :func:`split_pairing` q is the Gram matrix
+of ``tr(q h^t q h)`` that decides a refutation, and :func:`packed_form`
+packs the q-congruence into the one form that picks a certificate in the
+scan of :mod:`flattori.kernels_py`.
 """
 
 from __future__ import annotations
@@ -119,19 +118,19 @@ def _lll(gram):
 
     Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.6.7
     (Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982), indexed from 1 as
-    there.  Returns ``(basis, d, lam)``: ``basis[i - 1]`` holds the
-    coordinates of the i-th reduced vector b_i in the input basis, ``d[i]``
-    is the Gram determinant of b_1..b_i (``d[0] = 1``) and ``lam[i][j] =
-    d[j] mu_ij`` for j < i, with mu the Gram-Schmidt coefficients; all are
-    integers.  They are updated in place by each size reduction and swap, so
-    Gram-Schmidt is never recomputed.  A vector past ``kmax`` has not been
-    touched yet, so its inner products are read off its row of ``gram``.
-    (On the d = 3 generic-B lattice of ``tier1.yml``, whose Gram entries
-    have 206 bits, delta = 99/100 took about four times as long, and the
-    walk after it visited the same nodes.)
+    there.  Returns ``(basis, inverse, d, lam)``: ``basis[i - 1]`` holds the
+    coordinates of the i-th reduced vector b_i in the input basis, ``inverse``
+    the rows of the inverse of the matrix with columns b_i (a step ``b_k -=
+    q b_l`` is the step ``inverse_l += q inverse_k``), ``d[i]`` is the Gram
+    determinant of b_1..b_i (``d[0] = 1``) and ``lam[i][j] = d[j] mu_ij`` for
+    j < i, with mu the Gram-Schmidt coefficients; all are integers.  They are
+    updated in place by each size reduction and swap, so Gram-Schmidt is
+    never recomputed.  A vector past ``kmax`` has not been touched yet, so
+    its inner products are read off its row of ``gram``.
     """
     m = len(gram)
     h = [None] + [[int(i == j) for j in range(m)] for i in range(m)]
+    inv = [None] + [row[:] for row in h[1:]]
     d = [1] * (m + 1)
     lam = [[0] * (m + 1) for _ in range(m + 1)]
     k, kmax = 1, 0
@@ -156,11 +155,13 @@ def _lll(gram):
             if 2 * abs(lk[l]) > dl:
                 q = (2 * lk[l] + dl) // (2 * dl)
                 h[k] = [x - q * y for x, y in zip(h[k], h[l])]
+                inv[l] = [x + q * y for x, y in zip(inv[l], inv[k])]
                 lk[l] -= q * dl
                 lk[1:l] = [x - q * y for x, y in zip(lk[1:l], lam[l][1:l])]
             if l == k - 1 and 4 * d[k] * d[k - 2] < 3 * d[k - 1] ** 2 - 4 * lk[l] ** 2:
                 # Lovasz condition fails: swap b_k and b_{k-1} (Cohen's SWAPI)
                 h[k], h[k - 1] = h[k - 1], h[k]
+                inv[k], inv[k - 1] = inv[k - 1], inv[k]
                 lk1 = lam[k - 1]
                 lk[1:k - 1], lk1[1:k - 1] = lk1[1:k - 1], lk[1:k - 1]
                 c = lk[k - 1]
@@ -175,19 +176,19 @@ def _lll(gram):
                 break
         else:
             k += 1
-    return h[1:], d, lam
+    return h[1:], inv[1:], d, lam
 
 
-def short_vectors(gram, bound, cap=inf):
+def short_vectors(gram, bound, cap=inf, reduced=None):
     """The vectors of norm at most ``bound`` under a positive definite integer form.
 
     Returns ``(basis, vectors, nodes)``.  ``basis`` is the LLL-reduced basis
-    of :func:`_lll`, as coordinate rows in the input basis; ``vectors`` lists
-    ``(x, x^t A x)`` for every nonzero x, in coordinates over ``basis``,
-    with ``x^t A x <= bound``, one of each pair +-x (the one whose last
-    nonzero coordinate is positive), in the walk's order; ``nodes`` counts
-    the coordinate values the walk tried.  The walk stops once it has listed
-    ``cap + 1`` vectors.
+    of :func:`_lll` (or ``reduced``, its result), as coordinate rows in the
+    input basis; ``vectors`` lists ``(x, x^t A x)`` for every nonzero x, in
+    coordinates over ``basis``, with ``x^t A x <= bound``, one of each pair
+    +-x (the one whose last nonzero coordinate is positive), in the walk's
+    order; ``nodes`` counts the coordinate values the walk tried.  The walk
+    stops once it has listed ``cap + 1`` vectors.
 
     Fincke-Pohst (Math. Comp. 44, 1985): with B_i = d_i / d_(i-1) and
     mu_ji = lam_ji / d_i, ``x^t A x = sum_i B_i (x_i + sum_(j>i) mu_ji x_j)^2``,
@@ -199,7 +200,7 @@ def short_vectors(gram, bound, cap=inf):
     level's range of x_i comes from one integer square root.
     """
     m = len(gram)
-    basis, d, lam = _lll(gram)
+    basis, _, d, lam = reduced or _lll(gram)
     x = [0] * (m + 1)
     vectors = []
     nodes = 0

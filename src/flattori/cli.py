@@ -36,9 +36,9 @@ modules: ``relations`` (lattice maps, certificates and ``verify_map``) and
 two, so ``mirror`` and ``fm`` compile neither the search (``equivalence``)
 nor its lattice reduction (``_intlat``), and ``abrane-check`` compiles
 ``_intkernel`` alone.  A search compiles the box scan (``kernels`` and
-``kernels_py``) only when it runs it, for derived_eq or at d = 3.  A handler
-takes the parsed arguments, with the config's ``bound`` and ``budget``
-already folded in, and returns ``(inputs, result, exit code)``;
+``kernels_py``) only when it runs it, for derived_eq.  A handler takes the
+parsed arguments, with the config's ``bound`` and ``budget`` already folded
+in, and returns ``(inputs, result, exit code)``;
 :func:`main` prints the report.  No layer imports this module: under
 ``python -m flattori.cli`` it runs as ``__main__``, and an import would
 compile it a second time.  Where ``PYTHONDONTWRITEBYTECODE`` is set every
@@ -241,7 +241,7 @@ def parse_args(argv):
         try:
             setattr(args, dest, kind(value))
         except ValueError:
-            raise SchemaError(f"option {flag} must be an integer, got {value!r}")
+            raise SchemaError(f"option {flag} must be an integer, got {jsonio.echo(value)}")
     if len(given) != len(paths):
         raise SchemaError(f"{command} takes {len(paths)} path argument(s), got {len(given)}")
     missing = [flag for flag, (dest, _, _, required) in options.items()

@@ -245,7 +245,7 @@ def cmd_hodge(args):
 def cmd_pp_classes(args):
     t = jsonio.load_torus(args.torus)
     if not 0 <= args.p <= t.d:
-        raise SchemaError(f"p must lie in 0..{t.d}, got {args.p}", "--p")
+        raise SchemaError(f"p must lie in 0..{t.d}, got {jsonio.echo(args.p)}", "--p")
     classes = rational_pp_classes(t, args.p)
     result = {"p": args.p, "dimension": len(classes),
               "basis": [jsonio.class_to_json(c.element) for c in classes]}

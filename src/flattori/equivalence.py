@@ -8,36 +8,19 @@ and the relation table live in :mod:`flattori.relations`, and this module
 re-exports them (``LatticeMap``, ``Certificate``, ``verify_map``,
 ``RELATIONS``, ``KINDS``).
 
-Existence search: the intertwining constraints are linear, so the lattice of
-all integral solutions is the integer kernel of the constraint rows (built in
-integers from the structures scaled by the lcm D of their denominators, see
-:func:`~flattori.exactlinear.cleared`).  The box scan enumerates small
-integer coordinate vectors over a size-reduced basis of it, keeping the first
-candidate that satisfies the quadratic q-congruence.
+``iso`` and ``mirror`` are decided by one isometry search of the Narain
+lattices (:func:`_isometry`).  ``derived_eq`` reads the lattices of
+integral intertwiners, integer kernels of linear constraint rows: a pair
+whose L(T1,T1), L(T1,T2), L(T2,T2) differ in (rank, det) under
+``tr(q h^t q h)`` is refuted, and otherwise a box scan over a size-reduced
+basis of L(T1,T2) keeps the first q-congruent candidate, or ends "none
+within bound", or "undecided" once it spends its node budget.
 
-Refutation reads one integer form on the intertwiner lattices,
-``F(h) = tr(q h^t q h)``, which every certificate g carries isometrically:
-``F(gh) = F(hg) = F(h)`` as ``g^t q g = q = g q g^t``.  Its Gram matrix
-``<M_i, q M_j q>`` comes from :func:`~flattori._intlat.frobenius_gram`
-with R = q, the builder of the search's packed form.  A ``derived_eq``
-pair whose three lattices L(T1,T1), L(T1,T2), L(T2,T2) differ in (rank,
-det) is refuted before the scan.  On ``iso`` and ``mirror`` lattices F is
-the Narain form ``tr(N_1^-1 h^t N_2 h)``, positive definite, and every
-certificate lies in the finite shell ``F <= 4d``.  Listing that shell
-(:func:`~flattori._intlat.short_vectors`) finds an ``iso`` or ``mirror``
-certificate or refutes; at d <= 2 it is their whole search.  A
-``derived_eq`` search without a hit means only "none within bound", and one
-that spends its node budget first is "undecided".
-
-The search functions and the spectrum of the Narain ball import the
-integer lattice work (:mod:`flattori._intlat`) when they run, and the
-filter (:mod:`flattori.kernels` and :mod:`flattori.kernels_py`) only when
-the box scan runs, for ``derived_eq`` past its lattice check and for
-``iso`` and ``mirror`` at d = 3.  ``verify-map`` compiles neither.  No
-search and no spectrum builds a Fraction, so neither imports
-:mod:`fractions`.  ``mirror`` and ``fm`` do not compile this module at
-all: the mirror construction reads :mod:`flattori.relations` and the integer
-kernels of :mod:`flattori._intkernel` only.  The layer's commands
+The searches and ``spectrum`` import :mod:`flattori._intlat` when they run,
+and the filter (:mod:`flattori.kernels`, :mod:`flattori.kernels_py`) only
+when the box scan runs.  None builds a Fraction or imports
+:mod:`fractions`.  ``mirror`` and ``fm`` compile :mod:`flattori.relations`
+and :mod:`flattori._intkernel`, not this module.  The layer's commands
 (``spectrum``, the three ``check-*`` and ``verify-map``) and the
 relation-map file format live at the end of the module.
 """
@@ -46,6 +29,7 @@ from __future__ import annotations
 
 import os
 import sys
+from operator import mul
 
 from . import jsonio
 from ._record import Record, failures
@@ -111,18 +95,17 @@ def intertwiner_space(t1: TorusData, t2: TorusData, kind: str):
     return [_as_matrix(row, n) for row in intertwiner_rows(t1, t2, kind)]
 
 
-NARAIN_SHELL = "no g with tr(N1^-1 g^t N2 g) <= 4d preserves q"
+NARAIN_ISOMETRY = "no Narain isometry g^t N2 g = N1 preserves q and carries N1 S1 to N2 S2"
 LATTICE_ISOMETRY = "(rank, det) of tr(q h^t q h) differs on L(T1,T1), L(T1,T2), L(T2,T2)"
 
 
 class SearchOutcome(Record):
     """The verdict of a search: ``"found"`` (with its certificate), ``"refuted"``
-    (``refuted_by`` names the proof: for ``iso`` and ``mirror``
-    :data:`NARAIN_SHELL` followed by the shell's size and the enumeration's
-    nodes, for ``derived_eq`` :data:`LATTICE_ISOMETRY` followed by the three
-    lattices' (rank, det)), and for ``derived_eq`` only ``"none within
-    bound"`` or ``"undecided"`` (the node budget ran out after covering every
-    height shell up to ``last_complete_height``)."""
+    (``refuted_by`` names the proof: :data:`NARAIN_ISOMETRY` or, for
+    ``derived_eq``, :data:`LATTICE_ISOMETRY`, then what it read), and for
+    ``derived_eq`` only ``"none within bound"`` or ``"undecided"`` (the node
+    budget ran out after covering every height shell up to
+    ``last_complete_height``)."""
 
     verdict: str
     nodes_used: int
@@ -153,48 +136,73 @@ def _certified(t1, t2, kind, g, n, nodes):
     return SearchOutcome("found", nodes, cert)
 
 
-def _narain_shell(flat, n):
-    """``(g, size, nodes)`` for the shell ``F <= 4d`` of an ``iso`` or ``mirror`` lattice.
+def _isometry(t1, t2, kind):
+    """Decide ``iso`` or ``mirror`` by an isometry search of the Narain lattices.
 
-    :func:`~flattori._intlat.short_vectors` lists the shell over an
-    LLL-reduced basis, one of each pair +-h: ``size`` vectors, in ``nodes``
-    walk nodes.  A certificate has ``F = 4d`` exactly, so only those vectors
-    are tested for q-congruence, in the walk's order, by the packed form of
-    :func:`~flattori._intlat.packed_form` over the reduced basis
-    (``x^t X x = 2 target``), whose bound is the largest coordinate among
-    them.  ``g`` is the first that passes, flattened, or None: then no
-    certificate exists.
+    As ``N = -q calI calJ`` on every torus, the certificates are the g that
+    carry N, q and, for each structure pair (S1, S2) of the kind, ``N1 S1``
+    to ``N2 S2`` (Plesken and Souvignier, J. Symb. Comput. 24, 1997).  The
+    source is LLL-reduced under N; both lattices' vectors of N-norm up to its
+    largest reduced norm are listed, and norms that differ as multisets
+    refute.  Else the reduced vectors, last first, are sent to listed target
+    vectors of their N- and q-norms (the first up to sign: -g is a
+    certificate when g is), tried in the reverse of the walk's order, kept
+    when their products with the images before them match; running out
+    refutes.  The first whole choice is mapped back by the inverse transform
+    of :func:`~flattori._intlat._lll` and checked once by :func:`verify_map`.
+    ``nodes`` counts the walks' nodes and the candidates tried.
     """
-    from ._intlat import frobenius_gram, packed_form, short_vectors, split_pairing
-    basis, vectors, nodes = short_vectors(frobenius_gram(flat, n, split_pairing(n)), n)
-    shell = [x for x, norm in vectors if norm == n]
-    if shell:
-        sparse = [[(t, v) for t, v in enumerate(m) if v] for m in flat]
-        reduced = []
-        for coords in basis:
-            row = [0] * (n * n)
-            for c, m in zip(coords, sparse):
-                if c:
-                    for t, v in m:
-                        row[t] += c * v
-            reduced.append(row)
-        form, target = packed_form(reduced, n, max(max(map(abs, x)) for x in shell))
-        for x in shell:
-            nz = [(i, c) for i, c in enumerate(x) if c]
-            if sum(c * e * form[i][j] for i, c in nz for j, e in nz) == 2 * target:
-                return [sum(c * reduced[i][t] for i, c in nz) for t in range(n * n)], \
-                    len(vectors), nodes
-    return None, len(vectors), nodes
+    from ._intlat import _lll, short_vectors
+    n, half = 4 * t1.d, 2 * t1.d
+    (d1, n1), (d2, n2) = ((doubled(t), narain_form(t)) for t in (t1, t2))
+    den, *narain = cleared(n1, n2)
+    # the int rows of the forms N, q and each N S (scaled by a common D), per side
+    forms = list(zip(narain, (d1.q.num, d2.q.num), *(
+        cleared(n1 * getattr(d1, src), n2 * getattr(d2, tgt))[1:]
+        for _, src, tgt in RELATIONS[kind])))
 
+    def images(v, side):  # the rows v^t A of the forms of one side
+        return [[sum(x * row[k] for x, row in zip(v, form) if x) for k in range(n)]
+                for form in forms[side]]
 
-# Up to this dimension the shell F <= 4d is the whole iso and mirror search:
-# it is small (square2 against itself, 256 vectors in 1,512 nodes, 4 ms), and a
-# scan in front of it only re-finds a certificate the shell holds (10^7
-# nodes on a d = 2 mirror pair with a generic B).  At d = 3 the scan still runs
-# first: check-iso square3 sheared3 took 0.67 s as a fresh process with a walk
-# stopping at its first certificate (55,771 nodes), 0.11 s with the scan
-# first (CPython 3.11.7, 2-core VM).
-SHELL_FIRST_MAX_D = 2
+    reduced = _lll(narain[0])
+    basis, inverse = reduced[0][::-1], reduced[1][::-1]
+    gram = [[tuple(sum(map(mul, r, b)) for r in images(u, 0)) for b in basis] for u in basis]
+    bound = max(gram[i][i][0] for i in range(n))
+    _, source, nodes = short_vectors(narain[0], bound, reduced=reduced)
+    target_basis, target, walked = short_vectors(narain[1], bound)
+    nodes += walked
+    placed = []  # (image, its rows v^t A)
+
+    def place(j):
+        nonlocal nodes
+        if j == n:
+            return True
+        for v in candidates[j]:
+            nodes += 1
+            if all(sum(map(mul, r, v)) == want for i, (_, rows) in enumerate(placed)
+                   for r, want in zip(rows, gram[i][j])):
+                placed.append((v, images(v, 1)))
+                if place(j + 1):
+                    return True
+                placed.pop()
+        return False
+
+    listed = f"vectors up to sign of N-norm at most {ratio_str(bound, den)}"
+    if sorted(s for _, s in source) == sorted(s for _, s in target):
+        by_norms = {}
+        for x, s in reversed(target):
+            v = [sum(c * row[k] for c, row in zip(x, target_basis) if c) for k in range(n)]
+            by_norms.setdefault((s, 2 * sum(map(mul, v[:half], v[half:]))), []).append(v)
+        candidates = [by_norms.get(gram[j][j][:2], []) for j in range(n)]
+        candidates[1:] = [c + [[-x for x in v] for v in c] for c in candidates[1:]]
+        if place(0):
+            return _certified(t1, t2, kind, [sum(v[r] * c[k] for (v, _), c in zip(placed, inverse))
+                                             for r in range(n) for k in range(n)], n, nodes)
+        why = f"{len(target)} {listed}"
+    else:
+        why = f"the N-norms of their {len(source)} and {len(target)} {listed} differ"
+    return SearchOutcome("refuted", nodes, refuted_by=f"{NARAIN_ISOMETRY}: {why}, {nodes} nodes")
 
 
 def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
@@ -202,68 +210,50 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
     """Deterministic search for a relation certificate: always found or
     refuted for ``iso`` and ``mirror``, bounded for ``derived_eq``.
 
-    For ``derived_eq`` the intertwiner lattices are compared first, with no
-    budget involved.  A certificate g maps L(T1,T1) onto L(T1,T2) by
-    ``h -> gh`` and L(T1,T2) onto L(T2,T2) by ``h -> hg^-1``, both integral
-    with integral inverses, and ``F(h) = tr(q h^t q h)`` is unchanged by
-    either, as ``g^t q g = q`` and ``g q g^t = q``.  The three lattices are
-    then isometric under F, and ``det(U^t A U) = det A`` makes (rank, det A)
-    independent of the basis: when the three pairs differ, the outcome is
-    ``"refuted"`` by :data:`LATTICE_ISOMETRY` with 0 nodes.  L(T1,T1) and
-    L(T2,T2), which the scan never reads, are therefore not size-reduced.
-
-    The box scan (``derived_eq``, and ``iso`` and ``mirror`` at d = 3)
-    enumerates integer coordinate vectors of max-norm at most
-    ``coeff_bound`` over the size-reduced intertwiner basis, in the canonical
-    candidate order (height shell, then support size, then positions, then
-    digits), with the exact filter of :mod:`flattori.kernels_py`; the first
-    q-congruent candidate is checked once, by :func:`verify_map` (a failure
-    is an ``InconsistencyError``), and is the certificate (verdict ``"found"``).
-    A ``derived_eq`` scan that exhausts its window without one is ``"none
-    within bound"``, and one that spends ``node_budget`` first is
-    ``"undecided"`` and records the last height shell it covered completely.
-
-    An ``iso`` or ``mirror`` certificate has ``F(g) = tr(q q) = 4d``, and F is
-    the positive definite Narain form there, so :func:`_narain_shell`
-    decides the relation: its first q-congruent vector is the certificate,
-    checked once by :func:`verify_map`, and with none the relation is
-    ``"refuted"`` by :data:`NARAIN_SHELL`.  Up to :data:`SHELL_FIRST_MAX_D`
-    the shell is the whole search: ``coeff_bound`` and ``node_budget`` bound
-    nothing, and ``nodes_used`` is the walk's nodes, found or refuted.  At
-    d = 3 the scan runs first, and the shell only when the scan ends without
-    a certificate, after the scan's nodes and the walk's.
+    ``iso`` and ``mirror`` are decided by :func:`_isometry`, refuted by
+    :data:`NARAIN_ISOMETRY`; ``coeff_bound`` and ``node_budget`` bound nothing
+    there.  For ``derived_eq`` a certificate g maps L(T1,T1) onto L(T1,T2)
+    by ``h -> gh`` and L(T1,T2) onto L(T2,T2) by ``h -> hg^-1``, integrally
+    both ways, and keeps ``F(h) = tr(q h^t q h)``, as ``g^t q g = q = g q
+    g^t``: the three lattices are isometric under F, and (rank, det) does not
+    see the basis.  When the three pairs differ the outcome is ``"refuted"``
+    by :data:`LATTICE_ISOMETRY` with 0 nodes, whatever the budget.  Then the
+    box scan of :mod:`flattori.kernels_py` runs over the size-reduced basis
+    of L(T1,T2) in its canonical order (height shell, support size,
+    positions, digits) up to max-norm ``coeff_bound``; its first q-congruent
+    candidate, checked once by :func:`verify_map` (a failure is an
+    ``InconsistencyError``), is the certificate.  A scan that exhausts its
+    window without one is ``"none within bound"``, and one that spends
+    ``node_budget`` first is ``"undecided"``, with the last height shell it
+    covered completely.
     """
-    from ._intlat import integral_coordinate_lattice
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
+    if t1.d != t2.d:
+        raise DimensionError("tori must have the same dimension")
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
-    flat = intertwiner_rows(t1, t2, kind)
+    if kind != "derived_eq":
+        return _isometry(t1, t2, kind)
+    from ._intlat import integral_coordinate_lattice
     n = 4 * t1.d
-    if kind == "derived_eq":
-        classes = [_lattice_class(rows, n) for rows in (
-            integral_coordinate_lattice(_constraint_rows(t1, t1, kind)), flat,
-            integral_coordinate_lattice(_constraint_rows(t2, t2, kind)))]
-        if len(set(classes)) > 1:
-            return SearchOutcome("refuted", 0, refuted_by=f"{LATTICE_ISOMETRY}: "
-                                 + ", ".join(map(str, classes)))
-    nodes = 0
-    if kind == "derived_eq" or t1.d > SHELL_FIRST_MAX_D:
-        from . import kernels
-        from .kernels_py import completed_height
-        hits, nodes, exhausted = kernels.run_filter(flat, n, coeff_bound, node_budget,
-                                                    max_hits=1)
-        if hits:
-            return _certified(t1, t2, kind, [sum(c * m[t] for c, m in zip(hits[0], flat) if c)
-                                             for t in range(n * n)], n, nodes)
-        if kind == "derived_eq":
-            if not exhausted:
-                return SearchOutcome("undecided", nodes,
-                                     last_complete_height=completed_height(len(flat), nodes))
-            return SearchOutcome("none within bound", nodes)
-    g, size, walked = _narain_shell(flat, n)
-    if g is not None:
-        return _certified(t1, t2, kind, g, n, nodes + walked)
-    return SearchOutcome("refuted", nodes + walked,
-                         refuted_by=f"{NARAIN_SHELL}: {size} vectors up to sign, {walked} nodes")
+    flat = intertwiner_rows(t1, t2, kind)
+    classes = [_lattice_class(rows, n) for rows in (
+        integral_coordinate_lattice(_constraint_rows(t1, t1, kind)), flat,
+        integral_coordinate_lattice(_constraint_rows(t2, t2, kind)))]
+    if len(set(classes)) > 1:
+        return SearchOutcome("refuted", 0, refuted_by=f"{LATTICE_ISOMETRY}: "
+                             + ", ".join(map(str, classes)))
+    from . import kernels
+    from .kernels_py import completed_height
+    hits, nodes, exhausted = kernels.run_filter(flat, n, coeff_bound, node_budget, max_hits=1)
+    if hits:
+        return _certified(t1, t2, kind, [sum(c * m[t] for c, m in zip(hits[0], flat) if c)
+                                         for t in range(n * n)], n, nodes)
+    if not exhausted:
+        return SearchOutcome("undecided", nodes,
+                             last_complete_height=completed_height(len(flat), nodes))
+    return SearchOutcome("none within bound", nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +334,11 @@ def cmd_spectrum(args):
     """``spectrum``: the zero-mode triples of the Narain ball ``gamma^t N gamma <= norm``."""
     t = jsonio.load_torus(args.torus)
     if args.norm < 0:
-        raise SchemaError(f"norm must be nonnegative, got {args.norm}", "--norm")
+        raise SchemaError(f"norm must be nonnegative, got {jsonio.echo(args.norm)}", "--norm")
     triples = spectrum_fingerprint(t, args.norm)
     if triples is None:
-        raise SchemaError(f"norm {args.norm} holds more than {SPECTRUM_LIMIT} charge vectors "
-                          "up to sign, the limit", "--norm")
+        raise SchemaError(f"norm {jsonio.echo(args.norm)} holds more than {SPECTRUM_LIMIT} "
+                          "charge vectors up to sign, the limit", "--norm")
     return {"torus": jsonio.torus_to_json(t)}, {"norm": args.norm, "triples": triples}, 0
 
 
@@ -365,7 +355,7 @@ def cmd_search(args):
     bound, budget = args.bound, args.budget
     for name, value in (("bound", bound), ("budget", budget)):
         if value < 1:
-            raise SchemaError(f"{name} must be at least 1, got {value}")
+            raise SchemaError(f"{name} must be at least 1, got {jsonio.echo(value)}")
     inputs = {"source": jsonio.torus_to_json(t1), "target": jsonio.torus_to_json(t2),
               "bound": bound}
     outcome = search_relation(t1, t2, COMMAND_KINDS[args.command], bound, node_budget=budget)

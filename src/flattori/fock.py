@@ -499,24 +499,25 @@ def cmd_fock_verify(args):
         if d is None:
             raise SchemaError("need --d or --torus", "--d")
         if d < 1:
-            raise SchemaError(f"d must be at least 1, got {d}")
+            raise SchemaError(f"d must be at least 1, got {jsonio.echo(d)}")
     try:
         cap = Fraction(args.cap)
     except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"cap must be a rational number, got {args.cap!r}", "--cap")
+        raise SchemaError(f"cap must be a rational number, got {jsonio.echo(args.cap)}", "--cap")
+    # the text as given: a Fraction past the int-to-string digit limit cannot be printed
+    shown = jsonio.echo(args.cap, quoted=False)
     if cap < HALF:
-        # the text as given: a Fraction past the int-to-string digit limit cannot be printed
-        raise SchemaError(f"cap must be at least 1/2, got {args.cap}", "--cap")
+        raise SchemaError(f"cap must be at least 1/2, got {shown}", "--cap")
     size = 0
     for twice, level_size in zip(range(math.floor(2 * cap) + 1), _level_counts(2 * d)):
         size += level_size
         if size > MAX_BASIS_DIMENSION:
-            raise SchemaError(f"cap {args.cap} spans more than {MAX_BASIS_DIMENSION} basis "
-                              f"monomials at d = {d}: {size} up to level {Fraction(twice, 2)}",
-                              "--cap")
+            raise SchemaError(f"cap {shown} spans more than {MAX_BASIS_DIMENSION} basis "
+                              f"monomials at d = {jsonio.echo(d)}: {jsonio.echo(size)} up to "
+                              f"level {Fraction(twice, 2)}", "--cap")
     rows = _row_count(d, math.floor(2 * cap))
     if rows > MAX_CHECK_ROWS:
-        raise SchemaError(f"cap {args.cap} at d = {d} gives {rows} check rows, more than "
+        raise SchemaError(f"cap {shown} at d = {d} gives {rows} check rows, more than "
                           f"the limit {MAX_CHECK_ROWS}", "--cap")
     space = TruncatedFock(d, cap, t.G if args.torus else RatMatrix.identity(2 * d))
     rows = ccr_car_sweep(space)

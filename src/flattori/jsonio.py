@@ -9,12 +9,13 @@ rows over the lcm of its denominators, and a matrix is written from its int
 rows and denominator, so loading and writing a torus builds no Fraction and
 this module does not import :mod:`fractions`; :func:`rat_from_json` hands
 the layers that compute with single rationals their Fraction.  An input
-error repeats at most :data:`ECHO_LIMIT` characters of the offending value.
-A Gaussian rational is carried as its
-``(re, im)`` pair of rationals and written as an ``{"re","im"}`` object by
-:func:`gauss_to_json` alone.  Exterior-algebra classes list their terms
-with 0-based strictly increasing index tuples.  Schema violations raise
-:class:`SchemaError` with a pointer to the offending field.
+error repeats at most :data:`ECHO_LIMIT` characters of the offending value,
+a file's or the command line's (:func:`echo`).  A Gaussian rational is
+carried as its ``(re, im)`` pair of rationals and written as an
+``{"re","im"}`` object by :func:`gauss_to_json` alone.  Exterior-algebra
+classes list their terms with 0-based strictly increasing index tuples.
+Schema violations raise :class:`SchemaError` with a pointer to the
+offending field.
 
 This module is part of every command's start-up, so it holds only what more
 than one layer reads.  A format that one layer reads lives next to its
@@ -60,11 +61,17 @@ def ratio_from_json(value, pointer):
             else:
                 if q:
                     return p, q
-    text = repr(value)
+    raise SchemaError(f"expected a rational number, got {echo(value)}", pointer)
+
+
+def echo(value, quoted=True):
+    """``repr(value)``, or ``str(value)`` if not ``quoted``, as an input error
+    repeats it: cut past :data:`ECHO_LIMIT` characters, then its type and length."""
+    text = repr(value) if quoted else str(value)
     if len(text) > ECHO_LIMIT:
-        # a JSON value this long is a string, a list or an object
-        text = f"{text[:ECHO_LIMIT]}... ({type(value).__name__} of length {len(value)})"
-    raise SchemaError(f"expected a rational number, got {text}", pointer)
+        size = len(value) if isinstance(value, (str, list, dict)) else len(text)
+        text = f"{text[:ECHO_LIMIT]}... ({type(value).__name__} of length {size})"
+    return text
 
 
 def rat_from_json(value, pointer):

@@ -23,8 +23,8 @@ still to come, so a candidate costs ``value + x*(lin + x*D)``: O(1)
 amortised integer work.  A hit is kept as its coordinates; the caller
 checks the map they give once, with :func:`flattori.equivalence.verify_map`.
 Arithmetic is in Python integers, so large basis entries cannot overflow.
-Only a search that runs the scan imports this module: ``derived_eq``, and
-``iso`` and ``mirror`` at d = 3.
+Only a search that runs the scan imports this module: ``derived_eq`` past
+its lattice check.  ``iso`` and ``mirror`` never scan.
 """
 
 from __future__ import annotations

@@ -25,10 +25,22 @@ from flattori.torus import TorusData
 
 
 LATTICE_REFUTED_BY = "(rank, det) of tr(q h^t q h) differs on L(T1,T1), L(T1,T2), L(T2,T2): "
-SHELL_REFUTED_BY = "no g with tr(N1^-1 g^t N2 g) <= 4d preserves q: "
-# the report of a d = 1 iso or mirror pair whose shell F <= 4d is empty
-EMPTY_SHELL_REFUTED = {"found": False, "verdict": "refuted", "nodes": 4,
-                       "refuted_by": SHELL_REFUTED_BY + "0 vectors up to sign, 4 nodes"}
+ISOMETRY_REFUTED_BY = ("no Narain isometry g^t N2 g = N1 preserves q and carries N1 S1 "
+                       "to N2 S2: ")
+
+
+def norms_refuted(a, b, bound, nodes):
+    """The report of an iso or mirror pair refuted before the isometry search
+    places a column: the N-norms of the ``a`` source and ``b`` target vectors
+    (up to sign) of N-norm at most ``bound`` differ."""
+    return {"found": False, "verdict": "refuted", "nodes": nodes,
+            "refuted_by": ISOMETRY_REFUTED_BY + f"the N-norms of their {a} and {b} vectors up "
+                          f"to sign of N-norm at most {bound} differ, {nodes} nodes"}
+
+
+# the report of square1 against stretched1, iso or mirror: the square lattice
+# has four vectors of N-norm 1 up to sign, the stretched one norms 1/4 and 4
+SQUARE_STRETCHED_REFUTED = norms_refuted(4, 4, 1, 25)
 
 
 def run(capsys, *args):
@@ -46,8 +58,8 @@ def report(out):
 def _report_at_every_bound_and_budget(capsys, command, source, target, code):
     """The one report ``command`` prints, found or refuted, at the default
     options, ``--bound 1``, ``--bound 3`` and ``--budget 1``, less the bound
-    echoed in its inputs.  At d <= 2 the Narain shell is the whole iso and
-    mirror search, so neither option moves the report: the ``--budget 1``
+    echoed in its inputs.  The isometry search of the Narain lattices is the
+    whole iso and mirror search, so neither option moves the report: the ``--budget 1``
     stdout is byte-identical to the default's, and the others differ from
     it only in that echoed bound."""
     outs = {}
@@ -82,7 +94,7 @@ def stretched_file(stretched1, torus_file):
 
 
 # square2 with its first factor stretched to tau = 2i: no certificate relates
-# the two, and the Narain shell of the pair is not empty.
+# the two, and their Narain norms differ.
 STRETCHED2 = TorusData(
     2, RatMatrix([[0, -2, 0, 0], [Q(1, 2), 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]),
     diag([1, 4, 1, 1]), RatMatrix.zero(4, 4), "stretched2")
@@ -364,6 +376,26 @@ class TestRationalGrammar:
                 (2, "", f"input error: expected a rational number, got {shown} "
                         f"(at x.json.G[0][0])\n")
 
+    # a command-line value of 4,001 characters, at each place that echoes
+    # one, is cut in the one line of the input error as a file's value is
+    @pytest.mark.parametrize("argv", [
+        ["check-iso", "T", "T", "--bound", "x" * 4001],
+        ["check-iso", "T", "T", "--budget", "-" + "1" * 4000],
+        ["spectrum", "T", "--norm", "-" + "1" * 4000],
+        ["spectrum", "T", "--norm", "1" * 4001],
+        ["pp-classes", "T", "--p", "1" * 4001],
+        ["fock-verify", "--d", "-" + "1" * 4000],
+        ["fock-verify", "--d", "1", "--cap", "x" * 4001],
+        ["fock-verify", "--d", "1", "--cap", "-" + "1" * 4000],
+        ["fock-verify", "--d", "1", "--cap", "1" * 4001],
+    ], ids=["int-option", "budget", "norm", "norm-limit", "p", "d", "cap-rational", "cap-half",
+            "cap-size"])
+    def test_long_command_line_value_is_one_short_line(self, capsys, square_file, argv):
+        code, out, err = run(capsys, *[square_file if a == "T" else a for a in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 200, err
+
     # The int parser and the (num, den) writer against Fraction: a string is
     # read exactly when it is [+-]p or [+-]p/q in ASCII digits with q != 0,
     # to Fraction's value, and writes back as rat_str of that Fraction; any
@@ -465,11 +497,16 @@ class TestValidateAndStructures:
 
     # square1's ball holds 2.5 c^2 charges up to sign: 199,292 at norm 284,
     # 201,212 at 285, the first past the limit of 2 * 10^5; the walk stops
-    # there, so 10^8 and 10^100 cost no more
-    @pytest.mark.parametrize("norm", [285, 100000000, 10 ** 100])
-    def test_spectrum_window_past_the_limit_is_input_error(self, capsys, square_file, norm):
+    # there, so 10^8 and 10^100 cost no more; a norm past 40 digits is echoed
+    # cut, with its length
+    @pytest.mark.parametrize("norm, shown", [
+        (285, "285"), (100000000, "100000000"),
+        (10 ** 100, "1" + "0" * 39 + "... (int of length 101)")],
+        ids=["285", "100000000", str(10 ** 100)])
+    def test_spectrum_window_past_the_limit_is_input_error(self, capsys, square_file, norm,
+                                                           shown):
         assert run(capsys, "spectrum", square_file, "--norm", str(norm)) == (
-            2, "", f"input error: norm {norm} holds more than 200000 charge vectors up to "
+            2, "", f"input error: norm {shown} holds more than 200000 charge vectors up to "
             "sign, the limit (at --norm)\n")
 
     def test_spectrum_lists_a_d3_ball(self, capsys, torus_file):
@@ -576,20 +613,20 @@ def _fresh_python(*argv, cwd=None):
 
 # The start-up core every command loads, and each command on tiny inputs
 # with the layers it loads besides the core: its own, and what that imports.
-# An iso or mirror search at d <= 2 is the Narain shell alone, so it loads
-# the search layers without the box scan (kernels and kernels_py), and so
-# does spectrum, which lists the Narain ball with the same enumerator.
+# An iso or mirror search is the isometry search of the Narain lattices, so
+# it loads the search layers without the box scan (kernels and kernels_py),
+# and so does spectrum, which lists the Narain ball with the same enumerator.
 CORE = {"flattori", "flattori.cli", "flattori.jsonio", "flattori.torus",
         "flattori.exactlinear", "flattori.errors", "flattori._record"}
-SHELL_LAYERS = {"equivalence", "relations", "_intlat", "_intkernel"}
-SEARCH_LAYERS = SHELL_LAYERS | {"kernels", "kernels_py"}
+LATTICE_LAYERS = {"equivalence", "relations", "_intlat", "_intkernel"}
+SEARCH_LAYERS = LATTICE_LAYERS | {"kernels", "kernels_py"}
 COHOMOLOGY_LAYERS = {"cohomology", "exterior", "_rational"}
 COMMAND_LAYERS = [
     (["validate", "T"], set()),
     (["doubled", "T"], set()),
-    (["spectrum", "T"], SHELL_LAYERS),
-    (["check-iso", "T", "T"], SHELL_LAYERS),
-    (["check-mirror", "T", "T"], SHELL_LAYERS),
+    (["spectrum", "T"], LATTICE_LAYERS),
+    (["check-iso", "T", "T"], LATTICE_LAYERS),
+    (["check-mirror", "T", "T"], LATTICE_LAYERS),
     (["check-derived-eq", "T", "T"], SEARCH_LAYERS),
     (["verify-map", "M"], {"equivalence", "relations"}),
     (["mirror", "--torus", "T"], {"tduality", "relations", "_intkernel"}),
@@ -683,11 +720,10 @@ class TestImportIsolation:
     # Validating a torus, deciding a search, listing the spectrum and
     # building a mirror work on int rows alone, so none loads fractions, nor
     # the decimal and numbers modules it loads, unless the bare interpreter
-    # has them already.  None compiles the box scan either: at d <= 2 an iso
-    # or mirror search, found or refuted, is the shell alone, and the
-    # derived_eq pair is refuted by its lattices.  square2 against stretched2
-    # has a nonempty Narain shell, so it reads the packed form too.  hodge
-    # computes with Fractions.
+    # has them already.  None compiles the box scan either: an iso or mirror
+    # search, found or refuted and at every d, is the isometry search of the
+    # Narain lattices, and the derived_eq pair is refuted by its lattices.
+    # hodge computes with Fractions.
     @pytest.mark.parametrize("argv, verdict", [
         (["validate", "T"], None),
         (["spectrum", "T2"], None),
@@ -696,16 +732,18 @@ class TestImportIsolation:
         (["check-mirror", "T", "S"], "refuted"),
         (["check-derived-eq", "T", "S"], "refuted"),
         (["check-iso", "T2", "S2"], "refuted"),
+        (["check-mirror", "T3", "T3"], "found"),
         (["mirror", "--torus", "T"], "found"),
     ], ids=["validate", "spectrum", "check-iso-found", "check-iso-refuted", "check-mirror-refuted",
-            "check-derived-eq-refuted", "check-iso-d2-refuted", "mirror"])
+            "check-derived-eq-refuted", "check-iso-d2-refuted", "check-mirror-d3-found",
+            "mirror"])
     def test_validate_and_search_load_no_fractions(self, square_file, stretched_file,
-                                                   square2_file, stretched2_file, argv,
-                                                   verdict):
+                                                   square2_file, stretched2_file, torus_file,
+                                                   argv, verdict):
         watched = {"fractions", "decimal", "numbers"}
         bare = _fresh_python("-c", "import json, sys; print(json.dumps(sorted(sys.modules)))")
         files = {"T": square_file, "S": stretched_file, "T2": square2_file,
-                 "S2": stretched2_file}
+                 "S2": stretched2_file, "T3": torus_file(square_torus(3), "square3.json")}
         proc = _fresh_python("-c", LOADED_MODULES, *[files.get(a, a) for a in argv])
         assert proc.returncode == (verdict == "refuted"), proc.stderr
         result = report(proc.stdout)["result"]
@@ -800,26 +838,26 @@ class TestSearchCommands:
         code, out, _ = run(capsys, "check-iso", square_file, stretched_file,
                            "--bound", "3")
         assert code == 1
-        assert report(out)["result"] == EMPTY_SHELL_REFUTED
+        assert report(out)["result"] == SQUARE_STRETCHED_REFUTED
 
     def test_check_mirror_refuted(self, capsys, square_file, stretched_file):
         code, out, _ = run(capsys, "check-mirror", square_file, stretched_file)
         assert code == 1
-        assert report(out)["result"] == EMPTY_SHELL_REFUTED
+        assert report(out)["result"] == SQUARE_STRETCHED_REFUTED
 
     @pytest.mark.parametrize("command", ["check-iso", "check-mirror"])
     def test_d1_refutation_ignores_bound_and_budget(self, capsys, square_file, stretched_file,
                                                     command):
         data = _report_at_every_bound_and_budget(capsys, command, square_file,
                                                  stretched_file, 1)
-        assert data["result"] == EMPTY_SHELL_REFUTED
+        assert data["result"] == SQUARE_STRETCHED_REFUTED
 
     @pytest.mark.parametrize("command, pair", [("check-iso", "rebased1"),
                                                ("check-mirror", "mirrored1"),
                                                ("check-iso", "sheared2"),
                                                ("check-mirror", "sheared2")])
     def test_found_report_ignores_bound_and_budget(self, capsys, torus_file, command, pair):
-        # the shell's first certificate and the walk's nodes: a box scan
+        # the isometry search's first certificate and its nodes: a box scan
         # would reach no certificate of the d = 1 pairs below height 2, nor
         # one of any of these pairs within a budget of 1
         t1, t2 = REBASED1
@@ -878,7 +916,7 @@ class TestSearchCommands:
                                                          bound, verdict):
         # the mirror ellipsoid of this pair reaches c_i^2 = 5 (4d (A^-1)_ii):
         # past the height-1 box, inside the height-2 one.  Neither box is
-        # scanned: the shell F <= 4d is empty (4 walk nodes) and refutes at
+        # scanned: the Narain norms of the two lattices differ, and refute at
         # every bound
         source = TorusData(1, RatMatrix([[1, -1], [2, -1]]), RatMatrix([[2, -1], [-1, 1]]),
                            RatMatrix([[0, 2], [-2, 0]]), "source")
@@ -888,18 +926,18 @@ class TestSearchCommands:
         code, out, _ = run(capsys, "check-mirror", torus_file(source, "source.json"),
                            torus_file(target, "target.json"), "--bound", str(bound))
         assert code == 1
-        assert report(out)["result"] == dict(EMPTY_SHELL_REFUTED, verdict=verdict)
+        assert report(out)["result"] == dict(norms_refuted(4, 4, 1, 23), verdict=verdict)
 
     def test_small_ellipsoid_is_refuted_at_height_one(self, capsys, torus_file):
         # on the saturated intertwiner basis this pair's radii are at most
-        # 1/4: the shell F <= 4d is empty
+        # 1/4; the Narain norms of the two lattices differ
         source = TorusData(1, RatMatrix([[2, -1], [5, -2]]), RatMatrix([[10, -4], [-4, 2]]),
                            RatMatrix([[0, Q(1, 2)], [Q(-1, 2), 0]]), "source")
         target = TorusData(1, RatMatrix([[-1, -2], [1, 1]]),
                            RatMatrix([[Q(1, 2), Q(1, 2)], [Q(1, 2), 1]]),
                            RatMatrix([[0, Q(-1, 2)], [Q(1, 2), 0]]), "target")
         assert self.mirror_search(capsys, torus_file, source, target, 1) == \
-            (False, "refuted", 4)
+            (False, "refuted", 56)
 
     def test_check_derived_eq_self(self, capsys, square_file):
         code, out, _ = run(capsys, "check-derived-eq", square_file, square_file,
@@ -956,17 +994,15 @@ class TestSearchCommands:
                              ids=["default", "budget50"])
     def test_refute_bench_row_is_refuted_by_the_shell(self, capsys, monkeypatch, square2_file,
                                                       stretched2_file, command, budget):
-        # no vector of the shell F <= 8 preserves q, and at d <= 2 the shell
-        # is the whole search, so no scan runs
+        # the Narain norms of the two lattices differ, and the isometry
+        # search is the whole iso and mirror search, so no scan runs
         def refuse(*args):
             raise AssertionError("a scan or a fingerprint that cannot refute ran")
         monkeypatch.setattr(equivalence, "spectrum_fingerprint", refuse)
         monkeypatch.setattr("flattori.kernels.run_filter", refuse)
         code, out, err = run(capsys, command, square2_file, stretched2_file, *budget)
         assert code == 1
-        assert report(out)["result"] == {
-            "found": False, "verdict": "refuted", "nodes": 220,
-            "refuted_by": SHELL_REFUTED_BY + "64 vectors up to sign, 220 nodes"}
+        assert report(out)["result"] == norms_refuted(8, 8, 1, 81)
         assert err == ""
 
 
@@ -1227,20 +1263,21 @@ def sheared(d, shears):
 
 
 # Frozen certificates: under the determinism contract the search must keep
-# returning exactly these.  The d = 2 one is the Narain shell's first, frozen
-# when the shell became the whole d <= 2 search; the d = 3 ones are the scan's.
+# returning exactly these.  The iso ones are the Narain isometry search's
+# first, frozen when it became the whole iso and mirror search; the mirror one
+# is also the first of the box scan that ran at d = 3 before it.
 GOLDEN_CERTIFICATES = [
     ("check-iso", 2, [(0, 2, 1), (3, 1, -1)],
-     [[-1, 0, 0, 0, 0, 0, 0, 1], [0, -1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, -1],
-      [0, -1, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, -1, 0, 0, 0], [0, 0, -1, 0, 0, -1, 0, 0],
-      [0, 0, 0, -1, -1, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0]]),
+     [[0, 1, -1, 0, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0],
+      [-1, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, -1, 0, 0, -1],
+      [0, 0, 0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 0, 0, 0, 1]]),
     ("check-iso", 3, [(0, 3, 1), (4, 1, -1), (2, 5, 1)],
-     [[0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
-      [0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0],
-      [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0],
-      [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
-      [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0, 0],
-      [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [-1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]]),
+     [[0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+      [0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0],
+      [-1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+      [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, -1, 0, -1, 0, 0, 0],
+      [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, -1, 0],
+      [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1]]),
     ("check-mirror", 3, [],
      [[0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
       [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -1291,7 +1328,7 @@ def _open_torus(i, label):
 
 # A d = 1 pair related by a change of lattice basis (with B != 0) whose iso
 # certificates all need a coordinate of 2 over the size-reduced intertwiner
-# basis: a box scan of height 1 holds none, the Narain shell does.
+# basis: a box scan of height 1 holds none.
 REBASED1 = (
     TorusData(1, RatMatrix([[-5, -13], [2, 5]]), RatMatrix([[4, 10], [10, 26]]),
               RatMatrix([[0, Q(3, 2)], [Q(-3, 2), 0]]), "t1"),
@@ -1306,12 +1343,12 @@ OPEN1 = _open_torus([[-1, Q(4, 3)], [Q(-3, 2), 1]], "open1")
 OPEN2 = _open_torus([[Q(-1, 2), Q(-5, 6)], [Q(3, 2), Q(1, 2)]], "open2")
 
 # The sha256 of the stdout of a refuted report on square1 vs stretched1, frozen
-# from the code whose Narain shell became the one refutation of iso and
-# mirror, and of a none-within-bound report on open1 vs open2, frozen from the
+# from the code whose Narain isometry search became the whole iso and mirror
+# search, and of a none-within-bound report on open1 vs open2, frozen from the
 # code that refuted derived equivalence by a mod-2 residue walk.
 GOLDEN_VERDICT_REPORTS = [
     ("check-iso", "square", "stretched", "2",
-     "a171737e47296d1a13bc9141cf86828d48004782ba115ae914c4f8e46f718673"),
+     "4e78c125ba8061a91ce8d8313bbe7651cd0d396a317b3369c8588f2e6b5959b6"),
     ("check-derived-eq", "open1", "open2", "1",
      "8b4e8b384b4376adbf7db87c109a7148cdf9877b2e305ff0f9bfd8d968780bdc"),
 ]

@@ -18,7 +18,7 @@ from flattori._intlat import (frobenius_gram, integer_kernel, integral_coordinat
                               pair_reduce, short_vectors, spans_direct_summand, split_pairing)
 from flattori._rational import Q
 from flattori._record import failures
-from flattori.equivalence import (DEFAULT_NODE_BUDGET, KINDS, LATTICE_ISOMETRY, NARAIN_SHELL,
+from flattori.equivalence import (DEFAULT_NODE_BUDGET, KINDS, LATTICE_ISOMETRY, NARAIN_ISOMETRY,
                                   RELATIONS, LatticeMap, _constraint_rows, _lattice_class,
                                   intertwiner_rows, intertwiner_space, search_relation,
                                   spectrum_fingerprint, verify_map)
@@ -636,11 +636,13 @@ class TestNarainWindow:
     def test_d1_windows_refute_iso_and_mirror(self, square1, stretched1, shear):
         source = _in_basis(square1, E1_SHEAR) if shear else square1
         for kind in ("iso", "mirror"):
-            # no nonzero lattice vector has F <= 4d: the shell refutes
-            # before any scan, in 4 walk nodes
+            # the square lattice has four vectors of N-norm 1 up to sign, the
+            # stretched one norms 1/4 and 4: the isometry search refutes
+            # before it places a column, after its two walks
             out = search_relation(source, stretched1, kind, 1)
             assert (out.found, out.verdict, out.nodes_used, out.refuted_by) == \
-                (False, "refuted", 4, f"{NARAIN_SHELL}: 0 vectors up to sign, 4 nodes")
+                (False, "refuted", 25, f"{NARAIN_ISOMETRY}: the N-norms of their 4 and 4 "
+                                       "vectors up to sign of N-norm at most 1 differ, 25 nodes")
         # the derived_eq lattices of tau = i and tau = 2i are not isometric
         out = search_relation(source, stretched1, "derived_eq", 1)
         assert (out.found, out.verdict, out.nodes_used, out.refuted_by) == \
@@ -712,22 +714,22 @@ class TestNarainShell:
     @pytest.mark.parametrize("kind", ["iso", "mirror"])
     def test_square2_against_stretched2_is_refuted_without_a_scan(self, square2, kind,
                                                                   monkeypatch):
-        # 64 vectors up to sign have F <= 8 and none preserves q; at d <= 2
-        # the shell is the whole search, so no scan runs, whatever the bound
-        # and budget
+        # the Narain norms of the two lattices differ; the isometry search is
+        # the whole search, so no scan runs, whatever the bound and budget
         def refuse(*args):
             raise AssertionError("the scan ran")
         monkeypatch.setattr("flattori.kernels.run_filter", refuse)
         for bound, budget in ((1, 50), (2, DEFAULT_NODE_BUDGET)):
             out = search_relation(square2, STRETCHED2, kind, bound, node_budget=budget)
             assert (out.verdict, out.nodes_used, out.refuted_by) == (
-                "refuted", 220, f"{NARAIN_SHELL}: 64 vectors up to sign, 220 nodes")
+                "refuted", 81, f"{NARAIN_ISOMETRY}: the N-norms of their 8 and 8 vectors up "
+                "to sign of N-norm at most 1 differ, 81 nodes")
 
     @pytest.mark.parametrize("kind", ["iso", "mirror"])
     @pytest.mark.parametrize("d", [1, 2])
     def test_found_pair_is_decided_without_a_scan(self, d, kind, monkeypatch):
-        # a rebased copy of a square torus is related in both kinds, and at
-        # d <= 2 the shell's first certificate is the answer: no scan runs
+        # a rebased copy of a square torus is related in both kinds, and the
+        # isometry search's first certificate is the answer: no scan runs
         def refuse(*args, **kwargs):
             raise AssertionError("the scan ran")
         monkeypatch.setattr("flattori.kernels.run_filter", refuse)
@@ -738,24 +740,131 @@ class TestNarainShell:
             assert out.found and out.certificate.valid
 
     def test_certificate_outside_the_window_is_found(self):
-        # every certificate of this rebased pair needs a coordinate of 2: the
-        # height-1 window (80 nodes) holds none, the shell (7 nodes) does, and
-        # at d = 1 the shell alone is walked
+        # every certificate of this rebased pair needs a coordinate of 2 over
+        # the intertwiner basis: the height-1 window (80 nodes) holds none, and
+        # the isometry search, which reads no intertwiner basis, finds one
         t1, t2 = REBASED1
         hits, nodes, exhausted = kernels_py.run_filter(intertwiner_rows(t1, t2, "iso"), 4, 1,
                                                        DEFAULT_NODE_BUDGET)
         assert (hits, nodes, exhausted) == ([], 80, True)
         out = search_relation(t1, t2, "iso", 1)
-        assert (out.verdict, out.nodes_used) == ("found", 7)
+        assert (out.verdict, out.nodes_used) == ("found", 68)
         assert out.certificate.valid
 
     def test_d3_certificate_past_the_budget_is_found(self):
-        # the scan spends its one node; the shell's first certificate is
-        # checked by verify_map
+        # the budget of one node bounds nothing: the isometry search's first
+        # certificate is checked by verify_map
         t1 = random_valid_torus(random.Random(2), 3, steps=2, scale_bound=2, b_bound=1)
         t2 = _rebased(t1, random.Random(102))
         out = search_relation(t1, t2, "iso", 1, node_budget=1)
         assert out.found and out.certificate.valid and out.nodes_used > 1
+
+
+def _shell_reference(t1, t2, kind):
+    """The ``iso`` or ``mirror`` verdict of the Narain shell, the search that
+    the isometry search replaced: every certificate lies in the intertwiner
+    lattice with ``F(g) = tr(q g^t q g) = 4d``, F positive definite there, so
+    the relation holds exactly when a vector of that shell preserves q,
+    checked here as ``g^t q g = q`` on the map itself."""
+    rows = intertwiner_rows(t1, t2, kind)
+    n = 4 * t1.d
+    q = doubled(t1).q
+    basis, vectors, _ = short_vectors(frobenius_gram(rows, n, split_pairing(n)), n)
+    for x, norm in vectors:
+        if norm == n:
+            coords = [sum(map(mul, x, col)) for col in zip(*basis)]
+            flat = [sum(c * m[t] for c, m in zip(coords, rows)) for t in range(n * n)]
+            g = RatMatrix([flat[i * n:(i + 1) * n] for i in range(n)])
+            if g.transpose() * q * g == q:
+                return "found"
+    return "refuted"
+
+
+_LI = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
+_LJ = ((0, 0, -1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, -1, 0, 0))
+_LK = ((0, 0, 0, -1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
+# rational unit pure quaternions (a i + b j + c k) / m, a^2 + b^2 + c^2 = m^2
+UNIT_QUATERNIONS = ((1, 0, 0, 1), (0, 3, 4, 5), (1, 2, 2, 3), (2, 3, 6, 7), (2, -1, 2, 3),
+                    (0, 0, 1, 1))
+
+
+def _quaternion_structure(u):
+    """Left multiplication by the unit pure quaternion u on H = Q^4 (basis 1,
+    i, j, k): a complex structure orthogonal for G = 1."""
+    a, b, c, m = u
+    return RatMatrix([[Q(a * x + b * y + c * z, m) for x, y, z in zip(*rows)]
+                      for rows in zip(_LI, _LJ, _LK)])
+
+
+def _quaternion_torus(u, extra=None):
+    """The torus ``Z^4`` with I = L_u, G = 1 and B = 0, times ``extra`` (a d = 1
+    torus) when given.  Every such torus has N = 1: the same Narain lattice
+    as the square torus of its dimension."""
+    i = _quaternion_structure(u)
+    if extra is None:
+        return TorusData(2, i, RatMatrix.identity(4), RatMatrix.zero(4, 4), f"L{u}")
+    block = [[i.entries[r][c] if r < 4 and c < 4 else
+              extra.I.entries[r - 4][c - 4] if r >= 4 and c >= 4 else 0
+              for c in range(6)] for r in range(6)]
+    return TorusData(3, RatMatrix(block), RatMatrix.identity(6), RatMatrix.zero(6, 6),
+                     f"L{u}+{extra.label}")
+
+
+class TestNarainIsometry:
+    """The isometry search decides iso and mirror: it agrees with the Narain
+    shell, finds every rebased and mirrored copy, and rests on N = -q calI calJ."""
+
+    # The completeness premise: a certificate carries N1 to N2 because N is
+    # read off q and the two structures, which commute.
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from([1, 2, 3]))
+    @example(0, 3)
+    def test_narain_form_is_minus_q_cal_i_cal_j(self, seed, d):
+        t = random_valid_torus(random.Random(seed), d, steps=10, scale_bound=5)
+        ds = doubled(t)
+        assert narain_form(t) == -(ds.q * ds.calI * ds.calJ)
+        assert ds.calI * ds.calJ == ds.calJ * ds.calI
+
+    # Random pairs at d <= 2: a rebased copy, the mirror, an unrelated torus,
+    # or two rebased quaternionic tori, whose Narain lattices are equal, so
+    # that only the structures can decide.
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from([1, 2]), st.sampled_from(["iso", "mirror"]),
+           st.sampled_from(PARTNERS + ("quaternion",)))
+    @example(0, 2, "iso", "quaternion")
+    def test_verdict_equals_the_shell_reference(self, seed, d, kind, how):
+        rng = random.Random(seed)
+        if how == "quaternion":
+            u, v = (rng.choice(UNIT_QUATERNIONS) for _ in range(2))
+            t1, t2 = (_rebased(_quaternion_torus(w), rng) for w in (u, v))
+        else:
+            t1 = random_valid_torus(rng, d, steps=3, b_bound=3)
+            t2 = _partner(t1, rng, how)
+        out = search_relation(t1, t2, kind, 1)
+        assert out.verdict == _shell_reference(t1, t2, kind)
+        assert out.certificate is None or out.certificate.valid
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), how=st.sampled_from(["rebased", "mirror"]))
+    @example(seed=0, how="mirror")
+    def test_rebased_and_mirrored_copies_are_found(self, d, seed, how):
+        rng = random.Random(seed)
+        t1 = random_valid_torus(rng, d, steps=10, scale_bound=5)
+        t2 = _rebased(t1, rng) if how == "rebased" else _mirror(t1).mirror
+        out = search_relation(t1, t2, "iso" if how == "rebased" else "mirror", 1)
+        assert out.found and out.certificate.valid
+
+    # The slowest pair seen: both Narain lattices are Z^12 with N = 1, so no
+    # norm separates them, and the column search must run out.  L_u has
+    # entries in Z/5, so no integral g carries it to the square structure.
+    @pytest.mark.parametrize("kind", ["iso", "mirror"])
+    def test_quaternion_pair_with_equal_narain_lattices_is_refuted(self, kind):
+        source = _quaternion_torus((0, 3, 4, 5), square_torus(1, "square1"))
+        out = search_relation(source, square_torus(3), kind, 1)
+        assert (out.verdict, out.nodes_used) == ("refuted", 42240)
+        assert out.refuted_by == (f"{NARAIN_ISOMETRY}: 12 vectors up to sign of N-norm at "
+                                  "most 1, 42240 nodes")
 
 
 def _cm_torus(s):

@@ -344,9 +344,11 @@ class TestShortVectors:
     @example([[1]])
     @example([[2, 1], [1, 2]])
     def test_lll_basis_is_unimodular_and_reduced(self, gram):
-        basis, d, lam = _lll(gram)
+        basis, inverse, d, lam = _lll(gram)
         k = len(gram)
         assert abs(RatMatrix(basis).det()) == 1
+        # the rows of inverse are those of the inverse of the matrix whose columns are the basis
+        assert RatMatrix(basis).transpose() * RatMatrix(inverse) == RatMatrix.identity(k)
         reduced = [[form_value_pair(gram, u, v) for v in basis] for u in basis]
         # d and lam are the Gram-Schmidt data of the reduced basis
         for i in range(1, k + 1):
