@@ -172,22 +172,6 @@ def _isometry(t1, t2, kind):
     _, source, nodes = short_vectors(narain[0], bound, reduced=reduced)
     target_basis, target, walked = short_vectors(narain[1], bound)
     nodes += walked
-    placed = []  # (image, its rows v^t A)
-
-    def place(j):
-        nonlocal nodes
-        if j == n:
-            return True
-        for v in candidates[j]:
-            nodes += 1
-            if all(sum(map(mul, r, v)) == want for i, (_, rows) in enumerate(placed)
-                   for r, want in zip(rows, gram[i][j])):
-                placed.append((v, images(v, 1)))
-                if place(j + 1):
-                    return True
-                placed.pop()
-        return False
-
     listed = f"vectors up to sign of N-norm at most {ratio_str(bound, den)}"
     if sorted(s for _, s in source) == sorted(s for _, s in target):
         by_norms = {}
@@ -196,6 +180,22 @@ def _isometry(t1, t2, kind):
             by_norms.setdefault((s, 2 * sum(map(mul, v[:half], v[half:]))), []).append(v)
         candidates = [by_norms.get(gram[j][j][:2], []) for j in range(n)]
         candidates[1:] = [c + [[-x for x in v] for v in c] for c in candidates[1:]]
+        placed = []  # (image, its rows v^t A)
+
+        def place(j):
+            nonlocal nodes
+            if j == n:
+                return True
+            for v in candidates[j]:
+                nodes += 1
+                if all(sum(map(mul, r, v)) == want for i, (_, rows) in enumerate(placed)
+                       for r, want in zip(rows, gram[i][j])):
+                    placed.append((v, images(v, 1)))
+                    if place(j + 1):
+                        return True
+                    placed.pop()
+            return False
+
         if place(0):
             return _certified(t1, t2, kind, [sum(v[r] * c[k] for (v, _), c in zip(placed, inverse))
                                              for r in range(n) for k in range(n)], n, nodes)
