@@ -14,9 +14,11 @@ primitivity question (plain ranks and determinants come from
 (:func:`pair_reduce`) keeps the Gram matrix of its basis, so a reduction step
 reads its inner products instead of recomputing them.  :func:`short_vectors`
 lists every lattice vector of bounded norm under a positive definite integer
-form: integral LLL, then a Fincke-Pohst walk whose every pruning decision is
-an integer comparison; the ``iso`` and ``mirror`` search and ``spectrum``
-read them on the Narain lattices.
+form: integral LLL (:func:`_lll`), then a Fincke-Pohst walk
+(:func:`fincke_pohst`) whose every pruning decision is an integer
+comparison; the ``iso`` and ``mirror`` search and ``spectrum`` read them on
+the Narain lattices, and the search inverts its generators' rows by
+:func:`scaled_inverse`.
 
 The integer forms that the ``derived_eq`` verdicts read live here too:
 :func:`frobenius_gram` with the :func:`split_pairing` q is the Gram matrix
@@ -27,7 +29,7 @@ scan of :mod:`flattori.kernels_py`.
 
 from __future__ import annotations
 
-from math import inf, isqrt
+from math import gcd, inf, isqrt, lcm
 from operator import mul
 
 from ._intkernel import column_pivots, integer_kernel, spans_direct_summand  # noqa: F401
@@ -118,19 +120,19 @@ def _lll(gram):
 
     Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.6.7
     (Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982), indexed from 1 as
-    there.  Returns ``(basis, inverse, d, lam)``: ``basis[i - 1]`` holds the
-    coordinates of the i-th reduced vector b_i in the input basis, ``inverse``
-    the rows of the inverse of the matrix with columns b_i (a step ``b_k -=
-    q b_l`` is the step ``inverse_l += q inverse_k``), ``d[i]`` is the Gram
-    determinant of b_1..b_i (``d[0] = 1``) and ``lam[i][j] = d[j] mu_ij`` for
-    j < i, with mu the Gram-Schmidt coefficients; all are integers.  They are
-    updated in place by each size reduction and swap, so Gram-Schmidt is
-    never recomputed.  A vector past ``kmax`` has not been touched yet, so
-    its inner products are read off its row of ``gram``.
+    there.  Returns ``(basis, d, lam)``: ``basis[i - 1]`` holds the
+    coordinates of the i-th reduced vector b_i in the input basis, ``d[i]``
+    is the Gram determinant of b_1..b_i (``d[0] = 1``) and ``lam[i][j] =
+    d[j] mu_ij`` for j < i, with mu the Gram-Schmidt coefficients; all are
+    integers.  They are updated in place by each size reduction and swap, so
+    Gram-Schmidt is never recomputed.  A vector past ``kmax`` has not been
+    touched yet, so its inner products are read off its row of ``gram``.
+    (On the d = 3 generic-B lattice of ``tier1.yml``, whose Gram entries
+    have 206 bits, delta = 99/100 took about four times as long, and the
+    walk after it visited the same nodes.)
     """
     m = len(gram)
     h = [None] + [[int(i == j) for j in range(m)] for i in range(m)]
-    inv = [None] + [row[:] for row in h[1:]]
     d = [1] * (m + 1)
     lam = [[0] * (m + 1) for _ in range(m + 1)]
     k, kmax = 1, 0
@@ -155,13 +157,11 @@ def _lll(gram):
             if 2 * abs(lk[l]) > dl:
                 q = (2 * lk[l] + dl) // (2 * dl)
                 h[k] = [x - q * y for x, y in zip(h[k], h[l])]
-                inv[l] = [x + q * y for x, y in zip(inv[l], inv[k])]
                 lk[l] -= q * dl
                 lk[1:l] = [x - q * y for x, y in zip(lk[1:l], lam[l][1:l])]
             if l == k - 1 and 4 * d[k] * d[k - 2] < 3 * d[k - 1] ** 2 - 4 * lk[l] ** 2:
                 # Lovasz condition fails: swap b_k and b_{k-1} (Cohen's SWAPI)
                 h[k], h[k - 1] = h[k - 1], h[k]
-                inv[k], inv[k - 1] = inv[k - 1], inv[k]
                 lk1 = lam[k - 1]
                 lk[1:k - 1], lk1[1:k - 1] = lk1[1:k - 1], lk[1:k - 1]
                 c = lk[k - 1]
@@ -176,17 +176,22 @@ def _lll(gram):
                 break
         else:
             k += 1
-    return h[1:], inv[1:], d, lam
+    return h[1:], d, lam
 
 
-def short_vectors(gram, bound, cap=inf, reduced=None):
-    """The vectors of norm at most ``bound`` under a positive definite integer form.
+def short_vectors(gram, bound, cap=inf):
+    """``(basis, vectors, nodes)``: the LLL-reduced basis of :func:`_lll` and
+    :func:`fincke_pohst` on it, the vectors of norm at most ``bound``."""
+    reduced = _lll(gram)
+    return (reduced[0], *fincke_pohst(reduced, bound, cap))
 
-    Returns ``(basis, vectors, nodes)``.  ``basis`` is the LLL-reduced basis
-    of :func:`_lll` (or ``reduced``, its result), as coordinate rows in the
-    input basis; ``vectors`` lists ``(x, x^t A x)`` for every nonzero x, in
-    coordinates over ``basis``, with ``x^t A x <= bound``, one of each pair
-    +-x (the one whose last nonzero coordinate is positive), in the walk's
+
+def fincke_pohst(reduced, bound, cap=inf):
+    """``(vectors, nodes)``: the short vectors over the basis of ``reduced = _lll(gram)``.
+
+    ``vectors`` lists ``(x, x^t A x)`` for every nonzero x, in coordinates
+    over the reduced basis, with ``x^t A x <= bound``, one of each pair +-x
+    (the one whose last nonzero coordinate is positive), in the walk's
     order; ``nodes`` counts the coordinate values the walk tried.  The walk
     stops once it has listed ``cap + 1`` vectors.
 
@@ -199,8 +204,8 @@ def short_vectors(gram, bound, cap=inf, reduced=None):
     ``T_i <= bound`` reads ``y^2 <= d_(i-1) (bound d_i - N_(i+1))``: each
     level's range of x_i comes from one integer square root.
     """
-    m = len(gram)
-    basis, _, d, lam = reduced or _lll(gram)
+    basis, d, lam = reduced
+    m = len(basis)
     x = [0] * (m + 1)
     vectors = []
     nodes = 0
@@ -229,7 +234,24 @@ def short_vectors(gram, bound, cap=inf, reduced=None):
 
     if m and bound >= 0:
         walk(m, 0, True)
-    return basis, vectors, nodes
+    return vectors, nodes
+
+
+def scaled_inverse(rows):
+    """``(D, P)`` with ``P M = D`` times the identity, for a nonsingular square
+    integer matrix M by rows: fraction-free Gauss-Jordan, each row cut by its gcd."""
+    m = len(rows)
+    a = [[*row, *(int(i == j) for j in range(m))] for i, row in enumerate(rows)]
+    for c in range(m):
+        p = next(i for i in range(c, m) if a[i][c])
+        a[c], a[p] = a[p], a[c]
+        for i, row in enumerate(a):
+            if row[c] and i != c:
+                row = [a[c][c] * x - row[c] * y for x, y in zip(row, a[c])]
+                g = gcd(*row)
+                a[i] = [x // g for x in row]
+    den = lcm(*(row[i] for i, row in enumerate(a)))
+    return den, [[den // row[i] * x for x in row[m:]] for i, row in enumerate(a)]
 
 
 # ---------------------------------------------------------------------------

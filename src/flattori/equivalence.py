@@ -34,7 +34,7 @@ from operator import mul
 from . import jsonio
 from ._record import Record, failures
 from .errors import DimensionError, InconsistencyError, SchemaError
-from .exactlinear import RatMatrix, cleared, int_det, ratio_str
+from .exactlinear import RatMatrix, bareiss, cleared, int_det, ratio_str
 from .relations import KINDS, RELATIONS, Certificate, LatticeMap, verify_map  # noqa: F401
 from .torus import TorusData, doubled, narain_form
 
@@ -102,10 +102,11 @@ LATTICE_ISOMETRY = "(rank, det) of tr(q h^t q h) differs on L(T1,T1), L(T1,T2), 
 class SearchOutcome(Record):
     """The verdict of a search: ``"found"`` (with its certificate), ``"refuted"``
     (``refuted_by`` names the proof: :data:`NARAIN_ISOMETRY` or, for
-    ``derived_eq``, :data:`LATTICE_ISOMETRY`, then what it read), and for
-    ``derived_eq`` only ``"none within bound"`` or ``"undecided"`` (the node
-    budget ran out after covering every height shell up to
-    ``last_complete_height``)."""
+    ``derived_eq``, :data:`LATTICE_ISOMETRY`, then what it read),
+    ``"undecided"`` (for ``iso`` and ``mirror``, a Narain ball past
+    :data:`SPECTRUM_LIMIT`; for ``derived_eq``, the node budget ran out after
+    covering every height shell up to ``last_complete_height``), and for
+    ``derived_eq`` only ``"none within bound"``."""
 
     verdict: str
     nodes_used: int
@@ -139,93 +140,115 @@ def _certified(t1, t2, kind, g, n, nodes):
 def _isometry(t1, t2, kind):
     """Decide ``iso`` or ``mirror`` by an isometry search of the Narain lattices.
 
-    As ``N = -q calI calJ`` on every torus, the certificates are the g that
-    carry N, q and, for each structure pair (S1, S2) of the kind, ``N1 S1``
-    to ``N2 S2`` (Plesken and Souvignier, J. Symb. Comput. 24, 1997).  The
-    source is LLL-reduced under N; both lattices' vectors of N-norm up to its
-    largest reduced norm are listed, and norms that differ as multisets
-    refute.  Else the reduced vectors, last first, are sent to listed target
-    vectors of their N- and q-norms (the first up to sign: -g is a
-    certificate when g is), tried in the reverse of the walk's order, kept
-    when their products with the images before them match; running out
-    refutes.  The first whole choice is mapped back by the inverse transform
-    of :func:`~flattori._intlat._lll` and checked once by :func:`verify_map`.
-    ``nodes`` counts the walks' nodes and the candidates tried.
+    As ``N = -q calI calJ``, the certificates are the g that carry N, q and
+    each ``N1 S1`` to ``N2 S2`` (Plesken and Souvignier, J. Symb. Comput. 24,
+    1997), and such a g carries ``S1 v`` to ``S2 g v``: the images of a few
+    generators fix it.  They are the LLL-reduced source vectors, shortest
+    first, whose rows ``v^t A`` under these forms raise the rank.  Both
+    lattices' vectors up to the generators' largest N-norm are listed: norms
+    that differ refute, and past :data:`SPECTRUM_LIMIT` the pair is
+    undecided.  Each generator goes to a listed vector of its N- and q-norms
+    whose products with the images before it match (the first up to sign,
+    as -g is a certificate when g is).  The generators' rows R1 and their
+    images' rows R2 give ``g^-1 = R1^-1 R2`` and ``g = q g^-t q``; the first
+    integral g is checked once by :func:`verify_map`, and running out
+    refutes.  ``nodes`` counts the walks' nodes and the candidates tried.
     """
-    from ._intlat import _lll, short_vectors
+    from ._intlat import _lll, fincke_pohst, scaled_inverse, short_vectors
     n, half = 4 * t1.d, 2 * t1.d
     (d1, n1), (d2, n2) = ((doubled(t), narain_form(t)) for t in (t1, t2))
     den, *narain = cleared(n1, n2)
-    # the int rows of the forms N, q and each N S (scaled by a common D), per side
-    forms = list(zip(narain, (d1.q.num, d2.q.num), *(
+    # the int forms N, q and each N S (scaled by a common D), per side, by columns
+    sides = zip(narain, (d1.q.num, d2.q.num), *(
         cleared(n1 * getattr(d1, src), n2 * getattr(d2, tgt))[1:]
-        for _, src, tgt in RELATIONS[kind])))
+        for _, src, tgt in RELATIONS[kind]))
+    columns = [[list(zip(*form)) for form in side] for side in sides]
 
     def images(v, side):  # the rows v^t A of the forms of one side
-        return [[sum(x * row[k] for x, row in zip(v, form) if x) for k in range(n)]
-                for form in forms[side]]
+        return [[sum(map(mul, v, col)) for col in form] for form in columns[side]]
 
     reduced = _lll(narain[0])
-    basis, inverse = reduced[0][::-1], reduced[1][::-1]
-    gram = [[tuple(sum(map(mul, r, b)) for r in images(u, 0)) for b in basis] for u in basis]
-    bound = max(gram[i][i][0] for i in range(n))
-    _, source, nodes = short_vectors(narain[0], bound, reduced=reduced)
-    target_basis, target, walked = short_vectors(narain[1], bound)
+    gens, rows, picked = [], [], []  # picked: (generator, form) of each row of R1
+    # shortest first, ties last first (so the square self-mirror is the swap on e1)
+    for b in sorted(reduced[0][::-1], key=lambda b: sum(map(mul, images(b, 0)[0], b))):
+        for f, r in enumerate(images(b, 0)):
+            if len(bareiss([*rows, r])[0]) > len(rows):
+                rows.append(r)
+                picked.append((len(gens), f))
+        if picked and picked[-1][0] == len(gens):
+            gens.append(b)
+        if len(rows) == n:
+            break
+    k = len(gens)
+    gram = [[tuple(sum(map(mul, r, b)) for r in images(u, 0)) for b in gens] for u in gens]
+    bound = max(gram[j][j][0] for j in range(k))
+    source, nodes = fincke_pohst(reduced, bound, SPECTRUM_LIMIT)
+    target_basis, target, walked = short_vectors(narain[1], bound, SPECTRUM_LIMIT)
     nodes += walked
+    if max(len(source), len(target)) > SPECTRUM_LIMIT:
+        return SearchOutcome("undecided", nodes)
     listed = f"vectors up to sign of N-norm at most {ratio_str(bound, den)}"
-    if sorted(s for _, s in source) == sorted(s for _, s in target):
-        by_norms = {}
+    if sorted(s for _, s in source) != sorted(s for _, s in target):
+        why = f"the N-norms of their {len(source)} and {len(target)} {listed} differ"
+    else:
+        keys = [gram[j][j][:2] for j in range(k)]
+        norms, by_norms = {key[0] for key in keys}, {}
         for x, s in reversed(target):
-            v = [sum(c * row[k] for c, row in zip(x, target_basis) if c) for k in range(n)]
-            by_norms.setdefault((s, 2 * sum(map(mul, v[:half], v[half:]))), []).append(v)
-        candidates = [by_norms.get(gram[j][j][:2], []) for j in range(n)]
-        candidates[1:] = [c + [[-x for x in v] for v in c] for c in candidates[1:]]
+            if s in norms:
+                v = [sum(c * row[t] for c, row in zip(x, target_basis) if c) for t in range(n)]
+                by_norms.setdefault((s, 2 * sum(map(mul, v[:half], v[half:]))), []).append(v)
+        # one signed list per norm pair, shared by the generators that need it
+        signed = {key: [*by_norms.get(key, ()), *([-x for x in v] for v in by_norms.get(key, ()))]
+                  for key in keys[1:]}
+        candidates = [by_norms.get(keys[0], []), *map(signed.get, keys[1:])]
+        inv_den, inverse = scaled_inverse(rows)
         placed = []  # (image, its rows v^t A)
 
         def place(j):
             nonlocal nodes
-            if j == n:
-                return True
+            if j == k:
+                # g^-1 = R1^-1 R2, integral exactly when g is
+                cols, h = list(zip(*(placed[i][1][f] for i, f in picked))), []
+                for p in inverse:
+                    h.append([sum(map(mul, p, col)) for col in cols])
+                    if any(x % inv_den for x in h[-1]):
+                        return None
+                return [h[(c + half) % n][(r + half) % n] // inv_den
+                        for r in range(n) for c in range(n)]
             for v in candidates[j]:
                 nodes += 1
-                if all(sum(map(mul, r, v)) == want for i, (_, rows) in enumerate(placed)
-                       for r, want in zip(rows, gram[i][j])):
+                if all(sum(map(mul, r, v)) == want for i, (_, rows_i) in enumerate(placed)
+                       for r, want in zip(rows_i, gram[i][j])):
                     placed.append((v, images(v, 1)))
-                    if place(j + 1):
-                        return True
+                    g = place(j + 1)
+                    if g:
+                        return g
                     placed.pop()
-            return False
+            return None
 
-        if place(0):
-            return _certified(t1, t2, kind, [sum(v[r] * c[k] for (v, _), c in zip(placed, inverse))
-                                             for r in range(n) for k in range(n)], n, nodes)
+        g = place(0)
+        if g:
+            return _certified(t1, t2, kind, g, n, nodes)
         why = f"{len(target)} {listed}"
-    else:
-        why = f"the N-norms of their {len(source)} and {len(target)} {listed} differ"
     return SearchOutcome("refuted", nodes, refuted_by=f"{NARAIN_ISOMETRY}: {why}, {nodes} nodes")
 
 
 def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
                     node_budget: int = DEFAULT_NODE_BUDGET) -> SearchOutcome:
-    """Deterministic search for a relation certificate: always found or
-    refuted for ``iso`` and ``mirror``, bounded for ``derived_eq``.
+    """Deterministic search for a relation certificate.
 
-    ``iso`` and ``mirror`` are decided by :func:`_isometry`, refuted by
-    :data:`NARAIN_ISOMETRY`; ``coeff_bound`` and ``node_budget`` bound nothing
-    there.  For ``derived_eq`` a certificate g maps L(T1,T1) onto L(T1,T2)
-    by ``h -> gh`` and L(T1,T2) onto L(T2,T2) by ``h -> hg^-1``, integrally
-    both ways, and keeps ``F(h) = tr(q h^t q h)``, as ``g^t q g = q = g q
-    g^t``: the three lattices are isometric under F, and (rank, det) does not
-    see the basis.  When the three pairs differ the outcome is ``"refuted"``
-    by :data:`LATTICE_ISOMETRY` with 0 nodes, whatever the budget.  Then the
-    box scan of :mod:`flattori.kernels_py` runs over the size-reduced basis
-    of L(T1,T2) in its canonical order (height shell, support size,
-    positions, digits) up to max-norm ``coeff_bound``; its first q-congruent
-    candidate, checked once by :func:`verify_map` (a failure is an
-    ``InconsistencyError``), is the certificate.  A scan that exhausts its
-    window without one is ``"none within bound"``, and one that spends
-    ``node_budget`` first is ``"undecided"``, with the last height shell it
-    covered completely.
+    ``iso`` and ``mirror`` are decided by :func:`_isometry`, whatever
+    ``coeff_bound`` and ``node_budget``.  For ``derived_eq`` a certificate g
+    maps L(T1,T1) onto L(T1,T2) by ``h -> gh`` and L(T1,T2) onto L(T2,T2) by
+    ``h -> hg^-1``, integrally both ways, and keeps ``F(h) = tr(q h^t q h)``
+    (``g^t q g = q = g q g^t``), so three (rank, det) pairs under F that
+    differ refute, by :data:`LATTICE_ISOMETRY` with 0 nodes.  Else the box
+    scan of :mod:`flattori.kernels_py` runs over the size-reduced basis of
+    L(T1,T2) in its canonical order (height shell, support size, positions,
+    digits) up to max-norm ``coeff_bound``: its first q-congruent candidate,
+    checked once by :func:`verify_map`, is the certificate; an exhausted
+    window is ``"none within bound"``, and a spent ``node_budget``
+    ``"undecided"``, with the last height shell covered completely.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
@@ -261,7 +284,8 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
 # ---------------------------------------------------------------------------
 
 
-# The most charges, up to sign, that ``spectrum`` lists.  A ball just under it
+# The most charges, up to sign, that ``spectrum`` lists, and that the isometry
+# search lists on each side (past it the pair is undecided).  A ball just under it
 # takes 1.8-2.8 s and 125 MiB at d = 1, 3.1-4.8 s and 140 MiB at d = 3, as a
 # fresh process (CPython 3.11.7, 2-core VM): less than the 8.8 s and 188 MiB
 # of the old charge box's largest window.  Past it the walk stops, in 0.2-0.6 s.
@@ -367,6 +391,10 @@ def cmd_search(args):
     result = {"found": False, "verdict": outcome.verdict, "nodes": outcome.nodes_used}
     if outcome.verdict == "refuted":
         result["refuted_by"] = outcome.refuted_by
+    elif outcome.verdict == "undecided" and args.command != "check-derived-eq":
+        print(f"limit exceeded: a Narain ball of the isometry search holds more than "
+              f"{SPECTRUM_LIMIT} vectors up to sign, the limit", file=sys.stderr)
+        result["limit"] = SPECTRUM_LIMIT
     elif outcome.verdict == "undecided":
         print(f"budget exceeded: search exhausted its node budget ({budget}) before "
               f"covering height {bound} ({outcome.nodes_used}/{budget} nodes)",

@@ -512,9 +512,11 @@ def cmd_fock_verify(args):
     for twice, level_size in zip(range(math.floor(2 * cap) + 1), _level_counts(2 * d)):
         size += level_size
         if size > MAX_BASIS_DIMENSION:
+            # a d too long to echo whole has a size as long: only d is echoed
+            counted = f": {size}" if size < 10 ** jsonio.ECHO_LIMIT else ""
             raise SchemaError(f"cap {shown} spans more than {MAX_BASIS_DIMENSION} basis "
-                              f"monomials at d = {jsonio.echo(d)}: {jsonio.echo(size)} up to "
-                              f"level {Fraction(twice, 2)}", "--cap")
+                              f"monomials at d = {jsonio.echo(d)}{counted} up to level "
+                              f"{Fraction(twice, 2)}", "--cap")
     rows = _row_count(d, math.floor(2 * cap))
     if rows > MAX_CHECK_ROWS:
         raise SchemaError(f"cap {shown} at d = {d} gives {rows} check rows, more than "

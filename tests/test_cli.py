@@ -385,11 +385,12 @@ class TestRationalGrammar:
         ["spectrum", "T", "--norm", "1" * 4001],
         ["pp-classes", "T", "--p", "1" * 4001],
         ["fock-verify", "--d", "-" + "1" * 4000],
+        ["fock-verify", "--d", "1" * 4001],
         ["fock-verify", "--d", "1", "--cap", "x" * 4001],
         ["fock-verify", "--d", "1", "--cap", "-" + "1" * 4000],
         ["fock-verify", "--d", "1", "--cap", "1" * 4001],
-    ], ids=["int-option", "budget", "norm", "norm-limit", "p", "d", "cap-rational", "cap-half",
-            "cap-size"])
+    ], ids=["int-option", "budget", "norm", "norm-limit", "p", "d", "d-size", "cap-rational",
+            "cap-half", "cap-size"])
     def test_long_command_line_value_is_one_short_line(self, capsys, square_file, argv):
         code, out, err = run(capsys, *[square_file if a == "T" else a for a in argv])
         assert (code, out) == (2, "")
@@ -903,6 +904,21 @@ class TestSearchCommands:
         assert err == ("budget exceeded: search exhausted its node budget (100) before "
                        "covering height 2 (100/100 nodes)\n")
 
+    # an isometry search whose ball passes the limit ends undecided, and the
+    # message names the limit, not the budget
+    def test_ball_past_the_limit_ends_undecided(self, capsys, torus_file, monkeypatch):
+        monkeypatch.setattr("flattori.equivalence.SPECTRUM_LIMIT", 100)
+        t = TorusData(2, RatMatrix([[0, -1000, 0, 0], [Q(1, 1000), 0, 0, 0], [0, 0, 0, -1],
+                                    [0, 0, 1, 0]]), diag([1, 10 ** 6, 1, 1]),
+                      RatMatrix.zero(4, 4), "stretched1000_square1")
+        path = torus_file(t, "t.json")
+        code, out, err = run(capsys, "check-iso", path, path, "--budget", "100")
+        assert code == 1
+        assert report(out)["result"] == {"found": False, "verdict": "undecided", "nodes": 218,
+                                         "limit": 100}
+        assert err == ("limit exceeded: a Narain ball of the isometry search holds more than "
+                       "100 vectors up to sign, the limit\n")
+
     @staticmethod
     def mirror_search(capsys, torus_file, source, target, bound):
         code, out, _ = run(capsys, "check-mirror", torus_file(source, "source.json"),
@@ -937,7 +953,7 @@ class TestSearchCommands:
                            RatMatrix([[Q(1, 2), Q(1, 2)], [Q(1, 2), 1]]),
                            RatMatrix([[0, Q(-1, 2)], [Q(1, 2), 0]]), "target")
         assert self.mirror_search(capsys, torus_file, source, target, 1) == \
-            (False, "refuted", 56)
+            (False, "refuted", 11)
 
     def test_check_derived_eq_self(self, capsys, square_file):
         code, out, _ = run(capsys, "check-derived-eq", square_file, square_file,

@@ -748,7 +748,7 @@ class TestNarainShell:
                                                        DEFAULT_NODE_BUDGET)
         assert (hits, nodes, exhausted) == ([], 80, True)
         out = search_relation(t1, t2, "iso", 1)
-        assert (out.verdict, out.nodes_used) == ("found", 68)
+        assert (out.verdict, out.nodes_used) == ("found", 15)
         assert out.certificate.valid
 
     def test_d3_certificate_past_the_budget_is_found(self):
@@ -862,9 +862,53 @@ class TestNarainIsometry:
     def test_quaternion_pair_with_equal_narain_lattices_is_refuted(self, kind):
         source = _quaternion_torus((0, 3, 4, 5), square_torus(1, "square1"))
         out = search_relation(source, square_torus(3), kind, 1)
-        assert (out.verdict, out.nodes_used) == ("refuted", 42240)
+        assert (out.verdict, out.nodes_used) == ("refuted", 5088)
         assert out.refuted_by == (f"{NARAIN_ISOMETRY}: 12 vectors up to sign of N-norm at "
-                                  "most 1, 42240 nodes")
+                                  "most 1, 5088 nodes")
+
+
+    # A torus stretched by r: its Narain lattice holds vectors of N-norm
+    # 1/r^2 and r^2, so the ball up to its largest reduced norm holds about
+    # r^4 vectors.  The shortest vector's images under the structures span,
+    # so the search lists the ball of N-norm 1/r^2 alone, in 11 nodes at any
+    # r.  Beside square1 the second generator has N-norm 1, and that ball
+    # grows as r: 2r + 72 nodes, 0.02 s at r = 1000 (the Narain shell took 5
+    # and 71 nodes at every r).
+    @pytest.mark.parametrize("kind", ["iso", "mirror"])
+    def test_stretched_torus_lists_only_the_balls_of_its_generators(self, kind):
+        for r in (30, 1000):
+            for t, nodes in ((_stretched(r), 11),
+                             (_direct_sum(_stretched(r), square_torus(1)), 2 * r + 72)):
+                out = search_relation(t, t, kind, 1)
+                assert (out.verdict, out.nodes_used) == ("found", nodes)
+
+    # A ball past the limit leaves the pair undecided, whatever the budget:
+    # at r = 1000 the second generator's ball holds about 1,000 vectors
+    @pytest.mark.parametrize("kind", ["iso", "mirror"])
+    def test_ball_past_the_limit_is_undecided(self, kind, monkeypatch):
+        monkeypatch.setattr("flattori.equivalence.SPECTRUM_LIMIT", 100)
+        t = _direct_sum(_stretched(1000), square_torus(1))
+        out = search_relation(t, t, kind, 1, node_budget=DEFAULT_NODE_BUDGET)
+        assert (out.verdict, out.certificate, out.last_complete_height) == \
+            ("undecided", None, None)
+        assert out.nodes_used == 218
+
+
+def _stretched(r):
+    """The d = 1 torus with G = diag(1, r^2), B = 0 and its rational I."""
+    return TorusData(1, RatMatrix([[0, -r], [Q(1, r), 0]]), diag([1, r * r]),
+                     RatMatrix.zero(2, 2), f"stretched{r}")
+
+
+def _direct_sum(a, b):
+    """The product torus of ``a`` and ``b``: each datum block diagonal."""
+    m, n = 2 * a.d, 2 * b.d
+
+    def block(x, y):
+        return RatMatrix.from_blocks([[x, RatMatrix.zero(m, n)], [RatMatrix.zero(n, m), y]])
+
+    return TorusData(a.d + b.d, block(a.I, b.I), block(a.G, b.G), block(a.B, b.B),
+                     f"{a.label}+{b.label}")
 
 
 def _cm_torus(s):

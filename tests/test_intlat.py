@@ -11,8 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flattori._intlat import (MAX_SWEEPS, _lll, column_pivots, integer_kernel,
-                              integral_coordinate_lattice, pair_reduce, short_vectors,
-                              spans_direct_summand)
+                              integral_coordinate_lattice, pair_reduce, scaled_inverse,
+                              short_vectors, spans_direct_summand)
 from flattori.exactlinear import RatMatrix
 
 BIG = 2 ** 40
@@ -344,11 +344,9 @@ class TestShortVectors:
     @example([[1]])
     @example([[2, 1], [1, 2]])
     def test_lll_basis_is_unimodular_and_reduced(self, gram):
-        basis, inverse, d, lam = _lll(gram)
+        basis, d, lam = _lll(gram)
         k = len(gram)
         assert abs(RatMatrix(basis).det()) == 1
-        # the rows of inverse are those of the inverse of the matrix whose columns are the basis
-        assert RatMatrix(basis).transpose() * RatMatrix(inverse) == RatMatrix.identity(k)
         reduced = [[form_value_pair(gram, u, v) for v in basis] for u in basis]
         # d and lam are the Gram-Schmidt data of the reduced basis
         for i in range(1, k + 1):
@@ -390,6 +388,23 @@ class TestShortVectors:
     def test_rejects_an_indefinite_form(self):
         with pytest.raises(ValueError, match="not positive definite"):
             short_vectors([[1, 2], [2, 1]], 4)
+
+
+class TestScaledInverse:
+    """The integer inverse against the rational one: ``P M = D`` times the
+    identity, so ``P / D`` is ``M^-1``, and D is positive."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG)), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    @example([[0, 1], [1, 0]])
+    @example([[2, 0], [0, -3]])
+    def test_is_the_inverse_times_its_denominator(self, rows):
+        assume(RatMatrix(rows).det() != 0)
+        den, inverse = scaled_inverse(rows)
+        assert den > 0
+        assert RatMatrix(inverse) == RatMatrix(rows).inverse().scale(den)
 
 
 def form_value_pair(gram, u, v):
