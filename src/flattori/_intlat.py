@@ -127,9 +127,6 @@ def _lll(gram):
     integers.  They are updated in place by each size reduction and swap, so
     Gram-Schmidt is never recomputed.  A vector past ``kmax`` has not been
     touched yet, so its inner products are read off its row of ``gram``.
-    (On the d = 3 generic-B lattice of ``tier1.yml``, whose Gram entries
-    have 206 bits, delta = 99/100 took about four times as long, and the
-    walk after it visited the same nodes.)
     """
     m = len(gram)
     h = [None] + [[int(i == j) for j in range(m)] for i in range(m)]
