@@ -1,24 +1,23 @@
-"""Integer-lattice helpers: integer kernels, saturation, pairwise size
-reduction, and the short vectors of a positive definite form.
+"""Integer-lattice helpers: integer kernels, saturation, LLL reduction, and
+the short vectors of a positive definite form.
 
 These support the certificate searches: for ``derived_eq`` the lattice of
 *integral* solutions of the intertwining constraints is the integer kernel of
-the constraint rows, as the caller built them, and is then size-reduced so
-that natural certificates tend to have small, sparse coordinates.  Everything
-here is integer arithmetic; one column reduction
+the constraint rows, as the caller built them, and is then LLL-reduced and
+put in canonical form (:func:`pair_reduce`) so that natural certificates
+tend to have small, sparse coordinates.  Everything here is integer
+arithmetic; one column reduction
 (:func:`~flattori._intkernel.column_pivots`, re-exported here with
 :func:`~flattori._intkernel.integer_kernel` and
 :func:`~flattori._intkernel.spans_direct_summand`) answers every kernel and
 primitivity question (plain ranks and determinants come from
-:func:`~flattori.exactlinear.bareiss`), and the size reduction
-(:func:`pair_reduce`) keeps the Gram matrix of its basis, so a reduction step
-reads its inner products instead of recomputing them.  :func:`short_vectors`
-lists every lattice vector of bounded norm under a positive definite integer
-form: integral LLL (:func:`_lll`), then a Fincke-Pohst walk
-(:func:`fincke_pohst`) whose every pruning decision is an integer
-comparison; the ``iso`` and ``mirror`` search and ``spectrum`` read them on
-the Narain lattices, and the search inverts its generators' rows by
-:func:`scaled_inverse`.
+:func:`~flattori.exactlinear.bareiss`), and one lattice reduction, integral
+LLL (:func:`_lll`), serves every search.  :func:`short_vectors` lists every
+lattice vector of bounded norm under a positive definite integer form:
+:func:`_lll`, then a Fincke-Pohst walk (:func:`fincke_pohst`) whose every
+pruning decision is an integer comparison; the ``iso`` and ``mirror``
+search and ``spectrum`` read them on the Narain lattices, and the search
+inverts its generators' rows by :func:`scaled_inverse`.
 
 The integer forms that the ``derived_eq`` verdicts read live here too:
 :func:`frobenius_gram` with the :func:`split_pairing` q is the Gram matrix
@@ -48,71 +47,37 @@ def integral_coordinate_lattice(rows):
     return integer_kernel(rows)
 
 
-MAX_SWEEPS = 8  # pair_reduce stops after this many sweeps, even if the last changed a vector
-
-
 def _sortkey(v):
     return (max(map(abs, v)), sum(map(abs, v)), sum(1 for x in v if x < 0), v)
 
 
 def pair_reduce(basis):
-    """Deterministic pairwise size reduction of integer lattice vectors.
+    """The LLL-reduced basis (:func:`_lll`) of the lattice spanned by
+    linearly independent integer vectors, in canonical form.
 
-    Each sweep sorts the vectors by size, then tries for every ordered pair
-    ``i != j`` the unimodular step ``b_i -> b_i - round(<b_i,b_j>/<b_j,b_j>) b_j``
-    and keeps it when it makes ``b_i`` smaller in that order.  The sweeps
-    stop when one changes nothing, or after ``MAX_SWEEPS`` sweeps; then signs
-    are normalized and the vectors sorted.  Cheaper than LLL and adequate
-    here: the echelon kernel bases this is applied to are already close to
-    elementary vectors.
-
-    The Gram matrix of the basis is kept, so a step reads both inner
-    products from it and an accepted step updates one row and one column;
-    a candidate vector (and its size key) is built only when the rounded
-    quotient is nonzero.
+    :func:`_lll` runs on the dot-product Gram matrix of ``basis``, and its
+    coordinates are mapped back to vectors, both summed over the nonzero
+    entries of ``basis`` alone (kernel bases are sparse); then each vector's
+    first nonzero entry is made positive and the vectors are sorted by size.
+    A dependent input (a zero vector included) raises ``ValueError``; an
+    integer kernel basis never is one.  The name is kept because the
+    benchmark's trace plan (``perfbench/traced_cli.py``) times the reduction
+    by it.
     """
-    b = [list(v) for v in basis]
-    keys = [_sortkey(v) for v in b]
-    k = len(b)
-    gram = [[0] * k for _ in range(k)]
-    for i, u in enumerate(b):
-        for j in range(i, k):
-            gram[i][j] = gram[j][i] = sum(map(mul, u, b[j]))
-    for _ in range(MAX_SWEEPS):
-        order = sorted(range(k), key=keys.__getitem__)  # stable, as a sort of b would be
-        b, keys = [b[p] for p in order], [keys[p] for p in order]
-        gram = [[gram[p][t] for t in order] for p in order]
-        changed = False
-        for i in range(k):
-            row = gram[i]
-            for j in range(k):
-                den = gram[j][j]
-                if i == j or den == 0:
-                    continue
-                q = (2 * row[j] + den) // (2 * den)  # round(num/den), halves up (toward +inf)
-                if q != 0:
-                    cand = [x - q * y for x, y in zip(b[i], b[j])]
-                    key = _sortkey(cand)
-                    if key < keys[i]:
-                        b[i], keys[i] = cand, key
-                        # <b_i - q b_j, b_t> = G_it - q G_jt, then the t = i entry
-                        # picks up the second -q from b_i's own change
-                        row = [x - q * y for x, y in zip(row, gram[j])]
-                        row[i] -= q * row[j]
-                        gram[i] = row
-                        for t in range(k):
-                            gram[t][i] = row[t]
-                        changed = True
-        if not changed:
-            break
-    # canonical sign: first nonzero entry positive
-    for v in b:
-        first = next((x for x in v if x != 0), 0)
-        if first < 0:
-            for t in range(len(v)):
-                v[t] = -v[t]
-    b.sort(key=_sortkey)
-    return b
+    sparse = [[(t, x) for t, x in enumerate(v) if x] for v in basis]
+    gram = [[sum(x * v[t] for t, x in s) for v in basis] for s in sparse]
+    reduced = []
+    for coords in _lll(gram)[0]:
+        v = [0] * len(basis[0])
+        for c, s in zip(coords, sparse):
+            if c:
+                for t, x in s:
+                    v[t] += c * x
+        if next(x for x in v if x) < 0:  # canonical sign: first nonzero entry positive
+            v = [-x for x in v]
+        reduced.append(v)
+    reduced.sort(key=_sortkey)
+    return reduced
 
 
 def _lll(gram):

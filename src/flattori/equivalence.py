@@ -12,7 +12,7 @@ re-exports them (``LatticeMap``, ``Certificate``, ``verify_map``,
 lattices (:func:`_isometry`).  ``derived_eq`` reads the lattices of
 integral intertwiners, integer kernels of linear constraint rows: a pair
 whose L(T1,T1), L(T1,T2), L(T2,T2) differ in (rank, det) under
-``tr(q h^t q h)`` is refuted, and otherwise a box scan over a size-reduced
+``tr(q h^t q h)`` is refuted, and otherwise a box scan over an LLL-reduced
 basis of L(T1,T2) keeps the first q-congruent candidate, or ends "none
 within bound", or "undecided" once it spends its node budget.
 
@@ -70,7 +70,8 @@ def _constraint_rows(t1, t2, kind):
 
 
 def intertwiner_rows(t1: TorusData, t2: TorusData, kind: str):
-    """A size-reduced basis of the lattice of integral intertwiners, as int rows.
+    """The canonical LLL-reduced basis (:func:`~flattori._intlat.pair_reduce`)
+    of the lattice of integral intertwiners, as int rows.
 
     Each row is a map ``g`` flattened row-major (length ``(4d)^2``) that
     satisfies the linear intertwining constraints; together they span every
@@ -243,7 +244,7 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
     ``h -> hg^-1``, integrally both ways, and keeps ``F(h) = tr(q h^t q h)``
     (``g^t q g = q = g q g^t``), so three (rank, det) pairs under F that
     differ refute, by :data:`LATTICE_ISOMETRY` with 0 nodes.  Else the box
-    scan of :mod:`flattori.kernels_py` runs over the size-reduced basis of
+    scan of :mod:`flattori.kernels_py` runs over the LLL-reduced basis of
     L(T1,T2) in its canonical order (height shell, support size, positions,
     digits) up to max-norm ``coeff_bound``: its first q-congruent candidate,
     checked once by :func:`verify_map`, is the certificate; an exhausted

@@ -1343,7 +1343,7 @@ def _open_torus(i, label):
 
 
 # A d = 1 pair related by a change of lattice basis (with B != 0) whose iso
-# certificates all need a coordinate of 2 over the size-reduced intertwiner
+# certificates all need a coordinate of 2 over the LLL-reduced intertwiner
 # basis: a box scan of height 1 holds none.
 REBASED1 = (
     TorusData(1, RatMatrix([[-5, -13], [2, 5]]), RatMatrix([[4, 10], [10, 26]]),

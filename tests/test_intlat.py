@@ -1,19 +1,24 @@
 """Integer-lattice helpers: the column reduction against minor-based references,
 and the short-vector enumerator against brute force."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from itertools import product
 from math import gcd, isqrt, lcm
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flattori._intlat import (MAX_SWEEPS, _lll, column_pivots, integer_kernel,
+from conftest import random_valid_torus
+from flattori._intlat import (_lll, _sortkey, column_pivots, integer_kernel,
                               integral_coordinate_lattice, pair_reduce, scaled_inverse,
                               short_vectors, spans_direct_summand)
-from flattori.exactlinear import RatMatrix
+from flattori.equivalence import _constraint_rows
+from flattori.exactlinear import RatMatrix, bareiss, int_det
+from test_equivalence import _rebased
 
 BIG = 2 ** 40
 
@@ -209,81 +214,81 @@ class TestIntegerKernel:
         assert integer_kernel(padded) == integer_kernel(rows)
 
 
-def reference_pair_reduce(basis, max_sweeps=MAX_SWEEPS):
-    """pair_reduce as it was before it kept the Gram matrix: every step
-    recomputes both dot products from the vectors."""
-    b = [list(v) for v in basis]
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    def sortkey(v):
-        return (max(abs(x) for x in v), sum(abs(x) for x in v),
-                sum(1 for x in v if x < 0), list(v))
-
-    for _ in range(max_sweeps):
-        b.sort(key=sortkey)
-        changed = False
-        for i in range(len(b)):
-            for j in range(len(b)):
-                if i == j:
-                    continue
-                den = dot(b[j], b[j])
-                if den == 0:
-                    continue
-                num = dot(b[i], b[j])
-                q = (2 * num + den) // (2 * den)
-                if q != 0:
-                    cand = [x - q * y for x, y in zip(b[i], b[j])]
-                    if sortkey(cand) < sortkey(b[i]):
-                        b[i] = cand
-                        changed = True
-        if not changed:
-            break
-    for v in b:
-        first = next((x for x in v if x != 0), 0)
-        if first < 0:
-            for t in range(len(v)):
-                v[t] = -v[t]
-    b.sort(key=sortkey)
-    return b
-
-
 @st.composite
-def reducible_bases(draw):
-    """Up to 10 integer vectors, with zero vectors, exact and negated repeats,
-    and entries up to 2^40."""
+def independent_bases(draw):
+    """Up to 6 linearly independent integer vectors in Z^n, n <= 6, with
+    entries up to 2^40 (a huge multiple of one vector added to another in
+    some, so the reduction has work to do)."""
     n = draw(st.integers(1, 6))
     entry = st.one_of(st.integers(-3, 3), st.integers(-50, 50), st.integers(-BIG, BIG),
                       st.sampled_from([BIG, -BIG, BIG - 1]))
-    vecs = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=10))
-    for _ in range(draw(st.integers(0, 10 - len(vecs)))):
-        if vecs and draw(st.booleans()):
-            sign = draw(st.sampled_from([1, -1]))
-            vecs.insert(draw(st.integers(0, len(vecs))),
-                        [sign * x for x in vecs[draw(st.integers(0, len(vecs) - 1))]])
-        else:
-            vecs.insert(draw(st.integers(0, len(vecs))), [0] * n)
+    vecs = [[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(0, n)))]
+    if len(vecs) >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(len(vecs))))[:2]
+        f = draw(st.integers(-BIG, BIG))
+        vecs[i] = [x + f * y for x, y in zip(vecs[i], vecs[j])]
+    assume(len(bareiss(vecs)[0]) == len(vecs))
     return vecs
 
 
-# Three dependent vectors in Z^2 whose reduction still changes a vector in
-# its last allowed sweep.
-SWEEP_CAP_CASE = [[-50, 41], [9, 43], [23, -9]]
+def derived_eq_kernel(seed, d, partner):
+    """The integer kernel basis that :func:`~flattori.equivalence.intertwiner_rows`
+    reduces, for a random torus against itself, a rebased copy or another one."""
+    rng = random.Random(seed)
+    t1 = random_valid_torus(rng, d)
+    t2 = (t1 if partner == "self" else _rebased(t1, rng) if partner == "rebased"
+          else random_valid_torus(rng, d))
+    return integral_coordinate_lattice(_constraint_rows(t1, t2, "derived_eq"))
+
+
+def assert_canonical_reduction(basis):
+    """:func:`pair_reduce` spans the lattice of ``basis`` and is in canonical form."""
+    reduced = pair_reduce(basis)
+    assert len(reduced) == len(basis)
+
+    def gram(vecs):
+        return [[sum(map(mul, u, v)) for v in vecs] for u in vecs]
+
+    # the same Gram determinant, and every input vector an integer
+    # combination of the output: the two span the same lattice
+    out_gram = gram(reduced)
+    assert int_det(out_gram) == int_det(gram(basis))
+    if basis:
+        inverse = RatMatrix(out_gram).inverse().entries
+        for v in basis:
+            dots = [sum(map(mul, v, u)) for u in reduced]
+            coords = [sum(map(mul, row, dots)) for row in inverse]
+            assert all(c.denominator == 1 for c in coords)
+            assert [sum(c * u[t] for c, u in zip(coords, reduced))
+                    for t in range(len(v))] == v
+    # canonical form: first nonzero entry positive, sorted by size
+    assert all(next(x for x in v if x) > 0 for v in reduced)
+    assert reduced == sorted(reduced, key=_sortkey)
 
 
 class TestPairReduce:
     @settings(max_examples=300, deadline=None)
-    @given(reducible_bases())
-    @example([[0, 0], [0, 0]])
-    @example([[BIG, 1], [BIG, 1], [-BIG, -1]])
-    def test_matches_dot_product_reference(self, basis):
-        assert pair_reduce(basis) == reference_pair_reduce(basis)
+    @given(independent_bases())
+    @example([])
+    @example([[-BIG, 1], [BIG - 1, 1]])
+    def test_spans_the_input_lattice_in_canonical_form(self, basis):
+        assert_canonical_reduction(basis)
 
-    def test_sweep_cap_case_reaches_the_cap(self):
-        capped = reference_pair_reduce(SWEEP_CAP_CASE)
-        assert reference_pair_reduce(SWEEP_CAP_CASE, MAX_SWEEPS + 1) != capped
-        assert pair_reduce(SWEEP_CAP_CASE) == capped
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from([1, 2]),
+           st.sampled_from(["self", "rebased", "random"]))
+    def test_reduces_derived_eq_kernels(self, seed, d, partner):
+        assert_canonical_reduction(derived_eq_kernel(seed, d, partner))
+
+    @settings(max_examples=200, deadline=None)
+    @given(independent_bases(), st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 5),
+           st.integers(0, 5), st.integers(0, 6))
+    @example([[1, 2]], 0, 0, 0, 0, 0)  # a zero vector added
+    def test_dependent_input_raises(self, basis, a, b, i, j, at):
+        assume(basis)
+        u, v = basis[i % len(basis)], basis[j % len(basis)]
+        with pytest.raises(ValueError):
+            pair_reduce([*basis[:at], [a * x + b * y for x, y in zip(u, v)], *basis[at:]])
 
     def test_leaves_the_input_unchanged(self):
         basis = [[3, -1], [-5, 2]]

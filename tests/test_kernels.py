@@ -168,6 +168,16 @@ def test_d1_derived_refute_windows_are_exhausted(square1, stretched1, shear):
     assert kernels.run_filter(flat, 4, 2, 10 ** 7) == ([], 390624, True)
 
 
+def test_d2_derived_scan_order_is_pinned(square2):
+    # check-derived-eq square2 square2 at the default bound 2: the first
+    # q-congruent candidate over the canonical basis is candidate 68,417.
+    # The benchmark's traced certify pass pins this count (BASELINE in
+    # perfbench/run.py); a change of the basis's reduction, signs or order moves it
+    rows = equivalence.intertwiner_rows(square2, square2, "derived_eq")
+    hits, nodes, exhausted = kernels.run_filter(rows, 8, 2, equivalence.DEFAULT_NODE_BUDGET)
+    assert (len(hits), nodes, exhausted) == (1, 68417, False)
+
+
 def test_python_is_the_only_lane():
     assert kernels.available_lanes() == ("python",)
     with pytest.raises(ValueError):
