@@ -3,10 +3,9 @@
 :func:`column_pivots` column-reduces integer rows by unimodular steps;
 :func:`integer_kernel` reads the saturated integer kernel off its
 transform, and :func:`spans_direct_summand` its pivots.  The mirror
-splitting and the brane foliation need only these; the lattice reduction
-and short-vector enumeration of the search live in :mod:`flattori._intlat`,
-which re-exports them, so ``mirror``, ``fm`` and ``abrane-check`` do not
-compile it.
+splitting, the brane foliation and the ``derived_eq`` lattices need only
+these; :mod:`flattori._intlat` re-exports them beside the ``derived_eq``
+lattice work, which ``mirror``, ``fm`` and ``abrane-check`` do not compile.
 """
 
 from __future__ import annotations

@@ -1,35 +1,26 @@
-"""Integer-lattice helpers: integer kernels, saturation, LLL reduction, and
-the short vectors of a positive definite form.
+"""The integer lattice work of the ``derived_eq`` search: integer kernels,
+their canonical LLL-reduced form, and the integer forms its verdicts read.
 
-These support the certificate searches: for ``derived_eq`` the lattice of
-*integral* solutions of the intertwining constraints is the integer kernel of
-the constraint rows, as the caller built them, and is then LLL-reduced and
-put in canonical form (:func:`pair_reduce`) so that natural certificates
-tend to have small, sparse coordinates.  Everything here is integer
-arithmetic; one column reduction
+The lattice of *integral* solutions of the intertwining constraints is the
+integer kernel of the constraint rows, as the caller built them
+(:func:`integral_coordinate_lattice`).  One column reduction
 (:func:`~flattori._intkernel.column_pivots`, re-exported here with
 :func:`~flattori._intkernel.integer_kernel` and
 :func:`~flattori._intkernel.spans_direct_summand`) answers every kernel and
-primitivity question (plain ranks and determinants come from
-:func:`~flattori.exactlinear.bareiss`), and one lattice reduction, integral
-LLL (:func:`_lll`), serves every search.  :func:`short_vectors` lists every
-lattice vector of bounded norm under a positive definite integer form:
-:func:`_lll`, then a Fincke-Pohst walk (:func:`fincke_pohst`) whose every
-pruning decision is an integer comparison; the ``iso`` and ``mirror``
-search and ``spectrum`` read them on the Narain lattices, and the search
-inverts its generators' rows by :func:`scaled_inverse`.
-
-The integer forms that the ``derived_eq`` verdicts read live here too:
-:func:`frobenius_gram` with the :func:`split_pairing` q is the Gram matrix
-of ``tr(q h^t q h)`` that decides a refutation, and :func:`packed_form`
-packs the q-congruence into the one form that picks a certificate in the
-scan of :mod:`flattori.kernels_py`.
+primitivity question; plain ranks and determinants come from
+:func:`~flattori.exactlinear.bareiss`.  :func:`frobenius_gram` with the
+:func:`split_pairing` q is the Gram matrix of ``tr(q h^t q h)`` that decides
+a refutation.  A pair that it does not refute is scanned: :func:`pair_reduce`
+puts the lattice in canonical LLL-reduced form, so that natural
+certificates tend to have small, sparse coordinates, and
+:func:`packed_form` packs the q-congruence into the one form that picks a
+certificate in the scan of :mod:`flattori.kernels_py`.  Everything here is
+integer arithmetic.  The Narain-ball enumerator of the ``iso`` and
+``mirror`` search lives in :mod:`flattori.isometry`, and integral LLL in
+:mod:`flattori._lll`, which only :func:`pair_reduce` imports, when it runs.
 """
 
 from __future__ import annotations
-
-from math import gcd, inf, isqrt, lcm
-from operator import mul
 
 from ._intkernel import column_pivots, integer_kernel, spans_direct_summand  # noqa: F401
 
@@ -52,22 +43,23 @@ def _sortkey(v):
 
 
 def pair_reduce(basis):
-    """The LLL-reduced basis (:func:`_lll`) of the lattice spanned by
-    linearly independent integer vectors, in canonical form.
+    """The LLL-reduced basis (:func:`~flattori._lll.lll`) of the lattice
+    spanned by linearly independent integer vectors, in canonical form.
 
-    :func:`_lll` runs on the dot-product Gram matrix of ``basis``, and its
-    coordinates are mapped back to vectors, both summed over the nonzero
-    entries of ``basis`` alone (kernel bases are sparse); then each vector's
+    :func:`~flattori._lll.lll` runs on the dot-product Gram matrix of
+    ``basis``, and its coordinates are mapped back to vectors, both summed
+    over the nonzero entries of ``basis`` alone (kernel bases are sparse); then each vector's
     first nonzero entry is made positive and the vectors are sorted by size.
     A dependent input (a zero vector included) raises ``ValueError``; an
     integer kernel basis never is one.  The name is kept because the
     benchmark's trace plan (``perfbench/traced_cli.py``) times the reduction
     by it.
     """
+    from ._lll import lll
     sparse = [[(t, x) for t, x in enumerate(v) if x] for v in basis]
     gram = [[sum(x * v[t] for t, x in s) for v in basis] for s in sparse]
     reduced = []
-    for coords in _lll(gram)[0]:
+    for coords in lll(gram)[0]:
         v = [0] * len(basis[0])
         for c, s in zip(coords, sparse):
             if c:
@@ -78,147 +70,6 @@ def pair_reduce(basis):
         reduced.append(v)
     reduced.sort(key=_sortkey)
     return reduced
-
-
-def _lll(gram):
-    """Integral LLL with delta = 3/4 on a positive definite integer Gram matrix.
-
-    Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.6.7
-    (Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982), indexed from 1 as
-    there.  Returns ``(basis, d, lam)``: ``basis[i - 1]`` holds the
-    coordinates of the i-th reduced vector b_i in the input basis, ``d[i]``
-    is the Gram determinant of b_1..b_i (``d[0] = 1``) and ``lam[i][j] =
-    d[j] mu_ij`` for j < i, with mu the Gram-Schmidt coefficients; all are
-    integers.  They are updated in place by each size reduction and swap, so
-    Gram-Schmidt is never recomputed.  A vector past ``kmax`` has not been
-    touched yet, so its inner products are read off its row of ``gram``.
-    """
-    m = len(gram)
-    h = [None] + [[int(i == j) for j in range(m)] for i in range(m)]
-    d = [1] * (m + 1)
-    lam = [[0] * (m + 1) for _ in range(m + 1)]
-    k, kmax = 1, 0
-    while k <= m:
-        if k > kmax:
-            kmax = k
-            lk, row = lam[k], gram[k - 1]
-            for j in range(1, k + 1):
-                u = sum(map(mul, h[j], row))
-                lj = lam[j]
-                for i in range(1, j):
-                    u = (d[i] * u - lk[i] * lj[i]) // d[i - 1]
-                if j < k:
-                    lk[j] = u
-                elif u > 0:
-                    d[k] = u
-                else:
-                    raise ValueError("the form is not positive definite")
-        for l in range(k - 1, 0, -1):
-            # size-reduce b_k by b_l (Cohen's REDI), b_{k-1} first
-            lk, dl = lam[k], d[l]
-            if 2 * abs(lk[l]) > dl:
-                q = (2 * lk[l] + dl) // (2 * dl)
-                h[k] = [x - q * y for x, y in zip(h[k], h[l])]
-                lk[l] -= q * dl
-                lk[1:l] = [x - q * y for x, y in zip(lk[1:l], lam[l][1:l])]
-            if l == k - 1 and 4 * d[k] * d[k - 2] < 3 * d[k - 1] ** 2 - 4 * lk[l] ** 2:
-                # Lovasz condition fails: swap b_k and b_{k-1} (Cohen's SWAPI)
-                h[k], h[k - 1] = h[k - 1], h[k]
-                lk1 = lam[k - 1]
-                lk[1:k - 1], lk1[1:k - 1] = lk1[1:k - 1], lk[1:k - 1]
-                c = lk[k - 1]
-                b = (d[k - 2] * d[k] + c * c) // d[k - 1]
-                for i in range(k + 1, kmax + 1):
-                    li = lam[i]
-                    t = li[k]
-                    li[k] = (d[k] * li[k - 1] - c * t) // d[k - 1]
-                    li[k - 1] = (b * t + c * li[k]) // d[k]
-                d[k - 1] = b
-                k = max(2, k - 1)
-                break
-        else:
-            k += 1
-    return h[1:], d, lam
-
-
-def short_vectors(gram, bound, cap=inf):
-    """``(basis, vectors, nodes)``: the LLL-reduced basis of :func:`_lll` and
-    :func:`fincke_pohst` on it, the vectors of norm at most ``bound``."""
-    reduced = _lll(gram)
-    return (reduced[0], *fincke_pohst(reduced, bound, cap))
-
-
-def fincke_pohst(reduced, bound, cap=inf):
-    """``(vectors, nodes)``: the short vectors over the basis of ``reduced = _lll(gram)``.
-
-    ``vectors`` lists ``(x, x^t A x)`` for every nonzero x, in coordinates
-    over the reduced basis, with ``x^t A x <= bound``, one of each pair +-x
-    (the one whose last nonzero coordinate is positive), in the walk's
-    order; ``nodes`` counts the coordinate values the walk tried.  The walk
-    stops once it has listed ``cap + 1`` vectors.
-
-    Fincke-Pohst (Math. Comp. 44, 1985): with B_i = d_i / d_(i-1) and
-    mu_ji = lam_ji / d_i, ``x^t A x = sum_i B_i (x_i + sum_(j>i) mu_ji x_j)^2``,
-    fixed from the last coordinate down.  ``N_i = d_(i-1) T_i``, T_i the sum
-    from i on, is an integer: it is the Gram determinant of b_1..b_(i-1) and
-    ``sum_(j>=i) x_j b_j``.  With ``s = sum_(j>i) lam_ji x_j`` and
-    ``y = d_i x_i + s``, ``N_i = (d_(i-1) N_(i+1) + y^2) / d_i`` exactly, and
-    ``T_i <= bound`` reads ``y^2 <= d_(i-1) (bound d_i - N_(i+1))``: each
-    level's range of x_i comes from one integer square root.
-    """
-    basis, d, lam = reduced
-    m = len(basis)
-    x = [0] * (m + 1)
-    vectors = []
-    nodes = 0
-
-    def walk(i, rest, top):
-        """Coordinate x_i, given x_(i+1)..x_m and ``rest`` = N_(i+1); ``top``
-        while they are all zero, when x_i may not be negative; True past ``cap``."""
-        nonlocal nodes
-        s = sum(lam[j][i] * x[j] for j in range(i + 1, m + 1) if x[j])
-        di, dp = d[i], d[i - 1]
-        r = isqrt(dp * (bound * di - rest))
-        lo = 0 if top else -((r + s) // di)
-        for v in range(lo, (r - s) // di + 1):
-            nodes += 1
-            x[i] = v
-            y = di * v + s
-            norm = (dp * rest + y * y) // di
-            if i > 1:
-                if walk(i - 1, norm, top and not v):
-                    return True
-            elif v or not top:
-                vectors.append((tuple(x[1:]), norm))
-                if len(vectors) > cap:
-                    return True
-        x[i] = 0
-
-    if m and bound >= 0:
-        walk(m, 0, True)
-    return vectors, nodes
-
-
-def scaled_inverse(rows):
-    """``(D, P)`` with ``P M = D`` times the identity, for a nonsingular square
-    integer matrix M by rows: fraction-free Gauss-Jordan, each row cut by its gcd."""
-    m = len(rows)
-    a = [[*row, *(int(i == j) for j in range(m))] for i, row in enumerate(rows)]
-    for c in range(m):
-        p = next(i for i in range(c, m) if a[i][c])
-        a[c], a[p] = a[p], a[c]
-        for i, row in enumerate(a):
-            if row[c] and i != c:
-                row = [a[c][c] * x - row[c] * y for x, y in zip(row, a[c])]
-                g = gcd(*row)
-                a[i] = [x // g for x in row]
-    den = lcm(*(row[i] for i, row in enumerate(a)))
-    return den, [[den // row[i] * x for x in row[m:]] for i, row in enumerate(a)]
-
-
-# ---------------------------------------------------------------------------
-# the integer forms on intertwiner lattices that the verdicts read
-# ---------------------------------------------------------------------------
 
 
 def split_pairing(n):

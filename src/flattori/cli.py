@@ -26,24 +26,27 @@ Fraction, so it does not import ``fractions`` (which would also load
 rationals import it: ``exterior``, ``cohomology`` and ``abranes`` through
 ``_rational``, and ``fock``, whose levels and modes are Fractions,
 directly.  The search, ``spectrum`` and ``mirror`` work on int rows alone
-and do not.  Every other
-handler lives in the layer it drives (``equivalence``, ``tduality``,
-``cohomology``, ``abranes`` or ``fock``), and :data:`COMMANDS` names it by
-module and function, so :func:`main` imports that one module and what it
-imports.  The parts of the search that other layers read live in two small
-modules: ``relations`` (lattice maps, certificates and ``verify_map``) and
-``_intkernel`` (integer kernels and primitivity).  ``tduality`` reads those
-two, so ``mirror`` and ``fm`` compile neither the search (``equivalence``)
-nor its lattice reduction (``_intlat``), and ``abrane-check`` compiles
-``_intkernel`` alone.  A search compiles the box scan (``kernels`` and
-``kernels_py``) only when it runs it, for derived_eq.  A handler takes the
-parsed arguments, with the config's ``bound`` and ``budget`` already folded
-in, and returns ``(inputs, result, exit code)``;
-:func:`main` prints the report.  No layer imports this module: under
-``python -m flattori.cli`` it runs as ``__main__``, and an import would
-compile it a second time.  Where ``PYTHONDONTWRITEBYTECODE`` is set every
-imported line is compiled again on every start, and start-up is most of a
-typical command's time.
+and do not.  Every other handler lives in the layer it drives
+(``isometry``, ``equivalence``, ``tduality``, ``cohomology``, ``abranes``
+or ``fock``), and :data:`COMMANDS` names it by module and function, so
+:func:`main` imports that one module and what it imports.  Each search
+command compiles its own relation's search and no other: ``check-iso`` and
+``check-mirror`` are handled by ``isometry`` (the Narain isometry search,
+with ``_lll`` and ``relations``), which compiles none of the derived_eq
+path, and ``check-derived-eq`` by ``equivalence``, which reads the integer
+kernels (``_intlat``, ``_intkernel``) and compiles LLL and the box scan
+(``_lll``, ``kernels``, ``kernels_py``) only when it scans.  The parts of
+the search that other layers read live in two small modules: ``relations``
+(lattice maps, certificates and ``verify_map``) and ``_intkernel`` (integer
+kernels and primitivity).  ``tduality`` reads those two, so ``mirror`` and
+``fm`` compile no search, and ``abrane-check`` compiles ``_intkernel``
+alone.  A handler takes the parsed arguments, with the config's ``bound``
+and ``budget`` already folded in, and returns
+``(inputs, result, exit code)``; :func:`main` prints the report.  No layer imports this module:
+under ``python -m flattori.cli`` it runs as ``__main__``, and an import
+would compile it a second time.  Where ``PYTHONDONTWRITEBYTECODE`` is set
+every imported line is compiled again on every start, and start-up is most
+of a typical command's time.
 
 The exit is the other end of a command's fixed cost.  Run as the program
 (``python -m flattori.cli`` or the ``flattori`` console script, both
@@ -165,9 +168,9 @@ COMMANDS = {
                     {"--d": ("d", int, None, False),
                      "--cap": ("cap", str, "2", False),
                      "--torus": ("torus", str, None, False)}),
-    "check-iso": ("scft-isomorphism-lattice-criterion", "equivalence", "cmd_search",
+    "check-iso": ("scft-isomorphism-lattice-criterion", "isometry", "cmd_search",
                   ("source", "target"), SEARCH_OPTIONS),
-    "check-mirror": ("mirror-symmetry-lattice-criterion", "equivalence", "cmd_search",
+    "check-mirror": ("mirror-symmetry-lattice-criterion", "isometry", "cmd_search",
                      ("source", "target"), SEARCH_OPTIONS),
     "check-derived-eq": ("derived-equivalence-lattice-criterion", "equivalence", "cmd_search",
                          ("source", "target"), SEARCH_OPTIONS),

@@ -8,10 +8,12 @@ structures in the pattern belonging to the relation kind:
 * ``mirror``:     g calI_1 = calJ_2 g   and   g calJ_1 = calI_2 g
 * ``derived_eq``: g calItilde_1 = calItilde_2 g
 
-:func:`verify_map` checks those equalities exactly.  The search that finds
-certificates lives in :mod:`flattori.equivalence`, which re-exports this
-module's names; the mirror construction of :mod:`flattori.tduality` reads
-this module alone, so ``mirror`` and ``fm`` do not compile the search.
+:func:`verify_map` checks those equalities exactly.  The searches that
+find certificates live in :mod:`flattori.isometry` (``iso`` and ``mirror``)
+and :mod:`flattori.equivalence` (``derived_eq``, and ``search_relation`` for
+all three), which re-exports this module's names; the mirror construction
+of :mod:`flattori.tduality` reads this module alone, so ``mirror`` and
+``fm`` do not compile a search.
 """
 
 from __future__ import annotations

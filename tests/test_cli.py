@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: every subcommand, exit codes, determinism."""
 
+import ast
 import gc
 import hashlib
 import json
@@ -615,20 +616,24 @@ def _fresh_python(*argv, cwd=None):
 # The start-up core every command loads, and each command on tiny inputs
 # with the layers it loads besides the core: its own, and what that imports.
 # An iso or mirror search is the isometry search of the Narain lattices, so
-# it loads the search layers without the box scan (kernels and kernels_py),
-# and so does spectrum, which lists the Narain ball with the same enumerator.
+# it loads that module, LLL and the certificate check, and none of the
+# derived_eq path; spectrum lists the Narain ball with the same enumerator.
+# A derived_eq search loads the integer kernels, and LLL and the box scan
+# (kernels and kernels_py) only when it scans: a pair of two bases of
+# square1 (H against T) is found by the scan.
 CORE = {"flattori", "flattori.cli", "flattori.jsonio", "flattori.torus",
         "flattori.exactlinear", "flattori.errors", "flattori._record"}
+ISOMETRY_LAYERS = {"isometry", "relations", "_lll"}
 LATTICE_LAYERS = {"equivalence", "relations", "_intlat", "_intkernel"}
-SEARCH_LAYERS = LATTICE_LAYERS | {"kernels", "kernels_py"}
+SEARCH_LAYERS = LATTICE_LAYERS | {"_lll", "kernels", "kernels_py"}
 COHOMOLOGY_LAYERS = {"cohomology", "exterior", "_rational"}
 COMMAND_LAYERS = [
     (["validate", "T"], set()),
     (["doubled", "T"], set()),
-    (["spectrum", "T"], LATTICE_LAYERS),
-    (["check-iso", "T", "T"], LATTICE_LAYERS),
-    (["check-mirror", "T", "T"], LATTICE_LAYERS),
-    (["check-derived-eq", "T", "T"], SEARCH_LAYERS),
+    (["spectrum", "T"], ISOMETRY_LAYERS | {"equivalence"}),
+    (["check-iso", "T", "T"], ISOMETRY_LAYERS),
+    (["check-mirror", "T", "T"], ISOMETRY_LAYERS),
+    (["check-derived-eq", "H", "T"], SEARCH_LAYERS),
     (["verify-map", "M"], {"equivalence", "relations"}),
     (["mirror", "--torus", "T"], {"tduality", "relations", "_intkernel"}),
     (["hodge", "T"], COHOMOLOGY_LAYERS),
@@ -646,11 +651,16 @@ COMMAND_IDS = [argv[0] for argv, _ in COMMAND_LAYERS]
 
 @pytest.fixture
 def command_argv(tmp_path, square_file):
-    """Fill in an argv of :data:`COMMAND_LAYERS`: T a square torus, M an
-    identity map, C a class and B a brane on it, each file in ``tmp_path``."""
+    """Fill in an argv of :data:`COMMAND_LAYERS`: T a square torus, H the same
+    torus in the basis (e0, e0 + e1), M an identity map, C a class and B a
+    brane on T, each file in ``tmp_path``."""
     from flattori.exterior import ExtElement
-    files = {"T": square_file, "M": str(tmp_path / "map.json"),
+    files = {"T": square_file, "H": str(tmp_path / "sheared.json"),
+             "M": str(tmp_path / "map.json"),
              "C": str(tmp_path / "class.json"), "B": str(tmp_path / "brane.json")}
+    (tmp_path / "sheared.json").write_text(json.dumps(
+        {"d": 1, "I": [["-1", "-2"], ["1", "1"]], "G": [["1", "1"], ["1", "2"]],
+         "B": [["0", "0"], ["0", "0"]], "label": "sheared"}))
     (tmp_path / "map.json").write_text(json.dumps(
         {"kind": "iso", "source": "square.json", "target": "square.json",
          "g": [[int(i == j) for j in range(4)] for i in range(4)]}))
@@ -666,8 +676,10 @@ class TestImportIsolation:
 
     @pytest.mark.parametrize("argv, unloaded", [
         (["validate", "T"],
-         {"fock", "cohomology", "abranes", "tduality", "equivalence", "exterior", "_intlat"}),
-        (["check-iso", "T", "T"], {"fock", "cohomology", "abranes", "tduality", "exterior"}),
+         {"fock", "cohomology", "abranes", "tduality", "equivalence", "isometry", "exterior",
+          "_intlat"}),
+        (["check-iso", "T", "T"], {"fock", "cohomology", "abranes", "tduality", "exterior",
+                                   "equivalence", "_intlat", "_intkernel"}),
         (["hodge", "T"], {"tduality", "equivalence", "abranes", "fock"}),
         (["mirror", "--torus", "T"],
          {"fock", "cohomology", "abranes", "exterior", "kernels", "kernels_py"}),
@@ -768,6 +780,53 @@ class TestImportIsolation:
             proc = _fresh_python("-m", "flattori.cli", *command_argv(argv), cwd=tmp_path)
             assert (proc.returncode, proc.stderr) == (0, ""), argv
             assert report(proc.stdout)["command"] == argv[0]
+
+    # What a search compiles when no bytecode is cached (as under
+    # PYTHONDONTWRITEBYTECODE=1): the AST nodes of the flattori modules it
+    # loads in a fresh process.  An iso or mirror search, found or refuted at
+    # d = 1, 2, 3, compiles none of the derived_eq path, and a refuted
+    # derived_eq search none of the isometry search (nor LLL or the scan).
+    @pytest.mark.parametrize("argv, verdict, most, unloaded", [
+        *[(argv, verdict, 11000, {"equivalence", "_intlat", "_intkernel", "kernels",
+                                  "kernels_py"}) for argv, verdict in [
+            (["check-iso", "T", "T"], "found"),
+            (["check-mirror", "T", "S"], "refuted"),
+            (["check-iso", "T2", "H2"], "found"),
+            (["check-mirror", "T2", "S2"], "refuted"),
+            (["check-mirror", "T3", "T3"], "found"),
+            (["check-iso", "T3", "S3"], "refuted")]],
+        (["check-derived-eq", "T", "S"], "refuted", 10800, {"isometry", "_lll", "kernels",
+                                                            "kernels_py"}),
+        (["check-derived-eq", "H", "T"], "found", 12300, {"isometry"}),
+    ], ids=["check-iso-d1-found", "check-mirror-d1-refuted", "check-iso-d2-found",
+            "check-mirror-d2-refuted", "check-mirror-d3-found", "check-iso-d3-refuted",
+            "check-derived-eq-refuted", "check-derived-eq-found"])
+    def test_search_compiles_within_its_budget(self, command_argv, torus_file, stretched_file,
+                                               square2_file, stretched2_file, argv, verdict,
+                                               most, unloaded):
+        u = RatMatrix([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        t2 = square_torus(2)
+        s3 = TorusData(3, RatMatrix.from_blocks([[RatMatrix([[0, -2], [Q(1, 2), 0]]),
+                                                  RatMatrix.zero(2, 4)],
+                                                 [RatMatrix.zero(4, 2), t2.I]]),
+                       diag([1, 4, 1, 1, 1, 1]), RatMatrix.zero(6, 6), "stretched1_square2")
+        files = {"S": stretched_file, "T2": square2_file, "S2": stretched2_file,
+                 "H2": torus_file(TorusData(2, u.inverse() * t2.I * u, u.transpose() * t2.G * u,
+                                            t2.B, "sheared2"), "sheared2.json"),
+                 "T3": torus_file(square_torus(3), "square3.json"),
+                 "S3": torus_file(s3, "stretched1_square2.json")}
+        proc = _fresh_python("-c", LOADED_MODULES, *command_argv([files.get(a, a) for a in argv]))
+        assert proc.returncode == (verdict == "refuted"), proc.stderr
+        result = report(proc.stdout)["result"]
+        assert result.get("verdict", "found" if result.get("found") else None) == verdict
+        loaded = [m for m in json.loads(proc.stderr.splitlines()[-1])
+                  if m.split(".")[0] == "flattori"]
+        assert {m.removeprefix("flattori.") for m in loaded} & unloaded == set()
+        root = os.path.dirname(flattori.__file__)
+        nodes = sum(sum(1 for _ in ast.walk(ast.parse(open(os.path.join(
+            root, m.partition(".")[2] + ".py" if "." in m else "__init__.py")).read())))
+            for m in loaded)
+        assert nodes <= most
 
     def test_budget_default_is_the_search_default(self):
         assert cli.DEFAULTS["budget"] == equivalence.DEFAULT_NODE_BUDGET
@@ -907,7 +966,7 @@ class TestSearchCommands:
     # an isometry search whose ball passes the limit ends undecided, and the
     # message names the limit, not the budget
     def test_ball_past_the_limit_ends_undecided(self, capsys, torus_file, monkeypatch):
-        monkeypatch.setattr("flattori.equivalence.SPECTRUM_LIMIT", 100)
+        monkeypatch.setattr("flattori.isometry.SPECTRUM_LIMIT", 100)
         t = TorusData(2, RatMatrix([[0, -1000, 0, 0], [Q(1, 1000), 0, 0, 0], [0, 0, 0, -1],
                                     [0, 0, 1, 0]]), diag([1, 10 ** 6, 1, 1]),
                       RatMatrix.zero(4, 4), "stretched1000_square1")

@@ -15,18 +15,25 @@ from hypothesis import strategies as st
 from conftest import diag, random_valid_torus, square_torus
 from flattori import kernels_py
 from flattori._intlat import (frobenius_gram, integer_kernel, integral_coordinate_lattice,
-                              pair_reduce, short_vectors, spans_direct_summand, split_pairing)
+                              pair_reduce, spans_direct_summand, split_pairing)
 from flattori._rational import Q
 from flattori._record import failures
-from flattori.equivalence import (DEFAULT_NODE_BUDGET, KINDS, LATTICE_ISOMETRY, NARAIN_ISOMETRY,
-                                  RELATIONS, LatticeMap, _constraint_rows, _lattice_class,
-                                  intertwiner_rows, intertwiner_space, search_relation,
-                                  spectrum_fingerprint, verify_map)
+from flattori.equivalence import (DEFAULT_NODE_BUDGET, KINDS, LATTICE_ISOMETRY, RELATIONS,
+                                  LatticeMap, _constraint_rows, _lattice_class,
+                                  intertwiner_space, search_relation, spectrum_fingerprint,
+                                  verify_map)
 from flattori.errors import ValidationError
 from flattori.exactlinear import RatMatrix, rat_str
+from flattori.isometry import NARAIN_ISOMETRY, short_vectors
 from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
 from flattori.torus import TorusData, doubled, narain_form, zero_mode_momenta
 from test_cli import OPEN1, OPEN2, REBASED1
+
+
+def intertwiner_rows(t1, t2, kind):
+    """The basis of :func:`~flattori.equivalence.intertwiner_space` as flat int rows."""
+    return pair_reduce(integral_coordinate_lattice(_constraint_rows(t1, t2, kind)))
+
 
 E1_SWAP = RatMatrix([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
 E1_SHEAR = RatMatrix([[1, 1], [0, 1]])
@@ -118,8 +125,8 @@ class TestCertificateAlgebra:
     # Round trip on tori with a generic B: the search finds the mirror that
     # mirror_via_tduality builds, and the certificate it reports, followed
     # by the inverse of the construction's own, is an iso automorphism of T.
-    # Seed 0 at d = 2 is the torus of the CI's check-mirror step.
-    @pytest.mark.parametrize("d", [1, 2])
+    # Seed 0 at d = 2 and at d = 3 are the tori of the CI's check-mirror step.
+    @pytest.mark.parametrize("d", [1, 2, 3])
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2 ** 32))
     @example(seed=0)
@@ -332,6 +339,19 @@ class TestSearchRelation:
         assert out.nodes_used == 7000
         # the derived_eq basis has 8 matrices: shell 1 holds 3^8 - 1 = 6560 candidates
         assert out.last_complete_height == 1
+
+    # A derived_eq self pair is certified by the identity, before any lattice
+    # is built: at d = 3 these two scans took 56,092 (s = 0) and 70,436
+    # (s = 1) nodes.  A copy under another label is the same pair.
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_derived_self_pair_is_the_identity(self, seed):
+        t = random_valid_torus(random.Random(seed), 3)
+        copy = TorusData(3, t.I, t.G, t.B, "copy")
+        for other in (t, copy):
+            out = search_relation(t, other, "derived_eq", 1)
+            assert (out.verdict, out.nodes_used) == ("found", 0)
+            assert out.certificate.map.g == RatMatrix.identity(12)
+            assert out.certificate.valid
 
 
 PARTNERS = ("rebased", "mirror", "random")
@@ -885,7 +905,7 @@ class TestNarainIsometry:
     # at r = 1000 the second generator's ball holds about 1,000 vectors
     @pytest.mark.parametrize("kind", ["iso", "mirror"])
     def test_ball_past_the_limit_is_undecided(self, kind, monkeypatch):
-        monkeypatch.setattr("flattori.equivalence.SPECTRUM_LIMIT", 100)
+        monkeypatch.setattr("flattori.isometry.SPECTRUM_LIMIT", 100)
         t = _direct_sum(_stretched(1000), square_torus(1))
         out = search_relation(t, t, kind, 1, node_budget=DEFAULT_NODE_BUDGET)
         assert (out.verdict, out.certificate, out.last_complete_height) == \

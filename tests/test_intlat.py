@@ -13,11 +13,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_valid_torus
-from flattori._intlat import (_lll, _sortkey, column_pivots, integer_kernel,
-                              integral_coordinate_lattice, pair_reduce, scaled_inverse,
-                              short_vectors, spans_direct_summand)
+from flattori._intlat import (_sortkey, column_pivots, integer_kernel,
+                              integral_coordinate_lattice, pair_reduce, spans_direct_summand)
+from flattori._lll import lll
 from flattori.equivalence import _constraint_rows
 from flattori.exactlinear import RatMatrix, bareiss, int_det
+from flattori.isometry import scaled_inverse, short_vectors
 from test_equivalence import _rebased
 
 BIG = 2 ** 40
@@ -232,7 +233,7 @@ def independent_bases(draw):
 
 
 def derived_eq_kernel(seed, d, partner):
-    """The integer kernel basis that :func:`~flattori.equivalence.intertwiner_rows`
+    """The integer kernel basis that :func:`~flattori.equivalence.intertwiner_space`
     reduces, for a random torus against itself, a rebased copy or another one."""
     rng = random.Random(seed)
     t1 = random_valid_torus(rng, d)
@@ -349,7 +350,7 @@ class TestShortVectors:
     @example([[1]])
     @example([[2, 1], [1, 2]])
     def test_lll_basis_is_unimodular_and_reduced(self, gram):
-        basis, d, lam = _lll(gram)
+        basis, d, lam = lll(gram)
         k = len(gram)
         assert abs(RatMatrix(basis).det()) == 1
         reduced = [[form_value_pair(gram, u, v) for v in basis] for u in basis]

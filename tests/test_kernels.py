@@ -14,12 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flattori import cli, equivalence, kernels, kernels_py
+from flattori import cli, equivalence, isometry, kernels, kernels_py
 from flattori._record import Check
 from flattori.equivalence import intertwiner_space
 from flattori.errors import InconsistencyError
 from flattori.exactlinear import RatMatrix
 from flattori.torus import TorusData
+from test_equivalence import intertwiner_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -140,12 +141,16 @@ def test_completed_height_counts_whole_shells():
 
 
 def test_hit_failing_verify_map_is_an_internal_error(monkeypatch, capsys, square1, torus_file):
-    # a filter hit is checked once, by verify_map; a failure there is a bug,
-    # which check-iso reports as one error line with exit 2
-    monkeypatch.setattr(equivalence, "verify_map",
-                        lambda m: equivalence.Certificate(m, (Check("preserves_q", False),)))
-    with pytest.raises(InconsistencyError, match="internal error"):
-        equivalence.search_relation(square1, square1, "iso", 1)
+    # a certificate of either search (the isometry search, or derived_eq's
+    # identity or filter hit) is checked once, by verify_map; a failure there
+    # is a bug, which check-iso reports as one error line with exit 2
+    def failing(m):
+        return equivalence.Certificate(m, (Check("preserves_q", False),))
+    monkeypatch.setattr(isometry, "verify_map", failing)
+    monkeypatch.setattr(equivalence, "verify_map", failing)
+    for kind in ("iso", "derived_eq"):
+        with pytest.raises(InconsistencyError, match="internal error"):
+            equivalence.search_relation(square1, square1, kind, 1)
     path = torus_file(square1, "square1.json")
     assert cli.main(["check-iso", path, path]) == 2
     out, err = capsys.readouterr()
@@ -169,11 +174,12 @@ def test_d1_derived_refute_windows_are_exhausted(square1, stretched1, shear):
 
 
 def test_d2_derived_scan_order_is_pinned(square2):
-    # check-derived-eq square2 square2 at the default bound 2: the first
+    # the scan of square2 against itself at the default bound 2 (the command
+    # certifies that pair by the identity before any scan): the first
     # q-congruent candidate over the canonical basis is candidate 68,417.
     # The benchmark's traced certify pass pins this count (BASELINE in
     # perfbench/run.py); a change of the basis's reduction, signs or order moves it
-    rows = equivalence.intertwiner_rows(square2, square2, "derived_eq")
+    rows = intertwiner_rows(square2, square2, "derived_eq")
     hits, nodes, exhausted = kernels.run_filter(rows, 8, 2, equivalence.DEFAULT_NODE_BUDGET)
     assert (len(hits), nodes, exhausted) == (1, 68417, False)
 

@@ -88,6 +88,9 @@ def _write_inputs(tmp):
     files = {
         "square1": jsonio.torus_to_json(square_torus(1, "square")),
         "square2": jsonio.torus_to_json(square_torus(2, "square2")),
+        # square1 in the basis (e0, e0 + e1): a derived_eq scan finds it
+        "sheared1": _torus_json([[-1, -2], [1, 1]], [[1, 1], [1, 2]], [[0, 0], [0, 0]],
+                                "sheared1"),
         "stretched1": _torus_json([[0, -2], [Q(1, 2), 0]], [[1, 0], [0, 4]],
                                   [[0, 0], [0, 0]], "stretched"),
         # no certificate: the shell refutes before any scan
@@ -150,9 +153,10 @@ def command_runs(tmp):
         (["check-iso", f("square1"), f("square1"), "--bound", "0"], 2),
         (["--config", f("config"), "check-mirror", f("square1"), f("stretched1")], 1),
         (["check-derived-eq", f("square1"), f("stretched1")], 1),
-        # iso and mirror at d <= 2 are the shell alone: a found derived_eq
-        # search is the command run whose scan hits
-        (["check-derived-eq", f("square1"), f("square1")], 0),
+        # iso and mirror are the isometry search, and a derived_eq self pair
+        # is the identity: a found derived_eq search of two bases is the
+        # command run whose scan hits
+        (["check-derived-eq", f("sheared1"), f("square1")], 0),
         (["check-derived-eq", f("open1"), f("open2"), "--budget", "100"], 1),
         (["verify-map", f("map")], 0),
         (["verify-map", f("bad_map")], 1),

@@ -180,6 +180,20 @@ class TestRoundTrip:
         out = search_relation(t, back.mirror, "iso", 2)
         assert out.found
 
+    # The same on tori with a generic B, each mirror built along the
+    # splitting find_lagrangian_splitting picks for it: the isometry search
+    # finds an isomorphism between T and its double dual at every d
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_double_dual_of_a_generic_b_torus_is_isomorphic(self, d, seed):
+        t = random_valid_torus(random.Random(seed), d, steps=10, scale_bound=5)
+        assert t.B != RatMatrix.zero(2 * d, 2 * d)
+        once = mirror_via_tduality(t, find_lagrangian_splitting(t)).mirror
+        twice = mirror_via_tduality(once, find_lagrangian_splitting(once)).mirror
+        out = search_relation(t, twice, "iso", 1)
+        assert out.found
+        assert verify_map(out.certificate.map).valid
+
     def test_involution_with_metric_moduli(self):
         t = TorusData(1, square_torus(1).I, diag([9, 9]),
                       RatMatrix.zero(2, 2), "R9")
