@@ -3,26 +3,23 @@ their canonical LLL-reduced form, and the integer forms its verdicts read.
 
 The lattice of *integral* solutions of the intertwining constraints is the
 integer kernel of the constraint rows, as the caller built them
-(:func:`integral_coordinate_lattice`).  One column reduction
-(:func:`~flattori._intkernel.column_pivots`, re-exported here with
-:func:`~flattori._intkernel.integer_kernel` and
-:func:`~flattori._intkernel.spans_direct_summand`) answers every kernel and
-primitivity question; plain ranks and determinants come from
-:func:`~flattori.exactlinear.bareiss`.  :func:`frobenius_gram` with the
-:func:`split_pairing` q is the Gram matrix of ``tr(q h^t q h)`` that decides
-a refutation.  A pair that it does not refute is scanned: :func:`pair_reduce`
-puts the lattice in canonical LLL-reduced form, so that natural
-certificates tend to have small, sparse coordinates, and
-:func:`packed_form` packs the q-congruence into the one form that picks a
-certificate in the scan of :mod:`flattori.kernels_py`.  Everything here is
-integer arithmetic.  The Narain-ball enumerator of the ``iso`` and
-``mirror`` search lives in :mod:`flattori.isometry`, and integral LLL in
-:mod:`flattori._lll`, which only :func:`pair_reduce` imports, when it runs.
+(:func:`integral_coordinate_lattice`, by
+:func:`~flattori._intkernel.integer_kernel`); plain ranks and determinants
+come from :func:`~flattori.exactlinear.bareiss`.  :func:`frobenius_gram`
+with the :func:`split_pairing` q is the Gram matrix of ``tr(q h^t q h)``
+that decides a refutation.  A pair that it does not refute is scanned:
+:func:`pair_reduce` puts the lattice in canonical LLL-reduced form, so that
+natural certificates tend to have small, sparse coordinates, and the scan
+of :mod:`flattori.kernels_py` packs the q-congruence into one form with
+:func:`frobenius_gram`.  Everything here is integer arithmetic.  The
+Narain-ball enumerator of the ``iso`` and ``mirror`` search lives in
+:mod:`flattori.isometry`, and integral LLL in :mod:`flattori._lll`, which
+only :func:`pair_reduce` imports, when it runs.
 """
 
 from __future__ import annotations
 
-from ._intkernel import column_pivots, integer_kernel, spans_direct_summand  # noqa: F401
+from ._intkernel import integer_kernel
 
 
 def integral_coordinate_lattice(rows):
@@ -30,10 +27,11 @@ def integral_coordinate_lattice(rows):
 
     This is :func:`integer_kernel` itself, kept under its own name because the
     benchmark's trace plan (``perfbench/traced_cli.py``) times the lattice
-    step by this name.  The rows may be rational: :func:`column_pivots` takes
-    the same steps on a row scaled by any positive factor (the pivot choice
-    and every floor quotient are unchanged), and a row in the span of earlier
-    rows is zero from the next pivot column on, so it is passed over.
+    step by this name.  The rows may be rational:
+    :func:`~flattori._intkernel.column_pivots` takes the same steps on a row
+    scaled by any positive factor (the pivot choice and every floor quotient
+    are unchanged), and a row in the span of earlier rows is zero from the
+    next pivot column on, so it is passed over.
     """
     return integer_kernel(rows)
 
@@ -99,38 +97,3 @@ def frobenius_gram(basis_flat, n, right):
         for i in range(j + 1):
             gram[i][j] = gram[j][i] = sum(v * y[t] for t, v in sparse[i])
     return gram
-
-
-def packed_form(basis_flat, n, bound):
-    """``(X, target)`` with ``F(c) = sum_i X_ii/2 c_i^2 + sum_{i<j} X_ij c_i c_j``.
-
-    The q-congruence ``g^t q g = q`` of ``g = sum c_i M_i`` is ``n(n+1)/2``
-    integer quadratic forms in c, one per entry ``a <= b`` of ``g^t q g``.
-    They are packed into one by Kronecker substitution,
-    ``F(c) = sum_{a<=b} W^e(a,b) (g^t q g)_ab``, with
-    ``W > 2 (bound^2 max_{a<=b} sum_r (A_ra A_r+h,b + A_r+h,a A_rb) + 1)``,
-    where ``A = sum |M_i|`` entrywise and h = n/2.  Every entry of
-    ``g^t q g - q`` then has magnitude below W/2, so ``F(c) = target`` (the
-    packed q) holds exactly when every entry matches.  X is
-    :func:`frobenius_gram` with R symmetric, ``R_ab = W^e(a,b)`` off the
-    diagonal and ``2 W^e(a,a)`` on it.  Valid for candidates of max-norm at
-    most ``bound``.
-    """
-    half = n // 2
-    size = n * n
-    a = [sum(abs(m[t]) for m in basis_flat) for t in range(size)]
-    worst = max(sum(a[r * n + x] * a[(r + half) * n + y] + a[(r + half) * n + x] * a[r * n + y]
-                    for r in range(half))
-                for x in range(n) for y in range(x, n))
-    w = 1 << (2 * (bound * bound * worst + 1)).bit_length()
-    weight = [[0] * n for _ in range(n)]
-    power = 1
-    target = 0
-    for x in range(n):
-        for y in range(x, n):
-            weight[x][y] = weight[y][x] = power
-            if y - x == half:
-                target += power
-            power *= w
-        weight[x][x] *= 2
-    return frobenius_gram(basis_flat, n, [list(enumerate(row)) for row in weight]), target

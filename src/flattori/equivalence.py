@@ -19,6 +19,8 @@ rows: a pair whose L(T1,T1), L(T1,T2), L(T2,T2) differ in (rank, det)
 under ``tr(q h^t q h)`` is refuted, and otherwise a box scan over an
 LLL-reduced basis of L(T1,T2) keeps the first q-congruent candidate, or
 ends "none within bound", or "undecided" once it spends its node budget.
+The identity and the scan's hit are each checked once by
+:func:`flattori.relations.certified`, the check of the isometry search too.
 
 The kernels (:mod:`flattori._intlat`) are imported when the lattices are
 built; LLL (:mod:`flattori._lll`) and the filter (:mod:`flattori.kernels`,
@@ -38,9 +40,10 @@ import sys
 
 from . import jsonio
 from ._record import Record, failures
-from .errors import DimensionError, InconsistencyError, SchemaError
+from .errors import DimensionError, SchemaError
 from .exactlinear import RatMatrix, cleared, int_det, ratio_str
-from .relations import KINDS, RELATIONS, Certificate, LatticeMap, verify_map  # noqa: F401
+from .relations import (KINDS, RELATIONS, Certificate, LatticeMap,  # noqa: F401
+                        certified, verify_map)
 from .torus import TorusData, doubled, narain_form
 
 DEFAULT_NODE_BUDGET = 10 ** 7
@@ -133,11 +136,9 @@ def _lattice_class(rows, n):
 
 
 def _certified(t1, t2, kind, g, n, nodes):
-    """The found outcome for the flattened map ``g``, checked once by :func:`verify_map`."""
-    cert = verify_map(LatticeMap(g=_as_matrix(g, n), source=t1, target=t2, kind=kind))
-    if not cert.valid:
-        raise InconsistencyError("search produced a non-verifying candidate (internal error)")
-    return SearchOutcome("found", nodes, cert)
+    """The found outcome for the flattened map ``g``, checked once by :func:`certified`."""
+    m = LatticeMap(g=_as_matrix(g, n), source=t1, target=t2, kind=kind)
+    return SearchOutcome("found", nodes, certified(m))
 
 
 def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
@@ -156,7 +157,7 @@ def search_relation(t1: TorusData, t2: TorusData, kind: str, coeff_bound: int,
     over the LLL-reduced basis (:func:`~flattori._intlat.pair_reduce`) of
     L(T1,T2) in its canonical order (height shell, support size, positions,
     digits) up to max-norm ``coeff_bound``: its first q-congruent candidate,
-    checked once by :func:`verify_map`, is the certificate; an exhausted
+    checked once by :func:`certified`, is the certificate; an exhausted
     window is ``"none within bound"``, and a spent ``node_budget``
     ``"undecided"``, with the last height shell covered completely.
     """

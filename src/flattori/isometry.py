@@ -6,10 +6,12 @@ reads is listed by :func:`short_vectors`: integral LLL
 (:func:`flattori._lll.lll`), then a Fincke-Pohst walk
 (:func:`fincke_pohst`) whose every pruning decision is an integer
 comparison; ``spectrum`` lists the ball with the same enumerator, up to the
-same :data:`SPECTRUM_LIMIT`.  This module imports neither
-:mod:`flattori.equivalence` nor the integer kernels of
-:mod:`flattori._intlat` and :mod:`flattori._intkernel`, so an ``iso`` or
-``mirror`` search compiles none of the ``derived_eq`` path, and
+same :data:`SPECTRUM_LIMIT`.  A found g comes from the one exact inverse,
+:meth:`flattori.exactlinear.RatMatrix.inverse`, and is checked by
+:func:`flattori.relations.certified`, as every search's certificate is.
+This module imports neither :mod:`flattori.equivalence` nor the integer
+kernels of :mod:`flattori._intlat` and :mod:`flattori._intkernel`, so an
+``iso`` or ``mirror`` search compiles none of the ``derived_eq`` path, and
 :func:`flattori.equivalence.search_relation` imports it only when it runs
 it.
 """
@@ -18,14 +20,14 @@ from __future__ import annotations
 
 import os
 import sys
-from math import gcd, inf, isqrt, lcm
+from math import inf, isqrt
 from operator import mul
 
 from . import jsonio
 from ._lll import lll
-from .errors import InconsistencyError, SchemaError
+from .errors import SchemaError
 from .exactlinear import RatMatrix, bareiss, cleared, ratio_str
-from .relations import RELATIONS, LatticeMap, verify_map
+from .relations import RELATIONS, LatticeMap, certified
 from .torus import doubled, narain_form
 
 # The most charges, up to sign, that ``spectrum`` lists, and that the isometry
@@ -96,23 +98,6 @@ def fincke_pohst(reduced, bound, cap=inf):
     return vectors, nodes
 
 
-def scaled_inverse(rows):
-    """``(D, P)`` with ``P M = D`` times the identity, for a nonsingular square
-    integer matrix M by rows: fraction-free Gauss-Jordan, each row cut by its gcd."""
-    m = len(rows)
-    a = [[*row, *(int(i == j) for j in range(m))] for i, row in enumerate(rows)]
-    for c in range(m):
-        p = next(i for i in range(c, m) if a[i][c])
-        a[c], a[p] = a[p], a[c]
-        for i, row in enumerate(a):
-            if row[c] and i != c:
-                row = [a[c][c] * x - row[c] * y for x, y in zip(row, a[c])]
-                g = gcd(*row)
-                a[i] = [x // g for x in row]
-    den = lcm(*(row[i] for i, row in enumerate(a)))
-    return den, [[den // row[i] * x for x in row[m:]] for i, row in enumerate(a)]
-
-
 def isometry(t1, t2, kind):
     """``(certificate, nodes, refuted_by)``: ``iso`` or ``mirror`` decided by an
     isometry search of the Narain lattices.
@@ -128,9 +113,10 @@ def isometry(t1, t2, kind):
     goes to a listed vector of its N- and q-norms whose products with the
     images before it match (the first up to sign, as -g is a certificate
     when g is).  The generators' rows R1 and their images' rows R2 give
-    ``g^-1 = R1^-1 R2`` and ``g = q g^-t q``; the first integral g is checked
-    once by :func:`~flattori.relations.verify_map`, and running out refutes.
-    ``nodes`` counts the walks' nodes and the candidates tried.
+    ``g^-1 = R1^-1 R2`` and ``g = q g^-t q``, with R1 inverted once by
+    :meth:`~flattori.exactlinear.RatMatrix.inverse`; the first integral g is
+    checked once by :func:`~flattori.relations.certified`, and running out
+    refutes.  ``nodes`` counts the walks' nodes and the candidates tried.
     """
     n, half = 4 * t1.d, 2 * t1.d
     (d1, n1), (d2, n2) = ((doubled(t), narain_form(t)) for t in (t1, t2))
@@ -178,7 +164,7 @@ def isometry(t1, t2, kind):
         signed = {key: [*by_norms.get(key, ()), *([-x for x in v] for v in by_norms.get(key, ()))]
                   for key in keys[1:]}
         candidates = [by_norms.get(keys[0], []), *map(signed.get, keys[1:])]
-        inv_den, inverse = scaled_inverse(rows)
+        inverse = RatMatrix.over(1, rows).inverse()  # num R1 = den times the identity
         placed = []  # (image, its rows v^t A)
 
         def place(j):
@@ -186,11 +172,11 @@ def isometry(t1, t2, kind):
             if j == k:
                 # g^-1 = R1^-1 R2, integral exactly when g is
                 cols, h = list(zip(*(placed[i][1][f] for i, f in picked))), []
-                for p in inverse:
+                for p in inverse.num:
                     h.append([sum(map(mul, p, col)) for col in cols])
-                    if any(x % inv_den for x in h[-1]):
+                    if any(x % inverse.den for x in h[-1]):
                         return None
-                return [[h[(c + half) % n][(r + half) % n] // inv_den for c in range(n)]
+                return [[h[(c + half) % n][(r + half) % n] // inverse.den for c in range(n)]
                         for r in range(n)]
             for v in candidates[j]:
                 nodes += 1
@@ -205,10 +191,7 @@ def isometry(t1, t2, kind):
 
         g = place(0)
         if g:
-            cert = verify_map(LatticeMap(g=RatMatrix(g), source=t1, target=t2, kind=kind))
-            if not cert.valid:
-                raise InconsistencyError("search produced a non-verifying candidate "
-                                         "(internal error)")
+            cert = certified(LatticeMap(g=RatMatrix(g), source=t1, target=t2, kind=kind))
             return cert, nodes, None
         why = f"{len(target)} {listed}"
     return None, nodes, f"{NARAIN_ISOMETRY}: {why}, {nodes} nodes"

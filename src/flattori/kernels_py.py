@@ -15,23 +15,59 @@ so shells 1..h hold ``(2h+1)^K - 1`` candidates.  A candidate
 survivors are returned in order.
 
 The congruence is ``n(n+1)/2`` integer quadratic forms in c, packed into
-one K x K integer form F by :func:`flattori._intlat.packed_form`, so that
-``F(c) = F_q`` (the packed q) holds exactly when every entry matches.  F is
-built once per search; the scan walks the digits of each support depth
-first, carrying the prefix value and the linear terms of the positions
-still to come, so a candidate costs ``value + x*(lin + x*D)``: O(1)
-amortised integer work.  A hit is kept as its coordinates; the caller
-checks the map they give once, with :func:`flattori.equivalence.verify_map`.
-Arithmetic is in Python integers, so large basis entries cannot overflow.
-Only a search that runs the scan imports this module: ``derived_eq`` past
-its lattice check.  ``iso`` and ``mirror`` never scan.
+one K x K integer form F by :func:`packed_form`, so that ``F(c) = F_q``
+(the packed q) holds exactly when every entry matches; it lives here, in
+the scan, its only reader.  F is built once per search; the scan walks the
+digits of each support depth first, carrying the prefix value and the
+linear terms of the positions still to come, so a candidate costs
+``value + x*(lin + x*D)``: O(1) amortised integer work.  A hit is kept as
+its coordinates; the caller checks the map they give once, with
+:func:`flattori.relations.certified`.  Arithmetic is in Python integers,
+so large basis entries cannot overflow.  Only a search that runs the scan
+imports this module: ``derived_eq`` past its lattice check.  ``iso`` and
+``mirror`` never scan.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from ._intlat import packed_form
+from ._intlat import frobenius_gram
+
+
+def packed_form(basis_flat, n, bound):
+    """``(X, target)`` with ``F(c) = sum_i X_ii/2 c_i^2 + sum_{i<j} X_ij c_i c_j``.
+
+    The q-congruence ``g^t q g = q`` of ``g = sum c_i M_i`` is ``n(n+1)/2``
+    integer quadratic forms in c, one per entry ``a <= b`` of ``g^t q g``.
+    They are packed into one by Kronecker substitution,
+    ``F(c) = sum_{a<=b} W^e(a,b) (g^t q g)_ab``, with
+    ``W > 2 (bound^2 max_{a<=b} sum_r (A_ra A_r+h,b + A_r+h,a A_rb) + 1)``,
+    where ``A = sum |M_i|`` entrywise and h = n/2.  Every entry of
+    ``g^t q g - q`` then has magnitude below W/2, so ``F(c) = target`` (the
+    packed q) holds exactly when every entry matches.  X is
+    :func:`~flattori._intlat.frobenius_gram` with R symmetric,
+    ``R_ab = W^e(a,b)`` off the diagonal and ``2 W^e(a,a)`` on it.  Valid
+    for candidates of max-norm at most ``bound``.
+    """
+    half = n // 2
+    size = n * n
+    a = [sum(abs(m[t]) for m in basis_flat) for t in range(size)]
+    worst = max(sum(a[r * n + x] * a[(r + half) * n + y] + a[(r + half) * n + x] * a[r * n + y]
+                    for r in range(half))
+                for x in range(n) for y in range(x, n))
+    w = 1 << (2 * (bound * bound * worst + 1)).bit_length()
+    weight = [[0] * n for _ in range(n)]
+    power = 1
+    target = 0
+    for x in range(n):
+        for y in range(x, n):
+            weight[x][y] = weight[y][x] = power
+            if y - x == half:
+                target += power
+            power *= w
+        weight[x][x] *= 2
+    return frobenius_gram(basis_flat, n, [list(enumerate(row)) for row in weight]), target
 
 
 def _digit_values(height):

@@ -8,9 +8,11 @@ structures in the pattern belonging to the relation kind:
 * ``mirror``:     g calI_1 = calJ_2 g   and   g calJ_1 = calI_2 g
 * ``derived_eq``: g calItilde_1 = calItilde_2 g
 
-:func:`verify_map` checks those equalities exactly.  The searches that
-find certificates live in :mod:`flattori.isometry` (``iso`` and ``mirror``)
-and :mod:`flattori.equivalence` (``derived_eq``, and ``search_relation`` for
+:func:`verify_map` checks those equalities exactly, and :func:`certified`
+is the one check of every certificate a search produces, where a failure is
+an internal error.  The searches that find certificates live in
+:mod:`flattori.isometry` (``iso`` and ``mirror``) and
+:mod:`flattori.equivalence` (``derived_eq``, and ``search_relation`` for
 all three), which re-exports this module's names; the mirror construction
 of :mod:`flattori.tduality` reads this module alone, so ``mirror`` and
 ``fm`` do not compile a search.
@@ -19,7 +21,7 @@ of :mod:`flattori.tduality` reads this module alone, so ``mirror`` and
 from __future__ import annotations
 
 from ._record import Check, Record
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, InconsistencyError, ValidationError
 from .exactlinear import RatMatrix
 from .torus import TorusData, doubled
 
@@ -83,3 +85,12 @@ def verify_map(m: LatticeMap) -> Certificate:
         rhs = getattr(d2, tgt_attr) * m.g
         checks.append(Check(name, lhs == rhs))
     return Certificate(m, tuple(checks))
+
+
+def certified(m: LatticeMap) -> Certificate:
+    """The certificate of a map a search produced, checked once by
+    :func:`verify_map`; a map that fails is a bug, an ``InconsistencyError``."""
+    cert = verify_map(m)
+    if not cert.valid:
+        raise InconsistencyError("search produced a non-verifying candidate (internal error)")
+    return cert

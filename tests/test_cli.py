@@ -785,22 +785,26 @@ class TestImportIsolation:
     # PYTHONDONTWRITEBYTECODE=1): the AST nodes of the flattori modules it
     # loads in a fresh process.  An iso or mirror search, found or refuted at
     # d = 1, 2, 3, compiles none of the derived_eq path, and a refuted
-    # derived_eq search none of the isometry search (nor LLL or the scan).
+    # derived_eq search none of the isometry search (nor LLL or the scan,
+    # whose packed form lives in kernels_py).  mirror reads relations, which
+    # also holds the searches' certificate check, and compiles no search.
     @pytest.mark.parametrize("argv, verdict, most, unloaded", [
-        *[(argv, verdict, 11000, {"equivalence", "_intlat", "_intkernel", "kernels",
-                                  "kernels_py"}) for argv, verdict in [
+        *[(argv, verdict, 9950, {"equivalence", "_intlat", "_intkernel", "kernels",
+                                 "kernels_py"}) for argv, verdict in [
             (["check-iso", "T", "T"], "found"),
             (["check-mirror", "T", "S"], "refuted"),
             (["check-iso", "T2", "H2"], "found"),
             (["check-mirror", "T2", "S2"], "refuted"),
             (["check-mirror", "T3", "T3"], "found"),
             (["check-iso", "T3", "S3"], "refuted")]],
-        (["check-derived-eq", "T", "S"], "refuted", 10800, {"isometry", "_lll", "kernels",
+        (["check-derived-eq", "T", "S"], "refuted", 10150, {"isometry", "_lll", "kernels",
                                                             "kernels_py"}),
-        (["check-derived-eq", "H", "T"], "found", 12300, {"isometry"}),
+        (["check-derived-eq", "H", "T"], "found", 12100, {"isometry"}),
+        (["mirror", "--torus", "T"], "found", 10060, {"isometry", "equivalence", "_intlat",
+                                                      "_lll", "kernels", "kernels_py"}),
     ], ids=["check-iso-d1-found", "check-mirror-d1-refuted", "check-iso-d2-found",
             "check-mirror-d2-refuted", "check-mirror-d3-found", "check-iso-d3-refuted",
-            "check-derived-eq-refuted", "check-derived-eq-found"])
+            "check-derived-eq-refuted", "check-derived-eq-found", "mirror"])
     def test_search_compiles_within_its_budget(self, command_argv, torus_file, stretched_file,
                                                square2_file, stretched2_file, argv, verdict,
                                                most, unloaded):

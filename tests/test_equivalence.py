@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from conftest import diag, random_valid_torus, square_torus
 from flattori import kernels_py
-from flattori._intlat import (frobenius_gram, integer_kernel, integral_coordinate_lattice,
-                              pair_reduce, spans_direct_summand, split_pairing)
+from flattori._intkernel import integer_kernel, spans_direct_summand
+from flattori._intlat import (frobenius_gram, integral_coordinate_lattice, pair_reduce,
+                              split_pairing)
 from flattori._rational import Q
 from flattori._record import failures
 from flattori.equivalence import (DEFAULT_NODE_BUDGET, KINDS, LATTICE_ISOMETRY, RELATIONS,
@@ -313,7 +314,9 @@ class TestSearchRelation:
         assert verify_map(out.certificate.map).valid
 
     def test_found_search_validates_and_builds_each_torus_once(self, torus_work, square1):
-        # the validation report, G^-1 and the doubled structures are cached on the torus
+        # the validation report, G^-1 and the doubled structures are cached on
+        # the torus; the only other inverse is of R1, the generators' integer
+        # rows, once per search that reaches placement
         rebased = TorusData(1, E1_SHEAR.inverse() * square1.I * E1_SHEAR,
                             E1_SHEAR.transpose() * square1.G * E1_SHEAR,
                             E1_SHEAR.transpose() * square1.B * E1_SHEAR, "rebased")
@@ -322,7 +325,8 @@ class TestSearchRelation:
         assert search_relation(square1, rebased, "mirror", 2).found
         assert torus_work.validated == ["square", "rebased"]
         assert torus_work.built == 2
-        assert torus_work.inverted == [square1.G, rebased.G]
+        assert torus_work.inverted[:2] == [square1.G, rebased.G]
+        assert [(m.rows, m.den) for m in torus_work.inverted[2:]] == [(4, 1), (4, 1)]
         bad = TorusData(1, RatMatrix.identity(2), RatMatrix.identity(2),
                         RatMatrix.zero(2, 2), "bad")
         for t1, t2 in ((bad, square1), (square1, bad)):

@@ -13,12 +13,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_valid_torus
-from flattori._intlat import (_sortkey, column_pivots, integer_kernel,
-                              integral_coordinate_lattice, pair_reduce, spans_direct_summand)
+from flattori._intkernel import column_pivots, integer_kernel, spans_direct_summand
+from flattori._intlat import _sortkey, integral_coordinate_lattice, pair_reduce
 from flattori._lll import lll
 from flattori.equivalence import _constraint_rows
 from flattori.exactlinear import RatMatrix, bareiss, int_det
-from flattori.isometry import scaled_inverse, short_vectors
+from flattori.isometry import short_vectors
 from test_equivalence import _rebased
 
 BIG = 2 ** 40
@@ -394,23 +394,6 @@ class TestShortVectors:
     def test_rejects_an_indefinite_form(self):
         with pytest.raises(ValueError, match="not positive definite"):
             short_vectors([[1, 2], [2, 1]], 4)
-
-
-class TestScaledInverse:
-    """The integer inverse against the rational one: ``P M = D`` times the
-    identity, so ``P / D`` is ``M^-1``, and D is positive."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
-        st.lists(st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG)), min_size=n, max_size=n),
-        min_size=n, max_size=n)))
-    @example([[0, 1], [1, 0]])
-    @example([[2, 0], [0, -3]])
-    def test_is_the_inverse_times_its_denominator(self, rows):
-        assume(RatMatrix(rows).det() != 0)
-        den, inverse = scaled_inverse(rows)
-        assert den > 0
-        assert RatMatrix(inverse) == RatMatrix(rows).inverse().scale(den)
 
 
 def form_value_pair(gram, u, v):

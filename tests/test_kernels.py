@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flattori import cli, equivalence, isometry, kernels, kernels_py
+from flattori import cli, equivalence, kernels, kernels_py, relations
 from flattori._record import Check
 from flattori.equivalence import intertwiner_space
 from flattori.errors import InconsistencyError
@@ -142,12 +142,12 @@ def test_completed_height_counts_whole_shells():
 
 def test_hit_failing_verify_map_is_an_internal_error(monkeypatch, capsys, square1, torus_file):
     # a certificate of either search (the isometry search, or derived_eq's
-    # identity or filter hit) is checked once, by verify_map; a failure there
-    # is a bug, which check-iso reports as one error line with exit 2
+    # identity or filter hit) is checked once, by relations.certified, which
+    # runs relations.verify_map; a failure there is a bug, which check-iso
+    # reports as one error line with exit 2
     def failing(m):
-        return equivalence.Certificate(m, (Check("preserves_q", False),))
-    monkeypatch.setattr(isometry, "verify_map", failing)
-    monkeypatch.setattr(equivalence, "verify_map", failing)
+        return relations.Certificate(m, (Check("preserves_q", False),))
+    monkeypatch.setattr(relations, "verify_map", failing)
     for kind in ("iso", "derived_eq"):
         with pytest.raises(InconsistencyError, match="internal error"):
             equivalence.search_relation(square1, square1, kind, 1)
