@@ -4,8 +4,9 @@
 :func:`integer_kernel` reads the saturated integer kernel off its
 transform, and :func:`spans_direct_summand` its pivots.  The mirror
 splitting, the brane foliation and the ``derived_eq`` lattices need only
-these; :mod:`flattori._intlat` re-exports them beside the ``derived_eq``
-lattice work, which ``mirror``, ``fm`` and ``abrane-check`` do not compile.
+these; :mod:`flattori._intlat` imports :func:`integer_kernel` for the
+``derived_eq`` lattice work, which ``mirror``, ``fm`` and ``abrane-check``
+do not compile.
 """
 
 from __future__ import annotations

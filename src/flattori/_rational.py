@@ -3,14 +3,17 @@
 A matrix of :mod:`flattori.exactlinear` is int rows over one denominator
 and needs no Fraction, and neither does a file rational on its way into
 one (:mod:`flattori.jsonio`).  The layers that compute with single
-rationals (the exterior algebra, cohomology and branes) import this
-module, and with it :mod:`fractions`, which also loads :mod:`decimal` and
-:mod:`numbers`; the oscillators import :mod:`fractions` itself for their
-levels and modes, and check their brackets on ints.  The start-up core, the
-search, the zero-mode spectrum and the mirror construction import neither,
-so ``validate``, every refutation, ``spectrum`` and ``mirror`` run without
-them.  :mod:`flattori.exactlinear` still answers
-for these names, loading this module when one is first read.
+rationals (the exterior algebra, cohomology classes, branes and the
+B-field report) import this module, and with it :mod:`fractions`, which
+also loads :mod:`decimal` and :mod:`numbers`; the oscillators import
+:mod:`fractions` itself for their levels and modes, and check their
+brackets on ints.  The start-up core, the search, the zero-mode spectrum,
+the mirror construction and the Hodge and Lefschetz ranks import neither,
+so ``validate``, every refutation, ``spectrum``, ``mirror``, ``hodge`` and
+``lefschetz`` run without them.  :mod:`flattori.exactlinear` imports this
+module inside the methods that build a Fraction (the entries, a kernel
+basis, a solution, a non-integral determinant), and does not re-export
+these names.
 """
 
 from __future__ import annotations

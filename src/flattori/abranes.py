@@ -14,7 +14,8 @@ acceptance conditions are finite exact linear algebra:
 The conditions are evaluated in the order (i), dimension law, (ii), (iii);
 a rejection names the first failing condition.  Integrability statements
 (the foliation, the transverse complex structure) are automatic here since
-all distributions and forms are constant.
+all distributions and forms are constant.  Only an accepted brane's reports
+build exterior-algebra elements, and they import :mod:`flattori.exterior`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from ._rational import QONE, QZERO
 from ._record import Check, Record, failures
 from .errors import DimensionError, InconsistencyError, SchemaError, ValidationError
 from .exactlinear import RatMatrix, bareiss
-from .exterior import ExtElement, apply_linear, wedge
 from .torus import TorusData, omega, require_valid
 
 
@@ -216,6 +216,7 @@ def wedge_characterization(b: AffineBrane) -> WedgePowerReport:
     records agreement or disagreement with condition (iii) instead of
     asserting either indexing; see the package notes.
     """
+    from .exterior import ExtElement
     report = b.acceptance
     passed = {c.name for c in report.conditions if c.ok}
     if not {"coisotropic", "dimension_law", "curvature_annihilates_foliation"} <= passed:
@@ -251,6 +252,7 @@ class AnomalyReport(Record):
 
 def _complex_wedge(x, y):
     """Wedge of two Q(i)-valued elements, each a ``(re, im)`` pair."""
+    from .exterior import wedge
     return (wedge(x[0], y[0]) - wedge(x[1], y[1]), wedge(x[0], y[1]) + wedge(x[1], y[0]))
 
 
@@ -284,6 +286,7 @@ def holomorphic_volume(t: TorusData):
     Any two such choices differ by a nonzero constant, which affects none of
     the reported conclusions.
     """
+    from .exterior import ExtElement
     require_valid(t)
     n = t.rank
     result = (ExtElement.scalar(n, QONE), ExtElement.zero(n))
@@ -303,6 +306,7 @@ def anomaly_check_affine(b: AffineBrane) -> AnomalyReport:
     raises).  Since the ratio h is a nonzero constant, its Bockstein image
     vanishes.
     """
+    from .exterior import ExtElement, apply_linear, wedge
     report = b.acceptance
     if not report.accepted:
         raise ValidationError("anomaly check requires an accepted brane")

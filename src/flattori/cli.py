@@ -23,17 +23,19 @@ and it holds the handlers of ``validate`` and ``doubled``.  The core reads,
 checks and writes a torus on int rows over one denominator and builds no
 Fraction, so it does not import ``fractions`` (which would also load
 ``decimal`` and ``numbers``).  The layers that compute with single
-rationals import it: ``exterior``, ``cohomology`` and ``abranes`` through
-``_rational``, and ``fock``, whose levels and modes are Fractions,
-directly.  The search, ``spectrum`` and ``mirror`` work on int rows alone
-and do not.  Every other handler lives in the layer it drives
-(``isometry``, ``equivalence``, ``tduality``, ``cohomology``, ``abranes``
-or ``fock``), and :data:`COMMANDS` names it by module and function, so
-:func:`main` imports that one module and what it imports.  Each search
-command compiles its own relation's search and no other: ``check-iso`` and
-``check-mirror`` are handled by ``isometry`` (the Narain isometry search,
-with ``_lll`` and ``relations``), which compiles none of the derived_eq
-path, and ``check-derived-eq`` by ``equivalence``, which reads the integer
+rationals import it: ``exterior``, ``cohomology``, ``abranes`` and the
+B-field report of ``hodge`` through ``_rational``, and ``fock``, whose
+levels and modes are Fractions, directly.  The search, ``spectrum``,
+``mirror``, ``hodge`` and ``lefschetz`` work on int rows alone and do not.
+Every other handler lives in the layer it drives (``isometry``,
+``equivalence``, ``tduality``, ``hodge``, ``cohomology``, ``abranes`` or
+``fock``), and :data:`COMMANDS` names it by module and function, so
+:func:`main` imports that one module and what it imports.  Only the class
+commands of ``cohomology`` and an accepted brane compile ``exterior``.
+Each search command compiles its own relation's search and no other:
+``check-iso`` and ``check-mirror`` are handled by ``isometry`` (the Narain
+isometry search, with ``_lll`` and ``relations``), which compiles none of
+the derived_eq path, and ``check-derived-eq`` by ``equivalence``, which reads the integer
 kernels (``_intlat``, ``_intkernel``) and compiles LLL and the box scan
 (``_lll``, ``kernels``, ``kernels_py``) only when it scans.  The parts of
 the search that other layers read live in two small modules: ``relations``
@@ -149,10 +151,10 @@ COMMANDS = {
                 "--split": ("split", str, None, False),
                 "--out-torus": ("out_torus", str, None, False),
                 "--out-cert": ("out_cert", str, None, False)}),
-    "hodge": ("hodge-diamond-ranks", "cohomology", "cmd_hodge", ("torus",), {}),
+    "hodge": ("hodge-diamond-ranks", "hodge", "cmd_hodge", ("torus",), {}),
     "pp-classes": ("rational-pp-classes", "cohomology", "cmd_pp_classes", ("torus",),
                    {"--p": ("p", int, None, True)}),
-    "lefschetz": ("middle-degree-lefschetz-kernel", "cohomology", "cmd_lefschetz",
+    "lefschetz": ("middle-degree-lefschetz-kernel", "hodge", "cmd_lefschetz",
                   ("torus",), {}),
     "fm": ("duality-cohomology-transport", "cohomology", "cmd_fm", (),
            {"--torus": ("torus", str, None, True),
@@ -161,7 +163,7 @@ COMMANDS = {
     "check-mirror-class": ("mirror-class-condition", "cohomology", "cmd_check_mirror_class", (),
                            {"--torus": ("torus", str, None, True),
                             "--class": ("cls", str, None, True)}),
-    "beta": ("bfield-brauer-torsion", "cohomology", "cmd_beta", ("torus",), {}),
+    "beta": ("bfield-brauer-torsion", "hodge", "cmd_beta", ("torus",), {}),
     "abrane-check": ("coisotropic-brane-conditions", "abranes", "cmd_abrane_check", (),
                      {"--brane": ("brane", str, None, True)}),
     "fock-verify": ("oscillator-algebra-relations", "fock", "cmd_fock_verify", (),

@@ -1,12 +1,13 @@
 """The exterior algebra over Q, exactly.
 
 Exterior-algebra elements store Fraction coefficients on strictly
-increasing index tuples; the functors :func:`induced_map` and
-:func:`derivation_map` give rational matrices.  A Q(i)-valued form, such as
-the holomorphic volume, is carried by its callers as a ``(re, im)`` pair of
-elements.  Only the cohomology and brane layers use this module, so the
-commands that reach neither never load it; :func:`class_from_json` reads
-the class files of ``fm`` and ``check-mirror-class``.
+increasing index tuples; the functor :func:`induced_map` gives rational
+matrices.  A Q(i)-valued form, such as the holomorphic volume, is carried
+by its callers as a ``(re, im)`` pair of elements.  Only the class layer
+and an accepted brane's reports load this module; ``hodge``, ``lefschetz``
+and ``beta`` read int-row operators on the same basis
+(:mod:`flattori.hodge`).  :func:`class_from_json` reads the class files of
+``fm`` and ``check-mirror-class``.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -61,10 +62,6 @@ class ExtElement:
     @staticmethod
     def scalar(base_rank: int, c) -> "ExtElement":
         return ExtElement(base_rank, {(): c})
-
-    @staticmethod
-    def monomial(base_rank: int, indices, c=QONE) -> "ExtElement":
-        return ExtElement(base_rank, {tuple(indices): c})
 
     @staticmethod
     def two_form(mat: RatMatrix) -> "ExtElement":
@@ -202,41 +199,8 @@ def induced_map(m: RatMatrix, grade: int) -> RatMatrix:
     if grade < 0 or grade > n:
         raise GradeError(f"grade {grade} out of range for rank {n}")
     basis = list(combinations(range(n), grade))
-    cols = [apply_linear(ExtElement.monomial(n, s), m) for s in basis]
+    cols = [apply_linear(ExtElement(n, {s: QONE}), m) for s in basis]
     return RatMatrix([[col.coefficient(t) for col in cols] for t in basis])
-
-
-def derivation_map(m: RatMatrix, grade: int) -> RatMatrix:
-    """Matrix of the degree-0 derivation extending ``m`` to the grade component.
-
-    Sends ``e_S`` to ``sum_t e_{s_1}^..^(m e_{s_t})^..^e_{s_k}``; this is the
-    infinitesimal (Lie-algebra) counterpart of :func:`induced_map`.  Each
-    ``e_i`` of ``m e_{s_t}`` carries the contraction sign (-1)^t times
-    :func:`merge_sign` of ``(i,)`` and the rest of S.
-    """
-    if not m.is_square():
-        raise DimensionError("derivation_map requires a square matrix")
-    n = m.rows
-    basis = list(combinations(range(n), grade))
-    pos = {s: a for a, s in enumerate(basis)}
-    cols = []
-    for s in basis:
-        col = {}
-        for t, gen in enumerate(s):
-            rest = s[:t] + s[t + 1:]
-            parity = -1 if t % 2 else 1
-            for i in range(n):
-                c = m.entries[i][gen]
-                if not c:
-                    continue
-                idx, sign = merge_sign((i,), rest)
-                if idx is None:
-                    continue
-                key = pos[idx]
-                col[key] = col.get(key, QZERO) + (c if sign == parity else -c)
-        cols.append(col)
-    dim = len(basis)
-    return RatMatrix([[cols[j].get(i, QZERO) for j in range(dim)] for i in range(dim)])
 
 
 def apply_linear(element: ExtElement, m: RatMatrix) -> ExtElement:

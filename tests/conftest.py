@@ -3,6 +3,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -11,7 +12,7 @@ from flattori import jsonio
 from flattori._rational import Q, QZERO, rat
 from flattori.errors import GradeError
 from flattori.exactlinear import RatMatrix
-from flattori.exterior import ExtElement, apply_linear, wedge
+from flattori.exterior import ExtElement, apply_linear, merge_sign, wedge
 from flattori.torus import TorusData
 
 
@@ -204,6 +205,51 @@ def unit_splitting(d):
 def ext_scaled(a, c):
     """The exterior element ``c a``."""
     return ExtElement(a.base_rank, {i: c * v for i, v in a.terms.items()})
+
+
+def mono(rank, indices, c=1):
+    """The monomial ``c e_S`` of the exterior algebra of the given rank."""
+    return ExtElement(rank, {tuple(indices): c})
+
+
+def derivation_map(m, grade):
+    """Fraction matrix of the degree-0 derivation extending ``m`` to the grade
+    component, the oracle of ``hodge.derivation``.
+
+    Sends ``e_S`` to ``sum_t e_{s_1}^..^(m e_{s_t})^..^e_{s_k}``.  Each
+    ``e_i`` of ``m e_{s_t}`` carries the contraction sign (-1)^t times
+    :func:`flattori.exterior.merge_sign` of ``(i,)`` and the rest of S.
+    """
+    n = m.rows
+    basis = list(combinations(range(n), grade))
+    pos = {s: a for a, s in enumerate(basis)}
+    cols = []
+    for s in basis:
+        col = {}
+        for t, gen in enumerate(s):
+            rest = s[:t] + s[t + 1:]
+            parity = -1 if t % 2 else 1
+            for i in range(n):
+                c = m.entries[i][gen]
+                if not c:
+                    continue
+                idx, sign = merge_sign((i,), rest)
+                if idx is None:
+                    continue
+                key = pos[idx]
+                col[key] = col.get(key, QZERO) + (c if sign == parity else -c)
+        cols.append(col)
+    dim = len(basis)
+    return RatMatrix([[cols[j].get(i, QZERO) for j in range(dim)] for i in range(dim)])
+
+
+def wedge_matrix(form, grade):
+    """Fraction matrix of ``wedge(form, .)`` for a 2-form, from the grade
+    component to the one two above: the oracle of ``hodge.lefschetz_map``."""
+    n = form.base_rank
+    cols = [wedge(form, mono(n, s)) for s in combinations(range(n), grade)]
+    return RatMatrix([[col.coefficient(t) for col in cols]
+                      for t in combinations(range(n), grade + 2)])
 
 
 def exp_grade2(a):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Gaussian, exp_grade2, random_valid_torus
+from conftest import Gaussian, exp_grade2, mono, random_valid_torus
 from flattori import abranes
 from flattori.abranes import (AffineBrane, _foliation, _plus_i_covectors, anomaly_check_affine,
                               check_abrane, coisotropy_witness, holomorphic_volume,
@@ -274,7 +274,7 @@ def _charge(b):
     f = [[b.curvature.entries[i][j] if max(i, j) < r else 0 for j in range(n)]
          for i in range(n)]
     local = wedge(exp_grade2(ExtElement.two_form(RatMatrix(f))),
-                  ExtElement.monomial(n, range(r, n)))
+                  mono(n, range(r, n)))
     return CohClass(b.torus, apply_linear(local, coords.transpose()))
 
 

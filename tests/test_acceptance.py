@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import diag, random_valid_torus, square_torus, unit_splitting
+from conftest import diag, mono, random_valid_torus, square_torus, unit_splitting
 from flattori._record import failures
 from flattori.abranes import AffineBrane, check_abrane, coisotropy_witness
 from flattori.cohomology import (CohClass, fm_transform, hodge_diamond,
@@ -20,7 +20,6 @@ from flattori.cohomology import (CohClass, fm_transform, hodge_diamond,
                                  rational_pp_classes)
 from flattori.equivalence import search_relation, verify_map
 from flattori.exactlinear import RatMatrix
-from flattori.exterior import ExtElement
 from flattori.fock import TruncatedFock, ccr_car_sweep
 from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
 from flattori.torus import TorusData, doubled, q_matrix, validate, zero_mode_momenta
@@ -111,7 +110,7 @@ def test_criterion_06_mirror_class_condition():
         for c in rational_pp_classes(t, p):
             img = fm_transform(s, c)
             all_pass = all_pass and mirror_class_condition(mr.mirror, img)
-    bad = fm_transform(s, CohClass(t, ExtElement.monomial(4, (0,))))
+    bad = fm_transform(s, CohClass(t, mono(4, (0,))))
     some_fail = not mirror_class_condition(mr.mirror, bad)
     record(6, all_pass and some_fail,
            "every transported (p,p) class satisfies the interior/wedge "

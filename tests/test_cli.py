@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import diag, random_valid_torus, square_torus
+from conftest import diag, mono, random_valid_torus, square_torus
 import flattori
 from flattori import cli, equivalence, fock, jsonio, tduality
 from flattori._rational import Q
@@ -604,6 +604,15 @@ sys.exit(code)
 """
 
 
+def _compiled_nodes(loaded):
+    """The AST nodes of the flattori modules named in ``loaded``: what a
+    command compiles when no bytecode is cached."""
+    root = os.path.dirname(flattori.__file__)
+    return sum(sum(1 for _ in ast.walk(ast.parse(open(os.path.join(
+        root, m.partition(".")[2] + ".py" if "." in m else "__init__.py")).read())))
+        for m in loaded)
+
+
 def _fresh_python(*argv, cwd=None):
     """Run ``python *argv`` in a new interpreter that imports this flattori."""
     src = os.path.dirname(os.path.dirname(flattori.__file__))
@@ -620,13 +629,16 @@ def _fresh_python(*argv, cwd=None):
 # derived_eq path; spectrum lists the Narain ball with the same enumerator.
 # A derived_eq search loads the integer kernels, and LLL and the box scan
 # (kernels and kernels_py) only when it scans: a pair of two bases of
-# square1 (H against T) is found by the scan.
+# square1 (H against T) is found by the scan.  hodge, lefschetz and beta
+# build their grade operators as int rows (the hodge layer), and only beta,
+# which reads B's Fractions, loads _rational; the class commands load the
+# exterior algebra, and so does an accepted brane.
 CORE = {"flattori", "flattori.cli", "flattori.jsonio", "flattori.torus",
         "flattori.exactlinear", "flattori.errors", "flattori._record"}
 ISOMETRY_LAYERS = {"isometry", "relations", "_lll"}
 LATTICE_LAYERS = {"equivalence", "relations", "_intlat", "_intkernel"}
 SEARCH_LAYERS = LATTICE_LAYERS | {"_lll", "kernels", "kernels_py"}
-COHOMOLOGY_LAYERS = {"cohomology", "exterior", "_rational"}
+COHOMOLOGY_LAYERS = {"cohomology", "hodge", "exterior", "_rational"}
 COMMAND_LAYERS = [
     (["validate", "T"], set()),
     (["doubled", "T"], set()),
@@ -636,13 +648,13 @@ COMMAND_LAYERS = [
     (["check-derived-eq", "H", "T"], SEARCH_LAYERS),
     (["verify-map", "M"], {"equivalence", "relations"}),
     (["mirror", "--torus", "T"], {"tduality", "relations", "_intkernel"}),
-    (["hodge", "T"], COHOMOLOGY_LAYERS),
+    (["hodge", "T"], {"hodge"}),
     (["pp-classes", "T", "--p", "1"], COHOMOLOGY_LAYERS),
-    (["lefschetz", "T"], COHOMOLOGY_LAYERS),
+    (["lefschetz", "T"], {"hodge"}),
     (["fm", "--torus", "T", "--split", "1,0|0,1", "--class", "C"],
      COHOMOLOGY_LAYERS | {"tduality", "relations", "_intkernel"}),
     (["check-mirror-class", "--torus", "T", "--class", "C"], COHOMOLOGY_LAYERS),
-    (["beta", "T"], COHOMOLOGY_LAYERS),
+    (["beta", "T"], {"hodge", "_rational"}),
     (["abrane-check", "--brane", "B"], {"abranes", "exterior", "_intkernel", "_rational"}),
     (["fock-verify", "--torus", "T", "--cap", "1"], {"fock"}),
 ]
@@ -654,7 +666,6 @@ def command_argv(tmp_path, square_file):
     """Fill in an argv of :data:`COMMAND_LAYERS`: T a square torus, H the same
     torus in the basis (e0, e0 + e1), M an identity map, C a class and B a
     brane on T, each file in ``tmp_path``."""
-    from flattori.exterior import ExtElement
     files = {"T": square_file, "H": str(tmp_path / "sheared.json"),
              "M": str(tmp_path / "map.json"),
              "C": str(tmp_path / "class.json"), "B": str(tmp_path / "brane.json")}
@@ -665,7 +676,7 @@ def command_argv(tmp_path, square_file):
         {"kind": "iso", "source": "square.json", "target": "square.json",
          "g": [[int(i == j) for j in range(4)] for i in range(4)]}))
     (tmp_path / "class.json").write_text(json.dumps(
-        jsonio.class_to_json(ExtElement.monomial(2, (0,)))))
+        jsonio.class_to_json(mono(2, (0,)))))
     (tmp_path / "brane.json").write_text(json.dumps(
         {"torus_ref": "square.json", "Y_basis": [[1, 0]], "F": [["0"]]}))
     return lambda argv: [files.get(a, a) for a in argv]
@@ -680,7 +691,8 @@ class TestImportIsolation:
           "_intlat"}),
         (["check-iso", "T", "T"], {"fock", "cohomology", "abranes", "tduality", "exterior",
                                    "equivalence", "_intlat", "_intkernel"}),
-        (["hodge", "T"], {"tduality", "equivalence", "abranes", "fock"}),
+        (["hodge", "T"], {"tduality", "equivalence", "abranes", "fock", "cohomology", "exterior",
+                          "_rational"}),
         (["mirror", "--torus", "T"],
          {"fock", "cohomology", "abranes", "exterior", "kernels", "kernels_py"}),
         (["fock-verify", "--d", "1", "--cap", "1"],
@@ -718,7 +730,8 @@ class TestImportIsolation:
 
     # Start-up compiles no dataclass machinery, no argparse and no exterior
     # algebra: after an in-process check-iso none of them is loaded, unless
-    # the bare interpreter loads it already; hodge loads the exterior algebra.
+    # the bare interpreter loads it already; pp-classes loads the exterior
+    # algebra.
     def test_startup_loads_neither_dataclasses_nor_exterior(self, square_file):
         watched = {"argparse", "dataclasses", "flattori.exterior"}
         bare = _fresh_python("-c", "import json, sys; print(json.dumps(sorted(sys.modules)))")
@@ -726,7 +739,7 @@ class TestImportIsolation:
         proc = _fresh_python("-c", LOADED_MODULES, "check-iso", square_file, square_file)
         assert proc.returncode == 0, proc.stderr
         assert set(json.loads(proc.stderr.splitlines()[-1])) & watched == expected
-        proc = _fresh_python("-c", LOADED_MODULES, "hodge", square_file)
+        proc = _fresh_python("-c", LOADED_MODULES, "pp-classes", square_file, "--p", "1")
         assert proc.returncode == 0, proc.stderr
         assert "flattori.exterior" in json.loads(proc.stderr.splitlines()[-1])
 
@@ -736,7 +749,8 @@ class TestImportIsolation:
     # has them already.  None compiles the box scan either: an iso or mirror
     # search, found or refuted and at every d, is the isometry search of the
     # Narain lattices, and the derived_eq pair is refuted by its lattices.
-    # hodge computes with Fractions.
+    # hodge and lefschetz read int-row grade operators; pp-classes computes
+    # with Fractions.
     @pytest.mark.parametrize("argv, verdict", [
         (["validate", "T"], None),
         (["spectrum", "T2"], None),
@@ -747,9 +761,11 @@ class TestImportIsolation:
         (["check-iso", "T2", "S2"], "refuted"),
         (["check-mirror", "T3", "T3"], "found"),
         (["mirror", "--torus", "T"], "found"),
+        (["hodge", "T3"], None),
+        (["lefschetz", "T3"], None),
     ], ids=["validate", "spectrum", "check-iso-found", "check-iso-refuted", "check-mirror-refuted",
             "check-derived-eq-refuted", "check-iso-d2-refuted", "check-mirror-d3-found",
-            "mirror"])
+            "mirror", "hodge", "lefschetz"])
     def test_validate_and_search_load_no_fractions(self, square_file, stretched_file,
                                                    square2_file, stretched2_file, torus_file,
                                                    argv, verdict):
@@ -765,8 +781,8 @@ class TestImportIsolation:
         assert loaded & watched == watched & set(json.loads(bare.stdout))
         assert loaded & {"flattori.kernels", "flattori.kernels_py"} == set()
 
-    def test_hodge_loads_fractions(self, square_file):
-        proc = _fresh_python("-c", LOADED_MODULES, "hodge", square_file)
+    def test_pp_classes_loads_fractions(self, square_file):
+        proc = _fresh_python("-c", LOADED_MODULES, "pp-classes", square_file, "--p", "1")
         assert proc.returncode == 0, proc.stderr
         assert "fractions" in json.loads(proc.stderr.splitlines()[-1])
 
@@ -826,11 +842,34 @@ class TestImportIsolation:
         loaded = [m for m in json.loads(proc.stderr.splitlines()[-1])
                   if m.split(".")[0] == "flattori"]
         assert {m.removeprefix("flattori.") for m in loaded} & unloaded == set()
-        root = os.path.dirname(flattori.__file__)
-        nodes = sum(sum(1 for _ in ast.walk(ast.parse(open(os.path.join(
-            root, m.partition(".")[2] + ".py" if "." in m else "__init__.py")).read())))
-            for m in loaded)
-        assert nodes <= most
+        assert _compiled_nodes(loaded) <= most
+
+    # hodge, lefschetz and beta build their grade operators as int rows and
+    # compile neither the exterior algebra nor the class layer, and a brane
+    # that the dimension law rejects (three unit directions on square2)
+    # compiles no exterior algebra either.
+    @pytest.mark.parametrize("argv, code, most, unloaded", [
+        (["hodge", "T2"], 0, 8200, {"cohomology", "exterior", "_rational"}),
+        (["lefschetz", "T2"], 0, 8200, {"cohomology", "exterior", "_rational"}),
+        (["beta", "T2"], 0, 8280, {"cohomology", "exterior"}),
+        (["abrane-check", "--brane", "R"], 1, 9990, {"exterior", "cohomology", "hodge"}),
+    ], ids=["hodge", "lefschetz", "beta", "abrane-check-rejected"])
+    def test_structure_command_compiles_within_its_budget(self, tmp_path, square2_file, argv,
+                                                          code, most, unloaded):
+        (tmp_path / "three.json").write_text(json.dumps(
+            {"torus_ref": "square2.json", "Y_basis": [[int(i == k) for i in range(4)]
+                                                      for k in range(3)],
+             "F": [["0"] * 3 for _ in range(3)]}))
+        files = {"T2": square2_file, "R": str(tmp_path / "three.json")}
+        proc = _fresh_python("-c", LOADED_MODULES, *[files.get(a, a) for a in argv])
+        assert proc.returncode == code, proc.stderr
+        result = report(proc.stdout)["result"]
+        if argv[0] == "abrane-check":
+            assert result["rejection"] == "dimension_law"
+        loaded = [m for m in json.loads(proc.stderr.splitlines()[-1])
+                  if m.split(".")[0] == "flattori"]
+        assert {m.removeprefix("flattori.") for m in loaded} & unloaded == set()
+        assert _compiled_nodes(loaded) <= most
 
     def test_budget_default_is_the_search_default(self):
         assert cli.DEFAULTS["budget"] == equivalence.DEFAULT_NODE_BUDGET

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (Gaussian, exp_grade2, ext_scaled, fm_product_model, random_valid_torus,
-                      square_torus, unit_splitting)
+from conftest import (Gaussian, derivation_map, exp_grade2, ext_scaled, fm_product_model, mono,
+                      random_valid_torus, square_torus, unit_splitting, wedge_matrix)
 from flattori._rational import Q, QZERO
-from flattori.cohomology import (CohClass, _projector_02, beta_torsion, fm_transform,
-                                 hodge_diamond, inverse_bivector,
-                                 lefschetz_kernel_dim, mirror_class_condition,
+from flattori.cohomology import (CohClass, beta_torsion, fm_transform, hodge_diamond,
+                                 inverse_bivector, lefschetz_kernel_dim, mirror_class_condition,
                                  rational_pp_classes)
 from flattori.exactlinear import RatMatrix
-from flattori.exterior import ExtElement, derivation_map, interior, wedge
+from flattori.exterior import ExtElement, interior, wedge
+from flattori.hodge import _projector_02, derivation, lefschetz_map
 from flattori.tduality import find_lagrangian_splitting, mirror_via_tduality
 from flattori.torus import TorusData, omega
 from test_abranes import _rebased, _unimodular
@@ -74,6 +74,23 @@ class TestHodgeDiamond:
             assert n - len(gauss_eigenvectors(proj, 0)) == hd.h[p][q]
 
 
+class TestGradeOperators:
+    """The int-row grade operators of ``hodge`` are their exterior-algebra
+    definitions: D at every grade against the Fraction derivation built
+    from ``merge_sign``, and L_omega at every grade it reaches against the
+    matrix of ``wedge(two_form(omega), .)``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3))
+    def test_int_rows_match_the_exterior_algebra(self, seed, d):
+        t = random_valid_torus(random.Random(seed), d)
+        for k in range(t.rank + 1):
+            assert derivation(t.I.transpose(), k) == derivation_map(t.I.transpose(), k)
+        w_form = ExtElement.two_form(omega(t))
+        for k in range(t.rank - 1):
+            assert lefschetz_map(omega(t), k) == wedge_matrix(w_form, k)
+
+
 class TestPpClasses:
     def test_p0_is_scalars(self, square1):
         cls = rational_pp_classes(square1, 0)
@@ -83,7 +100,7 @@ class TestPpClasses:
     def test_square_d1_p1(self, square1):
         cls = rational_pp_classes(square1, 1)
         assert len(cls) == 1
-        assert cls[0].element == ExtElement.monomial(2, (0, 1))
+        assert cls[0].element == mono(2, (0, 1))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_total_dimension_on_square_powers(self, n):
@@ -92,7 +109,6 @@ class TestPpClasses:
         assert total == comb(2 * n, n)
 
     def test_kernel_classes_are_pp(self, square2):
-        from flattori.exterior import derivation_map
         dual_i = square2.I.transpose()
         for p in (1, 2):
             dm = derivation_map(dual_i, 2 * p)
@@ -147,18 +163,18 @@ class TestFmTransform:
     def test_d1_scalar_to_fiber_class(self, square1):
         s = find_lagrangian_splitting(square1)
         img = fm_transform(s, CohClass(square1, ExtElement.scalar(2, 1)))
-        assert img.element == ExtElement.monomial(2, (0,))
+        assert img.element == mono(2, (0,))
 
     def test_d1_base_class_to_scalar(self, square1):
         s = find_lagrangian_splitting(square1)
-        img = fm_transform(s, CohClass(square1, ExtElement.monomial(2, (0,))))
+        img = fm_transform(s, CohClass(square1, mono(2, (0,))))
         assert img.element == ExtElement.scalar(2, 1)
 
     def test_volume_maps_to_b_factor_volume(self, square2):
         s = find_lagrangian_splitting(square2)
-        img = fm_transform(s, CohClass(square2, ExtElement.monomial(4, (0, 1, 2, 3))))
-        assert img.element in (ExtElement.monomial(4, (2, 3)),
-                               ExtElement.monomial(4, (2, 3), -1))
+        img = fm_transform(s, CohClass(square2, mono(4, (0, 1, 2, 3))))
+        assert img.element in (mono(4, (2, 3)),
+                               mono(4, (2, 3), -1))
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_linear_isomorphism_of_total_cohomology(self, d):
@@ -168,7 +184,7 @@ class TestFmTransform:
         monos = [idx for k in range(n + 1) for idx in combinations(range(n), k)]
         rows = []
         for idx in monos:
-            img = fm_transform(s, CohClass(t, ExtElement.monomial(n, idx)))
+            img = fm_transform(s, CohClass(t, mono(n, idx)))
             rows.append([img.element.coefficient(j) for j in monos])
         assert RatMatrix(rows).rank() == 2 ** n
 
@@ -183,7 +199,7 @@ class TestFmTransform:
         from flattori.exterior import apply_linear
         for k in range(n + 1):
             for idx in combinations(range(n), k):
-                alpha = CohClass(t, ExtElement.monomial(n, idx))
+                alpha = CohClass(t, mono(n, idx))
                 twice = fm_transform(s2, fm_transform(s, alpha))
                 split = apply_linear(alpha.element, s.change_of_basis.transpose())
                 assert twice.element == ext_scaled(split, sign)
@@ -246,7 +262,7 @@ class TestMirrorClassCondition:
         s = find_lagrangian_splitting(square2)
         mr = mirror_via_tduality(square2, s)
         # B-factor volume is dual to the dualized-fiber Lagrangian
-        alpha = CohClass(mr.mirror, ExtElement.monomial(4, (2, 3)))
+        alpha = CohClass(mr.mirror, mono(4, (2, 3)))
         assert mirror_class_condition(mr.mirror, alpha)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -262,7 +278,7 @@ class TestMirrorClassCondition:
     def test_non_pp_image_fails(self, square2):
         s = find_lagrangian_splitting(square2)
         mr = mirror_via_tduality(square2, s)
-        bad = fm_transform(s, CohClass(square2, ExtElement.monomial(4, (0,))))
+        bad = fm_transform(s, CohClass(square2, mono(4, (0,))))
         assert not mirror_class_condition(mr.mirror, bad)
 
     # check-mirror-class reads omega' and not B', so the (p,p) images pass
@@ -288,7 +304,7 @@ class TestMirrorClassCondition:
             for c in rational_pp_classes(t, p):
                 alpha = alpha + ext_scaled(c.element, rng.randint(-2, 2))
         assert mirror_class_condition(mirror, twisted(alpha))
-        odd = ExtElement.monomial(t.rank, (rng.randrange(t.rank),))
+        odd = mono(t.rank, (rng.randrange(t.rank),))
         assert not mirror_class_condition(mirror, twisted(alpha + odd))
 
     def test_exponential_solutions_exist(self, square2):
@@ -307,7 +323,7 @@ class TestMirrorClassCondition:
     def test_single_covector_fails(self, square2):
         s = find_lagrangian_splitting(square2)
         mr = mirror_via_tduality(square2, s)
-        alpha = CohClass(mr.mirror, ExtElement.monomial(4, (0,)))
+        alpha = CohClass(mr.mirror, mono(4, (0,)))
         assert not mirror_class_condition(mr.mirror, alpha)
 
 

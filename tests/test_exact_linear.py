@@ -8,16 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FractionMatrix, Gaussian, diag, exp_grade2
+from conftest import FractionMatrix, Gaussian, diag, exp_grade2, mono
 from flattori._rational import Q, rat
 from flattori.errors import DimensionError, GradeError
 from flattori.exactlinear import RatMatrix, bareiss, cleared, rat_str
-from flattori.exterior import (ExtElement, apply_linear, derivation_map, induced_map, interior,
-                               wedge)
+from flattori.exterior import ExtElement, apply_linear, induced_map, interior, wedge
+from flattori.hodge import derivation
 
 
 def e(rank, *indices):
-    return ExtElement.monomial(rank, indices)
+    return mono(rank, indices)
 
 
 class TestRationals:
@@ -331,7 +331,7 @@ class TestWedge:
     def test_bilinear_expansion(self):
         a = e(2, 0) + e(2, 1)
         b = e(2, 0) - e(2, 1)
-        assert wedge(a, b) == ExtElement.monomial(2, (0, 1), -2)
+        assert wedge(a, b) == mono(2, (0, 1), -2)
 
     def test_rank_mismatch(self):
         with pytest.raises(DimensionError):
@@ -344,8 +344,8 @@ class TestWedge:
                                                min_size=ka, max_size=ka))))
         idx_b = tuple(sorted(data.draw(st.sets(st.integers(0, rank - 1),
                                                min_size=kb, max_size=kb))))
-        a = ExtElement.monomial(rank, idx_a)
-        b = ExtElement.monomial(rank, idx_b)
+        a = mono(rank, idx_a)
+        b = mono(rank, idx_b)
         lhs = wedge(a, b)
         rhs = wedge(b, a)
         if (ka * kb) % 2:
@@ -353,8 +353,8 @@ class TestWedge:
         assert lhs == rhs
 
     def test_associativity(self):
-        a = e(4, 0) + ExtElement.monomial(4, (1,), 2)
-        b = e(4, 1) + ExtElement.monomial(4, (2,), -3)
+        a = e(4, 0) + mono(4, (1,), 2)
+        b = e(4, 1) + mono(4, (2,), -3)
         c = e(4, 3) + ExtElement.scalar(4, Q(1, 2))
         assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
 
@@ -384,10 +384,10 @@ class TestInterior:
             biv = e(rank, i, j)
             for ga in range(2, rank + 1):
                 for a_idx in combinations(range(rank), ga):
-                    a = ExtElement.monomial(rank, a_idx)
+                    a = mono(rank, a_idx)
                     contracted = interior(biv, a)
                     for b_idx in combinations(range(rank), ga - 2):
-                        b = ExtElement.monomial(rank, b_idx)
+                        b = mono(rank, b_idx)
                         lhs = contracted.coefficient(b_idx)
                         rhs = wedge(biv, b).coefficient(a_idx)
                         assert lhs == rhs
@@ -440,7 +440,7 @@ class TestInducedMap:
     def test_derivation_leibniz_against_functor(self):
         # derivation of m = d/dt of induced(1 + t m) at t=0, checked on grade 2
         m = RatMatrix([[1, 2, 0], [0, -1, 1], [3, 0, 1]])
-        dm = derivation_map(m, 2)
+        dm = derivation(m, 2)
         basis = list(combinations(range(3), 2))
         for col, s in enumerate(basis):
             img = ExtElement.zero(3)
@@ -451,7 +451,7 @@ class TestInducedMap:
                         cols.append(ExtElement(3, {(i,): m.entries[i][gen]
                                                    for i in range(3) if m.entries[i][gen]}))
                     else:
-                        cols.append(ExtElement.monomial(3, (gen,)))
+                        cols.append(mono(3, (gen,)))
                 term = ExtElement.scalar(3, 1)
                 for c in cols:
                     term = wedge(term, c)
@@ -468,7 +468,7 @@ class TestApplyLinear:
             ind = induced_map(m, k)
             basis = list(combinations(range(4), k))
             for col, s in enumerate(basis):
-                img = apply_linear(ExtElement.monomial(4, s), m)
+                img = apply_linear(mono(4, s), m)
                 for row, t in enumerate(basis):
                     assert ind.entries[row][col] == img.coefficient(t)
 
@@ -481,7 +481,7 @@ class TestApplyLinear:
     def test_rectangular_restriction(self):
         m = RatMatrix([[1, 0, 2]])  # rank-3 generators restricted to a line
         a = e(3, 0) + e(3, 2)
-        assert apply_linear(a, m) == ExtElement.monomial(1, (0,), 3)
+        assert apply_linear(a, m) == mono(1, (0,), 3)
 
 
 @st.composite
